@@ -49,7 +49,7 @@ from .geometry import (
     simple_walk,
     single_site,
 )
-from .measure import LambdaMeasure, QuadratureConfig
+from .measure import LambdaMeasure
 from .rates import RateKernel, cdi_classify
 
 EXIT_OK = 0
@@ -127,12 +127,9 @@ class GeographyConfig(_Strict):
 
 class KernelConfig(_Strict):
     b_max: int = 256
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-12
 
     def build(self, measure: LambdaMeasure) -> RateKernel:
-        return RateKernel(measure, QuadratureConfig(self.abs_tol, self.rel_tol),
-                          b_max=self.b_max)
+        return RateKernel(measure, b_max=self.b_max)
 
 
 class ExperimentConfig(_Strict):
@@ -327,21 +324,27 @@ def _load(config, seed, replicas, out, budget):
     return cfg, writer
 
 
-_common = [
-    click.option("--config", required=True, type=click.Path(), help="JSON run config"),
-    click.option("--seed", type=int, default=None, help="override master seed"),
-    click.option("--replicas", type=int, default=None, help="override replica count"),
-    click.option("--out", type=click.Path(), default=None, help="output directory"),
-    click.option("--budget", type=int, default=None, help="override event budget"),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv", "jsonl"]),
-                 default="json", help="primary raw-output format"),
-]
+_OPTIONS = {
+    "config": click.option("--config", required=True, type=click.Path(),
+                           help="JSON run config"),
+    "seed": click.option("--seed", type=int, default=None, help="override master seed"),
+    "replicas": click.option("--replicas", type=int, default=None,
+                             help="override replica count"),
+    "out": click.option("--out", type=click.Path(), default=None, help="output directory"),
+    "budget": click.option("--budget", type=int, default=None, help="override event budget"),
+    "format": click.option("--format", "fmt", type=click.Choice(["json", "csv", "jsonl"]),
+                           default="json", help="primary raw-output format"),
+}
+_COMMON = ("config", "seed", "replicas", "out", "budget")
 
 
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _with_options(*names):
+    """Attach the named options from _OPTIONS, in the given order."""
+    def deco(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+    return deco
 
 
 @click.group()
@@ -356,9 +359,9 @@ def main():
 # ----------------------------------------------------------------------
 
 @main.command()
-@_with_common
+@_with_options(*_COMMON)
 @_guarded
-def rates(config, seed, replicas, out, budget, fmt):
+def rates(config, seed, replicas, out, budget):
     """Per-merge and total rate tables as CSV."""
     cfg, writer = _load(config, seed, replicas, out, budget)
     if cfg.measure is None:
@@ -384,9 +387,9 @@ def rates(config, seed, replicas, out, budget, fmt):
 
 
 @main.command()
-@_with_common
+@_with_options(*_COMMON)
 @_guarded
-def classify(config, seed, replicas, out, budget, fmt):
+def classify(config, seed, replicas, out, budget):
     """Comes-down-from-infinity dichotomy verdict as JSON."""
     cfg, writer = _load(config, seed, replicas, out, budget)
     if cfg.measure is None:
@@ -407,9 +410,9 @@ def classify(config, seed, replicas, out, budget, fmt):
 
 
 @main.command()
-@_with_common
+@_with_options(*_COMMON)
 @_guarded
-def green(config, seed, replicas, out, budget, fmt):
+def green(config, seed, replicas, out, budget):
     """Random-walk Green function at the origin."""
     cfg, writer = _load(config, seed, replicas, out, budget)
     walk_cfg = (cfg.geography.walk if cfg.geography is not None
@@ -461,11 +464,11 @@ def _trajectory_csv(rec, n_start: int) -> str:
 
 
 @main.command()
-@_with_common
+@_with_options("config", "seed", "out", "budget", "format")
 @_guarded
-def simulate_cmd(config, seed, replicas, out, budget, fmt):
+def simulate_cmd(config, seed, out, budget, fmt):
     """Exact trajectory simulation; JSONL events or CSV block counts."""
-    cfg, writer = _load(config, seed, replicas, out, budget)
+    cfg, writer = _load(config, seed, None, out, budget)
     if cfg.measure is None or cfg.geography is None:
         raise _ValidationFailure(["simulate: config requires measure and geography"])
     kernel = cfg.kernel.build(cfg.measure.build())
@@ -618,9 +621,9 @@ def _run_kappa(cfg: RunConfig, p: dict):
 
 
 @main.command()
-@_with_common
+@_with_options(*_COMMON)
 @_guarded
-def experiment(config, seed, replicas, out, budget, fmt):
+def experiment(config, seed, replicas, out, budget):
     """Run the experiment named in the config; report JSON plus raw CSV."""
     cfg, writer = _load(config, seed, replicas, out, budget)
     if cfg.experiment is None:

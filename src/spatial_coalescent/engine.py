@@ -71,9 +71,6 @@ class LabeledPartition:
             raise ValueError("blocks must be disjoint")
         self.ground = frozenset(union)
         self.n = n if n is not None else (max(union) if union else 0)
-        if n is not None and union and union != set(range(1, n + 1)):
-            # ground subsets arise from restrictions; allowed when explicit
-            pass
 
     def block_count(self) -> int:
         return len(self.blocks)

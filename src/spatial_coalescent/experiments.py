@@ -26,7 +26,6 @@ from scipy import stats as sp_stats
 from scipy.special import gammaln
 
 from . import engine as engine_mod
-from . import geometry as geometry_mod
 from .engine import SimulationConfig, simulate, singletons_per_site
 from .errors import BudgetExceeded, TruncationUnstable
 from .geometry import WalkSpec, build_torus, green_function, kappa
@@ -560,8 +559,6 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
                 groups[gi][survivor] = parts
                 for c in chosen[1:]:
                     alivemask[r, c] = False
-        else:
-            pass
 
         mig = ~coal
         if np.any(mig):
@@ -644,7 +641,6 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     pairs = sorted({(i, j) for i in range(n_blocks) for j in range(n_blocks)
                     if i < j})
     observed = np.array([first_pair_counts.get(p, 0) for p in pairs])
-    binary_first = [p for p in first_pair_counts if len(p) == 2]
     total_first = int(observed.sum())
     chi2_p = float(sp_stats.chisquare(observed).pvalue) if total_first else None
 

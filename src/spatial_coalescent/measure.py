@@ -6,11 +6,17 @@ and user-supplied polynomials.  Atoms on the boundary of an interval count as
 inside (closed-interval convention), which makes mass([0,1]) exactly the
 total mass.
 
-Integration sums atoms exactly and runs adaptive quadrature on the density
-pieces.  Densities with an integrable endpoint singularity x^e, e in (-1,0),
-are tamed by the substitution u = x^(1+e) so the quadrature only ever sees a
-bounded integrand.  The convention 0^0 = 1 is honored wherever integrands are
-evaluated at atom locations 0 and 1.
+The production route for every integral against a measure is the closed
+form of its moments M(m, n) = integral x^m (1-x)^n dL(x): atoms are summed
+exactly with 0^0 = 1, and every density piece is a sum of terms
+c x^p (1-x)^q on [lo, hi], which integrate to Beta functions times
+regularized incomplete Beta probabilities.  `mass` and the total mass use
+the same closed form.
+
+Adaptive quadrature (`integrate`, `integrate_vector`) is the independent
+oracle route for arbitrary integrands.  Densities with an integrable
+endpoint singularity x^e, e in (-1,0), are tamed by the substitution
+u = x^(1+e) so the quadrature only ever sees a bounded integrand.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _sci_integrate
-from scipy.special import gamma as _gamma_fn
+from scipy.special import betainc, betaln
 
 from .errors import ToleranceNotMet
 
@@ -31,6 +37,7 @@ __all__ = [
     "integrate",
     "integrate_vector",
     "mass",
+    "moments",
     "restrict",
 ]
 
@@ -40,7 +47,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 100_000
-    rule: str = "gauss_kronrod"
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
@@ -76,25 +82,25 @@ class DensityPiece:
             if self.params["p"] <= -1.0 or self.params["q"] <= -1.0:
                 raise ValueError("power exponents must exceed -1")
 
-    # -- density evaluation (vectorized) --------------------------------
+    def terms(self) -> list[tuple[float, float, float]]:
+        """The density as a sum of terms c x^p (1-x)^q, as (c, p, q)."""
+        if self.tag == "constant":
+            return [(float(self.params.get("level", 1.0)), 0.0, 0.0)]
+        if self.tag == "beta":
+            alpha = self.params["alpha"]
+            return [(math.exp(-betaln(2.0 - alpha, alpha)), 1.0 - alpha, alpha - 1.0)]
+        if self.tag == "power":
+            return [(float(self.params.get("coeff", 1.0)),
+                     float(self.params["p"]), float(self.params["q"]))]
+        # polynomial: coefficients c0 + c1 x + c2 x^2 + ...
+        return [(float(c), float(i), 0.0)
+                for i, c in enumerate(self.params["coefficients"])]
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
-        if self.tag == "constant":
-            return np.full_like(x, float(self.params.get("level", 1.0)))
-        if self.tag == "beta":
-            alpha = self.params["alpha"]
-            norm = _gamma_fn(2.0) / (_gamma_fn(2.0 - alpha) * _gamma_fn(alpha))
-            with np.errstate(divide="ignore", over="ignore"):
-                return norm * x ** (1.0 - alpha) * (1.0 - x) ** (alpha - 1.0)
-        if self.tag == "power":
-            p, q = self.params["p"], self.params["q"]
-            coeff = float(self.params.get("coeff", 1.0))
-            with np.errstate(divide="ignore", over="ignore"):
-                return coeff * x**p * (1.0 - x) ** q
-        # polynomial: coefficients c0 + c1 x + c2 x^2 + ...
-        coeffs = self.params["coefficients"]
-        return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
+        with np.errstate(divide="ignore", over="ignore"):
+            return sum((c * x**p * (1.0 - x) ** q for c, p, q in self.terms()),
+                       np.zeros_like(x))
 
     # Exponent of the (x - 0) factor if this piece touches 0 with a
     # singular density there; 0.0 means regular.  Same for the right end.
@@ -141,8 +147,7 @@ class LambdaMeasure:
     rate computations can reject it.
     """
 
-    def __init__(self, atoms=(), pieces=(), _allow_zero=False,
-                 quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
+    def __init__(self, atoms=(), pieces=(), _allow_zero=False):
         atoms = [(float(loc), float(m)) for loc, m in atoms]
         for loc, m in atoms:
             if not (0.0 <= loc <= 1.0):
@@ -154,10 +159,9 @@ class LambdaMeasure:
             raise ValueError("atom locations must be distinct")
         self.atoms = sorted(atoms)
         self.pieces = list(pieces)
-        self.quadrature = quadrature
         piece_mass = 0.0
         for piece in self.pieces:
-            val, _ = _integrate_pieces(lambda x: np.ones_like(x), [piece], quadrature)
+            val = float(_piece_moments(piece, 0.0, 0.0))
             if val < 0:
                 raise ValueError("density pieces must have nonnegative mass")
             piece_mass += val
@@ -347,18 +351,55 @@ def integrate_vector(integrand, measure_: LambdaMeasure,
     return np.asarray(total, dtype=float), err
 
 
-def mass(measure_: LambdaMeasure, interval,
-         config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def _beta_share(a, b, lo: float, hi: float):
+    """Beta(a, b) probability of [lo, hi], taken from the lower tail, or
+    from the upper tail (I_{1-x}(b, a)) when both ends lie above the median
+    and the lower-tail difference would cancel."""
+    if lo == 0.0 and hi == 1.0:
+        return 1.0
+    below_lo, below_hi = betainc(a, b, lo), betainc(a, b, hi)
+    above_lo, above_hi = betainc(b, a, 1.0 - lo), betainc(b, a, 1.0 - hi)
+    return np.where(below_lo > 0.5, above_lo - above_hi, below_hi - below_lo)
+
+
+def _piece_moments(piece: DensityPiece, m, n):
+    """integral over the piece of x^m (1-x)^n times its density."""
+    lo, hi = piece.interval
+    total = 0.0
+    for c, p, q in piece.terms():
+        a, b = m + p + 1.0, n + q + 1.0
+        total = total + c * np.exp(betaln(a, b)) * _beta_share(a, b, lo, hi)
+    return total
+
+
+def moments(measure_: LambdaMeasure, m, n):
+    """M(m, n) = integral x^m (1-x)^n dL(x) in closed form, 0^0 = 1.
+
+    m and n are nonnegative and broadcast against each other; the result is
+    a float for scalar m and n, else an array.  Atoms are summed exactly and
+    each density term c x^p (1-x)^q on [lo, hi] contributes
+    c B(m+p+1, n+q+1) times the Beta(m+p+1, n+q+1) probability of [lo, hi].
+    """
+    m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
+    total = np.zeros(np.broadcast(m, n).shape)
+    for loc, w in measure_.atoms:
+        total += w * loc**m * (1.0 - loc) ** n
+    for piece in measure_.pieces:
+        total += _piece_moments(piece, m, n)
+    return total if total.ndim else float(total)
+
+
+def mass(measure_: LambdaMeasure, interval) -> float:
     """Measure of a closed subinterval of [0,1]; boundary atoms count."""
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"bad interval {interval}")
     total = sum(m for loc, m in measure_.atoms if lo <= loc <= hi)
     if hi > lo:
-        clipped = [p for p in (piece.clipped(lo, hi) for piece in measure_.pieces)
-                   if p is not None]
-        val, _ = _integrate_pieces(lambda x: np.ones_like(x), clipped, config)
-        total += float(val)
+        for piece in measure_.pieces:
+            clipped = piece.clipped(lo, hi)
+            if clipped is not None:
+                total += float(_piece_moments(clipped, 0.0, 0.0))
     return total
 
 
@@ -369,5 +410,4 @@ def restrict(measure_: LambdaMeasure, a: float) -> LambdaMeasure:
     atoms = [(loc, m) for loc, m in measure_.atoms if loc <= a]
     pieces = [p for p in (piece.clipped(0.0, a) for piece in measure_.pieces)
               if p is not None]
-    return LambdaMeasure(atoms=atoms, pieces=pieces, _allow_zero=True,
-                         quadrature=measure_.quadrature)
+    return LambdaMeasure(atoms=atoms, pieces=pieces, _allow_zero=True)

@@ -1,30 +1,30 @@
 """Coalescence rate tables and derived quantities.
 
 For a finite measure L on [0,1], the merger rate of a fixed k-set out of b
-blocks is
+blocks is the moment
 
-    lambda_{b,k} = integral x^(k-2) (1-x)^(b-k) dL(x),   2 <= k <= b,
+    lambda_{b,k} = M(k-2, b-k),   M(m, n) = integral x^m (1-x)^n dL(x),
 
-with 0^0 = 1 at the endpoints.  The totals
+for 2 <= k <= b, with 0^0 = 1 at the endpoints (Pitman 1999).  The totals
 
     lambda_b = sum_k C(b,k) lambda_{b,k}
-             = integral (1 - (1-x)^b - b x (1-x)^(b-1)) / x^2 dL(x)
     gamma_b  = sum_k C(b,k) (k-1) lambda_{b,k}
-             = integral (b x - 1 + (1-x)^b) / x^2 dL(x)
     eta_b    = sum_k C(b,k) k lambda_{b,k}
-             = integral b (1 - (1-x)^(b-1)) / x dL(x)
 
-are computed from the single-integral forms (vectorized over b); the
-binomial sums serve as consistency checks in the test suite.  Convention:
-lambda_b = gamma_b = 0 for b in {0, 1}.
+are cumulative sums of the single vector M(0, j), j = 0, 1, ...:
 
-Both integrand families suffer catastrophic cancellation as x -> 0 where
-their limit is C(b,2); a power-series branch (exact alternating binomial
-series) takes over once b*x is small.
+    lambda_{b+1} - lambda_b = b M(0, b-1)
+    gamma_{b+1}  - gamma_b  = sum_{j<b} M(0, j)
+    eta_b                   = b sum_{j<=b-2} M(0, j)
+
+so every table entry is a sum of positive terms.  All moments come from the
+closed form `measure.moments`; the binomial sums and the quadrature routes
+serve as checks in the test suite.  Convention: lambda_b = gamma_b = 0 for
+b in {0, 1}.
 
 The module also houses the block-count classifier (comes down from infinity
-iff sum_b 1/gamma_b < infinity), the uniform hitting-time bound
-sum_{b>=k} 1/gamma_b + k/gamma_k, and numerical checks of the rate
+iff sum_b 1/gamma_b < infinity; Schweinsberg 2000), the uniform hitting-time
+bound sum_{b>=k} 1/gamma_b + k/gamma_k, and numerical checks of the rate
 inequalities used by the spatial theory.
 """
 
@@ -40,7 +40,7 @@ from scipy.special import gammaln
 
 from . import measure as measure_mod
 from .errors import ZeroRate, ZeroTotalRate
-from .measure import DEFAULT_QUADRATURE, LambdaMeasure, QuadratureConfig
+from .measure import LambdaMeasure, QuadratureConfig
 
 __all__ = [
     "RateKernel",
@@ -54,133 +54,33 @@ __all__ = [
     "valid_decrement_sequences",
 ]
 
-_SERIES_CUTOFF = 0.02  # switch to the series branch when b*x is below this
-_SERIES_TERMS = 9
-
-
-def _falling_binom(bs: np.ndarray, j: int) -> np.ndarray:
-    """C(b, j) for an integer array b, as floats."""
-    out = np.ones_like(bs, dtype=float)
-    for i in range(j):
-        out *= (bs - i) / (j - i)
-    return np.where(bs >= j, out, 0.0)
-
-
-def _lambda_integrand(bs: np.ndarray, x: float) -> np.ndarray:
-    """(1 - (1-x)^b - b x (1-x)^(b-1)) / x^2, stable for all x in [0,1]."""
-    bs = np.asarray(bs)
-    if x == 0.0:
-        return _falling_binom(bs, 2)
-    if x == 1.0:
-        return np.ones_like(bs, dtype=float)
-    small = bs * x < _SERIES_CUTOFF
-    out = np.empty(bs.shape, dtype=float)
-    if np.any(~small):
-        b = bs[~small].astype(float)
-        lg = math.log1p(-x)
-        a = np.exp(b * lg)
-        a1 = np.exp((b - 1.0) * lg)
-        out[~small] = (1.0 - a - b * x * a1) / (x * x)
-    if np.any(small):
-        b = bs[small]
-        # sum_{j>=2} (-1)^j (j-1) C(b,j) x^(j-2)
-        acc = np.zeros(b.shape, dtype=float)
-        sign = 1.0
-        for j in range(2, 2 + _SERIES_TERMS):
-            acc += sign * (j - 1) * _falling_binom(b, j) * x ** (j - 2)
-            sign = -sign
-        out[small] = acc
-    return out
-
-
-def _gamma_integrand(bs: np.ndarray, x: float) -> np.ndarray:
-    """(b x - 1 + (1-x)^b) / x^2, stable for all x in [0,1]."""
-    bs = np.asarray(bs)
-    if x == 0.0:
-        return _falling_binom(bs, 2)
-    if x == 1.0:
-        return bs.astype(float) - 1.0
-    small = bs * x < _SERIES_CUTOFF
-    out = np.empty(bs.shape, dtype=float)
-    if np.any(~small):
-        b = bs[~small].astype(float)
-        a = np.exp(b * math.log1p(-x))
-        out[~small] = (b * x - 1.0 + a) / (x * x)
-    if np.any(small):
-        b = bs[small]
-        # sum_{j>=2} (-1)^j C(b,j) x^(j-2)
-        acc = np.zeros(b.shape, dtype=float)
-        sign = 1.0
-        for j in range(2, 2 + _SERIES_TERMS):
-            acc += sign * _falling_binom(b, j) * x ** (j - 2)
-            sign = -sign
-        out[small] = acc
-    return out
-
-
-def _eta_integrand(bs: np.ndarray, x: float) -> np.ndarray:
-    """b (1 - (1-x)^(b-1)) / x; no cancellation thanks to expm1."""
-    bs = np.asarray(bs)
-    b = bs.astype(float)
-    if x == 0.0:
-        return b * (b - 1.0)
-    if x == 1.0:
-        return b
-    return b * (-np.expm1((b - 1.0) * math.log1p(-x))) / x
-
-
-def _lambda_bk_integrand(b: int, x: float) -> np.ndarray:
-    """Vector over k = 2..b of x^(k-2) (1-x)^(b-k), 0^0 = 1."""
-    ks = np.arange(2, b + 1)
-    if x == 0.0:
-        return (ks == 2).astype(float)
-    if x == 1.0:
-        return (ks == b).astype(float)
-    return np.exp((ks - 2) * math.log(x) + (b - ks) * math.log1p(-x))
-
-
-def _merge_weight_integrand(b: int, x: float) -> np.ndarray:
-    """Vector over k = 2..b of C(b,k) x^(k-2) (1-x)^(b-k), in log space."""
-    ks = np.arange(2, b + 1)
-    if x == 0.0:
-        out = np.zeros(b - 1)
-        out[0] = b * (b - 1) / 2.0
-        return out
-    if x == 1.0:
-        out = np.zeros(b - 1)
-        out[-1] = 1.0
-        return out
-    logc = gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
-    return np.exp(logc + (ks - 2) * math.log(x) + (b - ks) * math.log1p(-x))
+# tolerances of the quadrature oracle behind the increment integrals
+_ORACLE_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12)
 
 
 class RateKernel:
     """Memoized rate tables for one measure.
 
-    Totals (lambda_b, gamma_b, eta_b) are grown lazily in dyadic b-blocks so
-    a single adaptive quadrature pass covers each block at full per-entry
-    precision.  Per-(b,k) rows are computed on demand.  All growth is guarded
-    by a lock, so a prepopulated kernel is safe to share across workers and
-    every query behaves as a pure function.
+    Totals (lambda_b, gamma_b, eta_b) are grown lazily in dyadic b-blocks as
+    cumulative sums of M(0, j) (see the module docstring); a block continues
+    the running sums, so every entry is the same whatever the growth history.
+    Per-(b,k) rows M(k-2, b-k) and merge-size laws are computed on demand.
+    All growth is guarded by a lock, so a prepopulated kernel is safe to
+    share across workers and every query behaves as a pure function.
     """
 
-    def __init__(self, measure_: LambdaMeasure,
-                 quadrature: QuadratureConfig | None = None,
-                 b_max: int = 256):
+    def __init__(self, measure_: LambdaMeasure, b_max: int = 256):
         if measure_.total_mass <= 0.0:
             raise ZeroTotalRate("measure has zero total mass")
         self.measure = measure_
-        self.quadrature = quadrature or QuadratureConfig(
-            abs_tol=1e-14, rel_tol=1e-12,
-            max_subdivisions=DEFAULT_QUADRATURE.max_subdivisions)
         self._lock = threading.RLock()
         # index b -> value; entries 0 and 1 are 0 by convention
         self._lam = [0.0, 0.0]
         self._gam = [0.0, 0.0]
         self._eta = [0.0, 0.0]
+        self._m0_sum = 0.0      # sum_{j <= b_max - 2} M(0, j)
         self._bk_rows: dict[int, np.ndarray] = {}
         self._merge_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._quad_error = 0.0
         self.ensure_b(b_max)
 
     @property
@@ -189,7 +89,8 @@ class RateKernel:
 
     @property
     def quadrature_error(self) -> float:
-        return self._quad_error
+        """Always 0.0: the tables come from closed forms, not quadrature."""
+        return 0.0
 
     def ensure_b(self, b: int) -> None:
         if b < len(self._lam):
@@ -199,21 +100,16 @@ class RateKernel:
                 lo = len(self._lam)
                 hi = min(max(2 * lo, 4), max(b + 1, 4))
                 bs = np.arange(lo, hi)
-
-                def f(x, bs=bs):
-                    return np.concatenate([
-                        _lambda_integrand(bs, x),
-                        _gamma_integrand(bs, x),
-                        _eta_integrand(bs, x),
-                    ])
-
-                vals, err = measure_mod.integrate_vector(
-                    f, self.measure, self.quadrature)
-                n = len(bs)
-                self._lam.extend(vals[:n].tolist())
-                self._gam.extend(vals[n:2 * n].tolist())
-                self._eta.extend(vals[2 * n:].tolist())
-                self._quad_error = max(self._quad_error, err)
+                m0 = measure_mod.moments(self.measure, 0, bs - 2)
+                # running sums continued from the last entry (np.cumsum adds
+                # left to right, so a block reproduces one long cumsum)
+                sums = np.cumsum(np.concatenate(([self._m0_sum], m0)))[1:]
+                lam = np.cumsum(np.concatenate(([self._lam[-1]], (bs - 1) * m0)))[1:]
+                gam = np.cumsum(np.concatenate(([self._gam[-1]], sums)))[1:]
+                self._lam.extend(lam.tolist())
+                self._gam.extend(gam.tolist())
+                self._eta.extend((bs * sums).tolist())
+                self._m0_sum = float(sums[-1])
 
     # -- totals ---------------------------------------------------------
 
@@ -247,17 +143,15 @@ class RateKernel:
     # -- per-(b,k) rates ------------------------------------------------
 
     def lambda_bk_row(self, b: int) -> np.ndarray:
-        """Array of lambda_{b,k} for k = 2..b."""
+        """Array of lambda_{b,k} = M(k-2, b-k) for k = 2..b."""
         if b < 2:
             raise ValueError("need b >= 2")
         with self._lock:
             row = self._bk_rows.get(b)
             if row is None:
-                row, err = measure_mod.integrate_vector(
-                    lambda x: _lambda_bk_integrand(b, x),
-                    self.measure, self.quadrature)
+                ks = np.arange(2, b + 1)
+                row = measure_mod.moments(self.measure, ks - 2, b - ks)
                 self._bk_rows[b] = row
-                self._quad_error = max(self._quad_error, err)
         return row
 
     def lambda_bk(self, b: int, k: int) -> float:
@@ -281,36 +175,39 @@ class RateKernel:
         with self._lock:
             cached = self._merge_rows.get(b)
             if cached is None:
-                weights, err = measure_mod.integrate_vector(
-                    lambda x: _merge_weight_integrand(b, x),
-                    self.measure, self.quadrature)
+                ks = np.arange(2, b + 1)
+                log_binom = gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
+                # in log space: C(b,k) overflows long before the row underflows
+                with np.errstate(divide="ignore"):
+                    weights = np.exp(log_binom + np.log(self.lambda_bk_row(b)))
                 total = float(weights.sum())
                 if total <= 0.0:
                     raise ZeroTotalRate(f"lambda_{b} = 0", b=b)
                 probs = weights / total
                 cached = (probs, np.cumsum(probs))
                 self._merge_rows[b] = cached
-                self._quad_error = max(self._quad_error, err)
         return cached
 
     # -- auxiliary integrals used by the inequality checks --------------
 
     def lambda_increment_integral(self, b: int) -> float:
-        """integral b (1-x)^(b-1) dL(x) (equals lambda_{b+1} - lambda_b)."""
+        """integral b (1-x)^(b-1) dL(x) (equals lambda_{b+1} - lambda_b),
+        by quadrature, independently of the tables."""
         def f(x):
             if x == 1.0:
                 return 0.0 if b > 1 else float(b)
             return b * math.exp((b - 1) * math.log1p(-x))
-        val, _ = measure_mod.integrate(f, self.measure, self.quadrature)
+        val, _ = measure_mod.integrate(f, self.measure, _ORACLE_QUADRATURE)
         return val
 
     def gamma_increment_integral(self, b: int) -> float:
-        """integral (1 - (1-x)^b) / x dL(x) (equals gamma_{b+1} - gamma_b)."""
+        """integral (1 - (1-x)^b) / x dL(x) (equals gamma_{b+1} - gamma_b),
+        by quadrature, independently of the tables."""
         def f(x):
             if x == 0.0:
                 return float(b)
             return -math.expm1(b * math.log1p(-x)) / x
-        val, _ = measure_mod.integrate(f, self.measure, self.quadrature)
+        val, _ = measure_mod.integrate(f, self.measure, _ORACLE_QUADRATURE)
         return val
 
 

@@ -13,7 +13,10 @@ from spatial_coalescent.rates import RateKernel
 # child interpreter runs the code under test and never an installed copy
 _PACKAGE_PARENT = str(Path(spatial_coalescent.__file__).resolve().parent.parent)
 
-CALL_REPORT = pytest.StashKey()
+# set by the acceptance gate: the list of failed checks a test records
+CHECK_FAILURES = pytest.StashKey()
+# set here: why the test body itself did not pass, or None if it did
+BODY_ERROR = pytest.StashKey()
 
 
 def coalsim(*args):
@@ -29,12 +32,28 @@ def coalsim(*args):
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
-    """Keep the call-phase report on the item, so fixtures can read the real
-    outcome of the test body during teardown."""
+    """Keep the outcome of the test body on the item, so fixtures can read
+    it during teardown, and fail the call phase of a test whose recorded
+    checks failed."""
     outcome = yield
     report = outcome.get_result()
-    if report.when == "call":
-        item.stash[CALL_REPORT] = report
+    if report.when != "call":
+        return
+    item.stash[BODY_ERROR] = _body_error(report)
+    failures = item.stash.get(CHECK_FAILURES, [])
+    if failures and report.passed:
+        report.outcome = "failed"
+        report.longrepr = "failed checks:\n" + "\n".join(failures)
+
+
+def _body_error(report):
+    """Why the test body did not pass, or None if it did."""
+    if report.passed:
+        return None
+    crash = getattr(report.longrepr, "reprcrash", None)
+    message = crash.message if crash is not None else str(report.longrepr)
+    first_line = message.partition("\n")[0]
+    return f"{report.outcome}: {first_line[:200]}"
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import comb
 
-from conftest import CALL_REPORT, coalsim
+from conftest import BODY_ERROR, CHECK_FAILURES, coalsim
 from spatial_coalescent.engine import (
     SimulationConfig,
     coupled_simulate,
@@ -66,25 +66,13 @@ def kappa_info(kingman):
     return torus_kappa(simple_walk(3), kingman, require_agreement=True, seed=7)
 
 
-def _body_error(node):
-    """Why the test body did not pass, or None if it did (from the call-phase
-    report that conftest keeps on the item)."""
-    report = node.stash.get(CALL_REPORT, None)
-    if report is None:
-        return "test body did not run"
-    if report.passed:
-        return None
-    crash = getattr(report.longrepr, "reprcrash", None)
-    message = crash.message if crash is not None else str(report.longrepr)
-    first_line = message.partition("\n")[0]
-    return f"{report.outcome}: {first_line[:200]}"
-
-
 @pytest.fixture()
 def verdict_line(request, capsys):
     """Yields a recorder; prints one live PASS/FAIL line per criterion, built
-    from the recorded checks and the real outcome of the test body."""
+    from the recorded checks and the real outcome of the test body.  Failed
+    checks fail the test's call phase (see conftest)."""
     failures = []
+    request.node.stash[CHECK_FAILURES] = failures
 
     def check(ok, detail=""):
         if not ok:
@@ -93,13 +81,11 @@ def verdict_line(request, capsys):
 
     yield check
     label = request.node.name.replace("test_", "")
-    body_error = _body_error(request.node)
+    body_error = request.node.stash.get(BODY_ERROR, "test body did not run")
     shown = failures + ([body_error] if body_error else [])
     status = "FAIL" if shown else "PASS"
     with capsys.disabled():
         print(f"[{status}] {label}" + (f"  ({'; '.join(shown)})" if shown else ""))
-    # a raised body is already reported as a failure of the call phase
-    assert not failures, failures
 
 
 # ----------------------------------------------------------------------

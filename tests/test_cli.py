@@ -68,6 +68,21 @@ def test_missing_file_is_parse_error(tmp_path):
     assert json.loads(r.stdout)["error"] == "PARSE_ERROR"
 
 
+@pytest.mark.parametrize("args", [("rates", "--format", "csv"),
+                                  ("simulate", "--replicas", "3")])
+def test_option_without_effect_is_usage_error(tmp_path, args):
+    r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN}, *args)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "No such option" in r.stderr
+
+
+def test_kernel_tolerances_rejected(tmp_path):
+    r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN,
+                           "kernel": {"abs_tol": 1e-14}}, "rates")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "abs_tol" in json.loads(r.stdout)["message"]
+
+
 def test_nonpositive_replicas_rejected(tmp_path):
     r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN, "replicas": 0},
                 "classify")

@@ -12,10 +12,13 @@ from spatial_coalescent.measure import (
     integrate,
     integrate_vector,
     mass,
+    moments,
     restrict,
 )
 
 QC = QuadratureConfig()
+# tight enough that the oracle is relative-accurate on moments near 1e-13
+QC_ORACLE = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------- mass
@@ -80,6 +83,31 @@ def test_tolerance_not_met_raises():
     with pytest.raises(ToleranceNotMet):
         integrate(lambda x: math.sin(37.0 * x) ** 2 + x ** 0.1,
                   LambdaMeasure.beta(1.5), tight)
+
+
+# ---------------------------------------------------------------- moments
+
+@pytest.mark.parametrize("piece", [
+    DensityPiece((0.2, 0.7), "constant", {"level": 2.0}),
+    DensityPiece((0.1, 0.6), "beta", {"alpha": 1.5}),
+    DensityPiece((0.3, 1.0), "beta", {"alpha": 0.5}),
+    DensityPiece((0.0, 1.0), "power", {"p": -0.5, "q": 0.5}),
+    DensityPiece((0.0, 1.0), "polynomial", {"coefficients": [1.0, 1.0]}),
+], ids=lambda p: f"{p.tag}{p.interval}")
+def test_moments_match_quadrature_oracle(piece):
+    m = LambdaMeasure(pieces=[piece])
+    for i in (0, 1, 5, 20):
+        for j in (0, 1, 5, 20):
+            oracle, _ = integrate(lambda x: x**i * (1.0 - x) ** j, m, QC_ORACLE)
+            assert moments(m, i, j) == pytest.approx(oracle, rel=1e-9, abs=0.0), (i, j)
+
+
+def test_moments_atoms_exact_with_zero_power_convention():
+    m = LambdaMeasure(atoms=[(0.0, 2.0), (0.5, 1.0), (1.0, 3.0)])
+    assert moments(m, 0, 0) == 6.0
+    assert moments(m, 0, 3) == 2.0 + 0.125
+    assert moments(m, 2, 0) == 0.25 + 3.0
+    assert list(moments(m, [0, 1], 1)) == [2.5, 0.25]
 
 
 # ---------------------------------------------------------------- restrict

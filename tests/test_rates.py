@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betainc, betaln
 
 from spatial_coalescent.errors import ZeroRate
-from spatial_coalescent.measure import LambdaMeasure
+from spatial_coalescent.measure import DensityPiece, LambdaMeasure
 from spatial_coalescent.rates import (
     RateKernel,
     cdi_classify,
@@ -47,6 +48,21 @@ def test_lambda_bk_closed_form_beta_integral(lebesgue_kernel):
                 oracle, rel=1e-10)
 
 
+def test_lambda_bk_row_mixture_sub_interval_beta():
+    # atom at 0.3 plus Beta(2 - a, a) on [0, 0.6]: x^(k-2) (1-x)^(b-k) at
+    # the atom plus B(k-a, b-k+a) / B(2-a, a) * I_0.6(k-a, b-k+a)
+    a, b = 1.5, 1000
+    kern = RateKernel(LambdaMeasure(
+        atoms=[(0.3, 1.0)],
+        pieces=[DensityPiece((0.0, 0.6), "beta", {"alpha": a})]))
+    row = kern.lambda_bk_row(b)
+    for k in (2, 500, 1000):
+        atom = math.exp((k - 2) * math.log(0.3) + (b - k) * math.log(0.7))
+        dens = math.exp(betaln(k - a, b - k + a) - betaln(2 - a, a)
+                        + math.log(betainc(k - a, b - k + a, 0.6)))
+        assert row[k - 2] == pytest.approx(atom + dens, rel=1e-9, abs=0.0), k
+
+
 # ----------------------------------------------------------- totals
 
 def test_kingman_totals(kingman_kernel):
@@ -65,6 +81,18 @@ def test_degenerate_b_convention(kingman_kernel, lebesgue_kernel):
         assert k.lambda_total(1) == 0.0
         assert k.gamma_total(0) == 0.0
         assert k.gamma_total(1) == 0.0
+
+
+def test_tables_independent_of_growth_history():
+    measure = LambdaMeasure.beta(1.5)
+    stepped = RateKernel(measure, b_max=2)
+    for b in (3, 7, 100, 101, 3000):
+        stepped.ensure_b(b)
+    direct = RateKernel(measure, b_max=3000)
+    for b in range(3001):
+        assert stepped.lambda_total(b) == direct.lambda_total(b)
+        assert stepped.gamma_total(b) == direct.gamma_total(b)
+        assert stepped.eta_total(b) == direct.eta_total(b)
 
 
 def test_sum_vs_integral_agreement(lebesgue_kernel, beta_heavy_kernel):
