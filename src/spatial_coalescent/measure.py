@@ -10,8 +10,10 @@ The production route for every integral against a measure is the closed
 form of its moments M(m, n) = integral x^m (1-x)^n dL(x): atoms are summed
 exactly with 0^0 = 1, and every density piece is a sum of terms
 c x^p (1-x)^q on [lo, hi], which integrate to Beta functions times
-regularized incomplete Beta probabilities.  `mass` and the total mass use
-the same closed form.
+regularized incomplete Beta probabilities.  The terms are summed in log
+space (`log_moments`), so moments far below the smallest float, such as
+the rates of a large merger, keep their relative accuracy.  `mass` and the
+total mass use the same closed form.
 
 Adaptive quadrature (`integrate`, `integrate_vector`) is the independent
 oracle route for arbitrary integrands.  Densities with an integrable
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _sci_integrate
-from scipy.special import betainc, betaln
+from scipy.special import betainc, betaln, logsumexp, xlog1py, xlogy
+from scipy.special import gamma as _gamma_fn
 
 from .errors import ToleranceNotMet
 
@@ -36,6 +39,7 @@ __all__ = [
     "LambdaMeasure",
     "integrate",
     "integrate_vector",
+    "log_moments",
     "mass",
     "moments",
     "restrict",
@@ -97,10 +101,24 @@ class DensityPiece:
                 for i, c in enumerate(self.params["coefficients"])]
 
     def density(self, x):
+        # evaluated tag by tag, independently of terms(), so that quadrature
+        # of the density stays an independent check of the closed forms
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            return sum((c * x**p * (1.0 - x) ** q for c, p, q in self.terms()),
-                       np.zeros_like(x))
+        if self.tag == "constant":
+            return np.full_like(x, float(self.params.get("level", 1.0)))
+        if self.tag == "beta":
+            alpha = self.params["alpha"]
+            norm = _gamma_fn(2.0) / (_gamma_fn(2.0 - alpha) * _gamma_fn(alpha))
+            with np.errstate(divide="ignore", over="ignore"):
+                return norm * x ** (1.0 - alpha) * (1.0 - x) ** (alpha - 1.0)
+        if self.tag == "power":
+            p, q = self.params["p"], self.params["q"]
+            coeff = float(self.params.get("coeff", 1.0))
+            with np.errstate(divide="ignore", over="ignore"):
+                return coeff * x**p * (1.0 - x) ** q
+        # polynomial: coefficients c0 + c1 x + c2 x^2 + ...
+        coeffs = self.params["coefficients"]
+        return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
 
     # Exponent of the (x - 0) factor if this piece touches 0 with a
     # singular density there; 0.0 means regular.  Same for the right end.
@@ -161,7 +179,7 @@ class LambdaMeasure:
         self.pieces = list(pieces)
         piece_mass = 0.0
         for piece in self.pieces:
-            val = float(_piece_moments(piece, 0.0, 0.0))
+            val = _piece_mass(piece)
             if val < 0:
                 raise ValueError("density pieces must have nonnegative mass")
             piece_mass += val
@@ -362,31 +380,70 @@ def _beta_share(a, b, lo: float, hi: float):
     return np.where(below_lo > 0.5, above_lo - above_hi, below_hi - below_lo)
 
 
-def _piece_moments(piece: DensityPiece, m, n):
-    """integral over the piece of x^m (1-x)^n times its density."""
+def _piece_log_terms(piece: DensityPiece, m, n):
+    """(log |value|, sign) of each term's integral of x^m (1-x)^n c x^p (1-x)^q
+    over the piece: log |c| + log B(a, b) + log of the Beta(a, b) share."""
     lo, hi = piece.interval
-    total = 0.0
+    out = []
     for c, p, q in piece.terms():
         a, b = m + p + 1.0, n + q + 1.0
-        total = total + c * np.exp(betaln(a, b)) * _beta_share(a, b, lo, hi)
-    return total
+        with np.errstate(divide="ignore"):
+            log_share = np.log(np.maximum(_beta_share(a, b, lo, hi), 0.0))
+            out.append((np.log(abs(c)) + betaln(a, b) + log_share, np.sign(c)))
+    return out
+
+
+def _sum_log_terms(terms, shape):
+    """(log |sum|, sign of sum) of signed terms given as (log |t|, sign t)."""
+    if not terms:
+        return np.full(shape, -np.inf), np.zeros(shape)
+    logs = np.stack([np.broadcast_to(t, shape) for t, _ in terms])
+    signs = np.stack([np.broadcast_to(s, shape) for _, s in terms])
+    with np.errstate(divide="ignore"):
+        return logsumexp(logs, axis=0, b=signs, return_sign=True)
+
+
+def _piece_mass(piece: DensityPiece) -> float:
+    log_abs, sign = _sum_log_terms(_piece_log_terms(piece, 0.0, 0.0), ())
+    return float(sign * np.exp(log_abs))
+
+
+def _signed_log_moments(measure_: LambdaMeasure, m, n):
+    m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
+    # atoms: log w + m log(loc) + n log(1 - loc), with 0 log 0 = 0
+    terms = [(math.log(w) + xlogy(m, loc) + xlog1py(n, -loc), 1.0)
+             for loc, w in measure_.atoms]
+    for piece in measure_.pieces:
+        terms += _piece_log_terms(piece, m, n)
+    return _sum_log_terms(terms, np.broadcast(m, n).shape)
+
+
+def log_moments(measure_: LambdaMeasure, m, n):
+    """log M(m, n), summed in log space, so moments far below the smallest
+    float keep their relative accuracy.  That holds exactly for atoms and
+    for pieces on all of [0, 1]; a piece on a sub-interval drops a term
+    whose Beta probability of the sub-interval underflows (< ~1e-308).
+    -inf where M = 0, nan where M < 0 (a density that is negative
+    somewhere).  Broadcasts like moments.
+    """
+    log_abs, sign = _signed_log_moments(measure_, m, n)
+    out = np.where(sign < 0, np.nan, log_abs)
+    return out if out.ndim else float(out)
 
 
 def moments(measure_: LambdaMeasure, m, n):
     """M(m, n) = integral x^m (1-x)^n dL(x) in closed form, 0^0 = 1.
 
     m and n are nonnegative and broadcast against each other; the result is
-    a float for scalar m and n, else an array.  Atoms are summed exactly and
-    each density term c x^p (1-x)^q on [lo, hi] contributes
-    c B(m+p+1, n+q+1) times the Beta(m+p+1, n+q+1) probability of [lo, hi].
+    a float for scalar m and n, else an array.  Atoms contribute
+    w loc^m (1-loc)^n and each density term c x^p (1-x)^q on [lo, hi]
+    contributes c B(m+p+1, n+q+1) times the Beta(m+p+1, n+q+1) probability
+    of [lo, hi].  The terms are summed in log space (see log_moments); the
+    result underflows to 0 where M is below about the smallest normal float.
     """
-    m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
-    total = np.zeros(np.broadcast(m, n).shape)
-    for loc, w in measure_.atoms:
-        total += w * loc**m * (1.0 - loc) ** n
-    for piece in measure_.pieces:
-        total += _piece_moments(piece, m, n)
-    return total if total.ndim else float(total)
+    log_abs, sign = _signed_log_moments(measure_, m, n)
+    out = sign * np.exp(log_abs)
+    return out if out.ndim else float(out)
 
 
 def mass(measure_: LambdaMeasure, interval) -> float:
@@ -399,7 +456,7 @@ def mass(measure_: LambdaMeasure, interval) -> float:
         for piece in measure_.pieces:
             clipped = piece.clipped(lo, hi)
             if clipped is not None:
-                total += float(_piece_moments(clipped, 0.0, 0.0))
+                total += _piece_mass(clipped)
     return total
 
 

@@ -18,8 +18,10 @@ are cumulative sums of the single vector M(0, j), j = 0, 1, ...:
     eta_b                   = b sum_{j<=b-2} M(0, j)
 
 so every table entry is a sum of positive terms.  All moments come from the
-closed form `measure.moments`; the binomial sums and the quadrature routes
-serve as checks in the test suite.  Convention: lambda_b = gamma_b = 0 for
+closed form `measure.moments`; the merge-size law C(b,k) lambda_{b,k} /
+lambda_b is normalized from `measure.log_moments`, since lambda_{b,k}
+underflows long before C(b,k) lambda_{b,k} is negligible.  The binomial
+sums and the quadrature routes serve as checks in the test suite.  Convention: lambda_b = gamma_b = 0 for
 b in {0, 1}.
 
 The module also houses the block-count classifier (comes down from infinity
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from . import measure as measure_mod
 from .errors import ZeroRate, ZeroTotalRate
@@ -176,14 +178,14 @@ class RateKernel:
             cached = self._merge_rows.get(b)
             if cached is None:
                 ks = np.arange(2, b + 1)
-                log_binom = gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
-                # in log space: C(b,k) overflows long before the row underflows
-                with np.errstate(divide="ignore"):
-                    weights = np.exp(log_binom + np.log(self.lambda_bk_row(b)))
-                total = float(weights.sum())
-                if total <= 0.0:
+                # in log space: C(b,k) overflows and lambda_{b,k} underflows
+                # long before their product is negligible
+                log_w = (gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
+                         + measure_mod.log_moments(self.measure, ks - 2, b - ks))
+                log_total = logsumexp(log_w)
+                if log_total == -np.inf:
                     raise ZeroTotalRate(f"lambda_{b} = 0", b=b)
-                probs = weights / total
+                probs = np.exp(log_w - log_total)
                 cached = (probs, np.cumsum(probs))
                 self._merge_rows[b] = cached
         return cached

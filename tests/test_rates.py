@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import betainc, betaln
+from scipy.special import betainc, betaln, gammaln, logsumexp
+from scipy.stats import binom
 
 from spatial_coalescent.errors import ZeroRate
 from spatial_coalescent.measure import DensityPiece, LambdaMeasure
@@ -61,6 +62,31 @@ def test_lambda_bk_row_mixture_sub_interval_beta():
         dens = math.exp(betaln(k - a, b - k + a) - betaln(2 - a, a)
                         + math.log(betainc(k - a, b - k + a, 0.6)))
         assert row[k - 2] == pytest.approx(atom + dens, rel=1e-9, abs=0.0), k
+
+
+def test_merge_size_law_atom_large_b_is_conditioned_binomial():
+    # an atom at x gives C(b,k) x^(k-2) (1-x)^(b-k), i.e. Binomial(b, x)
+    # given k >= 2; at b = 2000 the rates near k = 600 are ~1e-529, far
+    # below the smallest float, while the law there is ~0.02
+    b = 2000
+    ks = np.arange(2, b + 1)
+    law = RateKernel(LambdaMeasure.unit_atom(0.3)).merge_size_distribution(b)
+    oracle = binom.pmf(ks, b, 0.3) / binom.sf(1, b, 0.3)
+    big = oracle > 1e-250
+    np.testing.assert_allclose(law[big], oracle[big], rtol=1e-9, atol=0.0)
+    assert np.all(law[~big] < 1e-240)
+    assert float(ks @ law) == pytest.approx(600.0, rel=1e-9)
+
+
+def test_merge_size_law_beta_large_b_matches_log_space_formula():
+    # Beta(2 - a, a): C(b,k) B(k-a, b-k+a) / B(2-a, a), normalized
+    a, b = 0.5, 2000
+    ks = np.arange(2, b + 1)
+    log_w = (gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
+             + betaln(ks - a, b - ks + a))
+    oracle = np.exp(log_w - logsumexp(log_w))
+    law = RateKernel(LambdaMeasure.beta(a)).merge_size_distribution(b)
+    np.testing.assert_allclose(law, oracle, rtol=1e-9, atol=0.0)
 
 
 # ----------------------------------------------------------- totals
