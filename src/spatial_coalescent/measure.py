@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _sci_integrate
-from scipy.special import betainc, betaln, logsumexp, xlog1py, xlogy
+from scipy.special import betainc, betaln, xlog1py, xlogy
 from scipy.special import gamma as _gamma_fn
 
 from .errors import ToleranceNotMet
@@ -399,8 +399,11 @@ def _sum_log_terms(terms, shape):
         return np.full(shape, -np.inf), np.zeros(shape)
     logs = np.stack([np.broadcast_to(t, shape) for t, _ in terms])
     signs = np.stack([np.broadcast_to(s, shape) for _, s in terms])
+    top = np.max(logs, axis=0)
+    top = np.where(np.isfinite(top), top, 0.0)
+    total = np.sum(signs * np.exp(logs - top), axis=0)
     with np.errstate(divide="ignore"):
-        return logsumexp(logs, axis=0, b=signs, return_sign=True)
+        return top + np.log(np.abs(total)), np.sign(total)
 
 
 def _piece_mass(piece: DensityPiece) -> float:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import measure as measure_mod
 from .errors import ZeroRate, ZeroTotalRate
@@ -182,10 +182,11 @@ class RateKernel:
                 # long before their product is negligible
                 log_w = (gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
                          + measure_mod.log_moments(self.measure, ks - 2, b - ks))
-                log_total = logsumexp(log_w)
-                if log_total == -np.inf:
+                top = np.max(log_w)
+                if top == -np.inf:
                     raise ZeroTotalRate(f"lambda_{b} = 0", b=b)
-                probs = np.exp(log_w - log_total)
+                probs = np.exp(log_w - top)
+                probs /= probs.sum()
                 cached = (probs, np.cumsum(probs))
                 self._merge_rows[b] = cached
         return cached
