@@ -93,7 +93,8 @@ def test_tolerance_not_met_raises():
     DensityPiece((0.3, 1.0), "beta", {"alpha": 0.5}),
     DensityPiece((0.0, 1.0), "power", {"p": -0.5, "q": 0.5}),
     DensityPiece((0.0, 1.0), "polynomial", {"coefficients": [1.0, 1.0]}),
-], ids=lambda p: f"{p.tag}{p.interval}")
+    DensityPiece((0.0, 1.0), "polynomial", {"coefficients": [2.0, -1.0]}),
+], ids=lambda p: f"{p.tag}{p.interval}{p.params.get('coefficients', '')}")
 def test_moments_match_quadrature_oracle(piece):
     m = LambdaMeasure(pieces=[piece])
     for i in (0, 1, 5, 20):
