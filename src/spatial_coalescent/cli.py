@@ -359,11 +359,11 @@ def main():
 # ----------------------------------------------------------------------
 
 @main.command()
-@_with_options(*_COMMON)
+@_with_options("config", "seed", "out")
 @_guarded
-def rates(config, seed, replicas, out, budget):
+def rates(config, seed, out):
     """Per-merge and total rate tables as CSV."""
-    cfg, writer = _load(config, seed, replicas, out, budget)
+    cfg, writer = _load(config, seed, None, out, None)
     if cfg.measure is None:
         raise _ValidationFailure(["rates: config requires a measure"])
     kernel = cfg.kernel.build(cfg.measure.build())
@@ -387,11 +387,11 @@ def rates(config, seed, replicas, out, budget):
 
 
 @main.command()
-@_with_options(*_COMMON)
+@_with_options("config", "seed", "out")
 @_guarded
-def classify(config, seed, replicas, out, budget):
+def classify(config, seed, out):
     """Comes-down-from-infinity dichotomy verdict as JSON."""
-    cfg, writer = _load(config, seed, replicas, out, budget)
+    cfg, writer = _load(config, seed, None, out, None)
     if cfg.measure is None:
         raise _ValidationFailure(["classify: config requires a measure"])
     kernel = cfg.kernel.build(cfg.measure.build())

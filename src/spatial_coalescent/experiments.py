@@ -12,8 +12,13 @@ law but orders of magnitude faster than the general engine:
 
 * the two-block torus experiment tracks the relative walk of the blocks
   (jump rate 2, coalescence clock lambda_{2,2} while at the origin);
-* the few-block partition-structure experiment advances all replicas one
-  jump-chain event at a time with numpy.
+* the few-block partition-structure experiment advances replicas whose
+  blocks are apart by chunks of pure migration cut at the first
+  co-location, and the others one jump-chain event at a time.
+
+Without a given kappa, the torus experiments take it from the exact BESSEL
+Green value for axis walks (see geometry.WalkSpec.axis_rates), and from the
+cross-checked lattice and Monte Carlo routes of torus_kappa otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from scipy.special import gammaln
 
 from . import engine as engine_mod
 from .engine import SimulationConfig, simulate, singletons_per_site
-from .errors import BudgetExceeded, TruncationUnstable
+from .errors import BudgetExceeded, SizeOverflow, TruncationUnstable
 from .geometry import WalkSpec, build_torus, green_function, kappa
 from .rates import RateKernel, cdi_classify, tn_uniform_bound
 
@@ -211,14 +216,20 @@ def _death_chain_counts(taus, n0: int, replicas: int, seed: int) -> np.ndarray:
     return out
 
 
+# largest finite start the SIMULATE_FROM stability search doubles from
+_ENTRANCE_MAX_START = 200_000
+
+
 def kingman_entrance_reference(t: float, method: str = "SIMULATE_FROM", *,
                                n0: int | None = None, replicas: int = 200_000,
                                truncation: int = 2_000, seed: int = 0,
                                stability_tol: float = 1e-3) -> dict:
     """Law of the Kingman block count at time t from dust (infinitely many
     singletons).  SIMULATE_FROM uses a finite start n0 grown until doubling
-    it moves the law by less than stability_tol in total variation; SERIES
-    evaluates the classical alternating entrance-law series."""
+    it moves the law by less than stability_tol in total variation, and
+    raises TruncationUnstable if that takes a start beyond
+    _ENTRANCE_MAX_START; SERIES evaluates the classical alternating
+    entrance-law series."""
     if t <= 0:
         raise ValueError("need t > 0")
     if method == "SERIES":
@@ -236,8 +247,12 @@ def kingman_entrance_reference(t: float, method: str = "SIMULATE_FROM", *,
         # the doubling test passes when their gap is within that floor
         noise = sum(math.sqrt(p * (1.0 - p) / replicas)
                     for p in d2.values())
-        if _tv(d1, d2) < max(stability_tol, 2.0 * noise) or n0 > 200_000:
+        if _tv(d1, d2) < max(stability_tol, 2.0 * noise):
             return d2
+        if n0 > _ENTRANCE_MAX_START:
+            raise TruncationUnstable(
+                f"entrance law at t={t} still moves by {_tv(d1, d2):.2e} in "
+                f"total variation between starts {n0} and {2 * n0}", t=t)
         n0 *= 2
 
 
@@ -312,6 +327,17 @@ def torus_kappa(walk: WalkSpec, kernel: RateKernel,
     }
 
 
+def _kappa_info(walk: WalkSpec, kernel: RateKernel, seed: int) -> dict:
+    """kappa for the torus experiments: from the exact BESSEL Green value
+    for an axis walk, else from the cross-checked routes of torus_kappa."""
+    if walk.axis_rates is None:
+        return torus_kappa(walk, kernel, seed=seed)
+    g, err = green_function(walk, "BESSEL")
+    lam22 = kernel.lambda_bk(2, 2)
+    return {"G_bessel": g, "G_bessel_err": err, "lambda22": lam22,
+            "kappa": kappa(g, lam22)}
+
+
 # ----------------------------------------------------------------------
 # pairwise scaling limit (vectorized relative-walk sampler)
 # ----------------------------------------------------------------------
@@ -369,7 +395,7 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     d = walk.dimension
     lam22 = kernel.lambda_bk(2, 2)
     if kappa_value is None:
-        kappa_info = kappa_info or torus_kappa(walk, kernel, seed=seed + 1)
+        kappa_info = kappa_info or _kappa_info(walk, kernel, seed + 1)
         kappa_value = kappa_info["kappa"]
     times = pairwise_first_coalescence_times(N, walk, lam22, replicas, seed,
                                              separation)
@@ -402,7 +428,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     d = walk.dimension
     vol = (2 * N + 1) ** d
     if kappa_value is None:
-        kappa_value = torus_kappa(walk, kernel, seed=seed + 1)["kappa"]
+        kappa_value = _kappa_info(walk, kernel, seed + 1)["kappa"]
     geo = build_torus(N, walk)
     probe_times = tuple(float(t) * vol for t in times)
     seeds = spawn_seeds(seed, replicas)
@@ -491,14 +517,120 @@ def _two_sample_joint_chi2(sample_a: np.ndarray, sample_b: np.ndarray,
 # few-block partition structure on the torus (vectorized sampler)
 # ----------------------------------------------------------------------
 
+# Free migration in few_block_torus_sample: steps drawn per replica at once,
+# and the most cells one (replicas x steps) array may hold; replicas are
+# sliced to fit, and 2^15 int64 cells (256 KB) keep a slice's arrays in cache.
+_CHUNK_STEPS = 256
+_CHUNK_CELLS = 1 << 15
+
+
+class _TorusWalk:
+    """The walk on the torus [-N, N]^d, whose sites are integer keys
+    sum_i ((x_i + N) mod side) side^i: one step at a time, or a chunk of free
+    migration at once.
+
+    A chunk keeps each coordinate, shifted by `bias`, in its own bit field
+    of a packed int64, so that a block's path is one cumulative sum of packed
+    steps; a chunk is short enough that no field leaves [0, 2^width).
+    """
+
+    def __init__(self, N: int, walk: WalkSpec):
+        d = walk.dimension
+        self.side = 2 * N + 1
+        self.pows = self.side ** np.arange(d, dtype=np.int64)
+        self.offsets = walk.offsets_array
+        # a uniform u selects step #{cuts <= u}; the last cumulative
+        # probability (1 up to rounding) is left out so u cannot overrun
+        self.cuts = np.cumsum(walk.probs_array)[:-1]
+        reach = int(np.max(np.abs(self.offsets)))
+        self.steps = min(_CHUNK_STEPS,
+                         ((1 << (62 // d)) - self.side) // (2 * reach))
+        if self.steps < 1:
+            raise SizeOverflow(f"a {d}-dimensional torus of side {self.side} "
+                               "does not fit the packed chunk coordinates")
+        self.bias = self.steps * reach
+        width = (self.side + 2 * self.bias - 1).bit_length()
+        self.shifts = width * np.arange(d, dtype=np.int64)
+        self.field = (1 << width) - 1
+        self.packed_steps = (self.offsets << self.shifts).sum(axis=1)
+        # packed field value -> that coordinate's share of the site key
+        wrapped = (np.arange(1 << width) - self.bias) % self.side
+        self.unpack = [wrapped * p for p in self.pows]
+
+    def site_of(self, coords) -> np.ndarray:
+        return ((np.asarray(coords) % self.side) * self.pows).sum(axis=-1)
+
+    def draw_steps(self, rng, shape) -> np.ndarray:
+        u = rng.random(shape)
+        step = np.zeros(shape, dtype=np.intp)
+        for cut in self.cuts:
+            step += u >= cut
+        return step
+
+    def move(self, sites, steps) -> np.ndarray:
+        coords = sites[:, None] // self.pows % self.side
+        return self.site_of(coords + self.offsets[steps])
+
+    def walk_apart(self, rng, sites, alive, t, rows) -> None:
+        """Advance replicas `rows`, none of which has two alive blocks on one
+        site, by pure migration up to each one's first co-location, or by
+        `steps` steps if there is none.  Updates sites and t in place."""
+        per_slice = max(1, _CHUNK_CELLS // self.steps)
+        for lo in range(0, rows.size, per_slice):
+            self._chunk(rng, sites, alive, t, rows[lo:lo + per_slice])
+
+    def _chunk(self, rng, sites, alive, t, rows) -> None:
+        r, K = rows.size, self.steps
+        live = alive[rows]
+        m = live.sum(axis=1)
+        # slot s of a replica is its s-th alive block; dead slots never move
+        order = np.argsort(~live, axis=1, kind="stable")
+        start = sites[rows[:, None], order][:, :, None] // self.pows % self.side
+        packed = ((start + self.bias) << self.shifts).sum(axis=2)
+        mover = (rng.random((r, K)) * m[:, None]).astype(np.intp)
+        moves = self.packed_steps[self.draw_steps(rng, (r, K))]
+        paths = []                            # site key of each slot per step
+        lands = np.zeros((r, K), dtype=np.int64)   # site key of the mover
+        for s in range(int(m.max())):
+            moved = mover == s
+            path = moves * moved
+            np.cumsum(path, axis=1, out=path)
+            path += packed[:, s, None]
+            key = self.unpack[0][path & self.field]
+            for shift, unpack in zip(self.shifts[1:], self.unpack[1:]):
+                key += unpack[(path >> shift) & self.field]
+            lands += key * moved
+            paths.append(key)
+        # blocks on the mover's new site, the mover included; only the
+        # mover can create the first co-location
+        count = np.zeros((r, K), dtype=np.int8)
+        for s, key in enumerate(paths):
+            same = key == lands
+            if s >= m.min():
+                same &= (s < m)[:, None]
+            count += same
+        met = count > 1
+        taken = np.where(met.any(axis=1), met.argmax(axis=1) + 1, K)
+        last = (np.arange(r), taken - 1)
+        for s, key in enumerate(paths):
+            sites[rows, order[:, s]] = key[last]
+        # holding times are Exp(m) and independent of the jump chain, so the
+        # time of `taken` steps is one Gamma(taken, 1/m) draw
+        t[rows] += rng.gamma(taken, 1.0 / m)
+
+
 def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
                            start_positions, replicas: int, seed: int):
-    """Jump-chain simulation of n separated blocks on the torus, all
-    replicas advanced in lockstep.  Returns per-replica merge logs
-    [(time, participants, merge_size), ...]; participants are frozensets of
-    original block indices.
+    """Jump-chain simulation of n separated blocks on the torus, exact in
+    law.  Returns per-replica merge logs [(time, participants, merge_size),
+    ...]; participants are frozensets of original block indices.
+
+    While no two alive blocks of a replica share a site, its chain is pure
+    migration (Exp(m_alive) holding times, a uniform alive block, a step
+    from the walk), and it advances a chunk of steps at once up to its first
+    co-location.  Replicas with co-located blocks advance one event at a
+    time, all in lockstep.
     """
-    d = walk.dimension
     side = 2 * N + 1
     start = np.asarray(start_positions, dtype=np.int64)
     n = start.shape[0]
@@ -507,78 +639,71 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     merge_cums = {b: kernel.merge_size_cumulative(b) for b in range(2, n + 1)}
     if np.any(np.all(walk.offsets_array % side == 0, axis=1)):
         raise ValueError("a walk step wraps onto the same site; torus too small")
-    move_rate = 1.0
-    rel_offs = walk.offsets_array
-    rel_cum = np.cumsum(walk.probs_array)
+    torus = _TorusWalk(N, walk)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pos = np.tile(start, (replicas, 1, 1))      # (R, n, d)
+    sites = np.tile(torus.site_of(start + N), (replicas, 1))   # (R, n)
     alivemask = np.ones((replicas, n), dtype=bool)
     groups = [[frozenset([j]) for j in range(n)] for _ in range(replicas)]
     t = np.zeros(replicas)
     logs: list[list] = [[] for _ in range(replicas)]
     idx = np.arange(replicas)
-    # site keys; dead blocks get unique negative keys so they never collide
+    # dead blocks get unique negative keys so they never collide
     dead_key = -(np.arange(n) + 1)
 
-    side_pows = side ** np.arange(d)
-
     while idx.size:
-        A = idx.size
-        key = ((pos + N) * side_pows).sum(axis=2)
-        key = np.where(alivemask, key, dead_key)
+        key = np.where(alivemask, sites, dead_key)
         eq = key[:, :, None] == key[:, None, :]
         cnt = eq.sum(axis=2)
-        lam_per_block = np.where(alivemask, lam_tab[cnt] / cnt, 0.0)
+        crowded = (cnt > 1).any(axis=1)
+        torus.walk_apart(rng, sites, alivemask, t, np.flatnonzero(~crowded))
+
+        rows = np.flatnonzero(crowded)
+        live = alivemask[rows]
+        lam_per_block = np.where(live, lam_tab[cnt[rows]] / cnt[rows], 0.0)
         coal_rate = lam_per_block.sum(axis=1)
-        m_alive = alivemask.sum(axis=1)
-        total = coal_rate + move_rate * m_alive
-        t += rng.exponential(1.0, size=A) / total
-        u = rng.random(A) * total
+        m_alive = live.sum(axis=1)
+        total = coal_rate + m_alive
+        t[rows] += rng.exponential(1.0, size=rows.size) / total
+        u = rng.random(rows.size) * total
         coal = u < coal_rate
 
-        if np.any(coal):
-            for r in np.nonzero(coal)[0]:
-                gi = int(idx[r])
-                # block selection with weight lam(b)/b picks its site with
-                # weight lam(b); then merge k of the b co-located blocks
-                w = lam_per_block[r]
-                pick = np.searchsorted(np.cumsum(w), u[r], side="right")
-                pick = min(int(pick), n - 1)
-                members = np.nonzero(eq[r, pick] & alivemask[r])[0]
-                b = len(members)
-                cum = merge_cums[b]
-                k = 2 + int(np.searchsorted(cum, rng.random(), side="right"))
-                k = min(k, b)
-                chosen = rng.choice(members, size=k, replace=False)
-                chosen = sorted(int(c) for c in chosen)
-                survivor = chosen[0]
-                parts = frozenset().union(*(groups[gi][c] for c in chosen))
-                logs[gi].append((float(t[r]),
-                                 tuple(groups[gi][c] for c in chosen), k))
-                groups[gi][survivor] = parts
-                for c in chosen[1:]:
-                    alivemask[r, c] = False
+        for j in np.nonzero(coal)[0]:
+            r = rows[j]
+            gi = int(idx[r])
+            # block selection with weight lam(b)/b picks its site with
+            # weight lam(b); then merge k of the b co-located blocks
+            pick = np.searchsorted(np.cumsum(lam_per_block[j]), u[j], side="right")
+            pick = min(int(pick), n - 1)
+            members = np.nonzero(eq[r, pick] & alivemask[r])[0]
+            b = len(members)
+            k = 2 + int(np.searchsorted(merge_cums[b], rng.random(), side="right"))
+            k = min(k, b)
+            chosen = rng.choice(members, size=k, replace=False)
+            chosen = sorted(int(c) for c in chosen)
+            survivor = chosen[0]
+            parts = frozenset().union(*(groups[gi][c] for c in chosen))
+            logs[gi].append((float(t[r]),
+                             tuple(groups[gi][c] for c in chosen), k))
+            groups[gi][survivor] = parts
+            for c in chosen[1:]:
+                alivemask[r, c] = False
 
         mig = ~coal
         if np.any(mig):
-            rows = np.nonzero(mig)[0]
-            m = m_alive[rows]
+            movers = rows[mig]
             # uniform alive block per migrating replica
-            target = np.floor(
-                (u[rows] - coal_rate[rows]) / move_rate).astype(np.int64) + 1
-            target = np.clip(target, 1, m)
-            cs = np.cumsum(alivemask[rows], axis=1)
+            target = np.floor(u[mig] - coal_rate[mig]).astype(np.int64) + 1
+            target = np.clip(target, 1, m_alive[mig])
+            cs = np.cumsum(live[mig], axis=1)
             blocksel = (cs >= target[:, None]).argmax(axis=1)
-            step = np.searchsorted(rel_cum, rng.random(rows.size), side="right")
-            step = np.minimum(step, len(rel_offs) - 1)
-            pos[rows, blocksel] = ((pos[rows, blocksel] + rel_offs[step] + N)
-                                   % side - N)
+            steps = torus.draw_steps(rng, movers.size)
+            sites[movers, blocksel] = torus.move(sites[movers, blocksel], steps)
 
         done = alivemask.sum(axis=1) <= 1
         if np.any(done):
             keep = ~done
-            idx, pos, alivemask, t = idx[keep], pos[keep], alivemask[keep], t[keep]
+            idx, sites, alivemask, t = idx[keep], sites[keep], alivemask[keep], t[keep]
     return logs
 
 
@@ -592,7 +717,7 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     d = walk.dimension
     vol = (2 * N + 1) ** d
     if kappa_value is None:
-        kappa_value = torus_kappa(walk, kernel, seed=seed + 1)["kappa"]
+        kappa_value = _kappa_info(walk, kernel, seed + 1)["kappa"]
     # mutually separated starts on the scale a_N = N^(3/4)
     a_N = N ** 0.75 if separation_scale is None else separation_scale
     gap = max(int(math.ceil(a_N)), 1)

@@ -16,8 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
+from scipy.special import i0e
 
-from .errors import DimensionTooLow, SizeOverflow
+from .errors import DimensionTooLow, SizeOverflow, TruncationUnstable
 
 __all__ = [
     "WalkSpec",
@@ -59,6 +61,27 @@ class WalkSpec:
     @property
     def probs_array(self) -> np.ndarray:
         return np.asarray(self.probabilities, dtype=float)
+
+    @property
+    def axis_rates(self) -> np.ndarray | None:
+        """Per-coordinate jump rates (p_1, ..., p_d) if this is an axis walk
+        (every step is +-e_i, with P(+e_i) = P(-e_i) = p_i / 2 > 0), else
+        None.  The coordinates of an axis walk in continuous time are
+        independent rate-p_i simple walks."""
+        d = self.dimension
+        up = np.zeros(d)
+        down = np.zeros(d)
+        for off, p in zip(self.offsets_array, self.probs_array):
+            if p == 0.0:
+                continue
+            nonzero = np.flatnonzero(off)
+            if len(nonzero) != 1 or abs(off[nonzero[0]]) != 1:
+                return None
+            axis = nonzero[0]
+            (up if off[axis] > 0 else down)[axis] += p
+        if np.any(up != down) or np.any(up == 0.0):
+            return None
+        return up + down
 
 
 def simple_walk(d: int) -> WalkSpec:
@@ -228,19 +251,47 @@ def green_function(walk: WalkSpec, method: str = "LATTICE_SUM", *,
                    horizon: int = 4_000, seed: int = 0):
     """Expected visits to 0 of the discrete-time walk started at 0.
 
+    BESSEL, for axis walks only (see WalkSpec.axis_rates), integrates the
+    continuous-time return probability prod_i e^(-p_i t) I_0(p_i t) over
+    t >= 0 (Watson's integral; Montroll 1956); it is the production route.
     LATTICE_SUM iterates the step convolution on a truncated box and adds a
     power-law tail (returns decay like k^(-d/2)); MONTE_CARLO counts visits
     over a finite horizon and estimates the tail from late-window visits.
+    These two work for any walk and serve as independent cross-checks.
     Returns (estimate, error_bound).
     """
     d = walk.dimension
     if d < 3:
         raise DimensionTooLow(f"walk is recurrent for d={d} < 3", d=d)
+    if method == "BESSEL":
+        return _green_bessel(walk)
     if method == "LATTICE_SUM":
         return _green_lattice(walk, k_max)
     if method == "MONTE_CARLO":
         return _green_monte_carlo(walk, replicas, horizon, seed)
     raise ValueError(f"unknown method {method!r}")
+
+
+# largest quadrature error bound the BESSEL route accepts
+_BESSEL_MAX_ERROR = 1e-10
+
+
+def _green_bessel(walk: WalkSpec):
+    rates = walk.axis_rates
+    if rates is None:
+        raise ValueError("the BESSEL Green route needs an axis walk: every "
+                         "step +-e_i with P(+e_i) = P(-e_i) > 0")
+    # i0e(x) = e^(-x) I_0(x): a rate-p coordinate is back at 0 at time t
+    # with probability i0e(p t)
+    est, err, _info, *trouble = integrate.quad(
+        lambda t: float(np.prod(i0e(rates * t))), 0.0, np.inf,
+        epsabs=1e-14, epsrel=1e-13, limit=500, full_output=1)
+    if trouble or not err <= _BESSEL_MAX_ERROR:
+        raise TruncationUnstable(
+            f"Bessel Green integral error bound {err:.2e} (limit "
+            f"{_BESSEL_MAX_ERROR:.0e}){': ' + trouble[0] if trouble else ''}",
+            error=err)
+    return est, err
 
 
 def _green_lattice(walk: WalkSpec, k_max: int | None):

@@ -64,6 +64,23 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 _SUPPORTED_TAGS = ("constant", "beta", "power", "polynomial")
 
 
+def _negative_somewhere(coefficients, a: float, b: float) -> bool:
+    """Whether c0 + c1 x + c2 x^2 + ... dips below zero on [a, b].
+
+    Its minimum there is attained at an endpoint or at a real root of the
+    derivative; the real part of every derivative root inside (a, b) is
+    tried, so that rounding of a multiple root cannot hide it.  Dips within
+    rounding of zero (relative to the sum of |c_i|) do not count."""
+    poly = np.polynomial.polynomial
+    coeffs = np.asarray(coefficients, dtype=float)
+    points = [a, b]
+    if len(coeffs) > 2:
+        roots = poly.polyroots(poly.polyder(coeffs)).real
+        points.extend(roots[(roots > a) & (roots < b)])
+    low = np.min(poly.polyval(np.asarray(points), coeffs))
+    return bool(low < -1e-12 * np.sum(np.abs(coeffs)))
+
+
 @dataclass(frozen=True)
 class DensityPiece:
     """A density on a subinterval [a,b] of [0,1]."""
@@ -85,6 +102,13 @@ class DensityPiece:
         if self.tag == "power":
             if self.params["p"] <= -1.0 or self.params["q"] <= -1.0:
                 raise ValueError("power exponents must exceed -1")
+            if self.params.get("coeff", 1.0) < 0.0:
+                raise ValueError("power coeff must be nonnegative")
+        if self.tag == "constant" and self.params.get("level", 1.0) < 0.0:
+            raise ValueError("constant level must be nonnegative")
+        if self.tag == "polynomial" and _negative_somewhere(
+                self.params["coefficients"], a, b):
+            raise ValueError(f"polynomial density is negative on {self.interval}")
 
     def terms(self) -> list[tuple[float, float, float]]:
         """The density as a sum of terms c x^p (1-x)^q, as (c, p, q)."""

@@ -42,6 +42,15 @@ def test_zero_mass_measure_rejected(tmp_path):
     assert "positive" in json.loads(r.stdout)["message"]
 
 
+def test_negative_density_rejected(tmp_path):
+    measure = {"atoms": [[0.0, 1.0]],
+               "pieces": [{"interval": [0, 1], "tag": "constant",
+                           "params": {"level": -0.5}}]}
+    r = run_cli(tmp_path, {"seed": 1, "measure": measure}, "rates")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "negative" in json.loads(r.stdout)["message"]
+
+
 def test_bad_kernel_row_named(tmp_path):
     cfg = {"seed": 1, "measure": KINGMAN,
            "geography": {"topology": "graph",
@@ -69,7 +78,11 @@ def test_missing_file_is_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize("args", [("rates", "--format", "csv"),
-                                  ("simulate", "--replicas", "3")])
+                                  ("simulate", "--replicas", "3"),
+                                  ("rates", "--replicas", "3"),
+                                  ("rates", "--budget", "3"),
+                                  ("classify", "--replicas", "3"),
+                                  ("classify", "--budget", "3")])
 def test_option_without_effect_is_usage_error(tmp_path, args):
     r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN}, *args)
     assert r.returncode == 2, r.stdout + r.stderr

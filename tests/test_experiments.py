@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sp_stats
 
-from spatial_coalescent.errors import BudgetExceeded
+from spatial_coalescent import experiments
+from spatial_coalescent.errors import BudgetExceeded, TruncationUnstable
 from spatial_coalescent.experiments import (
     block_count_limit_experiment,
     block_decay_shape,
     class_coupling_check,
     estimate_Tnk,
+    few_block_torus_sample,
     kingman_entrance_reference,
     pairwise_first_coalescence_times,
     pairwise_torus_experiment,
@@ -16,7 +19,13 @@ from spatial_coalescent.experiments import (
     spawn_seeds,
     stay_infinite_trend,
 )
-from spatial_coalescent.geometry import complete_graph, simple_walk, single_site
+from spatial_coalescent.geometry import (
+    WalkSpec,
+    complete_graph,
+    kappa,
+    simple_walk,
+    single_site,
+)
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
 
@@ -101,6 +110,15 @@ def test_entrance_law_tail_monotone_in_t():
         assert tail2 <= tail1 + 0.01
 
 
+def test_entrance_search_raises_when_law_never_settles(monkeypatch):
+    # every start n0 yields the point mass at n0, so no doubling ever agrees
+    def never_agree(taus, n0, replicas, seed):
+        return np.full((replicas, len(taus)), n0)
+    monkeypatch.setattr(experiments, "_death_chain_counts", never_agree)
+    with pytest.raises(TruncationUnstable, match="total variation"):
+        kingman_entrance_reference(0.5, replicas=10, seed=1)
+
+
 def test_entrance_series_matches_simulation():
     ser = kingman_entrance_reference(0.5, "SERIES")
     sim = kingman_entrance_reference(0.5, replicas=100_000, seed=7)
@@ -140,6 +158,38 @@ def test_pairwise_ks_reasonable_at_small_n(kingman):
     assert comp.sample_size == 800
 
 
+def test_torus_experiments_take_kappa_from_bessel_for_axis_walks(kingman,
+                                                                  monkeypatch):
+    def no_cross_check(*args, **kwargs):
+        raise AssertionError("axis walks need no lattice/Monte Carlo kappa")
+    monkeypatch.setattr(experiments, "torus_kappa", no_cross_check)
+    comp = pairwise_torus_experiment(2, simple_walk(3), kingman,
+                                     replicas=20, seed=1)
+    res = partition_structure_experiment(2, simple_walk(3), kingman, 2,
+                                         replicas=20, seed=1)
+    exact = kappa(1.5163860591519809, 1.0)
+    assert comp.extras["kappa"] == pytest.approx(exact, rel=1e-13)
+    assert comp.extras["kappa_info"]["G_bessel"] == pytest.approx(
+        1.5163860591519809, rel=1e-13)
+    assert res["kappa"] == comp.extras["kappa"]
+
+
+def test_torus_experiments_cross_check_kappa_for_other_walks(kingman,
+                                                             monkeypatch):
+    calls = []
+
+    def fake_torus_kappa(walk, kernel, seed=0):
+        calls.append(walk)
+        return {"kappa": 0.25}
+    monkeypatch.setattr(experiments, "torus_kappa", fake_torus_kappa)
+    diagonal = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                            (0, 0, 1), (0, 0, -1), (1, 1, 0), (-1, -1, 0)),
+                        (0.125,) * 8)
+    comp = pairwise_torus_experiment(2, diagonal, kingman, replicas=20, seed=1)
+    assert comp.extras["kappa"] == 0.25
+    assert calls == [diagonal]
+
+
 # ---------------------------------------------------------------- block count
 
 def test_block_count_budget_guard(kingman):
@@ -172,6 +222,35 @@ def test_structure_small_case(kingman):
     assert res["merges_total"] == 250 * 2
     assert len(res["stages"]) == 2
     assert res["pair_uniformity_pvalue"] > 1e-4
+
+
+def test_few_block_first_coalescence_matches_pairwise_sampler(kingman):
+    # distributional check of the chunked few-block sampler: with two blocks
+    # its first merge time has the law of the independent relative-walk
+    # sampler's first-coalescence time
+    w = simple_walk(3)
+    logs = few_block_torus_sample(4, w, kingman, [[0, 0, 0], [4, 0, 0]],
+                                  replicas=4000, seed=31)
+    chunked = np.array([log[0][0] for log in logs])
+    assert all(len(log) == 1 and log[0][2] == 2 for log in logs)
+    relative = pairwise_first_coalescence_times(4, w, 1.0, 4000, seed=32,
+                                                separation=[4, 0, 0])
+    assert sp_stats.ks_2samp(chunked, relative).pvalue > 1e-3
+
+
+def test_few_block_sample_merges_co_located_starts(kingman):
+    # blocks that start on one site take the event-by-event path first
+    logs = few_block_torus_sample(3, simple_walk(3), kingman,
+                                  [[0, 0, 0], [0, 0, 0], [2, 0, 0]],
+                                  replicas=200, seed=4)
+    for log in logs:
+        assert len(log) == 2
+        assert log[0][0] < log[1][0]
+        assert frozenset().union(*log[-1][1]) == {0, 1, 2}
+    # the pair that starts together merges first more often than the 1/3
+    # of a uniform pair (about 60 % here)
+    first_pairs = [frozenset().union(*log[0][1]) for log in logs]
+    assert first_pairs.count(frozenset({0, 1})) > 90
 
 
 # ---------------------------------------------------------------- coupling

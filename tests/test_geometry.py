@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spatial_coalescent.errors import DimensionTooLow, SizeOverflow
+from spatial_coalescent.errors import DimensionTooLow, SizeOverflow, TruncationUnstable
 from spatial_coalescent.geometry import (
     WalkSpec,
     build_torus,
@@ -87,20 +87,78 @@ def test_complete_graph_and_single_site():
 
 # ---------------------------------------------------------------- Green
 
-def test_green_lattice_d3_matches_reference():
-    est, err = green_function(simple_walk(3), "LATTICE_SUM")
+WATSON_D3 = 1.5163860591519809  # Watson's integral: simple walk, d = 3
+
+
+def _axis_walk(p):
+    """Axis walk on Z^3 with P(+-e_i) = p_i / 2."""
+    offsets = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    return WalkSpec(3, offsets, tuple(q / 2 for q in p for _ in (0, 1)))
+
+
+@pytest.fixture(scope="module")
+def lattice_d3():
+    return green_function(simple_walk(3), "LATTICE_SUM")
+
+
+def test_green_lattice_d3_matches_reference(lattice_d3):
+    est, err = lattice_d3
     assert est == pytest.approx(1.5163860, abs=max(err, 1e-3))
     assert est >= 1.0
 
 
-def test_green_decreases_with_dimension():
-    g3, _ = green_function(simple_walk(3), "LATTICE_SUM")
+def test_green_bessel_d3_is_watson_value(lattice_d3):
+    est, err = green_function(simple_walk(3), "BESSEL")
+    assert est == pytest.approx(WATSON_D3, rel=0.0, abs=1e-12)
+    assert err <= 1e-10
+    g_lat, e_lat = lattice_d3
+    assert abs(g_lat - WATSON_D3) <= e_lat
+
+
+@pytest.mark.parametrize("d, k_max", [(4, None), (5, 10)])
+def test_green_bessel_agrees_with_lattice(d, k_max):
+    g_bes, _ = green_function(simple_walk(d), "BESSEL")
+    g_lat, e_lat = green_function(simple_walk(d), "LATTICE_SUM", k_max=k_max)
+    assert abs(g_bes - g_lat) <= e_lat
+
+
+def test_green_bessel_anisotropic_agrees_with_monte_carlo():
+    walk = _axis_walk((0.2, 0.3, 0.5))
+    g_bes, _ = green_function(walk, "BESSEL")
+    g_mc, e_mc = green_function(walk, "MONTE_CARLO", seed=5)
+    assert abs(g_bes - g_mc) <= e_mc
+    # the anisotropic walk returns more often than the simple one
+    assert g_bes > WATSON_D3
+
+
+@pytest.mark.parametrize("walk", [
+    WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                 (0, 0, -1), (1, 1, 0), (-1, -1, 0)), (0.125,) * 8),
+    WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                 (0, 0, -1)), (0.2, 0.1, 0.2, 0.1, 0.2, 0.2)),
+    WalkSpec(3, ((2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                 (0, 0, -1)), (1 / 6,) * 6),
+], ids=["diagonal-steps", "drift", "long-steps"])
+def test_green_bessel_rejects_non_axis_walk(walk):
+    assert walk.axis_rates is None
+    with pytest.raises(ValueError, match="axis walk"):
+        green_function(walk, "BESSEL")
+
+
+def test_green_bessel_raises_when_quadrature_cannot_bound_error():
+    # nearly one-dimensional: the integrand decays too slowly for quad
+    with pytest.raises(TruncationUnstable):
+        green_function(_axis_walk((1e-7, 1e-7, 1 - 2e-7)), "BESSEL")
+
+
+def test_green_decreases_with_dimension(lattice_d3):
+    g3, _ = lattice_d3
     g5, _ = green_function(simple_walk(5), "LATTICE_SUM", k_max=10)
     assert 1.0 <= g5 < g3
 
 
-def test_green_monte_carlo_agrees_with_lattice():
-    g_lat, e_lat = green_function(simple_walk(3), "LATTICE_SUM")
+def test_green_monte_carlo_agrees_with_lattice(lattice_d3):
+    g_lat, e_lat = lattice_d3
     g_mc, e_mc = green_function(simple_walk(3), "MONTE_CARLO", seed=3)
     assert abs(g_lat - g_mc) <= e_lat + e_mc
 

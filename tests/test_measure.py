@@ -190,6 +190,29 @@ def test_serialization_round_trip():
     assert m2.total_mass == pytest.approx(m.total_mass, rel=1e-12)
 
 
+@pytest.mark.parametrize("interval, tag, params", [
+    # mass 0.25 >= 0, but negative on (2/3, 1]: built lambda_{8,7} < 0 and
+    # an all-nan merge law before it was rejected
+    ((0, 1), "polynomial", {"coefficients": [1, -1.5]}),
+    # positive at both ends, negative around x = 1/sqrt(3)
+    ((0, 1), "polynomial", {"coefficients": [0.3, -1.0, 0.0, 1.0]}),
+    ((0, 1), "constant", {"level": -0.5}),
+    ((0, 1), "power", {"p": 0.0, "q": 1.0, "coeff": -2.0}),
+])
+def test_negative_density_rejected(interval, tag, params):
+    with pytest.raises(ValueError, match="negative"):
+        DensityPiece(interval, tag, params)
+
+
+@pytest.mark.parametrize("interval, coefficients", [
+    ((0, 1), [0.25, -1.0, 1.0]),        # (x - 1/2)^2 touches zero
+    ((0, 1), [2.0, -1.0]),
+    ((0.2, 1), [-0.01, 0.0, 1.0]),      # negative only left of the piece
+])
+def test_nonnegative_polynomial_accepted(interval, coefficients):
+    DensityPiece(interval, "polynomial", {"coefficients": coefficients})
+
+
 def test_zero_mass_rejected_on_direct_construction():
     with pytest.raises(ValueError):
         LambdaMeasure(atoms=[], pieces=[])

@@ -45,8 +45,10 @@ def test_lambda_bk_closed_form_beta_integral(lebesgue_kernel):
         for k in range(2, b + 1):
             oracle = (math.factorial(k - 2) * math.factorial(b - k)
                       / math.factorial(b - 1))
+            # abs=0.0: the oracle goes down to 7.9e-4, where pytest's
+            # default abs=1e-12 would void rel=1e-10
             assert lebesgue_kernel.lambda_bk(b, k) == pytest.approx(
-                oracle, rel=1e-10)
+                oracle, rel=1e-10, abs=0.0)
 
 
 def test_lambda_bk_row_mixture_sub_interval_beta():
@@ -170,7 +172,8 @@ def test_pascal_consistency_lebesgue(b, k):
         return
     lhs = kern.lambda_bk(b, k)
     rhs = kern.lambda_bk(b + 1, k) + kern.lambda_bk(b + 1, k + 1)
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+    # entries go down to ~1e-19 (b = 61, k = 31)
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
 
 
 def test_increment_identities(beta_heavy_kernel):
