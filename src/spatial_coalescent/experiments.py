@@ -539,6 +539,8 @@ class _TorusWalk:
         self.side = 2 * N + 1
         self.pows = self.side ** np.arange(d, dtype=np.int64)
         self.offsets = walk.offsets_array
+        if np.any(np.all(self.offsets % self.side == 0, axis=1)):
+            raise ValueError("a walk step wraps onto the same site; torus too small")
         # a uniform u selects step #{cuts <= u}; the last cumulative
         # probability (1 up to rounding) is left out so u cannot overrun
         self.cuts = np.cumsum(walk.probs_array)[:-1]
@@ -631,14 +633,11 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     co-location.  Replicas with co-located blocks advance one event at a
     time, all in lockstep.
     """
-    side = 2 * N + 1
     start = np.asarray(start_positions, dtype=np.int64)
     n = start.shape[0]
     kernel.ensure_b(n)
     lam_tab = kernel.lambda_table(n)
     merge_cums = {b: kernel.merge_size_cumulative(b) for b in range(2, n + 1)}
-    if np.any(np.all(walk.offsets_array % side == 0, axis=1)):
-        raise ValueError("a walk step wraps onto the same site; torus too small")
     torus = _TorusWalk(N, walk)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
