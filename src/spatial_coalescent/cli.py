@@ -19,7 +19,8 @@ import io
 import json
 import sys
 import time
-from typing import Any, Optional
+from contextlib import contextmanager
+from typing import Any, Literal, Optional
 
 import click
 import numpy as np
@@ -69,7 +70,8 @@ class _Strict(BaseModel):
 class PieceConfig(_Strict):
     interval: tuple[float, float]
     tag: str
-    params: dict[str, float] = Field(default_factory=dict)
+    # numbers, or a list of numbers (the polynomial piece's coefficients)
+    params: dict[str, float | list[float]] = Field(default_factory=dict)
 
 
 class MeasureConfig(_Strict):
@@ -77,9 +79,10 @@ class MeasureConfig(_Strict):
     pieces: list[PieceConfig] = Field(default_factory=list)
 
     def build(self) -> LambdaMeasure:
-        m = LambdaMeasure.from_dict(
-            {"atoms": [list(a) for a in self.atoms],
-             "pieces": [p.model_dump() for p in self.pieces]})
+        with _invalid_as("measure"):
+            m = LambdaMeasure.from_dict(
+                {"atoms": [list(a) for a in self.atoms],
+                 "pieces": [p.model_dump() for p in self.pieces]})
         if m.total_mass <= 0.0:
             raise _ValidationFailure(
                 ["measure: total mass on [0,1] must be positive"])
@@ -92,11 +95,12 @@ class WalkConfig(_Strict):
     probabilities: Optional[list[float]] = None
 
     def build(self) -> WalkSpec:
-        if self.offsets is None:
-            return simple_walk(self.dimension)
-        return WalkSpec(self.dimension,
-                        tuple(tuple(o) for o in self.offsets),
-                        tuple(self.probabilities or ()))
+        with _invalid_as("geography.walk"):
+            if self.offsets is None:
+                return simple_walk(self.dimension)
+            return WalkSpec(self.dimension,
+                            tuple(tuple(o) for o in self.offsets),
+                            tuple(self.probabilities or ()))
 
 
 class GeographyConfig(_Strict):
@@ -108,6 +112,10 @@ class GeographyConfig(_Strict):
     site_budget: int = 1_000_000
 
     def build(self):
+        with _invalid_as("geography"):
+            return self._build()
+
+    def _build(self):
         if self.topology == "torus":
             if self.N is None:
                 raise _ValidationFailure(["geography: torus requires N"])
@@ -129,7 +137,8 @@ class KernelConfig(_Strict):
     b_max: int = 256
 
     def build(self, measure: LambdaMeasure) -> RateKernel:
-        return RateKernel(measure, b_max=self.b_max)
+        with _invalid_as("kernel"):
+            return RateKernel(measure, b_max=self.b_max)
 
 
 class ExperimentConfig(_Strict):
@@ -157,7 +166,7 @@ class RunConfig(_Strict):
     b_max_table: Optional[int] = None
     # green-specific
     dimension: Optional[int] = None
-    method: Optional[str] = None
+    method: Optional[Literal["BESSEL", "LATTICE_SUM", "MONTE_CARLO"]] = None
 
     @pydantic.model_validator(mode="after")
     def _budgets_positive(self):
@@ -172,6 +181,17 @@ class _ValidationFailure(Exception):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
+
+
+@contextmanager
+def _invalid_as(section: str):
+    """Report a ValueError raised while building `section` from config
+    values as a validation failure (exit 2).  A ValueError anywhere else is
+    an internal error (exit 4)."""
+    try:
+        yield
+    except ValueError as e:
+        raise _ValidationFailure([f"{section}: {e}"]) from e
 
 
 def parse_config(path: str) -> RunConfig:
@@ -250,7 +270,9 @@ class ArtifactWriter:
         self.write_text("report.json", text)
         return text
 
-    def finish(self) -> None:
+    def finish(self, stats: Optional[dict] = None) -> None:
+        """Write the manifest; `stats` (run counters) go here, never into
+        the report, so that reports stay byte identical."""
         if not self.out_dir:
             return
         manifest = {
@@ -266,6 +288,8 @@ class ArtifactWriter:
             "wall_time_seconds": time.monotonic() - self.t0,
             "files": sorted(self.files) + ["manifest.json"],
         }
+        if stats is not None:
+            manifest["stats"] = stats
         import os
         with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
             fh.write(_canonical_json(manifest))
@@ -292,15 +316,13 @@ def _guarded(fn):
                   violations=e.violations)
         except BudgetExceeded as e:
             _fail("BUDGET_EXCEEDED", str(e), EXIT_BUDGET, **e.context)
-        except ValueError as e:
-            _fail("VALIDATION_ERROR", str(e), EXIT_VALIDATION)
         except CoalescentError as e:
             _fail(e.code, str(e), EXIT_INTERNAL, **e.context)
         except click.exceptions.Exit:
             raise
         except SystemExit:
             raise
-        except Exception as e:  # pragma: no cover - defensive
+        except Exception as e:
             _fail("INTERNAL_ERROR", f"{type(e).__name__}: {e}", EXIT_INTERNAL)
     return wrapper
 
@@ -419,6 +441,9 @@ def green(config, seed, replicas, out, budget):
                 else WalkConfig(dimension=cfg.dimension or 3))
     walk = walk_cfg.build()
     method = cfg.method or "LATTICE_SUM"
+    if method == "BESSEL" and walk.axis_rates is None:
+        raise _ValidationFailure(["method: BESSEL needs an axis walk (every "
+                                  "step +-e_i, with P(+e_i) = P(-e_i) > 0)"])
     kwargs = {}
     if method == "MONTE_CARLO":
         kwargs["seed"] = cfg.seed
@@ -474,11 +499,13 @@ def simulate_cmd(config, seed, out, budget, fmt):
     kernel = cfg.kernel.build(cfg.measure.build())
     geo = cfg.geography.build()
     init = singletons_per_site(geo, cfg.n_per_site or 1)
-    rec = simulate(init, SimulationConfig(
-        kernel=kernel, geography=geo, killing=cfg.killing,
-        horizon=cfg.horizon, stop_blocks_at_most=cfg.stop_blocks_at_most,
-        seed=cfg.seed, probe_times=tuple(cfg.probe_times),
-        event_budget=cfg.event_budget, track_elements=False))
+    with _invalid_as("simulate"):
+        sim_cfg = SimulationConfig(
+            kernel=kernel, geography=geo, killing=cfg.killing,
+            horizon=cfg.horizon, stop_blocks_at_most=cfg.stop_blocks_at_most,
+            seed=cfg.seed, probe_times=tuple(cfg.probe_times),
+            event_budget=cfg.event_budget, track_elements=False)
+    rec = simulate(init, sim_cfg)
     if fmt == "csv":
         writer.write_text("trajectory.csv", _trajectory_csv(rec, init.block_count()))
     else:
@@ -495,7 +522,7 @@ def simulate_cmd(config, seed, out, budget, fmt):
     }
     click.echo(_canonical_json(report), nl=False)
     writer.write_report(report)
-    writer.finish()
+    writer.finish(stats=rec.stats)
     if rec.budget_exhausted:
         _fail("BUDGET_EXCEEDED",
               f"event budget {cfg.event_budget} exhausted at t={rec.final_time}; "

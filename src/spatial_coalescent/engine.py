@@ -8,9 +8,11 @@ next event fires at total rate
 
 split between coalescence (choose a site with weight lambda_{b_i}, draw a
 merge size k from the merge-size law, merge a uniform k-subset of the
-blocks there), migration (uniform block moves along the kernel; self-jumps
-are thinned out of the stream since they do not change state), and killing
-(uniform block moves to the cemetery).
+blocks there), migration (a uniform block moves along the kernel; self-jumps
+are left out of the move rate since they do not change state), and killing
+(a uniform block moves to the cemetery).  The coalescence rate is summed
+exactly over count classes (sites holding the same number of blocks share
+lambda_b); migration is uniformized at the largest move rate and thinned.
 
 Blocks carry (min element, size) always and full element sets only when an
 experiment needs partition identity; merges keep the smallest-minimum block
@@ -172,51 +174,27 @@ class TrajectoryRecord:
     final_counts: list = field(default_factory=list)  # per-site live counts
     final_block_summary: list = field(default_factory=list)  # (min, size, label)
     budget_exhausted: bool = False
+    # run counters: events by tag, thinning rejections, the largest number
+    # of blocks seen at one site and the length of the lambda_b table used
+    stats: dict = field(default_factory=dict)
 
     def live_counts_total(self) -> int:
         return sum(self.final_counts)
 
 
-class _Fenwick:
-    """Positive weights over site indices with O(log n) update/sample."""
-
-    __slots__ = ("n", "tree", "total", "_top")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0.0] * (n + 1)
-        self.total = 0.0
-        top = 1
-        while top * 2 <= n:
-            top *= 2
-        self._top = top
-
-    def add(self, i: int, delta: float):
-        if delta == 0.0:
-            return
-        self.total += delta
-        i += 1
-        tree = self.tree
-        while i <= self.n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def sample(self, u: float) -> int:
-        """Largest-prefix search: site index with cumulative weight > u."""
-        idx = 0
-        bit = self._top
-        tree = self.tree
-        while bit:
-            nxt = idx + bit
-            if nxt <= self.n and tree[nxt] <= u:
-                u -= tree[nxt]
-                idx = nxt
-            bit >>= 1
-        return min(idx, self.n - 1)
-
-
 def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryRecord:
-    """Run the jump chain from `initial` until a stop condition holds."""
+    """Run the jump chain from `initial` until a stop condition holds.
+
+    Sites are bucketed by block count.  The coalescence rate is the sum over
+    counts c >= 2 of lambda_c times the number of sites holding c blocks,
+    recomputed from the integer class sizes whenever they change; a
+    coalescence picks a class with weight lambda_c |S_c| and then a uniform
+    site in it.  Migration proposals come at rate max_move per block and a
+    proposal from site s is kept with probability move_rate(s) / max_move,
+    which is 1 when every site has the same move rate (a torus); a rejected
+    proposal is a null step that changes nothing.  No running float total
+    is kept, so no rate can drift.
+    """
     geo = config.geography
     kernel = config.kernel
     # mix the seed first: raw consecutive integer seeds bias the stream's
@@ -224,25 +202,24 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     mixed = int.from_bytes(
         np.random.SeedSequence(config.seed).generate_state(4).tobytes(), "little")
     rng = random.Random(mixed)
+    random_, randrange, choice = rng.random, rng.randrange, rng.choice
     n_sites = geo.size
-    move_rates = geo.move_rates
-    uniform_moves = bool(np.all(move_rates == move_rates[0]))
-    base_move = float(move_rates[0])
-    max_move = float(move_rates.max())
+    move_rates = geo.move_rates.tolist()
+    max_move = max(move_rates)
+    uniform_moves = min(move_rates) == max_move
+    mobile = [1 if r > 0.0 else 0 for r in move_rates]
 
-    # block arrays indexed by block id
-    site_of: list = []
-    size_of: list = []
-    min_of: list = []
-    elems: list = []
-    track = config.track_elements
-    for b, lab in zip(initial.blocks, initial.labels):
+    # block arrays indexed by block id; ids follow the least-element order
+    # of `initial` and a merge keeps the survivor with the least minimum,
+    # so the surviving ids stay in least-element order
+    site_of: list = list(initial.labels)
+    for lab in site_of:
         if lab == CEMETERY or not (0 <= lab < n_sites):
             raise ValueError(f"initial label {lab!r} is not a site")
-        site_of.append(lab)
-        size_of.append(len(b))
-        min_of.append(min(b))
-        elems.append(set(b) if track else None)
+    size_of = [len(b) for b in initial.blocks]
+    min_of = [min(b) for b in initial.blocks]
+    track = config.track_elements
+    elems = [set(b) for b in initial.blocks] if track else None
 
     n_blocks = len(site_of)
     counts = [0] * n_sites
@@ -254,115 +231,153 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
         pos_in_roster[bid] = len(rosters[s])
         rosters[s].append(bid)
         counts[s] += 1
+    # alive blocks at sites they can leave: with non-uniform move rates the
+    # proposal rate max_move * n_alive is only real while one is left
+    n_mobile = sum(mobile[s] for s in site_of)
 
-    # local lambda cache
-    max_b = max(counts) if counts else 0
-    kernel.ensure_b(max(max_b, 2))
-    lam = kernel.lambda_table(max(max_b, 2)).tolist()
+    # count classes: sites_with[c] holds the sites with c >= 2 blocks.  The
+    # occupied classes are listed in `occupied` (class c at occ_pos[c]) with
+    # their weights lambda_c |S_c| in `occ_weight`, each recomputed from the
+    # class size whenever that changes; the coalescence rate is their sum.
+    # lam, sites_with and occ_pos grow with the largest site count seen.
+    max_seen = max(counts, default=0)
+    lam = kernel.lambda_table(max(max_seen, 2)).tolist()
+    sites_with: list[list[int]] = [[] for _ in lam]
+    occ_pos = [0] * len(lam)
+    occupied: list[int] = []
+    occ_weight: list[float] = []
+    pos_in_class = [0] * n_sites
 
-    def get_lam(b: int) -> float:
-        while b >= len(lam):
-            lam.append(kernel.lambda_total(len(lam)))
-        return lam[b]
+    def reclass(s: int, old: int, new: int):
+        """Move site s from count class `old` to `new` (classes < 2 untracked)."""
+        if old >= 2:
+            members = sites_with[old]
+            last = members.pop()
+            if last != s:
+                p = pos_in_class[s]
+                members[p] = last
+                pos_in_class[last] = p
+            i = occ_pos[old]
+            if members:
+                occ_weight[i] = lam[old] * len(members)
+            else:
+                last_c = occupied.pop()
+                last_w = occ_weight.pop()
+                if last_c != old:
+                    occupied[i] = last_c
+                    occ_weight[i] = last_w
+                    occ_pos[last_c] = i
+        if new >= 2:
+            members = sites_with[new]
+            pos_in_class[s] = len(members)
+            members.append(s)
+            if len(members) == 1:
+                occ_pos[new] = len(occupied)
+                occupied.append(new)
+                occ_weight.append(lam[new])
+            else:
+                occ_weight[occ_pos[new]] = lam[new] * len(members)
 
-    coal = _Fenwick(n_sites)
-    for s in range(n_sites):
-        if counts[s] >= 2:
-            coal.add(s, get_lam(counts[s]))
-    mig_tot = sum(move_rates[s] * counts[s] for s in range(n_sites))
+    for s, c in enumerate(counts):
+        reclass(s, 0, c)
 
-    merge_cums: dict[int, np.ndarray] = {}
-
-    def merge_cum(b: int) -> np.ndarray:
-        cum = merge_cums.get(b)
-        if cum is None:
-            cum = kernel.merge_size_cumulative(b)
-            merge_cums[b] = cum
-        return cum
+    merge_cum = kernel.merge_size_cumulative_list
 
     def remove_from_roster(bid: int):
-        s = site_of[bid]
-        roster = rosters[s]
-        p = pos_in_roster[bid]
-        last = roster[-1]
-        roster[p] = last
-        pos_in_roster[last] = p
-        roster.pop()
+        roster = rosters[site_of[bid]]
+        last = roster.pop()
+        if last != bid:
+            p = pos_in_roster[bid]
+            roster[p] = last
+            pos_in_roster[last] = p
 
     def remove_from_alive(bid: int):
-        p = alive_pos[bid]
-        last = alive[-1]
-        alive[p] = last
-        alive_pos[last] = p
-        alive.pop()
+        last = alive.pop()
+        if last != bid:
+            p = alive_pos[bid]
+            alive[p] = last
+            alive_pos[last] = p
 
     rec = TrajectoryRecord(initial=initial, seed=config.seed)
     events = rec.events
     record = config.record_events
+    killing = config.killing
+    horizon = math.inf if config.horizon is None else config.horizon
+    budget = math.inf if config.event_budget is None else config.event_budget
+    threshold = config.stop_blocks_at_most
+    # stop once at most `floor` blocks are alive (-1: never)
+    floor = max(-1 if threshold is None else threshold,
+                1 if config.stop_when_absorbed else -1)
     probes = sorted(config.probe_times)
     probe_idx = 0
-    t = 0.0
-    n_events = 0
-    threshold = config.stop_blocks_at_most
-    stop_reason = ""
+    next_probe = probes[0] if probes else math.inf
 
     def flush_probes(up_to: float, count: int):
-        nonlocal probe_idx
-        while probe_idx < len(probes) and probes[probe_idx] <= up_to:
-            rec.probes.append((probes[probe_idx], count))
+        nonlocal probe_idx, next_probe
+        while next_probe <= up_to:
+            rec.probes.append((next_probe, count))
             probe_idx += 1
+            next_probe = probes[probe_idx] if probe_idx < len(probes) else math.inf
 
-    if threshold is not None and len(alive) <= threshold:
-        stop_reason = "BLOCKS_AT_MOST"
-    if config.stop_when_absorbed and len(alive) <= 1:
-        stop_reason = "ABSORBED"
+    t = 0.0
+    n_events = n_merges = n_kills = n_rejected = 0
 
+    def block_stop(n_alive: int) -> str:
+        if n_alive > floor:
+            return ""
+        if threshold is not None and n_alive <= threshold:
+            return "BLOCKS_AT_MOST"
+        return "ABSORBED"
+
+    stop_reason = block_stop(len(alive))
     while not stop_reason:
-        kill_tot = float(len(alive)) if config.killing else 0.0
-        total = coal.total + mig_tot + kill_tot
-        if total <= 1e-300:
-            if config.horizon is not None:
-                flush_probes(config.horizon, len(alive))
-                t = config.horizon
-                stop_reason = "HORIZON"
-                break
-            raise ZeroRateDeadlock("all rates vanished before the stop "
-                                   "condition", time=t, blocks=len(alive))
-        dt = rng.expovariate(total)
-        if config.horizon is not None and t + dt > config.horizon:
-            flush_probes(config.horizon, len(alive))
-            t = config.horizon
+        coal_tot = sum(occ_weight)
+        n_alive = len(alive)
+        mig_tot = max_move * n_alive if uniform_moves or n_mobile else 0.0
+        total = coal_tot + mig_tot
+        if killing:
+            total += n_alive
+        if total == 0.0:
+            if config.horizon is None:
+                raise ZeroRateDeadlock("all rates vanished before the stop "
+                                       "condition", time=t, blocks=n_alive)
+            t = horizon
             stop_reason = "HORIZON"
             break
-        flush_probes(t + dt, len(alive))
-        t += dt
-        u = rng.random() * total
+        t_next = t - math.log(1.0 - random_()) / total  # Exp(total)
+        if t_next > horizon:
+            t = horizon
+            stop_reason = "HORIZON"
+            break
+        if next_probe <= t_next:
+            flush_probes(t_next, n_alive)
+        t = t_next
+        u = random_() * total
 
-        if u < coal.total:
-            # ---- coalescence ----
-            s = coal.sample(u)
-            b = counts[s]
-            if b < 2:  # float drift fallback: rebuild exact weights
-                coal = _Fenwick(n_sites)
-                for s2 in range(n_sites):
-                    if counts[s2] >= 2:
-                        coal.add(s2, get_lam(counts[s2]))
-                continue
-            cum = merge_cum(b)
-            k = 2 + bisect.bisect_right(cum, rng.random())
-            k = min(k, b)
+        if u < coal_tot or (mig_tot == 0.0 and not killing):
+            # ---- coalescence: class b with weight lambda_b |S_b| ----
+            acc = 0.0
+            for i, w in enumerate(occ_weight):
+                acc += w
+                if u < acc:
+                    break
+            # (a u rounded onto the total falls through to the last class)
+            b = occupied[i]
+            s = choice(sites_with[b])
+            k = 2 if b == 2 else min(b, 2 + bisect.bisect_right(merge_cum(b),
+                                                                random_()))
             roster = rosters[s]
             if k == b:
                 chosen = list(roster)
             elif k == 2:
-                i = rng.randrange(b)
-                j = rng.randrange(b - 1)
+                i = randrange(b)
+                j = randrange(b - 1)
                 if j >= i:
                     j += 1
                 chosen = [roster[i], roster[j]]
             else:
                 chosen = rng.sample(roster, k)
-            survivor = min(chosen, key=lambda bid: min_of[bid])
+            survivor = min(chosen, key=min_of.__getitem__)
             for bid in chosen:
                 if bid == survivor:
                     continue
@@ -374,53 +389,60 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
                 remove_from_alive(bid)
                 site_of[bid] = None
             counts[s] = b - (k - 1)
-            coal.add(s, get_lam(counts[s]) - get_lam(b))
-            mig_tot -= (k - 1) * move_rates[s]
+            reclass(s, b, b - (k - 1))
+            n_mobile -= (k - 1) * mobile[s]
+            n_merges += 1
             if record:
                 events.append((t, "MERGE", (s, tuple(sorted(chosen)), k)))
-        elif u < coal.total + mig_tot:
-            # ---- migration ----
-            while True:
-                bid = alive[rng.randrange(len(alive))]
-                s = site_of[bid]
-                if uniform_moves or move_rates[s] >= max_move * rng.random():
-                    break
-            dest = geo.sample_move(s, rng.random())
-            remove_from_roster(bid)
-            site_of[bid] = dest
-            pos_in_roster[bid] = len(rosters[dest])
-            rosters[dest].append(bid)
-            b_from, b_to = counts[s], counts[dest]
-            counts[s] = b_from - 1
-            counts[dest] = b_to + 1
-            coal.add(s, get_lam(b_from - 1) - get_lam(b_from))
-            coal.add(dest, get_lam(b_to + 1) - get_lam(b_to))
-            mig_tot += move_rates[dest] - move_rates[s]
-            if record:
-                events.append((t, "MIGRATE", (bid, s, dest)))
-        else:
+            stop_reason = block_stop(n_alive - (k - 1))
+        elif killing and u >= coal_tot + mig_tot:
             # ---- killing ----
-            bid = alive[rng.randrange(len(alive))]
+            bid = choice(alive)
             s = site_of[bid]
             remove_from_roster(bid)
             remove_from_alive(bid)
             b = counts[s]
             counts[s] = b - 1
-            coal.add(s, get_lam(b - 1) - get_lam(b))
-            mig_tot -= move_rates[s]
+            reclass(s, b, b - 1)
+            n_mobile -= mobile[s]
             site_of[bid] = CEMETERY
+            n_kills += 1
             if record:
                 events.append((t, "KILL", (bid,)))
+            stop_reason = block_stop(n_alive - 1)
+        else:
+            # ---- migration proposal ----
+            bid = choice(alive)
+            s = site_of[bid]
+            if not uniform_moves and move_rates[s] <= max_move * random_():
+                n_rejected += 1
+                continue
+            dest = geo.sample_move(s, random_())
+            remove_from_roster(bid)
+            site_of[bid] = dest
+            roster = rosters[dest]
+            pos_in_roster[bid] = len(roster)
+            roster.append(bid)
+            b_from = counts[s]
+            b_to = counts[dest]
+            counts[s] = b_from - 1
+            counts[dest] = b_to + 1
+            if b_from >= 2:
+                reclass(s, b_from, b_from - 1)
+            if b_to:
+                if b_to == max_seen:
+                    max_seen += 1
+                    if max_seen == len(lam):
+                        lam.append(kernel.lambda_total(max_seen))
+                        sites_with.append([])
+                        occ_pos.append(0)
+                reclass(dest, b_to, b_to + 1)
+            n_mobile += mobile[dest] - mobile[s]
+            if record:
+                events.append((t, "MIGRATE", (bid, s, dest)))
 
         n_events += 1
-        if n_events % 4096 == 0:
-            # curb float drift in the incremental migration total
-            mig_tot = sum(move_rates[s2] * counts[s2] for s2 in range(n_sites))
-        if threshold is not None and len(alive) <= threshold:
-            stop_reason = "BLOCKS_AT_MOST"
-        elif config.stop_when_absorbed and len(alive) <= 1:
-            stop_reason = "ABSORBED"
-        elif config.event_budget is not None and n_events >= config.event_budget:
+        if not stop_reason and n_events >= budget:
             stop_reason = "BUDGET"
             rec.budget_exhausted = True
 
@@ -428,24 +450,20 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     rec.final_time = t
     rec.stop_reason = stop_reason
     rec.final_counts = counts
-    order = sorted(range(len(site_of)),
-                   key=lambda bid: min_of[bid])
-    summary = []
-    for bid in order:
-        s = site_of[bid]
-        if s is None:
-            continue  # merged away
-        summary.append((min_of[bid], size_of[bid], s))
-    rec.final_block_summary = summary
+    rec.stats = {
+        "events": {"MERGE": n_merges, "MIGRATE": n_events - n_merges - n_kills,
+                   "KILL": n_kills},
+        "thinning_rejections": n_rejected,
+        "max_site_blocks": max_seen,
+        "lambda_table_size": len(lam),
+    }
+    rec.final_block_summary = [(min_of[bid], size_of[bid], s)
+                               for bid, s in enumerate(site_of) if s is not None]
     if track:
-        blocks, labels = [], []
-        for bid in order:
-            s = site_of[bid]
-            if s is None:
-                continue
-            blocks.append(elems[bid])
-            labels.append(s)
-        rec.final_partition = LabeledPartition(blocks, labels, n=initial.n)
+        kept = [bid for bid, s in enumerate(site_of) if s is not None]
+        rec.final_partition = LabeledPartition(
+            [elems[bid] for bid in kept], [site_of[bid] for bid in kept],
+            n=initial.n)
     return rec
 
 

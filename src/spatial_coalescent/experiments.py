@@ -138,9 +138,9 @@ def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
         raise ValueError("need n, k >= 2")
     upsilon = geography.size
     seeds = spawn_seeds(seed, replicas)
+    init = singletons_per_site(geography, n)
     times = []
     for s in seeds:
-        init = singletons_per_site(geography, n)
         rec = simulate(init, SimulationConfig(
             kernel=kernel, geography=geography,
             stop_blocks_at_most=k * upsilon, seed=s,
@@ -169,8 +169,9 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
     for n in n_grid:
         seeds = spawn_seeds(seed, replicas)  # coupled across n via shared seeds
         counts = {p: [] for p in probes}
+        init = singletons_per_site(geography, n)
         for s in seeds:
-            rec = simulate(singletons_per_site(geography, n), SimulationConfig(
+            rec = simulate(init, SimulationConfig(
                 kernel=kernel, geography=geography, killing=killing,
                 horizon=horizon, seed=s, record_events=False,
                 track_elements=False, probe_times=probes))
@@ -432,9 +433,10 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     geo = build_torus(N, walk)
     probe_times = tuple(float(t) * vol for t in times)
     seeds = spawn_seeds(seed, replicas)
+    init = singletons_per_site(geo, n_per_site)
 
     if event_budget is not None:
-        pilot = simulate(singletons_per_site(geo, n_per_site), SimulationConfig(
+        pilot = simulate(init, SimulationConfig(
             kernel=kernel, geography=geo, horizon=max(probe_times),
             seed=seeds[0], record_events=True, track_elements=False,
             probe_times=probe_times))
@@ -446,7 +448,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
 
     samples = np.empty((replicas, len(probe_times)), dtype=np.int64)
     for i, s in enumerate(seeds):
-        rec = simulate(singletons_per_site(geo, n_per_site), SimulationConfig(
+        rec = simulate(init, SimulationConfig(
             kernel=kernel, geography=geo, horizon=max(probe_times), seed=s,
             record_events=False, track_elements=False,
             probe_times=probe_times))
@@ -825,8 +827,9 @@ def block_decay_shape(kernel: RateKernel, walk: WalkSpec, N_values, t_grid,
         probes = tuple(t_grid)
         seeds = spawn_seeds(seed, replicas)
         sums = {p: 0.0 for p in probes}
+        init = singletons_per_site(geo, 1)
         for s in seeds:
-            rec = simulate(singletons_per_site(geo, 1), SimulationConfig(
+            rec = simulate(init, SimulationConfig(
                 kernel=kernel, geography=geo, horizon=max(probes), seed=s,
                 record_events=False, track_elements=False, probe_times=probes))
             for p, c in rec.probes:

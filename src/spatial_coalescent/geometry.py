@@ -12,6 +12,7 @@ large-torus scaling limits.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -101,8 +102,9 @@ class GeographySpec:
 
     Torus geographies keep the kernel as a neighbor table (one row of step
     destinations per site); generic graphs keep the dense matrix.  In both
-    representations self-jumps are split out so the engine can thin them
-    from the event stream (a jump to the same site does not change state).
+    representations self-jumps are split out: a site's move rate is the
+    probability of leaving it, and `sample_move` draws only real moves (a
+    jump to the same site does not change state).
     """
 
     def __init__(self, sites, topology, *, neighbors=None, step_probs=None,
@@ -116,21 +118,14 @@ class GeographySpec:
         if neighbors is not None:
             self_mask = neighbors == np.arange(self.size)[:, None]
             self._move_rates = 1.0 - self_mask @ step_probs
-            # conditional (no self-jump) sampling tables per site
-            masked = np.where(self_mask, 0.0, step_probs[None, :])
-            totals = masked.sum(axis=1, keepdims=True)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                self._move_cum = np.cumsum(
-                    np.where(totals > 0, masked / totals, 0.0), axis=1)
+            dests = neighbors
+            probs = np.where(self_mask, 0.0, step_probs[None, :])
         else:
-            diag = np.diag(dense_kernel)
-            self._move_rates = 1.0 - diag
-            masked = dense_kernel.copy()
-            np.fill_diagonal(masked, 0.0)
-            totals = masked.sum(axis=1, keepdims=True)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                self._move_cum = np.cumsum(
-                    np.where(totals > 0, masked / totals, 0.0), axis=1)
+            self._move_rates = 1.0 - np.diag(dense_kernel)
+            dests = np.broadcast_to(np.arange(self.size), dense_kernel.shape)
+            probs = dense_kernel.copy()
+            np.fill_diagonal(probs, 0.0)
+        self._move_cum, self._move_dest = _move_tables(dests, probs)
 
     # -- kernel access --------------------------------------------------
 
@@ -151,11 +146,7 @@ class GeographySpec:
 
     def sample_move(self, i: int, u: float) -> int:
         """Destination != i for a migrating block, from uniform u in [0,1)."""
-        j = int(np.searchsorted(self._move_cum[i], u, side="right"))
-        j = min(j, self._move_cum.shape[1] - 1)
-        if self._dense is not None:
-            return j
-        return int(self._neighbors[i, j])
+        return self._move_dest[i][bisect.bisect_right(self._move_cum[i], u)]
 
     @property
     def neighbor_table(self):
@@ -164,6 +155,32 @@ class GeographySpec:
     @property
     def step_probs(self):
         return self._step_probs
+
+
+def _move_tables(dests: np.ndarray, probs: np.ndarray):
+    """Per-site sampling lists for `GeographySpec.sample_move`.
+
+    Row i of `probs` weighs the destinations in row i of `dests`, self-jumps
+    already zeroed.  For each site keep the destinations of positive weight
+    and their cumulative conditional probabilities, the last set to exactly
+    1.0 so that bisecting any u in [0, 1) lands in the row.  Equal
+    cumulative rows (every site of a torus without self-jumps) are shared.
+    """
+    cum_rows, dest_rows = [], []
+    shared: dict[tuple, list] = {}
+    for dest_row, prob_row in zip(dests.tolist(), probs.tolist()):
+        kept = [(d, p) for d, p in zip(dest_row, prob_row) if p > 0.0]
+        total = sum(p for _d, p in kept)
+        acc = 0.0
+        cum = []
+        for _d, p in kept:
+            acc += p
+            cum.append(acc / total)
+        if cum:
+            cum[-1] = 1.0
+        cum_rows.append(shared.setdefault(tuple(cum), cum))
+        dest_rows.append([d for d, _p in kept])
+    return cum_rows, dest_rows
 
 
 def build_torus(N: int, walk: WalkSpec, site_budget: int = 1_000_000) -> GeographySpec:

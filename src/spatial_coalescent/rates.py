@@ -83,6 +83,7 @@ class RateKernel:
         self._m0_sum = 0.0      # sum_{j <= b_max - 2} M(0, j)
         self._bk_rows: dict[int, np.ndarray] = {}
         self._merge_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._merge_cum_lists: dict[int, list] = {}
         self.ensure_b(b_max)
 
     @property
@@ -170,6 +171,17 @@ class RateKernel:
 
     def merge_size_cumulative(self, b: int) -> np.ndarray:
         return self._merge_row(b)[1]
+
+    def merge_size_cumulative_list(self, b: int) -> list:
+        """`merge_size_cumulative(b)` as a memoized Python list, for samplers
+        that bisect it once per draw (bisecting an array indexes numpy
+        scalars)."""
+        cum = self._merge_cum_lists.get(b)
+        if cum is None:
+            cum = self.merge_size_cumulative(b).tolist()
+            with self._lock:
+                cum = self._merge_cum_lists.setdefault(b, cum)
+        return cum
 
     def _merge_row(self, b: int):
         if b < 2:

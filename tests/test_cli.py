@@ -3,8 +3,10 @@ import json
 import os
 
 import pytest
+from click.testing import CliRunner
 
 from conftest import coalsim
+from spatial_coalescent import cli
 
 
 def run_cli(tmp_path, cfg, *args):
@@ -49,6 +51,53 @@ def test_negative_density_rejected(tmp_path):
     r = run_cli(tmp_path, {"seed": 1, "measure": measure}, "rates")
     assert r.returncode == 2, r.stdout + r.stderr
     assert "negative" in json.loads(r.stdout)["message"]
+
+
+@pytest.mark.parametrize("coefficients, code", [([1, 1], 0), ([1, -1.5], 2)])
+def test_polynomial_piece_in_config(tmp_path, coefficients, code):
+    # 1 + x is a density; 1 - 1.5x dips below zero on (2/3, 1]
+    measure = {"pieces": [{"interval": [0, 1], "tag": "polynomial",
+                           "params": {"coefficients": coefficients}}]}
+    r = run_cli(tmp_path, {"seed": 1, "measure": measure}, "classify")
+    assert r.returncode == code, r.stdout + r.stderr
+    if code:
+        assert "negative" in json.loads(r.stdout)["message"]
+
+
+@pytest.mark.parametrize("cfg, command, needle", [
+    ({"seed": 1, "dimension": 3, "method": "NOPE"}, "green", "method"),
+    ({"seed": 1, "method": "BESSEL",
+      "geography": {"topology": "torus", "N": 2,
+                    "walk": {"dimension": 3,
+                             "offsets": [[1, 1, 0], [-1, -1, 0], [0, 1, 1],
+                                         [0, -1, -1], [1, 0, 1], [-1, 0, -1]],
+                             "probabilities": [1 / 6] * 6}}},
+     "green", "axis walk"),
+    ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "single"},
+      "horizon": -1.0}, "simulate", "horizon"),
+    ({"seed": 1, "measure": KINGMAN,
+      "geography": {"topology": "torus", "N": 0}}, "simulate", "N >= 1"),
+])
+def test_config_value_errors_exit_2(tmp_path, cfg, command, needle):
+    r = run_cli(tmp_path, cfg, command)
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "VALIDATION_ERROR"
+    assert needle in payload["message"]
+
+
+def test_internal_value_error_exits_4(tmp_path, monkeypatch):
+    def broken(*_a, **_kw):
+        raise ValueError("not a config problem")
+
+    monkeypatch.setattr(cli, "cdi_classify", broken)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "measure": KINGMAN}))
+    r = CliRunner().invoke(cli.main, ["classify", "--config", str(path)])
+    assert r.exit_code == 4, r.output
+    payload = json.loads(r.output)
+    assert payload["error"] == "INTERNAL_ERROR"
+    assert "not a config problem" in payload["message"]
 
 
 def test_bad_kernel_row_named(tmp_path):
@@ -179,6 +228,36 @@ def test_experiment_report_deterministic(tmp_path):
         assert r.returncode == 0, r.stdout + r.stderr
         hashes.append(_report_hash(out))
     assert hashes[0] == hashes[1]
+
+
+def test_simulate_report_deterministic_stats_in_manifest(tmp_path):
+    cfg = {"seed": 3, "measure": KINGMAN,
+           "geography": {"topology": "graph",
+                         "kernel": [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0],
+                                    [1.0, 0.0, 0.0]]},
+           "n_per_site": 4, "horizon": 2.0}
+    reports, manifests = [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = run_cli(tmp_path, cfg, "simulate", "--out", str(out))
+        assert r.returncode == 0, r.stdout + r.stderr
+        reports.append((out / "report.json").read_bytes())
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert "stats" not in report
+    stats = manifests[0]["stats"]
+    assert stats == manifests[1]["stats"]
+    # one MIGRATE line per migration in the trajectory, and the lazy site
+    # (self-loop 1/2) makes the engine thin migration proposals
+    lines = (tmp_path / "a" / "trajectory.jsonl").read_text().splitlines()
+    tags = [json.loads(l).get("tag") for l in lines]
+    assert stats["events"] == {tag: tags.count(tag)
+                               for tag in ("MERGE", "MIGRATE", "KILL")}
+    assert sum(stats["events"].values()) == report["events"]
+    assert stats["thinning_rejections"] > 0
+    assert stats["max_site_blocks"] >= 4
+    assert stats["lambda_table_size"] > stats["max_site_blocks"]
 
 
 def test_seed_changes_report(tmp_path):

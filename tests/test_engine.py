@@ -21,7 +21,17 @@ from spatial_coalescent.errors import (
     IncompatibleVariants,
     ZeroRateDeadlock,
 )
-from spatial_coalescent.geometry import complete_graph, generic_graph, single_site
+from spatial_coalescent.experiments import (
+    pairwise_first_coalescence_times,
+    spawn_seeds,
+)
+from spatial_coalescent.geometry import (
+    build_torus,
+    complete_graph,
+    generic_graph,
+    simple_walk,
+    single_site,
+)
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
 
@@ -186,6 +196,44 @@ def test_holding_time_exponential(kingman):
     assert res.pvalue > 0.01
 
 
+def test_engine_pair_on_torus_matches_relative_walk_sampler(kingman):
+    # first coalescence of two blocks N apart on the N = 4 torus: the count-
+    # class engine against the independent relative-walk sampler
+    N = 4
+    walk = simple_walk(3)
+    geo = build_torus(N, walk)
+    start = singletons_at([geo.sites.index((0, 0, 0)),
+                           geo.sites.index((N, 0, 0))])
+    times = [simulate(start, SimulationConfig(
+        kernel=kingman, geography=geo, seed=s, stop_blocks_at_most=1,
+        record_events=False, track_elements=False)).final_time
+        for s in spawn_seeds(2024, 300)]
+    ref = pairwise_first_coalescence_times(
+        N, walk, kingman.lambda_bk(2, 2), 3000, seed=2025,
+        separation=[N, 0, 0])
+    assert sp_stats.ks_2samp(times, ref).pvalue > 1e-3
+
+
+def test_thinned_migration_holding_time(kingman):
+    # site 0 keeps a jump with probability 1/2, site 1 never: move rates 0.5
+    # and 1, so proposals from site 0 are thinned at rate 1/2
+    lazy = generic_graph(np.array([[0.5, 0.5], [1.0, 0.0]]))
+    holds, rejected = [], 0
+    reps = 2000
+    for seed in range(reps):
+        rec = simulate(singletons_at([0]), SimulationConfig(
+            kernel=kingman, geography=lazy, seed=seed, event_budget=1,
+            track_elements=False))
+        (t, tag, payload), = rec.events
+        assert (tag, payload) == ("MIGRATE", (0, 0, 1))
+        holds.append(t)
+        rejected += rec.stats["thinning_rejections"]
+    se = np.std(holds, ddof=1) / math.sqrt(reps)
+    assert abs(np.mean(holds) - 1 / 0.5) <= 4 * se
+    # a geometric number of rejections with mean 1 before each acceptance
+    assert 0.8 * reps < rejected < 1.2 * reps
+
+
 def test_killing_rate_one_per_block(kingman):
     # blocks at distinct sites of a complete graph: no coalescence possible
     # before migration; with a tiny horizon-free run count kills by time t
@@ -221,6 +269,17 @@ def test_event_budget_stops_run(kingman):
 def test_deadlock_detected(kingman):
     # two isolated sites with no movement: absorption is unreachable
     frozen = generic_graph(np.eye(2))
+    with pytest.raises(ZeroRateDeadlock):
+        simulate(singletons_at([0, 1]), SimulationConfig(
+            kernel=kingman, geography=frozen, seed=1,
+            stop_when_absorbed=True))
+
+
+def test_deadlock_detected_with_thinned_moves(kingman):
+    # sites 0 and 1 hold their blocks forever, site 2 moves: the proposal
+    # rate stays positive but no real event can happen
+    frozen = generic_graph(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                     [1.0, 0.0, 0.0]]))
     with pytest.raises(ZeroRateDeadlock):
         simulate(singletons_at([0, 1]), SimulationConfig(
             kernel=kingman, geography=frozen, seed=1,

@@ -85,6 +85,20 @@ def test_complete_graph_and_single_site():
     assert s.move_rate(0) == 0.0
 
 
+def test_sample_move_draws_only_real_moves():
+    # site 1 is lazy; site 2's self-jump is its last column, where rounding
+    # of the cumulative row could otherwise hand back the site itself
+    kern = np.array([[0.0, 0.5, 0.5], [0.2, 0.5, 0.3], [0.1, 0.9, 0.0]])
+    geo = generic_graph(kern)
+    us = (np.arange(10_000) + 0.5) / 10_000
+    for i in range(3):
+        law = np.where(np.arange(3) == i, 0.0, kern[i])
+        draws = [geo.sample_move(i, u) for u in us]
+        freq = np.bincount(draws, minlength=3) / len(us)
+        assert freq == pytest.approx(law / law.sum(), abs=1e-4)
+        assert geo.sample_move(i, np.nextafter(1.0, 0.0)) != i
+
+
 # ---------------------------------------------------------------- Green
 
 WATSON_D3 = 1.5163860591519809  # Watson's integral: simple walk, d = 3
