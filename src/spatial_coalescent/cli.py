@@ -20,7 +20,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from typing import Any, Literal, Optional
+from typing import Annotated, Any, Literal, Optional
 
 import click
 import numpy as np
@@ -416,19 +416,24 @@ def classify(config, seed, out):
     cfg, writer = _load(config, seed, None, out, None)
     if cfg.measure is None:
         raise _ValidationFailure(["classify: config requires a measure"])
+    t0 = time.perf_counter()
     kernel = cfg.kernel.build(cfg.measure.build())
-    verdict = cdi_classify(kernel, b_max=max(cfg.kernel.b_max, 1000))
+    t1 = time.perf_counter()
+    b_max = max(cfg.kernel.b_max, 1000)
+    verdict = cdi_classify(kernel, b_max=b_max)
+    t2 = time.perf_counter()
     report = {
         "verdict": verdict.verdict,
         "partial_sum": verdict.partial_sum,
-        "tail_estimate": verdict.tail_estimate,
+        "tail_bound": verdict.tail_bound,
         "complete_collapse": verdict.complete_collapse,
         "note": verdict.note,
         "config_sha256": writer.config_hash,
     }
     click.echo(_canonical_json(report), nl=False)
     writer.write_report(report)
-    writer.finish()
+    writer.finish(stats={"decided_by": verdict.decided_by, "b_max": b_max,
+                         "kernel_build_s": t1 - t0, "verdict_s": t2 - t1})
 
 
 @main.command()
@@ -533,21 +538,94 @@ def simulate_cmd(config, seed, out, budget, fmt):
 main.add_command(simulate_cmd, name="simulate")
 
 
+# ---- experiment params: one strict model per experiment, validated at the
+# config boundary so that a bad value exits 2 before any work starts
+
+PosInt = Annotated[int, Field(ge=1)]
+PosFloat = Annotated[float, Field(gt=0.0)]
+
+
+class _TorusParams(_Strict):
+    # the torus half-width; defaults to geography.N
+    N: Optional[PosInt] = None
+
+    def torus_N(self, cfg: RunConfig) -> int:
+        N = self.N if self.N is not None else cfg.geography.N
+        if N is None:
+            raise _ValidationFailure(
+                ["experiment.params.N: set params.N or geography.N"])
+        return N
+
+
+class HittingTimeParams(_Strict):
+    n: int = Field(ge=2)
+    k: int = Field(2, ge=2)
+
+
+class TrendParams(_Strict):
+    n_grid: list[PosInt] = Field(min_length=2)
+    t_probe: PosFloat | list[PosFloat] = 0.5
+
+
+class PairwiseParams(_TorusParams):
+    separation: Optional[list[int]] = None
+    kappa_value: Optional[PosFloat] = None
+
+
+class BlockCountParams(_TorusParams):
+    n_per_site: Optional[PosInt] = None
+    times: list[PosFloat] = Field(default_factory=lambda: [0.5, 1.0],
+                                  min_length=1)
+    kappa_value: Optional[PosFloat] = None
+    reference_replicas: PosInt = 200_000
+
+
+class StructureParams(_TorusParams):
+    n_blocks: int = Field(ge=2)
+    kappa_value: Optional[PosFloat] = None
+
+
+class CouplingParams(_Strict):
+    class_split: list[list[PosInt]] = Field(min_length=1)
+    t: PosFloat = 1.0
+
+    @pydantic.model_validator(mode="after")
+    def _covers_one_to_n(self):
+        elems = sorted(set().union(*map(set, self.class_split)))
+        if elems != list(range(1, len(elems) + 1)):
+            raise ValueError("class_split must cover 1..n")
+        return self
+
+
+class DecayShapeParams(_Strict):
+    N_values: list[PosInt] = Field(min_length=1)
+    t_grid: list[PosFloat] = Field(min_length=1)
+
+
 _EXPERIMENTS = {}
 
 
-def _experiment(name):
+def _experiment(name, params_model=_Strict):
     def deco(fn):
-        _EXPERIMENTS[name] = fn
+        _EXPERIMENTS[name] = (params_model, fn)
         return fn
     return deco
 
 
-@_experiment("hitting_time")
-def _run_hitting_time(cfg: RunConfig, p: dict):
+def _experiment_params(params_model, raw: dict):
+    try:
+        return params_model.model_validate(raw)
+    except pydantic.ValidationError as e:
+        raise _ValidationFailure(
+            [".".join(["experiment.params", *map(str, err["loc"])])
+             + f": {err['msg']}" for err in e.errors()]) from e
+
+
+@_experiment("hitting_time", HittingTimeParams)
+def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams):
     kernel = cfg.kernel.build(cfg.measure.build())
     geo = cfg.geography.build()
-    rep = estimate_Tnk(int(p["n"]), int(p.get("k", 2)), geo, kernel,
+    rep = estimate_Tnk(p.n, p.k, geo, kernel,
                        replicas=cfg.replicas or 400, seed=cfg.seed)
     out = rep.to_dict()
     raw = "replica,time\n" + "".join(
@@ -555,12 +633,11 @@ def _run_hitting_time(cfg: RunConfig, p: dict):
     return out, raw, "hitting_times.csv"
 
 
-@_experiment("trend")
-def _run_trend(cfg: RunConfig, p: dict):
+@_experiment("trend", TrendParams)
+def _run_trend(cfg: RunConfig, p: TrendParams):
     kernel = cfg.kernel.build(cfg.measure.build())
     geo = cfg.geography.build()
-    res = stay_infinite_trend(kernel, geo, [int(n) for n in p["n_grid"]],
-                              p.get("t_probe", 0.5),
+    res = stay_infinite_trend(kernel, geo, p.n_grid, p.t_probe,
                               replicas=cfg.replicas or 200, seed=cfg.seed,
                               killing=cfg.killing)
     report = {"growth_exponent": res["growth_exponent"],
@@ -570,33 +647,34 @@ def _run_trend(cfg: RunConfig, p: dict):
     return report, None, None
 
 
-@_experiment("pairwise")
-def _run_pairwise(cfg: RunConfig, p: dict):
+@_experiment("pairwise", PairwiseParams)
+def _run_pairwise(cfg: RunConfig, p: PairwiseParams):
     kernel = cfg.kernel.build(cfg.measure.build())
     walk = cfg.geography.walk.build()
+    if p.separation is not None and len(p.separation) != walk.dimension:
+        raise _ValidationFailure(
+            [f"experiment.params.separation: needs {walk.dimension} entries"])
     comp = pairwise_torus_experiment(
-        int(p.get("N", cfg.geography.N)), walk, kernel,
+        p.torus_N(cfg), walk, kernel,
         replicas=cfg.replicas or 2000, seed=cfg.seed,
-        separation=p.get("separation"),
-        kappa_value=p.get("kappa_value"))
+        separation=p.separation, kappa_value=p.kappa_value)
     times = comp.extras.pop("rescaled_times")
     raw = "replica,rescaled_time\n" + "".join(
         f"{i},{v!r}\n" for i, v in enumerate(times))
     return comp.to_dict(), raw, "pairwise_times.csv"
 
 
-@_experiment("block_count")
-def _run_block_count(cfg: RunConfig, p: dict):
+@_experiment("block_count", BlockCountParams)
+def _run_block_count(cfg: RunConfig, p: BlockCountParams):
     kernel = cfg.kernel.build(cfg.measure.build())
     walk = cfg.geography.walk.build()
     res = block_count_limit_experiment(
-        int(p.get("N", cfg.geography.N)), walk, kernel,
-        int(p.get("n_per_site", cfg.n_per_site or 10)),
-        [float(t) for t in p.get("times", [0.5, 1.0])],
+        p.torus_N(cfg), walk, kernel,
+        p.n_per_site or cfg.n_per_site or 10, p.times,
         replicas=cfg.replicas or 500, seed=cfg.seed,
-        kappa_value=p.get("kappa_value"),
+        kappa_value=p.kappa_value,
         event_budget=cfg.event_budget,
-        reference_replicas=int(p.get("reference_replicas", 200_000)))
+        reference_replicas=p.reference_replicas)
     samples = res.pop("samples")
     report = {"kappa": res["kappa"],
               "joint_chi2_pvalue": res["joint_chi2_pvalue"],
@@ -609,39 +687,37 @@ def _run_block_count(cfg: RunConfig, p: dict):
     return report, buf.getvalue(), "block_counts.csv"
 
 
-@_experiment("structure")
-def _run_structure(cfg: RunConfig, p: dict):
+@_experiment("structure", StructureParams)
+def _run_structure(cfg: RunConfig, p: StructureParams):
     kernel = cfg.kernel.build(cfg.measure.build())
     walk = cfg.geography.walk.build()
     res = partition_structure_experiment(
-        int(p.get("N", cfg.geography.N)), walk, kernel,
-        int(p["n_blocks"]), replicas=cfg.replicas or 3000, seed=cfg.seed,
-        kappa_value=p.get("kappa_value"))
+        p.torus_N(cfg), walk, kernel,
+        p.n_blocks, replicas=cfg.replicas or 3000, seed=cfg.seed,
+        kappa_value=p.kappa_value)
     return res, None, None
 
 
-@_experiment("coupling")
-def _run_coupling(cfg: RunConfig, p: dict):
+@_experiment("coupling", CouplingParams)
+def _run_coupling(cfg: RunConfig, p: CouplingParams):
     kernel = cfg.kernel.build(cfg.measure.build())
     geo = cfg.geography.build()
-    res = class_coupling_check(geo, kernel, p["class_split"],
-                               float(p.get("t", 1.0)),
+    res = class_coupling_check(geo, kernel, p.class_split, p.t,
                                replicas=cfg.replicas or 100, seed=cfg.seed)
     return res, None, None
 
 
-@_experiment("decay_shape")
-def _run_decay_shape(cfg: RunConfig, p: dict):
+@_experiment("decay_shape", DecayShapeParams)
+def _run_decay_shape(cfg: RunConfig, p: DecayShapeParams):
     kernel = cfg.kernel.build(cfg.measure.build())
     walk = cfg.geography.walk.build()
-    res = block_decay_shape(kernel, walk, [int(n) for n in p["N_values"]],
-                            [float(t) for t in p["t_grid"]],
+    res = block_decay_shape(kernel, walk, p.N_values, p.t_grid,
                             replicas=cfg.replicas or 50, seed=cfg.seed)
     return res, None, None
 
 
 @_experiment("kappa")
-def _run_kappa(cfg: RunConfig, p: dict):
+def _run_kappa(cfg: RunConfig, _p):
     kernel = cfg.kernel.build(cfg.measure.build())
     walk = cfg.geography.walk.build()
     return torus_kappa(walk, kernel, seed=cfg.seed), None, None
@@ -655,12 +731,17 @@ def experiment(config, seed, replicas, out, budget):
     cfg, writer = _load(config, seed, replicas, out, budget)
     if cfg.experiment is None:
         raise _ValidationFailure(["experiment: config requires an experiment section"])
-    runner = _EXPERIMENTS.get(cfg.experiment.name)
-    if runner is None:
+    entry = _EXPERIMENTS.get(cfg.experiment.name)
+    if entry is None:
         raise _ValidationFailure(
             [f"experiment: unknown name {cfg.experiment.name!r}; "
              f"known: {sorted(_EXPERIMENTS)}"])
-    report, raw, raw_name = runner(cfg, cfg.experiment.params)
+    if cfg.measure is None or cfg.geography is None:
+        raise _ValidationFailure(
+            ["experiment: config requires measure and geography"])
+    params_model, runner = entry
+    params = _experiment_params(params_model, cfg.experiment.params)
+    report, raw, raw_name = runner(cfg, params)
     report = json.loads(json.dumps(report, sort_keys=True, default=_json_default))
     report["experiment"] = cfg.experiment.name
     report["seed"] = cfg.seed

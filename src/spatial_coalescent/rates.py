@@ -21,23 +21,27 @@ so every table entry is a sum of positive terms.  All moments come from the
 closed form `measure.moments`; the merge-size law C(b,k) lambda_{b,k} /
 lambda_b is normalized from `measure.log_moments`, since lambda_{b,k}
 underflows long before C(b,k) lambda_{b,k} is negligible.  The binomial
-sums and the quadrature routes serve as checks in the test suite.  Convention: lambda_b = gamma_b = 0 for
-b in {0, 1}.
+sums and the quadrature routes serve as checks in the test suite.
+Convention: lambda_b = gamma_b = 0 for b in {0, 1}.
 
-The module also houses the block-count classifier (comes down from infinity
-iff sum_b 1/gamma_b < infinity; Schweinsberg 2000), the uniform hitting-time
+The module also houses the block-count classifier, the uniform hitting-time
 bound sum_{b>=k} 1/gamma_b + k/gamma_k, and numerical checks of the rate
-inequalities used by the spatial theory.
+inequalities used by the spatial theory.  The coalescent comes down from
+infinity iff sum_b 1/gamma_b < infinity (Schweinsberg 2000), or it has an
+atom at 1.  For a measure a delta_0 + atoms + pieces sum c x^p (1-x)^q the
+classifier decides this exactly: COMES_DOWN iff a > 0 or some term with
+c > 0 on a piece starting at 0 has p < 0, else STAYS_INFINITE.  Its
+tail_bound is a proved upper bound on sum_{b > b_max} 1/gamma_b, taken from
+the lower bounds on gamma_b that those parts give.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.special import gammaln
 
 from . import measure as measure_mod
@@ -47,7 +51,6 @@ from .measure import LambdaMeasure, QuadratureConfig
 __all__ = [
     "RateKernel",
     "CdiVerdict",
-    "ClassifierConfig",
     "cdi_classify",
     "tn_uniform_bound",
     "spatial_rate_bounds_check",
@@ -231,111 +234,109 @@ class RateKernel:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClassifierConfig:
-    fit_points: int = 24            # sample points across the last decade of b
-    extrapolate_decades: int = 12   # how far beyond b_max to extend the fit
-    grid_per_decade: int = 16
-    boundary_band: float = 0.10     # INCONCLUSIVE when this close to divergence
-
-
-@dataclass(frozen=True)
 class CdiVerdict:
-    verdict: str                    # COMES_DOWN | STAYS_INFINITE | INCONCLUSIVE
-    partial_sum: float
-    tail_estimate: float
+    verdict: str                    # COMES_DOWN | STAYS_INFINITE
+    partial_sum: float              # sum of 1/gamma_b for 2 <= b <= b_max
+    tail_bound: float               # proved bound on sum_{b > b_max} 1/gamma_b
     note: str
+    decided_by: str                 # the part of the measure behind the verdict
     complete_collapse: bool = False
-    fit_coefficients: tuple = field(default=())
 
 
-def cdi_classify(kernel: RateKernel, b_max: int = 1000,
-                 config: ClassifierConfig | None = None) -> CdiVerdict:
-    """Classify the coalescent via summability of 1/gamma_b.
+def _term_tail_bound(b_max: int, gamma_next: float, c: float, s: float,
+                     q: float, hi: float) -> float:
+    """Bound on sum_{b > b_max} 1/gamma_b from one density term
+    c x^(-s) (1-x)^q on [0, hi] with s > 0; gamma_next = gamma_{b_max+1}.
 
-    Computes the partial sum up to b_max, then fits gamma_b against the
-    asymptotic shape c1 * b^2 L[0,1/b] + c2 * b over the last decade of the
-    table and extrapolates the tail on a log grid.  Decade contributions of
-    the extrapolated sum decide summability: geometric decay with margin
-    means COMES_DOWN, flat or growing contributions mean the sum diverges
-    (gamma_b = Theta(b) when integral (1/x) dL is finite).
+    With h = min(hi, 1/2) and w = (1-h)^q (1 for q <= 0), the density is at
+    least c w x^(-s) on [0, h].  For x >= 2/b, bx - 1 + (1-x)^b >= bx/2, so
+    for b >= 4/h
+
+        gamma_b >= c w (b/2) integral_{2/b}^{h} x^(-1-s) dx >= K b^(1+s),
+        K = c w (1 - 2^-s) / (2^(1+s) s).
+
+    Past S = max(b_max, ceil(4/h)) the sum is at most S^-s / (K s); the
+    S - b_max terms before it are each at most 1/gamma_next, since gamma_b
+    increases.
     """
-    if b_max < 100:
-        raise ValueError("classification needs b_max >= 100")
-    cfg = config or ClassifierConfig()
-    meas = kernel.measure
+    h = min(hi, 0.5)
+    w = (1.0 - h) ** q if q > 0.0 else 1.0
+    K = c * w * (1.0 - 2.0 ** -s) / (2.0 ** (1.0 + s) * s)
+    S = max(b_max, math.ceil(4.0 / h))
+    return (S - b_max) / gamma_next + S ** -s / (K * s)
 
-    if meas.has_atom_at_one:
-        # an atom at 1 collapses everything to one block at a positive rate
-        gam = kernel.gamma_table(b_max)[2:]
-        partial = float(np.sum(1.0 / gam))
-        return CdiVerdict("COMES_DOWN", partial, 0.0,
+
+def _tail_bounds(meas: LambdaMeasure, b_max: int,
+                 gamma_next: float) -> list[tuple[float, str]]:
+    """(bound on sum_{b > b_max} 1/gamma_b, part) for every part of the
+    measure that makes sum_b 1/gamma_b finite."""
+    out = []
+    a = meas.atom_mass_at(0.0)
+    if a > 0.0:
+        # gamma_b >= a C(b, 2), and sum_{b > B} 2 / (b (b-1)) = 2 / B
+        out.append((2.0 / (a * b_max), f"kingman a={a:g}"))
+    for piece in meas.pieces:
+        lo, hi = piece.interval
+        if lo > 0.0:
+            continue
+        # only the single-term families (beta, power) have p < 0, so the
+        # piece's density is the term itself
+        for c, p, q in piece.terms():
+            if c > 0.0 and p < 0.0:
+                out.append((_term_tail_bound(b_max, gamma_next, c, -p, q, hi),
+                            f"{piece.tag} term p={p:g} on [{lo:g}, {hi:g}]"))
+    return out
+
+
+def cdi_classify(kernel: RateKernel, b_max: int = 1000) -> CdiVerdict:
+    """Does the block count come down from infinity?  Exact verdict from the
+    measure's parts (Schweinsberg 2000: iff sum_b 1/gamma_b < infinity).
+
+    Every supported measure is a delta_0 + atoms in (0, 1] + density pieces
+    sum c x^p (1-x)^q on [lo, hi].  A Kingman part (a > 0) gives
+    gamma_b >= a C(b, 2), and a term with c > 0 and p < 0 on a piece with
+    lo = 0 gives gamma_b >= K b^(1-p): either makes the sum finite.  Every
+    other part has integral x^-1 dL < infinity (gamma_b = O(b)) or p = 0
+    (gamma_b = O(b log b)), so without such a part the sum diverges.  An
+    atom at 1 collapses all blocks at once at a positive rate.
+
+    partial_sum is the sum up to b_max; tail_bound is the smallest of the
+    parts' proved bounds on the rest (+inf if no part bounds it).
+    """
+    if b_max < 2:
+        raise ValueError("classification needs b_max >= 2")
+    gam = kernel.gamma_table(b_max + 1)
+    partial = float(np.sum(1.0 / gam[2:b_max + 1]))
+    bounds = _tail_bounds(kernel.measure, b_max, float(gam[b_max + 1]))
+    tail, part = min(bounds) if bounds else (math.inf, "")
+
+    if kernel.measure.has_atom_at_one:
+        return CdiVerdict("COMES_DOWN", partial, tail,
                           "atom at 1: complete collapse in finite time",
-                          complete_collapse=True)
-
-    gam = kernel.gamma_table(b_max)
-    partial = float(np.sum(1.0 / gam[2:]))
-
-    # fit gamma_b ~ c1 * b^2 L[0,1/b] + c2 * b over the last decade
-    lo = max(2, b_max // 10)
-    bs_fit = np.unique(np.round(np.geomspace(lo, b_max, cfg.fit_points)).astype(int))
-    f1 = np.array([b * b * measure_mod.mass(meas, (0.0, 1.0 / b)) for b in bs_fit])
-    f2 = bs_fit.astype(float)
-    targets = np.array([gam[b] for b in bs_fit])
-    scale = np.maximum(targets, 1e-300)
-    design = np.column_stack([f1 / scale, f2 / scale])
-    coef, _ = nnls(design, targets / scale)
-    c1, c2 = float(coef[0]), float(coef[1])
-
-    def gamma_hat(b: float) -> float:
-        return c1 * b * b * measure_mod.mass(meas, (0.0, 1.0 / b)) + c2 * b
-
-    # decade-by-decade contributions of sum 1/gamma_hat beyond b_max
-    decade_sums = []
-    prev_b = float(b_max)
-    for dec in range(cfg.extrapolate_decades):
-        grid = np.geomspace(prev_b, prev_b * 10.0, cfg.grid_per_decade + 1)
-        vals = np.array([1.0 / gamma_hat(b) for b in grid])
-        decade_sums.append(float(np.trapezoid(vals, grid)))
-        prev_b *= 10.0
-    ratios = [decade_sums[i + 1] / decade_sums[i]
-              for i in range(len(decade_sums) - 1) if decade_sums[i] > 0]
-    ratio = ratios[-1] if ratios else 0.0
-
-    # does gamma_b / b converge?  compare the fitted slope across decades
-    slope_a = gamma_hat(prev_b / 10.0) / (prev_b / 10.0)
-    slope_b = gamma_hat(prev_b) / prev_b
-    linear = slope_a > 0 and abs(slope_b / slope_a - 1.0) < 0.05
-
-    if ratio < 1.0 - cfg.boundary_band:
-        tail = sum(decade_sums) + decade_sums[-1] * ratio / max(1.0 - ratio, 1e-12)
-        note = (f"tail decade ratio {ratio:.3f} < {1 - cfg.boundary_band:.2f}: "
-                f"sum 1/gamma_b converges")
-        return CdiVerdict("COMES_DOWN", partial, tail, note,
-                          fit_coefficients=(c1, c2))
-    if linear or ratio >= 1.0:
-        note = (f"gamma_b / b converges (fitted slope stable)" if linear
-                else f"tail decade ratio {ratio:.3f} >= 1: sum diverges")
-        return CdiVerdict("STAYS_INFINITE", partial, math.inf, note,
-                          fit_coefficients=(c1, c2))
-    note = f"tail decade ratio {ratio:.3f} within boundary band"
-    return CdiVerdict("INCONCLUSIVE", partial, math.nan, note,
-                      fit_coefficients=(c1, c2))
+                          "atom at 1", complete_collapse=True)
+    if bounds:
+        return CdiVerdict("COMES_DOWN", partial, tail,
+                          f"{part}: sum 1/gamma_b converges", part)
+    part = "no Kingman part and no term x^p with p < 0 at 0"
+    return CdiVerdict("STAYS_INFINITE", partial, math.inf,
+                      f"{part}: sum 1/gamma_b diverges", part)
 
 
 def tn_uniform_bound(kernel: RateKernel, k: int = 2, b_max: int = 10_000) -> float:
     """Upper bound sum_{b>=k} 1/gamma_b + k/gamma_k on the uniform mean
-    hitting time of k-blocks-per-site; +inf when the sum diverges."""
+    hitting time of k-blocks-per-site; +inf when the sum diverges.  The
+    terms past b_max are the classifier's proved tail bound."""
     if k < 2:
         raise ValueError("need k >= 2")
     gam_k = kernel.gamma_total(k)
     if gam_k <= 0.0:
         raise ZeroRate(f"gamma_{k} = 0", k=k)
-    verdict = cdi_classify(kernel, b_max=max(b_max, 100))
-    if verdict.verdict != "COMES_DOWN":
+    verdict = cdi_classify(kernel, b_max=b_max)
+    if not math.isfinite(verdict.tail_bound):
         return math.inf
     gam = kernel.gamma_table(b_max)
     head = float(np.sum(1.0 / gam[k:]))
-    return head + verdict.tail_estimate + k / gam_k
+    return head + verdict.tail_bound + k / gam_k
 
 
 # ----------------------------------------------------------------------

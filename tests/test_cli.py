@@ -159,6 +159,25 @@ def test_classify_beta_heavy(tmp_path):
     assert json.loads(r.stdout)["verdict"] == "COMES_DOWN"
 
 
+def test_classify_report_deterministic_stats_in_manifest(tmp_path):
+    reports, manifests = [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = run_cli(tmp_path, {"seed": 1, "measure": BETA_HEAVY}, "classify",
+                    "--out", str(out))
+        assert r.returncode == 0, r.stdout + r.stderr
+        reports.append((out / "report.json").read_bytes())
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    assert "stats" not in report
+    assert report["tail_bound"] > 0.0 and "tail_estimate" not in report
+    stats = manifests[0]["stats"]
+    assert stats["decided_by"] == "beta term p=-0.5 on [0, 1]"
+    assert stats["b_max"] == 1000
+    assert stats["kernel_build_s"] >= 0.0 and stats["verdict_s"] >= 0.0
+
+
 def test_rates_csv_shape(tmp_path):
     r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN, "b_max_table": 4},
                 "rates")
@@ -296,3 +315,16 @@ def test_unknown_experiment_name(tmp_path):
     r = run_cli(tmp_path, cfg, "experiment")
     assert r.returncode == 2, r.stdout + r.stderr
     assert "wat" in json.loads(r.stdout)["message"]
+
+
+@pytest.mark.parametrize("experiment, needle", [
+    ({"name": "hitting_time", "params": {"n": 1}}, "params.n"),
+    ({"name": "structure", "params": {}}, "params.n_blocks"),
+    ({"name": "hitting_time", "params": {"n": 10, "bogus": 1}}, "params.bogus"),
+])
+def test_bad_experiment_params_exit_2(tmp_path, experiment, needle):
+    r = run_cli(tmp_path, dict(EXP_CFG, experiment=experiment), "experiment")
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "VALIDATION_ERROR"
+    assert needle in payload["message"]

@@ -254,6 +254,72 @@ def test_cdi_partial_sum_monotone(beta_heavy_kernel):
     assert 0.0 <= v1.partial_sum <= v2.partial_sum
 
 
+def _power(p, interval):
+    return LambdaMeasure(pieces=[DensityPiece(interval, "power",
+                                              {"p": p, "q": 0.0})])
+
+
+VERDICT_TABLE = [
+    ("beta 0.98", LambdaMeasure.beta(0.98), "STAYS_INFINITE"),
+    ("beta 1.02", LambdaMeasure.beta(1.02), "COMES_DOWN"),
+    ("beta 1.05", LambdaMeasure.beta(1.05), "COMES_DOWN"),
+    ("power -0.05 on [0, 0.1]", _power(-0.05, (0.0, 0.1)), "COMES_DOWN"),
+    ("power -0.5 on [0.2, 1]", _power(-0.5, (0.2, 1.0)), "STAYS_INFINITE"),
+    ("polynomial x", LambdaMeasure(pieces=[DensityPiece(
+        (0.0, 1.0), "polynomial", {"coefficients": [0.0, 1.0]})]),
+     "STAYS_INFINITE"),
+    ("beta 0.5 + 1e-3 at 0", LambdaMeasure(
+        atoms=[(0.0, 1e-3)],
+        pieces=[DensityPiece((0.0, 1.0), "beta", {"alpha": 0.5})]),
+     "COMES_DOWN"),
+]
+
+
+@pytest.mark.parametrize("measure, expected",
+                         [case[1:] for case in VERDICT_TABLE],
+                         ids=[case[0] for case in VERDICT_TABLE])
+def test_cdi_verdict_table_and_tail_bound(measure, expected):
+    # the verdict is exact; the numeric oracle is the partial sum of
+    # 1/gamma_b to 10^6, which the proved bound at b_max = 1000 must cover
+    kern = RateKernel(measure)
+    v = cdi_classify(kern, b_max=1000)
+    assert v.verdict == expected, v.note
+    if expected == "STAYS_INFINITE":
+        assert v.tail_bound == math.inf
+        return
+    gam = kern.gamma_table(10**6)
+    oracle = float(np.sum(1.0 / gam[2:]))
+    assert v.partial_sum == pytest.approx(float(np.sum(1.0 / gam[2:1001])),
+                                          rel=1e-12)
+    assert oracle <= v.partial_sum + v.tail_bound
+
+
+def test_cdi_kingman_tail_bound_exact(kingman_kernel):
+    # gamma_b = C(b, 2), so sum_{b > B} 1/gamma_b = 2/B with equality
+    v = cdi_classify(kingman_kernel, b_max=1000)
+    assert v.tail_bound == pytest.approx(2.0 / 1000, rel=1e-12)
+    assert v.decided_by == "kingman a=1"
+
+
+def test_cdi_smallest_bound_decides():
+    # Kingman part and a beta(1.5) term: the smaller tail bound is reported
+    meas = LambdaMeasure(atoms=[(0.0, 1.0)],
+                         pieces=[DensityPiece((0.0, 1.0), "beta", {"alpha": 1.5})])
+    v = cdi_classify(RateKernel(meas), b_max=1000)
+    alone = [cdi_classify(RateKernel(m), b_max=1000).tail_bound
+             for m in (LambdaMeasure.unit_atom(0.0), LambdaMeasure.beta(1.5))]
+    assert v.verdict == "COMES_DOWN"
+    assert v.tail_bound <= min(alone)
+
+
+def test_cdi_complete_collapse_alone_has_no_tail_bound(one_atom_kernel):
+    # gamma_b = b - 1 for an atom at 1: the sum diverges, yet all blocks
+    # merge at rate 1, so the verdict holds with an infinite bound
+    v = cdi_classify(one_atom_kernel, b_max=1000)
+    assert v.complete_collapse
+    assert v.tail_bound == math.inf
+
+
 # ----------------------------------------------------------- uniform bound
 
 def test_uniform_bound_kingman_pairs(kingman_kernel):
