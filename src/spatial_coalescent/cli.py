@@ -388,7 +388,9 @@ def rates(config, seed, out):
     cfg, writer = _load(config, seed, None, out, None)
     if cfg.measure is None:
         raise _ValidationFailure(["rates: config requires a measure"])
+    t0 = time.perf_counter()
     kernel = cfg.kernel.build(cfg.measure.build())
+    t1 = time.perf_counter()
     b_hi = cfg.b_max_table or min(cfg.kernel.b_max, 64)
     buf = io.StringIO()
     w = csv.writer(buf)
@@ -401,11 +403,14 @@ def rates(config, seed, out):
         w.writerow([b, "lambda", repr(kernel.lambda_total(b)), repr(qerr)])
         w.writerow([b, "gamma", repr(kernel.gamma_total(b)), repr(qerr)])
     text = buf.getvalue()
+    t2 = time.perf_counter()
+    rows = text.count("\n") - 1
     click.echo(text, nl=False)
     writer.write_text("rates.csv", text)
-    writer.write_report({"b_max": b_hi, "rows": text.count("\n") - 1,
+    writer.write_report({"b_max": b_hi, "rows": rows,
                          "config_sha256": writer.config_hash})
-    writer.finish()
+    writer.finish(stats={"b_max": b_hi, "rows": rows,
+                         "kernel_build_s": t1 - t0, "table_s": t2 - t1})
 
 
 @main.command()

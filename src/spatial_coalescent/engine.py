@@ -282,6 +282,8 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
         reclass(s, 0, c)
 
     merge_cum = kernel.merge_size_cumulative_list
+    # a Kingman measure merges pairs only, so it never needs a merge-size law
+    binary = kernel.binary_merges
 
     def remove_from_roster(bid: int):
         roster = rosters[site_of[bid]]
@@ -364,8 +366,13 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
             # (a u rounded onto the total falls through to the last class)
             b = occupied[i]
             s = choice(sites_with[b])
-            k = 2 if b == 2 else min(b, 2 + bisect.bisect_right(merge_cum(b),
-                                                                random_()))
+            k = 2
+            if b > 2:
+                # the uniform is drawn even when the law is a point mass, so
+                # a Kingman run keeps the stream of the law-based draw
+                u_k = random_()
+                if not binary:
+                    k = min(b, 2 + bisect.bisect_right(merge_cum(b), u_k))
             roster = rosters[s]
             if k == b:
                 chosen = list(roster)

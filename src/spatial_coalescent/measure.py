@@ -396,11 +396,14 @@ def integrate_vector(integrand, measure_: LambdaMeasure,
 def _beta_share(a, b, lo: float, hi: float):
     """Beta(a, b) probability of [lo, hi], taken from the lower tail, or
     from the upper tail (I_{1-x}(b, a)) when both ends lie above the median
-    and the lower-tail difference would cancel."""
-    if lo == 0.0 and hi == 1.0:
-        return 1.0
-    below_lo, below_hi = betainc(a, b, lo), betainc(a, b, hi)
-    above_lo, above_hi = betainc(b, a, 1.0 - lo), betainc(b, a, 1.0 - hi)
+    and the lower-tail difference would cancel.  Tails known to be 0 or 1
+    (at lo = 0 or hi = 1) are not evaluated."""
+    if lo == 0.0:
+        return 1.0 if hi == 1.0 else betainc(a, b, hi)
+    below_lo, above_lo = betainc(a, b, lo), betainc(b, a, 1.0 - lo)
+    if hi == 1.0:
+        return np.where(below_lo > 0.5, above_lo, 1.0 - below_lo)
+    below_hi, above_hi = betainc(a, b, hi), betainc(b, a, 1.0 - hi)
     return np.where(below_lo > 0.5, above_lo - above_hi, below_hi - below_lo)
 
 

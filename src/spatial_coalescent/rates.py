@@ -17,11 +17,15 @@ are cumulative sums of the single vector M(0, j), j = 0, 1, ...:
     gamma_{b+1}  - gamma_b  = sum_{j<b} M(0, j)
     eta_b                   = b sum_{j<=b-2} M(0, j)
 
-so every table entry is a sum of positive terms.  All moments come from the
-closed form `measure.moments`; the merge-size law C(b,k) lambda_{b,k} /
+so every table entry is a sum of positive terms.  A request past the table
+grows it in one pass, to at least twice its length.  All moments come from
+the closed form `measure.moments`; the merge-size law C(b,k) lambda_{b,k} /
 lambda_b is normalized from `measure.log_moments`, since lambda_{b,k}
-underflows long before C(b,k) lambda_{b,k} is negligible.  The binomial
-sums and the quadrature routes serve as checks in the test suite.
+underflows long before C(b,k) lambda_{b,k} is negligible.  The laws are
+built a run of rows at a time: the first request for a row builds every row
+of its run (a slice of the dyadic block [2^j, 2^(j+1)) holding it) in one
+`log_moments` call over the flattened triangle of (k, b) cells.  The
+binomial sums and the quadrature routes serve as checks in the test suite.
 Convention: lambda_b = gamma_b = 0 for b in {0, 1}.
 
 The module also houses the block-count classifier, the uniform hitting-time
@@ -61,15 +65,22 @@ __all__ = [
 
 # tolerances of the quadrature oracle behind the increment integrals
 _ORACLE_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12)
+# most (k, b) cells in one merge-law build; a dyadic block of rows is cut
+# into runs of equal length under it
+_MERGE_RUN_CELLS = 1 << 16
 
 
 class RateKernel:
     """Memoized rate tables for one measure.
 
-    Totals (lambda_b, gamma_b, eta_b) are grown lazily in dyadic b-blocks as
-    cumulative sums of M(0, j) (see the module docstring); a block continues
-    the running sums, so every entry is the same whatever the growth history.
-    Per-(b,k) rows M(k-2, b-k) and merge-size laws are computed on demand.
+    Totals (lambda_b, gamma_b, eta_b) are grown lazily as cumulative sums of
+    M(0, j) (see the module docstring), each growth in one pass to at least
+    twice the table's length; it continues the running sums, so every entry
+    is the same whatever the growth history.  Per-(b,k) rows M(k-2, b-k)
+    are computed on demand.  Merge-size laws are built a run of rows at a
+    time (the first request for b builds every row of b's run of its dyadic
+    block), and every row is normalized on its own, so a law does not depend
+    on which rows were asked for before it.  Cached arrays are read-only.
     All growth is guarded by a lock, so a prepopulated kernel is safe to
     share across workers and every query behaves as a pure function.
     """
@@ -98,24 +109,31 @@ class RateKernel:
         """Always 0.0: the tables come from closed forms, not quadrature."""
         return 0.0
 
+    @property
+    def binary_merges(self) -> bool:
+        """True when the measure is a delta_0 alone (Kingman): every merge
+        then joins exactly two blocks, whatever b."""
+        return not self.measure.pieces and all(
+            loc == 0.0 for loc, _ in self.measure.atoms)
+
     def ensure_b(self, b: int) -> None:
         if b < len(self._lam):
             return
         with self._lock:
-            while len(self._lam) <= b:
-                lo = len(self._lam)
-                hi = min(max(2 * lo, 4), max(b + 1, 4))
-                bs = np.arange(lo, hi)
-                m0 = measure_mod.moments(self.measure, 0, bs - 2)
-                # running sums continued from the last entry (np.cumsum adds
-                # left to right, so a block reproduces one long cumsum)
-                sums = np.cumsum(np.concatenate(([self._m0_sum], m0)))[1:]
-                lam = np.cumsum(np.concatenate(([self._lam[-1]], (bs - 1) * m0)))[1:]
-                gam = np.cumsum(np.concatenate(([self._gam[-1]], sums)))[1:]
-                self._lam.extend(lam.tolist())
-                self._gam.extend(gam.tolist())
-                self._eta.extend((bs * sums).tolist())
-                self._m0_sum = float(sums[-1])
+            lo = len(self._lam)
+            if b < lo:
+                return
+            bs = np.arange(lo, max(2 * lo, b + 1))
+            m0 = measure_mod.moments(self.measure, 0, bs - 2)
+            # running sums continued from the last entry (np.cumsum adds
+            # left to right, so a growth reproduces one long cumsum)
+            sums = np.cumsum(np.concatenate(([self._m0_sum], m0)))[1:]
+            lam = np.cumsum(np.concatenate(([self._lam[-1]], (bs - 1) * m0)))[1:]
+            gam = np.cumsum(np.concatenate(([self._gam[-1]], sums)))[1:]
+            self._lam.extend(lam.tolist())
+            self._gam.extend(gam.tolist())
+            self._eta.extend((bs * sums).tolist())
+            self._m0_sum = float(sums[-1])
 
     # -- totals ---------------------------------------------------------
 
@@ -157,6 +175,7 @@ class RateKernel:
             if row is None:
                 ks = np.arange(2, b + 1)
                 row = measure_mod.moments(self.measure, ks - 2, b - ks)
+                row.flags.writeable = False
                 self._bk_rows[b] = row
         return row
 
@@ -192,19 +211,49 @@ class RateKernel:
         with self._lock:
             cached = self._merge_rows.get(b)
             if cached is None:
-                ks = np.arange(2, b + 1)
-                # in log space: C(b,k) overflows and lambda_{b,k} underflows
-                # long before their product is negligible
-                log_w = (gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
-                         + measure_mod.log_moments(self.measure, ks - 2, b - ks))
-                top = np.max(log_w)
-                if top == -np.inf:
+                self._build_merge_run(b)
+                cached = self._merge_rows.get(b)
+                if cached is None:
                     raise ZeroTotalRate(f"lambda_{b} = 0", b=b)
-                probs = np.exp(log_w - top)
-                probs /= probs.sum()
-                cached = (probs, np.cumsum(probs))
-                self._merge_rows[b] = cached
         return cached
+
+    def _build_merge_run(self, b: int) -> None:
+        """Build the merge-size law of every uncached row in b's run.
+
+        The dyadic block [2^j, 2^(j+1)) holding b is cut into runs of equal
+        length, each under _MERGE_RUN_CELLS cells.  The weights
+        C(r,k) lambda_{r,k} of all rows r of the run are taken in log space
+        (C(r,k) overflows and lambda_{r,k} underflows long before their
+        product is negligible) in one log_moments call over the flattened
+        cells, then each row is normalized by its own segment max and sum.
+        A row whose weights are all 0 is left uncached.
+        """
+        first = 1 << (b.bit_length() - 1)
+        per_run = max(1, _MERGE_RUN_CELLS // (2 * first - 1))
+        start = first + (b - first) // per_run * per_run
+        rows = np.array([r for r in range(start, min(start + per_run, 2 * first))
+                         if r not in self._merge_rows])
+        sizes = rows - 1
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        row_of = np.repeat(rows, sizes)
+        ks = np.arange(int(ends[-1])) - np.repeat(starts, sizes) + 2
+        log_fact = gammaln(np.arange(rows[-1] + 1) + 1.0)    # log n!
+        log_w = (log_fact[row_of] - log_fact[ks] - log_fact[row_of - ks]
+                 + measure_mod.log_moments(self.measure, ks - 2, row_of - ks))
+        top = np.maximum.reduceat(log_w, starts)
+        with np.errstate(invalid="ignore"):     # rows of zeros become nan
+            probs = np.exp(log_w - np.repeat(top, sizes))
+            probs /= np.repeat(np.add.reduceat(probs, starts), sizes)
+        for r, s, e, t in zip(rows.tolist(), starts.tolist(), ends.tolist(),
+                              top.tolist()):
+            if t == -math.inf:
+                continue
+            row = probs[s:e]
+            cum = np.cumsum(row)
+            row.flags.writeable = False
+            cum.flags.writeable = False
+            self._merge_rows[r] = (row, cum)
 
     # -- auxiliary integrals used by the inequality checks --------------
 

@@ -189,6 +189,28 @@ def test_rates_csv_shape(tmp_path):
     assert "4,gamma,6.0,0.0" in lines
 
 
+def test_rates_report_deterministic_stats_in_manifest(tmp_path):
+    reports, tables, manifests = [], [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = run_cli(tmp_path, {"seed": 1, "measure": BETA_HEAVY,
+                               "b_max_table": 12}, "rates", "--out", str(out))
+        assert r.returncode == 0, r.stdout + r.stderr
+        reports.append((out / "report.json").read_bytes())
+        tables.append((out / "rates.csv").read_bytes())
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert reports[0] == reports[1]
+    assert tables[0] == tables[1]
+    report = json.loads(reports[0])
+    assert "stats" not in report
+    # one row per (b, k) plus the lambda and gamma rows of each b
+    rows = sum(b - 1 + 2 for b in range(2, 13))
+    assert report["rows"] == rows
+    stats = manifests[0]["stats"]
+    assert stats["b_max"] == 12 and stats["rows"] == rows
+    assert stats["kernel_build_s"] >= 0.0 and stats["table_s"] >= 0.0
+
+
 def test_green_json_contract(tmp_path):
     r = run_cli(tmp_path, {"seed": 1, "dimension": 3}, "green")
     assert r.returncode == 0, r.stdout + r.stderr

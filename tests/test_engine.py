@@ -145,6 +145,19 @@ def test_kingman_death_chain_mean(kingman):
     assert abs(mean - 2 * (1 - 1 / n)) <= 3 * se
 
 
+def test_kingman_merges_never_build_a_merge_law(monkeypatch):
+    def no_law(self, b):
+        raise AssertionError(f"merge-size law requested for b = {b}")
+
+    monkeypatch.setattr(RateKernel, "merge_size_cumulative", no_law)
+    rec = simulate(singletons_at([0] * 3000), SimulationConfig(
+        kernel=RateKernel(LambdaMeasure.unit_atom(0.0)), geography=single_site(),
+        seed=3, stop_when_absorbed=True, record_events=False,
+        track_elements=False))
+    assert rec.live_counts_total() == 1
+    assert rec.stats["events"]["MERGE"] == 2999
+
+
 def test_separated_blocks_cannot_merge(kingman):
     two_cycle = generic_graph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     rec = simulate(singletons_at([0, 1]), SimulationConfig(

@@ -6,8 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import betainc, betaln, gammaln, logsumexp
 from scipy.stats import binom
 
-from spatial_coalescent.errors import ZeroRate
-from spatial_coalescent.measure import DensityPiece, LambdaMeasure
+from spatial_coalescent import measure as measure_mod
+from spatial_coalescent.errors import ZeroRate, ZeroTotalRate
+from spatial_coalescent.measure import (
+    DensityPiece,
+    LambdaMeasure,
+    _beta_share,
+    log_moments,
+)
 from spatial_coalescent.rates import (
     RateKernel,
     cdi_classify,
@@ -158,6 +164,117 @@ def test_merge_size_sums_to_one(beta_heavy_kernel):
     for b in (2, 7, 40, 300):
         assert beta_heavy_kernel.merge_size_distribution(b).sum() == \
             pytest.approx(1.0, abs=1e-12)
+
+
+def _history_measures():
+    """The five benchmark measures plus power pieces away from 0 and 1."""
+    return {
+        "kingman": LambdaMeasure.unit_atom(0.0),
+        "lebesgue": LambdaMeasure.lebesgue(),
+        "beta05": LambdaMeasure.beta(0.5),
+        "beta15": LambdaMeasure.beta(1.5),
+        "mixture": LambdaMeasure(
+            atoms=[(0.3, 1.0)],
+            pieces=[DensityPiece((0.0, 0.6), "beta", {"alpha": 1.5})]),
+        "power_02_1": LambdaMeasure(pieces=[
+            DensityPiece((0.2, 1.0), "power", {"p": -0.5, "q": 0.5})]),
+        "power_01_05": LambdaMeasure(pieces=[
+            DensityPiece((0.1, 0.5), "power", {"p": 1.0, "q": -0.3})]),
+    }
+
+
+def _merge_law_one_row(measure, b):
+    """The law of one row on its own: log weights normalized by their max
+    and their sum."""
+    ks = np.arange(2, b + 1)
+    log_w = (gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
+             + log_moments(measure, ks - 2, b - ks))
+    probs = np.exp(log_w - np.max(log_w))
+    return probs / probs.sum()
+
+
+@pytest.mark.parametrize("name", list(_history_measures()))
+def test_merge_laws_independent_of_request_history(name):
+    measure = _history_measures()[name]
+    sweep = range(2, 301)
+    singles = (2, 3, 64, 65, 1000, 2000)
+    ascending, descending = RateKernel(measure), RateKernel(measure)
+    for b in sweep:
+        ascending.merge_size_cumulative(b)
+    for b in reversed(sweep):
+        descending.merge_size_cumulative(b)
+    for b in list(sweep) + list(singles):
+        law = ascending.merge_size_distribution(b)
+        np.testing.assert_allclose(descending.merge_size_distribution(b), law,
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(descending.merge_size_cumulative(b),
+                                   ascending.merge_size_cumulative(b),
+                                   rtol=0.0, atol=1e-15)
+    for b in singles:
+        single = RateKernel(measure)
+        law = single.merge_size_distribution(b)
+        np.testing.assert_allclose(law, ascending.merge_size_distribution(b),
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(single.merge_size_cumulative(b),
+                                   ascending.merge_size_cumulative(b),
+                                   rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(law, _merge_law_one_row(measure, b),
+                                   rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e-9), (0.0, 0.3), (0.0, 0.6),
+                                    (0.0, 1.0 - 1e-9), (1e-9, 1.0),
+                                    (0.4, 1.0), (0.5, 1.0), (0.9, 1.0)])
+def test_beta_share_skipped_tails_bit_identical(lo, hi):
+    # against the four-betainc form, where I_0 = 0 and I_1 = 1 are evaluated
+    vals = np.concatenate([np.linspace(0.01, 3.0, 40), np.geomspace(3.0, 1e5, 40)])
+    a, b = (g.ravel() for g in np.meshgrid(vals, vals))
+    below_lo, below_hi = betainc(a, b, lo), betainc(a, b, hi)
+    above_lo, above_hi = betainc(b, a, 1.0 - lo), betainc(b, a, 1.0 - hi)
+    four = np.where(below_lo > 0.5, above_lo - above_hi, below_hi - below_lo)
+    share = np.asarray(_beta_share(a, b, lo, hi), dtype=float)
+    assert share.tobytes() == four.tobytes()
+
+
+def test_cached_rows_read_only():
+    kern = RateKernel(LambdaMeasure.beta(1.5))
+    for row in (kern.merge_size_cumulative(9), kern.merge_size_distribution(9),
+                kern.lambda_bk_row(9)):
+        with pytest.raises(ValueError):
+            row[0] = 0.5
+    assert kern.merge_size_cumulative(9)[-1] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_zero_merge_row_raises_and_spares_its_run(monkeypatch):
+    real = measure_mod.log_moments
+    # every weight of row b = 5 (cells with m + n = b - 2) is zero
+    monkeypatch.setattr(measure_mod, "log_moments", lambda meas, m, n: np.where(
+        m + n == 3, -np.inf, real(meas, m, n)))
+    kern = RateKernel(LambdaMeasure.lebesgue())
+    with pytest.raises(ZeroTotalRate):
+        kern.merge_size_distribution(5)
+    for b in (4, 6, 7):
+        assert kern.merge_size_distribution(b).sum() == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ZeroTotalRate):
+        kern.merge_size_cumulative(5)
+
+
+def test_binary_merges_only_for_kingman():
+    assert RateKernel(LambdaMeasure.unit_atom(0.0, 2.0)).binary_merges
+    for measure in (LambdaMeasure.unit_atom(0.3), LambdaMeasure.lebesgue(),
+                    LambdaMeasure(atoms=[(0.0, 1.0), (1.0, 0.1)])):
+        assert not RateKernel(measure).binary_merges
+
+
+def test_totals_grow_in_one_pass(monkeypatch):
+    calls = []
+    real = measure_mod.moments
+    monkeypatch.setattr(measure_mod, "moments",
+                        lambda *args: calls.append(1) or real(*args))
+    kern = RateKernel(LambdaMeasure.beta(1.5))
+    kern.ensure_b(10_000)
+    assert len(calls) == 2
+    assert kern.b_max == 10_000
 
 
 # ----------------------------------------------------------- identities
