@@ -459,13 +459,15 @@ def green(config, seed, replicas, out, budget):
         kwargs["seed"] = cfg.seed
         if cfg.replicas:
             kwargs["replicas"] = cfg.replicas
+    t0 = time.perf_counter()
     est, err = green_function(walk, method, **kwargs)
+    t1 = time.perf_counter()
     report = {"estimate": est, "error": err, "method": method,
               "budget": cfg.event_budget, "dimension": walk.dimension,
               "config_sha256": writer.config_hash}
     click.echo(_canonical_json(report), nl=False)
     writer.write_report(report)
-    writer.finish()
+    writer.finish(stats={"method": method, "green_s": t1 - t0})
 
 
 def _trajectory_jsonl(rec, config_hash, seed) -> str:
@@ -582,7 +584,13 @@ class BlockCountParams(_TorusParams):
     times: list[PosFloat] = Field(default_factory=lambda: [0.5, 1.0],
                                   min_length=1)
     kappa_value: Optional[PosFloat] = None
-    reference_replicas: PosInt = 200_000
+
+    @pydantic.field_validator("times")
+    @classmethod
+    def _increasing(cls, times):
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("times must increase")
+        return times
 
 
 class StructureParams(_TorusParams):
@@ -627,8 +635,7 @@ def _experiment_params(params_model, raw: dict):
 
 
 @_experiment("hitting_time", HittingTimeParams)
-def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams):
-    kernel = cfg.kernel.build(cfg.measure.build())
+def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams, kernel: RateKernel):
     geo = cfg.geography.build()
     rep = estimate_Tnk(p.n, p.k, geo, kernel,
                        replicas=cfg.replicas or 400, seed=cfg.seed)
@@ -639,8 +646,7 @@ def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams):
 
 
 @_experiment("trend", TrendParams)
-def _run_trend(cfg: RunConfig, p: TrendParams):
-    kernel = cfg.kernel.build(cfg.measure.build())
+def _run_trend(cfg: RunConfig, p: TrendParams, kernel: RateKernel):
     geo = cfg.geography.build()
     res = stay_infinite_trend(kernel, geo, p.n_grid, p.t_probe,
                               replicas=cfg.replicas or 200, seed=cfg.seed,
@@ -653,8 +659,7 @@ def _run_trend(cfg: RunConfig, p: TrendParams):
 
 
 @_experiment("pairwise", PairwiseParams)
-def _run_pairwise(cfg: RunConfig, p: PairwiseParams):
-    kernel = cfg.kernel.build(cfg.measure.build())
+def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     if p.separation is not None and len(p.separation) != walk.dimension:
         raise _ValidationFailure(
@@ -670,20 +675,19 @@ def _run_pairwise(cfg: RunConfig, p: PairwiseParams):
 
 
 @_experiment("block_count", BlockCountParams)
-def _run_block_count(cfg: RunConfig, p: BlockCountParams):
-    kernel = cfg.kernel.build(cfg.measure.build())
+def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     res = block_count_limit_experiment(
         p.torus_N(cfg), walk, kernel,
         p.n_per_site or cfg.n_per_site or 10, p.times,
         replicas=cfg.replicas or 500, seed=cfg.seed,
         kappa_value=p.kappa_value,
-        event_budget=cfg.event_budget,
-        reference_replicas=p.reference_replicas)
+        event_budget=cfg.event_budget)
     samples = res.pop("samples")
     report = {"kappa": res["kappa"],
               "joint_chi2_pvalue": res["joint_chi2_pvalue"],
-              "per_time": [c.to_dict() for c in res["per_time"]]}
+              "per_time": [c.to_dict() for c in res["per_time"]],
+              "stats": res.pop("stats")}
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["replica"] + [f"count_t{j}" for j in range(samples.shape[1])])
@@ -693,8 +697,7 @@ def _run_block_count(cfg: RunConfig, p: BlockCountParams):
 
 
 @_experiment("structure", StructureParams)
-def _run_structure(cfg: RunConfig, p: StructureParams):
-    kernel = cfg.kernel.build(cfg.measure.build())
+def _run_structure(cfg: RunConfig, p: StructureParams, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     res = partition_structure_experiment(
         p.torus_N(cfg), walk, kernel,
@@ -704,8 +707,7 @@ def _run_structure(cfg: RunConfig, p: StructureParams):
 
 
 @_experiment("coupling", CouplingParams)
-def _run_coupling(cfg: RunConfig, p: CouplingParams):
-    kernel = cfg.kernel.build(cfg.measure.build())
+def _run_coupling(cfg: RunConfig, p: CouplingParams, kernel: RateKernel):
     geo = cfg.geography.build()
     res = class_coupling_check(geo, kernel, p.class_split, p.t,
                                replicas=cfg.replicas or 100, seed=cfg.seed)
@@ -713,8 +715,7 @@ def _run_coupling(cfg: RunConfig, p: CouplingParams):
 
 
 @_experiment("decay_shape", DecayShapeParams)
-def _run_decay_shape(cfg: RunConfig, p: DecayShapeParams):
-    kernel = cfg.kernel.build(cfg.measure.build())
+def _run_decay_shape(cfg: RunConfig, p: DecayShapeParams, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     res = block_decay_shape(kernel, walk, p.N_values, p.t_grid,
                             replicas=cfg.replicas or 50, seed=cfg.seed)
@@ -722,8 +723,7 @@ def _run_decay_shape(cfg: RunConfig, p: DecayShapeParams):
 
 
 @_experiment("kappa")
-def _run_kappa(cfg: RunConfig, _p):
-    kernel = cfg.kernel.build(cfg.measure.build())
+def _run_kappa(cfg: RunConfig, _p, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     return torus_kappa(walk, kernel, seed=cfg.seed), None, None
 
@@ -746,7 +746,13 @@ def experiment(config, seed, replicas, out, budget):
             ["experiment: config requires measure and geography"])
     params_model, runner = entry
     params = _experiment_params(params_model, cfg.experiment.params)
-    report, raw, raw_name = runner(cfg, params)
+    t0 = time.perf_counter()
+    kernel = cfg.kernel.build(cfg.measure.build())
+    t1 = time.perf_counter()
+    report, raw, raw_name = runner(cfg, params, kernel)
+    t2 = time.perf_counter()
+    stats = {"kernel_build_s": t1 - t0, "run_s": t2 - t1,
+             **report.pop("stats", {})}
     report = json.loads(json.dumps(report, sort_keys=True, default=_json_default))
     report["experiment"] = cfg.experiment.name
     report["seed"] = cfg.seed
@@ -755,7 +761,7 @@ def experiment(config, seed, replicas, out, budget):
     writer.write_report(report)
     if raw is not None and raw_name:
         writer.write_text(raw_name, raw)
-    writer.finish()
+    writer.finish(stats=stats)
 
 
 def _json_default(obj):

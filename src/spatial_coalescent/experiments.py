@@ -19,12 +19,18 @@ law but orders of magnitude faster than the general engine:
 Without a given kappa, the torus experiments take it from the exact BESSEL
 Green value for axis walks (see geometry.WalkSpec.axis_rates), and from the
 cross-checked lattice and Monte Carlo routes of torus_kappa otherwise.
+
+The block-count study's references, the Kingman entrance law from dust and
+its two-time law, are Tavare's series summed exactly in decimal.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
 from scipy import stats as sp_stats
@@ -43,7 +49,7 @@ __all__ = [
     "estimate_Tnk",
     "stay_infinite_trend",
     "kingman_entrance_reference",
-    "kingman_entrance_joint_sample",
+    "kingman_entrance_joint_law",
     "pairwise_torus_experiment",
     "block_count_limit_experiment",
     "partition_structure_experiment",
@@ -193,116 +199,107 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
 
 
 # ----------------------------------------------------------------------
-# Kingman entrance law
+# Kingman entrance law (Tavare 1984), exact
 # ----------------------------------------------------------------------
 
-def _death_chain_counts(taus, n0: int, replicas: int, seed: int) -> np.ndarray:
-    """Block counts of the unit-rate pairwise coalescent started from n0
-    singletons, sampled at each time in taus.  Returns (replicas, len(taus))."""
-    rng = np.random.default_rng(seed)
-    taus = np.asarray(taus, dtype=float)
-    out = np.empty((replicas, len(taus)), dtype=np.int64)
-    bs = np.arange(n0, 1, -1)
-    rates = bs * (bs - 1) / 2.0
-    chunk = max(1, int(4e6 // max(n0, 1)))
-    row = 0
-    while row < replicas:
-        m = min(chunk, replicas - row)
-        waits = rng.exponential(1.0, size=(m, n0 - 1)) / rates
-        cum = np.cumsum(waits, axis=1)
-        for j, tau in enumerate(taus):
-            drops = (cum <= tau).sum(axis=1)
-            out[row:row + m, j] = n0 - drops
-        row += m
-    return out
+# Decimal digits kept below the largest series term; a term below
+# _NEGLIGIBLE ends a series, a probability below it counts as zero, and a
+# law whose mass is off 1 by more than _MASS_TOL raises.  The series cut at
+# one index for all k has mass 1 exactly, so the mass checks the digits.
+_GUARD_DIGITS = 40
+_NEGLIGIBLE = 1e-25
+_MASS_TOL = 1e-12
 
 
-# largest finite start the SIMULATE_FROM stability search doubles from
-_ENTRANCE_MAX_START = 200_000
+class _DecimalSeries:
+    """Weights w_i = e^(-i(i-1)t/2) (2i-1), i < top, of Tavare's series at
+    time t, whose terms are w_i c(i, k) / k with c(i, k) = C(i+k-2, k-1)
+    C(i-1, k-1), times a ratio <= 1 in the finite-start law.  At i = top
+    every term is below _NEGLIGIBLE and, for each k, falls in i from there
+    on (consecutive terms differ by a factor below e^(-it) (2i+1) < 1), so
+    each alternating sum stops within _NEGLIGIBLE and P(k) < _NEGLIGIBLE
+    for k >= top.  The decimal context keeps _GUARD_DIGITS digits below the
+    largest term, sized from gammaln."""
+
+    def __init__(self, t: float):
+        if not t > 0:
+            raise ValueError("need t > 0")
+        top, peak = 1, -math.inf
+        while True:
+            k = np.arange(1, top + 1)
+            log_c = (gammaln(top + k - 1) - gammaln(k) - gammaln(k + 1)
+                     - gammaln(top - k + 1))
+            largest = (float(log_c.max()) - top * (top - 1) * t / 2
+                       + math.log(2 * top - 1))
+            peak = max(peak, largest)
+            if largest < math.log(_NEGLIGIBLE) and math.exp(-top * t) * (2 * top + 1) < 1:
+                break
+            top += 1
+        self.top = top
+        self.ctx = Context(prec=max(0, math.ceil(peak / math.log(10)))
+                           + _GUARD_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)
+        with localcontext(self.ctx):
+            self.w = [None] + [(Decimal(-t) * (i * (i - 1)) / 2).exp()
+                               * (2 * i - 1) for i in range(1, top)]
+
+    def alternating(self, k: int, last: int, ratio=None) -> Decimal:
+        """sum_{i=k}^{last} (-1)^(i-k) w_i c(i, k) / k, each term times
+        ratio[i] when given."""
+        with localcontext(self.ctx):
+            total, c = Decimal(0), Decimal(math.comb(2 * k - 2, k - 1))
+            for i in range(k, min(last, self.top - 1) + 1):
+                term = self.w[i] * c if ratio is None else self.w[i] * c * ratio[i]
+                total += term if (i - k) % 2 == 0 else -term
+                c = c * (i + k - 1) / (i - k + 1)
+            return total / k
 
 
-def kingman_entrance_reference(t: float, method: str = "SIMULATE_FROM", *,
-                               n0: int | None = None, replicas: int = 200_000,
-                               truncation: int = 2_000, seed: int = 0,
-                               stability_tol: float = 1e-3) -> dict:
-    """Law of the Kingman block count at time t from dust (infinitely many
-    singletons).  SIMULATE_FROM uses a finite start n0 grown until doubling
-    it moves the law by less than stability_tol in total variation, and
-    raises TruncationUnstable if that takes a start beyond
-    _ENTRANCE_MAX_START; SERIES evaluates the classical alternating
-    entrance-law series."""
-    if t <= 0:
-        raise ValueError("need t > 0")
-    if method == "SERIES":
-        return _entrance_series(t, truncation)
-    if method != "SIMULATE_FROM":
-        raise ValueError(f"unknown method {method!r}")
-    if n0 is not None:
-        # caller fixed the start; no stability search
-        return _counts_to_dist(_death_chain_counts([t], n0, replicas, seed)[:, 0])
-    n0 = max(32, int(10 * math.ceil(2.0 / t)))
-    while True:
-        d1 = _counts_to_dist(_death_chain_counts([t], n0, replicas, seed)[:, 0])
-        d2 = _counts_to_dist(_death_chain_counts([t], 2 * n0, replicas, seed + 1)[:, 0])
-        # two independent empirical laws differ by sampling noise alone, so
-        # the doubling test passes when their gap is within that floor
-        noise = sum(math.sqrt(p * (1.0 - p) / replicas)
-                    for p in d2.values())
-        if _tv(d1, d2) < max(stability_tol, 2.0 * noise):
-            return d2
-        if n0 > _ENTRANCE_MAX_START:
-            raise TruncationUnstable(
-                f"entrance law at t={t} still moves by {_tv(d1, d2):.2e} in "
-                f"total variation between starts {n0} and {2 * n0}", t=t)
-        n0 *= 2
+def _exact_law(probs: dict, what: str, t: float) -> dict:
+    mass = float(sum(probs.values()))
+    if not abs(mass - 1.0) <= _MASS_TOL:
+        raise TruncationUnstable(f"{what} at t={t} has mass {mass!r}", t=t)
+    return {key: float(p) for key, p in probs.items() if p > _NEGLIGIBLE}
+
+
+def kingman_entrance_reference(t: float) -> dict:
+    """Law {k: P(A_t = k)} of the Kingman block count at time t from dust
+    (infinitely many singletons), from Tavare's series
+
+        P(A_t = k) = sum_{i>=k} (-1)^(i-k) e^(-i(i-1)t/2) (2i-1)
+                     C(i+k-2, k-1) C(i-1, k-1) / k
+
+    summed exactly in decimal.  Terms and digits both grow as t falls: on
+    one core, about 2 ms at t = 0.3, 0.7 s at t = 0.01, 7 s at t = 0.004."""
+    series = _DecimalSeries(t)
+    return _exact_law({k: series.alternating(k, series.top)
+                       for k in range(1, series.top)}, "entrance law", t)
+
+
+def kingman_entrance_joint_law(t1: float, t2: float) -> dict:
+    """Law {(i, j): P(A_t1 = i, A_t2 = j)} of the Kingman block counts from
+    dust at times t1 < t2: P(A_t1 = i) g_ij(t2 - t1), with Tavare's
+    finite-start transition law
+
+        g_ij(s) = sum_{k=j}^{i} (-1)^(k-j) e^(-k(k-1)s/2) (2k-1)
+                  C(k+j-2, j-1) C(k-1, j-1) / j * i_[k] / i_(k)
+
+    (falling and rising factorials i_[k], i_(k)), summed like the entrance
+    law."""
+    step, probs = _DecimalSeries(t2 - t1), {}
+    with localcontext(step.ctx):
+        for i, p_i in kingman_entrance_reference(t1).items():
+            ratio = [Decimal(1)]            # i_[k] / i_(k) for k = 0..i
+            for k in range(i):
+                ratio.append(ratio[-1] * (i - k) / (i + k))
+            for j in range(1, min(i, step.top - 1) + 1):
+                probs[i, j] = Decimal(p_i) * step.alternating(j, i, ratio)
+    return _exact_law(probs, "two-time entrance law", t1)
 
 
 def _counts_to_dist(counts: np.ndarray) -> dict:
     vals, freq = np.unique(counts, return_counts=True)
     total = counts.shape[0]
     return {int(v): f / total for v, f in zip(vals, freq)}
-
-
-def _entrance_series(t: float, truncation: int) -> dict:
-    """P(count = k) = sum_{i>=k} (-1)^(i-k) e^(-i(i-1)t/2) (2i-1)
-    (k)_(i-1) / (k! (i-k)!), rising factorial (k)_(i-1)."""
-    probs = {}
-    k = 1
-    while True:
-        total, max_term = 0.0, 0.0
-        for i in range(k, truncation + 1):
-            log_mag = (-i * (i - 1) * t / 2.0
-                       + gammaln(k + i - 1) - gammaln(k)
-                       - gammaln(k + 1) - gammaln(i - k + 1)
-                       + math.log(2 * i - 1))
-            term = ((-1.0) ** (i - k)) * math.exp(log_mag)
-            total += term
-            max_term = max(max_term, abs(term))
-            if i > k + 4 and abs(term) < 1e-17:
-                break
-        if max_term > 1e12:
-            raise TruncationUnstable(
-                f"series terms reach {max_term:.2e} at t={t}; "
-                "use SIMULATE_FROM", t=t)
-        if total > 1e-12:
-            probs[k] = total
-        elif k > 2.0 / t + 20 and total < 1e-12:
-            break
-        if k > truncation:
-            break
-        k += 1
-    norm = sum(probs.values())
-    if abs(norm - 1.0) > 1e-6:
-        raise TruncationUnstable(f"series mass {norm} differs from 1", t=t)
-    return {k: v / norm for k, v in probs.items()}
-
-
-def kingman_entrance_joint_sample(t1: float, t2: float, replicas: int,
-                                  seed: int, n0: int | None = None) -> np.ndarray:
-    """Joint (count at t1, count at t2) samples from dust; (replicas, 2)."""
-    if n0 is None:
-        n0 = max(64, int(10 * math.ceil(2.0 / min(t1, t2))))
-    return _death_chain_counts([t1, t2], n0, replicas, seed)
 
 
 # ----------------------------------------------------------------------
@@ -422,14 +419,19 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                                  n_per_site: int, times, replicas: int = 500,
                                  seed: int = 0,
                                  kappa_value: float | None = None,
-                                 event_budget: int | None = None,
-                                 reference_replicas: int = 200_000) -> dict:
-    """Empirical law of the block count at rescaled times vs the Kingman
-    entrance reference at kappa*t; plus a two-time joint comparison."""
+                                 event_budget: int | None = None) -> dict:
+    """Empirical law of the block count at rescaled times vs the exact
+    Kingman entrance law at kappa*t; plus a two-time joint comparison
+    against the exact two-time law.  `stats` holds the wall time of each
+    phase."""
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("times must increase")
     d = walk.dimension
     vol = (2 * N + 1) ** d
+    t0 = time.perf_counter()
     if kappa_value is None:
         kappa_value = _kappa_info(walk, kernel, seed + 1)["kappa"]
+    t1 = time.perf_counter()
     geo = build_torus(N, walk)
     probe_times = tuple(float(t) * vol for t in times)
     seeds = spawn_seeds(seed, replicas)
@@ -454,12 +456,11 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
             probe_times=probe_times))
         for j, (_pt, c) in enumerate(rec.probes):
             samples[i, j] = c
+    t2 = time.perf_counter()
 
     comparisons = []
     for j, t in enumerate(times):
-        ref = kingman_entrance_reference(kappa_value * float(t),
-                                         replicas=reference_replicas,
-                                         seed=seed + 101 + j)
+        ref = kingman_entrance_reference(kappa_value * float(t))
         emp = _counts_to_dist(samples[:, j])
         comparisons.append(DistributionComparison(
             empirical=emp, reference=ref, ks_stat=None,
@@ -468,51 +469,42 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
 
     joint_p = None
     if len(times) >= 2:
-        ref_pairs = kingman_entrance_joint_sample(
-            kappa_value * float(times[0]), kappa_value * float(times[1]),
-            replicas=max(10 * replicas, 5000), seed=seed + 202)
-        joint_p = _two_sample_joint_chi2(samples[:, :2], ref_pairs)
+        joint = kingman_entrance_joint_law(kappa_value * float(times[0]),
+                                           kappa_value * float(times[1]))
+        joint_p = _joint_chi2(samples[:, :2], joint)
+    t3 = time.perf_counter()
 
     return {
         "kappa": kappa_value,
         "per_time": comparisons,
         "joint_chi2_pvalue": joint_p,
         "samples": samples,
+        "stats": {"kappa_s": t1 - t0, "sampling_s": t2 - t1,
+                  "reference_s": t3 - t2},
     }
 
 
-def _two_sample_joint_chi2(sample_a: np.ndarray, sample_b: np.ndarray,
-                           min_expected: float = 5.0) -> float:
-    """Two-sample chi-square over joint integer pairs, pooling rare cells."""
-    def keys(arr):
-        return [tuple(row) for row in arr]
-    ka, kb = keys(sample_a), keys(sample_b)
-    all_keys = sorted(set(ka) | set(kb))
-    ca = {k: 0 for k in all_keys}
-    cb = {k: 0 for k in all_keys}
-    for k in ka:
-        ca[k] += 1
-    for k in kb:
-        cb[k] += 1
-    na, nb = len(ka), len(kb)
-    # pool cells whose pooled expected count under either sample is small
-    rows = []
-    pool_a = pool_b = 0
-    for k in all_keys:
-        tot = ca[k] + cb[k]
-        if tot * min(na, nb) / (na + nb) < min_expected:
-            pool_a += ca[k]
-            pool_b += cb[k]
+def _joint_chi2(pairs: np.ndarray, law: dict, min_expected: float = 5.0) -> float:
+    """One-sample chi-square of observed integer pairs against their exact
+    law, with the cells of expected count below min_expected pooled."""
+    n = len(pairs)
+    observed = Counter(map(tuple, pairs.tolist()))
+    obs, exp = [], []
+    pool_obs, pool_exp = 0, 0.0
+    for key in sorted(set(law) | set(observed)):
+        o, e = observed.get(key, 0), n * law.get(key, 0.0)
+        if e < min_expected:
+            pool_obs += o
+            pool_exp += e
         else:
-            rows.append((ca[k], cb[k]))
-    if pool_a + pool_b:
-        rows.append((pool_a, pool_b))
-    table = np.array(rows).T
-    table = table[:, table.sum(axis=0) > 0]
-    if table.shape[1] < 2:
+            obs.append(o)
+            exp.append(e)
+    if pool_obs or pool_exp:
+        obs.append(pool_obs)
+        exp.append(pool_exp)
+    if len(obs) < 2:
         return 1.0
-    res = sp_stats.chi2_contingency(table)
-    return float(res.pvalue)
+    return float(sp_stats.chisquare(obs, exp).pvalue)
 
 
 # ----------------------------------------------------------------------

@@ -211,6 +211,21 @@ def test_rates_report_deterministic_stats_in_manifest(tmp_path):
     assert stats["kernel_build_s"] >= 0.0 and stats["table_s"] >= 0.0
 
 
+def test_green_report_deterministic_stats_in_manifest(tmp_path):
+    reports, manifests = [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = run_cli(tmp_path, {"seed": 1, "dimension": 3, "method": "BESSEL"},
+                    "green", "--out", str(out))
+        assert r.returncode == 0, r.stdout + r.stderr
+        reports.append((out / "report.json").read_bytes())
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert reports[0] == reports[1]
+    assert "stats" not in json.loads(reports[0])
+    stats = manifests[0]["stats"]
+    assert stats["method"] == "BESSEL" and stats["green_s"] >= 0.0
+
+
 def test_green_json_contract(tmp_path):
     r = run_cli(tmp_path, {"seed": 1, "dimension": 3}, "green")
     assert r.returncode == 0, r.stdout + r.stderr
@@ -301,6 +316,34 @@ def test_simulate_report_deterministic_stats_in_manifest(tmp_path):
     assert stats["lambda_table_size"] > stats["max_site_blocks"]
 
 
+BLOCK_COUNT_CFG = {"seed": 4, "measure": KINGMAN,
+                   "geography": {"topology": "torus", "N": 1},
+                   "experiment": {"name": "block_count",
+                                  "params": {"n_per_site": 3,
+                                             "times": [0.8, 1.6]}},
+                   "replicas": 30}
+
+
+@pytest.mark.parametrize("cfg, phases", [
+    (EXP_CFG, set()),
+    (BLOCK_COUNT_CFG, {"kappa_s", "sampling_s", "reference_s"}),
+])
+def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
+                                                           phases):
+    reports, manifests = [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = run_cli(tmp_path, cfg, "experiment", "--out", str(out))
+        assert r.returncode == 0, r.stdout + r.stderr
+        reports.append((out / "report.json").read_bytes())
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert reports[0] == reports[1]
+    assert "stats" not in json.loads(reports[0])
+    stats = manifests[0]["stats"]
+    assert set(stats) == {"kernel_build_s", "run_s"} | phases
+    assert all(v >= 0.0 for v in stats.values())
+
+
 def test_seed_changes_report(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     r1 = run_cli(tmp_path, EXP_CFG, "experiment", "--out", str(out1))
@@ -343,6 +386,9 @@ def test_unknown_experiment_name(tmp_path):
     ({"name": "hitting_time", "params": {"n": 1}}, "params.n"),
     ({"name": "structure", "params": {}}, "params.n_blocks"),
     ({"name": "hitting_time", "params": {"n": 10, "bogus": 1}}, "params.bogus"),
+    ({"name": "block_count", "params": {"reference_replicas": 1000}},
+     "params.reference_replicas"),
+    ({"name": "block_count", "params": {"times": [1.0, 0.5]}}, "params.times"),
 ])
 def test_bad_experiment_params_exit_2(tmp_path, experiment, needle):
     r = run_cli(tmp_path, dict(EXP_CFG, experiment=experiment), "experiment")

@@ -12,6 +12,7 @@ from spatial_coalescent.experiments import (
     class_coupling_check,
     estimate_Tnk,
     few_block_torus_sample,
+    kingman_entrance_joint_law,
     kingman_entrance_reference,
     pairwise_first_coalescence_times,
     pairwise_torus_experiment,
@@ -89,43 +90,104 @@ def test_stay_infinite_trend_kingman_saturates(kingman):
 
 # ---------------------------------------------------------------- entrance law
 
+def _death_chain_counts(taus, n0: int, replicas: int, seed: int) -> np.ndarray:
+    """Monte Carlo oracle: block counts of the unit-rate pairwise coalescent
+    started from n0 singletons, sampled at each time in taus.  Returns
+    (replicas, len(taus))."""
+    rng = np.random.default_rng(seed)
+    taus = np.asarray(taus, dtype=float)
+    out = np.empty((replicas, len(taus)), dtype=np.int64)
+    bs = np.arange(n0, 1, -1)
+    rates = bs * (bs - 1) / 2.0
+    chunk = max(1, int(4e6 // max(n0, 1)))
+    row = 0
+    while row < replicas:
+        m = min(chunk, replicas - row)
+        waits = rng.exponential(1.0, size=(m, n0 - 1)) / rates
+        cum = np.cumsum(waits, axis=1)
+        for j, tau in enumerate(taus):
+            drops = (cum <= tau).sum(axis=1)
+            out[row:row + m, j] = n0 - drops
+        row += m
+    return out
+
+
+# criterion 8's reference times kappa/2 and kappa for the unit simple walk
+ORACLE_TIMES = (0.284, 0.569)
+
+
+@pytest.fixture(scope="module")
+def death_chain_sample():
+    # a start of 10,000 lags dust by about 1e-3 in total variation at these
+    # times, well under the sampling noise of 60,000 replicas
+    return _death_chain_counts(ORACLE_TIMES, 10_000, 60_000, seed=3)
+
+
 def test_entrance_law_collapses_for_large_t():
-    ref = kingman_entrance_reference(20.0, replicas=20_000, seed=1)
+    ref = kingman_entrance_reference(20.0)
     assert ref.get(1, 0.0) > 0.99
 
 
 def test_entrance_law_small_t_mean():
     t = 0.01
-    ref = kingman_entrance_reference(t, replicas=15_000, seed=2)
+    ref = kingman_entrance_reference(t)
     mean = sum(k * p for k, p in ref.items())
     assert mean == pytest.approx(2.0 / t, rel=0.05)
 
 
 def test_entrance_law_tail_monotone_in_t():
-    r1 = kingman_entrance_reference(0.5, replicas=40_000, seed=3)
-    r2 = kingman_entrance_reference(1.0, replicas=40_000, seed=4)
+    r1 = kingman_entrance_reference(0.5)
+    r2 = kingman_entrance_reference(1.0)
     for k in (2, 3, 4, 6):
         tail1 = sum(p for c, p in r1.items() if c >= k)
         tail2 = sum(p for c, p in r2.items() if c >= k)
         assert tail2 <= tail1 + 0.01
 
 
-def test_entrance_search_raises_when_law_never_settles(monkeypatch):
-    # every start n0 yields the point mass at n0, so no doubling ever agrees
-    def never_agree(taus, n0, replicas, seed):
-        return np.full((replicas, len(taus)), n0)
-    monkeypatch.setattr(experiments, "_death_chain_counts", never_agree)
-    with pytest.raises(TruncationUnstable, match="total variation"):
-        kingman_entrance_reference(0.5, replicas=10, seed=1)
+def test_entrance_series_matches_simulation(death_chain_sample):
+    # the exact law against the death-chain oracle: the total variation of
+    # an empirical law from its own law has mean about 0.4 of the summed
+    # per-cell standard deviations, which is the bound
+    replicas = len(death_chain_sample)
+    for j, t in enumerate(ORACLE_TIMES):
+        exact = kingman_entrance_reference(t)
+        sim = experiments._counts_to_dist(death_chain_sample[:, j])
+        tv = 0.5 * sum(abs(exact.get(k, 0.0) - sim.get(k, 0.0))
+                       for k in set(exact) | set(sim))
+        noise = sum(math.sqrt(p * (1.0 - p) / replicas) for p in exact.values())
+        assert tv <= noise, (t, tv, noise)
 
 
-def test_entrance_series_matches_simulation():
-    ser = kingman_entrance_reference(0.5, "SERIES")
-    sim = kingman_entrance_reference(0.5, replicas=100_000, seed=7)
-    tv = 0.5 * sum(abs(ser.get(k, 0.0) - sim.get(k, 0.0))
-                   for k in set(ser) | set(sim))
-    assert tv < 0.02
-    assert sum(ser.values()) == pytest.approx(1.0, abs=1e-9)
+def test_entrance_joint_law_matches_death_chain_oracle(death_chain_sample):
+    joint = kingman_entrance_joint_law(*ORACLE_TIMES)
+    assert experiments._joint_chi2(death_chain_sample, joint) > 1e-3
+
+
+@pytest.mark.parametrize("t", [0.01, 0.05, 0.284, 0.569, 20.0])
+def test_entrance_law_mass_is_one(t):
+    assert abs(sum(kingman_entrance_reference(t).values()) - 1.0) <= 1e-12
+
+
+def test_entrance_joint_law_marginals_are_entrance_laws():
+    t1, t2 = ORACLE_TIMES
+    joint = kingman_entrance_joint_law(t1, t2)
+    for axis, t in enumerate((t1, t2)):
+        marginal = {}
+        for pair, p in joint.items():
+            marginal[pair[axis]] = marginal.get(pair[axis], 0.0) + p
+        exact = kingman_entrance_reference(t)
+        for k in set(marginal) | set(exact):
+            assert marginal.get(k, 0.0) == pytest.approx(exact.get(k, 0.0),
+                                                         rel=0.0, abs=1e-12)
+    assert all(j <= i for i, j in joint)
+
+
+def test_entrance_law_raises_when_digits_run_out(monkeypatch):
+    # five guard digits lose about 1e-6 of the mass to cancellation; the
+    # law reports it instead of rescaling to 1
+    monkeypatch.setattr(experiments, "_GUARD_DIGITS", 5)
+    with pytest.raises(TruncationUnstable, match="mass"):
+        kingman_entrance_reference(0.05)
 
 
 # ---------------------------------------------------------------- pairwise
@@ -203,8 +265,7 @@ def test_block_count_budget_guard(kingman):
 def test_block_count_small_torus(kingman):
     res = block_count_limit_experiment(1, simple_walk(3), kingman, 3,
                                        [0.8, 1.6], replicas=150, seed=2,
-                                       kappa_value=KAPPA_D3_UNIT,
-                                       reference_replicas=30_000)
+                                       kappa_value=KAPPA_D3_UNIT)
     for comp in res["per_time"]:
         assert 0.0 <= comp.tv_distance <= 1.0
         assert sum(comp.empirical.values()) == pytest.approx(1.0, abs=1e-9)
