@@ -80,13 +80,9 @@ class MeasureConfig(_Strict):
 
     def build(self) -> LambdaMeasure:
         with _invalid_as("measure"):
-            m = LambdaMeasure.from_dict(
+            return LambdaMeasure.from_dict(
                 {"atoms": [list(a) for a in self.atoms],
                  "pieces": [p.model_dump() for p in self.pieces]})
-        if m.total_mass <= 0.0:
-            raise _ValidationFailure(
-                ["measure: total mass on [0,1] must be positive"])
-        return m
 
 
 class WalkConfig(_Strict):
@@ -394,14 +390,13 @@ def rates(config, seed, out):
     b_hi = cfg.b_max_table or min(cfg.kernel.b_max, 64)
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["b", "k", "value", "quadrature_error"])
-    qerr = kernel.quadrature_error
+    w.writerow(["b", "k", "value"])
     for b in range(2, b_hi + 1):
         row = kernel.lambda_bk_row(b)
         for k in range(2, b + 1):
-            w.writerow([b, k, repr(float(row[k - 2])), repr(qerr)])
-        w.writerow([b, "lambda", repr(kernel.lambda_total(b)), repr(qerr)])
-        w.writerow([b, "gamma", repr(kernel.gamma_total(b)), repr(qerr)])
+            w.writerow([b, k, repr(float(row[k - 2]))])
+        w.writerow([b, "lambda", repr(kernel.lambda_total(b))])
+        w.writerow([b, "gamma", repr(kernel.gamma_total(b))])
     text = buf.getvalue()
     t2 = time.perf_counter()
     rows = text.count("\n") - 1
@@ -445,13 +440,15 @@ def classify(config, seed, out):
 @_with_options(*_COMMON)
 @_guarded
 def green(config, seed, replicas, out, budget):
-    """Random-walk Green function at the origin."""
+    """Random-walk Green function at the origin.  Without a `method`, the
+    exact BESSEL route for axis walks and the lattice sum otherwise."""
     cfg, writer = _load(config, seed, replicas, out, budget)
     walk_cfg = (cfg.geography.walk if cfg.geography is not None
                 else WalkConfig(dimension=cfg.dimension or 3))
     walk = walk_cfg.build()
-    method = cfg.method or "LATTICE_SUM"
-    if method == "BESSEL" and walk.axis_rates is None:
+    axis_walk = walk.axis_rates is not None
+    method = cfg.method or ("BESSEL" if axis_walk else "LATTICE_SUM")
+    if method == "BESSEL" and not axis_walk:
         raise _ValidationFailure(["method: BESSEL needs an axis walk (every "
                                   "step +-e_i, with P(+e_i) = P(-e_i) > 0)"])
     kwargs = {}

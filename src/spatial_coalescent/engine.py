@@ -77,9 +77,6 @@ class LabeledPartition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def live_block_count(self) -> int:
-        return sum(1 for lab in self.labels if lab != CEMETERY)
-
     def as_pairs(self):
         return tuple((tuple(sorted(b)), lab)
                      for b, lab in zip(self.blocks, self.labels))

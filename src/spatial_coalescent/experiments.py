@@ -275,25 +275,26 @@ def kingman_entrance_reference(t: float) -> dict:
                        for k in range(1, series.top)}, "entrance law", t)
 
 
-def kingman_entrance_joint_law(t1: float, t2: float) -> dict:
+def kingman_entrance_joint_law(first: dict, gap: float) -> dict:
     """Law {(i, j): P(A_t1 = i, A_t2 = j)} of the Kingman block counts from
-    dust at times t1 < t2: P(A_t1 = i) g_ij(t2 - t1), with Tavare's
-    finite-start transition law
+    dust at times t1 < t2, given the entrance law `first` at t1 (from
+    kingman_entrance_reference) and the gap t2 - t1 > 0:
+    P(A_t1 = i) g_ij(t2 - t1), with Tavare's finite-start transition law
 
         g_ij(s) = sum_{k=j}^{i} (-1)^(k-j) e^(-k(k-1)s/2) (2k-1)
                   C(k+j-2, j-1) C(k-1, j-1) / j * i_[k] / i_(k)
 
     (falling and rising factorials i_[k], i_(k)), summed like the entrance
     law."""
-    step, probs = _DecimalSeries(t2 - t1), {}
+    step, probs = _DecimalSeries(gap), {}
     with localcontext(step.ctx):
-        for i, p_i in kingman_entrance_reference(t1).items():
+        for i, p_i in first.items():
             ratio = [Decimal(1)]            # i_[k] / i_(k) for k = 0..i
             for k in range(i):
                 ratio.append(ratio[-1] * (i - k) / (i + k))
             for j in range(1, min(i, step.top - 1) + 1):
                 probs[i, j] = Decimal(p_i) * step.alternating(j, i, ratio)
-    return _exact_law(probs, "two-time entrance law", t1)
+    return _exact_law(probs, "two-time entrance law", gap)
 
 
 def _counts_to_dist(counts: np.ndarray) -> dict:
@@ -387,13 +388,13 @@ def pairwise_first_coalescence_times(N: int, walk: WalkSpec, lambda22: float,
 def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                               replicas: int = 2000, seed: int = 0,
                               separation=None,
-                              kappa_value: float | None = None,
-                              kappa_info: dict | None = None) -> DistributionComparison:
+                              kappa_value: float | None = None) -> DistributionComparison:
     """Rescaled first-coalescence time of two separated blocks vs Exp(kappa)."""
     d = walk.dimension
     lam22 = kernel.lambda_bk(2, 2)
+    kappa_info = None
     if kappa_value is None:
-        kappa_info = kappa_info or _kappa_info(walk, kernel, seed + 1)
+        kappa_info = _kappa_info(walk, kernel, seed + 1)
         kappa_value = kappa_info["kappa"]
     times = pairwise_first_coalescence_times(N, walk, lam22, replicas, seed,
                                              separation)
@@ -469,8 +470,8 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
 
     joint_p = None
     if len(times) >= 2:
-        joint = kingman_entrance_joint_law(kappa_value * float(times[0]),
-                                           kappa_value * float(times[1]))
+        gap = kappa_value * float(times[1]) - kappa_value * float(times[0])
+        joint = kingman_entrance_joint_law(comparisons[0].reference, gap)
         joint_p = _joint_chi2(samples[:, :2], joint)
     t3 = time.perf_counter()
 
@@ -703,8 +704,7 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
 def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                                    n_blocks: int, replicas: int = 3000,
                                    seed: int = 0,
-                                   kappa_value: float | None = None,
-                                   separation_scale: float | None = None) -> dict:
+                                   kappa_value: float | None = None) -> dict:
     """Three marginals of the few-block limit: inter-coalescence times,
     uniformity of the merging pair, and the binary-merge fraction."""
     d = walk.dimension
@@ -712,8 +712,7 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     if kappa_value is None:
         kappa_value = _kappa_info(walk, kernel, seed + 1)["kappa"]
     # mutually separated starts on the scale a_N = N^(3/4)
-    a_N = N ** 0.75 if separation_scale is None else separation_scale
-    gap = max(int(math.ceil(a_N)), 1)
+    gap = max(int(math.ceil(N ** 0.75)), 1)
     starts = []
     for j in range(n_blocks):
         p = [0] * d

@@ -107,11 +107,10 @@ class GeographySpec:
     jump to the same site does not change state).
     """
 
-    def __init__(self, sites, topology, *, neighbors=None, step_probs=None,
+    def __init__(self, sites, *, neighbors=None, step_probs=None,
                  dense_kernel=None):
         self.sites = sites
         self.size = len(sites)
-        self.topology = topology
         self._neighbors = neighbors
         self._step_probs = step_probs
         self._dense = dense_kernel
@@ -147,14 +146,6 @@ class GeographySpec:
     def sample_move(self, i: int, u: float) -> int:
         """Destination != i for a migrating block, from uniform u in [0,1)."""
         return self._move_dest[i][bisect.bisect_right(self._move_cum[i], u)]
-
-    @property
-    def neighbor_table(self):
-        return self._neighbors
-
-    @property
-    def step_probs(self):
-        return self._step_probs
 
 
 def _move_tables(dests: np.ndarray, probs: np.ndarray):
@@ -206,8 +197,7 @@ def build_torus(N: int, walk: WalkSpec, site_budget: int = 1_000_000) -> Geograp
         for axis in range(d):
             idx = idx * side + wrapped[:, axis]
         neighbors[:, j] = idx
-    return GeographySpec(sites, ("TORUS", N, d), neighbors=neighbors,
-                         step_probs=probs)
+    return GeographySpec(sites, neighbors=neighbors, step_probs=probs)
 
 
 def complete_graph(n_sites: int) -> GeographySpec:
@@ -221,7 +211,7 @@ def complete_graph(n_sites: int) -> GeographySpec:
 
 def single_site() -> GeographySpec:
     """One site with a self-loop kernel: migration is a no-op."""
-    return GeographySpec([0], "GENERIC_GRAPH", dense_kernel=np.array([[1.0]]))
+    return GeographySpec([0], dense_kernel=np.array([[1.0]]))
 
 
 def generic_graph(kernel: np.ndarray) -> GeographySpec:
@@ -233,8 +223,7 @@ def generic_graph(kernel: np.ndarray) -> GeographySpec:
         raise ValueError(f"kernel rows {bad.tolist()} do not sum to 1")
     if np.any(kernel < 0):
         raise ValueError("kernel entries must be nonnegative")
-    return GeographySpec(list(range(kernel.shape[0])), "GENERIC_GRAPH",
-                         dense_kernel=kernel)
+    return GeographySpec(list(range(kernel.shape[0])), dense_kernel=kernel)
 
 
 # ----------------------------------------------------------------------

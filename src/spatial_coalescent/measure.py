@@ -1,10 +1,11 @@
 """Finite measures on [0,1]: atoms plus density pieces, with integration.
 
-A measure is a list of point atoms and a list of density pieces.  Supported
-density families: constant, beta(2-a, a) for a in (0,2), power x^p (1-x)^q,
-and user-supplied polynomials.  Atoms on the boundary of an interval count as
-inside (closed-interval convention), which makes mass([0,1]) exactly the
-total mass.
+A measure is a list of point atoms and a list of density pieces, of
+positive total mass (the zero measure is rejected on construction).
+Supported density families: constant, beta(2-a, a) for a in (0,2), power
+x^p (1-x)^q, and user-supplied polynomials.  Atoms on the boundary of an
+interval count as inside (closed-interval convention), which makes
+mass([0,1]) exactly the total mass.
 
 The production route for every integral against a measure is the closed
 form of its moments M(m, n) = integral x^m (1-x)^n dL(x): atoms are summed
@@ -15,10 +16,11 @@ space (`log_moments`), so moments far below the smallest float, such as
 the rates of a large merger, keep their relative accuracy.  `mass` and the
 total mass use the same closed form.
 
-Adaptive quadrature (`integrate`, `integrate_vector`) is the independent
-oracle route for arbitrary integrands.  Densities with an integrable
-endpoint singularity x^e, e in (-1,0), are tamed by the substitution
-u = x^(1+e) so the quadrature only ever sees a bounded integrand.
+Adaptive quadrature (`integrate_vector`) is the independent oracle route
+for arbitrary integrands; no production path calls it.  Densities with an
+integrable endpoint singularity x^e, e in (-1,0), are tamed by the
+substitution u = x^(1+e) so the quadrature only ever sees a bounded
+integrand.
 """
 
 from __future__ import annotations
@@ -37,12 +39,10 @@ __all__ = [
     "QuadratureConfig",
     "DensityPiece",
     "LambdaMeasure",
-    "integrate",
     "integrate_vector",
     "log_moments",
     "mass",
     "moments",
-    "restrict",
 ]
 
 
@@ -182,14 +182,10 @@ class DensityPiece:
 
 
 class LambdaMeasure:
-    """Finite measure on [0,1]: atoms + density pieces.
+    """Finite measure on [0,1]: atoms + density pieces, of positive total
+    mass."""
 
-    total_mass must be positive for measures built directly; restriction may
-    produce the zero measure, which is kept but flagged so that downstream
-    rate computations can reject it.
-    """
-
-    def __init__(self, atoms=(), pieces=(), _allow_zero=False):
+    def __init__(self, atoms=(), pieces=()):
         atoms = [(float(loc), float(m)) for loc, m in atoms]
         for loc, m in atoms:
             if not (0.0 <= loc <= 1.0):
@@ -208,9 +204,8 @@ class LambdaMeasure:
                 raise ValueError("density pieces must have nonnegative mass")
             piece_mass += val
         self.total_mass = sum(m for _, m in self.atoms) + piece_mass
-        if self.total_mass <= 0.0 and not _allow_zero:
-            raise ValueError("measure must have positive total mass")
-        self.has_atom_at_zero = any(loc == 0.0 for loc, _ in self.atoms)
+        if self.total_mass <= 0.0:
+            raise ValueError("total mass on [0,1] must be positive")
         self.has_atom_at_one = any(loc == 1.0 for loc, _ in self.atoms)
 
     # -- constructors ---------------------------------------------------
@@ -243,7 +238,6 @@ class LambdaMeasure:
         return LambdaMeasure(
             atoms=[tuple(a) for a in d.get("atoms", [])],
             pieces=[DensityPiece.from_dict(p) for p in d.get("pieces", [])],
-            _allow_zero=True,
         )
 
     def atom_mass_at(self, location: float) -> float:
@@ -260,18 +254,6 @@ class LambdaMeasure:
 # quadrature internals
 # ----------------------------------------------------------------------
 
-def _quad_scalar(g, lo, hi, cfg: QuadratureConfig):
-    val, err = _sci_integrate.quad(
-        g, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-        limit=min(cfg.max_subdivisions, 10_000),
-    )
-    if err > max(cfg.abs_tol, cfg.rel_tol * abs(val)) * 50:
-        raise ToleranceNotMet(
-            f"quadrature error {err:.3e} on [{lo},{hi}] exceeds tolerance",
-            value=val, error=err)
-    return val, err
-
-
 def _quad_vector(g, lo, hi, cfg: QuadratureConfig):
     val, err = _sci_integrate.quad_vec(
         g, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
@@ -284,7 +266,7 @@ def _quad_vector(g, lo, hi, cfg: QuadratureConfig):
     return val, err
 
 
-def _integrate_one_piece(f, piece: DensityPiece, cfg: QuadratureConfig, quad):
+def _integrate_one_piece(f, piece: DensityPiece, cfg: QuadratureConfig):
     """Integrate f(x) * piece.density(x) over the piece's interval.
 
     Splits at the midpoint when an endpoint is singular and substitutes
@@ -309,7 +291,7 @@ def _integrate_one_piece(f, piece: DensityPiece, cfg: QuadratureConfig, quad):
     total, total_err = None, 0.0
     for lo, hi, e, side in segments:
         if side == "none":
-            val, err = quad(lambda x: f(x) * piece.density(x), lo, hi, cfg)
+            val, err = _quad_vector(lambda x: f(x) * piece.density(x), lo, hi, cfg)
         elif side == "left":
             s = 1.0 + e          # in (0,1)
             u_hi = (hi - lo) ** s
@@ -319,7 +301,7 @@ def _integrate_one_piece(f, piece: DensityPiece, cfg: QuadratureConfig, quad):
                 jac = (1.0 / s) * u ** (1.0 / s - 1.0)
                 return f(x) * piece.density(x) * jac
 
-            val, err = quad(g, 0.0, u_hi, cfg)
+            val, err = _quad_vector(g, 0.0, u_hi, cfg)
         else:
             s = 1.0 + e
             u_hi = (hi - lo) ** s
@@ -329,17 +311,16 @@ def _integrate_one_piece(f, piece: DensityPiece, cfg: QuadratureConfig, quad):
                 jac = (1.0 / s) * u ** (1.0 / s - 1.0)
                 return f(x) * piece.density(x) * jac
 
-            val, err = quad(g, 0.0, u_hi, cfg)
+            val, err = _quad_vector(g, 0.0, u_hi, cfg)
         total = val if total is None else total + val
         total_err += err
     return total, total_err
 
 
-def _integrate_pieces(f, pieces, cfg: QuadratureConfig, vector=False):
-    quad = _quad_vector if vector else _quad_scalar
+def _integrate_pieces(f, pieces, cfg: QuadratureConfig):
     total, total_err = (None, 0.0)
     for piece in pieces:
-        val, err = _integrate_one_piece(f, piece, cfg, quad)
+        val, err = _integrate_one_piece(f, piece, cfg)
         total = val if total is None else total + val
         total_err += err
     if total is None:
@@ -351,33 +332,15 @@ def _integrate_pieces(f, pieces, cfg: QuadratureConfig, vector=False):
 # public operations
 # ----------------------------------------------------------------------
 
-def integrate(integrand, measure_: LambdaMeasure,
-              config: QuadratureConfig = DEFAULT_QUADRATURE):
-    """Integral of a bounded integrand against the measure.
-
-    Returns (value, error_bound).  Atoms are summed exactly; density pieces
-    go through adaptive quadrature.  The integrand must be finite at every
-    atom location (with 0^0 = 1 conventions applied by the caller's
-    integrand where relevant).
-    """
-    atom_part = 0.0
-    for loc, m in measure_.atoms:
-        v = float(integrand(loc))
-        if not math.isfinite(v):
-            raise ValueError(f"integrand not finite at atom location {loc}")
-        atom_part += m * v
-    piece_part, err = _integrate_pieces(
-        lambda x: np.asarray(integrand(x), dtype=float),
-        measure_.pieces, config)
-    return atom_part + float(piece_part), err
-
-
 def integrate_vector(integrand, measure_: LambdaMeasure,
                      config: QuadratureConfig = DEFAULT_QUADRATURE):
-    """Like integrate(), for integrands returning a 1-d array per point.
+    """Integral of a bounded vector integrand against the measure.
 
     The integrand receives a scalar x and must return a numpy array of a
-    fixed shape.  Used to batch many rate integrals in one adaptive pass.
+    fixed shape.  Returns (values, error_bound).  Atoms are summed exactly;
+    density pieces go through adaptive quadrature.  The integrand must be
+    finite at every atom location (with 0^0 = 1 conventions applied by the
+    integrand where relevant).
     """
     atom_part = None
     for loc, m in measure_.atoms:
@@ -385,8 +348,7 @@ def integrate_vector(integrand, measure_: LambdaMeasure,
         if not np.all(np.isfinite(v)):
             raise ValueError(f"integrand not finite at atom location {loc}")
         atom_part = m * v if atom_part is None else atom_part + m * v
-    piece_part, err = _integrate_pieces(integrand, measure_.pieces, config,
-                                        vector=True)
+    piece_part, err = _integrate_pieces(integrand, measure_.pieces, config)
     if atom_part is None and np.isscalar(piece_part):
         raise ValueError("vector integrand produced scalar output")
     total = piece_part if atom_part is None else atom_part + piece_part
@@ -489,12 +451,3 @@ def mass(measure_: LambdaMeasure, interval) -> float:
                 total += _piece_mass(clipped)
     return total
 
-
-def restrict(measure_: LambdaMeasure, a: float) -> LambdaMeasure:
-    """Restriction to [0,a]: atoms beyond a dropped, pieces clipped at a."""
-    if not (0.0 < a < 1.0):
-        raise ValueError("restriction point must lie in (0,1)")
-    atoms = [(loc, m) for loc, m in measure_.atoms if loc <= a]
-    pieces = [p for p in (piece.clipped(0.0, a) for piece in measure_.pieces)
-              if p is not None]
-    return LambdaMeasure(atoms=atoms, pieces=pieces, _allow_zero=True)

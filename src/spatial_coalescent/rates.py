@@ -9,13 +9,11 @@ for 2 <= k <= b, with 0^0 = 1 at the endpoints (Pitman 1999).  The totals
 
     lambda_b = sum_k C(b,k) lambda_{b,k}
     gamma_b  = sum_k C(b,k) (k-1) lambda_{b,k}
-    eta_b    = sum_k C(b,k) k lambda_{b,k}
 
 are cumulative sums of the single vector M(0, j), j = 0, 1, ...:
 
     lambda_{b+1} - lambda_b = b M(0, b-1)
     gamma_{b+1}  - gamma_b  = sum_{j<b} M(0, j)
-    eta_b                   = b sum_{j<=b-2} M(0, j)
 
 so every table entry is a sum of positive terms.  A request past the table
 grows it in one pass, to at least twice its length.  All moments come from
@@ -24,8 +22,9 @@ lambda_b is normalized from `measure.log_moments`, since lambda_{b,k}
 underflows long before C(b,k) lambda_{b,k} is negligible.  The laws are
 built a run of rows at a time: the first request for a row builds every row
 of its run (a slice of the dyadic block [2^j, 2^(j+1)) holding it) in one
-`log_moments` call over the flattened triangle of (k, b) cells.  The
-binomial sums and the quadrature routes serve as checks in the test suite.
+`log_moments` call over the flattened triangle of (k, b) cells.  Nothing
+here integrates numerically; the binomial sums and the quadrature oracle
+of the test suite check the tables.
 Convention: lambda_b = gamma_b = 0 for b in {0, 1}.
 
 The module also houses the block-count classifier, the uniform hitting-time
@@ -50,7 +49,7 @@ from scipy.special import gammaln
 
 from . import measure as measure_mod
 from .errors import ZeroRate, ZeroTotalRate
-from .measure import LambdaMeasure, QuadratureConfig
+from .measure import LambdaMeasure
 
 __all__ = [
     "RateKernel",
@@ -63,8 +62,6 @@ __all__ = [
     "valid_decrement_sequences",
 ]
 
-# tolerances of the quadrature oracle behind the increment integrals
-_ORACLE_QUADRATURE = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12)
 # most (k, b) cells in one merge-law build; a dyadic block of rows is cut
 # into runs of equal length under it
 _MERGE_RUN_CELLS = 1 << 16
@@ -73,7 +70,7 @@ _MERGE_RUN_CELLS = 1 << 16
 class RateKernel:
     """Memoized rate tables for one measure.
 
-    Totals (lambda_b, gamma_b, eta_b) are grown lazily as cumulative sums of
+    Totals (lambda_b, gamma_b) are grown lazily as cumulative sums of
     M(0, j) (see the module docstring), each growth in one pass to at least
     twice the table's length; it continues the running sums, so every entry
     is the same whatever the growth history.  Per-(b,k) rows M(k-2, b-k)
@@ -86,14 +83,11 @@ class RateKernel:
     """
 
     def __init__(self, measure_: LambdaMeasure, b_max: int = 256):
-        if measure_.total_mass <= 0.0:
-            raise ZeroTotalRate("measure has zero total mass")
         self.measure = measure_
         self._lock = threading.RLock()
         # index b -> value; entries 0 and 1 are 0 by convention
         self._lam = [0.0, 0.0]
         self._gam = [0.0, 0.0]
-        self._eta = [0.0, 0.0]
         self._m0_sum = 0.0      # sum_{j <= b_max - 2} M(0, j)
         self._bk_rows: dict[int, np.ndarray] = {}
         self._merge_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -106,7 +100,8 @@ class RateKernel:
 
     @property
     def quadrature_error(self) -> float:
-        """Always 0.0: the tables come from closed forms, not quadrature."""
+        """Always 0.0: the tables come from closed forms, not quadrature.
+        Kept only because the benchmark reads it as a gauge."""
         return 0.0
 
     @property
@@ -132,7 +127,6 @@ class RateKernel:
             gam = np.cumsum(np.concatenate(([self._gam[-1]], sums)))[1:]
             self._lam.extend(lam.tolist())
             self._gam.extend(gam.tolist())
-            self._eta.extend((bs * sums).tolist())
             self._m0_sum = float(sums[-1])
 
     # -- totals ---------------------------------------------------------
@@ -148,12 +142,6 @@ class RateKernel:
             return 0.0
         self.ensure_b(b)
         return self._gam[b]
-
-    def eta_total(self, b: int) -> float:
-        if b < 2:
-            return 0.0
-        self.ensure_b(b)
-        return self._eta[b]
 
     def lambda_table(self, b_hi: int) -> np.ndarray:
         """lambda_b for b = 0..b_hi as one array."""
@@ -254,28 +242,6 @@ class RateKernel:
             row.flags.writeable = False
             cum.flags.writeable = False
             self._merge_rows[r] = (row, cum)
-
-    # -- auxiliary integrals used by the inequality checks --------------
-
-    def lambda_increment_integral(self, b: int) -> float:
-        """integral b (1-x)^(b-1) dL(x) (equals lambda_{b+1} - lambda_b),
-        by quadrature, independently of the tables."""
-        def f(x):
-            if x == 1.0:
-                return 0.0 if b > 1 else float(b)
-            return b * math.exp((b - 1) * math.log1p(-x))
-        val, _ = measure_mod.integrate(f, self.measure, _ORACLE_QUADRATURE)
-        return val
-
-    def gamma_increment_integral(self, b: int) -> float:
-        """integral (1 - (1-x)^b) / x dL(x) (equals gamma_{b+1} - gamma_b),
-        by quadrature, independently of the tables."""
-        def f(x):
-            if x == 0.0:
-                return float(b)
-            return -math.expm1(b * math.log1p(-x)) / x
-        val, _ = measure_mod.integrate(f, self.measure, _ORACLE_QUADRATURE)
-        return val
 
 
 # ----------------------------------------------------------------------

@@ -159,7 +159,8 @@ def test_entrance_series_matches_simulation(death_chain_sample):
 
 
 def test_entrance_joint_law_matches_death_chain_oracle(death_chain_sample):
-    joint = kingman_entrance_joint_law(*ORACLE_TIMES)
+    t1, t2 = ORACLE_TIMES
+    joint = kingman_entrance_joint_law(kingman_entrance_reference(t1), t2 - t1)
     assert experiments._joint_chi2(death_chain_sample, joint) > 1e-3
 
 
@@ -170,7 +171,7 @@ def test_entrance_law_mass_is_one(t):
 
 def test_entrance_joint_law_marginals_are_entrance_laws():
     t1, t2 = ORACLE_TIMES
-    joint = kingman_entrance_joint_law(t1, t2)
+    joint = kingman_entrance_joint_law(kingman_entrance_reference(t1), t2 - t1)
     for axis, t in enumerate((t1, t2)):
         marginal = {}
         for pair, p in joint.items():
@@ -262,10 +263,17 @@ def test_block_count_budget_guard(kingman):
                                      event_budget=100)
 
 
-def test_block_count_small_torus(kingman):
+def test_block_count_small_torus(kingman, monkeypatch):
+    built = []
+    series = experiments._DecimalSeries
+    monkeypatch.setattr(experiments, "_DecimalSeries",
+                        lambda t: built.append(t) or series(t))
     res = block_count_limit_experiment(1, simple_walk(3), kingman, 3,
                                        [0.8, 1.6], replicas=150, seed=2,
                                        kappa_value=KAPPA_D3_UNIT)
+    # one series per time and one for the gap: the law at the first time
+    # is built once and reused by the two-time law
+    assert len(built) == 3
     for comp in res["per_time"]:
         assert 0.0 <= comp.tv_distance <= 1.0
         assert sum(comp.empirical.values()) == pytest.approx(1.0, abs=1e-9)

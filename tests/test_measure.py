@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sp_stats
 
+from quadrature_oracle import integrate_scalar
 from spatial_coalescent.errors import ToleranceNotMet
 from spatial_coalescent.measure import (
     DensityPiece,
     LambdaMeasure,
     QuadratureConfig,
-    integrate,
-    integrate_vector,
     mass,
     moments,
-    restrict,
 )
 
 QC = QuadratureConfig()
@@ -38,6 +36,12 @@ def test_mass_beta_normalized():
     assert mass(m, (0.0, 1.0)) == pytest.approx(1.0, rel=1e-9)
 
 
+def test_mass_beta_prefix_matches_cdf():
+    m = LambdaMeasure.beta(1.5)
+    assert mass(m, (0.0, 0.9)) == pytest.approx(
+        sp_stats.beta.cdf(0.9, 0.5, 1.5), rel=1e-8)
+
+
 def test_closed_interval_atom_convention():
     m = LambdaMeasure(atoms=[(0.5, 2.0)])
     assert mass(m, (0.0, 0.5)) == 2.0
@@ -48,40 +52,32 @@ def test_closed_interval_atom_convention():
 # ---------------------------------------------------------------- integrate
 
 def test_integrate_constant_against_lebesgue():
-    val, err = integrate(lambda x: 1.0, LambdaMeasure.lebesgue(), QC)
+    val, err = integrate_scalar(lambda x: 1.0, LambdaMeasure.lebesgue(), QC)
     assert val == pytest.approx(1.0, abs=1e-10)
     assert err >= 0.0
 
 
 def test_integrate_atom_at_zero():
-    val, _ = integrate(lambda x: x, LambdaMeasure.unit_atom(0.0), QC)
+    val, _ = integrate_scalar(lambda x: x, LambdaMeasure.unit_atom(0.0), QC)
     assert val == 0.0
 
 
 def test_integrate_linear_closed_form():
-    val, _ = integrate(lambda x: 1.0 - x, LambdaMeasure.lebesgue(), QC)
+    val, _ = integrate_scalar(lambda x: 1.0 - x, LambdaMeasure.lebesgue(), QC)
     assert val == pytest.approx(0.5, abs=1e-10)
 
 
 def test_integrate_beta_moment_closed_form():
     # E[X] of Beta(0.5, 1.5) is 0.5/2 = 0.25
-    val, _ = integrate(lambda x: x, LambdaMeasure.beta(1.5), QC)
+    val, _ = integrate_scalar(lambda x: x, LambdaMeasure.beta(1.5), QC)
     assert val == pytest.approx(0.25, rel=1e-9)
-
-
-def test_integrate_vector_matches_scalar():
-    import numpy as np
-    m = LambdaMeasure.lebesgue()
-    vec, _ = integrate_vector(lambda x: np.array([1.0, 1.0 - x]), m, QC)
-    assert vec[0] == pytest.approx(1.0, abs=1e-9)
-    assert vec[1] == pytest.approx(0.5, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_tolerance_not_met_raises():
     tight = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=3)
     with pytest.raises(ToleranceNotMet):
-        integrate(lambda x: math.sin(37.0 * x) ** 2 + x ** 0.1,
+        integrate_scalar(lambda x: math.sin(37.0 * x) ** 2 + x ** 0.1,
                   LambdaMeasure.beta(1.5), tight)
 
 
@@ -99,7 +95,7 @@ def test_moments_match_quadrature_oracle(piece):
     m = LambdaMeasure(pieces=[piece])
     for i in (0, 1, 5, 20):
         for j in (0, 1, 5, 20):
-            oracle, _ = integrate(lambda x: x**i * (1.0 - x) ** j, m, QC_ORACLE)
+            oracle, _ = integrate_scalar(lambda x: x**i * (1.0 - x) ** j, m, QC_ORACLE)
             assert moments(m, i, j) == pytest.approx(oracle, rel=1e-9, abs=0.0), (i, j)
 
 
@@ -109,30 +105,6 @@ def test_moments_atoms_exact_with_zero_power_convention():
     assert moments(m, 0, 3) == 2.0 + 0.125
     assert moments(m, 2, 0) == 0.25 + 3.0
     assert list(moments(m, [0, 1], 1)) == [2.5, 0.25]
-
-
-# ---------------------------------------------------------------- restrict
-
-def test_restrict_lebesgue_clips():
-    r = restrict(LambdaMeasure.lebesgue(), 0.5)
-    assert r.total_mass == pytest.approx(0.5, abs=1e-10)
-
-
-def test_restrict_atom_outside_support_gives_zero_measure():
-    r = restrict(LambdaMeasure.unit_atom(1.0), 0.5)
-    assert r.total_mass == 0.0
-
-
-def test_restrict_beta_matches_cdf():
-    r = restrict(LambdaMeasure.beta(1.5), 0.9)
-    assert r.total_mass == pytest.approx(sp_stats.beta.cdf(0.9, 0.5, 1.5),
-                                         rel=1e-8)
-
-
-def test_restrict_then_mass_agrees():
-    m = LambdaMeasure.beta(0.5)
-    r = restrict(m, 0.7)
-    assert mass(r, (0.0, 0.3)) == pytest.approx(mass(m, (0.0, 0.3)), rel=1e-8)
 
 
 # ---------------------------------------------------------------- properties
@@ -167,18 +139,10 @@ def test_mass_additivity(m, c):
 def test_integrate_linearity(m):
     f = lambda x: x * x
     g = lambda x: 1.0 - x
-    vf, _ = integrate(f, m, QC)
-    vg, _ = integrate(g, m, QC)
-    vfg, _ = integrate(lambda x: f(x) + g(x), m, QC)
+    vf, _ = integrate_scalar(f, m, QC)
+    vg, _ = integrate_scalar(g, m, QC)
+    vfg, _ = integrate_scalar(lambda x: f(x) + g(x), m, QC)
     assert vfg == pytest.approx(vf + vg, abs=1e-8)
-
-
-@settings(max_examples=30, deadline=None)
-@given(measures(), st.floats(0.05, 0.95))
-def test_restrict_preserves_prefix_mass(m, a):
-    r = restrict(m, a)
-    x = a / 2.0
-    assert mass(r, (0.0, x)) == pytest.approx(mass(m, (0.0, x)), abs=1e-8)
 
 
 def test_serialization_round_trip():
@@ -219,6 +183,6 @@ def test_zero_mass_rejected_on_direct_construction():
 
 
 def test_atom_flags():
-    assert LambdaMeasure.unit_atom(0.0).has_atom_at_zero
     assert LambdaMeasure.unit_atom(1.0).has_atom_at_one
-    assert not LambdaMeasure.lebesgue().has_atom_at_zero
+    assert not LambdaMeasure.unit_atom(0.0).has_atom_at_one
+    assert not LambdaMeasure.lebesgue().has_atom_at_one
