@@ -17,6 +17,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -67,6 +68,10 @@ class _Strict(BaseModel):
     model_config = ConfigDict(extra="forbid")
 
 
+PosInt = Annotated[int, Field(ge=1)]
+PosFloat = Annotated[float, Field(gt=0.0)]
+
+
 class PieceConfig(_Strict):
     interval: tuple[float, float]
     tag: str
@@ -105,7 +110,6 @@ class GeographyConfig(_Strict):
     walk: WalkConfig = Field(default_factory=WalkConfig)
     sites: Optional[int] = None
     kernel: Optional[list[list[float]]] = None
-    site_budget: int = 1_000_000
 
     def build(self):
         with _invalid_as("geography"):
@@ -114,27 +118,19 @@ class GeographyConfig(_Strict):
     def _build(self):
         if self.topology == "torus":
             if self.N is None:
-                raise _ValidationFailure(["geography: torus requires N"])
-            return build_torus(self.N, self.walk.build(), self.site_budget)
+                raise _ConfigError(["geography: torus requires N"])
+            return build_torus(self.N, self.walk.build())
         if self.topology == "complete":
             if self.sites is None:
-                raise _ValidationFailure(["geography: complete requires sites"])
+                raise _ConfigError(["geography: complete requires sites"])
             return complete_graph(self.sites)
         if self.topology == "single":
             return single_site()
         if self.topology == "graph":
             if self.kernel is None:
-                raise _ValidationFailure(["geography: graph requires kernel"])
+                raise _ConfigError(["geography: graph requires kernel"])
             return generic_graph(np.asarray(self.kernel, dtype=float))
-        raise _ValidationFailure([f"geography: unknown topology {self.topology!r}"])
-
-
-class KernelConfig(_Strict):
-    b_max: int = 256
-
-    def build(self, measure: LambdaMeasure) -> RateKernel:
-        with _invalid_as("kernel"):
-            return RateKernel(measure, b_max=self.b_max)
+        raise _ConfigError([f"geography: unknown topology {self.topology!r}"])
 
 
 class ExperimentConfig(_Strict):
@@ -143,17 +139,15 @@ class ExperimentConfig(_Strict):
 
 
 class RunConfig(_Strict):
-    version: str = "1"
     seed: int
     measure: Optional[MeasureConfig] = None
     geography: Optional[GeographyConfig] = None
-    kernel: KernelConfig = Field(default_factory=KernelConfig)
     experiment: Optional[ExperimentConfig] = None
-    replicas: Optional[int] = None
+    replicas: Optional[PosInt] = None
     out_dir: Optional[str] = None
-    event_budget: Optional[int] = None
-    # simulate-specific
-    n_per_site: Optional[int] = None
+    event_budget: Optional[PosInt] = None
+    # simulate- and block_count-specific
+    n_per_site: Optional[PosInt] = None
     horizon: Optional[float] = None
     stop_blocks_at_most: Optional[int] = None
     killing: bool = False
@@ -164,61 +158,57 @@ class RunConfig(_Strict):
     dimension: Optional[int] = None
     method: Optional[Literal["BESSEL", "LATTICE_SUM", "MONTE_CARLO"]] = None
 
-    @pydantic.model_validator(mode="after")
-    def _budgets_positive(self):
-        if self.replicas is not None and self.replicas <= 0:
-            raise ValueError("replicas must be positive")
-        if self.event_budget is not None and self.event_budget <= 0:
-            raise ValueError("event_budget must be positive")
-        return self
+    def require(self, command: str, *sections: str) -> None:
+        if any(getattr(self, name) is None for name in sections):
+            raise _ConfigError([f"{command}: config requires "
+                                + " and ".join(sections)])
 
 
-class _ValidationFailure(Exception):
-    def __init__(self, violations):
+class _ConfigError(Exception):
+    """A config that cannot describe a run (exit 2)."""
+
+    def __init__(self, violations, code="VALIDATION_ERROR"):
         self.violations = list(violations)
+        self.code = code
         super().__init__("; ".join(self.violations))
 
 
 @contextmanager
 def _invalid_as(section: str):
     """Report a ValueError raised while building `section` from config
-    values as a validation failure (exit 2).  A ValueError anywhere else is
-    an internal error (exit 4)."""
+    values as a config error (exit 2).  A ValueError anywhere else is an
+    internal error (exit 4)."""
     try:
         yield
     except ValueError as e:
-        raise _ValidationFailure([f"{section}: {e}"]) from e
+        raise _ConfigError([f"{section}: {e}"]) from e
 
 
-def parse_config(path: str) -> RunConfig:
-    """Read and strictly validate a JSON run config."""
+def _validate(model, raw, *prefix):
+    """`model` validated from `raw`; each pydantic error becomes one
+    violation, located by its dotted path under `prefix`."""
+    try:
+        return model.model_validate(raw)
+    except pydantic.ValidationError as e:
+        raise _ConfigError(
+            [".".join(map(str, (*prefix, *err["loc"]))) + f": {err['msg']}"
+             for err in e.errors()]) from None
+
+
+def parse_config(path: str, **overrides) -> RunConfig:
+    """Read a JSON run config, set the overrides that are not None, and
+    validate the result once, strictly."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except FileNotFoundError:
-        raise _ConfigError("PARSE_ERROR", f"config file not found: {path}")
+        raise _ConfigError([f"config file not found: {path}"], "PARSE_ERROR")
     except json.JSONDecodeError as e:
-        raise _ConfigError("PARSE_ERROR",
-                           f"{path}:{e.lineno}:{e.colno}: {e.msg}")
-    return validate_config(raw)
-
-
-def validate_config(raw: dict) -> RunConfig:
-    try:
-        return RunConfig.model_validate(raw)
-    except pydantic.ValidationError as e:
-        msgs = [f"{'.'.join(str(p) for p in err['loc'])}: {err['msg']}"
-                for err in e.errors()]
-        raise _ConfigError("VALIDATION_ERROR", "; ".join(msgs),
-                           violations=msgs)
-
-
-class _ConfigError(Exception):
-    def __init__(self, code, message, violations=()):
-        self.code = code
-        self.message = message
-        self.violations = list(violations)
-        super().__init__(message)
+        raise _ConfigError([f"{path}:{e.lineno}:{e.colno}: {e.msg}"],
+                           "PARSE_ERROR")
+    if isinstance(raw, dict):
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
+    return _validate(RunConfig, raw)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +216,20 @@ class _ConfigError(Exception):
 # ----------------------------------------------------------------------
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # keys become strings (and numpy values plain ones) before sorting, so
+    # int and str keys sort alike, as text
+    plain = json.loads(json.dumps(obj, default=_json_default))
+    return json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+def _json_default(obj):
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj)
+    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _sha256(text: str) -> str:
@@ -234,61 +237,57 @@ def _sha256(text: str) -> str:
 
 
 class ArtifactWriter:
-    """Writes report/raw/manifest into out_dir; every file is listed in the
-    manifest.  Reports carry no timestamps so reruns are byte identical."""
+    """Writes report/raw/manifest into the config's out_dir; every file is
+    listed in the manifest.  Reports carry no timestamps so reruns are byte
+    identical."""
 
-    def __init__(self, out_dir: Optional[str], config_raw: dict, seed: int):
-        self.out_dir = out_dir
-        self.config_raw = config_raw
-        self.seed = seed
+    def __init__(self, cfg: RunConfig):
+        self.out_dir = cfg.out_dir
+        self.config = cfg.model_dump(mode="json")
+        self.seed = cfg.seed
         self.files: list[str] = []
         self.t0 = time.monotonic()
-        if out_dir:
-            import os
-            os.makedirs(out_dir, exist_ok=True)
+        if self.out_dir:
+            os.makedirs(self.out_dir, exist_ok=True)
 
     @property
     def config_hash(self) -> str:
         # where the artifacts land is not part of the run identity
-        semantic = {k: v for k, v in self.config_raw.items() if k != "out_dir"}
+        semantic = {k: v for k, v in self.config.items() if k != "out_dir"}
         return _sha256(_canonical_json(semantic))
 
     def write_text(self, name: str, text: str) -> None:
         if not self.out_dir:
             return
-        import os
         with open(os.path.join(self.out_dir, name), "w") as fh:
             fh.write(text)
         self.files.append(name)
 
-    def write_report(self, report: dict) -> str:
-        text = _canonical_json(report)
+    def finish(self, report: dict, stats: dict) -> str:
+        """Write report.json (with the config hash) and then the manifest,
+        and return the report's canonical text.  `stats` (run counters and
+        timings) go only into the manifest, so that reports stay byte
+        identical."""
+        text = _canonical_json({**report, "config_sha256": self.config_hash})
         self.write_text("report.json", text)
+        if self.out_dir:
+            manifest = {
+                "config": self.config,
+                "config_sha256": self.config_hash,
+                "seed": self.seed,
+                "versions": {
+                    "artifact": __version__,
+                    "python": sys.version.split()[0],
+                    "numpy": np.__version__,
+                    "scipy": scipy.__version__,
+                },
+                "wall_time_seconds": time.monotonic() - self.t0,
+                "files": sorted(self.files) + ["manifest.json"],
+                "stats": stats,
+            }
+            with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
+                fh.write(_canonical_json(manifest))
         return text
-
-    def finish(self, stats: Optional[dict] = None) -> None:
-        """Write the manifest; `stats` (run counters) go here, never into
-        the report, so that reports stay byte identical."""
-        if not self.out_dir:
-            return
-        manifest = {
-            "config": self.config_raw,
-            "config_sha256": self.config_hash,
-            "seed": self.seed,
-            "versions": {
-                "artifact": __version__,
-                "python": sys.version.split()[0],
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-            },
-            "wall_time_seconds": time.monotonic() - self.t0,
-            "files": sorted(self.files) + ["manifest.json"],
-        }
-        if stats is not None:
-            manifest["stats"] = stats
-        import os
-        with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
-            fh.write(_canonical_json(manifest))
 
 
 def _fail(code: str, message: str, exit_code: int, **context):
@@ -306,10 +305,7 @@ def _guarded(fn):
         try:
             return fn(*a, **kw)
         except _ConfigError as e:
-            _fail(e.code, e.message, EXIT_VALIDATION, violations=e.violations)
-        except _ValidationFailure as e:
-            _fail("VALIDATION_ERROR", str(e), EXIT_VALIDATION,
-                  violations=e.violations)
+            _fail(e.code, str(e), EXIT_VALIDATION, violations=e.violations)
         except BudgetExceeded as e:
             _fail("BUDGET_EXCEEDED", str(e), EXIT_BUDGET, **e.context)
         except CoalescentError as e:
@@ -323,23 +319,9 @@ def _guarded(fn):
     return wrapper
 
 
-def _load(config, seed, replicas, out, budget):
-    cfg = parse_config(config)
-    raw = json.loads(json.dumps(cfg.model_dump(mode="json"), sort_keys=True))
-    if seed is not None:
-        cfg = cfg.model_copy(update={"seed": seed})
-        raw["seed"] = seed
-    if replicas is not None:
-        cfg = cfg.model_copy(update={"replicas": replicas})
-        raw["replicas"] = replicas
-    if budget is not None:
-        cfg = cfg.model_copy(update={"event_budget": budget})
-        raw["event_budget"] = budget
-    if out is not None:
-        cfg = cfg.model_copy(update={"out_dir": out})
-        raw["out_dir"] = out
-    writer = ArtifactWriter(cfg.out_dir, raw, cfg.seed)
-    return cfg, writer
+def _load(config, **overrides):
+    cfg = parse_config(config, **overrides)
+    return cfg, ArtifactWriter(cfg)
 
 
 _OPTIONS = {
@@ -348,12 +330,13 @@ _OPTIONS = {
     "seed": click.option("--seed", type=int, default=None, help="override master seed"),
     "replicas": click.option("--replicas", type=int, default=None,
                              help="override replica count"),
-    "out": click.option("--out", type=click.Path(), default=None, help="output directory"),
-    "budget": click.option("--budget", type=int, default=None, help="override event budget"),
-    "format": click.option("--format", "fmt", type=click.Choice(["json", "csv", "jsonl"]),
-                           default="json", help="primary raw-output format"),
+    "out": click.option("--out", "out_dir", type=click.Path(), default=None,
+                        help="output directory"),
+    "budget": click.option("--budget", "event_budget", type=int, default=None,
+                           help="override event budget"),
+    "format": click.option("--format", "fmt", type=click.Choice(["jsonl", "csv"]),
+                           default="jsonl", help="raw trajectory format"),
 }
-_COMMON = ("config", "seed", "replicas", "out", "budget")
 
 
 def _with_options(*names):
@@ -379,15 +362,14 @@ def main():
 @main.command()
 @_with_options("config", "seed", "out")
 @_guarded
-def rates(config, seed, out):
+def rates(config, **overrides):
     """Per-merge and total rate tables as CSV."""
-    cfg, writer = _load(config, seed, None, out, None)
-    if cfg.measure is None:
-        raise _ValidationFailure(["rates: config requires a measure"])
+    cfg, writer = _load(config, **overrides)
+    cfg.require("rates", "measure")
     t0 = time.perf_counter()
-    kernel = cfg.kernel.build(cfg.measure.build())
+    kernel = RateKernel(cfg.measure.build())
     t1 = time.perf_counter()
-    b_hi = cfg.b_max_table or min(cfg.kernel.b_max, 64)
+    b_hi = cfg.b_max_table or 64
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["b", "k", "value"])
@@ -402,24 +384,22 @@ def rates(config, seed, out):
     rows = text.count("\n") - 1
     click.echo(text, nl=False)
     writer.write_text("rates.csv", text)
-    writer.write_report({"b_max": b_hi, "rows": rows,
-                         "config_sha256": writer.config_hash})
-    writer.finish(stats={"b_max": b_hi, "rows": rows,
-                         "kernel_build_s": t1 - t0, "table_s": t2 - t1})
+    writer.finish({"b_max": b_hi, "rows": rows},
+                  {"b_max": b_hi, "rows": rows,
+                   "kernel_build_s": t1 - t0, "table_s": t2 - t1})
 
 
 @main.command()
 @_with_options("config", "seed", "out")
 @_guarded
-def classify(config, seed, out):
+def classify(config, **overrides):
     """Comes-down-from-infinity dichotomy verdict as JSON."""
-    cfg, writer = _load(config, seed, None, out, None)
-    if cfg.measure is None:
-        raise _ValidationFailure(["classify: config requires a measure"])
+    cfg, writer = _load(config, **overrides)
+    cfg.require("classify", "measure")
     t0 = time.perf_counter()
-    kernel = cfg.kernel.build(cfg.measure.build())
+    kernel = RateKernel(cfg.measure.build())
     t1 = time.perf_counter()
-    b_max = max(cfg.kernel.b_max, 1000)
+    b_max = 1000
     verdict = cdi_classify(kernel, b_max=b_max)
     t2 = time.perf_counter()
     report = {
@@ -428,29 +408,27 @@ def classify(config, seed, out):
         "tail_bound": verdict.tail_bound,
         "complete_collapse": verdict.complete_collapse,
         "note": verdict.note,
-        "config_sha256": writer.config_hash,
     }
-    click.echo(_canonical_json(report), nl=False)
-    writer.write_report(report)
-    writer.finish(stats={"decided_by": verdict.decided_by, "b_max": b_max,
-                         "kernel_build_s": t1 - t0, "verdict_s": t2 - t1})
+    click.echo(writer.finish(
+        report, {"decided_by": verdict.decided_by, "b_max": b_max,
+                 "kernel_build_s": t1 - t0, "verdict_s": t2 - t1}), nl=False)
 
 
 @main.command()
-@_with_options(*_COMMON)
+@_with_options("config", "seed", "replicas", "out")
 @_guarded
-def green(config, seed, replicas, out, budget):
+def green(config, **overrides):
     """Random-walk Green function at the origin.  Without a `method`, the
     exact BESSEL route for axis walks and the lattice sum otherwise."""
-    cfg, writer = _load(config, seed, replicas, out, budget)
+    cfg, writer = _load(config, **overrides)
     walk_cfg = (cfg.geography.walk if cfg.geography is not None
                 else WalkConfig(dimension=cfg.dimension or 3))
     walk = walk_cfg.build()
     axis_walk = walk.axis_rates is not None
     method = cfg.method or ("BESSEL" if axis_walk else "LATTICE_SUM")
     if method == "BESSEL" and not axis_walk:
-        raise _ValidationFailure(["method: BESSEL needs an axis walk (every "
-                                  "step +-e_i, with P(+e_i) = P(-e_i) > 0)"])
+        raise _ConfigError(["method: BESSEL needs an axis walk (every step "
+                            "+-e_i, with P(+e_i) = P(-e_i) > 0)"])
     kwargs = {}
     if method == "MONTE_CARLO":
         kwargs["seed"] = cfg.seed
@@ -460,11 +438,9 @@ def green(config, seed, replicas, out, budget):
     est, err = green_function(walk, method, **kwargs)
     t1 = time.perf_counter()
     report = {"estimate": est, "error": err, "method": method,
-              "budget": cfg.event_budget, "dimension": walk.dimension,
-              "config_sha256": writer.config_hash}
-    click.echo(_canonical_json(report), nl=False)
-    writer.write_report(report)
-    writer.finish(stats={"method": method, "green_s": t1 - t0})
+              "dimension": walk.dimension}
+    click.echo(writer.finish(report, {"method": method, "green_s": t1 - t0}),
+               nl=False)
 
 
 def _trajectory_jsonl(rec, config_hash, seed) -> str:
@@ -500,18 +476,19 @@ def _trajectory_csv(rec, n_start: int) -> str:
 @main.command()
 @_with_options("config", "seed", "out", "budget", "format")
 @_guarded
-def simulate_cmd(config, seed, out, budget, fmt):
-    """Exact trajectory simulation; JSONL events or CSV block counts."""
-    cfg, writer = _load(config, seed, None, out, budget)
-    if cfg.measure is None or cfg.geography is None:
-        raise _ValidationFailure(["simulate: config requires measure and geography"])
-    kernel = cfg.kernel.build(cfg.measure.build())
+def simulate_cmd(config, fmt, **overrides):
+    """Exact trajectory simulation; JSONL events or CSV block counts.
+    Without a horizon the run also stops once one block is left."""
+    cfg, writer = _load(config, **overrides)
+    cfg.require("simulate", "measure", "geography")
+    kernel = RateKernel(cfg.measure.build())
     geo = cfg.geography.build()
     init = singletons_per_site(geo, cfg.n_per_site or 1)
     with _invalid_as("simulate"):
         sim_cfg = SimulationConfig(
             kernel=kernel, geography=geo, killing=cfg.killing,
             horizon=cfg.horizon, stop_blocks_at_most=cfg.stop_blocks_at_most,
+            stop_when_absorbed=cfg.horizon is None,
             seed=cfg.seed, probe_times=tuple(cfg.probe_times),
             event_budget=cfg.event_budget, track_elements=False)
     rec = simulate(init, sim_cfg)
@@ -527,11 +504,8 @@ def simulate_cmd(config, seed, out, budget, fmt):
         "final_block_count": rec.live_counts_total(),
         "budget_exhausted": rec.budget_exhausted,
         "probes": [[t, c] for t, c in rec.probes],
-        "config_sha256": writer.config_hash,
     }
-    click.echo(_canonical_json(report), nl=False)
-    writer.write_report(report)
-    writer.finish(stats=rec.stats)
+    click.echo(writer.finish(report, rec.stats), nl=False)
     if rec.budget_exhausted:
         _fail("BUDGET_EXCEEDED",
               f"event budget {cfg.event_budget} exhausted at t={rec.final_time}; "
@@ -545,22 +519,6 @@ main.add_command(simulate_cmd, name="simulate")
 # ---- experiment params: one strict model per experiment, validated at the
 # config boundary so that a bad value exits 2 before any work starts
 
-PosInt = Annotated[int, Field(ge=1)]
-PosFloat = Annotated[float, Field(gt=0.0)]
-
-
-class _TorusParams(_Strict):
-    # the torus half-width; defaults to geography.N
-    N: Optional[PosInt] = None
-
-    def torus_N(self, cfg: RunConfig) -> int:
-        N = self.N if self.N is not None else cfg.geography.N
-        if N is None:
-            raise _ValidationFailure(
-                ["experiment.params.N: set params.N or geography.N"])
-        return N
-
-
 class HittingTimeParams(_Strict):
     n: int = Field(ge=2)
     k: int = Field(2, ge=2)
@@ -571,13 +529,12 @@ class TrendParams(_Strict):
     t_probe: PosFloat | list[PosFloat] = 0.5
 
 
-class PairwiseParams(_TorusParams):
+class PairwiseParams(_Strict):
     separation: Optional[list[int]] = None
     kappa_value: Optional[PosFloat] = None
 
 
-class BlockCountParams(_TorusParams):
-    n_per_site: Optional[PosInt] = None
+class BlockCountParams(_Strict):
     times: list[PosFloat] = Field(default_factory=lambda: [0.5, 1.0],
                                   min_length=1)
     kappa_value: Optional[PosFloat] = None
@@ -590,7 +547,7 @@ class BlockCountParams(_TorusParams):
         return times
 
 
-class StructureParams(_TorusParams):
+class StructureParams(_Strict):
     n_blocks: int = Field(ge=2)
     kappa_value: Optional[PosFloat] = None
 
@@ -622,13 +579,14 @@ def _experiment(name, params_model=_Strict):
     return deco
 
 
-def _experiment_params(params_model, raw: dict):
-    try:
-        return params_model.model_validate(raw)
-    except pydantic.ValidationError as e:
-        raise _ValidationFailure(
-            [".".join(["experiment.params", *map(str, err["loc"])])
-             + f": {err['msg']}" for err in e.errors()]) from e
+def _torus_N(cfg: RunConfig) -> int:
+    """The half-width of the torus that the torus studies build themselves
+    from geography.N and the walk."""
+    geo = cfg.geography
+    if geo.topology != "torus" or geo.N is None or geo.N < 1:
+        raise _ConfigError([f"geography: experiment {cfg.experiment.name!r} "
+                            "needs topology 'torus' with N >= 1"])
+    return geo.N
 
 
 @_experiment("hitting_time", HittingTimeParams)
@@ -659,10 +617,10 @@ def _run_trend(cfg: RunConfig, p: TrendParams, kernel: RateKernel):
 def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     if p.separation is not None and len(p.separation) != walk.dimension:
-        raise _ValidationFailure(
+        raise _ConfigError(
             [f"experiment.params.separation: needs {walk.dimension} entries"])
     comp = pairwise_torus_experiment(
-        p.torus_N(cfg), walk, kernel,
+        _torus_N(cfg), walk, kernel,
         replicas=cfg.replicas or 2000, seed=cfg.seed,
         separation=p.separation, kappa_value=p.kappa_value)
     times = comp.extras.pop("rescaled_times")
@@ -675,8 +633,7 @@ def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
 def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     res = block_count_limit_experiment(
-        p.torus_N(cfg), walk, kernel,
-        p.n_per_site or cfg.n_per_site or 10, p.times,
+        _torus_N(cfg), walk, kernel, cfg.n_per_site or 10, p.times,
         replicas=cfg.replicas or 500, seed=cfg.seed,
         kappa_value=p.kappa_value,
         event_budget=cfg.event_budget)
@@ -697,7 +654,7 @@ def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
 def _run_structure(cfg: RunConfig, p: StructureParams, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     res = partition_structure_experiment(
-        p.torus_N(cfg), walk, kernel,
+        _torus_N(cfg), walk, kernel,
         p.n_blocks, replicas=cfg.replicas or 3000, seed=cfg.seed,
         kappa_value=p.kappa_value)
     return res, None, None
@@ -726,47 +683,29 @@ def _run_kappa(cfg: RunConfig, _p, kernel: RateKernel):
 
 
 @main.command()
-@_with_options(*_COMMON)
+@_with_options("config", "seed", "replicas", "out", "budget")
 @_guarded
-def experiment(config, seed, replicas, out, budget):
+def experiment(config, **overrides):
     """Run the experiment named in the config; report JSON plus raw CSV."""
-    cfg, writer = _load(config, seed, replicas, out, budget)
-    if cfg.experiment is None:
-        raise _ValidationFailure(["experiment: config requires an experiment section"])
+    cfg, writer = _load(config, **overrides)
+    cfg.require("experiment", "experiment")
     entry = _EXPERIMENTS.get(cfg.experiment.name)
     if entry is None:
-        raise _ValidationFailure(
+        raise _ConfigError(
             [f"experiment: unknown name {cfg.experiment.name!r}; "
              f"known: {sorted(_EXPERIMENTS)}"])
-    if cfg.measure is None or cfg.geography is None:
-        raise _ValidationFailure(
-            ["experiment: config requires measure and geography"])
+    cfg.require("experiment", "measure", "geography")
     params_model, runner = entry
-    params = _experiment_params(params_model, cfg.experiment.params)
+    params = _validate(params_model, cfg.experiment.params,
+                       "experiment", "params")
     t0 = time.perf_counter()
-    kernel = cfg.kernel.build(cfg.measure.build())
+    kernel = RateKernel(cfg.measure.build())
     t1 = time.perf_counter()
     report, raw, raw_name = runner(cfg, params, kernel)
     t2 = time.perf_counter()
     stats = {"kernel_build_s": t1 - t0, "run_s": t2 - t1,
              **report.pop("stats", {})}
-    report = json.loads(json.dumps(report, sort_keys=True, default=_json_default))
-    report["experiment"] = cfg.experiment.name
-    report["seed"] = cfg.seed
-    report["config_sha256"] = writer.config_hash
-    click.echo(_canonical_json(report), nl=False)
-    writer.write_report(report)
-    if raw is not None and raw_name:
+    if raw is not None:
         writer.write_text(raw_name, raw)
-    writer.finish(stats=stats)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (set, frozenset, tuple)):
-        return sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
+    report.update(experiment=cfg.experiment.name, seed=cfg.seed)
+    click.echo(writer.finish(report, stats), nl=False)

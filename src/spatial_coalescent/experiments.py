@@ -89,7 +89,7 @@ class EstimateReport:
             "replicas": self.replicas,
             "confidence": self.confidence,
             "ci": [lo, hi],
-            "extras": _jsonable(self.extras),
+            "extras": self.extras,
         }
 
 
@@ -111,20 +111,8 @@ class DistributionComparison:
             "tv_distance": self.tv_distance,
             "chi2_pvalue": self.chi2_pvalue,
             "sample_size": self.sample_size,
-            "extras": _jsonable(self.extras),
+            "extras": self.extras,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _tv(p: dict, q: dict) -> float:
@@ -438,23 +426,19 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     seeds = spawn_seeds(seed, replicas)
     init = singletons_per_site(geo, n_per_site)
 
-    if event_budget is not None:
-        pilot = simulate(init, SimulationConfig(
-            kernel=kernel, geography=geo, horizon=max(probe_times),
-            seed=seeds[0], record_events=True, track_elements=False,
-            probe_times=probe_times))
-        projected = len(pilot.events) * replicas
-        if projected > event_budget:
-            raise BudgetExceeded(
-                f"projected {projected} events exceeds budget {event_budget}",
-                projected=projected, budget=event_budget)
-
     samples = np.empty((replicas, len(probe_times)), dtype=np.int64)
     for i, s in enumerate(seeds):
         rec = simulate(init, SimulationConfig(
             kernel=kernel, geography=geo, horizon=max(probe_times), seed=s,
             record_events=False, track_elements=False,
             probe_times=probe_times))
+        if i == 0 and event_budget is not None:
+            # every replica is projected to cost what the first one did
+            projected = sum(rec.stats["events"].values()) * replicas
+            if projected > event_budget:
+                raise BudgetExceeded(
+                    f"projected {projected} events exceeds budget {event_budget}",
+                    projected=projected, budget=event_budget)
         for j, (_pt, c) in enumerate(rec.probes):
             samples[i, j] = c
     t2 = time.perf_counter()

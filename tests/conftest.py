@@ -19,15 +19,16 @@ CHECK_FAILURES = pytest.StashKey()
 BODY_ERROR = pytest.StashKey()
 
 
-def coalsim(*args):
+def coalsim(*args, timeout=None):
     """Run the ``coalsim`` CLI as ``python -m spatial_coalescent`` in a child
-    interpreter; works whether or not the package is installed."""
+    interpreter; works whether or not the package is installed.  A run
+    still going after `timeout` seconds raises TimeoutExpired."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_PARENT, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "spatial_coalescent", *map(str, args)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.hookimpl(hookwrapper=True)

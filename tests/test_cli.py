@@ -9,10 +9,10 @@ from conftest import coalsim
 from spatial_coalescent import cli
 
 
-def run_cli(tmp_path, cfg, *args):
+def run_cli(tmp_path, cfg, *args, timeout=None):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    return coalsim(*args, "--config", path)
+    return coalsim(*args, "--config", path, timeout=timeout)
 
 
 KINGMAN = {"atoms": [[0.0, 1.0]]}
@@ -131,24 +131,48 @@ def test_missing_file_is_parse_error(tmp_path):
                                   ("rates", "--replicas", "3"),
                                   ("rates", "--budget", "3"),
                                   ("classify", "--replicas", "3"),
-                                  ("classify", "--budget", "3")])
+                                  ("classify", "--budget", "3"),
+                                  ("green", "--budget", "3")])
 def test_option_without_effect_is_usage_error(tmp_path, args):
     r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN}, *args)
     assert r.returncode == 2, r.stdout + r.stderr
     assert "No such option" in r.stderr
 
 
+def test_simulate_json_format_is_usage_error(tmp_path):
+    cfg = {"seed": 1, "measure": KINGMAN, "geography": {"topology": "single"},
+           "n_per_site": 3}
+    r = run_cli(tmp_path, cfg, "simulate", "--format", "json")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "--format" in r.stderr
+
+
 def test_kernel_tolerances_rejected(tmp_path):
     r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN,
                            "kernel": {"abs_tol": 1e-14}}, "rates")
     assert r.returncode == 2, r.stdout + r.stderr
-    assert "abs_tol" in json.loads(r.stdout)["message"]
+    assert "kernel" in json.loads(r.stdout)["message"]
 
 
-def test_nonpositive_replicas_rejected(tmp_path):
-    r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN, "replicas": 0},
-                "classify")
+EXP_CFG = {"seed": 9, "measure": KINGMAN,
+           "geography": {"topology": "complete", "sites": 4},
+           "experiment": {"name": "hitting_time", "params": {"n": 10, "k": 2}},
+           "replicas": 40}
+
+
+@pytest.mark.parametrize("cfg, args", [
+    ({"seed": 1, "measure": KINGMAN, "replicas": 0}, ("classify",)),
+    (EXP_CFG, ("experiment", "--replicas", "0")),
+    (EXP_CFG, ("experiment", "--replicas", "-3")),
+    (EXP_CFG, ("experiment", "--budget", "0")),
+], ids=["config", "replicas-0", "replicas-neg", "budget-0"])
+def test_nonpositive_replicas_rejected(tmp_path, cfg, args):
+    # an override is validated with the config, before any work starts
+    out = tmp_path / "out"
+    r = run_cli(tmp_path, cfg, *args, "--out", str(out))
     assert r.returncode == 2, r.stdout + r.stderr
+    assert json.loads(r.stdout)["error"] == "VALIDATION_ERROR"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- subcommands
@@ -230,7 +254,7 @@ def test_green_json_contract(tmp_path):
     r = run_cli(tmp_path, {"seed": 1, "dimension": 3}, "green")
     assert r.returncode == 0, r.stdout + r.stderr
     payload = json.loads(r.stdout)
-    assert set(payload) >= {"estimate", "error", "method", "budget"}
+    assert set(payload) >= {"estimate", "error", "method"}
     # no method set: the default axis walk takes the exact Bessel route
     assert payload["method"] == "BESSEL"
     assert abs(payload["estimate"] - 1.5163860591519809) <= payload["error"]
@@ -266,12 +290,23 @@ def test_simulate_csv_mode(tmp_path):
     assert rows[-1].endswith(",1")
 
 
-# ---------------------------------------------------------------- artifacts
+@pytest.mark.parametrize("geography", [
+    {"topology": "complete", "sites": 3},
+    {"topology": "single"},
+], ids=["complete", "single"])
+def test_simulate_without_stop_field_stops_at_one_block(tmp_path, geography):
+    # with no horizon the run ends once one block is left, instead of
+    # migrating it forever (complete graph) or deadlocking (single site)
+    cfg = {"seed": 3, "measure": BETA_HEAVY, "geography": geography,
+           "n_per_site": 5}
+    r = run_cli(tmp_path, cfg, "simulate", timeout=60)
+    assert r.returncode == 0, r.stdout + r.stderr
+    report = json.loads(r.stdout)
+    assert report["stop_reason"] == "ABSORBED"
+    assert report["final_block_count"] == 1
 
-EXP_CFG = {"seed": 9, "measure": KINGMAN,
-           "geography": {"topology": "complete", "sites": 4},
-           "experiment": {"name": "hitting_time", "params": {"n": 10, "k": 2}},
-           "replicas": 40}
+
+# ---------------------------------------------------------------- artifacts
 
 
 def _report_hash(out_dir):
@@ -320,9 +355,9 @@ def test_simulate_report_deterministic_stats_in_manifest(tmp_path):
 
 BLOCK_COUNT_CFG = {"seed": 4, "measure": KINGMAN,
                    "geography": {"topology": "torus", "N": 1},
+                   "n_per_site": 3,
                    "experiment": {"name": "block_count",
-                                  "params": {"n_per_site": 3,
-                                             "times": [0.8, 1.6]}},
+                                  "params": {"times": [0.8, 1.6]}},
                    "replicas": 30}
 
 
@@ -367,12 +402,22 @@ def test_manifest_covers_all_files(tmp_path):
     assert {"numpy", "scipy", "python", "artifact"} <= set(manifest["versions"])
 
 
-def test_manifest_round_trip(tmp_path):
+@pytest.mark.parametrize("command, cfg", [
+    ("rates", {"seed": 1, "measure": BETA_HEAVY, "b_max_table": 6}),
+    ("classify", {"seed": 1, "measure": BETA_HEAVY}),
+    ("simulate", {"seed": 3, "measure": KINGMAN,
+                  "geography": {"topology": "complete", "sites": 3},
+                  "n_per_site": 3}),
+    ("experiment", EXP_CFG),
+], ids=["rates", "classify", "simulate", "experiment"])
+def test_manifest_round_trip(tmp_path, command, cfg):
+    # the manifest records the config as overridden, and it reruns the run
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    r = run_cli(tmp_path, EXP_CFG, "experiment", "--out", str(out1))
+    r = run_cli(tmp_path, cfg, command, "--seed", "11", "--out", str(out1))
     assert r.returncode == 0, r.stdout + r.stderr
     embedded = json.loads((out1 / "manifest.json").read_text())["config"]
-    r2 = run_cli(tmp_path, embedded, "experiment", "--out", str(out2))
+    assert embedded["seed"] == 11
+    r2 = run_cli(tmp_path, embedded, command, "--out", str(out2))
     assert r2.returncode == 0, r2.stdout + r2.stderr
     assert _report_hash(out1) == _report_hash(out2)
 
@@ -391,6 +436,9 @@ def test_unknown_experiment_name(tmp_path):
     ({"name": "block_count", "params": {"reference_replicas": 1000}},
      "params.reference_replicas"),
     ({"name": "block_count", "params": {"times": [1.0, 0.5]}}, "params.times"),
+    # the torus studies take N from geography.N and need a torus geography
+    ({"name": "structure", "params": {"n_blocks": 3, "N": 2}}, "params.N"),
+    ({"name": "structure", "params": {"n_blocks": 3}}, "topology 'torus'"),
 ])
 def test_bad_experiment_params_exit_2(tmp_path, experiment, needle):
     r = run_cli(tmp_path, dict(EXP_CFG, experiment=experiment), "experiment")

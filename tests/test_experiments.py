@@ -263,6 +263,26 @@ def test_block_count_budget_guard(kingman):
                                      event_budget=100)
 
 
+def test_block_count_budget_projected_from_first_replica(kingman, monkeypatch):
+    calls = []
+    engine_simulate = experiments.simulate
+    monkeypatch.setattr(experiments, "simulate",
+                        lambda *a, **kw: calls.append(1) or engine_simulate(*a, **kw))
+    args = (2, simple_walk(3), kingman, 10, [0.5])
+    # one simulation per replica: the first replica is the budget's pilot
+    block_count_limit_experiment(*args, replicas=4, seed=1,
+                                 kappa_value=KAPPA_D3_UNIT, event_budget=10**9)
+    assert len(calls) == 4
+    calls.clear()
+    with pytest.raises(BudgetExceeded) as info:
+        block_count_limit_experiment(*args, replicas=100, seed=1,
+                                     kappa_value=KAPPA_D3_UNIT,
+                                     event_budget=100)
+    assert len(calls) == 1
+    assert info.value.context["budget"] == 100
+    assert info.value.context["projected"] % 100 == 0
+
+
 def test_block_count_small_torus(kingman, monkeypatch):
     built = []
     series = experiments._DecimalSeries
