@@ -153,9 +153,9 @@ class RunConfig(_Strict):
     killing: bool = False
     probe_times: list[float] = Field(default_factory=list)
     # rates-specific
-    b_max_table: Optional[int] = None
+    b_max_table: Optional[Annotated[int, Field(ge=2)]] = None
     # green-specific
-    dimension: Optional[int] = None
+    dimension: Optional[PosInt] = None
     method: Optional[Literal["BESSEL", "LATTICE_SUM", "MONTE_CARLO"]] = None
 
     def require(self, command: str, *sections: str) -> None:
@@ -369,7 +369,7 @@ def rates(config, **overrides):
     t0 = time.perf_counter()
     kernel = RateKernel(cfg.measure.build())
     t1 = time.perf_counter()
-    b_hi = cfg.b_max_table or 64
+    b_hi = 64 if cfg.b_max_table is None else cfg.b_max_table
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["b", "k", "value"])
@@ -422,7 +422,8 @@ def green(config, **overrides):
     exact BESSEL route for axis walks and the lattice sum otherwise."""
     cfg, writer = _load(config, **overrides)
     walk_cfg = (cfg.geography.walk if cfg.geography is not None
-                else WalkConfig(dimension=cfg.dimension or 3))
+                else WalkConfig(dimension=3 if cfg.dimension is None
+                                else cfg.dimension))
     walk = walk_cfg.build()
     axis_walk = walk.axis_rates is not None
     method = cfg.method or ("BESSEL" if axis_walk else "LATTICE_SUM")

@@ -338,8 +338,9 @@ def _green_lattice(walk: WalkSpec, k_max: int | None):
         raise ValueError("k_max too small for a tail fit; increase it")
     n_fit = min(len(even), max(5, len(even) // 10))
     tail = _power_tail(even[-n_fit:], len(even) - n_fit + 1, float(d))
-    # error bound: fit residual scale on the window
-    err = 0.05 * tail + 1e-12
+    # error bound: 5 % of the fitted tail's size (a walk with drift can fit
+    # a negative tail, and the bound must stay positive)
+    err = 0.05 * abs(tail) + 1e-12
     return total + tail, err
 
 

@@ -386,6 +386,9 @@ def _sum_log_terms(terms, shape):
     """(log |sum|, sign of sum) of signed terms given as (log |t|, sign t)."""
     if not terms:
         return np.full(shape, -np.inf), np.zeros(shape)
+    if len(terms) == 1:     # an atom or a one-term piece: its own sum
+        log_t, sign = terms[0]
+        return np.broadcast_to(log_t, shape), np.broadcast_to(sign, shape)
     logs = np.stack([np.broadcast_to(t, shape) for t, _ in terms])
     signs = np.stack([np.broadcast_to(s, shape) for _, s in terms])
     top = np.max(logs, axis=0)

@@ -17,14 +17,13 @@ are cumulative sums of the single vector M(0, j), j = 0, 1, ...:
 
 so every table entry is a sum of positive terms.  A request past the table
 grows it in one pass, to at least twice its length.  All moments come from
-the closed form `measure.moments`; the merge-size law C(b,k) lambda_{b,k} /
-lambda_b is normalized from `measure.log_moments`, since lambda_{b,k}
-underflows long before C(b,k) lambda_{b,k} is negligible.  The laws are
-built a run of rows at a time: the first request for a row builds every row
-of its run (a slice of the dyadic block [2^j, 2^(j+1)) holding it) in one
-`log_moments` call over the flattened triangle of (k, b) cells.  Nothing
-here integrates numerically; the binomial sums and the quadrature oracle
-of the test suite check the tables.
+the closed form `measure.moments`.  The merge-size law C(b,k) lambda_{b,k} /
+lambda_b is built a dyadic block [2^j, 2^(j+1)) of rows at a time: the top
+row from one `measure.log_moments` call (lambda_{b,k} underflows long
+before C(b,k) lambda_{b,k} is negligible), every lower row from it by the
+consistency relation lambda_{b,k} = lambda_{b+1,k} + lambda_{b+1,k+1}, a
+sum of positive terms.  Nothing here integrates numerically; the binomial
+sums and the quadrature oracle of the test suite check the tables.
 Convention: lambda_b = gamma_b = 0 for b in {0, 1}.
 
 The module also houses the block-count classifier, the uniform hitting-time
@@ -41,7 +40,6 @@ the lower bounds on gamma_b that those parts give.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +60,6 @@ __all__ = [
     "valid_decrement_sequences",
 ]
 
-# most (k, b) cells in one merge-law build; a dyadic block of rows is cut
-# into runs of equal length under it
-_MERGE_RUN_CELLS = 1 << 16
-
-
 class RateKernel:
     """Memoized rate tables for one measure.
 
@@ -74,23 +67,24 @@ class RateKernel:
     M(0, j) (see the module docstring), each growth in one pass to at least
     twice the table's length; it continues the running sums, so every entry
     is the same whatever the growth history.  Per-(b,k) rows M(k-2, b-k)
-    are computed on demand.  Merge-size laws are built a run of rows at a
-    time (the first request for b builds every row of b's run of its dyadic
-    block), and every row is normalized on its own, so a law does not depend
-    on which rows were asked for before it.  Cached arrays are read-only.
-    All growth is guarded by a lock, so a prepopulated kernel is safe to
-    share across workers and every query behaves as a pure function.
+    are computed on demand.  Merge-size laws are built a dyadic block
+    [2^j, 2^(j+1)) at a time (past b = 4095, a segment of one): the first
+    request for b takes the top row of b's block from one log_moments call
+    and every lower row from the Pascal recursion (see `_merge_block`), and
+    stores the block as one folded triangle with no padding.  Each row is a fixed function of its block's
+    top row, so a law is bit-identical whatever was asked for before it.
+    Cached arrays are read-only views.
     """
 
     def __init__(self, measure_: LambdaMeasure, b_max: int = 256):
         self.measure = measure_
-        self._lock = threading.RLock()
         # index b -> value; entries 0 and 1 are 0 by convention
         self._lam = [0.0, 0.0]
         self._gam = [0.0, 0.0]
         self._m0_sum = 0.0      # sum_{j <= b_max - 2} M(0, j)
         self._bk_rows: dict[int, np.ndarray] = {}
-        self._merge_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # b -> (law, cumulative law), None where lambda_b = 0
+        self._merge_rows: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
         self._merge_cum_lists: dict[int, list] = {}
         self.ensure_b(b_max)
 
@@ -112,22 +106,19 @@ class RateKernel:
             loc == 0.0 for loc, _ in self.measure.atoms)
 
     def ensure_b(self, b: int) -> None:
-        if b < len(self._lam):
+        lo = len(self._lam)
+        if b < lo:
             return
-        with self._lock:
-            lo = len(self._lam)
-            if b < lo:
-                return
-            bs = np.arange(lo, max(2 * lo, b + 1))
-            m0 = measure_mod.moments(self.measure, 0, bs - 2)
-            # running sums continued from the last entry (np.cumsum adds
-            # left to right, so a growth reproduces one long cumsum)
-            sums = np.cumsum(np.concatenate(([self._m0_sum], m0)))[1:]
-            lam = np.cumsum(np.concatenate(([self._lam[-1]], (bs - 1) * m0)))[1:]
-            gam = np.cumsum(np.concatenate(([self._gam[-1]], sums)))[1:]
-            self._lam.extend(lam.tolist())
-            self._gam.extend(gam.tolist())
-            self._m0_sum = float(sums[-1])
+        bs = np.arange(lo, max(2 * lo, b + 1))
+        m0 = measure_mod.moments(self.measure, 0, bs - 2)
+        # running sums continued from the last entry (np.cumsum adds
+        # left to right, so a growth reproduces one long cumsum)
+        sums = np.cumsum(np.concatenate(([self._m0_sum], m0)))[1:]
+        lam = np.cumsum(np.concatenate(([self._lam[-1]], (bs - 1) * m0)))[1:]
+        gam = np.cumsum(np.concatenate(([self._gam[-1]], sums)))[1:]
+        self._lam.extend(lam.tolist())
+        self._gam.extend(gam.tolist())
+        self._m0_sum = float(sums[-1])
 
     # -- totals ---------------------------------------------------------
 
@@ -158,13 +149,12 @@ class RateKernel:
         """Array of lambda_{b,k} = M(k-2, b-k) for k = 2..b."""
         if b < 2:
             raise ValueError("need b >= 2")
-        with self._lock:
-            row = self._bk_rows.get(b)
-            if row is None:
-                ks = np.arange(2, b + 1)
-                row = measure_mod.moments(self.measure, ks - 2, b - ks)
-                row.flags.writeable = False
-                self._bk_rows[b] = row
+        row = self._bk_rows.get(b)
+        if row is None:
+            ks = np.arange(2, b + 1)
+            row = measure_mod.moments(self.measure, ks - 2, b - ks)
+            row.flags.writeable = False
+            self._bk_rows[b] = row
         return row
 
     def lambda_bk(self, b: int, k: int) -> float:
@@ -188,60 +178,103 @@ class RateKernel:
         scalars)."""
         cum = self._merge_cum_lists.get(b)
         if cum is None:
-            cum = self.merge_size_cumulative(b).tolist()
-            with self._lock:
-                cum = self._merge_cum_lists.setdefault(b, cum)
+            cum = self._merge_cum_lists[b] = self.merge_size_cumulative(b).tolist()
         return cum
 
     def _merge_row(self, b: int):
         if b < 2:
             raise ValueError("need b >= 2")
-        with self._lock:
-            cached = self._merge_rows.get(b)
-            if cached is None:
-                self._build_merge_run(b)
-                cached = self._merge_rows.get(b)
-                if cached is None:
-                    raise ZeroTotalRate(f"lambda_{b} = 0", b=b)
+        if b not in self._merge_rows:
+            self._merge_rows.update(_merge_block(self.measure, *_merge_segment(b)))
+        cached = self._merge_rows[b]
+        if cached is None:
+            raise ZeroTotalRate(f"lambda_{b} = 0", b=b)
         return cached
 
-    def _build_merge_run(self, b: int) -> None:
-        """Build the merge-size law of every uncached row in b's run.
 
-        The dyadic block [2^j, 2^(j+1)) holding b is cut into runs of equal
-        length, each under _MERGE_RUN_CELLS cells.  The weights
-        C(r,k) lambda_{r,k} of all rows r of the run are taken in log space
-        (C(r,k) overflows and lambda_{r,k} underflows long before their
-        product is negligible) in one log_moments call over the flattened
-        cells, then each row is normalized by its own segment max and sum.
-        A row whose weights are all 0 is left uncached.
-        """
-        first = 1 << (b.bit_length() - 1)
-        per_run = max(1, _MERGE_RUN_CELLS // (2 * first - 1))
-        start = first + (b - first) // per_run * per_run
-        rows = np.array([r for r in range(start, min(start + per_run, 2 * first))
-                         if r not in self._merge_rows])
-        sizes = rows - 1
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        row_of = np.repeat(rows, sizes)
-        ks = np.arange(int(ends[-1])) - np.repeat(starts, sizes) + 2
-        log_fact = gammaln(np.arange(rows[-1] + 1) + 1.0)    # log n!
-        log_w = (log_fact[row_of] - log_fact[ks] - log_fact[row_of - ks]
-                 + measure_mod.log_moments(self.measure, ks - 2, row_of - ks))
-        top = np.maximum.reduceat(log_w, starts)
-        with np.errstate(invalid="ignore"):     # rows of zeros become nan
-            probs = np.exp(log_w - np.repeat(top, sizes))
-            probs /= np.repeat(np.add.reduceat(probs, starts), sizes)
-        for r, s, e, t in zip(rows.tolist(), starts.tolist(), ends.tolist(),
-                              top.tolist()):
-            if t == -math.inf:
-                continue
-            row = probs[s:e]
-            cum = np.cumsum(row)
-            row.flags.writeable = False
-            cum.flags.writeable = False
-            self._merge_rows[r] = (row, cum)
+# a dyadic block [2^j, 2^(j+1)) of merge laws is built whole up to j = 11;
+# past it the block is cut into segments of max(2, _SEGMENT_AREA / 2^j)
+# rows, so that no segment holds many more cells than [2048, 4096) (6.3e6)
+_SEGMENT_AREA = 1 << 22
+
+
+def _merge_segment(b: int) -> tuple[int, int]:
+    """(first row, number of rows) of the block or segment holding row b."""
+    first = 1 << (b.bit_length() - 1)
+    rows = max(2, min(first, _SEGMENT_AREA // first))
+    return b - b % rows, rows
+
+
+def _merge_block(meas: LambdaMeasure, lo: int, rows: int) -> dict:
+    """{b: (law, cumulative law)} for every row b of the block [lo, lo + rows),
+    read-only views of two folded arrays; {b: None} if every weight is 0.
+
+    The weights q_{b,k} = C(b,k) lambda_{b,k} of the top row t come from one
+    log_moments call (C(b,k) overflows and lambda_{b,k} underflows long
+    before q_{b,k} is negligible) and are scaled by their largest.  Pitman's
+    consistency relation lambda_{b,k} = lambda_{b+1,k} + lambda_{b+1,k+1}
+    gives each lower row as
+
+        q_{b,k} = ((b+1-k) q_{b+1,k} + (k+1) q_{b+1,k+1}) / (b+1),
+
+    a sum of positive terms, so nothing cancels and the rounding error grows
+    at most linearly down the block.  Since sum_k q_{b,k} = lambda_b and
+    lambda_t < 4 lambda_b within a dyadic block, no scaled weight overflows,
+    and a weight of law above 1e-250 stays far above the top-row weights
+    lost to underflow.
+
+    The rows are stored folded, with no padding: line i of a
+    (rows / 2, lo + t - 2) array holds row lo + i in k order, then row t - i
+    in reverse.  The whole block is summed forward over each line's first
+    row and backward over its second, then normalized by the row totals.
+    """
+    top, half = lo + rows - 1, rows // 2
+    m = np.arange(top - 1.0)                        # k - 2 for k = 2..t
+    log_fact = gammaln(np.arange(1.0, top + 2))     # log n!, n = 0..t
+    log_top = (log_fact[top] - log_fact[2:] - log_fact[top - 2::-1]
+               + measure_mod.log_moments(meas, m, m[::-1]))
+    shift = log_top.max()
+    if not shift > -math.inf:
+        return dict.fromkeys(range(lo, top + 1))
+    law, cum = both = np.empty((2, half, lo + top - 2))
+    # the weights are divided by the geometric mean c of b + 1 over the
+    # block, not by b + 1 itself: a row's scale then drifts by at most
+    # e^(rows / 10) and comes back, and it drops out when the row is normalized
+    c = math.exp(np.log(np.arange(lo + 1, top + 1)).mean())
+    w = np.arange(top + 2) / c
+    # the second rows of the lines, stored k = b..2, then the first rows
+    row = law[0, lo - 1:]
+    np.exp(log_top[::-1] - shift, out=row)
+    for b in range(top - 1, lo + half - 1, -1):
+        nxt = law[top - b, lo + top - b - 1:]
+        np.add(row[:-1] * w[b + 1:2:-1], row[1:] * w[1:b], out=nxt)
+        row = nxt
+    row = row[::-1]
+    for b in range(lo + half - 1, lo - 1, -1):
+        nxt = law[b - lo, :b - 1]
+        np.add(row[:-1] * w[b - 1:0:-1], row[1:] * w[3:b + 2], out=nxt)
+        row = nxt
+
+    # line i splits after lo - 1 + i cells, so columns [s0, s1) are mixed
+    s0, s1 = lo - 1, lo + half - 2
+    np.cumsum(law[:, :s1], axis=1, out=cum[:, :s1])
+    forward = cum[:, s0:s1].copy()
+    np.cumsum(law[:, s0:][:, ::-1], axis=1, out=cum[:, s0:][:, ::-1])
+    first = np.tri(half, s1 - s0, -1, dtype=bool)   # column < split
+    np.copyto(cum[:, s0:s1], forward, where=first)
+    first_total = cum.diagonal(s0 - 1).copy()[:, None]
+    second_total = cum.diagonal(s0).copy()[:, None]
+    mixed = both[:, :, s0:s1]
+    both[:, :, :s0] /= first_total
+    np.divide(mixed, first_total, out=mixed, where=first)
+    np.divide(mixed, second_total, out=mixed, where=~first)
+    both[:, :, s1:] /= second_total
+    law.flags.writeable = cum.flags.writeable = False
+    laws = {}
+    for i, s in enumerate(range(lo - 1, s1 + 1)):
+        laws[lo + i] = law[i, :s], cum[i, :s]
+        laws[top - i] = law[i, s:][::-1], cum[i, s:][::-1]
+    return laws
 
 
 # ----------------------------------------------------------------------

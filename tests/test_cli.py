@@ -175,6 +175,29 @@ def test_nonpositive_replicas_rejected(tmp_path, cfg, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg, command, field", [
+    ({"measure": KINGMAN, "b_max_table": 0}, "rates", "b_max_table"),
+    ({"measure": KINGMAN, "b_max_table": -5}, "rates", "b_max_table"),
+    ({"dimension": 0}, "green", "dimension"),
+], ids=["b_max_table-0", "b_max_table-neg", "dimension-0"])
+def test_out_of_range_table_and_dimension_rejected(tmp_path, cfg, command, field):
+    # a zero used to fall back to the default, a negative table was empty
+    r = run_cli(tmp_path, {"seed": 1, **cfg}, command)
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "VALIDATION_ERROR"
+    assert field in payload["message"]
+
+
+def test_absent_table_and_dimension_take_defaults(tmp_path):
+    r = run_cli(tmp_path, {"seed": 1, "measure": KINGMAN}, "rates")
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.strip().splitlines()[-1].startswith("64,gamma,")
+    r = run_cli(tmp_path, {"seed": 1}, "green")
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert json.loads(r.stdout)["dimension"] == 3
+
+
 # ---------------------------------------------------------------- subcommands
 
 def test_classify_beta_heavy(tmp_path):

@@ -177,6 +177,15 @@ def test_green_monte_carlo_agrees_with_lattice(lattice_d3):
     assert abs(g_lat - g_mc) <= e_lat + e_mc
 
 
+def test_green_lattice_error_bound_positive_with_drift():
+    # the fitted tail of this walk is negative; the bound was -2.2e-4
+    walk = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                        (0, 0, 1), (0, 0, -1)),
+                    (0.3, 0.1, 0.15, 0.15, 0.15, 0.15))
+    _g, err = green_function(walk, "LATTICE_SUM", k_max=60)
+    assert err > 0.0
+
+
 def test_green_rejects_low_dimension():
     with pytest.raises(DimensionTooLow):
         green_function(simple_walk(2), "LATTICE_SUM")

@@ -184,13 +184,25 @@ def _history_measures():
 
 
 def _merge_law_one_row(measure, b):
-    """The law of one row on its own: log weights normalized by their max
-    and their sum."""
+    """The law of one row on its own, straight from log_moments: log weights
+    normalized by their max and their sum."""
     ks = np.arange(2, b + 1)
     log_w = (gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
              + log_moments(measure, ks - 2, b - ks))
     probs = np.exp(log_w - np.max(log_w))
     return probs / probs.sum()
+
+
+@pytest.mark.parametrize("name", list(_history_measures()))
+def test_pascal_laws_match_direct_log_moments(name):
+    measure = _history_measures()[name]
+    kern = RateKernel(measure)
+    edges = {e for j in range(2, 13) for e in ((1 << j) - 1, 1 << j)} - {4096}
+    for b in sorted(set(range(2, 301)) | edges):
+        law, ref = kern.merge_size_distribution(b), _merge_law_one_row(measure, b)
+        seen = ref > 1e-250
+        np.testing.assert_allclose(law[seen], ref[seen], rtol=1e-10, atol=0.0)
+        assert np.all(law[~seen] < 1e-240)
 
 
 @pytest.mark.parametrize("name", list(_history_measures()))
@@ -204,22 +216,36 @@ def test_merge_laws_independent_of_request_history(name):
     for b in reversed(sweep):
         descending.merge_size_cumulative(b)
     for b in list(sweep) + list(singles):
-        law = ascending.merge_size_distribution(b)
-        np.testing.assert_allclose(descending.merge_size_distribution(b), law,
-                                   rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(descending.merge_size_cumulative(b),
-                                   ascending.merge_size_cumulative(b),
-                                   rtol=0.0, atol=1e-15)
+        assert (descending.merge_size_distribution(b).tobytes()
+                == ascending.merge_size_distribution(b).tobytes())
+        assert (descending.merge_size_cumulative(b).tobytes()
+                == ascending.merge_size_cumulative(b).tobytes())
     for b in singles:
         single = RateKernel(measure)
-        law = single.merge_size_distribution(b)
-        np.testing.assert_allclose(law, ascending.merge_size_distribution(b),
-                                   rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(single.merge_size_cumulative(b),
-                                   ascending.merge_size_cumulative(b),
-                                   rtol=0.0, atol=1e-15)
-        np.testing.assert_allclose(law, _merge_law_one_row(measure, b),
-                                   rtol=0.0, atol=1e-15)
+        assert (single.merge_size_distribution(b).tobytes()
+                == ascending.merge_size_distribution(b).tobytes())
+        assert (single.merge_size_cumulative(b).tobytes()
+                == ascending.merge_size_cumulative(b).tobytes())
+
+
+def _log_moments_cells(monkeypatch) -> list:
+    """The cell count of every later log_moments call, appended as made."""
+    real, cells = measure_mod.log_moments, []
+
+    def counted(meas, m, n):
+        cells.append(np.size(m))
+        return real(meas, m, n)
+
+    monkeypatch.setattr(measure_mod, "log_moments", counted)
+    return cells
+
+
+def test_one_log_moments_call_per_block(monkeypatch):
+    cells = _log_moments_cells(monkeypatch)
+    kern = RateKernel(LambdaMeasure.beta(1.5))
+    for b in range(2, 128):
+        kern.merge_size_cumulative(b)
+    assert cells == [(2 << j) - 2 for j in range(1, 7)]
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1e-9), (0.0, 0.3), (0.0, 0.6),
@@ -245,15 +271,29 @@ def test_cached_rows_read_only():
     assert kern.merge_size_cumulative(9)[-1] == pytest.approx(1.0, abs=1e-15)
 
 
-def test_zero_merge_row_raises_and_spares_its_run(monkeypatch):
+def test_large_blocks_are_built_in_segments(monkeypatch):
+    cells = _log_moments_cells(monkeypatch)
+    measure = LambdaMeasure.beta(1.5)
+    kern = RateKernel(measure)
+    # [4096, 8192) is cut into four segments of 1024 rows, each from its
+    # own top row; one law at b = 10^5 builds a segment of 64 rows
+    for b in (4096, 5119, 5120, 8191):
+        np.testing.assert_allclose(kern.merge_size_distribution(b),
+                                   _merge_law_one_row(measure, b), rtol=1e-10)
+    assert kern.merge_size_cumulative(100_000)[-1] == 1.0
+    assert cells == [5118, 6142, 8190, 100_030]
+
+
+def test_zero_merge_block_raises_and_spares_the_others(monkeypatch):
     real = measure_mod.log_moments
-    # every weight of row b = 5 (cells with m + n = b - 2) is zero
+    # every weight of row 7, the top row of the block [4, 8), is zero
     monkeypatch.setattr(measure_mod, "log_moments", lambda meas, m, n: np.where(
-        m + n == 3, -np.inf, real(meas, m, n)))
+        m + n == 5, -np.inf, real(meas, m, n)))
     kern = RateKernel(LambdaMeasure.lebesgue())
-    with pytest.raises(ZeroTotalRate):
-        kern.merge_size_distribution(5)
-    for b in (4, 6, 7):
+    for b in range(4, 8):
+        with pytest.raises(ZeroTotalRate):
+            kern.merge_size_distribution(b)
+    for b in (2, 3, *range(8, 16)):
         assert kern.merge_size_distribution(b).sum() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ZeroTotalRate):
         kern.merge_size_cumulative(5)
