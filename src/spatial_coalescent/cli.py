@@ -45,6 +45,7 @@ from .experiments import (
 from .geometry import (
     WalkSpec,
     build_torus,
+    check_torus_walk,
     complete_graph,
     generic_graph,
     green_function,
@@ -590,6 +591,16 @@ def _torus_N(cfg: RunConfig) -> int:
     return geo.N
 
 
+def _few_block_torus(cfg: RunConfig) -> tuple[int, WalkSpec]:
+    """N and walk of a torus study that runs on few_block_torus_sample,
+    which needs a walk that connects the torus and has no step onto its own
+    site."""
+    N, walk = _torus_N(cfg), cfg.geography.walk.build()
+    with _invalid_as("geography.walk"):
+        check_torus_walk(N, walk)
+    return N, walk
+
+
 @_experiment("hitting_time", HittingTimeParams)
 def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams, kernel: RateKernel):
     geo = cfg.geography.build()
@@ -616,12 +627,12 @@ def _run_trend(cfg: RunConfig, p: TrendParams, kernel: RateKernel):
 
 @_experiment("pairwise", PairwiseParams)
 def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
-    walk = cfg.geography.walk.build()
+    N, walk = _few_block_torus(cfg)
     if p.separation is not None and len(p.separation) != walk.dimension:
         raise _ConfigError(
             [f"experiment.params.separation: needs {walk.dimension} entries"])
     comp = pairwise_torus_experiment(
-        _torus_N(cfg), walk, kernel,
+        N, walk, kernel,
         replicas=cfg.replicas or 2000, seed=cfg.seed,
         separation=p.separation, kappa_value=p.kappa_value)
     times = comp.extras.pop("rescaled_times")
@@ -653,9 +664,9 @@ def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
 
 @_experiment("structure", StructureParams)
 def _run_structure(cfg: RunConfig, p: StructureParams, kernel: RateKernel):
-    walk = cfg.geography.walk.build()
+    N, walk = _few_block_torus(cfg)
     res = partition_structure_experiment(
-        _torus_N(cfg), walk, kernel,
+        N, walk, kernel,
         p.n_blocks, replicas=cfg.replicas or 3000, seed=cfg.seed,
         kappa_value=p.kappa_value)
     return res, None, None

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GroundSetMismatch, IncompatibleVariants, ZeroRateDeadlock)
+from .errors import IncompatibleVariants, ZeroRateDeadlock
 from .geometry import GeographySpec
 from .rates import RateKernel
 
@@ -38,8 +38,6 @@ __all__ = [
     "TrajectoryRecord",
     "SimulationConfig",
     "simulate",
-    "restrict_partition",
-    "partition_distance",
     "coupled_simulate",
     "singletons_per_site",
     "singletons_at",
@@ -118,24 +116,6 @@ def singletons_at(sites) -> LabeledPartition:
     """One singleton block per entry of `sites` (element i+1 at sites[i])."""
     return LabeledPartition([{i + 1} for i in range(len(sites))], list(sites),
                             n=len(sites))
-
-
-def restrict_partition(pi: LabeledPartition, m: int) -> LabeledPartition:
-    """Intersect every block with [m], drop empties, reorder by least element."""
-    if not 1 <= m <= pi.n:
-        raise ValueError(f"need 1 <= m <= {pi.n}")
-    return pi.restrict_to(range(1, m + 1))
-
-
-def partition_distance(pi: LabeledPartition, pi2: LabeledPartition) -> float:
-    """2^(-m*) where m* is the first level at which labeled restrictions
-    differ; 0 for identical partitions."""
-    if pi.n != pi2.n or pi.ground != pi2.ground:
-        raise GroundSetMismatch("partitions live on different ground sets")
-    for m in range(1, pi.n + 1):
-        if restrict_partition(pi, m) != restrict_partition(pi2, m):
-            return 2.0 ** (-m)
-    return 0.0
 
 
 @dataclass

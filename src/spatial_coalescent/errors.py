@@ -39,10 +39,6 @@ class ZeroRateDeadlock(CoalescentError):
     code = "ZERO_RATE_DEADLOCK"
 
 
-class GroundSetMismatch(CoalescentError):
-    code = "GROUND_SET_MISMATCH"
-
-
 class IncompatibleVariants(CoalescentError):
     code = "INCOMPATIBLE_VARIANTS"
 

@@ -7,18 +7,19 @@ raw equality.  Reproducibility contract: a master seed is expanded into
 per-replica streams via numpy's SeedSequence spawn mechanism, so reports
 are deterministic functions of (config, seed).
 
-Two experiment families get dedicated vectorized samplers that are exact in
-law but orders of magnitude faster than the general engine:
+Both few-block torus studies, the first coalescence of two blocks and the
+partition structure of n blocks, run on one vectorized sampler that is
+exact in law but orders of magnitude faster than the general engine:
+few_block_torus_sample advances replicas whose blocks are apart by chunks
+of pure migration cut at the first co-location, and the others one
+jump-chain event at a time.
 
-* the two-block torus experiment tracks the relative walk of the blocks
-  (jump rate 2, coalescence clock lambda_{2,2} while at the origin);
-* the few-block partition-structure experiment advances replicas whose
-  blocks are apart by chunks of pure migration cut at the first
-  co-location, and the others one jump-chain event at a time.
-
-Without a given kappa, the torus experiments take it from the exact BESSEL
-Green value for axis walks (see geometry.WalkSpec.axis_rates), and from the
-cross-checked lattice and Monte Carlo routes of torus_kappa otherwise.
+kappa is about the difference of two blocks' positions, so it takes G of
+the symmetrized walk (geometry.WalkSpec.symmetrized).  Without a given
+kappa, the torus experiments take it from the exact BESSEL Green value when
+the symmetrized walk is an axis walk (see geometry.WalkSpec.axis_rates),
+and from the cross-checked lattice and Monte Carlo routes of torus_kappa
+otherwise.
 
 The block-count study's references, the Kingman entrance law from dust and
 its two-time law, are Tavare's series summed exactly in decimal.
@@ -56,7 +57,6 @@ __all__ = [
     "class_coupling_check",
     "block_decay_shape",
     "few_block_torus_sample",
-    "pairwise_first_coalescence_times",
     "torus_kappa",
 ]
 
@@ -297,10 +297,12 @@ def _counts_to_dist(counts: np.ndarray) -> dict:
 
 def torus_kappa(walk: WalkSpec, kernel: RateKernel,
                 require_agreement: bool = True, seed: int = 0) -> dict:
-    """kappa from the two independent Green-function routes."""
-    g_lat, e_lat = green_function(walk, "LATTICE_SUM")
-    g_mc, e_mc = green_function(walk, "MONTE_CARLO", seed=seed)
-    agree = abs(g_lat - g_mc) <= (e_lat + e_mc)
+    """kappa from the two independent Green-function routes, each on the
+    symmetrized walk."""
+    sym = walk.symmetrized()
+    g_lat, e_lat = green_function(sym, "LATTICE_SUM")
+    g_mc, e_mc = green_function(sym, "MONTE_CARLO", seed=seed)
+    agree = bool(abs(g_lat - g_mc) <= (e_lat + e_mc))
     if require_agreement and not agree:
         raise TruncationUnstable(
             f"Green estimates disagree: {g_lat}+-{e_lat} vs {g_mc}+-{e_mc}")
@@ -316,76 +318,38 @@ def torus_kappa(walk: WalkSpec, kernel: RateKernel,
 
 def _kappa_info(walk: WalkSpec, kernel: RateKernel, seed: int) -> dict:
     """kappa for the torus experiments: from the exact BESSEL Green value
-    for an axis walk, else from the cross-checked routes of torus_kappa."""
-    if walk.axis_rates is None:
+    when the symmetrized walk is an axis walk, else from the cross-checked
+    routes of torus_kappa."""
+    sym = walk.symmetrized()
+    if sym.axis_rates is None:
         return torus_kappa(walk, kernel, seed=seed)
-    g, err = green_function(walk, "BESSEL")
+    g, err = green_function(sym, "BESSEL")
     lam22 = kernel.lambda_bk(2, 2)
     return {"G_bessel": g, "G_bessel_err": err, "lambda22": lam22,
             "kappa": kappa(g, lam22)}
 
 
 # ----------------------------------------------------------------------
-# pairwise scaling limit (vectorized relative-walk sampler)
+# pairwise scaling limit
 # ----------------------------------------------------------------------
-
-def _relative_step_table(walk: WalkSpec):
-    offs = walk.offsets_array
-    probs = walk.probs_array
-    rel_offs = np.concatenate([offs, -offs])
-    rel_probs = np.concatenate([probs, probs]) / 2.0
-    return rel_offs, np.cumsum(rel_probs)
-
-
-def pairwise_first_coalescence_times(N: int, walk: WalkSpec, lambda22: float,
-                                     replicas: int, seed: int,
-                                     separation=None) -> np.ndarray:
-    """First-coalescence times of two blocks on the torus, exact in law.
-
-    Simulates the relative displacement (a rate-2 walk with the symmetrized
-    step law) plus a rate-lambda22 coalescence clock active at the origin.
-    """
-    d = walk.dimension
-    side = 2 * N + 1
-    if separation is None:
-        separation = [N] + [0] * (d - 1)
-    rel_offs, rel_cum = _relative_step_table(walk)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    y = np.tile(np.asarray(separation, dtype=np.int64), (replicas, 1))
-    t = np.zeros(replicas)
-    out = np.empty(replicas)
-    idx = np.arange(replicas)
-    while idx.size:
-        at0 = ~np.any(y, axis=1)
-        rate = 2.0 + lambda22 * at0
-        t += rng.exponential(1.0, size=idx.size) / rate
-        u = rng.random(idx.size) * rate
-        coal = at0 & (u < lambda22)
-        if np.any(coal):
-            out[idx[coal]] = t[coal]
-            keep = ~coal
-            idx, y, t = idx[keep], y[keep], t[keep]
-            if not idx.size:
-                break
-        step = np.searchsorted(rel_cum, rng.random(idx.size), side="right")
-        step = np.minimum(step, len(rel_offs) - 1)
-        y = (y + rel_offs[step] + N) % side - N
-    return out
-
 
 def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                               replicas: int = 2000, seed: int = 0,
                               separation=None,
                               kappa_value: float | None = None) -> DistributionComparison:
-    """Rescaled first-coalescence time of two separated blocks vs Exp(kappa)."""
+    """Rescaled first-coalescence time of two blocks, at the origin and at
+    `separation` (default N e_1), vs Exp(kappa).  The times are the first
+    merges of few_block_torus_sample with two blocks."""
     d = walk.dimension
-    lam22 = kernel.lambda_bk(2, 2)
     kappa_info = None
     if kappa_value is None:
         kappa_info = _kappa_info(walk, kernel, seed + 1)
         kappa_value = kappa_info["kappa"]
-    times = pairwise_first_coalescence_times(N, walk, lam22, replicas, seed,
-                                             separation)
+    if separation is None:
+        separation = [N] + [0] * (d - 1)
+    logs = few_block_torus_sample(N, walk, kernel, [[0] * d, separation],
+                                  replicas, seed)
+    times = np.array([log[0][0] for log in logs])
     rescaled = times / (2 * N + 1) ** d
     ks = sp_stats.kstest(rescaled, "expon", args=(0.0, 1.0 / kappa_value))
     return DistributionComparison(

@@ -5,9 +5,10 @@ blocks jump at rate 1 according to the kernel.  Tori T^N = [-N,N]^d cap Z^d
 wrap a base random-walk step distribution modulo the side length 2N+1 and
 are stored as neighbor tables (dense matrices only for generic graphs).
 
-The Green function G of the base walk (expected visits to the origin,
-discrete time) and the constant kappa = 2 / (G + 2/lambda_{2,2}) drive the
-large-torus scaling limits.
+The Green function G of a walk (expected visits to the origin, discrete
+time) and the constant kappa = 2 / (G + 2/lambda_{2,2}) drive the
+large-torus scaling limits; there G is that of the symmetrized walk
+(WalkSpec.symmetrized), the jump law of the difference of two blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "GeographySpec",
     "simple_walk",
     "build_torus",
+    "check_torus_walk",
     "complete_graph",
     "single_site",
     "green_function",
@@ -83,6 +85,21 @@ class WalkSpec:
         if np.any(up != down) or np.any(up == 0.0):
             return None
         return up + down
+
+    def symmetrized(self) -> WalkSpec:
+        """The step law (mu(x) + mu(-x)) / 2: the jump law of the difference
+        of two independent copies of the walk.  Duplicate offsets are merged;
+        the offsets keep their order, with the mirrors that were missing
+        appended, so a symmetric walk gives a walk equal to itself."""
+        law: dict[tuple, float] = {}
+        for off, p in zip(self.offsets, self.probabilities):
+            off = tuple(int(c) for c in off)
+            law[off] = law.get(off, 0.0) + float(p)
+        mirrors = [tuple(-c for c in off) for off in law]
+        offsets = list(law) + [m for m in mirrors if m not in law]
+        probs = [(law.get(x, 0.0) + law.get(tuple(-c for c in x), 0.0)) / 2
+                 for x in offsets]
+        return WalkSpec(self.dimension, tuple(offsets), tuple(probs))
 
 
 def simple_walk(d: int) -> WalkSpec:
@@ -198,6 +215,48 @@ def build_torus(N: int, walk: WalkSpec, site_budget: int = 1_000_000) -> Geograp
             idx = idx * side + wrapped[:, axis]
         neighbors[:, j] = idx
     return GeographySpec(sites, neighbors=neighbors, step_probs=probs)
+
+
+def check_torus_walk(N: int, walk: WalkSpec) -> None:
+    """Raise ValueError unless the walk, wrapped onto the torus [-N,N]^d,
+    reaches every site from every site and has no step onto its own site.
+
+    The steps of positive probability reach every site iff they generate
+    the group Z_side^d, side = 2N+1, that is iff the index of the lattice
+    they span in Z^d (the gcd of their d x d minors) is coprime to side.
+    """
+    side = 2 * N + 1
+    offsets = walk.offsets_array
+    if np.any(np.all(offsets % side == 0, axis=1)):
+        raise ValueError(f"a walk step wraps onto its own site on the torus "
+                         f"of side {side}")
+    index = _lattice_index(offsets[walk.probs_array > 0], walk.dimension)
+    if math.gcd(index, side) != 1:
+        raise ValueError(f"the walk does not connect the torus of side {side}: "
+                         f"its steps span a lattice of index {index} in Z^d")
+
+
+def _lattice_index(vectors: np.ndarray, d: int) -> int:
+    """Index in Z^d of the lattice spanned by the integer rows of `vectors`
+    (0 if they do not span R^d), by integer row reduction: per column,
+    Euclid's algorithm leaves one row with a nonzero entry, the pivot, and
+    the index is the product of the pivots."""
+    rows = [[int(c) for c in v] for v in vectors]
+    index = 1
+    for col in range(d):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not pivot:
+                    q = r[col] // pivot[col]
+                    r[:] = [a - q * b for a, b in zip(r, pivot)]
+            live = [r for r in live if r[col]]
+        if not live:
+            return 0
+        index *= abs(live[0][col])
+        rows.remove(live[0])
+    return index
 
 
 def complete_graph(n_sites: int) -> GeographySpec:

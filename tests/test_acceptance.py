@@ -13,11 +13,17 @@ import pytest
 from scipy.special import comb
 
 from conftest import BODY_ERROR, CHECK_FAILURES, coalsim
+from partitions import restrict_partition
 from quadrature_oracle import gamma_increment_integral, lambda_increment_integral
+from rate_inequalities import (
+    deterministic_chain_bound,
+    estimate_rho,
+    spatial_rate_bounds_check,
+    valid_decrement_sequences,
+)
 from spatial_coalescent.engine import (
     SimulationConfig,
     coupled_simulate,
-    restrict_partition,
     simulate,
     singletons_at,
     singletons_per_site,
@@ -32,14 +38,7 @@ from spatial_coalescent.experiments import (
 )
 from spatial_coalescent.geometry import build_torus, complete_graph, simple_walk, single_site
 from spatial_coalescent.measure import LambdaMeasure
-from spatial_coalescent.rates import (
-    RateKernel,
-    cdi_classify,
-    deterministic_chain_bound,
-    estimate_rho,
-    spatial_rate_bounds_check,
-    valid_decrement_sequences,
-)
+from spatial_coalescent.rates import RateKernel, cdi_classify
 
 G_LATTICE_ORACLE = 1.5163860  # simple-walk d=3 expected visits to the origin
 

@@ -469,3 +469,60 @@ def test_bad_experiment_params_exit_2(tmp_path, experiment, needle):
     payload = json.loads(r.stdout)
     assert payload["error"] == "VALIDATION_ERROR"
     assert needle in payload["message"]
+
+
+# ---------------------------------------------------------------- torus studies
+
+PAIRWISE_CFG = {"seed": 5, "measure": KINGMAN,
+                "geography": {"topology": "torus", "N": 2},
+                "experiment": {"name": "pairwise", "params": {}},
+                "replicas": 12}
+
+
+def test_pairwise_experiment_runs_deterministically(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        r = run_cli(tmp_path, PAIRWISE_CFG, "experiment", "--out", str(out),
+                    timeout=120)
+        assert r.returncode == 0, r.stdout + r.stderr
+        reports.append((out / "report.json").read_bytes())
+        rows = (out / "pairwise_times.csv").read_text().splitlines()
+        assert rows[0] == "replica,rescaled_time"
+        assert [int(row.split(",")[0]) for row in rows[1:]] == list(range(12))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["sample_size"] == 12
+
+
+def test_pairwise_separation_of_wrong_length_exits_2(tmp_path):
+    cfg = dict(PAIRWISE_CFG, experiment={"name": "pairwise",
+                                         "params": {"separation": [1, 0]}})
+    r = run_cli(tmp_path, cfg, "experiment", timeout=120)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "separation" in json.loads(r.stdout)["message"]
+
+
+# +-3 e_1 (0.1 each), +-e_2 and +-e_3 (0.2 each): on the side-3 torus the
+# e_1 steps wrap onto their own site, and on the side-9 torus they reach a
+# third of the e_1 residues, so two blocks 4 e_1 apart never meet
+STRIDE_3_WALK = {"dimension": 3,
+                 "offsets": [[3, 0, 0], [-3, 0, 0], [0, 1, 0], [0, -1, 0],
+                             [0, 0, 1], [0, 0, -1]],
+                 "probabilities": [0.1, 0.1, 0.2, 0.2, 0.2, 0.2]}
+
+
+@pytest.mark.parametrize("experiment", [
+    {"name": "pairwise", "params": {}},
+    {"name": "structure", "params": {"n_blocks": 2}},
+], ids=["pairwise", "structure"])
+@pytest.mark.parametrize("N, needle", [(1, "wraps onto its own site"),
+                                       (4, "does not connect")])
+def test_walk_that_does_not_connect_the_torus_exits_2(tmp_path, experiment,
+                                                      N, needle):
+    cfg = dict(PAIRWISE_CFG, experiment=experiment,
+               geography={"topology": "torus", "N": N, "walk": STRIDE_3_WALK})
+    r = run_cli(tmp_path, cfg, "experiment", timeout=120)
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "VALIDATION_ERROR"
+    assert needle in payload["message"]

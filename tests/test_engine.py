@@ -5,26 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sp_stats
 
+from partitions import GroundSetMismatch, partition_distance, restrict_partition
 from spatial_coalescent.engine import (
     CEMETERY,
     LabeledPartition,
     SimulationConfig,
     coupled_simulate,
-    partition_distance,
-    restrict_partition,
     simulate,
     singletons_at,
     singletons_per_site,
 )
-from spatial_coalescent.errors import (
-    GroundSetMismatch,
-    IncompatibleVariants,
-    ZeroRateDeadlock,
-)
-from spatial_coalescent.experiments import (
-    pairwise_first_coalescence_times,
-    spawn_seeds,
-)
+from spatial_coalescent.errors import IncompatibleVariants, ZeroRateDeadlock
+from spatial_coalescent.experiments import spawn_seeds
 from spatial_coalescent.geometry import (
     build_torus,
     complete_graph,
@@ -34,6 +26,7 @@ from spatial_coalescent.geometry import (
 )
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
+from torus_oracle import pairwise_first_coalescence_times
 
 import numpy as _np
 

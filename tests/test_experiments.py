@@ -14,7 +14,6 @@ from spatial_coalescent.experiments import (
     few_block_torus_sample,
     kingman_entrance_joint_law,
     kingman_entrance_reference,
-    pairwise_first_coalescence_times,
     pairwise_torus_experiment,
     partition_structure_experiment,
     spawn_seeds,
@@ -23,14 +22,22 @@ from spatial_coalescent.experiments import (
 from spatial_coalescent.geometry import (
     WalkSpec,
     complete_graph,
+    green_function,
     kappa,
     simple_walk,
     single_site,
 )
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
+from torus_oracle import pairwise_first_coalescence_times
 
 KAPPA_D3_UNIT = 0.5687658867  # 2 / (G + 2) for the nearest-neighbor walk
+
+# an axis walk with drift along e_1; its symmetrization is the axis walk
+# with +-e_1 0.2 each
+DRIFTED = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                       (0, 0, 1), (0, 0, -1)),
+                   (0.3, 0.1, 0.15, 0.15, 0.15, 0.15))
 
 
 @pytest.fixture(scope="module")
@@ -195,11 +202,12 @@ def test_entrance_law_raises_when_digits_run_out(monkeypatch):
 
 def test_pairwise_same_site_start_is_faster(kingman):
     w = simple_walk(3)
-    sep = pairwise_first_coalescence_times(4, w, 1.0, 600, seed=11,
-                                           separation=[4, 0, 0])
-    same = pairwise_first_coalescence_times(4, w, 1.0, 600, seed=11,
-                                            separation=[0, 0, 0])
-    assert np.mean(same) < np.mean(sep)
+    sep, same = (pairwise_torus_experiment(4, w, kingman, replicas=600,
+                                           seed=11, separation=start,
+                                           kappa_value=KAPPA_D3_UNIT)
+                 for start in ([4, 0, 0], [0, 0, 0]))
+    assert (same.extras["mean_rescaled_time"]
+            < sep.extras["mean_rescaled_time"])
 
 
 def test_pairwise_rate_increases_with_pair_mass():
@@ -251,6 +259,34 @@ def test_torus_experiments_cross_check_kappa_for_other_walks(kingman,
     comp = pairwise_torus_experiment(2, diagonal, kingman, replicas=20, seed=1)
     assert comp.extras["kappa"] == 0.25
     assert calls == [diagonal]
+
+
+def test_drifted_walk_takes_kappa_from_its_symmetrization(kingman,
+                                                         monkeypatch):
+    # kappa is about the difference of the two blocks, whose steps follow
+    # the symmetrized law: an axis walk here, so BESSEL decides it
+    def no_cross_check(*args, **kwargs):
+        raise AssertionError("the symmetrized walk is an axis walk")
+    monkeypatch.setattr(experiments, "torus_kappa", no_cross_check)
+    comp = pairwise_torus_experiment(2, DRIFTED, kingman, replicas=20, seed=1)
+    g, _err = green_function(DRIFTED.symmetrized(), "BESSEL")
+    assert comp.extras["kappa"] == kappa(g, kingman.lambda_bk(2, 2))
+    assert comp.extras["kappa"] == pytest.approx(0.5672, abs=1e-4)
+
+
+def test_torus_kappa_takes_green_of_symmetrized_walk(kingman, monkeypatch):
+    walks = []
+
+    def fake_green(walk, method, **kwargs):
+        walks.append(walk)
+        return np.float64(1.5), np.float64(0.01)
+    monkeypatch.setattr(experiments, "green_function", fake_green)
+    info = experiments.torus_kappa(DRIFTED, kingman)
+    assert walks == [DRIFTED.symmetrized()] * 2
+    assert info["kappa"] == kappa(1.5, 1.0)
+    # the Green routes return numpy floats; the verdict must still be a
+    # plain bool, which the `kappa` report can serialize
+    assert info["methods_agree"] is True
 
 
 # ---------------------------------------------------------------- block count
@@ -313,11 +349,13 @@ def test_structure_small_case(kingman):
     assert res["pair_uniformity_pvalue"] > 1e-4
 
 
-def test_few_block_first_coalescence_matches_pairwise_sampler(kingman):
-    # distributional check of the chunked few-block sampler: with two blocks
-    # its first merge time has the law of the independent relative-walk
-    # sampler's first-coalescence time
-    w = simple_walk(3)
+@pytest.mark.parametrize("w", [simple_walk(3), DRIFTED],
+                         ids=["simple", "drifted"])
+def test_few_block_first_coalescence_matches_pairwise_sampler(kingman, w):
+    # distributional check of the chunked few-block sampler, the path of
+    # pairwise_torus_experiment: with two blocks its first merge time has
+    # the law of the independent relative-walk sampler's first-coalescence
+    # time
     logs = few_block_torus_sample(4, w, kingman, [[0, 0, 0], [4, 0, 0]],
                                   replicas=4000, seed=31)
     chunked = np.array([log[0][0] for log in logs])

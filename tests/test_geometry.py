@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from spatial_coalescent.errors import DimensionTooLow, SizeOverflow, TruncationUnstable
 from spatial_coalescent.geometry import (
     WalkSpec,
+    _lattice_index,
     build_torus,
+    check_torus_walk,
     complete_graph,
     generic_graph,
     green_function,
@@ -31,6 +36,45 @@ def test_simple_walk_shape():
     w = simple_walk(3)
     assert w.offsets_array.shape == (6, 3)
     assert np.allclose(w.probs_array, 1.0 / 6.0)
+
+
+DIAGONAL = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                        (0, 0, 1), (0, 0, -1), (1, 1, 0), (-1, -1, 0)),
+                    (0.125,) * 8)
+# +-3 e_1 (0.1 each), +-e_2 and +-e_3 (0.2 each): its steps span the lattice
+# 3Z x Z x Z, of index 3
+STRIDE_3 = WalkSpec(3, ((3, 0, 0), (-3, 0, 0), (0, 1, 0), (0, -1, 0),
+                        (0, 0, 1), (0, 0, -1)),
+                    (0.1, 0.1, 0.2, 0.2, 0.2, 0.2))
+
+
+@pytest.mark.parametrize("walk", [
+    simple_walk(3), DIAGONAL, STRIDE_3,
+    # mirrors apart, and a self-loop
+    WalkSpec(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0), (-1, 0, 0),
+                 (0, -1, 0), (0, 0, -1)), (0.1, 0.1, 0.1, 0.4, 0.1, 0.1, 0.1)),
+], ids=["simple", "diagonal", "stride3", "lazy"])
+def test_symmetrized_symmetric_walk_is_unchanged(walk):
+    assert walk.symmetrized() == walk
+
+
+def test_symmetrized_averages_mirrors_and_merges_duplicates():
+    drifted = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                           (0, 0, 1), (0, 0, -1)),
+                       (0.3, 0.1, 0.15, 0.15, 0.15, 0.15))
+    sym = drifted.symmetrized()
+    assert sym.offsets == drifted.offsets
+    assert sym.probabilities == pytest.approx((0.2, 0.2) + (0.15,) * 4,
+                                              abs=1e-15)
+    assert drifted.axis_rates is None
+    assert sym.axis_rates == pytest.approx([0.4, 0.3, 0.3])
+    # a duplicate offset is merged, a missing mirror appended
+    skew = WalkSpec(3, ((1, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)),
+                    (0.25, 0.25, 0.25, 0.25))
+    sym = skew.symmetrized()
+    assert sym.offsets == ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0),
+                           (0, -1, 0), (0, 0, -1))
+    assert sym.probabilities == (0.25, 0.125, 0.125, 0.25, 0.125, 0.125)
 
 
 # ---------------------------------------------------------------- torus
@@ -62,6 +106,40 @@ def test_torus_rows_and_columns_stochastic():
     assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
     # translation invariance makes the kernel doubly stochastic
     assert np.allclose(mat.sum(axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("walk, N", [
+    (simple_walk(3), 1), (simple_walk(3), 4), (DIAGONAL, 2), (STRIDE_3, 2),
+    (STRIDE_3, 5),
+])
+def test_check_torus_walk_accepts_connecting_walks(walk, N):
+    check_torus_walk(N, walk)
+
+
+@pytest.mark.parametrize("walk, N, needle", [
+    # +-3 e_1 wraps onto its own site on the side-3 torus
+    (STRIDE_3, 1, "wraps onto its own site"),
+    # on the side-9 torus it reaches a third of the e_1 residues
+    (STRIDE_3, 4, "does not connect"),
+    (WalkSpec(3, ((1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0),
+                  (0, 0, 5), (0, 0, -5)), (1 / 6,) * 6), 2,
+     "wraps onto its own site"),
+    (WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                  (0, 0, 1), (0, 0, -1)), (0.4,) + (0.1,) * 6), 3,
+     "wraps onto its own site"),
+])
+def test_check_torus_walk_rejects(walk, N, needle):
+    with pytest.raises(ValueError, match=needle):
+        check_torus_walk(N, walk)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
+                min_size=3, max_size=6))
+def test_lattice_index_is_gcd_of_maximal_minors(vectors):
+    minors = [round(np.linalg.det(np.array(rows, dtype=float)))
+              for rows in itertools.combinations(vectors, 3)]
+    assert _lattice_index(np.array(vectors), 3) == math.gcd(*minors)
 
 
 def test_torus_site_budget_overflow():

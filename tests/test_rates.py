@@ -7,6 +7,12 @@ from scipy.special import betainc, betaln, gammaln, logsumexp
 from scipy.stats import binom
 
 from quadrature_oracle import gamma_increment_integral, lambda_increment_integral
+from rate_inequalities import (
+    deterministic_chain_bound,
+    estimate_rho,
+    spatial_rate_bounds_check,
+    valid_decrement_sequences,
+)
 from spatial_coalescent import measure as measure_mod
 from spatial_coalescent.errors import ZeroRate, ZeroTotalRate
 from spatial_coalescent.measure import (
@@ -15,15 +21,7 @@ from spatial_coalescent.measure import (
     _beta_share,
     log_moments,
 )
-from spatial_coalescent.rates import (
-    RateKernel,
-    cdi_classify,
-    deterministic_chain_bound,
-    estimate_rho,
-    spatial_rate_bounds_check,
-    tn_uniform_bound,
-    valid_decrement_sequences,
-)
+from spatial_coalescent.rates import RateKernel, cdi_classify, tn_uniform_bound
 
 
 # ----------------------------------------------------------- per-merge rates
