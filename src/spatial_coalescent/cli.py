@@ -49,6 +49,7 @@ from .geometry import (
     complete_graph,
     generic_graph,
     green_function,
+    green_method,
     simple_walk,
     single_site,
 )
@@ -420,24 +421,21 @@ def classify(config, **overrides):
 @_guarded
 def green(config, **overrides):
     """Random-walk Green function at the origin.  Without a `method`, the
-    exact BESSEL route for axis walks and the lattice sum otherwise."""
+    walk's exact route (geometry.green_method): BESSEL for an axis walk,
+    LATTICE_SUM for any other symmetric walk.  A walk the route cannot
+    take is a config error."""
     cfg, writer = _load(config, **overrides)
     walk_cfg = (cfg.geography.walk if cfg.geography is not None
                 else WalkConfig(dimension=3 if cfg.dimension is None
                                 else cfg.dimension))
     walk = walk_cfg.build()
-    axis_walk = walk.axis_rates is not None
-    method = cfg.method or ("BESSEL" if axis_walk else "LATTICE_SUM")
-    if method == "BESSEL" and not axis_walk:
-        raise _ConfigError(["method: BESSEL needs an axis walk (every step "
-                            "+-e_i, with P(+e_i) = P(-e_i) > 0)"])
-    kwargs = {}
-    if method == "MONTE_CARLO":
-        kwargs["seed"] = cfg.seed
-        if cfg.replicas:
-            kwargs["replicas"] = cfg.replicas
+    method = cfg.method or green_method(walk)
+    kwargs = {"seed": cfg.seed}
+    if cfg.replicas:
+        kwargs["replicas"] = cfg.replicas
     t0 = time.perf_counter()
-    est, err = green_function(walk, method, **kwargs)
+    with _invalid_as("method"):
+        est, err = green_function(walk, method, **kwargs)
     t1 = time.perf_counter()
     report = {"estimate": est, "error": err, "method": method,
               "dimension": walk.dimension}
@@ -581,24 +579,17 @@ def _experiment(name, params_model=_Strict):
     return deco
 
 
-def _torus_N(cfg: RunConfig) -> int:
-    """The half-width of the torus that the torus studies build themselves
-    from geography.N and the walk."""
+def _torus_walk(cfg: RunConfig) -> tuple[int, WalkSpec]:
+    """N and walk of a torus study, which builds its torus itself from
+    geography.N and a walk that must connect it."""
     geo = cfg.geography
     if geo.topology != "torus" or geo.N is None or geo.N < 1:
         raise _ConfigError([f"geography: experiment {cfg.experiment.name!r} "
                             "needs topology 'torus' with N >= 1"])
-    return geo.N
-
-
-def _few_block_torus(cfg: RunConfig) -> tuple[int, WalkSpec]:
-    """N and walk of a torus study that runs on few_block_torus_sample,
-    which needs a walk that connects the torus and has no step onto its own
-    site."""
-    N, walk = _torus_N(cfg), cfg.geography.walk.build()
+    walk = geo.walk.build()
     with _invalid_as("geography.walk"):
-        check_torus_walk(N, walk)
-    return N, walk
+        check_torus_walk(geo.N, walk)
+    return geo.N, walk
 
 
 @_experiment("hitting_time", HittingTimeParams)
@@ -627,7 +618,7 @@ def _run_trend(cfg: RunConfig, p: TrendParams, kernel: RateKernel):
 
 @_experiment("pairwise", PairwiseParams)
 def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
-    N, walk = _few_block_torus(cfg)
+    N, walk = _torus_walk(cfg)
     if p.separation is not None and len(p.separation) != walk.dimension:
         raise _ConfigError(
             [f"experiment.params.separation: needs {walk.dimension} entries"])
@@ -643,9 +634,9 @@ def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
 
 @_experiment("block_count", BlockCountParams)
 def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
-    walk = cfg.geography.walk.build()
+    N, walk = _torus_walk(cfg)
     res = block_count_limit_experiment(
-        _torus_N(cfg), walk, kernel, cfg.n_per_site or 10, p.times,
+        N, walk, kernel, cfg.n_per_site or 10, p.times,
         replicas=cfg.replicas or 500, seed=cfg.seed,
         kappa_value=p.kappa_value,
         event_budget=cfg.event_budget)
@@ -664,7 +655,7 @@ def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
 
 @_experiment("structure", StructureParams)
 def _run_structure(cfg: RunConfig, p: StructureParams, kernel: RateKernel):
-    N, walk = _few_block_torus(cfg)
+    N, walk = _torus_walk(cfg)
     res = partition_structure_experiment(
         N, walk, kernel,
         p.n_blocks, replicas=cfg.replicas or 3000, seed=cfg.seed,

@@ -16,10 +16,10 @@ jump-chain event at a time.
 
 kappa is about the difference of two blocks' positions, so it takes G of
 the symmetrized walk (geometry.WalkSpec.symmetrized).  Without a given
-kappa, the torus experiments take it from the exact BESSEL Green value when
-the symmetrized walk is an axis walk (see geometry.WalkSpec.axis_rates),
-and from the cross-checked lattice and Monte Carlo routes of torus_kappa
-otherwise.
+kappa, the torus experiments take it from the exact Green route that
+geometry picks for that walk: BESSEL for an axis walk, LATTICE_SUM
+otherwise.  torus_kappa (the `kappa` experiment) checks LATTICE_SUM
+against the Monte Carlo oracle.
 
 The block-count study's references, the Kingman entrance law from dust and
 its two-time law, are Tavare's series summed exactly in decimal.
@@ -40,7 +40,7 @@ from scipy.special import gammaln
 from . import engine as engine_mod
 from .engine import SimulationConfig, simulate, singletons_per_site
 from .errors import BudgetExceeded, SizeOverflow, TruncationUnstable
-from .geometry import WalkSpec, build_torus, green_function, kappa
+from .geometry import WalkSpec, build_torus, green_function, green_method, kappa
 from .rates import RateKernel, cdi_classify, tn_uniform_bound
 
 __all__ = [
@@ -297,8 +297,8 @@ def _counts_to_dist(counts: np.ndarray) -> dict:
 
 def torus_kappa(walk: WalkSpec, kernel: RateKernel,
                 require_agreement: bool = True, seed: int = 0) -> dict:
-    """kappa from the two independent Green-function routes, each on the
-    symmetrized walk."""
+    """kappa from the LATTICE_SUM Green value of the symmetrized walk,
+    checked against its Monte Carlo oracle."""
     sym = walk.symmetrized()
     g_lat, e_lat = green_function(sym, "LATTICE_SUM")
     g_mc, e_mc = green_function(sym, "MONTE_CARLO", seed=seed)
@@ -316,16 +316,14 @@ def torus_kappa(walk: WalkSpec, kernel: RateKernel,
     }
 
 
-def _kappa_info(walk: WalkSpec, kernel: RateKernel, seed: int) -> dict:
-    """kappa for the torus experiments: from the exact BESSEL Green value
-    when the symmetrized walk is an axis walk, else from the cross-checked
-    routes of torus_kappa."""
+def _kappa_info(walk: WalkSpec, kernel: RateKernel) -> dict:
+    """kappa for the torus experiments, from the exact Green route of the
+    symmetrized walk (geometry.green_method)."""
     sym = walk.symmetrized()
-    if sym.axis_rates is None:
-        return torus_kappa(walk, kernel, seed=seed)
-    g, err = green_function(sym, "BESSEL")
+    method = green_method(sym)
+    g, err = green_function(sym, method)
     lam22 = kernel.lambda_bk(2, 2)
-    return {"G_bessel": g, "G_bessel_err": err, "lambda22": lam22,
+    return {"G": g, "G_err": err, "G_method": method, "lambda22": lam22,
             "kappa": kappa(g, lam22)}
 
 
@@ -343,7 +341,7 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     d = walk.dimension
     kappa_info = None
     if kappa_value is None:
-        kappa_info = _kappa_info(walk, kernel, seed + 1)
+        kappa_info = _kappa_info(walk, kernel)
         kappa_value = kappa_info["kappa"]
     if separation is None:
         separation = [N] + [0] * (d - 1)
@@ -383,7 +381,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     vol = (2 * N + 1) ** d
     t0 = time.perf_counter()
     if kappa_value is None:
-        kappa_value = _kappa_info(walk, kernel, seed + 1)["kappa"]
+        kappa_value = _kappa_info(walk, kernel)["kappa"]
     t1 = time.perf_counter()
     geo = build_torus(N, walk)
     probe_times = tuple(float(t) * vol for t in times)
@@ -482,8 +480,6 @@ class _TorusWalk:
         self.side = 2 * N + 1
         self.pows = self.side ** np.arange(d, dtype=np.int64)
         self.offsets = walk.offsets_array
-        if np.any(np.all(self.offsets % self.side == 0, axis=1)):
-            raise ValueError("a walk step wraps onto the same site; torus too small")
         # a uniform u selects step #{cuts <= u}; the last cumulative
         # probability (1 up to rounding) is left out so u cannot overrun
         self.cuts = np.cumsum(walk.probs_array)[:-1]
@@ -658,7 +654,7 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     d = walk.dimension
     vol = (2 * N + 1) ** d
     if kappa_value is None:
-        kappa_value = _kappa_info(walk, kernel, seed + 1)["kappa"]
+        kappa_value = _kappa_info(walk, kernel)["kappa"]
     # mutually separated starts on the scale a_N = N^(3/4)
     gap = max(int(math.ceil(N ** 0.75)), 1)
     starts = []

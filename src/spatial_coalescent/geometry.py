@@ -9,6 +9,9 @@ The Green function G of a walk (expected visits to the origin, discrete
 time) and the constant kappa = 2 / (G + 2/lambda_{2,2}) drive the
 large-torus scaling limits; there G is that of the symmetrized walk
 (WalkSpec.symmetrized), the jump law of the difference of two blocks.
+Each symmetric walk has one exact Green route, which green_method names:
+BESSEL for an axis walk, LATTICE_SUM for any other.  The Monte Carlo route
+takes any walk and serves as the oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import i0e
+from scipy.special import i0e, zeta
 
 from .errors import DimensionTooLow, SizeOverflow, TruncationUnstable
 
@@ -32,6 +35,7 @@ __all__ = [
     "complete_graph",
     "single_site",
     "green_function",
+    "green_method",
     "kappa",
 ]
 
@@ -68,14 +72,14 @@ class WalkSpec:
     @property
     def axis_rates(self) -> np.ndarray | None:
         """Per-coordinate jump rates (p_1, ..., p_d) if this is an axis walk
-        (every step is +-e_i, with P(+e_i) = P(-e_i) = p_i / 2 > 0), else
-        None.  The coordinates of an axis walk in continuous time are
-        independent rate-p_i simple walks."""
+        (every step other than 0 is +-e_i, with P(+e_i) = P(-e_i) = p_i / 2
+        > 0), else None.  The coordinates of an axis walk in continuous time
+        are independent rate-p_i simple walks; a step 0 moves none of them."""
         d = self.dimension
         up = np.zeros(d)
         down = np.zeros(d)
         for off, p in zip(self.offsets_array, self.probs_array):
-            if p == 0.0:
+            if p == 0.0 or not off.any():
                 continue
             nonzero = np.flatnonzero(off)
             if len(nonzero) != 1 or abs(off[nonzero[0]]) != 1:
@@ -219,18 +223,16 @@ def build_torus(N: int, walk: WalkSpec, site_budget: int = 1_000_000) -> Geograp
 
 def check_torus_walk(N: int, walk: WalkSpec) -> None:
     """Raise ValueError unless the walk, wrapped onto the torus [-N,N]^d,
-    reaches every site from every site and has no step onto its own site.
+    reaches every site from every site.
 
     The steps of positive probability reach every site iff they generate
     the group Z_side^d, side = 2N+1, that is iff the index of the lattice
     they span in Z^d (the gcd of their d x d minors) is coprime to side.
+    A step that wraps onto its own site is a self-jump.
     """
     side = 2 * N + 1
-    offsets = walk.offsets_array
-    if np.any(np.all(offsets % side == 0, axis=1)):
-        raise ValueError(f"a walk step wraps onto its own site on the torus "
-                         f"of side {side}")
-    index = _lattice_index(offsets[walk.probs_array > 0], walk.dimension)
+    index = _lattice_index(walk.offsets_array[walk.probs_array > 0],
+                           walk.dimension)
     if math.gcd(index, side) != 1:
         raise ValueError(f"the walk does not connect the torus of side {side}: "
                          f"its steps span a lattice of index {index} in Z^d")
@@ -289,52 +291,38 @@ def generic_graph(kernel: np.ndarray) -> GeographySpec:
 # Green function of the base walk on Z^d
 # ----------------------------------------------------------------------
 
-def _power_tail(partial_even_terms: np.ndarray, first_j: int, d: float) -> float:
-    """Tail of sum_j A j^(-d/2) fitted on observed even-step returns.
-
-    partial_even_terms[i] is the return probability after 2*(first_j+i)
-    steps.  The amplitude A (with a first-order 1/j correction) is fitted on
-    the data; the remaining tail is summed exactly.
-    """
-    js = np.arange(first_j, first_j + len(partial_even_terms), dtype=float)
-    y = partial_even_terms * js ** (d / 2.0)
-    # A(j) ~ A + c/j: linear fit in 1/j
-    X = np.column_stack([np.ones_like(js), 1.0 / js])
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    A, c = float(coef[0]), float(coef[1])
-    j_from = first_j + len(partial_even_terms)
-    jj = np.arange(j_from, j_from + 2_000_000, dtype=float)
-    tail = float(np.sum(A * jj ** (-d / 2.0) + c * jj ** (-d / 2.0 - 1.0)))
-    # remainder beyond the explicit sum, via the integral comparison
-    jmax = jj[-1] + 1.0
-    tail += A * jmax ** (1.0 - d / 2.0) / (d / 2.0 - 1.0)
-    return tail
-
-
-def green_function(walk: WalkSpec, method: str = "LATTICE_SUM", *,
-                   k_max: int | None = None, replicas: int = 20_000,
-                   horizon: int = 4_000, seed: int = 0):
+def green_function(walk: WalkSpec, method: str | None = None, *,
+                   replicas: int = 20_000, horizon: int = 4_000, seed: int = 0):
     """Expected visits to 0 of the discrete-time walk started at 0.
 
+    Without a `method`, the exact route that green_method(walk) names:
+    BESSEL for axis walks, LATTICE_SUM for every other symmetric walk.
     BESSEL, for axis walks only (see WalkSpec.axis_rates), integrates the
     continuous-time return probability prod_i e^(-p_i t) I_0(p_i t) over
-    t >= 0 (Watson's integral; Montroll 1956); it is the production route.
-    LATTICE_SUM iterates the step convolution on a truncated box and adds a
-    power-law tail (returns decay like k^(-d/2)); MONTE_CARLO counts visits
-    over a finite horizon and estimates the tail from late-window visits.
-    These two work for any walk and serve as independent cross-checks.
+    t >= 0 (Watson's integral; Montroll 1956).  LATTICE_SUM, for symmetric
+    walks only, sums the return probabilities exactly on a Fourier grid and
+    adds the local-CLT tail in closed form.  MONTE_CARLO counts visits over
+    a finite horizon and estimates the tail from late-window visits; it
+    takes any walk and serves as the independent oracle.
     Returns (estimate, error_bound).
     """
     d = walk.dimension
     if d < 3:
         raise DimensionTooLow(f"walk is recurrent for d={d} < 3", d=d)
+    method = method or green_method(walk)
     if method == "BESSEL":
         return _green_bessel(walk)
     if method == "LATTICE_SUM":
-        return _green_lattice(walk, k_max)
+        return _green_lattice_sum(walk)
     if method == "MONTE_CARLO":
         return _green_monte_carlo(walk, replicas, horizon, seed)
     raise ValueError(f"unknown method {method!r}")
+
+
+def green_method(walk: WalkSpec) -> str:
+    """The exact Green route of `walk`: BESSEL for an axis walk, else
+    LATTICE_SUM."""
+    return "BESSEL" if walk.axis_rates is not None else "LATTICE_SUM"
 
 
 # largest quadrature error bound the BESSEL route accepts
@@ -359,48 +347,70 @@ def _green_bessel(walk: WalkSpec):
     return est, err
 
 
-def _green_lattice(walk: WalkSpec, k_max: int | None):
+# Fourier grid cells that LATTICE_SUM may use, and the number of last exact
+# returns on which the 1/k correction of its tail is fitted
+_GRID_CELLS = 2_000_000
+_FIT_RETURNS = 10
+
+
+def _green_lattice_sum(walk: WalkSpec):
+    """Exact partial sum of the returns p_k(0), k <= K, plus the local-CLT
+    tail in closed form.
+
+    p_k(0) is the mean of phi^k, phi the characteristic function of the
+    step, over the grid (2 pi / M) Z_M^d.  With M = K reach + 1 no nonzero
+    multiple of M lies within k reach of 0, so the mean is exact for k <= K;
+    M comes from the budget of _GRID_CELLS cells.  Past K,
+    p_k(0) = a_(k mod 2) C k^(-d/2) (1 + c/k + O(k^-2)), where
+    C = (2 pi)^(-d/2) det(Sigma)^(-1/2) for the step covariance Sigma
+    (Lawler & Limic 2010, Thm 2.1.1), a_0 = n+ + n- and a_1 = n+ - n-: n+ is
+    the index of the lattice the steps span, and n- = n+ if the two-step
+    sums span index 2 n+ (the walk is bipartite there), else 0.  Only c is
+    fitted, on the last _FIT_RETURNS returns.  The error bound is the size
+    of the 1/k correction plus the fit residual times the leading tail.
+    """
     d = walk.dimension
-    if k_max is None:
-        # keep the box small in low dimension (speed); in d >= 5 a larger
-        # box is needed just to accumulate enough even-step return terms
-        cell_target = 3e6 if d <= 4 else 1.5e7
-        k_max = 2
-        while (2 * (k_max + 1) * int(np.max(np.abs(walk.offsets_array))) + 1) ** d <= cell_target:
-            k_max += 1
-    reach = int(np.max(np.abs(walk.offsets_array)))
-    radius = k_max * reach
-    shape = (2 * radius + 1,) * d
-    if math.prod(shape) > 5e7:
-        raise SizeOverflow("lattice-sum box too large; lower k_max")
-    dist = np.zeros(shape)
-    origin = (radius,) * d
-    dist[origin] = 1.0
-    offsets = walk.offsets_array
-    probs = walk.probs_array
-    total = 1.0  # k = 0 term
-    returns = []
-    for k in range(1, k_max + 1):
-        new = np.zeros_like(dist)
-        for off, p in zip(offsets, probs):
-            shifted = dist
-            for axis, o in enumerate(off):
-                shifted = np.roll(shifted, int(o), axis=axis)
-            new += p * shifted
-        dist = new
-        r = float(dist[origin])
-        total += r
-        returns.append(r)
-    # amplitude fit on the last 10% of even steps
-    even = np.array(returns[1::2])  # index i -> 2*(i+1) steps
-    if len(even) < 3:
-        raise ValueError("k_max too small for a tail fit; increase it")
-    n_fit = min(len(even), max(5, len(even) // 10))
-    tail = _power_tail(even[-n_fit:], len(even) - n_fit + 1, float(d))
-    # error bound: 5 % of the fitted tail's size (a walk with drift can fit
-    # a negative tail, and the bound must stay positive)
-    err = 0.05 * abs(tail) + 1e-12
-    return total + tail, err
+    keep = walk.probs_array > 0
+    offsets, probs = walk.offsets_array[keep], walk.probs_array[keep]
+    reach = int(np.max(np.abs(offsets)))
+    K = (int(_GRID_CELLS ** (1.0 / d)) - 1) // reach
+    if K < _FIT_RETURNS:
+        raise TruncationUnstable(
+            f"{_GRID_CELLS} grid cells sum only {K} steps exactly (reach "
+            f"{reach}, d = {d}); the tail fit needs {_FIT_RETURNS}", K=K)
+    side = K * reach + 1
+    law = np.zeros((side,) * d)
+    np.add.at(law, tuple((offsets % side).T), probs)
+    phi = np.fft.fftn(law)
+    if np.max(np.abs(phi.imag)) > 1e-12:
+        raise ValueError("the LATTICE_SUM Green route needs a symmetric walk, "
+                         "P(x) = P(-x); see WalkSpec.symmetrized")
+    phi = phi.real
+    returns = np.empty(K + 1)
+    power = np.ones_like(phi)
+    for k in range(K + 1):
+        returns[k] = power.mean()
+        power *= phi
+
+    s = d / 2.0
+    sigma = (offsets.T * probs) @ offsets
+    C = (2.0 * np.pi) ** -s / math.sqrt(np.linalg.det(sigma))
+    n_plus = _lattice_index(offsets, d)
+    # the sums x + offsets[0] span every two-step sum x + y
+    n_minus = n_plus if _lattice_index(offsets + offsets[0], d) == 2 * n_plus else 0
+    amplitude = C * np.array([n_plus + n_minus, n_plus - n_minus])
+    ks = np.arange(K - _FIT_RETURNS + 1, K + 1)
+    ks = ks[amplitude[ks % 2] > 0]
+    rel = returns[ks] / (amplitude[ks % 2] * ks ** -s) - 1.0
+    c = float((rel / ks).sum() / (1.0 / ks ** 2).sum())
+    residual = float(np.max(np.abs(rel - c / ks)))
+    # the sum of k^(-t) over k = k0, k0 + 2, ... is 2^(-t) zeta(t, k0 / 2)
+    first = [K + 1 + (K + 1 - r) % 2 for r in (0, 1)]
+    lead = sum(a * 2 ** -s * zeta(s, k0 / 2) for a, k0 in zip(amplitude, first))
+    correction = c * sum(a * 2 ** -(s + 1) * zeta(s + 1, k0 / 2)
+                         for a, k0 in zip(amplitude, first))
+    return (float(returns.sum() + lead + correction),
+            float(abs(correction) + residual * lead + 1e-12))
 
 
 def _green_monte_carlo(walk: WalkSpec, replicas: int, horizon: int, seed: int):

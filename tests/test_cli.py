@@ -77,6 +77,15 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
       "horizon": -1.0}, "simulate", "horizon"),
     ({"seed": 1, "measure": KINGMAN,
       "geography": {"topology": "torus", "N": 0}}, "simulate", "N >= 1"),
+    # a walk with drift has no exact Green route
+    ({"seed": 1,
+      "geography": {"topology": "torus", "N": 2,
+                    "walk": {"dimension": 3,
+                             "offsets": [[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                                         [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+                             "probabilities": [0.3, 0.1, 0.15, 0.15, 0.15,
+                                               0.15]}}},
+     "green", "symmetric"),
 ])
 def test_config_value_errors_exit_2(tmp_path, cfg, command, needle):
     r = run_cli(tmp_path, cfg, command)
@@ -504,7 +513,8 @@ def test_pairwise_separation_of_wrong_length_exits_2(tmp_path):
 
 # +-3 e_1 (0.1 each), +-e_2 and +-e_3 (0.2 each): on the side-3 torus the
 # e_1 steps wrap onto their own site, and on the side-9 torus they reach a
-# third of the e_1 residues, so two blocks 4 e_1 apart never meet
+# third of the e_1 residues, so two blocks 4 e_1 apart never meet and the
+# block counts would be those of separate tori
 STRIDE_3_WALK = {"dimension": 3,
                  "offsets": [[3, 0, 0], [-3, 0, 0], [0, 1, 0], [0, -1, 0],
                              [0, 0, 1], [0, 0, -1]],
@@ -514,8 +524,9 @@ STRIDE_3_WALK = {"dimension": 3,
 @pytest.mark.parametrize("experiment", [
     {"name": "pairwise", "params": {}},
     {"name": "structure", "params": {"n_blocks": 2}},
-], ids=["pairwise", "structure"])
-@pytest.mark.parametrize("N, needle", [(1, "wraps onto its own site"),
+    {"name": "block_count", "params": {}},
+], ids=["pairwise", "structure", "block_count"])
+@pytest.mark.parametrize("N, needle", [(1, "does not connect"),
                                        (4, "does not connect")])
 def test_walk_that_does_not_connect_the_torus_exits_2(tmp_path, experiment,
                                                       N, needle):

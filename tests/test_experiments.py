@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from spatial_coalescent import experiments
+from spatial_coalescent import experiments, geometry
 from spatial_coalescent.errors import BudgetExceeded, TruncationUnstable
 from spatial_coalescent.experiments import (
     block_count_limit_experiment,
@@ -38,6 +38,12 @@ KAPPA_D3_UNIT = 0.5687658867  # 2 / (G + 2) for the nearest-neighbor walk
 DRIFTED = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                        (0, 0, 1), (0, 0, -1)),
                    (0.3, 0.1, 0.15, 0.15, 0.15, 0.15))
+# the simple walk with a self-loop of 1/2
+LAZY = WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                    (0, 0, 1), (0, 0, -1)), (0.5,) + (1 / 12,) * 6)
+DIAGONAL = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                        (0, 0, 1), (0, 0, -1), (1, 1, 0), (-1, -1, 0)),
+                    (0.125,) * 8)
 
 
 @pytest.fixture(scope="module")
@@ -240,25 +246,29 @@ def test_torus_experiments_take_kappa_from_bessel_for_axis_walks(kingman,
                                          replicas=20, seed=1)
     exact = kappa(1.5163860591519809, 1.0)
     assert comp.extras["kappa"] == pytest.approx(exact, rel=1e-13)
-    assert comp.extras["kappa_info"]["G_bessel"] == pytest.approx(
+    assert comp.extras["kappa_info"]["G_method"] == "BESSEL"
+    assert comp.extras["kappa_info"]["G"] == pytest.approx(
         1.5163860591519809, rel=1e-13)
     assert res["kappa"] == comp.extras["kappa"]
 
 
-def test_torus_experiments_cross_check_kappa_for_other_walks(kingman,
-                                                             monkeypatch):
-    calls = []
-
-    def fake_torus_kappa(walk, kernel, seed=0):
-        calls.append(walk)
-        return {"kappa": 0.25}
-    monkeypatch.setattr(experiments, "torus_kappa", fake_torus_kappa)
-    diagonal = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                            (0, 0, 1), (0, 0, -1), (1, 1, 0), (-1, -1, 0)),
-                        (0.125,) * 8)
-    comp = pairwise_torus_experiment(2, diagonal, kingman, replicas=20, seed=1)
-    assert comp.extras["kappa"] == 0.25
-    assert calls == [diagonal]
+def test_torus_experiments_take_kappa_from_lattice_sum_for_other_walks(
+        kingman, monkeypatch):
+    def no_monte_carlo(*args, **kwargs):
+        raise AssertionError("the torus experiments run no Monte Carlo Green")
+    monkeypatch.setattr(geometry, "_green_monte_carlo", no_monte_carlo)
+    monkeypatch.setattr(experiments, "torus_kappa", no_monte_carlo)
+    g, _err = green_function(DIAGONAL, "LATTICE_SUM")
+    exact = kappa(g, kingman.lambda_bk(2, 2))
+    comp = pairwise_torus_experiment(2, DIAGONAL, kingman, replicas=20, seed=1)
+    assert comp.extras["kappa_info"]["G_method"] == "LATTICE_SUM"
+    assert comp.extras["kappa"] == exact
+    res = partition_structure_experiment(2, DIAGONAL, kingman, 2,
+                                         replicas=20, seed=1)
+    assert res["kappa"] == exact
+    res = block_count_limit_experiment(1, DIAGONAL, kingman, 2, [0.5],
+                                       replicas=5, seed=1)
+    assert res["kappa"] == exact
 
 
 def test_drifted_walk_takes_kappa_from_its_symmetrization(kingman,
@@ -287,6 +297,20 @@ def test_torus_kappa_takes_green_of_symmetrized_walk(kingman, monkeypatch):
     # the Green routes return numpy floats; the verdict must still be a
     # plain bool, which the `kappa` report can serialize
     assert info["methods_agree"] is True
+
+
+SKEW = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                    (0, 0, -1), (1, 1, 0), (-1, -1, 0), (0, 0, 0)),
+                (0.15, 0.15) + (0.1,) * 7)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_torus_kappa_lattice_and_monte_carlo_agree_on_skew_walk(kingman, seed):
+    # an aperiodic walk that is not an axis walk: its returns at odd steps
+    # are part of the tail
+    info = experiments.torus_kappa(SKEW, kingman, seed=seed)
+    assert info["methods_agree"] is True
+    assert info["G_lattice_err"] <= 1e-3
 
 
 # ---------------------------------------------------------------- block count
@@ -349,8 +373,8 @@ def test_structure_small_case(kingman):
     assert res["pair_uniformity_pvalue"] > 1e-4
 
 
-@pytest.mark.parametrize("w", [simple_walk(3), DRIFTED],
-                         ids=["simple", "drifted"])
+@pytest.mark.parametrize("w", [simple_walk(3), DRIFTED, LAZY],
+                         ids=["simple", "drifted", "lazy"])
 def test_few_block_first_coalescence_matches_pairwise_sampler(kingman, w):
     # distributional check of the chunked few-block sampler, the path of
     # pairwise_torus_experiment: with two blocks its first merge time has

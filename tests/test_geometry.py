@@ -14,6 +14,7 @@ from spatial_coalescent.geometry import (
     complete_graph,
     generic_graph,
     green_function,
+    green_method,
     kappa,
     simple_walk,
     single_site,
@@ -46,6 +47,9 @@ DIAGONAL = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
 STRIDE_3 = WalkSpec(3, ((3, 0, 0), (-3, 0, 0), (0, 1, 0), (0, -1, 0),
                         (0, 0, 1), (0, 0, -1)),
                     (0.1, 0.1, 0.2, 0.2, 0.2, 0.2))
+# the simple walk with a self-loop of 1/2
+LAZY = WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                    (0, 0, 1), (0, 0, -1)), (0.5,) + (1 / 12,) * 6)
 
 
 @pytest.mark.parametrize("walk", [
@@ -111,22 +115,23 @@ def test_torus_rows_and_columns_stochastic():
 @pytest.mark.parametrize("walk, N", [
     (simple_walk(3), 1), (simple_walk(3), 4), (DIAGONAL, 2), (STRIDE_3, 2),
     (STRIDE_3, 5),
+    # a self-jump is a step like any other
+    (WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                  (0, 0, 1), (0, 0, -1)), (0.4,) + (0.1,) * 6), 3),
 ])
 def test_check_torus_walk_accepts_connecting_walks(walk, N):
     check_torus_walk(N, walk)
 
 
 @pytest.mark.parametrize("walk, N, needle", [
-    # +-3 e_1 wraps onto its own site on the side-3 torus
-    (STRIDE_3, 1, "wraps onto its own site"),
+    # +-3 e_1 wraps onto its own site on the side-3 torus, so no step
+    # changes the e_1 residue
+    (STRIDE_3, 1, "does not connect"),
     # on the side-9 torus it reaches a third of the e_1 residues
     (STRIDE_3, 4, "does not connect"),
     (WalkSpec(3, ((1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0),
                   (0, 0, 5), (0, 0, -5)), (1 / 6,) * 6), 2,
-     "wraps onto its own site"),
-    (WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                  (0, 0, 1), (0, 0, -1)), (0.4,) + (0.1,) * 6), 3,
-     "wraps onto its own site"),
+     "does not connect"),
 ])
 def test_check_torus_walk_rejects(walk, N, needle):
     with pytest.raises(ValueError, match=needle):
@@ -188,6 +193,17 @@ def _axis_walk(p):
     return WalkSpec(3, offsets, tuple(q / 2 for q in p for _ in (0, 1)))
 
 
+SKEW = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                    (0, 0, -1), (1, 1, 0), (-1, -1, 0), (0, 0, 0)),
+                (0.15, 0.15) + (0.1,) * 7)
+# +-2 e_1, +-e_2, +-e_3: the simple walk on the lattice 2Z x Z x Z
+LONG_STEPS = WalkSpec(3, ((2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0),
+                          (0, 0, 1), (0, 0, -1)), (1 / 6,) * 6)
+DRIFT = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                     (0, 0, 1), (0, 0, -1)),
+                 (0.3, 0.1, 0.15, 0.15, 0.15, 0.15))
+
+
 @pytest.fixture(scope="module")
 def lattice_d3():
     return green_function(simple_walk(3), "LATTICE_SUM")
@@ -197,6 +213,7 @@ def test_green_lattice_d3_matches_reference(lattice_d3):
     est, err = lattice_d3
     assert est == pytest.approx(1.5163860, abs=max(err, 1e-3))
     assert est >= 1.0
+    assert 0.0 < err <= 1e-3
 
 
 def test_green_bessel_d3_is_watson_value(lattice_d3):
@@ -207,11 +224,42 @@ def test_green_bessel_d3_is_watson_value(lattice_d3):
     assert abs(g_lat - WATSON_D3) <= e_lat
 
 
-@pytest.mark.parametrize("d, k_max", [(4, None), (5, 10)])
-def test_green_bessel_agrees_with_lattice(d, k_max):
+@pytest.mark.parametrize("d", [4, 5])
+def test_green_bessel_agrees_with_lattice(d):
     g_bes, _ = green_function(simple_walk(d), "BESSEL")
-    g_lat, e_lat = green_function(simple_walk(d), "LATTICE_SUM", k_max=k_max)
+    g_lat, e_lat = green_function(simple_walk(d), "LATTICE_SUM")
+    assert 0.0 < e_lat <= 1e-3
     assert abs(g_bes - g_lat) <= e_lat
+
+
+def test_green_lazy_walk_takes_bessel_at_twice_the_simple_value():
+    # a self-loop of 1/2 doubles the time spent at each visited site
+    assert LAZY.axis_rates == pytest.approx([1 / 6] * 3)
+    assert green_method(LAZY) == "BESSEL"
+    g_bes, _ = green_function(LAZY, "BESSEL")
+    assert g_bes == pytest.approx(2 * WATSON_D3, rel=0.0, abs=1e-12)
+    g_lat, e_lat = green_function(LAZY, "LATTICE_SUM")
+    assert 0.0 < e_lat <= 1e-3
+    assert abs(g_lat - 2 * WATSON_D3) <= e_lat
+
+
+@pytest.mark.parametrize("walk, exact", [
+    (LONG_STEPS, WATSON_D3), (SKEW, None), (DIAGONAL, None),
+], ids=["long-steps", "skew", "diagonal"])
+def test_green_lattice_bound_positive_and_covers_exact_value(walk, exact):
+    g, err = green_function(walk, "LATTICE_SUM")
+    assert 0.0 < err <= 1e-3
+    if exact is not None:
+        assert abs(g - exact) <= err
+
+
+def test_green_method_is_exact_route_of_the_walk():
+    assert green_method(simple_walk(3)) == "BESSEL"
+    assert green_method(DRIFT.symmetrized()) == "BESSEL"
+    for walk in (SKEW, DIAGONAL, LONG_STEPS, DRIFT):
+        assert green_method(walk) == "LATTICE_SUM"
+    assert green_function(simple_walk(3)) == green_function(simple_walk(3),
+                                                            "BESSEL")
 
 
 def test_green_bessel_anisotropic_agrees_with_monte_carlo():
@@ -245,7 +293,7 @@ def test_green_bessel_raises_when_quadrature_cannot_bound_error():
 
 def test_green_decreases_with_dimension(lattice_d3):
     g3, _ = lattice_d3
-    g5, _ = green_function(simple_walk(5), "LATTICE_SUM", k_max=10)
+    g5, _ = green_function(simple_walk(5), "LATTICE_SUM")
     assert 1.0 <= g5 < g3
 
 
@@ -256,12 +304,14 @@ def test_green_monte_carlo_agrees_with_lattice(lattice_d3):
 
 
 def test_green_lattice_error_bound_positive_with_drift():
-    # the fitted tail of this walk is negative; the bound was -2.2e-4
-    walk = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                        (0, 0, 1), (0, 0, -1)),
-                    (0.3, 0.1, 0.15, 0.15, 0.15, 0.15))
-    _g, err = green_function(walk, "LATTICE_SUM", k_max=60)
-    assert err > 0.0
+    # a walk with drift has no lattice sum; kappa passes its symmetrization
+    with pytest.raises(ValueError, match="symmetric"):
+        green_function(DRIFT, "LATTICE_SUM")
+    with pytest.raises(ValueError, match="symmetric"):
+        green_function(DRIFT)
+    g, err = green_function(DRIFT.symmetrized(), "LATTICE_SUM")
+    g_bes, _ = green_function(DRIFT.symmetrized(), "BESSEL")
+    assert 0.0 < err and abs(g - g_bes) <= err
 
 
 def test_green_rejects_low_dimension():
