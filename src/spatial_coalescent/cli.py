@@ -572,9 +572,11 @@ class DecayShapeParams(_Strict):
 _EXPERIMENTS = {}
 
 
-def _experiment(name, params_model=_Strict):
+def _experiment(name, params_model=_Strict, unused=("event_budget",)):
+    """Register an experiment; a config that sets one of the top-level
+    fields in `unused`, which it does not read, is a config error."""
     def deco(fn):
-        _EXPERIMENTS[name] = (params_model, fn)
+        _EXPERIMENTS[name] = (params_model, unused, fn)
         return fn
     return deco
 
@@ -632,7 +634,7 @@ def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
     return comp.to_dict(), raw, "pairwise_times.csv"
 
 
-@_experiment("block_count", BlockCountParams)
+@_experiment("block_count", BlockCountParams, unused=())
 def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
     res = block_count_limit_experiment(
@@ -679,7 +681,7 @@ def _run_decay_shape(cfg: RunConfig, p: DecayShapeParams, kernel: RateKernel):
     return res, None, None
 
 
-@_experiment("kappa")
+@_experiment("kappa", unused=("event_budget", "replicas"))
 def _run_kappa(cfg: RunConfig, _p, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     return torus_kappa(walk, kernel, seed=cfg.seed), None, None
@@ -698,7 +700,11 @@ def experiment(config, **overrides):
             [f"experiment: unknown name {cfg.experiment.name!r}; "
              f"known: {sorted(_EXPERIMENTS)}"])
     cfg.require("experiment", "measure", "geography")
-    params_model, runner = entry
+    params_model, unused, runner = entry
+    ignored = [name for name in unused if getattr(cfg, name) is not None]
+    if ignored:
+        raise _ConfigError([f"{name}: experiment {cfg.experiment.name!r} "
+                            "does not use it" for name in ignored])
     params = _validate(params_model, cfg.experiment.params,
                        "experiment", "params")
     t0 = time.perf_counter()

@@ -12,7 +12,10 @@ partition structure of n blocks, run on one vectorized sampler that is
 exact in law but orders of magnitude faster than the general engine:
 few_block_torus_sample advances replicas whose blocks are apart by chunks
 of pure migration cut at the first co-location, and the others one
-jump-chain event at a time.
+jump-chain event at a time.  It holds a site as one packed int64, a bit
+field per coordinate, and logs a merge's participants as slot indices,
+each the least start index of its group.  It and the block-count study
+first check that the walk connects the torus (geometry.check_torus_walk).
 
 kappa is about the difference of two blocks' positions, so it takes G of
 the symmetrized walk (geometry.WalkSpec.symmetrized).  Without a given
@@ -40,7 +43,8 @@ from scipy.special import gammaln
 from . import engine as engine_mod
 from .engine import SimulationConfig, simulate, singletons_per_site
 from .errors import BudgetExceeded, SizeOverflow, TruncationUnstable
-from .geometry import WalkSpec, build_torus, green_function, green_method, kappa
+from .geometry import (WalkSpec, build_torus, check_torus_walk, green_function,
+                       green_method, kappa)
 from .rates import RateKernel, cdi_classify, tn_uniform_bound
 
 __all__ = [
@@ -115,6 +119,16 @@ class DistributionComparison:
         }
 
 
+def _replica_runs(init, geography, kernel: RateKernel, seed: int,
+                  replicas: int, **stops):
+    """One counts-only simulate record per replica seed of `seed`; `stops`
+    are further SimulationConfig fields (horizon, probes, stop rules)."""
+    for s in spawn_seeds(seed, replicas):
+        yield simulate(init, SimulationConfig(
+            kernel=kernel, geography=geography, seed=s,
+            record_events=False, track_elements=False, **stops))
+
+
 def _tv(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
@@ -130,16 +144,9 @@ def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
     singletons per site; compared against the uniform upper bound."""
     if n < 2 or k < 2:
         raise ValueError("need n, k >= 2")
-    upsilon = geography.size
-    seeds = spawn_seeds(seed, replicas)
-    init = singletons_per_site(geography, n)
-    times = []
-    for s in seeds:
-        rec = simulate(init, SimulationConfig(
-            kernel=kernel, geography=geography,
-            stop_blocks_at_most=k * upsilon, seed=s,
-            record_events=False, track_elements=False))
-        times.append(rec.final_time)
+    times = [rec.final_time for rec in _replica_runs(
+        singletons_per_site(geography, n), geography, kernel, seed, replicas,
+        stop_blocks_at_most=k * geography.size)]
     arr = np.asarray(times)
     se = float(arr.std(ddof=1)) / math.sqrt(replicas) if replicas > 1 else 0.0
     verdict = cdi_classify(kernel, b_max=1000)
@@ -161,14 +168,11 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
     horizon = max(probes)
     results = {}
     for n in n_grid:
-        seeds = spawn_seeds(seed, replicas)  # coupled across n via shared seeds
         counts = {p: [] for p in probes}
-        init = singletons_per_site(geography, n)
-        for s in seeds:
-            rec = simulate(init, SimulationConfig(
-                kernel=kernel, geography=geography, killing=killing,
-                horizon=horizon, seed=s, record_events=False,
-                track_elements=False, probe_times=probes))
+        # coupled across n via shared seeds
+        for rec in _replica_runs(singletons_per_site(geography, n), geography,
+                                 kernel, seed, replicas, killing=killing,
+                                 horizon=horizon, probe_times=probes):
             for p, c in rec.probes:
                 counts[p].append(c)
         results[n] = {p: (float(np.mean(v)),
@@ -375,6 +379,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     Kingman entrance law at kappa*t; plus a two-time joint comparison
     against the exact two-time law.  `stats` holds the wall time of each
     phase."""
+    check_torus_walk(N, walk)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must increase")
     d = walk.dimension
@@ -385,15 +390,11 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     t1 = time.perf_counter()
     geo = build_torus(N, walk)
     probe_times = tuple(float(t) * vol for t in times)
-    seeds = spawn_seeds(seed, replicas)
-    init = singletons_per_site(geo, n_per_site)
-
+    runs = _replica_runs(singletons_per_site(geo, n_per_site), geo, kernel,
+                         seed, replicas, horizon=max(probe_times),
+                         probe_times=probe_times)
     samples = np.empty((replicas, len(probe_times)), dtype=np.int64)
-    for i, s in enumerate(seeds):
-        rec = simulate(init, SimulationConfig(
-            kernel=kernel, geography=geo, horizon=max(probe_times), seed=s,
-            record_events=False, track_elements=False,
-            probe_times=probe_times))
+    for i, rec in enumerate(runs):
         if i == 0 and event_budget is not None:
             # every replica is projected to cost what the first one did
             projected = sum(rec.stats["events"].values()) * replicas
@@ -466,40 +467,47 @@ _CHUNK_CELLS = 1 << 15
 
 
 class _TorusWalk:
-    """The walk on the torus [-N, N]^d, whose sites are integer keys
-    sum_i ((x_i + N) mod side) side^i: one step at a time, or a chunk of free
-    migration at once.
+    """The walk on the torus [-N, N]^d, whose sites are packed int64s that
+    hold each coordinate, (x_i + N) mod side, in its own bit field: one step
+    at a time, or a chunk of free migration at once.
 
-    A chunk keeps each coordinate, shifted by `bias`, in its own bit field
-    of a packed int64, so that a block's path is one cumulative sum of packed
-    steps; a chunk is short enough that no field leaves [0, 2^width).
+    A path adds packed steps to a site and `bias` (each field's offset), so
+    that a block's path is one cumulative sum; a chunk is short enough that
+    no field leaves [0, 2^width), and wrap() maps every field back into
+    [0, side).
     """
 
     def __init__(self, N: int, walk: WalkSpec):
         d = walk.dimension
         self.side = 2 * N + 1
-        self.pows = self.side ** np.arange(d, dtype=np.int64)
-        self.offsets = walk.offsets_array
+        offsets = walk.offsets_array
         # a uniform u selects step #{cuts <= u}; the last cumulative
         # probability (1 up to rounding) is left out so u cannot overrun
         self.cuts = np.cumsum(walk.probs_array)[:-1]
-        reach = int(np.max(np.abs(self.offsets)))
+        reach = int(np.max(np.abs(offsets)))
         self.steps = min(_CHUNK_STEPS,
                          ((1 << (62 // d)) - self.side) // (2 * reach))
         if self.steps < 1:
             raise SizeOverflow(f"a {d}-dimensional torus of side {self.side} "
                                "does not fit the packed chunk coordinates")
-        self.bias = self.steps * reach
-        width = (self.side + 2 * self.bias - 1).bit_length()
+        bias = self.steps * reach
+        width = (self.side + 2 * bias - 1).bit_length()
         self.shifts = width * np.arange(d, dtype=np.int64)
         self.field = (1 << width) - 1
-        self.packed_steps = (self.offsets << self.shifts).sum(axis=1)
-        # packed field value -> that coordinate's share of the site key
-        wrapped = (np.arange(1 << width) - self.bias) % self.side
-        self.unpack = [wrapped * p for p in self.pows]
+        self.bias = int((bias << self.shifts).sum())
+        self.packed_steps = (offsets << self.shifts).sum(axis=1)
+        # biased field value -> its wrapped value, shifted into its field
+        wrapped = (np.arange(1 << width) - bias) % self.side
+        self.tables = [wrapped << shift for shift in self.shifts]
 
-    def site_of(self, coords) -> np.ndarray:
-        return ((np.asarray(coords) % self.side) * self.pows).sum(axis=-1)
+    def pack(self, coords) -> np.ndarray:
+        return ((np.asarray(coords) % self.side) << self.shifts).sum(axis=-1)
+
+    def wrap(self, path) -> np.ndarray:
+        site = self.tables[0][path & self.field]
+        for shift, table in zip(self.shifts[1:], self.tables[1:]):
+            site += table[(path >> shift) & self.field]
+        return site
 
     def draw_steps(self, rng, shape) -> np.ndarray:
         u = rng.random(shape)
@@ -509,8 +517,7 @@ class _TorusWalk:
         return step
 
     def move(self, sites, steps) -> np.ndarray:
-        coords = sites[:, None] // self.pows % self.side
-        return self.site_of(coords + self.offsets[steps])
+        return self.wrap(sites + self.bias + self.packed_steps[steps])
 
     def walk_apart(self, rng, sites, alive, t, rows) -> None:
         """Advance replicas `rows`, none of which has two alive blocks on one
@@ -524,37 +531,28 @@ class _TorusWalk:
         r, K = rows.size, self.steps
         live = alive[rows]
         m = live.sum(axis=1)
-        # slot s of a replica is its s-th alive block; dead slots never move
-        order = np.argsort(~live, axis=1, kind="stable")
-        start = sites[rows[:, None], order][:, :, None] // self.pows % self.side
-        packed = ((start + self.bias) << self.shifts).sum(axis=2)
+        # order[:, i] is the slot of a replica's i-th alive block; past its
+        # alive count come dead blocks, which never move
+        order = np.argsort(~live, axis=1, kind="stable")[:, :m.max()]
         mover = (rng.random((r, K)) * m[:, None]).astype(np.intp)
         moves = self.packed_steps[self.draw_steps(rng, (r, K))]
-        paths = []                            # site key of each slot per step
-        lands = np.zeros((r, K), dtype=np.int64)   # site key of the mover
-        for s in range(int(m.max())):
-            moved = mover == s
-            path = moves * moved
+        start = sites[rows[:, None], order] + self.bias
+        paths = np.empty((order.shape[1], r, K), dtype=np.int64)
+        lands = np.zeros((r, K), dtype=np.int64)   # site of the mover
+        # one block at a time, so that its arrays stay in cache
+        for i, path in enumerate(paths):    # site of the i-th block per step
+            moved = mover == i
+            np.multiply(moves, moved, out=path)
             np.cumsum(path, axis=1, out=path)
-            path += packed[:, s, None]
-            key = self.unpack[0][path & self.field]
-            for shift, unpack in zip(self.shifts[1:], self.unpack[1:]):
-                key += unpack[(path >> shift) & self.field]
-            lands += key * moved
-            paths.append(key)
+            path += start[:, i, None]
+            path[:] = self.wrap(path)
+            lands += path * moved
         # blocks on the mover's new site, the mover included; only the
         # mover can create the first co-location
-        count = np.zeros((r, K), dtype=np.int8)
-        for s, key in enumerate(paths):
-            same = key == lands
-            if s >= m.min():
-                same &= (s < m)[:, None]
-            count += same
-        met = count > 1
+        alive_path = np.arange(len(paths))[:, None, None] < m[:, None]
+        met = ((paths == lands) & alive_path).sum(axis=0) > 1
         taken = np.where(met.any(axis=1), met.argmax(axis=1) + 1, K)
-        last = (np.arange(r), taken - 1)
-        for s, key in enumerate(paths):
-            sites[rows, order[:, s]] = key[last]
+        sites[rows[:, None], order] = paths[:, np.arange(r), taken - 1].T
         # holding times are Exp(m) and independent of the jump chain, so the
         # time of `taken` steps is one Gamma(taken, 1/m) draw
         t[rows] += rng.gamma(taken, 1.0 / m)
@@ -564,29 +562,31 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
                            start_positions, replicas: int, seed: int):
     """Jump-chain simulation of n separated blocks on the torus, exact in
     law.  Returns per-replica merge logs [(time, participants, merge_size),
-    ...]; participants are frozensets of original block indices.
+    ...].  A block keeps its slot, the index of its start position, and a
+    merge keeps its smallest slot, so the participants, a sorted tuple of
+    slots, are each the least start index of their group.
 
     While no two alive blocks of a replica share a site, its chain is pure
     migration (Exp(m_alive) holding times, a uniform alive block, a step
     from the walk), and it advances a chunk of steps at once up to its first
     co-location.  Replicas with co-located blocks advance one event at a
-    time, all in lockstep.
+    time, all in lockstep.  Sites are the packed sites of _TorusWalk.
+    Raises ValueError if the walk does not connect the torus.
     """
+    check_torus_walk(N, walk)
     start = np.asarray(start_positions, dtype=np.int64)
     n = start.shape[0]
-    kernel.ensure_b(n)
     lam_tab = kernel.lambda_table(n)
     merge_cums = {b: kernel.merge_size_cumulative(b) for b in range(2, n + 1)}
     torus = _TorusWalk(N, walk)
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sites = np.tile(torus.site_of(start + N), (replicas, 1))   # (R, n)
+    sites = np.tile(torus.pack(start + N), (replicas, 1))   # (R, n)
     alivemask = np.ones((replicas, n), dtype=bool)
-    groups = [[frozenset([j]) for j in range(n)] for _ in range(replicas)]
     t = np.zeros(replicas)
     logs: list[list] = [[] for _ in range(replicas)]
     idx = np.arange(replicas)
-    # dead blocks get unique negative keys so they never collide
+    # dead blocks get unique negative sites so they never collide
     dead_key = -(np.arange(n) + 1)
 
     while idx.size:
@@ -608,7 +608,6 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
 
         for j in np.nonzero(coal)[0]:
             r = rows[j]
-            gi = int(idx[r])
             # block selection with weight lam(b)/b picks its site with
             # weight lam(b); then merge k of the b co-located blocks
             pick = np.searchsorted(np.cumsum(lam_per_block[j]), u[j], side="right")
@@ -617,15 +616,9 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
             b = len(members)
             k = 2 + int(np.searchsorted(merge_cums[b], rng.random(), side="right"))
             k = min(k, b)
-            chosen = rng.choice(members, size=k, replace=False)
-            chosen = sorted(int(c) for c in chosen)
-            survivor = chosen[0]
-            parts = frozenset().union(*(groups[gi][c] for c in chosen))
-            logs[gi].append((float(t[r]),
-                             tuple(groups[gi][c] for c in chosen), k))
-            groups[gi][survivor] = parts
-            for c in chosen[1:]:
-                alivemask[r, c] = False
+            chosen = sorted(map(int, rng.choice(members, size=k, replace=False)))
+            logs[idx[r]].append((float(t[r]), tuple(chosen), k))
+            alivemask[r, chosen[1:]] = False
 
         mig = ~coal
         if np.any(mig):
@@ -657,33 +650,20 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
         kappa_value = _kappa_info(walk, kernel)["kappa"]
     # mutually separated starts on the scale a_N = N^(3/4)
     gap = max(int(math.ceil(N ** 0.75)), 1)
-    starts = []
-    for j in range(n_blocks):
-        p = [0] * d
-        p[j % d] = gap if j < d else -gap
-        if j == 0:
-            p = [0] * d
-        starts.append(p)
+    starts = np.zeros((n_blocks, d), dtype=np.int64)
+    for j in range(1, n_blocks):
+        starts[j, j % d] = gap if j < d else -gap
     logs = few_block_torus_sample(N, walk, kernel, starts, replicas, seed)
 
-    # (a) inter-coalescence times per stage
+    # (a) inter-coalescence times per stage; a log has at most n - 1 merges
     stage_times = [[] for _ in range(n_blocks - 1)]
-    first_pair_counts: dict = {}
-    merges_total = 0
-    merges_multi = 0
     for log in logs:
         prev = 0.0
-        for stage, (tm, parts, k) in enumerate(log):
-            if stage < n_blocks - 1:
-                stage_times[stage].append((tm - prev) / vol)
+        for stage, (tm, _parts, _k) in enumerate(log):
+            stage_times[stage].append((tm - prev) / vol)
             prev = tm
-            merges_total += 1
-            if k > 2:
-                merges_multi += 1
-        if log:
-            _t0, parts0, _k0 = log[0]
-            pair = tuple(sorted(min(p) for p in parts0))
-            first_pair_counts[pair] = first_pair_counts.get(pair, 0) + 1
+    sizes = [k for log in logs for _tm, _parts, k in log]
+    first_pair_counts = Counter(log[0][1] for log in logs if log)
 
     stage_reports = []
     for stage, vals in enumerate(stage_times):
@@ -711,8 +691,8 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
         "first_pair_counts": {str(p): int(c)
                               for p, c in sorted(first_pair_counts.items())},
         "pair_uniformity_pvalue": chi2_p,
-        "multi_merge_fraction": merges_multi / max(merges_total, 1),
-        "merges_total": merges_total,
+        "multi_merge_fraction": sum(k > 2 for k in sizes) / max(len(sizes), 1),
+        "merges_total": len(sizes),
         "replicas": replicas,
     }
 
@@ -755,24 +735,16 @@ def block_decay_shape(kernel: RateKernel, walk: WalkSpec, N_values, t_grid,
     """sup over a (t, N) grid of E[#blocks(t)] * t / #blocks(0); bounded for
     coalescents that come down uniformly."""
     stats = {}
-    sup_stat = 0.0
+    probes = tuple(t_grid)
     for N in N_values:
         geo = build_torus(N, walk)
-        n0 = geo.size  # one singleton per site
-        probes = tuple(t_grid)
-        seeds = spawn_seeds(seed, replicas)
         sums = {p: 0.0 for p in probes}
-        init = singletons_per_site(geo, 1)
-        for s in seeds:
-            rec = simulate(init, SimulationConfig(
-                kernel=kernel, geography=geo, horizon=max(probes), seed=s,
-                record_events=False, track_elements=False, probe_times=probes))
+        for rec in _replica_runs(singletons_per_site(geo, 1), geo, kernel,
+                                 seed, replicas, horizon=max(probes),
+                                 probe_times=probes):
             for p, c in rec.probes:
                 sums[p] += c
-        for p in probes:
-            mean = sums[p] / replicas
-            stat = mean * p / n0
-            stats[(N, p)] = stat
-            sup_stat = max(sup_stat, stat)
+        for p in probes:   # one singleton per site: #blocks(0) = geo.size
+            stats[(N, p)] = sums[p] / replicas * p / geo.size
     return {"per_cell": {f"N={N},t={p}": v for (N, p), v in stats.items()},
-            "sup_statistic": sup_stat}
+            "sup_statistic": max(stats.values())}

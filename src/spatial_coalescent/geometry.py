@@ -195,16 +195,19 @@ def _move_tables(dests: np.ndarray, probs: np.ndarray):
     return cum_rows, dest_rows
 
 
-def build_torus(N: int, walk: WalkSpec, site_budget: int = 1_000_000) -> GeographySpec:
+_TORUS_SITE_BUDGET = 1_000_000
+
+
+def build_torus(N: int, walk: WalkSpec) -> GeographySpec:
     """Torus [-N,N]^d with the wrapped base walk; sites in lexicographic order."""
     if N < 1:
         raise ValueError("need N >= 1")
     d = walk.dimension
     side = 2 * N + 1
     size = side**d
-    if size > site_budget:
-        raise SizeOverflow(f"torus has {size} sites, budget {site_budget}",
-                           size=size, budget=site_budget)
+    if size > _TORUS_SITE_BUDGET:
+        raise SizeOverflow(f"torus has {size} sites, budget {_TORUS_SITE_BUDGET}",
+                           size=size, budget=_TORUS_SITE_BUDGET)
     axes = [np.arange(-N, N + 1)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)  # lexicographic
@@ -434,18 +437,20 @@ def _green_monte_carlo(walk: WalkSpec, replicas: int, horizon: int, seed: int):
                 window += at0
     # tail beyond the horizon from the late-window visit mass: the amplitude
     # cancels in the ratio of power-law sums
-    ks = np.arange(half + 1, horizon + 1, dtype=float)
-    window_ref = float(np.sum(ks ** (-d / 2.0)))
-    kk = np.arange(horizon + 1, horizon * 2_000, dtype=float)
-    tail_ref = float(np.sum(kk ** (-d / 2.0)))
-    tail_ref += (kk[-1] + 1.0) ** (1.0 - d / 2.0) / (d / 2.0 - 1.0)
-    ratio = tail_ref / window_ref
+    ratio = _tail_ratio(d / 2.0, half, horizon)
     window_mean = float(window.mean())
     estimate = float(visits.mean()) + window_mean * ratio
     se_visits = float(visits.std(ddof=1)) / math.sqrt(replicas)
     se_window = float(window.std(ddof=1)) / math.sqrt(replicas)
     err = 1.96 * (se_visits + se_window * ratio) + 0.1 * window_mean * ratio
     return estimate, err
+
+
+def _tail_ratio(s: float, half: int, horizon: int) -> float:
+    """sum_{k > horizon} k^(-s) / sum_{half < k <= horizon} k^(-s), by the
+    Hurwitz zeta function zeta(s, q) = sum_{k >= 0} (k + q)^(-s)."""
+    tail = zeta(s, horizon + 1)
+    return float(tail / (zeta(s, half + 1) - tail))
 
 
 def kappa(G: float, lambda22: float) -> float:

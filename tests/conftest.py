@@ -19,16 +19,22 @@ CHECK_FAILURES = pytest.StashKey()
 BODY_ERROR = pytest.StashKey()
 
 
-def coalsim(*args, timeout=None):
-    """Run the ``coalsim`` CLI as ``python -m spatial_coalescent`` in a child
-    interpreter; works whether or not the package is installed.  A run
-    still going after `timeout` seconds raises TimeoutExpired."""
+def run_python(*args, timeout=None):
+    """Run a child interpreter with `args`, importing the package under
+    test; works whether or not the package is installed.  A run still going
+    after `timeout` seconds raises TimeoutExpired."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_PARENT, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "spatial_coalescent", *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def coalsim(*args, timeout=None):
+    """Run the ``coalsim`` CLI as ``python -m spatial_coalescent`` in a child
+    interpreter (see run_python)."""
+    return run_python("-m", "spatial_coalescent", *args, timeout=timeout)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -480,6 +480,35 @@ def test_bad_experiment_params_exit_2(tmp_path, experiment, needle):
     assert needle in payload["message"]
 
 
+@pytest.mark.parametrize("experiment, args, field", [
+    ({"name": "hitting_time", "params": {"n": 10}}, ("--budget", "1"),
+     "event_budget"),
+    ({"name": "structure", "params": {"n_blocks": 3}}, ("--budget", "1"),
+     "event_budget"),
+    ({"name": "kappa"}, ("--replicas", "3"), "replicas"),
+], ids=["hitting_time-budget", "structure-budget", "kappa-replicas"])
+def test_experiment_option_without_effect_exits_2(tmp_path, experiment, args,
+                                                  field):
+    # only block_count reads event_budget, and kappa reads no replicas
+    cfg = {"seed": 1, "measure": KINGMAN, "experiment": experiment,
+           "geography": {"topology": "torus", "N": 2}}
+    r = run_cli(tmp_path, cfg, "experiment", *args)
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "VALIDATION_ERROR"
+    assert payload["message"].startswith(f"{field}:")
+
+
+def test_block_count_reads_budget(tmp_path):
+    cfg = {"seed": 1, "measure": KINGMAN, "n_per_site": 2, "replicas": 2,
+           "geography": {"topology": "torus", "N": 1},
+           "experiment": {"name": "block_count",
+                          "params": {"kappa_value": 0.5}}}
+    r = run_cli(tmp_path, cfg, "experiment", "--budget", "1")
+    assert r.returncode == 3, r.stdout + r.stderr
+    assert json.loads(r.stdout)["error"] == "BUDGET_EXCEEDED"
+
+
 # ---------------------------------------------------------------- torus studies
 
 PAIRWISE_CFG = {"seed": 5, "measure": KINGMAN,

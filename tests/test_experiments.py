@@ -29,6 +29,7 @@ from spatial_coalescent.geometry import (
 )
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
+from conftest import run_python
 from torus_oracle import pairwise_first_coalescence_times
 
 KAPPA_D3_UNIT = 0.5687658867  # 2 / (G + 2) for the nearest-neighbor walk
@@ -397,11 +398,46 @@ def test_few_block_sample_merges_co_located_starts(kingman):
     for log in logs:
         assert len(log) == 2
         assert log[0][0] < log[1][0]
-        assert frozenset().union(*log[-1][1]) == {0, 1, 2}
+        # participants are slots; a merge keeps its smallest slot
+        assert set(log[0][1]) | set(log[1][1]) == {0, 1, 2}
     # the pair that starts together merges first more often than the 1/3
     # of a uniform pair (about 60 % here)
-    first_pairs = [frozenset().union(*log[0][1]) for log in logs]
+    first_pairs = [frozenset(log[0][1]) for log in logs]
     assert first_pairs.count(frozenset({0, 1})) > 90
+
+
+# +-3 e_1 (0.1 each), +-e_2 and +-e_3 (0.2 each): on the side-3 torus the
+# e_1 steps wrap onto their own site, so blocks in different e_1 residue
+# classes never meet
+STRIDE_3 = WalkSpec(3, ((3, 0, 0), (-3, 0, 0), (0, 1, 0), (0, -1, 0),
+                        (0, 0, 1), (0, 0, -1)),
+                    (0.1, 0.1, 0.2, 0.2, 0.2, 0.2))
+
+
+def test_pairwise_rejects_walk_that_does_not_connect_the_torus():
+    # in a child interpreter, so that a sampler waiting for blocks that
+    # never meet fails the test instead of hanging it
+    code = f"""
+from spatial_coalescent.experiments import pairwise_torus_experiment
+from spatial_coalescent.geometry import WalkSpec
+from spatial_coalescent.measure import LambdaMeasure
+from spatial_coalescent.rates import RateKernel
+kernel = RateKernel(LambdaMeasure.unit_atom(0.0))
+try:
+    pairwise_torus_experiment(1, {STRIDE_3!r}, kernel, replicas=20, seed=1,
+                              kappa_value=0.5)
+except ValueError as e:
+    print(e)
+"""
+    r = run_python("-c", code, timeout=60)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "does not connect" in r.stdout
+
+
+def test_block_count_rejects_walk_that_does_not_connect_the_torus(kingman):
+    with pytest.raises(ValueError, match="does not connect"):
+        block_count_limit_experiment(1, STRIDE_3, kingman, 2, [0.5],
+                                     replicas=5, seed=1, kappa_value=0.5)
 
 
 # ---------------------------------------------------------------- coupling

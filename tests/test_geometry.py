@@ -9,6 +9,7 @@ from spatial_coalescent.errors import DimensionTooLow, SizeOverflow, TruncationU
 from spatial_coalescent.geometry import (
     WalkSpec,
     _lattice_index,
+    _tail_ratio,
     build_torus,
     check_torus_walk,
     complete_graph,
@@ -148,8 +149,9 @@ def test_lattice_index_is_gcd_of_maximal_minors(vectors):
 
 
 def test_torus_site_budget_overflow():
+    # 101^3 sites exceed the 10^6 cap; it raises before allocating
     with pytest.raises(SizeOverflow):
-        build_torus(100, simple_walk(3), site_budget=1000)
+        build_torus(50, simple_walk(3))
 
 
 def test_generic_graph_names_bad_row():
@@ -301,6 +303,17 @@ def test_green_monte_carlo_agrees_with_lattice(lattice_d3):
     g_lat, e_lat = lattice_d3
     g_mc, e_mc = green_function(simple_walk(3), "MONTE_CARLO", seed=3)
     assert abs(g_lat - g_mc) <= e_lat + e_mc
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_monte_carlo_tail_ratio_matches_explicit_sums(d):
+    # the tail summed to 10^6 terms, plus the Euler-Maclaurin remainder
+    # from there on, over the window summed term by term
+    s, half, horizon, last = d / 2.0, 200, 400, 1_000_000
+    window = np.sum(np.arange(half + 1, horizon + 1, dtype=float) ** -s)
+    tail = np.sum(np.arange(horizon + 1, last, dtype=float) ** -s)
+    tail += last ** (1 - s) / (s - 1) + last ** -s / 2 + s * last ** (-s - 1) / 12
+    assert _tail_ratio(s, half, horizon) == pytest.approx(tail / window, rel=1e-12)
 
 
 def test_green_lattice_error_bound_positive_with_drift():
