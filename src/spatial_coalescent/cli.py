@@ -570,13 +570,18 @@ class DecayShapeParams(_Strict):
 
 
 _EXPERIMENTS = {}
+# the top-level fields every experiment reads
+_EVERY_EXPERIMENT_READS = frozenset({"seed", "measure", "geography",
+                                     "experiment", "out_dir"})
 
 
-def _experiment(name, params_model=_Strict, unused=("event_budget",)):
-    """Register an experiment; a config that sets one of the top-level
-    fields in `unused`, which it does not read, is a config error."""
+def _experiment(name, params_model=_Strict, reads=("replicas",)):
+    """Register an experiment that reads the top-level fields in `reads`
+    besides those every experiment reads; a config that sets any other
+    field away from its default is a config error."""
     def deco(fn):
-        _EXPERIMENTS[name] = (params_model, unused, fn)
+        _EXPERIMENTS[name] = (params_model, _EVERY_EXPERIMENT_READS | set(reads),
+                              fn)
         return fn
     return deco
 
@@ -605,7 +610,7 @@ def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams, kernel: RateKernel):
     return out, raw, "hitting_times.csv"
 
 
-@_experiment("trend", TrendParams)
+@_experiment("trend", TrendParams, reads=("replicas", "killing"))
 def _run_trend(cfg: RunConfig, p: TrendParams, kernel: RateKernel):
     geo = cfg.geography.build()
     res = stay_infinite_trend(kernel, geo, p.n_grid, p.t_probe,
@@ -634,7 +639,8 @@ def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
     return comp.to_dict(), raw, "pairwise_times.csv"
 
 
-@_experiment("block_count", BlockCountParams, unused=())
+@_experiment("block_count", BlockCountParams,
+             reads=("replicas", "event_budget", "n_per_site"))
 def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
     res = block_count_limit_experiment(
@@ -681,7 +687,7 @@ def _run_decay_shape(cfg: RunConfig, p: DecayShapeParams, kernel: RateKernel):
     return res, None, None
 
 
-@_experiment("kappa", unused=("event_budget", "replicas"))
+@_experiment("kappa", reads=())
 def _run_kappa(cfg: RunConfig, _p, kernel: RateKernel):
     walk = cfg.geography.walk.build()
     return torus_kappa(walk, kernel, seed=cfg.seed), None, None
@@ -700,8 +706,12 @@ def experiment(config, **overrides):
             [f"experiment: unknown name {cfg.experiment.name!r}; "
              f"known: {sorted(_EXPERIMENTS)}"])
     cfg.require("experiment", "measure", "geography")
-    params_model, unused, runner = entry
-    ignored = [name for name in unused if getattr(cfg, name) is not None]
+    params_model, reads, runner = entry
+    # compared with the default, not None: killing defaults to False and
+    # probe_times to []
+    ignored = [name for name, field in RunConfig.model_fields.items()
+               if name not in reads and getattr(cfg, name)
+               != field.get_default(call_default_factory=True)]
     if ignored:
         raise _ConfigError([f"{name}: experiment {cfg.experiment.name!r} "
                             "does not use it" for name in ignored])

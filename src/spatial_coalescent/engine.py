@@ -15,9 +15,12 @@ exactly over count classes (sites holding the same number of blocks share
 lambda_b); migration is uniformized at the largest move rate and thinned.
 
 Blocks carry (min element, size) always and full element sets only when an
-experiment needs partition identity; merges keep the smallest-minimum block
-as survivor so least-element ordering is maintained for free.  A single
-seeded stream drives every draw, making trajectories bit-reproducible.
+experiment needs partition identity.  Block ids follow the least-element
+order of the initial partition and a merge keeps its least id, so the ids
+of the surviving blocks stay in least-element order.  One seeded
+`random.Random` stream drives every draw, making trajectories
+bit-reproducible; uniform indices come from its `getrandbits` by rejection,
+the loop `random.Random` itself runs inside `choice` and `randrange`.
 """
 
 from __future__ import annotations
@@ -171,6 +174,20 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     which is 1 when every site has the same move rate (a torus); a rejected
     proposal is a null step that changes nothing.  No running float total
     is kept, so no rate can drift.
+
+    Every draw comes from one `random.Random`, seeded from `config.seed`
+    through a SeedSequence.  Each event takes a holding-time uniform and an
+    event-type uniform, then:
+      - coalescence: a site index in the class; past two blocks the
+        merge-size uniform; then two indices for a pair, or `sample` for
+        2 < k < b;
+      - killing: an alive-block index;
+      - migration: an alive-block index, the thinning uniform (only when
+        move rates differ) and the move uniform.
+    An index below n takes n.bit_length() bits from `getrandbits` until
+    they fall below n, the loop `random.Random` runs inside `choice` and
+    `randrange`.  Block ids stay in least-element order, so the survivor of
+    a merge is its least id.
     """
     geo = config.geography
     kernel = config.kernel
@@ -179,7 +196,18 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     mixed = int.from_bytes(
         np.random.SeedSequence(config.seed).generate_state(4).tobytes(), "little")
     rng = random.Random(mixed)
-    random_, randrange, choice = rng.random, rng.randrange, rng.choice
+    random_, getrandbits = rng.random, rng.getrandbits
+    log = math.log
+    sample_move = geo.sample_move
+
+    def below(n: int) -> int:
+        """Uniform index in [0, n) by rejection on n.bit_length() bits."""
+        nbits = n.bit_length()
+        r = getrandbits(nbits)
+        while r >= n:
+            r = getrandbits(nbits)
+        return r
+
     n_sites = geo.size
     move_rates = geo.move_rates.tolist()
     max_move = max(move_rates)
@@ -187,8 +215,8 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     mobile = [1 if r > 0.0 else 0 for r in move_rates]
 
     # block arrays indexed by block id; ids follow the least-element order
-    # of `initial` and a merge keeps the survivor with the least minimum,
-    # so the surviving ids stay in least-element order
+    # of `initial` and a merge keeps its least id, so the surviving ids stay
+    # in least-element order and min_of is read only for the final summary
     site_of: list = list(initial.labels)
     for lab in site_of:
         if lab == CEMETERY or not (0 <= lab < n_sites):
@@ -262,21 +290,6 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     # a Kingman measure merges pairs only, so it never needs a merge-size law
     binary = kernel.binary_merges
 
-    def remove_from_roster(bid: int):
-        roster = rosters[site_of[bid]]
-        last = roster.pop()
-        if last != bid:
-            p = pos_in_roster[bid]
-            roster[p] = last
-            pos_in_roster[last] = p
-
-    def remove_from_alive(bid: int):
-        last = alive.pop()
-        if last != bid:
-            p = alive_pos[bid]
-            alive[p] = last
-            alive_pos[last] = p
-
     rec = TrajectoryRecord(initial=initial, seed=config.seed)
     events = rec.events
     record = config.record_events
@@ -323,7 +336,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
             t = horizon
             stop_reason = "HORIZON"
             break
-        t_next = t - math.log(1.0 - random_()) / total  # Exp(total)
+        t_next = t - log(1.0 - random_()) / total  # Exp(total)
         if t_next > horizon:
             t = horizon
             stop_reason = "HORIZON"
@@ -342,7 +355,8 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
                     break
             # (a u rounded onto the total falls through to the last class)
             b = occupied[i]
-            s = choice(sites_with[b])
+            members = sites_with[b]
+            s = members[below(len(members))]
             k = 2
             if b > 2:
                 # the uniform is drawn even when the law is a point mass, so
@@ -354,14 +368,14 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
             if k == b:
                 chosen = list(roster)
             elif k == 2:
-                i = randrange(b)
-                j = randrange(b - 1)
+                i = below(b)
+                j = below(b - 1)
                 if j >= i:
                     j += 1
                 chosen = [roster[i], roster[j]]
             else:
                 chosen = rng.sample(roster, k)
-            survivor = min(chosen, key=min_of.__getitem__)
+            survivor = min(chosen)
             for bid in chosen:
                 if bid == survivor:
                     continue
@@ -369,8 +383,16 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
                 if track:
                     elems[survivor] |= elems[bid]
                     elems[bid] = None
-                remove_from_roster(bid)
-                remove_from_alive(bid)
+                last = roster.pop()
+                if last != bid:
+                    p = pos_in_roster[bid]
+                    roster[p] = last
+                    pos_in_roster[last] = p
+                last = alive.pop()
+                if last != bid:
+                    p = alive_pos[bid]
+                    alive[p] = last
+                    alive_pos[last] = p
                 site_of[bid] = None
             counts[s] = b - (k - 1)
             reclass(s, b, b - (k - 1))
@@ -378,13 +400,23 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
             n_merges += 1
             if record:
                 events.append((t, "MERGE", (s, tuple(sorted(chosen)), k)))
-            stop_reason = block_stop(n_alive - (k - 1))
+            if n_alive - (k - 1) <= floor:
+                stop_reason = block_stop(n_alive - (k - 1))
         elif killing and u >= coal_tot + mig_tot:
             # ---- killing ----
-            bid = choice(alive)
+            bid = alive[below(n_alive)]
             s = site_of[bid]
-            remove_from_roster(bid)
-            remove_from_alive(bid)
+            roster = rosters[s]
+            last = roster.pop()
+            if last != bid:
+                p = pos_in_roster[bid]
+                roster[p] = last
+                pos_in_roster[last] = p
+            last = alive.pop()
+            if last != bid:
+                p = alive_pos[bid]
+                alive[p] = last
+                alive_pos[last] = p
             b = counts[s]
             counts[s] = b - 1
             reclass(s, b, b - 1)
@@ -393,16 +425,26 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
             n_kills += 1
             if record:
                 events.append((t, "KILL", (bid,)))
-            stop_reason = block_stop(n_alive - 1)
+            if n_alive - 1 <= floor:
+                stop_reason = block_stop(n_alive - 1)
         else:
-            # ---- migration proposal ----
-            bid = choice(alive)
+            # ---- migration proposal: a uniform alive block ----
+            nbits = n_alive.bit_length()
+            r = getrandbits(nbits)
+            while r >= n_alive:
+                r = getrandbits(nbits)
+            bid = alive[r]
             s = site_of[bid]
             if not uniform_moves and move_rates[s] <= max_move * random_():
                 n_rejected += 1
                 continue
-            dest = geo.sample_move(s, random_())
-            remove_from_roster(bid)
+            dest = sample_move(s, random_())
+            roster = rosters[s]
+            last = roster.pop()
+            if last != bid:
+                p = pos_in_roster[bid]
+                roster[p] = last
+                pos_in_roster[last] = p
             site_of[bid] = dest
             roster = rosters[dest]
             pos_in_roster[bid] = len(roster)

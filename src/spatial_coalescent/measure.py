@@ -169,13 +169,6 @@ class DensityPiece:
             return None
         return DensityPiece((lo, hi), self.tag, dict(self.params))
 
-    def to_dict(self) -> dict:
-        return {
-            "interval": [self.interval[0], self.interval[1]],
-            "tag": self.tag,
-            "params": dict(self.params),
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "DensityPiece":
         return DensityPiece(tuple(d["interval"]), d["tag"], dict(d.get("params", {})))
@@ -225,13 +218,7 @@ class LambdaMeasure:
             return LambdaMeasure.lebesgue()
         return LambdaMeasure(pieces=[DensityPiece((0.0, 1.0), "beta", {"alpha": alpha})])
 
-    # -- serialization (canonical form, exact round trip) ---------------
-
-    def to_dict(self) -> dict:
-        return {
-            "atoms": [[loc, m] for loc, m in self.atoms],
-            "pieces": [p.to_dict() for p in self.pieces],
-        }
+    # -- deserialization (the config's measure section) -----------------
 
     @staticmethod
     def from_dict(d: dict) -> "LambdaMeasure":

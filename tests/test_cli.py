@@ -480,23 +480,43 @@ def test_bad_experiment_params_exit_2(tmp_path, experiment, needle):
     assert needle in payload["message"]
 
 
-@pytest.mark.parametrize("experiment, args, field", [
-    ({"name": "hitting_time", "params": {"n": 10}}, ("--budget", "1"),
+@pytest.mark.parametrize("experiment, extra, args, field", [
+    ({"name": "hitting_time", "params": {"n": 10}}, {}, ("--budget", "1"),
      "event_budget"),
-    ({"name": "structure", "params": {"n_blocks": 3}}, ("--budget", "1"),
+    ({"name": "structure", "params": {"n_blocks": 3}}, {}, ("--budget", "1"),
      "event_budget"),
-    ({"name": "kappa"}, ("--replicas", "3"), "replicas"),
-], ids=["hitting_time-budget", "structure-budget", "kappa-replicas"])
-def test_experiment_option_without_effect_exits_2(tmp_path, experiment, args,
-                                                  field):
-    # only block_count reads event_budget, and kappa reads no replicas
+    ({"name": "kappa"}, {}, ("--replicas", "3"), "replicas"),
+    ({"name": "hitting_time", "params": {"n": 10}}, {"killing": True}, (),
+     "killing"),
+    ({"name": "structure", "params": {"n_blocks": 3}}, {"n_per_site": 7}, (),
+     "n_per_site"),
+    ({"name": "pairwise"}, {"probe_times": [1.0]}, (), "probe_times"),
+], ids=["hitting_time-budget", "structure-budget", "kappa-replicas",
+        "hitting_time-killing", "structure-n_per_site", "pairwise-probe_times"])
+def test_experiment_option_without_effect_exits_2(tmp_path, experiment, extra,
+                                                  args, field):
+    # only block_count reads event_budget and n_per_site, only trend reads
+    # killing, kappa reads no replicas, and none reads probe_times
     cfg = {"seed": 1, "measure": KINGMAN, "experiment": experiment,
-           "geography": {"topology": "torus", "N": 2}}
+           "geography": {"topology": "torus", "N": 2}, **extra}
     r = run_cli(tmp_path, cfg, "experiment", *args)
     assert r.returncode == 2, r.stdout + r.stderr
     payload = json.loads(r.stdout)
     assert payload["error"] == "VALIDATION_ERROR"
     assert payload["message"].startswith(f"{field}:")
+
+
+@pytest.mark.parametrize("cfg", [
+    {"seed": 1, "measure": KINGMAN, "killing": True, "replicas": 5,
+     "geography": {"topology": "complete", "sites": 2},
+     "experiment": {"name": "trend", "params": {"n_grid": [4, 8]}}},
+    {"seed": 1, "measure": KINGMAN, "n_per_site": 2, "replicas": 5,
+     "geography": {"topology": "torus", "N": 1},
+     "experiment": {"name": "block_count", "params": {"kappa_value": 0.5}}},
+], ids=["trend-killing", "block_count-n_per_site"])
+def test_experiment_accepts_the_fields_it_reads(tmp_path, cfg):
+    r = run_cli(tmp_path, cfg, "experiment", "--out", str(tmp_path / "out"))
+    assert r.returncode == 0, r.stdout + r.stderr
 
 
 def test_block_count_reads_budget(tmp_path):

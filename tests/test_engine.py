@@ -302,6 +302,60 @@ def test_bit_reproducible(kingman):
     assert a.final_time == b.final_time
 
 
+_LAZY_3 = np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]])
+
+
+@pytest.mark.parametrize("case", ["beta-one-site", "generic-kill",
+                                  "kingman-torus"])
+def test_counts_only_run_matches_full_run(case, kingman, beta_heavy_kernel):
+    # dropping events and element sets must not touch the random stream
+    if case == "beta-one-site":
+        init = singletons_at([0] * 200)
+        kw = dict(kernel=beta_heavy_kernel, geography=single_site(),
+                  stop_when_absorbed=True, probe_times=(0.01, 0.1))
+    elif case == "generic-kill":
+        geo = generic_graph(_LAZY_3)
+        init = singletons_per_site(geo, 6)
+        kw = dict(kernel=beta_heavy_kernel, geography=geo, killing=True,
+                  horizon=5.0, probe_times=(0.1, 0.5, 2.0))
+    else:
+        geo = build_torus(2, simple_walk(3))
+        init = singletons_per_site(geo, 10)
+        kw = dict(kernel=kingman, geography=geo, horizon=27.0,
+                  probe_times=(13.5, 27.0))
+    totals = {"MERGE": 0, "MIGRATE": 0, "KILL": 0, "rejected": 0}
+    for seed in range(3):
+        full = simulate(init, SimulationConfig(seed=seed, **kw))
+        counts = simulate(init, SimulationConfig(
+            seed=seed, record_events=False, track_elements=False, **kw))
+        assert counts.events == [] and counts.final_partition is None
+        for attr in ("probes", "final_time", "final_block_summary", "stats",
+                     "stop_reason"):
+            assert getattr(counts, attr) == getattr(full, attr), attr
+        for tag, n in full.stats["events"].items():
+            totals[tag] += n
+        totals["rejected"] += full.stats["thinning_rejections"]
+    # the case reaches the paths it is here for
+    expect = {"beta-one-site": ("MERGE",),
+              "generic-kill": ("MERGE", "MIGRATE", "KILL", "rejected"),
+              "kingman-torus": ("MERGE", "MIGRATE")}[case]
+    assert all(totals[key] > 0 for key in expect), totals
+
+
+def test_merge_survivor_is_least_id(beta_heavy_kernel):
+    # ids follow least-element order and a merge keeps its least id, so the
+    # counts-only summary agrees with the element sets
+    rnd = np.random.default_rng(7)
+    sites = rnd.integers(0, 3, size=60).tolist()
+    rec = simulate(singletons_at(sites), SimulationConfig(
+        kernel=beta_heavy_kernel, geography=complete_graph(3), seed=4,
+        horizon=2.0))
+    assert any(p[2] > 2 for _, tag, p in rec.events if tag == "MERGE")
+    part = rec.final_partition
+    assert rec.final_block_summary == [
+        (min(b), len(b), lab) for b, lab in zip(part.blocks, part.labels)]
+
+
 def test_gamma_accounting(kingman):
     # mean (k-1) per merge at sites with b blocks, times lambda_b,
     # estimates gamma_b: for Kingman every merge has k=2 so the check is
