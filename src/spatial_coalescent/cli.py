@@ -634,9 +634,10 @@ def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
         replicas=cfg.replicas or 2000, seed=cfg.seed,
         separation=p.separation, kappa_value=p.kappa_value)
     times = comp.extras.pop("rescaled_times")
+    stats = comp.extras.pop("stats")
     raw = "replica,rescaled_time\n" + "".join(
         f"{i},{v!r}\n" for i, v in enumerate(times))
-    return comp.to_dict(), raw, "pairwise_times.csv"
+    return {**comp.to_dict(), "stats": stats}, raw, "pairwise_times.csv"
 
 
 @_experiment("block_count", BlockCountParams,

@@ -286,7 +286,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     for s, c in enumerate(counts):
         reclass(s, 0, c)
 
-    merge_cum = kernel.merge_size_cumulative_list
+    merge_cum = kernel.merge_size_cumulative_array
     # a Kingman measure merges pairs only, so it never needs a merge-size law
     binary = kernel.binary_merges
 

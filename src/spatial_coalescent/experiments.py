@@ -13,16 +13,20 @@ exact in law but orders of magnitude faster than the general engine:
 few_block_torus_sample advances replicas whose blocks are apart by chunks
 of pure migration cut at the first co-location, and the others one
 jump-chain event at a time.  It holds a site as one packed int64, a bit
-field per coordinate, and logs a merge's participants as slot indices,
-each the least start index of its group.  It and the block-count study
-first check that the walk connects the torus (geometry.check_torus_walk).
+field per coordinate; a chunk leaves its paths unwrapped and finds the
+first co-location from packed differences of the mover's site and every
+other block's, so that only the end sites are wrapped.  It logs a merge's
+participants as slot indices, each the least start index of its group,
+and returns counters of its chunks and lockstep events.  It and the
+block-count study first check that the walk connects the torus
+(geometry.check_torus_walk).
 
 kappa is about the difference of two blocks' positions, so it takes G of
 the symmetrized walk (geometry.WalkSpec.symmetrized).  Without a given
 kappa, the torus experiments take it from the exact Green route that
 geometry picks for that walk: BESSEL for an axis walk, LATTICE_SUM
 otherwise.  torus_kappa (the `kappa` experiment) checks LATTICE_SUM
-against the Monte Carlo oracle.
+against the Monte Carlo oracle, at about a 95 % level.
 
 The block-count study's references, the Kingman entrance law from dust and
 its two-time law, are Tavare's series summed exactly in decimal.
@@ -302,7 +306,15 @@ def _counts_to_dist(counts: np.ndarray) -> dict:
 def torus_kappa(walk: WalkSpec, kernel: RateKernel,
                 require_agreement: bool = True, seed: int = 0) -> dict:
     """kappa from the LATTICE_SUM Green value of the symmetrized walk,
-    checked against its Monte Carlo oracle."""
+    checked against its Monte Carlo oracle.
+
+    The check is about a 95 % interval: the routes agree when |G_lattice -
+    G_monte_carlo| is within the sum of their bounds, and Monte Carlo's is
+    1.96 standard errors plus a 10 % tail term.  So when LATTICE_SUM is
+    tight, require_agreement raises TruncationUnstable (exit 4 from
+    `coalsim experiment kappa`) on about one seed in 20: the symmetrized
+    drifted walk disagrees at seeds 0 and 5 of 0-19.  methods_agree
+    reports the outcome either way."""
     sym = walk.symmetrized()
     g_lat, e_lat = green_function(sym, "LATTICE_SUM")
     g_mc, e_mc = green_function(sym, "MONTE_CARLO", seed=seed)
@@ -341,7 +353,8 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                               kappa_value: float | None = None) -> DistributionComparison:
     """Rescaled first-coalescence time of two blocks, at the origin and at
     `separation` (default N e_1), vs Exp(kappa).  The times are the first
-    merges of few_block_torus_sample with two blocks."""
+    merges of few_block_torus_sample with two blocks; extras["stats"] holds
+    its counters."""
     d = walk.dimension
     kappa_info = None
     if kappa_value is None:
@@ -349,8 +362,8 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
         kappa_value = kappa_info["kappa"]
     if separation is None:
         separation = [N] + [0] * (d - 1)
-    logs = few_block_torus_sample(N, walk, kernel, [[0] * d, separation],
-                                  replicas, seed)
+    logs, stats = few_block_torus_sample(N, walk, kernel,
+                                         [[0] * d, separation], replicas, seed)
     times = np.array([log[0][0] for log in logs])
     rescaled = times / (2 * N + 1) ** d
     ks = sp_stats.kstest(rescaled, "expon", args=(0.0, 1.0 / kappa_value))
@@ -363,6 +376,7 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
             "mean_rescaled_time": float(np.mean(rescaled)),
             "kappa_info": kappa_info or {},
             "rescaled_times": rescaled,
+            "stats": stats,
         })
 
 
@@ -460,8 +474,9 @@ def _joint_chi2(pairs: np.ndarray, law: dict, min_expected: float = 5.0) -> floa
 # ----------------------------------------------------------------------
 
 # Free migration in few_block_torus_sample: steps drawn per replica at once,
-# and the most cells one (replicas x steps) array may hold; replicas are
-# sliced to fit, and 2^15 int64 cells (256 KB) keep a slice's arrays in cache.
+# and the most (replicas x steps) cells of one chunk.  Replicas are sliced to
+# fit, and the blocks' differences are taken a group of at most that many
+# cells at a time, so that each (256 KB of int64) stays in cache.
 _CHUNK_STEPS = 256
 _CHUNK_CELLS = 1 << 15
 
@@ -471,10 +486,12 @@ class _TorusWalk:
     hold each coordinate, (x_i + N) mod side, in its own bit field: one step
     at a time, or a chunk of free migration at once.
 
-    A path adds packed steps to a site and `bias` (each field's offset), so
-    that a block's path is one cumulative sum; a chunk is short enough that
-    no field leaves [0, 2^width), and wrap() maps every field back into
-    [0, side).
+    In a chunk a block's path is its site plus the cumulative sum of its own
+    packed steps, left unwrapped.  The mover's site after a step, minus
+    another block's, plus `dbias` (side - 1 + steps * reach per field) has
+    every field in [0, 2 dbias], and the two share a site exactly when each
+    field is dbias modulo side (`zero`).  The fields are wide enough for
+    that; wrap() maps a path plus `bias` back into [0, side).
     """
 
     def __init__(self, N: int, walk: WalkSpec):
@@ -484,21 +501,32 @@ class _TorusWalk:
         # a uniform u selects step #{cuts <= u}; the last cumulative
         # probability (1 up to rounding) is left out so u cannot overrun
         self.cuts = np.cumsum(walk.probs_array)[:-1]
+        self.step_type = np.min_scalar_type(self.cuts.size)
         reach = int(np.max(np.abs(offsets)))
-        self.steps = min(_CHUNK_STEPS,
-                         ((1 << (62 // d)) - self.side) // (2 * reach))
+        # largest field of a difference: 2 (side - 1 + steps * reach)
+        self.steps = min(_CHUNK_STEPS, ((1 << (62 // d)) - 1
+                                        - 2 * (self.side - 1)) // (2 * reach))
         if self.steps < 1:
             raise SizeOverflow(f"a {d}-dimensional torus of side {self.side} "
                                "does not fit the packed chunk coordinates")
         bias = self.steps * reach
-        width = (self.side + 2 * bias - 1).bit_length()
+        dbias = self.side - 1 + bias
+        width = (2 * dbias).bit_length()
         self.shifts = width * np.arange(d, dtype=np.int64)
         self.field = (1 << width) - 1
         self.bias = int((bias << self.shifts).sum())
+        self.dbias = int((dbias << self.shifts).sum())
         self.packed_steps = (offsets << self.shifts).sum(axis=1)
+        values = np.arange(1 << width)
         # biased field value -> its wrapped value, shifted into its field
-        wrapped = (np.arange(1 << width) - bias) % self.side
+        wrapped = (values - bias) % self.side
         self.tables = [wrapped << shift for shift in self.shifts]
+        self.zero = (values - dbias) % self.side == 0
+        # work arrays of the chunks, grown to the largest one
+        self.paths = self.hit = np.empty(0)
+        self.diff = np.empty(_CHUNK_CELLS, dtype=np.int64)
+        self.stats = dict.fromkeys(("chunk_calls", "chunk_replicas",
+                                    "chunk_steps", "chunk_cuts"), 0)
 
     def pack(self, coords) -> np.ndarray:
         return ((np.asarray(coords) % self.side) << self.shifts).sum(axis=-1)
@@ -511,7 +539,7 @@ class _TorusWalk:
 
     def draw_steps(self, rng, shape) -> np.ndarray:
         u = rng.random(shape)
-        step = np.zeros(shape, dtype=np.intp)
+        step = np.zeros(shape, dtype=self.step_type)
         for cut in self.cuts:
             step += u >= cut
         return step
@@ -529,42 +557,75 @@ class _TorusWalk:
 
     def _chunk(self, rng, sites, alive, t, rows) -> None:
         r, K = rows.size, self.steps
+        n = r * K
         live = alive[rows]
         m = live.sum(axis=1)
         # order[:, i] is the slot of a replica's i-th alive block; past its
         # alive count come dead blocks, which never move
         order = np.argsort(~live, axis=1, kind="stable")[:, :m.max()]
-        mover = (rng.random((r, K)) * m[:, None]).astype(np.intp)
-        moves = self.packed_steps[self.draw_steps(rng, (r, K))]
-        start = sites[rows[:, None], order] + self.bias
-        paths = np.empty((order.shape[1], r, K), dtype=np.int64)
-        lands = np.zeros((r, K), dtype=np.int64)   # site of the mover
-        # one block at a time, so that its arrays stay in cache
-        for i, path in enumerate(paths):    # site of the i-th block per step
-            moved = mover == i
-            np.multiply(moves, moved, out=path)
-            np.cumsum(path, axis=1, out=path)
-            path += start[:, i, None]
-            path[:] = self.wrap(path)
-            lands += path * moved
-        # blocks on the mover's new site, the mover included; only the
-        # mover can create the first co-location
-        alive_path = np.arange(len(paths))[:, None, None] < m[:, None]
-        met = ((paths == lands) & alive_path).sum(axis=0) > 1
-        taken = np.where(met.any(axis=1), met.argmax(axis=1) + 1, K)
-        sites[rows[:, None], order] = paths[:, np.arange(r), taken - 1].T
+        M = order.shape[1]
+        if self.paths.size < M * n:
+            self.paths = np.empty(M * n, dtype=np.int64)
+            self.hit = np.empty(M * n, dtype=bool)
+        # each step's mover is a uniform alive block; cells[x] is the index
+        # of step x's mover in the flat (M, r, K) paths
+        u = rng.random((r, K))
+        u *= m[:, None]
+        cells = u.astype(np.intp).ravel()
+        del u
+        cells *= n
+        cells += np.arange(n)
+        flat = self.paths[:M * n]
+        flat.fill(0)
+        flat[cells] = self.packed_steps.take(self.draw_steps(rng, n))
+        paths = flat.reshape(M, r, K)
+        paths[:, :, 0] += sites[rows[:, None], order].T
+        np.cumsum(paths, axis=2, out=paths)
+        # only the mover can create the first co-location: difference its
+        # site after each step with every block's, its own (0) cleared
+        lands = flat[cells]
+        lands += self.dbias
+        hit = self.hit[:M * n]
+        # a group of blocks at a time, in at most _CHUNK_CELLS cells
+        group = _CHUNK_CELLS // n
+        for lo in range(0, M, group):
+            diff = self.diff[:min(group, M - lo) * n].reshape(-1, n)
+            np.subtract(lands, flat.reshape(M, n)[lo:lo + group], out=diff)
+            diff &= self.field
+            np.take(self.zero, diff, out=hit.reshape(M, n)[lo:lo + group])
+        hit[cells] = False
+        # field 0 says 0 at these; the other fields decide, then whether
+        # the block is alive
+        c = np.flatnonzero(hit)
+        d_c = lands[c % n] - flat[c]
+        met = np.ones(c.size, dtype=bool)
+        for shift in self.shifts[1:]:
+            met &= self.zero[(d_c >> shift) & self.field]
+        block, cell = np.divmod(c[met], n)
+        cell = cell[m[cell // K] > block]
+        first = np.full(r, K)
+        np.minimum.at(first, cell // K, cell % K)
+        taken = np.minimum(first + 1, K)
+        sites[rows[:, None], order] = self.wrap(
+            paths[:, np.arange(r), taken - 1].T + self.bias)
         # holding times are Exp(m) and independent of the jump chain, so the
         # time of `taken` steps is one Gamma(taken, 1/m) draw
         t[rows] += rng.gamma(taken, 1.0 / m)
+        stats = self.stats
+        stats["chunk_calls"] += 1
+        stats["chunk_replicas"] += r
+        stats["chunk_steps"] += int(taken.sum())
+        stats["chunk_cuts"] += int(np.count_nonzero(first < K))
 
 
 def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
                            start_positions, replicas: int, seed: int):
     """Jump-chain simulation of n separated blocks on the torus, exact in
     law.  Returns per-replica merge logs [(time, participants, merge_size),
-    ...].  A block keeps its slot, the index of its start position, and a
-    merge keeps its smallest slot, so the participants, a sorted tuple of
-    slots, are each the least start index of their group.
+    ...] and the sampler's counters.  A block keeps its slot, the index of
+    its start position, and a merge keeps its smallest slot, so the
+    participants, a sorted tuple of slots, are each the least start index
+    of their group.
 
     While no two alive blocks of a replica share a site, its chain is pure
     migration (Exp(m_alive) holding times, a uniform alive block, a step
@@ -572,6 +633,12 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     co-location.  Replicas with co-located blocks advance one event at a
     time, all in lockstep.  Sites are the packed sites of _TorusWalk.
     Raises ValueError if the walk does not connect the torus.
+
+    The counters: chunk_calls (chunks run, each over a slice of replicas),
+    chunk_replicas (replica chunks), chunk_steps (jump-chain steps taken in
+    them), chunk_cuts (replica chunks cut short by a co-location),
+    lockstep_events (events taken one at a time) and lockstep_skipped
+    (passes with no co-located replica).
     """
     check_torus_walk(N, walk)
     start = np.asarray(start_positions, dtype=np.int64)
@@ -588,6 +655,7 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     idx = np.arange(replicas)
     # dead blocks get unique negative sites so they never collide
     dead_key = -(np.arange(n) + 1)
+    lockstep_events = lockstep_skipped = 0
 
     while idx.size:
         key = np.where(alivemask, sites, dead_key)
@@ -597,45 +665,52 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
         torus.walk_apart(rng, sites, alivemask, t, np.flatnonzero(~crowded))
 
         rows = np.flatnonzero(crowded)
-        live = alivemask[rows]
-        lam_per_block = np.where(live, lam_tab[cnt[rows]] / cnt[rows], 0.0)
-        coal_rate = lam_per_block.sum(axis=1)
-        m_alive = live.sum(axis=1)
-        total = coal_rate + m_alive
-        t[rows] += rng.exponential(1.0, size=rows.size) / total
-        u = rng.random(rows.size) * total
-        coal = u < coal_rate
+        lockstep_events += rows.size
+        if rows.size:
+            live = alivemask[rows]
+            lam_per_block = np.where(live, lam_tab[cnt[rows]] / cnt[rows], 0.0)
+            coal_rate = lam_per_block.sum(axis=1)
+            m_alive = live.sum(axis=1)
+            total = coal_rate + m_alive
+            t[rows] += rng.exponential(1.0, size=rows.size) / total
+            u = rng.random(rows.size) * total
+            coal = u < coal_rate
 
-        for j in np.nonzero(coal)[0]:
-            r = rows[j]
-            # block selection with weight lam(b)/b picks its site with
-            # weight lam(b); then merge k of the b co-located blocks
-            pick = np.searchsorted(np.cumsum(lam_per_block[j]), u[j], side="right")
-            pick = min(int(pick), n - 1)
-            members = np.nonzero(eq[r, pick] & alivemask[r])[0]
-            b = len(members)
-            k = 2 + int(np.searchsorted(merge_cums[b], rng.random(), side="right"))
-            k = min(k, b)
-            chosen = sorted(map(int, rng.choice(members, size=k, replace=False)))
-            logs[idx[r]].append((float(t[r]), tuple(chosen), k))
-            alivemask[r, chosen[1:]] = False
+            for j in np.nonzero(coal)[0]:
+                r = rows[j]
+                # block selection with weight lam(b)/b picks its site with
+                # weight lam(b); then merge k of the b co-located blocks
+                pick = np.searchsorted(np.cumsum(lam_per_block[j]), u[j], side="right")
+                pick = min(int(pick), n - 1)
+                members = np.nonzero(eq[r, pick] & alivemask[r])[0]
+                b = len(members)
+                k = 2 + int(np.searchsorted(merge_cums[b], rng.random(), side="right"))
+                k = min(k, b)
+                chosen = sorted(map(int, rng.choice(members, size=k, replace=False)))
+                logs[idx[r]].append((float(t[r]), tuple(chosen), k))
+                alivemask[r, chosen[1:]] = False
 
-        mig = ~coal
-        if np.any(mig):
-            movers = rows[mig]
-            # uniform alive block per migrating replica
-            target = np.floor(u[mig] - coal_rate[mig]).astype(np.int64) + 1
-            target = np.clip(target, 1, m_alive[mig])
-            cs = np.cumsum(live[mig], axis=1)
-            blocksel = (cs >= target[:, None]).argmax(axis=1)
-            steps = torus.draw_steps(rng, movers.size)
-            sites[movers, blocksel] = torus.move(sites[movers, blocksel], steps)
+            mig = ~coal
+            if np.any(mig):
+                movers = rows[mig]
+                # uniform alive block per migrating replica
+                target = np.floor(u[mig] - coal_rate[mig]).astype(np.int64) + 1
+                target = np.clip(target, 1, m_alive[mig])
+                cs = np.cumsum(live[mig], axis=1)
+                blocksel = (cs >= target[:, None]).argmax(axis=1)
+                steps = torus.draw_steps(rng, movers.size)
+                sites[movers, blocksel] = torus.move(sites[movers, blocksel], steps)
+        else:
+            # its draws would all be empty; the filter below still runs, or
+            # a one-block start would never end
+            lockstep_skipped += 1
 
         done = alivemask.sum(axis=1) <= 1
         if np.any(done):
             keep = ~done
             idx, sites, alivemask, t = idx[keep], sites[keep], alivemask[keep], t[keep]
-    return logs
+    return logs, {**torus.stats, "lockstep_events": lockstep_events,
+                  "lockstep_skipped": lockstep_skipped}
 
 
 def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
@@ -643,7 +718,8 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                                    seed: int = 0,
                                    kappa_value: float | None = None) -> dict:
     """Three marginals of the few-block limit: inter-coalescence times,
-    uniformity of the merging pair, and the binary-merge fraction."""
+    uniformity of the merging pair, and the binary-merge fraction.  `stats`
+    holds the counters of few_block_torus_sample."""
     d = walk.dimension
     vol = (2 * N + 1) ** d
     if kappa_value is None:
@@ -653,7 +729,7 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     starts = np.zeros((n_blocks, d), dtype=np.int64)
     for j in range(1, n_blocks):
         starts[j, j % d] = gap if j < d else -gap
-    logs = few_block_torus_sample(N, walk, kernel, starts, replicas, seed)
+    logs, stats = few_block_torus_sample(N, walk, kernel, starts, replicas, seed)
 
     # (a) inter-coalescence times per stage; a log has at most n - 1 merges
     stage_times = [[] for _ in range(n_blocks - 1)]
@@ -694,6 +770,7 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
         "multi_merge_fraction": sum(k > 2 for k in sizes) / max(len(sizes), 1),
         "merges_total": len(sizes),
         "replicas": replicas,
+        "stats": stats,
     }
 
 

@@ -121,20 +121,18 @@ def simple_walk(d: int) -> WalkSpec:
 class GeographySpec:
     """Finite site set plus migration kernel; immutable after build.
 
-    Torus geographies keep the kernel as a neighbor table (one row of step
-    destinations per site); generic graphs keep the dense matrix.  In both
-    representations self-jumps are split out: a site's move rate is the
-    probability of leaving it, and `sample_move` draws only real moves (a
-    jump to the same site does not change state).
+    Torus geographies give the kernel as a neighbor table (one row of step
+    destinations per site), generic graphs as a dense matrix; both are kept
+    only as per-site move rates and sampling tables.  Self-jumps are split
+    out: a site's move rate is the probability of leaving it, and
+    `sample_move` draws only real moves (a jump to the same site does not
+    change state).
     """
 
     def __init__(self, sites, *, neighbors=None, step_probs=None,
                  dense_kernel=None):
         self.sites = sites
         self.size = len(sites)
-        self._neighbors = neighbors
-        self._step_probs = step_probs
-        self._dense = dense_kernel
         if neighbors is not None:
             self_mask = neighbors == np.arange(self.size)[:, None]
             self._move_rates = 1.0 - self_mask @ step_probs
@@ -148,13 +146,6 @@ class GeographySpec:
         self._move_cum, self._move_dest = _move_tables(dests, probs)
 
     # -- kernel access --------------------------------------------------
-
-    def kernel_row(self, i: int) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense[i].copy()
-        row = np.zeros(self.size)
-        np.add.at(row, self._neighbors[i], self._step_probs)
-        return row
 
     def move_rate(self, i: int) -> float:
         """Rate at which a block at site i actually changes site (<= 1)."""

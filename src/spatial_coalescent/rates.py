@@ -39,6 +39,7 @@ the lower bounds on gamma_b that those parts give.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ class RateKernel:
         self._bk_rows: dict[int, np.ndarray] = {}
         # b -> (law, cumulative law), None where lambda_b = 0
         self._merge_rows: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
-        self._merge_cum_lists: dict[int, list] = {}
+        self._merge_cum_arrays: dict[int, array] = {}
         self.ensure_b(b_max)
 
     @property
@@ -159,21 +160,20 @@ class RateKernel:
 
     # -- merge-size law -------------------------------------------------
 
-    def merge_size_distribution(self, b: int) -> np.ndarray:
-        """P(merge size = k) for k = 2..b, i.e. C(b,k) lambda_{b,k} / lambda_b."""
-        probs, _ = self._merge_row(b)
-        return probs
-
     def merge_size_cumulative(self, b: int) -> np.ndarray:
+        """P(merge size <= k) for k = 2..b, the law being
+        C(b,k) lambda_{b,k} / lambda_b."""
         return self._merge_row(b)[1]
 
-    def merge_size_cumulative_list(self, b: int) -> list:
-        """`merge_size_cumulative(b)` as a memoized Python list, for samplers
-        that bisect it once per draw (bisecting an array indexes numpy
-        scalars)."""
-        cum = self._merge_cum_lists.get(b)
+    def merge_size_cumulative_array(self, b: int) -> array:
+        """`merge_size_cumulative(b)` as a memoized array('d') of the same
+        doubles, for samplers that bisect it once per draw: bisecting a
+        numpy array makes a numpy scalar per probe, and a list would hold
+        32 bytes per entry against 8."""
+        cum = self._merge_cum_arrays.get(b)
         if cum is None:
-            cum = self._merge_cum_lists[b] = self.merge_size_cumulative(b).tolist()
+            cum = self._merge_cum_arrays[b] = array(
+                "d", self.merge_size_cumulative(b).tobytes())
         return cum
 
     def _merge_row(self, b: int):

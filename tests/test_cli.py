@@ -393,9 +393,25 @@ BLOCK_COUNT_CFG = {"seed": 4, "measure": KINGMAN,
                    "replicas": 30}
 
 
+SAMPLER_STATS = {"chunk_calls", "chunk_replicas", "chunk_steps", "chunk_cuts",
+                 "lockstep_events", "lockstep_skipped"}
+STRUCTURE_CFG = {"seed": 5, "measure": KINGMAN,
+                 "geography": {"topology": "torus", "N": 3},
+                 "experiment": {"name": "structure",
+                                "params": {"n_blocks": 3, "kappa_value": 0.57}},
+                 "replicas": 30}
+PAIRWISE_CFG = {"seed": 6, "measure": KINGMAN,
+                "geography": {"topology": "torus", "N": 3},
+                "experiment": {"name": "pairwise",
+                               "params": {"kappa_value": 0.57}},
+                "replicas": 30}
+
+
 @pytest.mark.parametrize("cfg, phases", [
     (EXP_CFG, set()),
     (BLOCK_COUNT_CFG, {"kappa_s", "sampling_s", "reference_s"}),
+    (STRUCTURE_CFG, SAMPLER_STATS),
+    (PAIRWISE_CFG, SAMPLER_STATS),
 ])
 def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
                                                            phases):
@@ -411,6 +427,9 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
     stats = manifests[0]["stats"]
     assert set(stats) == {"kernel_build_s", "run_s"} | phases
     assert all(v >= 0.0 for v in stats.values())
+    if phases == SAMPLER_STATS:
+        assert stats["chunk_steps"] > 0 and stats["lockstep_events"] > 0
+        assert stats["chunk_cuts"] <= stats["chunk_replicas"]
 
 
 def test_seed_changes_report(tmp_path):

@@ -30,7 +30,7 @@ from spatial_coalescent.geometry import (
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
 from conftest import run_python
-from torus_oracle import pairwise_first_coalescence_times
+from torus_oracle import pairwise_first_coalescence_times, per_block_wrap_chunk
 
 KAPPA_D3_UNIT = 0.5687658867  # 2 / (G + 2) for the nearest-neighbor walk
 
@@ -381,8 +381,8 @@ def test_few_block_first_coalescence_matches_pairwise_sampler(kingman, w):
     # pairwise_torus_experiment: with two blocks its first merge time has
     # the law of the independent relative-walk sampler's first-coalescence
     # time
-    logs = few_block_torus_sample(4, w, kingman, [[0, 0, 0], [4, 0, 0]],
-                                  replicas=4000, seed=31)
+    logs, _ = few_block_torus_sample(4, w, kingman, [[0, 0, 0], [4, 0, 0]],
+                                     replicas=4000, seed=31)
     chunked = np.array([log[0][0] for log in logs])
     assert all(len(log) == 1 and log[0][2] == 2 for log in logs)
     relative = pairwise_first_coalescence_times(4, w, 1.0, 4000, seed=32,
@@ -392,9 +392,9 @@ def test_few_block_first_coalescence_matches_pairwise_sampler(kingman, w):
 
 def test_few_block_sample_merges_co_located_starts(kingman):
     # blocks that start on one site take the event-by-event path first
-    logs = few_block_torus_sample(3, simple_walk(3), kingman,
-                                  [[0, 0, 0], [0, 0, 0], [2, 0, 0]],
-                                  replicas=200, seed=4)
+    logs, stats = few_block_torus_sample(3, simple_walk(3), kingman,
+                                         [[0, 0, 0], [0, 0, 0], [2, 0, 0]],
+                                         replicas=200, seed=4)
     for log in logs:
         assert len(log) == 2
         assert log[0][0] < log[1][0]
@@ -404,6 +404,63 @@ def test_few_block_sample_merges_co_located_starts(kingman):
     # of a uniform pair (about 60 % here)
     first_pairs = [frozenset(log[0][1]) for log in logs]
     assert first_pairs.count(frozenset({0, 1})) > 90
+    # every replica starts crowded, so the first pass has nothing to chunk
+    assert stats["lockstep_events"] >= 200
+    assert 0 < stats["chunk_cuts"] <= stats["chunk_replicas"]
+    assert stats["chunk_steps"] <= stats["chunk_replicas"] * 256
+
+
+# a non-axis walk of reach 2 in d = 3 and d = 4
+REACH_2 = WalkSpec(3, ((2, 1, 0), (-2, -1, 0), (1, 0, 0), (-1, 0, 0),
+                       (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+                   (0.15, 0.15) + (0.7 / 6,) * 6)
+REACH_2_D4 = WalkSpec(4, ((0, 1, 2, 0), (0, -1, -2, 0), (1, 0, 0, 0),
+                          (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+                          (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1),
+                          (0, 0, 0, -1)), (0.1, 0.1) + (0.1,) * 8)
+
+
+def _separated_starts(N, n, d):
+    # the starts of partition_structure_experiment
+    gap = max(math.ceil(N ** 0.75), 1)
+    starts = [[0] * d for _ in range(n)]
+    for j in range(1, n):
+        starts[j][j % d] = gap if j < d else -gap
+    return starts
+
+
+@pytest.mark.parametrize("N, walk, measure, starts, replicas", [
+    (8, simple_walk(3), "kingman", _separated_starts(8, 3, 3), 100),
+    (4, LAZY, "beta", _separated_starts(4, 4, 3), 60),
+    (3, DRIFTED.symmetrized(), "kingman", _separated_starts(3, 6, 3), 40),
+    (4, REACH_2, "beta", _separated_starts(4, 2, 3), 80),
+    (3, simple_walk(4), "beta", _separated_starts(3, 3, 4), 40),
+    (3, REACH_2_D4, "kingman", _separated_starts(3, 4, 4), 40),
+    (4, DRIFTED.symmetrized(), "beta", _separated_starts(4, 2, 3), 80),
+    (3, simple_walk(3), "beta",
+     [[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 2, 2], [0, 0, 0]], 60),
+    (4, simple_walk(3), "kingman", [[0, 0, 0]], 30),
+], ids=["simple-N8-n3", "lazy-N4-n4", "drifted-N3-n6", "reach2-N4-n2",
+        "simple-d4-N3-n3", "reach2-d4-N3-n4", "drifted-N4-n2",
+        "co-located-n6", "one-block"])
+def test_few_block_sample_logs_equal_per_block_wrap_oracle(
+        monkeypatch, N, walk, measure, starts, replicas):
+    # the chunk on packed differences makes the oracle's draws in its order
+    # and finds the same first co-location, so the logs agree to the bit
+    kernel = RateKernel(LambdaMeasure.unit_atom(0.0) if measure == "kingman"
+                        else LambdaMeasure.beta(1.5))
+    logs, stats = few_block_torus_sample(N, walk, kernel, starts, replicas,
+                                         seed=11)
+    monkeypatch.setattr(experiments._TorusWalk, "_chunk", per_block_wrap_chunk)
+    oracle, _ = few_block_torus_sample(N, walk, kernel, starts, replicas,
+                                       seed=11)
+    assert logs == oracle
+    assert all(sum(k - 1 for _t, _p, k in log) == len(starts) - 1
+               for log in logs)
+    assert all(type(v) is int for v in stats.values())   # JSON-ready
+    if len(starts) == 1:
+        assert logs == [[]] * replicas
+        assert stats["lockstep_skipped"] == 1 and stats["lockstep_events"] == 0
 
 
 # +-3 e_1 (0.1 each), +-e_2 and +-e_3 (0.2 each): on the side-3 torus the

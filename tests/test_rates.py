@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -22,6 +23,12 @@ from spatial_coalescent.measure import (
     log_moments,
 )
 from spatial_coalescent.rates import RateKernel, cdi_classify, tn_uniform_bound
+
+
+def merge_law(kernel: RateKernel, b: int) -> np.ndarray:
+    """P(merge size = k) for k = 2..b, the cached law behind
+    `kernel.merge_size_cumulative(b)`."""
+    return kernel._merge_row(b)[0]
 
 
 # ----------------------------------------------------------- per-merge rates
@@ -77,7 +84,7 @@ def test_merge_size_law_atom_large_b_is_conditioned_binomial():
     # below the smallest float, while the law there is ~0.02
     b = 2000
     ks = np.arange(2, b + 1)
-    law = RateKernel(LambdaMeasure.unit_atom(0.3)).merge_size_distribution(b)
+    law = merge_law(RateKernel(LambdaMeasure.unit_atom(0.3)), b)
     oracle = binom.pmf(ks, b, 0.3) / binom.sf(1, b, 0.3)
     big = oracle > 1e-250
     np.testing.assert_allclose(law[big], oracle[big], rtol=1e-9, atol=0.0)
@@ -92,7 +99,7 @@ def test_merge_size_law_beta_large_b_matches_log_space_formula():
     log_w = (gammaln(b + 1) - gammaln(ks + 1) - gammaln(b - ks + 1)
              + betaln(ks - a, b - ks + a))
     oracle = np.exp(log_w - logsumexp(log_w))
-    law = RateKernel(LambdaMeasure.beta(a)).merge_size_distribution(b)
+    law = merge_law(RateKernel(LambdaMeasure.beta(a)), b)
     np.testing.assert_allclose(law, oracle, rtol=1e-9, atol=0.0)
 
 
@@ -142,25 +149,25 @@ def test_sum_vs_integral_agreement(lebesgue_kernel, beta_heavy_kernel):
 # ----------------------------------------------------------- merge-size law
 
 def test_merge_size_degenerate_pair(kingman_kernel):
-    dist = kingman_kernel.merge_size_distribution(5)
+    dist = merge_law(kingman_kernel, 5)
     assert dist[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(dist[1:] == pytest.approx(0.0, abs=1e-12))
 
 
 def test_merge_size_lebesgue_b3(lebesgue_kernel):
-    dist = lebesgue_kernel.merge_size_distribution(3)
+    dist = merge_law(lebesgue_kernel, 3)
     assert dist[0] == pytest.approx(0.75, rel=1e-10)
     assert dist[1] == pytest.approx(0.25, rel=1e-10)
 
 
 def test_merge_size_total_collapse(one_atom_kernel):
-    dist = one_atom_kernel.merge_size_distribution(4)
+    dist = merge_law(one_atom_kernel, 4)
     assert dist[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_merge_size_sums_to_one(beta_heavy_kernel):
     for b in (2, 7, 40, 300):
-        assert beta_heavy_kernel.merge_size_distribution(b).sum() == \
+        assert merge_law(beta_heavy_kernel, b).sum() == \
             pytest.approx(1.0, abs=1e-12)
 
 
@@ -197,7 +204,7 @@ def test_pascal_laws_match_direct_log_moments(name):
     kern = RateKernel(measure)
     edges = {e for j in range(2, 13) for e in ((1 << j) - 1, 1 << j)} - {4096}
     for b in sorted(set(range(2, 301)) | edges):
-        law, ref = kern.merge_size_distribution(b), _merge_law_one_row(measure, b)
+        law, ref = merge_law(kern, b), _merge_law_one_row(measure, b)
         seen = ref > 1e-250
         np.testing.assert_allclose(law[seen], ref[seen], rtol=1e-10, atol=0.0)
         assert np.all(law[~seen] < 1e-240)
@@ -214,14 +221,14 @@ def test_merge_laws_independent_of_request_history(name):
     for b in reversed(sweep):
         descending.merge_size_cumulative(b)
     for b in list(sweep) + list(singles):
-        assert (descending.merge_size_distribution(b).tobytes()
-                == ascending.merge_size_distribution(b).tobytes())
+        assert (merge_law(descending, b).tobytes()
+                == merge_law(ascending, b).tobytes())
         assert (descending.merge_size_cumulative(b).tobytes()
                 == ascending.merge_size_cumulative(b).tobytes())
     for b in singles:
         single = RateKernel(measure)
-        assert (single.merge_size_distribution(b).tobytes()
-                == ascending.merge_size_distribution(b).tobytes())
+        assert (merge_law(single, b).tobytes()
+                == merge_law(ascending, b).tobytes())
         assert (single.merge_size_cumulative(b).tobytes()
                 == ascending.merge_size_cumulative(b).tobytes())
 
@@ -260,9 +267,22 @@ def test_beta_share_skipped_tails_bit_identical(lo, hi):
     assert share.tobytes() == four.tobytes()
 
 
+@pytest.mark.parametrize("b", [3, 7, 64, 300])
+def test_merge_size_cumulative_array_bisects_like_the_row(beta_heavy_kernel, b):
+    # the engine bisects the array('d'); it holds the row's doubles, so every
+    # draw picks the index that searchsorted picks on the row itself
+    row = beta_heavy_kernel.merge_size_cumulative(b)
+    table = beta_heavy_kernel.merge_size_cumulative_array(b)
+    assert table.tobytes() == row.tobytes()
+    assert beta_heavy_kernel.merge_size_cumulative_array(b) is table
+    u = np.concatenate([np.random.default_rng(b).random(2000), row])
+    assert [bisect.bisect_right(table, x) for x in u] == \
+        np.searchsorted(row, u, side="right").tolist()
+
+
 def test_cached_rows_read_only():
     kern = RateKernel(LambdaMeasure.beta(1.5))
-    for row in (kern.merge_size_cumulative(9), kern.merge_size_distribution(9),
+    for row in (kern.merge_size_cumulative(9), merge_law(kern, 9),
                 kern.lambda_bk_row(9)):
         with pytest.raises(ValueError):
             row[0] = 0.5
@@ -276,7 +296,7 @@ def test_large_blocks_are_built_in_segments(monkeypatch):
     # [4096, 8192) is cut into four segments of 1024 rows, each from its
     # own top row; one law at b = 10^5 builds a segment of 64 rows
     for b in (4096, 5119, 5120, 8191):
-        np.testing.assert_allclose(kern.merge_size_distribution(b),
+        np.testing.assert_allclose(merge_law(kern, b),
                                    _merge_law_one_row(measure, b), rtol=1e-10)
     assert kern.merge_size_cumulative(100_000)[-1] == 1.0
     assert cells == [5118, 6142, 8190, 100_030]
@@ -290,9 +310,9 @@ def test_zero_merge_block_raises_and_spares_the_others(monkeypatch):
     kern = RateKernel(LambdaMeasure.lebesgue())
     for b in range(4, 8):
         with pytest.raises(ZeroTotalRate):
-            kern.merge_size_distribution(b)
+            merge_law(kern, b)
     for b in (2, 3, *range(8, 16)):
-        assert kern.merge_size_distribution(b).sum() == pytest.approx(1.0, abs=1e-15)
+        assert merge_law(kern, b).sum() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ZeroTotalRate):
         kern.merge_size_cumulative(5)
 

@@ -1,11 +1,18 @@
-"""Relative-walk oracle for the first coalescence of two blocks on the torus.
+"""Oracles for the few-block torus sampler.
 
 Two blocks on the torus [-N, N]^d coalesce first when their relative
 displacement, a rate-2 walk with the symmetrized step law, has sat at the
-origin long enough for a rate-lambda_{2,2} clock to ring (Cox 1989).  This
-sampler follows that displacement one event per numpy pass, independently of
-`experiments.few_block_torus_sample`, which moves both blocks and serves the
-production experiments; the tests compare the two in law.
+origin long enough for a rate-lambda_{2,2} clock to ring (Cox 1989).
+`pairwise_first_coalescence_times` follows that displacement one event per
+numpy pass, independently of `experiments.few_block_torus_sample`, which
+moves both blocks and serves the production experiments; the tests compare
+the two in law.
+
+`per_block_wrap_chunk` is the sampler's chunk of free migration in its first
+form: it wraps every alive block's path back onto the torus at every step
+and compares each with the mover's site.  It makes the same draws as
+`experiments._TorusWalk._chunk`, so in its place the sampler's logs must
+not change by a bit.
 """
 
 from __future__ import annotations
@@ -57,3 +64,29 @@ def pairwise_first_coalescence_times(N: int, walk: WalkSpec, lambda22: float,
         step = np.minimum(step, len(rel_offs) - 1)
         y = (y + rel_offs[step] + N) % side - N
     return out
+
+
+def per_block_wrap_chunk(torus, rng, sites, alive, t, rows) -> None:
+    """`_TorusWalk._chunk` by wrapping each block's path at every step."""
+    r, K = rows.size, torus.steps
+    live = alive[rows]
+    m = live.sum(axis=1)
+    order = np.argsort(~live, axis=1, kind="stable")[:, :m.max()]
+    mover = (rng.random((r, K)) * m[:, None]).astype(np.intp)
+    moves = torus.packed_steps[torus.draw_steps(rng, (r, K))]
+    start = sites[rows[:, None], order] + torus.bias
+    paths = np.empty((order.shape[1], r, K), dtype=np.int64)
+    lands = np.zeros((r, K), dtype=np.int64)   # site of the mover
+    for i, path in enumerate(paths):    # site of the i-th block per step
+        moved = mover == i
+        np.multiply(moves, moved, out=path)
+        np.cumsum(path, axis=1, out=path)
+        path += start[:, i, None]
+        path[:] = torus.wrap(path)
+        lands += path * moved
+    # blocks on the mover's new site, the mover included
+    alive_path = np.arange(len(paths))[:, None, None] < m[:, None]
+    met = ((paths == lands) & alive_path).sum(axis=0) > 1
+    taken = np.where(met.any(axis=1), met.argmax(axis=1) + 1, K)
+    sites[rows[:, None], order] = paths[:, np.arange(r), taken - 1].T
+    t[rows] += rng.gamma(taken, 1.0 / m)
