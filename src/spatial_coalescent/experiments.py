@@ -473,11 +473,15 @@ def _joint_chi2(pairs: np.ndarray, law: dict, min_expected: float = 5.0) -> floa
 # few-block partition structure on the torus (vectorized sampler)
 # ----------------------------------------------------------------------
 
-# Free migration in few_block_torus_sample: steps drawn per replica at once,
-# and the most (replicas x steps) cells of one chunk.  Replicas are sliced to
-# fit, and the blocks' differences are taken a group of at most that many
-# cells at a time, so that each (256 KB of int64) stays in cache.
+# Free migration in few_block_torus_sample: a chunk draws K steps for each of
+# its replicas at once, in at most _CHUNK_CELLS (replicas x steps) cells.  K is
+# _CHUNK_STEPS while a pass has at least _CHUNK_CELLS // _CHUNK_STEPS apart
+# replicas and grows as they thin out, up to _MAX_CHUNK_STEPS, so that the
+# last replicas of a run take few passes.  Replicas are sliced to fit, and the
+# blocks' differences are taken a group of at most _CHUNK_CELLS cells at a
+# time, so that each (256 KB of int64) stays in cache.
 _CHUNK_STEPS = 256
+_MAX_CHUNK_STEPS = 4096
 _CHUNK_CELLS = 1 << 15
 
 
@@ -491,7 +495,9 @@ class _TorusWalk:
     another block's, plus `dbias` (side - 1 + steps * reach per field) has
     every field in [0, 2 dbias], and the two share a site exactly when each
     field is dbias modulo side (`zero`).  The fields are wide enough for
-    that; wrap() maps a path plus `bias` back into [0, side).
+    that; wrap() maps a path plus `bias` back into [0, side).  `steps`, the
+    longest chunk, is _MAX_CHUNK_STEPS unless the 62 // d bits of a field
+    hold fewer.
     """
 
     def __init__(self, N: int, walk: WalkSpec):
@@ -504,8 +510,9 @@ class _TorusWalk:
         self.step_type = np.min_scalar_type(self.cuts.size)
         reach = int(np.max(np.abs(offsets)))
         # largest field of a difference: 2 (side - 1 + steps * reach)
-        self.steps = min(_CHUNK_STEPS, ((1 << (62 // d)) - 1
-                                        - 2 * (self.side - 1)) // (2 * reach))
+        field_max = (1 << (62 // d)) - 1
+        self.steps = min(_MAX_CHUNK_STEPS,
+                         (field_max - 2 * (self.side - 1)) // (2 * reach))
         if self.steps < 1:
             raise SizeOverflow(f"a {d}-dimensional torus of side {self.side} "
                                "does not fit the packed chunk coordinates")
@@ -525,6 +532,7 @@ class _TorusWalk:
         # work arrays of the chunks, grown to the largest one
         self.paths = self.hit = np.empty(0)
         self.diff = np.empty(_CHUNK_CELLS, dtype=np.int64)
+        self.cell_index = np.arange(_CHUNK_CELLS)
         self.stats = dict.fromkeys(("chunk_calls", "chunk_replicas",
                                     "chunk_steps", "chunk_cuts"), 0)
 
@@ -550,13 +558,25 @@ class _TorusWalk:
     def walk_apart(self, rng, sites, alive, t, rows) -> None:
         """Advance replicas `rows`, none of which has two alive blocks on one
         site, by pure migration up to each one's first co-location, or by
-        `steps` steps if there is none.  Updates sites and t in place."""
-        per_slice = max(1, _CHUNK_CELLS // self.steps)
-        for lo in range(0, rows.size, per_slice):
-            self._chunk(rng, sites, alive, t, rows[lo:lo + per_slice])
+        K steps if there is none.  Updates sites and t in place.
 
-    def _chunk(self, rng, sites, alive, t, rows) -> None:
-        r, K = rows.size, self.steps
+        The chunk length K is _CHUNK_STEPS (or `steps`, if less) for a pass
+        of at least _CHUNK_CELLS // _CHUNK_STEPS = 128 replicas, sliced 128
+        replicas to a chunk.  A smaller pass of r replicas is one chunk of
+        K = _CHUNK_CELLS // r steps, up to `steps`, so that it still fills
+        about _CHUNK_CELLS cells and the last replicas of a run take few
+        passes.  The law does not depend on K, but the draws do: only a pass
+        of at least 128 replicas draws what fixed 256-step chunks draw, in
+        their order."""
+        if not rows.size:
+            return
+        K = min(self.steps, max(_CHUNK_STEPS, _CHUNK_CELLS // rows.size))
+        per_slice = _CHUNK_CELLS // K
+        for lo in range(0, rows.size, per_slice):
+            self._chunk(rng, sites, alive, t, rows[lo:lo + per_slice], K)
+
+    def _chunk(self, rng, sites, alive, t, rows, K) -> None:
+        r = rows.size
         n = r * K
         live = alive[rows]
         m = live.sum(axis=1)
@@ -574,7 +594,7 @@ class _TorusWalk:
         cells = u.astype(np.intp).ravel()
         del u
         cells *= n
-        cells += np.arange(n)
+        cells += self.cell_index[:n]
         flat = self.paths[:M * n]
         flat.fill(0)
         flat[cells] = self.packed_steps.take(self.draw_steps(rng, n))
@@ -607,7 +627,7 @@ class _TorusWalk:
         np.minimum.at(first, cell // K, cell % K)
         taken = np.minimum(first + 1, K)
         sites[rows[:, None], order] = self.wrap(
-            paths[:, np.arange(r), taken - 1].T + self.bias)
+            paths[:, self.cell_index[:r], taken - 1].T + self.bias)
         # holding times are Exp(m) and independent of the jump chain, so the
         # time of `taken` steps is one Gamma(taken, 1/m) draw
         t[rows] += rng.gamma(taken, 1.0 / m)
@@ -695,7 +715,7 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
                 movers = rows[mig]
                 # uniform alive block per migrating replica
                 target = np.floor(u[mig] - coal_rate[mig]).astype(np.int64) + 1
-                target = np.clip(target, 1, m_alive[mig])
+                target = np.minimum(target, m_alive[mig])
                 cs = np.cumsum(live[mig], axis=1)
                 blocksel = (cs >= target[:, None]).argmax(axis=1)
                 steps = torus.draw_steps(rng, movers.size)

@@ -390,6 +390,43 @@ def test_few_block_first_coalescence_matches_pairwise_sampler(kingman, w):
     assert sp_stats.ks_2samp(chunked, relative).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("w", [simple_walk(3), LAZY], ids=["simple", "lazy"])
+def test_few_block_long_chunks_match_pairwise_sampler(kingman, w):
+    # calls of fewer than 128 replicas, whose every pass takes chunks of
+    # more than 256 steps: pooled, their first merge times have the law of
+    # the relative-walk sampler's first-coalescence time
+    chunked = [log[0][0] for seed in range(100, 140)
+               for log in few_block_torus_sample(
+                   4, w, kingman, [[0, 0, 0], [4, 0, 0]], replicas=100,
+                   seed=seed)[0]]
+    relative = pairwise_first_coalescence_times(4, w, 1.0, 4000, seed=32,
+                                                separation=[4, 0, 0])
+    assert sp_stats.ks_2samp(chunked, relative).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("N, d, apart, calls", [
+    (8, 3, 300, [(128, 256), (128, 256), (44, 256)]),
+    (8, 3, 128, [(128, 256)]),
+    (8, 3, 127, [(127, 258)]),
+    (8, 3, 20, [(20, 1638)]),
+    (8, 3, 3, [(3, 4096)]),
+    (8, 3, 0, []),
+    # 10-bit fields hold chunks of at most 505 steps
+    (3, 6, 300, [(128, 256), (128, 256), (44, 256)]),
+    (3, 6, 3, [(3, 505)]),
+])
+def test_walk_apart_chunk_length_rule(monkeypatch, N, d, apart, calls):
+    # a pass of at least 128 apart replicas is sliced into 256-step chunks of
+    # 128 replicas; a smaller one is one chunk of about 2^15 cells, up to
+    # what the bit fields hold
+    torus = experiments._TorusWalk(N, simple_walk(d))
+    seen = []
+    monkeypatch.setattr(torus, "_chunk", lambda rng, sites, alive, t, rows, K:
+                        seen.append((rows.size, K)))
+    torus.walk_apart(None, None, None, None, np.arange(apart))
+    assert seen == calls
+
+
 def test_few_block_sample_merges_co_located_starts(kingman):
     # blocks that start on one site take the event-by-event path first
     logs, stats = few_block_torus_sample(3, simple_walk(3), kingman,
@@ -407,7 +444,8 @@ def test_few_block_sample_merges_co_located_starts(kingman):
     # every replica starts crowded, so the first pass has nothing to chunk
     assert stats["lockstep_events"] >= 200
     assert 0 < stats["chunk_cuts"] <= stats["chunk_replicas"]
-    assert stats["chunk_steps"] <= stats["chunk_replicas"] * 256
+    assert stats["chunk_steps"] <= (stats["chunk_replicas"]
+                                    * experiments._MAX_CHUNK_STEPS)
 
 
 # a non-axis walk of reach 2 in d = 3 and d = 4
@@ -440,13 +478,16 @@ def _separated_starts(N, n, d):
     (3, simple_walk(3), "beta",
      [[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 2, 2], [0, 0, 0]], 60),
     (4, simple_walk(3), "kingman", [[0, 0, 0]], 30),
+    (4, simple_walk(3), "kingman", _separated_starts(4, 2, 3), 300),
 ], ids=["simple-N8-n3", "lazy-N4-n4", "drifted-N3-n6", "reach2-N4-n2",
         "simple-d4-N3-n3", "reach2-d4-N3-n4", "drifted-N4-n2",
-        "co-located-n6", "one-block"])
+        "co-located-n6", "one-block", "simple-N4-n2-256-step"])
 def test_few_block_sample_logs_equal_per_block_wrap_oracle(
         monkeypatch, N, walk, measure, starts, replicas):
     # the chunk on packed differences makes the oracle's draws in its order
-    # and finds the same first co-location, so the logs agree to the bit
+    # and finds the same first co-location, so the logs agree to the bit:
+    # the last case starts with passes of 256-step chunks, the others take
+    # longer ones throughout
     kernel = RateKernel(LambdaMeasure.unit_atom(0.0) if measure == "kingman"
                         else LambdaMeasure.beta(1.5))
     logs, stats = few_block_torus_sample(N, walk, kernel, starts, replicas,
@@ -461,6 +502,14 @@ def test_few_block_sample_logs_equal_per_block_wrap_oracle(
     if len(starts) == 1:
         assert logs == [[]] * replicas
         assert stats["lockstep_skipped"] == 1 and stats["lockstep_events"] == 0
+
+
+def test_few_block_sample_chunk_calls_fall_with_replicas_left(kingman):
+    # the benchmark's structure case: its passes hold fewer than 128 apart
+    # replicas; 256-step chunks in every pass take 431 calls at this seed
+    _, stats = few_block_torus_sample(8, simple_walk(3), kingman,
+                                      _separated_starts(8, 3, 3), 100, seed=11)
+    assert stats["chunk_calls"] < 431 / 2
 
 
 # +-3 e_1 (0.1 each), +-e_2 and +-e_3 (0.2 each): on the side-3 torus the

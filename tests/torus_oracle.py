@@ -10,9 +10,9 @@ the two in law.
 
 `per_block_wrap_chunk` is the sampler's chunk of free migration in its first
 form: it wraps every alive block's path back onto the torus at every step
-and compares each with the mover's site.  It makes the same draws as
-`experiments._TorusWalk._chunk`, so in its place the sampler's logs must
-not change by a bit.
+and compares each with the mover's site.  It takes the chunk length K from
+its caller and makes the same draws as `experiments._TorusWalk._chunk`, so
+in its place the sampler's logs must not change by a bit, at any K.
 """
 
 from __future__ import annotations
@@ -66,9 +66,10 @@ def pairwise_first_coalescence_times(N: int, walk: WalkSpec, lambda22: float,
     return out
 
 
-def per_block_wrap_chunk(torus, rng, sites, alive, t, rows) -> None:
-    """`_TorusWalk._chunk` by wrapping each block's path at every step."""
-    r, K = rows.size, torus.steps
+def per_block_wrap_chunk(torus, rng, sites, alive, t, rows, K) -> None:
+    """`_TorusWalk._chunk` of K steps by wrapping each block's path at every
+    step."""
+    r = rows.size
     live = alive[rows]
     m = live.sum(axis=1)
     order = np.argsort(~live, axis=1, kind="stable")[:, :m.max()]
