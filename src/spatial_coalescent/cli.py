@@ -158,7 +158,7 @@ class RunConfig(_Strict):
     b_max_table: Optional[Annotated[int, Field(ge=2)]] = None
     # green-specific
     dimension: Optional[PosInt] = None
-    method: Optional[Literal["BESSEL", "LATTICE_SUM", "MONTE_CARLO"]] = None
+    method: Optional[Literal["BESSEL", "CUBATURE", "MONTE_CARLO"]] = None
 
     def require(self, command: str, *sections: str) -> None:
         if any(getattr(self, name) is None for name in sections):
@@ -422,8 +422,9 @@ def classify(config, **overrides):
 def green(config, **overrides):
     """Random-walk Green function at the origin.  Without a `method`, the
     walk's exact route (geometry.green_method): BESSEL for an axis walk,
-    LATTICE_SUM for any other symmetric walk.  A walk the route cannot
-    take is a config error."""
+    CUBATURE, a cubature of G's Fourier integral, for any other symmetric
+    walk.  A walk the route cannot take is a config error; a bound above
+    the route's limit is TRUNCATION_UNSTABLE, exit 4."""
     cfg, writer = _load(config, **overrides)
     walk_cfg = (cfg.geography.walk if cfg.geography is not None
                 else WalkConfig(dimension=3 if cfg.dimension is None

@@ -24,9 +24,9 @@ block-count study first check that the walk connects the torus
 kappa is about the difference of two blocks' positions, so it takes G of
 the symmetrized walk (geometry.WalkSpec.symmetrized).  Without a given
 kappa, the torus experiments take it from the exact Green route that
-geometry picks for that walk: BESSEL for an axis walk, LATTICE_SUM
-otherwise.  torus_kappa (the `kappa` experiment) checks LATTICE_SUM
-against the Monte Carlo oracle, at about a 95 % level.
+geometry picks for that walk: BESSEL for an axis walk, CUBATURE
+otherwise.  torus_kappa (the `kappa` experiment) takes the same value and
+checks it against the Monte Carlo oracle, at about a 95 % level.
 
 The block-count study's references, the Kingman entrance law from dust and
 its two-time law, are Tavare's series summed exactly in decimal.
@@ -305,36 +305,42 @@ def _counts_to_dist(counts: np.ndarray) -> dict:
 
 def torus_kappa(walk: WalkSpec, kernel: RateKernel,
                 require_agreement: bool = True, seed: int = 0) -> dict:
-    """kappa from the LATTICE_SUM Green value of the symmetrized walk,
-    checked against its Monte Carlo oracle.
+    """kappa as the torus experiments take it (_kappa_info), with the exact
+    Green value checked against the Monte Carlo oracle.  G_lattice and
+    G_lattice_err are the exact route's value and bound, G_method names the
+    route, and stats holds the seconds of each route.
 
     The check is about a 95 % interval: the routes agree when |G_lattice -
     G_monte_carlo| is within the sum of their bounds, and Monte Carlo's is
-    1.96 standard errors plus a 10 % tail term.  So when LATTICE_SUM is
+    1.96 standard errors plus a 10 % tail term.  So, the exact bound being
     tight, require_agreement raises TruncationUnstable (exit 4 from
     `coalsim experiment kappa`) on about one seed in 20: the symmetrized
     drifted walk disagrees at seeds 0 and 5 of 0-19.  methods_agree
     reports the outcome either way."""
-    sym = walk.symmetrized()
-    g_lat, e_lat = green_function(sym, "LATTICE_SUM")
-    g_mc, e_mc = green_function(sym, "MONTE_CARLO", seed=seed)
-    agree = bool(abs(g_lat - g_mc) <= (e_lat + e_mc))
+    t0 = time.perf_counter()
+    info = _kappa_info(walk, kernel)
+    t1 = time.perf_counter()
+    g_mc, e_mc = green_function(walk.symmetrized(), "MONTE_CARLO", seed=seed)
+    t2 = time.perf_counter()
+    g, err = info["G"], info["G_err"]
+    agree = bool(abs(g - g_mc) <= (err + e_mc))
     if require_agreement and not agree:
         raise TruncationUnstable(
-            f"Green estimates disagree: {g_lat}+-{e_lat} vs {g_mc}+-{e_mc}")
-    lam22 = kernel.lambda_bk(2, 2)
+            f"Green estimates disagree: {g}+-{err} vs {g_mc}+-{e_mc}")
     return {
-        "G_lattice": g_lat, "G_lattice_err": e_lat,
+        "G_lattice": g, "G_lattice_err": err, "G_method": info["G_method"],
         "G_monte_carlo": g_mc, "G_monte_carlo_err": e_mc,
         "methods_agree": agree,
-        "lambda22": lam22,
-        "kappa": kappa(g_lat, lam22),
+        "lambda22": info["lambda22"],
+        "kappa": info["kappa"],
+        "stats": {"kappa_s": t1 - t0, "monte_carlo_s": t2 - t1},
     }
 
 
 def _kappa_info(walk: WalkSpec, kernel: RateKernel) -> dict:
     """kappa for the torus experiments, from the exact Green route of the
-    symmetrized walk (geometry.green_method)."""
+    symmetrized walk (geometry.green_method): BESSEL for an axis walk,
+    CUBATURE for any other."""
     sym = walk.symmetrized()
     method = green_method(sym)
     g, err = green_function(sym, method)

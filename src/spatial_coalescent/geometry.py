@@ -10,7 +10,9 @@ time) and the constant kappa = 2 / (G + 2/lambda_{2,2}) drive the
 large-torus scaling limits; there G is that of the symmetrized walk
 (WalkSpec.symmetrized), the jump law of the difference of two blocks.
 Each symmetric walk has one exact Green route, which green_method names:
-BESSEL for an axis walk, LATTICE_SUM for any other.  The Monte Carlo route
+BESSEL for an axis walk, and for any other CUBATURE, a Gauss-Legendre
+cubature of the Fourier integral of G on Duffy pyramids, after the steps
+are written in a basis of the lattice they span.  The Monte Carlo route
 takes any walk and serves as the oracle.
 """
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +60,9 @@ class WalkSpec:
         offs = np.asarray(self.offsets, dtype=int)
         if offs.shape != (len(probs), self.dimension):
             raise ValueError("offsets/probabilities shape mismatch")
-        # purely d-dimensional: support must span all coordinates
-        if len(offs) and np.linalg.matrix_rank(offs) < self.dimension:
+        # purely d-dimensional: the support, the steps of positive
+        # probability, must span all coordinates
+        if np.linalg.matrix_rank(offs[probs > 0]) < self.dimension:
             raise ValueError("step support does not span Z^d")
 
     @property
@@ -95,15 +99,19 @@ class WalkSpec:
         of two independent copies of the walk.  Duplicate offsets are merged;
         the offsets keep their order, with the mirrors that were missing
         appended, so a symmetric walk gives a walk equal to itself."""
-        law: dict[tuple, float] = {}
-        for off, p in zip(self.offsets, self.probabilities):
-            off = tuple(int(c) for c in off)
-            law[off] = law.get(off, 0.0) + float(p)
+        law = self._law()
         mirrors = [tuple(-c for c in off) for off in law]
         offsets = list(law) + [m for m in mirrors if m not in law]
-        probs = [(law.get(x, 0.0) + law.get(tuple(-c for c in x), 0.0)) / 2
-                 for x in offsets]
+        probs = [(law[x] + law[tuple(-c for c in x)]) / 2 for x in offsets]
         return WalkSpec(self.dimension, tuple(offsets), tuple(probs))
+
+    def _law(self) -> Counter:
+        """P(x) per distinct offset x, duplicates merged, in the order of
+        first appearance; 0 for an offset not listed."""
+        law = Counter()
+        for off, p in zip(self.offsets_array.tolist(), self.probabilities):
+            law[tuple(off)] += float(p)
+        return law
 
 
 def simple_walk(d: int) -> WalkSpec:
@@ -225,20 +233,22 @@ def check_torus_walk(N: int, walk: WalkSpec) -> None:
     A step that wraps onto its own site is a self-jump.
     """
     side = 2 * N + 1
-    index = _lattice_index(walk.offsets_array[walk.probs_array > 0],
-                           walk.dimension)
+    basis = _lattice_basis(walk.offsets_array[walk.probs_array > 0], walk.dimension)
+    index = round(abs(np.linalg.det(basis)))
     if math.gcd(index, side) != 1:
         raise ValueError(f"the walk does not connect the torus of side {side}: "
                          f"its steps span a lattice of index {index} in Z^d")
 
 
-def _lattice_index(vectors: np.ndarray, d: int) -> int:
-    """Index in Z^d of the lattice spanned by the integer rows of `vectors`
-    (0 if they do not span R^d), by integer row reduction: per column,
-    Euclid's algorithm leaves one row with a nonzero entry, the pivot, and
-    the index is the product of the pivots."""
+def _lattice_basis(vectors, d: int) -> np.ndarray:
+    """A basis of the lattice spanned by the integer rows of `vectors`, as
+    the rows of an upper triangular integer d x d matrix, by integer row
+    reduction: per column, Euclid's algorithm leaves one row with a nonzero
+    entry, the pivot.  Its |det|, the product of the pivots, is the index of
+    the lattice in Z^d; a column without a pivot gets a zero row, so the
+    det is 0 when the rows do not span R^d."""
     rows = [[int(c) for c in v] for v in vectors]
-    index = 1
+    basis = []
     for col in range(d):
         live = [r for r in rows if r[col]]
         while len(live) > 1:
@@ -248,11 +258,10 @@ def _lattice_index(vectors: np.ndarray, d: int) -> int:
                     q = r[col] // pivot[col]
                     r[:] = [a - q * b for a, b in zip(r, pivot)]
             live = [r for r in live if r[col]]
-        if not live:
-            return 0
-        index *= abs(live[0][col])
-        rows.remove(live[0])
-    return index
+        if live:
+            rows.remove(live[0])
+        basis.append(live[0] if live else [0] * d)
+    return np.array(basis, dtype=np.int64)
 
 
 def complete_graph(n_sites: int) -> GeographySpec:
@@ -290,15 +299,17 @@ def green_function(walk: WalkSpec, method: str | None = None, *,
     """Expected visits to 0 of the discrete-time walk started at 0.
 
     Without a `method`, the exact route that green_method(walk) names:
-    BESSEL for axis walks, LATTICE_SUM for every other symmetric walk.
+    BESSEL for axis walks, CUBATURE for every other symmetric walk.
     BESSEL, for axis walks only (see WalkSpec.axis_rates), integrates the
     continuous-time return probability prod_i e^(-p_i t) I_0(p_i t) over
-    t >= 0 (Watson's integral; Montroll 1956).  LATTICE_SUM, for symmetric
-    walks only, sums the return probabilities exactly on a Fourier grid and
-    adds the local-CLT tail in closed form.  MONTE_CARLO counts visits over
-    a finite horizon and estimates the tail from late-window visits; it
-    takes any walk and serves as the independent oracle.
-    Returns (estimate, error_bound).
+    t >= 0 (Watson's integral; Montroll 1956).  CUBATURE, for symmetric
+    walks only, integrates 1 / (1 - phi) over the Fourier cube, phi the
+    characteristic function of the step, by a Gauss-Legendre rule on Duffy
+    pyramids; its bound is the distance of a coarser rule.  Both raise
+    TruncationUnstable when their bound is above a fixed limit.  MONTE_CARLO
+    counts visits over a finite horizon and estimates the tail from
+    late-window visits; it takes any walk and serves as the independent
+    oracle.  Returns (estimate, error_bound).
     """
     d = walk.dimension
     if d < 3:
@@ -306,8 +317,8 @@ def green_function(walk: WalkSpec, method: str | None = None, *,
     method = method or green_method(walk)
     if method == "BESSEL":
         return _green_bessel(walk)
-    if method == "LATTICE_SUM":
-        return _green_lattice_sum(walk)
+    if method == "CUBATURE":
+        return _green_cubature(walk)
     if method == "MONTE_CARLO":
         return _green_monte_carlo(walk, replicas, horizon, seed)
     raise ValueError(f"unknown method {method!r}")
@@ -315,8 +326,8 @@ def green_function(walk: WalkSpec, method: str | None = None, *,
 
 def green_method(walk: WalkSpec) -> str:
     """The exact Green route of `walk`: BESSEL for an axis walk, else
-    LATTICE_SUM."""
-    return "BESSEL" if walk.axis_rates is not None else "LATTICE_SUM"
+    CUBATURE."""
+    return "BESSEL" if walk.axis_rates is not None else "CUBATURE"
 
 
 # largest quadrature error bound the BESSEL route accepts
@@ -341,70 +352,65 @@ def _green_bessel(walk: WalkSpec):
     return est, err
 
 
-# Fourier grid cells that LATTICE_SUM may use, and the number of last exact
-# returns on which the 1/k correction of its tail is fitted
-_GRID_CELLS = 2_000_000
-_FIT_RETURNS = 10
+# Gauss-Legendre nodes per axis of the fine CUBATURE rule: at most
+# _CUBATURE_NODES, and at most _CUBATURE_CELLS nodes in each pyramid; the
+# coarse rule, whose distance from the fine one bounds the error, has 3/4 as
+# many.  The route raises above _CUBATURE_MAX_ERROR.
+_CUBATURE_NODES = 32
+_CUBATURE_CELLS = 2 ** 20
+_CUBATURE_MAX_ERROR = 1e-6
 
 
-def _green_lattice_sum(walk: WalkSpec):
-    """Exact partial sum of the returns p_k(0), k <= K, plus the local-CLT
-    tail in closed form.
+def _green_cubature(walk: WalkSpec):
+    """G = (2 pi)^(-d) times the integral over [-pi, pi]^d of 1 / (1 - phi),
+    phi(theta) = sum_x p_x cos(x . theta) (Montroll 1956), by a tensor
+    Gauss-Legendre rule on the 2d pyramids with apex 0 (Duffy 1982).
 
-    p_k(0) is the mean of phi^k, phi the characteristic function of the
-    step, over the grid (2 pi / M) Z_M^d.  With M = K reach + 1 no nonzero
-    multiple of M lies within k reach of 0, so the mean is exact for k <= K;
-    M comes from the budget of _GRID_CELLS cells.  Past K,
-    p_k(0) = a_(k mod 2) C k^(-d/2) (1 + c/k + O(k^-2)), where
-    C = (2 pi)^(-d/2) det(Sigma)^(-1/2) for the step covariance Sigma
-    (Lawler & Limic 2010, Thm 2.1.1), a_0 = n+ + n- and a_1 = n+ - n-: n+ is
-    the index of the lattice the steps span, and n- = n+ if the two-step
-    sums span index 2 n+ (the walk is bipartite there), else 0.  Only c is
-    fitted, on the last _FIT_RETURNS returns.  The error bound is the size
-    of the 1/k correction plus the fit residual times the leading tail.
+    On the pyramid over the face +e_a, theta = r (e_a + sum_(j != a) u_j e_j)
+    with r in [0, pi] and u in [-1, 1]^(d-1); the Jacobian r^(d-1) cancels
+    the 1 / r^2 of 1 - phi at 0, so the integrand is smooth for d >= 3.  phi
+    is even, so the pyramid over -e_a equals that over +e_a.  The steps are
+    first written in a basis of the lattice they span, which leaves G as it
+    is; there they span Z^d, and 1 - phi = sum_x 2 p_x sin^2(x . theta / 2)
+    vanishes on the cube only at 0.
     """
     d = walk.dimension
-    keep = walk.probs_array > 0
-    offsets, probs = walk.offsets_array[keep], walk.probs_array[keep]
-    reach = int(np.max(np.abs(offsets)))
-    K = (int(_GRID_CELLS ** (1.0 / d)) - 1) // reach
-    if K < _FIT_RETURNS:
-        raise TruncationUnstable(
-            f"{_GRID_CELLS} grid cells sum only {K} steps exactly (reach "
-            f"{reach}, d = {d}); the tail fit needs {_FIT_RETURNS}", K=K)
-    side = K * reach + 1
-    law = np.zeros((side,) * d)
-    np.add.at(law, tuple((offsets % side).T), probs)
-    phi = np.fft.fftn(law)
-    if np.max(np.abs(phi.imag)) > 1e-12:
-        raise ValueError("the LATTICE_SUM Green route needs a symmetric walk, "
+    law = walk._law()
+    if any(abs(p - law[tuple(-c for c in x)]) > 1e-12 for x, p in law.items()):
+        raise ValueError("the CUBATURE Green route needs a symmetric walk, "
                          "P(x) = P(-x); see WalkSpec.symmetrized")
-    phi = phi.real
-    returns = np.empty(K + 1)
-    power = np.ones_like(phi)
-    for k in range(K + 1):
-        returns[k] = power.mean()
-        power *= phi
+    # one step x of each pair +-x in the support: the pair adds
+    # 4 p_x sin^2(x . theta / 2) to 1 - phi
+    half = [x for x, p in law.items() if p > 0 and x > tuple(-c for c in x)]
+    steps = np.linalg.solve(_lattice_basis(half, d).T, np.transpose(half)).T.round()
+    coefs = 4.0 * np.array([law[x] for x in half])
+    nodes = [n for n in range(4, _CUBATURE_NODES + 1) if n ** d <= _CUBATURE_CELLS]
+    if not nodes:
+        raise TruncationUnstable(f"d = {d} leaves fewer than 4 cubature nodes per axis")
+    fine = _duffy_rule(steps, coefs, nodes[-1])
+    # the distance of the coarse rule, plus the rounding of the sums
+    err = abs(fine - _duffy_rule(steps, coefs, 3 * nodes[-1] // 4)) + 1e-14 * fine
+    if not err <= _CUBATURE_MAX_ERROR:
+        raise TruncationUnstable(f"Green cubature error bound {err:.2e} (limit "
+                                 f"{_CUBATURE_MAX_ERROR:.0e})", error=err)
+    return fine, err
 
-    s = d / 2.0
-    sigma = (offsets.T * probs) @ offsets
-    C = (2.0 * np.pi) ** -s / math.sqrt(np.linalg.det(sigma))
-    n_plus = _lattice_index(offsets, d)
-    # the sums x + offsets[0] span every two-step sum x + y
-    n_minus = n_plus if _lattice_index(offsets + offsets[0], d) == 2 * n_plus else 0
-    amplitude = C * np.array([n_plus + n_minus, n_plus - n_minus])
-    ks = np.arange(K - _FIT_RETURNS + 1, K + 1)
-    ks = ks[amplitude[ks % 2] > 0]
-    rel = returns[ks] / (amplitude[ks % 2] * ks ** -s) - 1.0
-    c = float((rel / ks).sum() / (1.0 / ks ** 2).sum())
-    residual = float(np.max(np.abs(rel - c / ks)))
-    # the sum of k^(-t) over k = k0, k0 + 2, ... is 2^(-t) zeta(t, k0 / 2)
-    first = [K + 1 + (K + 1 - r) % 2 for r in (0, 1)]
-    lead = sum(a * 2 ** -s * zeta(s, k0 / 2) for a, k0 in zip(amplitude, first))
-    correction = c * sum(a * 2 ** -(s + 1) * zeta(s + 1, k0 / 2)
-                         for a, k0 in zip(amplitude, first))
-    return (float(returns.sum() + lead + correction),
-            float(abs(correction) + residual * lead + 1e-12))
+
+def _duffy_rule(steps: np.ndarray, coefs: np.ndarray, n: int) -> float:
+    """The integral of _green_cubature by the n-node Gauss-Legendre rule in
+    r and in each u_j, for 1 - phi = sum_k coefs_k sin^2(steps_k . theta / 2)."""
+    d = steps.shape[1]
+    t, w = np.polynomial.legendre.leggauss(n)
+    r = np.pi / 2 * (t + 1.0)
+    w_r = np.pi / 2 * w * r ** (d - 1)
+    u = np.stack(np.meshgrid(*[t] * (d - 1), indexing="ij"), -1).reshape(-1, d - 1)
+    w_u = np.prod(np.meshgrid(*[w] * (d - 1), indexing="ij"), axis=0).ravel()
+    total = 0.0
+    for a in range(d):
+        half_phase = np.insert(u, a, 1.0, axis=1) @ steps.T / 2.0
+        for r_k, w_k in zip(r, w_r):
+            total += w_k * (w_u @ (1.0 / (np.sin(r_k * half_phase) ** 2 @ coefs)))
+    return 2.0 * total / (2.0 * np.pi) ** d
 
 
 def _green_monte_carlo(walk: WalkSpec, replicas: int, horizon: int, seed: int):

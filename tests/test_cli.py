@@ -86,6 +86,14 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
                              "probabilities": [0.3, 0.1, 0.15, 0.15, 0.15,
                                                0.15]}}},
      "green", "symmetric"),
+    # the steps of positive probability span only a plane
+    ({"seed": 1,
+      "geography": {"topology": "torus", "N": 2,
+                    "walk": {"dimension": 3,
+                             "offsets": [[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                                         [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+                             "probabilities": [0.25] * 4 + [0.0] * 2}}},
+     "green", "span"),
 ])
 def test_config_value_errors_exit_2(tmp_path, cfg, command, needle):
     r = run_cli(tmp_path, cfg, command)
@@ -405,6 +413,9 @@ PAIRWISE_CFG = {"seed": 6, "measure": KINGMAN,
                 "experiment": {"name": "pairwise",
                                "params": {"kappa_value": 0.57}},
                 "replicas": 30}
+KAPPA_CFG = {"seed": 7, "measure": KINGMAN,
+             "geography": {"topology": "torus", "N": 3},
+             "experiment": {"name": "kappa"}}
 
 
 @pytest.mark.parametrize("cfg, phases", [
@@ -412,6 +423,8 @@ PAIRWISE_CFG = {"seed": 6, "measure": KINGMAN,
     (BLOCK_COUNT_CFG, {"kappa_s", "sampling_s", "reference_s"}),
     (STRUCTURE_CFG, SAMPLER_STATS),
     (PAIRWISE_CFG, SAMPLER_STATS),
+    # the seconds of the exact Green route and of the Monte Carlo oracle
+    (KAPPA_CFG, {"kappa_s", "monte_carlo_s"}),
 ])
 def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
                                                            phases):

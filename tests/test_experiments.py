@@ -239,7 +239,7 @@ def test_pairwise_ks_reasonable_at_small_n(kingman):
 def test_torus_experiments_take_kappa_from_bessel_for_axis_walks(kingman,
                                                                   monkeypatch):
     def no_cross_check(*args, **kwargs):
-        raise AssertionError("axis walks need no lattice/Monte Carlo kappa")
+        raise AssertionError("axis walks need no cubature/Monte Carlo kappa")
     monkeypatch.setattr(experiments, "torus_kappa", no_cross_check)
     comp = pairwise_torus_experiment(2, simple_walk(3), kingman,
                                      replicas=20, seed=1)
@@ -259,10 +259,10 @@ def test_torus_experiments_take_kappa_from_lattice_sum_for_other_walks(
         raise AssertionError("the torus experiments run no Monte Carlo Green")
     monkeypatch.setattr(geometry, "_green_monte_carlo", no_monte_carlo)
     monkeypatch.setattr(experiments, "torus_kappa", no_monte_carlo)
-    g, _err = green_function(DIAGONAL, "LATTICE_SUM")
+    g, _err = green_function(DIAGONAL, "CUBATURE")
     exact = kappa(g, kingman.lambda_bk(2, 2))
     comp = pairwise_torus_experiment(2, DIAGONAL, kingman, replicas=20, seed=1)
-    assert comp.extras["kappa_info"]["G_method"] == "LATTICE_SUM"
+    assert comp.extras["kappa_info"]["G_method"] == "CUBATURE"
     assert comp.extras["kappa"] == exact
     res = partition_structure_experiment(2, DIAGONAL, kingman, 2,
                                          replicas=20, seed=1)
@@ -311,7 +311,8 @@ def test_torus_kappa_lattice_and_monte_carlo_agree_on_skew_walk(kingman, seed):
     # are part of the tail
     info = experiments.torus_kappa(SKEW, kingman, seed=seed)
     assert info["methods_agree"] is True
-    assert info["G_lattice_err"] <= 1e-3
+    assert info["G_method"] == "CUBATURE"
+    assert 0.0 < info["G_lattice_err"] <= 1e-10
 
 
 # ---------------------------------------------------------------- block count

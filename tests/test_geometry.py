@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from spatial_coalescent.errors import DimensionTooLow, SizeOverflow, TruncationUnstable
 from spatial_coalescent.geometry import (
     WalkSpec,
-    _lattice_index,
+    _lattice_basis,
     _tail_ratio,
     build_torus,
     check_torus_walk,
@@ -32,6 +32,11 @@ def test_walk_distribution_validated():
 def test_walk_must_span_all_coordinates():
     with pytest.raises(ValueError):
         WalkSpec(2, ((1, 0), (-1, 0)), (0.5, 0.5))
+    # steps of probability 0 are not in the support, which here spans only
+    # a plane: the walk would be recurrent
+    with pytest.raises(ValueError, match="span"):
+        WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                     (0, 0, 1), (0, 0, -1)), (0.25,) * 4 + (0.0,) * 2)
 
 
 def test_simple_walk_shape():
@@ -157,7 +162,8 @@ def test_check_torus_walk_rejects(walk, N, needle):
 def test_lattice_index_is_gcd_of_maximal_minors(vectors):
     minors = [round(np.linalg.det(np.array(rows, dtype=float)))
               for rows in itertools.combinations(vectors, 3)]
-    assert _lattice_index(np.array(vectors), 3) == math.gcd(*minors)
+    basis = _lattice_basis(np.array(vectors), 3)
+    assert round(abs(np.linalg.det(basis))) == math.gcd(*minors)
 
 
 def test_torus_site_budget_overflow():
@@ -220,7 +226,8 @@ DRIFT = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
 
 @pytest.fixture(scope="module")
 def lattice_d3():
-    return green_function(simple_walk(3), "LATTICE_SUM")
+    # the route the walk gets: BESSEL
+    return green_function(simple_walk(3))
 
 
 def test_green_lattice_d3_matches_reference(lattice_d3):
@@ -238,12 +245,22 @@ def test_green_bessel_d3_is_watson_value(lattice_d3):
     assert abs(g_lat - WATSON_D3) <= e_lat
 
 
-@pytest.mark.parametrize("d", [4, 5])
-def test_green_bessel_agrees_with_lattice(d):
-    g_bes, _ = green_function(simple_walk(d), "BESSEL")
-    g_lat, e_lat = green_function(simple_walk(d), "LATTICE_SUM")
-    assert 0.0 < e_lat <= 1e-3
-    assert abs(g_bes - g_lat) <= e_lat
+# the simple walk with a self-loop of 0.001: nearly bipartite
+SELF_LOOP = WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                         (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+                     (0.001,) + (0.999 / 6,) * 6)
+
+
+@pytest.mark.parametrize("walk, tol", [
+    (simple_walk(4), 1e-10), (simple_walk(5), 1e-6), (simple_walk(3), 1e-10),
+    (SELF_LOOP, 1e-10), (_axis_walk((0.2, 0.3, 0.5)), 1e-10),
+], ids=["4", "5", "3", "self-loop", "anisotropic"])
+def test_green_bessel_agrees_with_lattice(walk, tol):
+    # the cubature's bound covers BESSEL, and it is within tol of it
+    g_bes, _ = green_function(walk, "BESSEL")
+    g_cub, e_cub = green_function(walk, "CUBATURE")
+    assert 0.0 < e_cub <= 1e-6
+    assert abs(g_bes - g_cub) <= min(e_cub, tol)
 
 
 def test_green_lazy_walk_takes_bessel_at_twice_the_simple_value():
@@ -252,18 +269,25 @@ def test_green_lazy_walk_takes_bessel_at_twice_the_simple_value():
     assert green_method(LAZY) == "BESSEL"
     g_bes, _ = green_function(LAZY, "BESSEL")
     assert g_bes == pytest.approx(2 * WATSON_D3, rel=0.0, abs=1e-12)
-    g_lat, e_lat = green_function(LAZY, "LATTICE_SUM")
-    assert 0.0 < e_lat <= 1e-3
-    assert abs(g_lat - 2 * WATSON_D3) <= e_lat
+    g_cub, e_cub = green_function(LAZY, "CUBATURE")
+    assert 0.0 < e_cub <= 1e-10
+    assert abs(g_cub - g_bes) <= e_cub
 
 
-@pytest.mark.parametrize("walk, exact", [
-    (LONG_STEPS, WATSON_D3), (SKEW, None), (DIAGONAL, None),
-], ids=["long-steps", "skew", "diagonal"])
-def test_green_lattice_bound_positive_and_covers_exact_value(walk, exact):
-    g, err = green_function(walk, "LATTICE_SUM")
-    assert 0.0 < err <= 1e-3
-    if exact is not None:
+@pytest.mark.parametrize("walk, axis_twin", [
+    (LONG_STEPS, simple_walk(3)), (SKEW, None), (DIAGONAL, None),
+    # in the basis 3 e_1, e_2, e_3 of its lattice, the axis walk with rates
+    # (0.2, 0.4, 0.4)
+    (STRIDE_3, _axis_walk((0.2, 0.4, 0.4))),
+], ids=["long-steps", "skew", "diagonal", "stride3"])
+def test_green_lattice_bound_positive_and_covers_exact_value(walk, axis_twin):
+    # a walk whose steps span a lattice of index > 1 is rewritten in a basis
+    # of that lattice, where it is its axis twin; without that the cubature
+    # misses by about 1e-2
+    g, err = green_function(walk, "CUBATURE")
+    assert 0.0 < err <= 1e-10
+    if axis_twin is not None:
+        exact, _ = green_function(axis_twin, "BESSEL")
         assert abs(g - exact) <= err
 
 
@@ -271,7 +295,7 @@ def test_green_method_is_exact_route_of_the_walk():
     assert green_method(simple_walk(3)) == "BESSEL"
     assert green_method(DRIFT.symmetrized()) == "BESSEL"
     for walk in (SKEW, DIAGONAL, LONG_STEPS, DRIFT):
-        assert green_method(walk) == "LATTICE_SUM"
+        assert green_method(walk) == "CUBATURE"
     assert green_function(simple_walk(3)) == green_function(simple_walk(3),
                                                             "BESSEL")
 
@@ -305,16 +329,24 @@ def test_green_bessel_raises_when_quadrature_cannot_bound_error():
         green_function(_axis_walk((1e-7, 1e-7, 1 - 2e-7)), "BESSEL")
 
 
+def test_green_cubature_raises_when_its_rules_disagree():
+    # nearly one-dimensional: 1 - phi is small near two planes, and the
+    # coarse and fine rules differ by about 5
+    with pytest.raises(TruncationUnstable, match="cubature"):
+        green_function(_axis_walk((1e-4, 1e-4, 1 - 2e-4)), "CUBATURE")
+
+
 def test_green_decreases_with_dimension(lattice_d3):
     g3, _ = lattice_d3
-    g5, _ = green_function(simple_walk(5), "LATTICE_SUM")
+    g5, _ = green_function(simple_walk(5))
     assert 1.0 <= g5 < g3
 
 
-def test_green_monte_carlo_agrees_with_lattice(lattice_d3):
-    g_lat, e_lat = lattice_d3
-    g_mc, e_mc = green_function(simple_walk(3), "MONTE_CARLO", seed=3)
-    assert abs(g_lat - g_mc) <= e_lat + e_mc
+def test_green_monte_carlo_agrees_with_lattice():
+    # the oracle of the cubature on a walk that BESSEL cannot take
+    g_cub, e_cub = green_function(DIAGONAL, "CUBATURE")
+    g_mc, e_mc = green_function(DIAGONAL, "MONTE_CARLO", seed=3)
+    assert abs(g_cub - g_mc) <= e_cub + e_mc
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -329,19 +361,19 @@ def test_monte_carlo_tail_ratio_matches_explicit_sums(d):
 
 
 def test_green_lattice_error_bound_positive_with_drift():
-    # a walk with drift has no lattice sum; kappa passes its symmetrization
+    # a walk with drift has no cubature; kappa passes its symmetrization
     with pytest.raises(ValueError, match="symmetric"):
-        green_function(DRIFT, "LATTICE_SUM")
+        green_function(DRIFT, "CUBATURE")
     with pytest.raises(ValueError, match="symmetric"):
         green_function(DRIFT)
-    g, err = green_function(DRIFT.symmetrized(), "LATTICE_SUM")
+    g, err = green_function(DRIFT.symmetrized(), "CUBATURE")
     g_bes, _ = green_function(DRIFT.symmetrized(), "BESSEL")
-    assert 0.0 < err and abs(g - g_bes) <= err
+    assert 0.0 < err and abs(g - g_bes) <= min(err, 1e-10)
 
 
 def test_green_rejects_low_dimension():
     with pytest.raises(DimensionTooLow):
-        green_function(simple_walk(2), "LATTICE_SUM")
+        green_function(simple_walk(2), "CUBATURE")
 
 
 # ---------------------------------------------------------------- kappa
