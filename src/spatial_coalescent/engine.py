@@ -12,7 +12,10 @@ blocks there), migration (a uniform block moves along the kernel; self-jumps
 are left out of the move rate since they do not change state), and killing
 (a uniform block moves to the cemetery).  The coalescence rate is summed
 exactly over count classes (sites holding the same number of blocks share
-lambda_b); migration is uniformized at the largest move rate and thinned.
+lambda_b) and recomputed only after an event that changes a class;
+migration is uniformized at the largest move rate and thinned.  The
+per-site start state of a partition is computed once and cached on it, so
+replicas from one initial partition only copy it.
 
 Blocks carry (min element, size) always and full element sets only when an
 experiment needs partition identity.  Block ids follow the least-element
@@ -25,10 +28,11 @@ the loop `random.Random` itself runs inside `choice` and `randrange`.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +51,46 @@ __all__ = [
 ]
 
 CEMETERY = "∂"
+
+
+class _StartLayout(NamedTuple):
+    """Start state of `simulate` for one partition and site count, as
+    immutable tuples that each replica copies.  Block ids are the indices of
+    `LabeledPartition.blocks`."""
+    sites: tuple       # site of each block
+    mins: tuple        # least element of each block
+    sizes: tuple       # size of each block
+    rosters: tuple     # block ids at each site, in id order
+    roster_pos: tuple  # index of each block in its site's roster
+    counts: tuple      # blocks at each site
+    classes: tuple     # (c, sites holding c >= 2 blocks), c in order of first site
+    class_pos: tuple   # index of each site in its class (0 below 2 blocks)
+
+    @classmethod
+    def of(cls, part: "LabeledPartition", n_sites: int) -> "_StartLayout":
+        for lab in part.labels:
+            if lab == CEMETERY or not (0 <= lab < n_sites):
+                raise ValueError(f"initial label {lab!r} is not a site")
+        rosters: list[list[int]] = [[] for _ in range(n_sites)]
+        roster_pos = []
+        for bid, s in enumerate(part.labels):
+            roster_pos.append(len(rosters[s]))
+            rosters[s].append(bid)
+        counts = [len(r) for r in rosters]
+        classes: dict[int, list[int]] = {}
+        class_pos = [0] * n_sites
+        for s, c in enumerate(counts):
+            if c >= 2:
+                members = classes.setdefault(c, [])
+                class_pos[s] = len(members)
+                members.append(s)
+        return cls(sites=part.labels,
+                   mins=tuple(min(b) for b in part.blocks),
+                   sizes=tuple(len(b) for b in part.blocks),
+                   rosters=tuple(map(tuple, rosters)),
+                   roster_pos=tuple(roster_pos), counts=tuple(counts),
+                   classes=tuple((c, tuple(m)) for c, m in classes.items()),
+                   class_pos=tuple(class_pos))
 
 
 class LabeledPartition:
@@ -74,6 +118,15 @@ class LabeledPartition:
             raise ValueError("blocks must be disjoint")
         self.ground = frozenset(union)
         self.n = n if n is not None else (max(union) if union else 0)
+        self._layouts: dict[int, _StartLayout] = {}
+
+    def start_layout(self, n_sites: int) -> "_StartLayout":
+        """The per-site state `simulate` starts from on a geography of
+        `n_sites` sites, computed once per site count and kept."""
+        layout = self._layouts.get(n_sites)
+        if layout is None:
+            layout = self._layouts[n_sites] = _StartLayout.of(self, n_sites)
+        return layout
 
     def block_count(self) -> int:
         return len(self.blocks)
@@ -136,10 +189,16 @@ class SimulationConfig:
     event_budget: int | None = None
 
     def __post_init__(self):
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        # NaN fails every comparison: a NaN horizon would never be passed
+        # and a NaN probe time never reached
+        if self.horizon is not None and not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and positive")
         if self.stop_blocks_at_most is not None and self.stop_blocks_at_most < 1:
             raise ValueError("block threshold must be >= 1")
+        if not all(0.0 <= p < math.inf for p in self.probe_times):
+            raise ValueError("probe times must be finite and >= 0")
+        if self.event_budget is not None and self.event_budget < 1:
+            raise ValueError("event budget must be >= 1")
 
 
 @dataclass
@@ -167,13 +226,15 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
 
     Sites are bucketed by block count.  The coalescence rate is the sum over
     counts c >= 2 of lambda_c times the number of sites holding c blocks,
-    recomputed from the integer class sizes whenever they change; a
-    coalescence picks a class with weight lambda_c |S_c| and then a uniform
-    site in it.  Migration proposals come at rate max_move per block and a
-    proposal from site s is kept with probability move_rate(s) / max_move,
-    which is 1 when every site has the same move rate (a torus); a rejected
-    proposal is a null step that changes nothing.  No running float total
-    is kept, so no rate can drift.
+    recomputed from the integer class sizes after every event that changes
+    a class (a migration between a lone block and an empty site changes
+    none); a coalescence picks a class with weight lambda_c |S_c| and then a
+    uniform site in it.  Migration proposals come at rate max_move per block
+    and a proposal from site s is kept with probability move_rate(s) /
+    max_move, which is 1 when every site has the same move rate (a torus); a
+    rejected proposal is a null step that changes nothing.  No running float
+    total is kept, so no rate can drift.  The per-site start state is copied
+    from the layout cached on `initial` (`LabeledPartition.start_layout`).
 
     Every draw comes from one `random.Random`, seeded from `config.seed`
     through a SeedSequence.  Each event takes a holding-time uniform and an
@@ -200,45 +261,32 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     log = math.log
     sample_move = geo.sample_move
 
-    def below(n: int) -> int:
-        """Uniform index in [0, n) by rejection on n.bit_length() bits."""
-        nbits = n.bit_length()
-        r = getrandbits(nbits)
-        while r >= n:
-            r = getrandbits(nbits)
-        return r
-
     n_sites = geo.size
     move_rates = geo.move_rates.tolist()
     max_move = max(move_rates)
     uniform_moves = min(move_rates) == max_move
-    mobile = [1 if r > 0.0 else 0 for r in move_rates]
 
     # block arrays indexed by block id; ids follow the least-element order
     # of `initial` and a merge keeps its least id, so the surviving ids stay
     # in least-element order and min_of is read only for the final summary
-    site_of: list = list(initial.labels)
-    for lab in site_of:
-        if lab == CEMETERY or not (0 <= lab < n_sites):
-            raise ValueError(f"initial label {lab!r} is not a site")
-    size_of = [len(b) for b in initial.blocks]
-    min_of = [min(b) for b in initial.blocks]
+    layout = initial.start_layout(n_sites)
+    site_of: list = list(layout.sites)
+    size_of = list(layout.sizes)
+    min_of = layout.mins
     track = config.track_elements
     elems = [set(b) for b in initial.blocks] if track else None
 
-    n_blocks = len(site_of)
-    counts = [0] * n_sites
-    rosters: list[list[int]] = [[] for _ in range(n_sites)]
-    pos_in_roster = [0] * n_blocks
-    alive = list(range(n_blocks))
-    alive_pos = list(range(n_blocks))
-    for bid, s in enumerate(site_of):
-        pos_in_roster[bid] = len(rosters[s])
-        rosters[s].append(bid)
-        counts[s] += 1
+    n_alive = len(site_of)
+    counts = list(layout.counts)
+    rosters = list(map(list, layout.rosters))
+    pos_in_roster = list(layout.roster_pos)
+    alive = list(range(n_alive))
+    alive_pos = list(range(n_alive))
     # alive blocks at sites they can leave: with non-uniform move rates the
     # proposal rate max_move * n_alive is only real while one is left
-    n_mobile = sum(mobile[s] for s in site_of)
+    # (uniform rates never read it)
+    mobile = [1 if r > 0.0 else 0 for r in move_rates]
+    n_mobile = 0 if uniform_moves else sum(mobile[s] for s in site_of)
 
     # count classes: sites_with[c] holds the sites with c >= 2 blocks.  The
     # occupied classes are listed in `occupied` (class c at occ_pos[c]) with
@@ -250,41 +298,12 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     sites_with: list[list[int]] = [[] for _ in lam]
     occ_pos = [0] * len(lam)
     occupied: list[int] = []
-    occ_weight: list[float] = []
-    pos_in_class = [0] * n_sites
-
-    def reclass(s: int, old: int, new: int):
-        """Move site s from count class `old` to `new` (classes < 2 untracked)."""
-        if old >= 2:
-            members = sites_with[old]
-            last = members.pop()
-            if last != s:
-                p = pos_in_class[s]
-                members[p] = last
-                pos_in_class[last] = p
-            i = occ_pos[old]
-            if members:
-                occ_weight[i] = lam[old] * len(members)
-            else:
-                last_c = occupied.pop()
-                last_w = occ_weight.pop()
-                if last_c != old:
-                    occupied[i] = last_c
-                    occ_weight[i] = last_w
-                    occ_pos[last_c] = i
-        if new >= 2:
-            members = sites_with[new]
-            pos_in_class[s] = len(members)
-            members.append(s)
-            if len(members) == 1:
-                occ_pos[new] = len(occupied)
-                occupied.append(new)
-                occ_weight.append(lam[new])
-            else:
-                occ_weight[occ_pos[new]] = lam[new] * len(members)
-
-    for s, c in enumerate(counts):
-        reclass(s, 0, c)
+    for c, members in layout.classes:
+        occ_pos[c] = len(occupied)
+        occupied.append(c)
+        sites_with[c] = list(members)
+    occ_weight = [lam[c] * len(sites_with[c]) for c in occupied]
+    pos_in_class = list(layout.class_pos)
 
     merge_cum = kernel.merge_size_cumulative_array
     # a Kingman measure merges pairs only, so it never needs a merge-size law
@@ -295,7 +314,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     record = config.record_events
     killing = config.killing
     horizon = math.inf if config.horizon is None else config.horizon
-    budget = math.inf if config.event_budget is None else config.event_budget
+    budget = config.event_budget or 0  # events counted from 1; 0: none
     threshold = config.stop_blocks_at_most
     # stop once at most `floor` blocks are alive (-1: never)
     floor = max(-1 if threshold is None else threshold,
@@ -321,21 +340,28 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
             return "BLOCKS_AT_MOST"
         return "ABSORBED"
 
-    stop_reason = block_stop(len(alive))
+    stop_reason = block_stop(n_alive)
+    # the totals change only with a count class, the alive count or the
+    # mobile count; an event that changes one of them marks them stale
+    stale = True
     while not stop_reason:
-        coal_tot = sum(occ_weight)
-        n_alive = len(alive)
-        mig_tot = max_move * n_alive if uniform_moves or n_mobile else 0.0
-        total = coal_tot + mig_tot
-        if killing:
-            total += n_alive
-        if total == 0.0:
-            if config.horizon is None:
-                raise ZeroRateDeadlock("all rates vanished before the stop "
-                                       "condition", time=t, blocks=n_alive)
-            t = horizon
-            stop_reason = "HORIZON"
-            break
+        if stale:
+            stale = False
+            coal_tot = sum(occ_weight)
+            mig_tot = max_move * n_alive if uniform_moves or n_mobile else 0.0
+            total = coal_tot + mig_tot
+            if killing:
+                total += n_alive
+            if total == 0.0:
+                if config.horizon is None:
+                    raise ZeroRateDeadlock("all rates vanished before the stop "
+                                           "condition", time=t, blocks=n_alive)
+                t = horizon
+                stop_reason = "HORIZON"
+                break
+            only_coal = mig_tot == 0.0 and not killing
+            kill_from = coal_tot + mig_tot if killing else math.inf
+            alive_bits = n_alive.bit_length()
         t_next = t - log(1.0 - random_()) / total  # Exp(total)
         if t_next > horizon:
             t = horizon
@@ -346,7 +372,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
         t = t_next
         u = random_() * total
 
-        if u < coal_tot or (mig_tot == 0.0 and not killing):
+        if u < coal_tot or only_coal:
             # ---- coalescence: class b with weight lambda_b |S_b| ----
             acc = 0.0
             for i, w in enumerate(occ_weight):
@@ -356,29 +382,37 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
             # (a u rounded onto the total falls through to the last class)
             b = occupied[i]
             members = sites_with[b]
-            s = members[below(len(members))]
+            n = len(members)
+            nbits = n.bit_length()
+            r = getrandbits(nbits)
+            while r >= n:
+                r = getrandbits(nbits)
+            s = members[r]
+            roster = rosters[s]
             k = 2
             if b > 2:
                 # the uniform is drawn even when the law is a point mass, so
                 # a Kingman run keeps the stream of the law-based draw
                 u_k = random_()
                 if not binary:
-                    k = min(b, 2 + bisect.bisect_right(merge_cum(b), u_k))
-            roster = rosters[s]
-            if k == b:
-                chosen = list(roster)
-            elif k == 2:
-                i = below(b)
-                j = below(b - 1)
-                if j >= i:
-                    j += 1
-                chosen = [roster[i], roster[j]]
-            else:
-                chosen = rng.sample(roster, k)
-            survivor = min(chosen)
-            for bid in chosen:
-                if bid == survivor:
-                    continue
+                    k = min(b, 2 + bisect_right(merge_cum(b), u_k))
+            if k == 2:
+                # a pair: two distinct uniform indices, none drawn when b == 2
+                if b == 2:
+                    x, y = roster
+                else:
+                    nbits = b.bit_length()
+                    i = getrandbits(nbits)
+                    while i >= b:
+                        i = getrandbits(nbits)
+                    nbits = (b - 1).bit_length()
+                    j = getrandbits(nbits)
+                    while j >= b - 1:
+                        j = getrandbits(nbits)
+                    if j >= i:
+                        j += 1
+                    x, y = roster[i], roster[j]
+                survivor, bid = (x, y) if x < y else (y, x)
                 size_of[survivor] += size_of[bid]
                 if track:
                     elems[survivor] |= elems[bid]
@@ -394,85 +428,166 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
                     alive[p] = last
                     alive_pos[last] = p
                 site_of[bid] = None
-            counts[s] = b - (k - 1)
-            reclass(s, b, b - (k - 1))
-            n_mobile -= (k - 1) * mobile[s]
+                if record:
+                    events.append((t, "MERGE", (s, (survivor, bid), 2)))
+            else:
+                chosen = list(roster) if k == b else rng.sample(roster, k)
+                survivor = min(chosen)
+                for bid in chosen:
+                    if bid == survivor:
+                        continue
+                    size_of[survivor] += size_of[bid]
+                    if track:
+                        elems[survivor] |= elems[bid]
+                        elems[bid] = None
+                    last = roster.pop()
+                    if last != bid:
+                        p = pos_in_roster[bid]
+                        roster[p] = last
+                        pos_in_roster[last] = p
+                    last = alive.pop()
+                    if last != bid:
+                        p = alive_pos[bid]
+                        alive[p] = last
+                        alive_pos[last] = p
+                    site_of[bid] = None
+                if record:
+                    events.append((t, "MERGE", (s, tuple(sorted(chosen)), k)))
+            n_alive -= k - 1
+            if not uniform_moves:
+                n_mobile -= (k - 1) * mobile[s]
+            stale = True
             n_merges += 1
-            if record:
-                events.append((t, "MERGE", (s, tuple(sorted(chosen)), k)))
-            if n_alive - (k - 1) <= floor:
-                stop_reason = block_stop(n_alive - (k - 1))
-        elif killing and u >= coal_tot + mig_tot:
-            # ---- killing ----
-            bid = alive[below(n_alive)]
-            s = site_of[bid]
-            roster = rosters[s]
-            last = roster.pop()
-            if last != bid:
-                p = pos_in_roster[bid]
-                roster[p] = last
-                pos_in_roster[last] = p
-            last = alive.pop()
-            if last != bid:
-                p = alive_pos[bid]
-                alive[p] = last
-                alive_pos[last] = p
-            b = counts[s]
-            counts[s] = b - 1
-            reclass(s, b, b - 1)
-            n_mobile -= mobile[s]
-            site_of[bid] = CEMETERY
-            n_kills += 1
-            if record:
-                events.append((t, "KILL", (bid,)))
-            if n_alive - 1 <= floor:
-                stop_reason = block_stop(n_alive - 1)
+            if n_alive <= floor:
+                stop_reason = block_stop(n_alive)
+            c = b - (k - 1)
+            dest = None
         else:
-            # ---- migration proposal: a uniform alive block ----
-            nbits = n_alive.bit_length()
-            r = getrandbits(nbits)
+            # ---- killing or a migration proposal: a uniform alive block ----
+            r = getrandbits(alive_bits)
             while r >= n_alive:
-                r = getrandbits(nbits)
+                r = getrandbits(alive_bits)
             bid = alive[r]
             s = site_of[bid]
-            if not uniform_moves and move_rates[s] <= max_move * random_():
-                n_rejected += 1
-                continue
-            dest = sample_move(s, random_())
+            if u < kill_from:
+                if not uniform_moves and move_rates[s] <= max_move * random_():
+                    n_rejected += 1
+                    continue
+                dest = sample_move(s, random_())
+            else:
+                dest = None
             roster = rosters[s]
             last = roster.pop()
             if last != bid:
                 p = pos_in_roster[bid]
                 roster[p] = last
                 pos_in_roster[last] = p
-            site_of[bid] = dest
-            roster = rosters[dest]
-            pos_in_roster[bid] = len(roster)
-            roster.append(bid)
-            b_from = counts[s]
-            b_to = counts[dest]
-            counts[s] = b_from - 1
-            counts[dest] = b_to + 1
-            if b_from >= 2:
-                reclass(s, b_from, b_from - 1)
-            if b_to:
-                if b_to == max_seen:
+            if dest is None:
+                last = alive.pop()
+                if last != bid:
+                    p = alive_pos[bid]
+                    alive[p] = last
+                    alive_pos[last] = p
+                site_of[bid] = CEMETERY
+                n_alive -= 1
+                if not uniform_moves:
+                    n_mobile -= mobile[s]
+                stale = True
+                n_kills += 1
+                if record:
+                    events.append((t, "KILL", (bid,)))
+                if n_alive <= floor:
+                    stop_reason = block_stop(n_alive)
+            else:
+                site_of[bid] = dest
+                roster = rosters[dest]
+                pos_in_roster[bid] = len(roster)
+                roster.append(bid)
+                if record:
+                    events.append((t, "MIGRATE", (bid, s, dest)))
+            b = counts[s]
+            c = b - 1
+
+        # ---- site s went from b to c blocks; dest, if any, gains one ----
+        # (each class move is written out in place rather than called: this
+        # path runs once per event)
+        counts[s] = c
+        if b >= 2:
+            members = sites_with[b]
+            last = members.pop()
+            if last != s:
+                p = pos_in_class[s]
+                members[p] = last
+                pos_in_class[last] = p
+            i = occ_pos[b]
+            if members:
+                occ_weight[i] = lam[b] * len(members)
+            else:
+                last_c = occupied.pop()
+                last_w = occ_weight.pop()
+                if last_c != b:
+                    occupied[i] = last_c
+                    occ_weight[i] = last_w
+                    occ_pos[last_c] = i
+            if c >= 2:
+                members = sites_with[c]
+                pos_in_class[s] = len(members)
+                members.append(s)
+                if len(members) == 1:
+                    occ_pos[c] = len(occupied)
+                    occupied.append(c)
+                    occ_weight.append(lam[c])
+                else:
+                    occ_weight[occ_pos[c]] = lam[c] * len(members)
+            stale = True
+        if dest is not None:
+            b = counts[dest]
+            counts[dest] = b + 1
+            if b:
+                if b == max_seen:
                     max_seen += 1
                     if max_seen == len(lam):
                         lam.append(kernel.lambda_total(max_seen))
                         sites_with.append([])
                         occ_pos.append(0)
-                reclass(dest, b_to, b_to + 1)
-            n_mobile += mobile[dest] - mobile[s]
-            if record:
-                events.append((t, "MIGRATE", (bid, s, dest)))
+                if b >= 2:
+                    members = sites_with[b]
+                    last = members.pop()
+                    if last != dest:
+                        p = pos_in_class[dest]
+                        members[p] = last
+                        pos_in_class[last] = p
+                    i = occ_pos[b]
+                    if members:
+                        occ_weight[i] = lam[b] * len(members)
+                    else:
+                        last_c = occupied.pop()
+                        last_w = occ_weight.pop()
+                        if last_c != b:
+                            occupied[i] = last_c
+                            occ_weight[i] = last_w
+                            occ_pos[last_c] = i
+                c = b + 1
+                members = sites_with[c]
+                pos_in_class[dest] = len(members)
+                members.append(dest)
+                if len(members) == 1:
+                    occ_pos[c] = len(occupied)
+                    occupied.append(c)
+                    occ_weight.append(lam[c])
+                else:
+                    occ_weight[occ_pos[c]] = lam[c] * len(members)
+                stale = True
+            if not uniform_moves:
+                n_mobile += mobile[dest] - mobile[s]
+                stale = True
 
         n_events += 1
-        if not stop_reason and n_events >= budget:
+        if n_events == budget and not stop_reason:
             stop_reason = "BUDGET"
             rec.budget_exhausted = True
 
-    flush_probes(t, len(alive))
+    flush_probes(t, n_alive)
     rec.final_time = t
     rec.stop_reason = stop_reason
     rec.final_counts = counts
@@ -483,8 +598,8 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
         "max_site_blocks": max_seen,
         "lambda_table_size": len(lam),
     }
-    rec.final_block_summary = [(min_of[bid], size_of[bid], s)
-                               for bid, s in enumerate(site_of) if s is not None]
+    rec.final_block_summary = [(m, size, s) for m, size, s
+                               in zip(min_of, size_of, site_of) if s is not None]
     if track:
         kept = [bid for bid, s in enumerate(site_of) if s is not None]
         rec.final_partition = LabeledPartition(
@@ -556,7 +671,8 @@ def coupled_simulate(initials, config: SimulationConfig):
     for (time, tag, payload) in rec.events:
         if tag == "MERGE":
             _, chosen, _k = payload
-            survivor = min(chosen, key=lambda bid: min(elems_map[bid]))
+            # ids follow least-element order, as in `simulate`
+            survivor = min(chosen)
             for bid in chosen:
                 if bid == survivor:
                     continue

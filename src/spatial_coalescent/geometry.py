@@ -18,8 +18,8 @@ takes any walk and serves as the oracle.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -165,7 +165,7 @@ class GeographySpec:
 
     def sample_move(self, i: int, u: float) -> int:
         """Destination != i for a migrating block, from uniform u in [0,1)."""
-        return self._move_dest[i][bisect.bisect_right(self._move_cum[i], u)]
+        return self._move_dest[i][bisect_right(self._move_cum[i], u)]
 
 
 def _move_tables(dests: np.ndarray, probs: np.ndarray):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -94,6 +95,14 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
                                          [0, -1, 0], [0, 0, 1], [0, 0, -1]],
                              "probabilities": [0.25] * 4 + [0.0] * 2}}},
      "green", "span"),
+    # a NaN horizon is never passed: the run went on to its event budget
+    ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "torus", "N": 1},
+      "horizon": math.nan}, "simulate", "horizon"),
+    # a probe before the start reported a count, a NaN one was dropped
+    ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "torus", "N": 1},
+      "horizon": 2.0, "probe_times": [-1.0, 2.0]}, "simulate", "probe times"),
+    ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "torus", "N": 1},
+      "horizon": 2.0, "probe_times": [math.nan]}, "simulate", "probe times"),
 ])
 def test_config_value_errors_exit_2(tmp_path, cfg, command, needle):
     r = run_cli(tmp_path, cfg, command)

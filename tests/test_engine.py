@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -272,6 +273,34 @@ def test_event_budget_stops_run(kingman):
     assert len(rec.events) == 4
 
 
+@pytest.mark.parametrize("field, value, needle", [
+    ("horizon", math.nan, "horizon"),
+    ("horizon", math.inf, "horizon"),
+    ("horizon", 0.0, "horizon"),
+    ("probe_times", (-1.0, 2.0), "probe times"),
+    ("probe_times", (1.0, math.nan), "probe times"),
+    ("probe_times", (math.inf,), "probe times"),
+    ("event_budget", 0, "event budget"),
+    ("event_budget", -3, "event budget"),
+], ids=["horizon-nan", "horizon-inf", "horizon-0", "probe-negative",
+        "probe-nan", "probe-inf", "budget-0", "budget-negative"])
+def test_config_rejects_values_that_cannot_stop_or_probe(kingman, field, value,
+                                                         needle):
+    # a NaN horizon is never passed, a negative probe would report a count
+    # before the start, a NaN one was dropped, and a budget below 1 still
+    # ran one event
+    with pytest.raises(ValueError, match=needle):
+        SimulationConfig(kernel=kingman, geography=single_site(),
+                         **{field: value})
+
+
+def test_probe_at_time_zero_reports_the_start(kingman):
+    rec = simulate(singletons_at([0] * 5), SimulationConfig(
+        kernel=kingman, geography=single_site(), seed=2, horizon=1.0,
+        probe_times=(0.0,)))
+    assert rec.probes == [(0.0, 5)]
+
+
 def test_deadlock_detected(kingman):
     # two isolated sites with no movement: absorption is unreachable
     frozen = generic_graph(np.eye(2))
@@ -305,24 +334,31 @@ def test_bit_reproducible(kingman):
 _LAZY_3 = np.array([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]])
 
 
+def _stream_case(case, kingman, beta):
+    """(initial partition, SimulationConfig fields) of a named engine case."""
+    if case == "beta-one-site":
+        return singletons_at([0] * 200), dict(
+            kernel=beta, geography=single_site(), stop_when_absorbed=True,
+            probe_times=(0.01, 0.1))
+    if case == "generic-kill":
+        geo = generic_graph(_LAZY_3)
+        return singletons_per_site(geo, 6), dict(
+            kernel=beta, geography=geo, killing=True, horizon=5.0,
+            probe_times=(0.1, 0.5, 2.0))
+    # N = 4 is the benchmark's torus_counts case, run to t = volume
+    N, horizon = {"kingman-torus": (2, 27.0),
+                  "kingman-torus-4": (4, 729.0)}[case]
+    geo = build_torus(N, simple_walk(3))
+    return singletons_per_site(geo, 10), dict(
+        kernel=kingman, geography=geo, horizon=horizon,
+        probe_times=(0.5 * horizon, horizon))
+
+
 @pytest.mark.parametrize("case", ["beta-one-site", "generic-kill",
                                   "kingman-torus"])
 def test_counts_only_run_matches_full_run(case, kingman, beta_heavy_kernel):
     # dropping events and element sets must not touch the random stream
-    if case == "beta-one-site":
-        init = singletons_at([0] * 200)
-        kw = dict(kernel=beta_heavy_kernel, geography=single_site(),
-                  stop_when_absorbed=True, probe_times=(0.01, 0.1))
-    elif case == "generic-kill":
-        geo = generic_graph(_LAZY_3)
-        init = singletons_per_site(geo, 6)
-        kw = dict(kernel=beta_heavy_kernel, geography=geo, killing=True,
-                  horizon=5.0, probe_times=(0.1, 0.5, 2.0))
-    else:
-        geo = build_torus(2, simple_walk(3))
-        init = singletons_per_site(geo, 10)
-        kw = dict(kernel=kingman, geography=geo, horizon=27.0,
-                  probe_times=(13.5, 27.0))
+    init, kw = _stream_case(case, kingman, beta_heavy_kernel)
     totals = {"MERGE": 0, "MIGRATE": 0, "KILL": 0, "rejected": 0}
     for seed in range(3):
         full = simulate(init, SimulationConfig(seed=seed, **kw))
@@ -340,6 +376,41 @@ def test_counts_only_run_matches_full_run(case, kingman, beta_heavy_kernel):
               "generic-kill": ("MERGE", "MIGRATE", "KILL", "rejected"),
               "kingman-torus": ("MERGE", "MIGRATE")}[case]
     assert all(totals[key] > 0 for key in expect), totals
+
+
+# SHA-256 of the records below, taken from the engine before its per-event
+# work was cut; a change to any draw or to its order changes them
+_PINNED_STREAMS = {
+    "beta-one-site":
+        "9ab7010c63f855991885af4db8d9720c6b81a73b9a1dab9c153fef7270c6c6d0",
+    "generic-kill":
+        "6573a0c01044248914974990f8bcb5eb51db1f7bcbe3756216f8ce3009b35749",
+    "kingman-torus":
+        "7901ad92a3f8139ba48cb1c2be32b7ac9887a5fbd6aa0f18fda416d8e6297816",
+    "kingman-torus-4":
+        "bfde69504302302a54f9ff9c087dc02cb42fbb12fdb9a05d107200ca3c652483",
+}
+
+
+def _stream_digest(case, kingman, beta) -> str:
+    init, kw = _stream_case(case, kingman, beta)
+    h = hashlib.sha256()
+    for seed in ([0] if case == "kingman-torus-4" else range(3)):
+        for record in (True, False):
+            rec = simulate(init, SimulationConfig(
+                seed=seed, record_events=record, track_elements=record, **kw))
+            h.update(repr((rec.events, rec.probes, rec.final_time,
+                           rec.stop_reason, rec.final_block_summary,
+                           rec.final_counts, rec.stats)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_STREAMS))
+def test_simulate_stream_is_pinned(case, kingman, beta_heavy_kernel):
+    # every trajectory, with and without recording, is bit-identical to the
+    # pinned one: same draws, same order, same events and counters
+    assert _stream_digest(case, kingman, beta_heavy_kernel) == \
+        _PINNED_STREAMS[case]
 
 
 def test_merge_survivor_is_least_id(beta_heavy_kernel):
