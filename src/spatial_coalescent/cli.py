@@ -17,6 +17,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -219,9 +220,16 @@ def parse_config(path: str, **overrides) -> RunConfig:
 
 def _canonical_json(obj) -> str:
     # keys become strings (and numpy values plain ones) before sorting, so
-    # int and str keys sort alike, as text
-    plain = json.loads(json.dumps(obj, default=_json_default))
+    # int and str keys sort alike, as text; NaN and infinity are not JSON,
+    # so they raise
+    plain = json.loads(json.dumps(obj, default=_json_default, allow_nan=False))
     return json.dumps(plain, sort_keys=True, indent=2) + "\n"
+
+
+def _bound(value: float):
+    """A proved upper bound as a report value: null where no finite bound
+    exists (+inf), since report.json holds no infinity."""
+    return None if value == math.inf else value
 
 
 def _json_default(obj):
@@ -407,7 +415,7 @@ def classify(config, **overrides):
     report = {
         "verdict": verdict.verdict,
         "partial_sum": verdict.partial_sum,
-        "tail_bound": verdict.tail_bound,
+        "tail_bound": _bound(verdict.tail_bound),
         "complete_collapse": verdict.complete_collapse,
         "note": verdict.note,
     }
@@ -606,6 +614,8 @@ def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams, kernel: RateKernel):
     rep = estimate_Tnk(p.n, p.k, geo, kernel,
                        replicas=cfg.replicas or 400, seed=cfg.seed)
     out = rep.to_dict()
+    out["extras"] = {**out["extras"],
+                     "uniform_bound": _bound(out["extras"]["uniform_bound"])}
     raw = "replica,time\n" + "".join(
         f"{i},{v!r}\n" for i, v in enumerate(rep.per_replica))
     return out, raw, "hitting_times.csv"

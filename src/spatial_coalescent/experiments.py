@@ -30,6 +30,12 @@ checks it against the Monte Carlo oracle, at about a 95 % level.
 
 The block-count study's references, the Kingman entrance law from dust and
 its two-time law, are Tavare's series summed exactly in decimal.
+
+The goodness-of-fit p-values are computed here on scipy.special, so that
+no run imports scipy.stats (about half a second of start-up): Pearson's
+chi-square and the KS statistic take scipy.stats' arithmetic to the bit,
+and the two-sided KS p-value is exact (_kolmogorov_sf).  A statistic that
+cannot be tested (one pair of blocks, one replica) is None.
 """
 
 from __future__ import annotations
@@ -41,8 +47,7 @@ from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
-from scipy import stats as sp_stats
-from scipy.special import gammaln
+from scipy import special
 
 from . import engine as engine_mod
 from .engine import SimulationConfig, simulate, singletons_per_site
@@ -85,7 +90,7 @@ class EstimateReport:
     per_replica: list = field(default_factory=list)
 
     def confidence_interval(self):
-        z = sp_stats.norm.ppf(0.5 + self.confidence / 2.0)
+        z = special.ndtri(0.5 + self.confidence / 2.0)
         return (self.point_estimate - z * self.std_error,
                 self.point_estimate + z * self.std_error)
 
@@ -103,6 +108,9 @@ class EstimateReport:
 
 @dataclass
 class DistributionComparison:
+    """An empirical law against a reference law.  `pairwise` has no
+    chi-square test: it puts the KS p-value of its rescaled times against
+    Exp(kappa) in `chi2_pvalue`, under that report key."""
     empirical: dict
     reference: dict
     ks_stat: float | None
@@ -136,6 +144,107 @@ def _replica_runs(init, geography, kernel: RateKernel, seed: int,
 def _tv(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+# ----------------------------------------------------------------------
+# goodness-of-fit p-values
+# ----------------------------------------------------------------------
+
+# observed and expected totals of a chi-square test may differ by this much,
+# relative to the smaller (scipy.stats.chisquare's tolerance)
+_CHI2_SUM_RTOL = np.finfo(np.float64).eps ** 0.5
+
+
+def _chisquare_p(obs, exp=None) -> float:
+    """p-value of Pearson's chi-square test of the counts `obs` against the
+    expected counts `exp` (equal cells if None), on len(obs) - 1 degrees of
+    freedom: the arithmetic of scipy.stats.chisquare, term for term."""
+    obs = np.asarray(obs, dtype=np.float64)
+    if exp is None:
+        exp = obs.mean()
+    else:
+        exp = np.asarray(exp, dtype=np.float64)
+        o_sum, e_sum = obs.sum(), exp.sum()
+        if abs(o_sum - e_sum) / min(o_sum, e_sum) > _CHI2_SUM_RTOL:
+            raise ValueError(f"observed total {o_sum} and expected total "
+                             f"{e_sum} differ by more than {_CHI2_SUM_RTOL} "
+                             "relative")
+    stat = ((obs - exp) ** 2 / exp).sum()
+    return float(special.chdtrc(obs.size - 1, stat))
+
+
+def _ks_expon(vals, scale: float) -> tuple[float, float]:
+    """Two-sided one-sample KS statistic of `vals` against the exponential
+    law of mean `scale`, and its exact p-value (_kolmogorov_sf).  The
+    statistic is scipy.stats.kstest's, bit for bit."""
+    x = np.sort(np.asarray(vals, dtype=np.float64))
+    n = x.size
+    cdf = -special.expm1(-(x / scale))
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    d = float(d_plus if d_plus > d_minus else d_minus)
+    return d, _kolmogorov_sf(n, d)
+
+
+# Durbin's matrix power is rescaled by 2^-_RESCALE_BITS whenever its central
+# entry passes 2^_RESCALE_BITS (Marsaglia, Tsang & Wang 2003)
+_RESCALE_BITS = 128
+
+
+def _kolmogorov_sf(n: int, x: float) -> float:
+    """P(D_n >= x) for the two-sided KS statistic D_n of n samples, exact.
+
+    For x >= 1/2 it is 2 smirnov(n, x), the one-sided tail doubled (the two
+    sides cannot both be crossed); so it is for n x^2 > 4, where the
+    double-crossing term is below e^-24 of it (Simard & L'Ecuyer 2011).
+    Elsewhere it is 1 - (n!/n^n) (H^n)_kk, with Durbin's m x m matrix H for
+    n x = k - h, 0 <= h < 1, m = 2k - 1 (Marsaglia, Tsang & Wang 2003):
+    H^n by repeated squaring, with power-of-two rescaling, and n!/n^n from
+    exact integers.  Taking 1 - cdf in floats, its relative error grows like
+    n eps / P(D_n >= x): about 1e-12 at n = 20, x = 2/sqrt(n)."""
+    t = n * x
+    if t <= 0.5:
+        return 1.0
+    if x >= 1.0:
+        return 0.0
+    if x >= 0.5 or t * x > 4.0:
+        return 2.0 * float(special.smirnov(n, x))
+    k = math.ceil(t)
+    h = k - t
+    m = 2 * k - 1
+    # H[i, j] = 1/(i - j + 1)! on and below the superdiagonal; the first
+    # column and the last row carry the boundary terms in h
+    inv_fact = np.concatenate(([1.0], np.cumprod(1.0 / np.arange(1, m + 1))))
+    lag = np.arange(m)[:, None] - np.arange(m)[None, :] + 1
+    H = np.where(lag >= 0, inv_fact[np.maximum(lag, 0)], 0.0)
+    edge = (1.0 - h ** np.arange(1, m + 1)) * inv_fact[1:]
+    H[:, 0] = edge
+    H[-1, :] = edge[::-1]
+    H[-1, 0] = (1.0 - 2.0 * h ** m + max(2.0 * h - 1.0, 0.0) ** m) * inv_fact[m]
+
+    # H^n = power 2^scale, from squares H^(2^i) = H 2^square_scale
+    big = math.ldexp(1.0, _RESCALE_BITS)
+    power, scale, square_scale, e = None, 0, 0, n
+    while True:
+        if e & 1:
+            power = H if power is None else power @ H
+            scale += square_scale
+            if power[k - 1, k - 1] > big:
+                power = power / big
+                scale += _RESCALE_BITS
+        e >>= 1
+        if not e:
+            break
+        H = H @ H
+        square_scale *= 2
+        if H[k - 1, k - 1] > big:
+            H = H / big
+            square_scale += _RESCALE_BITS
+    # n!/n^n as q 2^-shift, q a 64-bit integer
+    num, den = math.factorial(n), n ** n
+    shift = den.bit_length() - num.bit_length() + 64
+    q = (num << shift) // den
+    return 1.0 - math.ldexp(float(power[k - 1, k - 1]) * q, scale - shift)
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +288,10 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
                                  horizon=horizon, probe_times=probes):
             for p, c in rec.probes:
                 counts[p].append(c)
+        # one replica has no standard error
         results[n] = {p: (float(np.mean(v)),
-                          float(np.std(v, ddof=1)) / math.sqrt(replicas))
+                          float(np.std(v, ddof=1)) / math.sqrt(replicas)
+                          if replicas > 1 else None)
                       for p, v in counts.items()}
     # growth exponent of the mean at the largest probe time
     p_last = probes[-1]
@@ -223,8 +334,8 @@ class _DecimalSeries:
         top, peak = 1, -math.inf
         while True:
             k = np.arange(1, top + 1)
-            log_c = (gammaln(top + k - 1) - gammaln(k) - gammaln(k + 1)
-                     - gammaln(top - k + 1))
+            log_c = (special.gammaln(top + k - 1) - special.gammaln(k)
+                     - special.gammaln(k + 1) - special.gammaln(top - k + 1))
             largest = (float(log_c.max()) - top * (top - 1) * t / 2
                        + math.log(2 * top - 1))
             peak = max(peak, largest)
@@ -372,10 +483,10 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                                          [[0] * d, separation], replicas, seed)
     times = np.array([log[0][0] for log in logs])
     rescaled = times / (2 * N + 1) ** d
-    ks = sp_stats.kstest(rescaled, "expon", args=(0.0, 1.0 / kappa_value))
+    ks_stat, ks_p = _ks_expon(rescaled, 1.0 / kappa_value)
     return DistributionComparison(
-        empirical={}, reference={}, ks_stat=float(ks.statistic),
-        tv_distance=None, chi2_pvalue=float(ks.pvalue), sample_size=replicas,
+        empirical={}, reference={}, ks_stat=ks_stat,
+        tv_distance=None, chi2_pvalue=ks_p, sample_size=replicas,
         extras={
             "kappa": kappa_value,
             "fitted_rate": 1.0 / float(np.mean(rescaled)),
@@ -472,7 +583,7 @@ def _joint_chi2(pairs: np.ndarray, law: dict, min_expected: float = 5.0) -> floa
         exp.append(pool_exp)
     if len(obs) < 2:
         return 1.0
-    return float(sp_stats.chisquare(obs, exp).pvalue)
+    return _chisquare_p(obs, exp)
 
 
 # ----------------------------------------------------------------------
@@ -773,19 +884,20 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
             continue
         remaining = n_blocks - stage
         rate = kappa_value * remaining * (remaining - 1) / 2.0
-        ks = sp_stats.kstest(np.asarray(vals), "expon", args=(0.0, 1.0 / rate))
+        ks_stat, ks_p = _ks_expon(vals, 1.0 / rate)
         stage_reports.append({
             "stage": stage + 1, "reference_rate": rate,
-            "ks_stat": float(ks.statistic), "ks_pvalue": float(ks.pvalue),
+            "ks_stat": ks_stat, "ks_pvalue": ks_p,
             "mean": float(np.mean(vals)), "count": len(vals),
         })
 
-    # (b) chi-square of the first merging pair against uniform
+    # (b) chi-square of the first merging pair against uniform; untestable
+    # with a single pair or without a merge
     pairs = sorted({(i, j) for i in range(n_blocks) for j in range(n_blocks)
                     if i < j})
     observed = np.array([first_pair_counts.get(p, 0) for p in pairs])
-    total_first = int(observed.sum())
-    chi2_p = float(sp_stats.chisquare(observed).pvalue) if total_first else None
+    chi2_p = (_chisquare_p(observed)
+              if len(pairs) > 1 and observed.sum() else None)
 
     return {
         "kappa": kappa_value,

@@ -3,10 +3,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import coalsim
+from conftest import coalsim, run_python
 from spatial_coalescent import cli
 
 
@@ -558,6 +559,64 @@ def test_experiment_option_without_effect_exits_2(tmp_path, experiment, extra,
 def test_experiment_accepts_the_fields_it_reads(tmp_path, cfg):
     r = run_cli(tmp_path, cfg, "experiment", "--out", str(tmp_path / "out"))
     assert r.returncode == 0, r.stdout + r.stderr
+
+
+def _strict_report(out_dir):
+    """report.json parsed as strict JSON: NaN and infinity raise."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads((out_dir / "report.json").read_text(),
+                      parse_constant=reject)
+
+
+LEBESGUE = {"pieces": [{"interval": [0, 1], "tag": "constant",
+                        "params": {"level": 1.0}}]}
+
+
+@pytest.mark.parametrize("command, cfg, path", [
+    # a single pair: uniformity is untestable
+    ("experiment",
+     {"seed": 1, "measure": KINGMAN, "replicas": 40,
+      "geography": {"topology": "torus", "N": 8},
+      "experiment": {"name": "structure", "params": {"n_blocks": 2}}},
+     ("pair_uniformity_pvalue",)),
+    # one replica: no standard error
+    ("experiment",
+     {"seed": 1, "measure": KINGMAN, "replicas": 1,
+      "geography": {"topology": "complete", "sites": 2},
+      "experiment": {"name": "trend", "params": {"n_grid": [4, 8]}}},
+     ("per_n", "4", "0.5", 1)),
+    # a measure that stays infinite has no finite bound
+    ("classify", {"seed": 1, "measure": LEBESGUE}, ("tail_bound",)),
+    ("experiment",
+     {"seed": 1, "measure": LEBESGUE, "replicas": 5,
+      "geography": {"topology": "single"},
+      "experiment": {"name": "hitting_time", "params": {"n": 5}}},
+     ("extras", "uniform_bound")),
+], ids=["structure-one-pair", "trend-one-replica", "classify-no-bound",
+        "hitting_time-no-bound"])
+def test_missing_statistic_or_bound_is_null_in_report(tmp_path, command, cfg, path):
+    out = tmp_path / "out"
+    r = run_cli(tmp_path, cfg, command, "--out", str(out), timeout=120)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "Warning" not in r.stderr
+    value = _strict_report(out)
+    for key in path:
+        value = value[key]
+    assert value is None
+
+
+def test_canonical_json_rejects_non_finite():
+    for bad in (math.nan, math.inf, np.float64("nan")):
+        with pytest.raises(ValueError):
+            cli._canonical_json({"x": [bad]})
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    r = run_python("-c", "import sys, spatial_coalescent.cli; "
+                   "print('scipy.stats' in sys.modules)")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_block_count_reads_budget(tmp_path):

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sp_stats
 
 from spatial_coalescent import experiments, geometry
@@ -58,6 +60,132 @@ def test_spawn_seeds_deterministic():
     assert spawn_seeds(42, 5) == spawn_seeds(42, 5)
     assert spawn_seeds(42, 5) != spawn_seeds(43, 5)
     assert len(set(spawn_seeds(0, 100))) == 100
+
+
+# ---------------------------------------------------------------- p-values
+
+def _durbin_sf_exact(n: int, x: float) -> Fraction:
+    """P(D_n >= x) from Durbin's matrix in exact rationals: 1 - (n!/n^n)
+    (H^n)_kk for n x = k - h, the entries of H over one common integer
+    denominator q^m m! (h = p/q), (H^n)_kk by n vector products."""
+    x = Fraction(x)
+    t = n * x
+    if t <= Fraction(1, 2):
+        return Fraction(1)
+    k = math.ceil(t)
+    h = k - t
+    p, q = h.numerator, h.denominator
+    m = 2 * k - 1
+    m_fact = math.factorial(m)
+
+    def entry(i, j):   # the entry times q^m m!
+        lag = i - j + 1
+        if lag < 0:
+            return 0
+        if (i, j) == (m - 1, 0):
+            return q ** m - 2 * p ** m + max(2 * p - q, 0) ** m
+        if j == 0 or i == m - 1:
+            return ((q ** lag - p ** lag) * q ** (m - lag)
+                    * (m_fact // math.factorial(lag)))
+        return q ** m * (m_fact // math.factorial(lag))
+
+    H = [[entry(i, j) for j in range(m)] for i in range(m)]
+    row = [int(j == k - 1) for j in range(m)]
+    for _ in range(n):
+        row = [sum(row[i] * H[i][j] for i in range(m)) for j in range(m)]
+    return 1 - Fraction(row[k - 1] * math.factorial(n),
+                        (q ** m * m_fact) ** n * n ** n)
+
+
+def _branch_points(n: int) -> list[float]:
+    """x in each branch of _kolmogorov_sf: n x <= 1/2, n x <= 1, n x^2 <= 4
+    (Durbin's matrix), n x^2 > 4 and x >= 1/2 (2 smirnov), where they lie
+    in (0, 1)."""
+    xs = [0.4 / n, 0.8 / n, math.sqrt(0.5 / n), math.sqrt(2.0 / n),
+          math.sqrt(3.5 / n), math.sqrt(4.5 / n), math.sqrt(6.0 / n), 0.5, 0.7]
+    return sorted({x for x in xs if 0.0 < x < 1.0})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 10, 13, 17, 20, 25])
+def test_kolmogorov_sf_matches_exact_durbin_matrix(n):
+    for x in _branch_points(n):
+        ref = _durbin_sf_exact(n, x)
+        got = experiments._kolmogorov_sf(n, x)
+        assert abs(Fraction(got) - ref) <= 1e-12 * ref, (n, x, got, float(ref))
+
+
+@pytest.mark.parametrize("n", [17, 20, 23, 25])
+def test_kolmogorov_sf_at_durbin_edge_within_float_error(n):
+    # at n x^2 = 4, the last point of Durbin's matrix, P is near 3e-4 and
+    # 1 - cdf loses digits: the error stays within n eps / P relative
+    x = 2.0 / math.sqrt(n)
+    ref = _durbin_sf_exact(n, x)
+    got = experiments._kolmogorov_sf(n, x)
+    assert abs(Fraction(got) - ref) <= n * np.finfo(float).eps, (n, got)
+
+
+def test_kolmogorov_sf_matches_kstwo():
+    for n in range(1, 141):
+        for x in _branch_points(n):
+            assert experiments._kolmogorov_sf(n, x) == pytest.approx(
+                sp_stats.kstwo.sf(x, n), rel=1e-10, abs=0.0), (n, x)
+    # above n = 140 kstwo takes the Pelz-Good approximation in places
+    for n in (141, 1000, 3000):
+        for x in _branch_points(n) + [0.9 / math.sqrt(n), 1.3 / math.sqrt(n)]:
+            assert experiments._kolmogorov_sf(n, x) == pytest.approx(
+                sp_stats.kstwo.sf(x, n), rel=5e-5, abs=0.0), (n, x)
+
+
+def test_kolmogorov_sf_limits():
+    assert experiments._kolmogorov_sf(10, 0.0) == 1.0
+    assert experiments._kolmogorov_sf(10, 0.05) == 1.0     # n x = 1/2
+    assert experiments._kolmogorov_sf(10, 1.0) == 0.0
+    # D_1 = max(U, 1 - U) >= x with probability 2 (1 - x) for x >= 1/2
+    assert experiments._kolmogorov_sf(1, 0.75) == 0.5
+
+
+@pytest.mark.parametrize("n", [30, 100, 3000])
+def test_ks_expon_statistic_is_kstest(n):
+    rng = np.random.default_rng(n)
+    vals = rng.exponential(0.8, size=n)
+    stat, p = experiments._ks_expon(vals, 0.75)
+    ref = sp_stats.kstest(vals, "expon", args=(0.0, 0.75))
+    assert stat == ref.statistic
+    assert p == pytest.approx(ref.pvalue, rel=5e-5 if n > 140 else 1e-10)
+
+
+def test_chisquare_p_is_scipy_chisquare():
+    obs = np.array([16, 18, 16, 14, 12, 12, 0, 3])
+    assert experiments._chisquare_p(obs) == sp_stats.chisquare(obs).pvalue
+    exp = [15.5, 17.25, 16, 14, 12.25, 12, 1.0, 3.0]
+    assert (experiments._chisquare_p(obs, exp)
+            == sp_stats.chisquare(obs, exp).pvalue)
+    with pytest.raises(ValueError, match="differ"):
+        experiments._chisquare_p(obs, [x + 0.5 for x in exp])
+
+
+def test_confidence_quantile_is_norm_ppf():
+    for conf in (0.5, 0.9, 0.95, 0.99):
+        assert special.ndtri(0.5 + conf / 2.0) == sp_stats.norm.ppf(
+            0.5 + conf / 2.0)
+    rep = experiments.EstimateReport(1.0, 0.1, 10)
+    z = sp_stats.norm.ppf(0.975)
+    assert rep.confidence_interval() == (1.0 - z * 0.1, 1.0 + z * 0.1)
+
+
+def test_stay_infinite_trend_one_replica_has_no_std_error(kingman):
+    res = stay_infinite_trend(kingman, complete_graph(2), [4, 8], 0.5,
+                              replicas=1, seed=1)
+    assert all(se is None for per_t in res["per_n"].values()
+               for _mean, se in per_t.values())
+
+
+def test_structure_two_blocks_has_no_pair_uniformity(kingman):
+    res = partition_structure_experiment(3, simple_walk(3), kingman, 2,
+                                         replicas=20, seed=1,
+                                         kappa_value=KAPPA_D3_UNIT)
+    assert res["first_pair_counts"] == {"(0, 1)": 20}
+    assert res["pair_uniformity_pvalue"] is None
 
 
 # ---------------------------------------------------------------- T_n^(k)
