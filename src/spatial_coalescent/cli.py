@@ -226,7 +226,7 @@ def _canonical_json(obj) -> str:
     return json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
 
-def _bound(value: float):
+def _finite_or_null(value: float):
     """A proved upper bound as a report value: null where no finite bound
     exists (+inf), since report.json holds no infinity."""
     return None if value == math.inf else value
@@ -415,7 +415,7 @@ def classify(config, **overrides):
     report = {
         "verdict": verdict.verdict,
         "partial_sum": verdict.partial_sum,
-        "tail_bound": _bound(verdict.tail_bound),
+        "tail_bound": _finite_or_null(verdict.tail_bound),
         "complete_collapse": verdict.complete_collapse,
         "note": verdict.note,
     }
@@ -614,8 +614,8 @@ def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams, kernel: RateKernel):
     rep = estimate_Tnk(p.n, p.k, geo, kernel,
                        replicas=cfg.replicas or 400, seed=cfg.seed)
     out = rep.to_dict()
-    out["extras"] = {**out["extras"],
-                     "uniform_bound": _bound(out["extras"]["uniform_bound"])}
+    bound = _finite_or_null(out["extras"]["uniform_bound"])
+    out["extras"] = {**out["extras"], "uniform_bound": bound}
     raw = "replica,time\n" + "".join(
         f"{i},{v!r}\n" for i, v in enumerate(rep.per_replica))
     return out, raw, "hitting_times.csv"

@@ -220,7 +220,8 @@ def _kolmogorov_sf(n: int, x: float) -> float:
     edge = (1.0 - h ** np.arange(1, m + 1)) * inv_fact[1:]
     H[:, 0] = edge
     H[-1, :] = edge[::-1]
-    H[-1, 0] = (1.0 - 2.0 * h ** m + max(2.0 * h - 1.0, 0.0) ** m) * inv_fact[m]
+    H[-1, 0] = ((1.0 - 2.0 * h ** m + max(2.0 * h - 1.0, 0.0) ** m)
+                * inv_fact[m])
 
     # H^n = power 2^scale, from squares H^(2^i) = H 2^square_scale
     big = math.ldexp(1.0, _RESCALE_BITS)

@@ -595,7 +595,8 @@ LEBESGUE = {"pieces": [{"interval": [0, 1], "tag": "constant",
      ("extras", "uniform_bound")),
 ], ids=["structure-one-pair", "trend-one-replica", "classify-no-bound",
         "hitting_time-no-bound"])
-def test_missing_statistic_or_bound_is_null_in_report(tmp_path, command, cfg, path):
+def test_missing_statistic_or_bound_is_null_in_report(tmp_path, command, cfg,
+                                                       path):
     out = tmp_path / "out"
     r = run_cli(tmp_path, cfg, command, "--out", str(out), timeout=120)
     assert r.returncode == 0, r.stdout + r.stderr
