@@ -159,7 +159,7 @@ class RunConfig(_Strict):
     b_max_table: Optional[Annotated[int, Field(ge=2)]] = None
     # green-specific
     dimension: Optional[PosInt] = None
-    method: Optional[Literal["BESSEL", "CUBATURE", "MONTE_CARLO"]] = None
+    method: Optional[Literal["BESSEL", "CUBATURE"]] = None
 
     def require(self, command: str, *sections: str) -> None:
         if any(getattr(self, name) is None for name in sections):
@@ -334,6 +334,19 @@ def _load(config, **overrides):
     return cfg, ArtifactWriter(cfg)
 
 
+def _reject_unread(cfg: RunConfig, reads, what: str) -> None:
+    """A config error naming each field outside `reads` that the config sets
+    away from its default: `what` would ignore it."""
+    # compared with the default, not None: killing defaults to False and
+    # probe_times to []
+    ignored = [name for name, field in RunConfig.model_fields.items()
+               if name not in reads and getattr(cfg, name)
+               != field.get_default(call_default_factory=True)]
+    if ignored:
+        raise _ConfigError([f"{name}: {what} does not use it"
+                            for name in ignored])
+
+
 _OPTIONS = {
     "config": click.option("--config", required=True, type=click.Path(),
                            help="JSON run config"),
@@ -424,8 +437,12 @@ def classify(config, **overrides):
                  "kernel_build_s": t1 - t0, "verdict_s": t2 - t1}), nl=False)
 
 
+# the fields `green` reads
+_GREEN_READS = frozenset({"seed", "geography", "dimension", "method", "out_dir"})
+
+
 @main.command()
-@_with_options("config", "seed", "replicas", "out")
+@_with_options("config", "seed", "out")
 @_guarded
 def green(config, **overrides):
     """Random-walk Green function at the origin.  Without a `method`, the
@@ -434,17 +451,15 @@ def green(config, **overrides):
     walk.  A walk the route cannot take is a config error; a bound above
     the route's limit is TRUNCATION_UNSTABLE, exit 4."""
     cfg, writer = _load(config, **overrides)
+    _reject_unread(cfg, _GREEN_READS, "green")
     walk_cfg = (cfg.geography.walk if cfg.geography is not None
                 else WalkConfig(dimension=3 if cfg.dimension is None
                                 else cfg.dimension))
     walk = walk_cfg.build()
     method = cfg.method or green_method(walk)
-    kwargs = {"seed": cfg.seed}
-    if cfg.replicas:
-        kwargs["replicas"] = cfg.replicas
     t0 = time.perf_counter()
     with _invalid_as("method"):
-        est, err = green_function(walk, method, **kwargs)
+        est, err = green_function(walk, method)
     t1 = time.perf_counter()
     report = {"estimate": est, "error": err, "method": method,
               "dimension": walk.dimension}
@@ -536,6 +551,14 @@ class HittingTimeParams(_Strict):
 class TrendParams(_Strict):
     n_grid: list[PosInt] = Field(min_length=2)
     t_probe: PosFloat | list[PosFloat] = 0.5
+
+    @pydantic.field_validator("n_grid")
+    @classmethod
+    def _distinct(cls, n_grid):
+        # the growth exponent is a fit over the distinct sizes
+        if len(set(n_grid)) != len(n_grid):
+            raise ValueError("n_grid values must be distinct")
+        return n_grid
 
 
 class PairwiseParams(_Strict):
@@ -702,7 +725,7 @@ def _run_decay_shape(cfg: RunConfig, p: DecayShapeParams, kernel: RateKernel):
 @_experiment("kappa", reads=())
 def _run_kappa(cfg: RunConfig, _p, kernel: RateKernel):
     walk = cfg.geography.walk.build()
-    return torus_kappa(walk, kernel, seed=cfg.seed), None, None
+    return torus_kappa(walk, kernel), None, None
 
 
 @main.command()
@@ -719,14 +742,7 @@ def experiment(config, **overrides):
              f"known: {sorted(_EXPERIMENTS)}"])
     cfg.require("experiment", "measure", "geography")
     params_model, reads, runner = entry
-    # compared with the default, not None: killing defaults to False and
-    # probe_times to []
-    ignored = [name for name, field in RunConfig.model_fields.items()
-               if name not in reads and getattr(cfg, name)
-               != field.get_default(call_default_factory=True)]
-    if ignored:
-        raise _ConfigError([f"{name}: experiment {cfg.experiment.name!r} "
-                            "does not use it" for name in ignored])
+    _reject_unread(cfg, reads, f"experiment {cfg.experiment.name!r}")
     params = _validate(params_model, cfg.experiment.params,
                        "experiment", "params")
     t0 = time.perf_counter()

@@ -23,10 +23,11 @@ block-count study first check that the walk connects the torus
 
 kappa is about the difference of two blocks' positions, so it takes G of
 the symmetrized walk (geometry.WalkSpec.symmetrized).  Without a given
-kappa, the torus experiments take it from the exact Green route that
-geometry picks for that walk: BESSEL for an axis walk, CUBATURE
-otherwise.  torus_kappa (the `kappa` experiment) takes the same value and
-checks it against the Monte Carlo oracle, at about a 95 % level.
+kappa, the torus experiments take it from torus_kappa, the one exact
+route: the Green route that geometry picks for that walk, BESSEL for an
+axis walk and CUBATURE otherwise.  The `kappa` experiment reports the same
+record.  The Monte Carlo Green estimate is a test oracle
+(tests/green_oracle.py) and no experiment runs it.
 
 The block-count study's references, the Kingman entrance law from dust and
 its two-time law, are Tavare's series summed exactly in decimal.
@@ -415,44 +416,11 @@ def _counts_to_dist(counts: np.ndarray) -> dict:
 # torus constants
 # ----------------------------------------------------------------------
 
-def torus_kappa(walk: WalkSpec, kernel: RateKernel,
-                require_agreement: bool = True, seed: int = 0) -> dict:
-    """kappa as the torus experiments take it (_kappa_info), with the exact
-    Green value checked against the Monte Carlo oracle.  G_lattice and
-    G_lattice_err are the exact route's value and bound, G_method names the
-    route, and stats holds the seconds of each route.
-
-    The check is about a 95 % interval: the routes agree when |G_lattice -
-    G_monte_carlo| is within the sum of their bounds, and Monte Carlo's is
-    1.96 standard errors plus a 10 % tail term.  So, the exact bound being
-    tight, require_agreement raises TruncationUnstable (exit 4 from
-    `coalsim experiment kappa`) on about one seed in 20: the symmetrized
-    drifted walk disagrees at seeds 0 and 5 of 0-19.  methods_agree
-    reports the outcome either way."""
-    t0 = time.perf_counter()
-    info = _kappa_info(walk, kernel)
-    t1 = time.perf_counter()
-    g_mc, e_mc = green_function(walk.symmetrized(), "MONTE_CARLO", seed=seed)
-    t2 = time.perf_counter()
-    g, err = info["G"], info["G_err"]
-    agree = bool(abs(g - g_mc) <= (err + e_mc))
-    if require_agreement and not agree:
-        raise TruncationUnstable(
-            f"Green estimates disagree: {g}+-{err} vs {g_mc}+-{e_mc}")
-    return {
-        "G_lattice": g, "G_lattice_err": err, "G_method": info["G_method"],
-        "G_monte_carlo": g_mc, "G_monte_carlo_err": e_mc,
-        "methods_agree": agree,
-        "lambda22": info["lambda22"],
-        "kappa": info["kappa"],
-        "stats": {"kappa_s": t1 - t0, "monte_carlo_s": t2 - t1},
-    }
-
-
-def _kappa_info(walk: WalkSpec, kernel: RateKernel) -> dict:
+def torus_kappa(walk: WalkSpec, kernel: RateKernel) -> dict:
     """kappa for the torus experiments, from the exact Green route of the
     symmetrized walk (geometry.green_method): BESSEL for an axis walk,
-    CUBATURE for any other."""
+    CUBATURE for any other.  Returns G, its bound G_err, the route
+    G_method, lambda22 and kappa; `pairwise` reports the record whole."""
     sym = walk.symmetrized()
     method = green_method(sym)
     g, err = green_function(sym, method)
@@ -476,7 +444,7 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     d = walk.dimension
     kappa_info = None
     if kappa_value is None:
-        kappa_info = _kappa_info(walk, kernel)
+        kappa_info = torus_kappa(walk, kernel)
         kappa_value = kappa_info["kappa"]
     if separation is None:
         separation = [N] + [0] * (d - 1)
@@ -518,7 +486,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     vol = (2 * N + 1) ** d
     t0 = time.perf_counter()
     if kappa_value is None:
-        kappa_value = _kappa_info(walk, kernel)["kappa"]
+        kappa_value = torus_kappa(walk, kernel)["kappa"]
     t1 = time.perf_counter()
     geo = build_torus(N, walk)
     probe_times = tuple(float(t) * vol for t in times)
@@ -861,7 +829,7 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     d = walk.dimension
     vol = (2 * N + 1) ** d
     if kappa_value is None:
-        kappa_value = _kappa_info(walk, kernel)["kappa"]
+        kappa_value = torus_kappa(walk, kernel)["kappa"]
     # mutually separated starts on the scale a_N = N^(3/4)
     gap = max(int(math.ceil(N ** 0.75)), 1)
     starts = np.zeros((n_blocks, d), dtype=np.int64)

@@ -12,8 +12,8 @@ large-torus scaling limits; there G is that of the symmetrized walk
 Each symmetric walk has one exact Green route, which green_method names:
 BESSEL for an axis walk, and for any other CUBATURE, a Gauss-Legendre
 cubature of the Fourier integral of G on Duffy pyramids, after the steps
-are written in a basis of the lattice they span.  The Monte Carlo route
-takes any walk and serves as the oracle.
+are written in a basis of the lattice they span.  A Monte Carlo estimate,
+which takes any walk, is the oracle of the tests (tests/green_oracle.py).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import i0e, zeta
+from scipy.special import i0e
 
 from .errors import DimensionTooLow, SizeOverflow, TruncationUnstable
 
@@ -294,8 +294,7 @@ def generic_graph(kernel: np.ndarray) -> GeographySpec:
 # Green function of the base walk on Z^d
 # ----------------------------------------------------------------------
 
-def green_function(walk: WalkSpec, method: str | None = None, *,
-                   replicas: int = 20_000, horizon: int = 4_000, seed: int = 0):
+def green_function(walk: WalkSpec, method: str | None = None):
     """Expected visits to 0 of the discrete-time walk started at 0.
 
     Without a `method`, the exact route that green_method(walk) names:
@@ -306,10 +305,8 @@ def green_function(walk: WalkSpec, method: str | None = None, *,
     walks only, integrates 1 / (1 - phi) over the Fourier cube, phi the
     characteristic function of the step, by a Gauss-Legendre rule on Duffy
     pyramids; its bound is the distance of a coarser rule.  Both raise
-    TruncationUnstable when their bound is above a fixed limit.  MONTE_CARLO
-    counts visits over a finite horizon and estimates the tail from
-    late-window visits; it takes any walk and serves as the independent
-    oracle.  Returns (estimate, error_bound).
+    TruncationUnstable when their bound is above a fixed limit.  Returns
+    (estimate, error_bound).
     """
     d = walk.dimension
     if d < 3:
@@ -319,8 +316,6 @@ def green_function(walk: WalkSpec, method: str | None = None, *,
         return _green_bessel(walk)
     if method == "CUBATURE":
         return _green_cubature(walk)
-    if method == "MONTE_CARLO":
-        return _green_monte_carlo(walk, replicas, horizon, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -411,43 +406,6 @@ def _duffy_rule(steps: np.ndarray, coefs: np.ndarray, n: int) -> float:
         for r_k, w_k in zip(r, w_r):
             total += w_k * (w_u @ (1.0 / (np.sin(r_k * half_phase) ** 2 @ coefs)))
     return 2.0 * total / (2.0 * np.pi) ** d
-
-
-def _green_monte_carlo(walk: WalkSpec, replicas: int, horizon: int, seed: int):
-    d = walk.dimension
-    rng = np.random.default_rng(seed)
-    offsets = walk.offsets_array
-    probs = walk.probs_array
-    pos = np.zeros((replicas, d), dtype=np.int64)
-    visits = np.ones(replicas)          # k = 0 visit
-    window = np.zeros(replicas)         # visits in (horizon/2, horizon]
-    half = horizon // 2
-    chunk = 256
-    for start in range(0, horizon, chunk):
-        steps = min(chunk, horizon - start)
-        idx = rng.choice(len(probs), size=(replicas, steps), p=probs)
-        for s in range(steps):
-            pos += offsets[idx[:, s]]
-            at0 = ~np.any(pos, axis=1)
-            visits += at0
-            if start + s + 1 > half:
-                window += at0
-    # tail beyond the horizon from the late-window visit mass: the amplitude
-    # cancels in the ratio of power-law sums
-    ratio = _tail_ratio(d / 2.0, half, horizon)
-    window_mean = float(window.mean())
-    estimate = float(visits.mean()) + window_mean * ratio
-    se_visits = float(visits.std(ddof=1)) / math.sqrt(replicas)
-    se_window = float(window.std(ddof=1)) / math.sqrt(replicas)
-    err = 1.96 * (se_visits + se_window * ratio) + 0.1 * window_mean * ratio
-    return estimate, err
-
-
-def _tail_ratio(s: float, half: int, horizon: int) -> float:
-    """sum_{k > horizon} k^(-s) / sum_{half < k <= horizon} k^(-s), by the
-    Hurwitz zeta function zeta(s, q) = sum_{k >= 0} (k + q)^(-s)."""
-    tail = zeta(s, horizon + 1)
-    return float(tail / (zeta(s, half + 1) - tail))
 
 
 def kappa(G: float, lambda22: float) -> float:

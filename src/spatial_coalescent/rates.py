@@ -39,7 +39,6 @@ the lower bounds on gamma_b that those parts give.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +80,6 @@ class RateKernel:
         self._bk_rows: dict[int, np.ndarray] = {}
         # b -> (law, cumulative law), None where lambda_b = 0
         self._merge_rows: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
-        self._merge_cum_arrays: dict[int, array] = {}
         self.ensure_b(b_max)
 
     @property
@@ -165,16 +163,12 @@ class RateKernel:
         C(b,k) lambda_{b,k} / lambda_b."""
         return self._merge_row(b)[1]
 
-    def merge_size_cumulative_array(self, b: int) -> array:
-        """`merge_size_cumulative(b)` as a memoized array('d') of the same
-        doubles, for samplers that bisect it once per draw: bisecting a
-        numpy array makes a numpy scalar per probe, and a list would hold
-        32 bytes per entry against 8."""
-        cum = self._merge_cum_arrays.get(b)
-        if cum is None:
-            cum = self._merge_cum_arrays[b] = array(
-                "d", self.merge_size_cumulative(b).tobytes())
-        return cum
+    def merge_size_cumulative_array(self, b: int) -> memoryview:
+        """`merge_size_cumulative(b)` as a memoryview of the cached row, for
+        samplers that bisect it once per draw: bisecting a numpy array makes
+        a numpy scalar per probe, and an item of a memoryview is a float.
+        It copies nothing; a row stored in reverse is a negative stride."""
+        return memoryview(self._merge_row(b)[1])
 
     def _merge_row(self, b: int):
         if b < 2:

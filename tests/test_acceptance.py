@@ -13,6 +13,7 @@ import pytest
 from scipy.special import comb
 
 from conftest import BODY_ERROR, CHECK_FAILURES, coalsim
+from green_oracle import torus_kappa
 from partitions import restrict_partition
 from quadrature_oracle import gamma_increment_integral, lambda_increment_integral
 from rate_inequalities import (
@@ -34,7 +35,6 @@ from spatial_coalescent.experiments import (
     estimate_Tnk,
     pairwise_torus_experiment,
     partition_structure_experiment,
-    torus_kappa,
 )
 from spatial_coalescent.geometry import build_torus, complete_graph, simple_walk, single_site
 from spatial_coalescent.measure import LambdaMeasure

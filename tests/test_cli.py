@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from click.testing import CliRunner
 
 from conftest import coalsim, run_python
 from spatial_coalescent import cli
+from spatial_coalescent.geometry import green_function, simple_walk
 
 
 def run_cli(tmp_path, cfg, *args, timeout=None):
@@ -104,6 +106,9 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
       "horizon": 2.0, "probe_times": [-1.0, 2.0]}, "simulate", "probe times"),
     ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "torus", "N": 1},
       "horizon": 2.0, "probe_times": [math.nan]}, "simulate", "probe times"),
+    # Monte Carlo is a test oracle, not a route, and green reads no replicas
+    ({"seed": 1, "dimension": 3, "method": "MONTE_CARLO"}, "green", "method"),
+    ({"seed": 1, "dimension": 3, "replicas": 100}, "green", "replicas"),
 ])
 def test_config_value_errors_exit_2(tmp_path, cfg, command, needle):
     r = run_cli(tmp_path, cfg, command)
@@ -433,8 +438,8 @@ KAPPA_CFG = {"seed": 7, "measure": KINGMAN,
     (BLOCK_COUNT_CFG, {"kappa_s", "sampling_s", "reference_s"}),
     (STRUCTURE_CFG, SAMPLER_STATS),
     (PAIRWISE_CFG, SAMPLER_STATS),
-    # the seconds of the exact Green route and of the Monte Carlo oracle
-    (KAPPA_CFG, {"kappa_s", "monte_carlo_s"}),
+    # one exact Green route, whose record is the report
+    (KAPPA_CFG, set()),
 ])
 def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
                                                            phases):
@@ -453,6 +458,44 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
     if phases == SAMPLER_STATS:
         assert stats["chunk_steps"] > 0 and stats["lockstep_events"] > 0
         assert stats["chunk_cuts"] <= stats["chunk_replicas"]
+
+
+def test_green_routes_every_method_the_config_accepts():
+    # each value of RunConfig.method names a route of green_function
+    accepted = typing.get_args(typing.get_args(
+        cli.RunConfig.model_fields["method"].annotation)[0])
+    assert set(accepted) == {"BESSEL", "CUBATURE"}
+    for method in accepted:
+        est, err = green_function(simple_walk(3), method)
+        assert abs(est - 1.5163860591519809) <= err + 1e-12
+
+
+DRIFTED_WALK = {"dimension": 3,
+                "offsets": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                            [0, 0, 1], [0, 0, -1]],
+                "probabilities": [0.3, 0.1, 0.15, 0.15, 0.15, 0.15]}
+
+
+def test_kappa_experiment_reports_the_exact_record_at_every_seed(tmp_path):
+    # the record of experiments.torus_kappa, the same at every seed: no
+    # Monte Carlo check runs that could miss its interval and exit 4
+    cfg = dict(KAPPA_CFG, geography={"topology": "torus", "N": 3,
+                                     "walk": DRIFTED_WALK})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    reports = set()
+    for seed in range(20):
+        r = CliRunner().invoke(cli.main, ["experiment", "--config", str(path),
+                                          "--seed", str(seed)])
+        assert r.exit_code == 0, r.output
+        report = json.loads(r.output)
+        assert report.pop("seed") == seed
+        del report["config_sha256"]
+        reports.add(json.dumps(report, sort_keys=True))
+    (report,) = map(json.loads, reports)
+    assert set(report) == {"G", "G_err", "G_method", "lambda22", "kappa",
+                           "experiment"}
+    assert report["G_method"] == "BESSEL" and report["G_err"] <= 1e-10
 
 
 def test_seed_changes_report(tmp_path):
@@ -513,6 +556,8 @@ def test_unknown_experiment_name(tmp_path):
     # the torus studies take N from geography.N and need a torus geography
     ({"name": "structure", "params": {"n_blocks": 3, "N": 2}}, "params.N"),
     ({"name": "structure", "params": {"n_blocks": 3}}, "topology 'torus'"),
+    # a repeated size would fit the growth exponent through fewer points
+    ({"name": "trend", "params": {"n_grid": [4, 4]}}, "params.n_grid"),
 ])
 def test_bad_experiment_params_exit_2(tmp_path, experiment, needle):
     r = run_cli(tmp_path, dict(EXP_CFG, experiment=experiment), "experiment")

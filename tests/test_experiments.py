@@ -6,7 +6,7 @@ import pytest
 from scipy import special
 from scipy import stats as sp_stats
 
-from spatial_coalescent import experiments, geometry
+from spatial_coalescent import experiments
 from spatial_coalescent.errors import BudgetExceeded, TruncationUnstable
 from spatial_coalescent.experiments import (
     block_count_limit_experiment,
@@ -31,6 +31,7 @@ from spatial_coalescent.geometry import (
 )
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
+import green_oracle
 from conftest import run_python
 from torus_oracle import pairwise_first_coalescence_times, per_block_wrap_chunk
 
@@ -364,15 +365,25 @@ def test_pairwise_ks_reasonable_at_small_n(kingman):
     assert comp.sample_size == 800
 
 
+@pytest.fixture()
+def green_routes(monkeypatch):
+    """The Green routes the experiments take, in call order."""
+    routes = []
+
+    def recording(walk, method=None):
+        routes.append(method)
+        return green_function(walk, method)
+    monkeypatch.setattr(experiments, "green_function", recording)
+    return routes
+
+
 def test_torus_experiments_take_kappa_from_bessel_for_axis_walks(kingman,
-                                                                  monkeypatch):
-    def no_cross_check(*args, **kwargs):
-        raise AssertionError("axis walks need no cubature/Monte Carlo kappa")
-    monkeypatch.setattr(experiments, "torus_kappa", no_cross_check)
+                                                                  green_routes):
     comp = pairwise_torus_experiment(2, simple_walk(3), kingman,
                                      replicas=20, seed=1)
     res = partition_structure_experiment(2, simple_walk(3), kingman, 2,
                                          replicas=20, seed=1)
+    assert green_routes == ["BESSEL", "BESSEL"]
     exact = kappa(1.5163860591519809, 1.0)
     assert comp.extras["kappa"] == pytest.approx(exact, rel=1e-13)
     assert comp.extras["kappa_info"]["G_method"] == "BESSEL"
@@ -382,11 +393,7 @@ def test_torus_experiments_take_kappa_from_bessel_for_axis_walks(kingman,
 
 
 def test_torus_experiments_take_kappa_from_lattice_sum_for_other_walks(
-        kingman, monkeypatch):
-    def no_monte_carlo(*args, **kwargs):
-        raise AssertionError("the torus experiments run no Monte Carlo Green")
-    monkeypatch.setattr(geometry, "_green_monte_carlo", no_monte_carlo)
-    monkeypatch.setattr(experiments, "torus_kappa", no_monte_carlo)
+        kingman, green_routes):
     g, _err = green_function(DIAGONAL, "CUBATURE")
     exact = kappa(g, kingman.lambda_bk(2, 2))
     comp = pairwise_torus_experiment(2, DIAGONAL, kingman, replicas=20, seed=1)
@@ -398,16 +405,15 @@ def test_torus_experiments_take_kappa_from_lattice_sum_for_other_walks(
     res = block_count_limit_experiment(1, DIAGONAL, kingman, 2, [0.5],
                                        replicas=5, seed=1)
     assert res["kappa"] == exact
+    assert green_routes == ["CUBATURE"] * 3
 
 
 def test_drifted_walk_takes_kappa_from_its_symmetrization(kingman,
-                                                         monkeypatch):
+                                                         green_routes):
     # kappa is about the difference of the two blocks, whose steps follow
     # the symmetrized law: an axis walk here, so BESSEL decides it
-    def no_cross_check(*args, **kwargs):
-        raise AssertionError("the symmetrized walk is an axis walk")
-    monkeypatch.setattr(experiments, "torus_kappa", no_cross_check)
     comp = pairwise_torus_experiment(2, DRIFTED, kingman, replicas=20, seed=1)
+    assert green_routes == ["BESSEL"]
     g, _err = green_function(DRIFTED.symmetrized(), "BESSEL")
     assert comp.extras["kappa"] == kappa(g, kingman.lambda_bk(2, 2))
     assert comp.extras["kappa"] == pytest.approx(0.5672, abs=1e-4)
@@ -416,31 +422,38 @@ def test_drifted_walk_takes_kappa_from_its_symmetrization(kingman,
 def test_torus_kappa_takes_green_of_symmetrized_walk(kingman, monkeypatch):
     walks = []
 
-    def fake_green(walk, method, **kwargs):
+    def fake_green(walk, method):
         walks.append(walk)
-        return np.float64(1.5), np.float64(0.01)
+        return 1.5, 0.01
     monkeypatch.setattr(experiments, "green_function", fake_green)
     info = experiments.torus_kappa(DRIFTED, kingman)
-    assert walks == [DRIFTED.symmetrized()] * 2
-    assert info["kappa"] == kappa(1.5, 1.0)
-    # the Green routes return numpy floats; the verdict must still be a
-    # plain bool, which the `kappa` report can serialize
-    assert info["methods_agree"] is True
+    assert walks == [DRIFTED.symmetrized()]
+    # the whole record: `pairwise` reports it, so it holds no timings
+    assert info == {"G": 1.5, "G_err": 0.01, "G_method": "BESSEL",
+                    "lambda22": 1.0, "kappa": kappa(1.5, 1.0)}
 
 
 SKEW = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
                     (0, 0, -1), (1, 1, 0), (-1, -1, 0), (0, 0, 0)),
                 (0.15, 0.15) + (0.1,) * 7)
+# the Monte Carlo oracle's (G, bound) for SKEW at seeds 0-2, as its first
+# form gave them
+SKEW_MONTE_CARLO = [(1.6322114345487617, 0.018909651214647438),
+                    (1.6362591090762906, 0.019211535365436027),
+                    (1.6309662794782327, 0.017987419931061028)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_torus_kappa_lattice_and_monte_carlo_agree_on_skew_walk(kingman, seed):
     # an aperiodic walk that is not an axis walk: its returns at odd steps
     # are part of the tail
-    info = experiments.torus_kappa(SKEW, kingman, seed=seed)
+    info = green_oracle.torus_kappa(SKEW, kingman, seed=seed)
+    assert (info["G_monte_carlo"], info["G_monte_carlo_err"]) == \
+        SKEW_MONTE_CARLO[seed]
     assert info["methods_agree"] is True
     assert info["G_method"] == "CUBATURE"
     assert 0.0 < info["G_lattice_err"] <= 1e-10
+    assert info["kappa"] == experiments.torus_kappa(SKEW, kingman)["kappa"]
 
 
 # ---------------------------------------------------------------- block count

@@ -9,7 +9,6 @@ from spatial_coalescent.errors import DimensionTooLow, SizeOverflow, TruncationU
 from spatial_coalescent.geometry import (
     WalkSpec,
     _lattice_basis,
-    _tail_ratio,
     build_torus,
     check_torus_walk,
     complete_graph,
@@ -20,6 +19,7 @@ from spatial_coalescent.geometry import (
     simple_walk,
     single_site,
 )
+from green_oracle import green_monte_carlo, tail_ratio
 
 
 # ---------------------------------------------------------------- walks
@@ -303,7 +303,8 @@ def test_green_method_is_exact_route_of_the_walk():
 def test_green_bessel_anisotropic_agrees_with_monte_carlo():
     walk = _axis_walk((0.2, 0.3, 0.5))
     g_bes, _ = green_function(walk, "BESSEL")
-    g_mc, e_mc = green_function(walk, "MONTE_CARLO", seed=5)
+    g_mc, e_mc = green_monte_carlo(walk, seed=5)
+    assert (g_mc, e_mc) == (1.5866284887941735, 0.01749222280073514)
     assert abs(g_bes - g_mc) <= e_mc
     # the anisotropic walk returns more often than the simple one
     assert g_bes > WATSON_D3
@@ -345,7 +346,8 @@ def test_green_decreases_with_dimension(lattice_d3):
 def test_green_monte_carlo_agrees_with_lattice():
     # the oracle of the cubature on a walk that BESSEL cannot take
     g_cub, e_cub = green_function(DIAGONAL, "CUBATURE")
-    g_mc, e_mc = green_function(DIAGONAL, "MONTE_CARLO", seed=3)
+    g_mc, e_mc = green_monte_carlo(DIAGONAL, seed=3)
+    assert (g_mc, e_mc) == (1.4510381786531152, 0.014757501892758753)
     assert abs(g_cub - g_mc) <= e_cub + e_mc
 
 
@@ -357,7 +359,57 @@ def test_monte_carlo_tail_ratio_matches_explicit_sums(d):
     window = np.sum(np.arange(half + 1, horizon + 1, dtype=float) ** -s)
     tail = np.sum(np.arange(horizon + 1, last, dtype=float) ** -s)
     tail += last ** (1 - s) / (s - 1) + last ** -s / 2 + s * last ** (-s - 1) / 12
-    assert _tail_ratio(s, half, horizon) == pytest.approx(tail / window, rel=1e-12)
+    assert tail_ratio(s, half, horizon) == pytest.approx(tail / window, rel=1e-12)
+
+
+ORACLE_WALKS = {
+    "simple": simple_walk(3),
+    "lazy": WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                         (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+                     (0.5,) + (1 / 12,) * 6),
+    "skew": SKEW,
+    "drifted-symmetrized": DRIFT.symmetrized(),
+}
+# (G, bound) of the Monte Carlo oracle with 500 replicas of 600 steps, as
+# its first form (Generator.choice per 256-step chunk, a position per
+# coordinate, float visit counts) gave them at seeds 0-3: three chunks,
+# the last one short, and a late window that starts inside the second
+MONTE_CARLO_PINS = {
+    "simple": [(1.645694200469564, 0.14436367588377888),
+               (1.4496706000670805, 0.07654783171060571),
+               (1.4828353000335404, 0.08345009899871328),
+               (1.542353000335403, 0.11442266898605019)],
+    "lazy": [(3.256706000670806, 0.33384826855494754),
+             (3.046858900436024, 0.2845086387955581),
+             (2.936200100570185, 0.28845657566782257),
+             (3.155541300704346, 0.32317602520648125)],
+    "skew": [(1.626505900100621, 0.10169162007607321),
+             (1.6515177003018626, 0.12437940489640513),
+             (1.638505900100621, 0.11690664698685509),
+             (1.6990118002012418, 0.12684833390586522)],
+    "drifted-symmetrized": [(1.5068353000335404, 0.08220764259468658),
+                            (1.5041765001677014, 0.10149091815608664),
+                            (1.4981765001677014, 0.1019469248264412),
+                            (1.5221765001677015, 0.10321063676445462)],
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_WALKS))
+def test_monte_carlo_oracle_keeps_its_stream(name):
+    got = [green_monte_carlo(ORACLE_WALKS[name], replicas=500, horizon=600,
+                             seed=seed)
+           for seed in range(4)]
+    assert got == MONTE_CARLO_PINS[name]
+
+
+def test_monte_carlo_oracle_raises_where_packed_fields_overflow():
+    # d = 5 packs 12-bit fields: a coordinate reaches at most 2047
+    green_monte_carlo(simple_walk(5), replicas=2, horizon=2047)
+    with pytest.raises(SizeOverflow):
+        green_monte_carlo(simple_walk(5), replicas=2, horizon=2048)
+    # a step of length 2 reaches twice as far
+    with pytest.raises(SizeOverflow):
+        green_monte_carlo(LONG_STEPS, replicas=2, horizon=2 ** 19)
 
 
 def test_green_lattice_error_bound_positive_with_drift():
