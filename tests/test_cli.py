@@ -416,8 +416,9 @@ BLOCK_COUNT_CFG = {"seed": 4, "measure": KINGMAN,
                    "replicas": 30}
 
 
-SAMPLER_STATS = {"chunk_calls", "chunk_replicas", "chunk_steps", "chunk_cuts",
-                 "lockstep_events", "lockstep_skipped"}
+SAMPLER_STATS = {"chunk_calls", "chunk_replicas", "chunk_cells",
+                 "chunk_steps", "chunk_cuts", "lockstep_events",
+                 "lockstep_skipped"}
 STRUCTURE_CFG = {"seed": 5, "measure": KINGMAN,
                  "geography": {"topology": "torus", "N": 3},
                  "experiment": {"name": "structure",
@@ -458,6 +459,7 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
     if phases == SAMPLER_STATS:
         assert stats["chunk_steps"] > 0 and stats["lockstep_events"] > 0
         assert stats["chunk_cuts"] <= stats["chunk_replicas"]
+        assert stats["chunk_steps"] <= stats["chunk_cells"]
 
 
 def test_green_routes_every_method_the_config_accepts():
@@ -665,6 +667,45 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert r.stdout.strip() == "False"
 
 
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"], ids=["default", "preset"])
+def test_main_pins_blas_threads_before_numpy_loads(preset):
+    # `python -m spatial_coalescent` run in a child interpreter: when numpy
+    # is first imported each BLAS variable is "1", unless the caller had
+    # set it
+    code = f"""
+import json, os, runpy, sys
+names = {BLAS_THREADS!r}
+for name in names:
+    os.environ.pop(name, None)
+if {preset!r} is not None:
+    os.environ["OPENBLAS_NUM_THREADS"] = {preset!r}
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({{n: os.environ.get(n) for n in names}})
+        return None
+sys.meta_path.insert(0, Spy())
+assert "numpy" not in sys.modules
+sys.argv = ["coalsim", "--help"]
+try:
+    runpy.run_module("spatial_coalescent", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(json.dumps(seen[0]))
+"""
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout.strip().splitlines()[-1])
+    expected = dict.fromkeys(BLAS_THREADS, "1")
+    if preset is not None:
+        expected["OPENBLAS_NUM_THREADS"] = preset
+    assert seen == expected
+
+
 def test_block_count_reads_budget(tmp_path):
     cfg = {"seed": 1, "measure": KINGMAN, "n_per_site": 2, "replicas": 2,
            "geography": {"topology": "torus", "N": 1},
@@ -677,18 +718,18 @@ def test_block_count_reads_budget(tmp_path):
 
 # ---------------------------------------------------------------- torus studies
 
-PAIRWISE_CFG = {"seed": 5, "measure": KINGMAN,
-                "geography": {"topology": "torus", "N": 2},
-                "experiment": {"name": "pairwise", "params": {}},
-                "replicas": 12}
+PAIRWISE_N2_CFG = {"seed": 5, "measure": KINGMAN,
+                   "geography": {"topology": "torus", "N": 2},
+                   "experiment": {"name": "pairwise", "params": {}},
+                   "replicas": 12}
 
 
 def test_pairwise_experiment_runs_deterministically(tmp_path):
     reports = []
     for name in ("a", "b"):
         out = tmp_path / name
-        r = run_cli(tmp_path, PAIRWISE_CFG, "experiment", "--out", str(out),
-                    timeout=120)
+        r = run_cli(tmp_path, PAIRWISE_N2_CFG, "experiment", "--out",
+                    str(out), timeout=120)
         assert r.returncode == 0, r.stdout + r.stderr
         reports.append((out / "report.json").read_bytes())
         rows = (out / "pairwise_times.csv").read_text().splitlines()
@@ -699,8 +740,8 @@ def test_pairwise_experiment_runs_deterministically(tmp_path):
 
 
 def test_pairwise_separation_of_wrong_length_exits_2(tmp_path):
-    cfg = dict(PAIRWISE_CFG, experiment={"name": "pairwise",
-                                         "params": {"separation": [1, 0]}})
+    cfg = dict(PAIRWISE_N2_CFG, experiment={"name": "pairwise",
+                                            "params": {"separation": [1, 0]}})
     r = run_cli(tmp_path, cfg, "experiment", timeout=120)
     assert r.returncode == 2, r.stdout + r.stderr
     assert "separation" in json.loads(r.stdout)["message"]
@@ -725,7 +766,7 @@ STRIDE_3_WALK = {"dimension": 3,
                                        (4, "does not connect")])
 def test_walk_that_does_not_connect_the_torus_exits_2(tmp_path, experiment,
                                                       N, needle):
-    cfg = dict(PAIRWISE_CFG, experiment=experiment,
+    cfg = dict(PAIRWISE_N2_CFG, experiment=experiment,
                geography={"topology": "torus", "N": N, "walk": STRIDE_3_WALK})
     r = run_cli(tmp_path, cfg, "experiment", timeout=120)
     assert r.returncode == 2, r.stdout + r.stderr

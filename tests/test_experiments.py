@@ -621,9 +621,11 @@ def _separated_starts(N, n, d):
      [[0, 0, 0], [0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 2, 2], [0, 0, 0]], 60),
     (4, simple_walk(3), "kingman", [[0, 0, 0]], 30),
     (4, simple_walk(3), "kingman", _separated_starts(4, 2, 3), 300),
+    (6, simple_walk(3), "beta", _separated_starts(6, 12, 3), 20),
 ], ids=["simple-N8-n3", "lazy-N4-n4", "drifted-N3-n6", "reach2-N4-n2",
         "simple-d4-N3-n3", "reach2-d4-N3-n4", "drifted-N4-n2",
-        "co-located-n6", "one-block", "simple-N4-n2-256-step"])
+        "co-located-n6", "one-block", "simple-N4-n2-256-step",
+        "simple-N6-n12"])
 def test_few_block_sample_logs_equal_per_block_wrap_oracle(
         monkeypatch, N, walk, measure, starts, replicas):
     # the chunk on packed differences makes the oracle's draws in its order
@@ -644,6 +646,66 @@ def test_few_block_sample_logs_equal_per_block_wrap_oracle(
     if len(starts) == 1:
         assert logs == [[]] * replicas
         assert stats["lockstep_skipped"] == 1 and stats["lockstep_events"] == 0
+
+
+def _apart_replicas(torus, rng, alive_counts, n_blocks, box):
+    # sites of one replica per alive count, alive on random slots, at
+    # distinct sites of a box of side `box`, so that some meet in a chunk
+    d = torus.shifts.size
+    coords = np.array([np.unravel_index(rng.choice(box ** d, n_blocks,
+                                                   replace=False), (box,) * d)
+                       for _ in alive_counts]).transpose(0, 2, 1)
+    alive = np.zeros((len(alive_counts), n_blocks), dtype=bool)
+    for row, m in zip(alive, alive_counts):
+        row[rng.choice(n_blocks, m, replace=False)] = True
+    return torus.pack(coords), alive
+
+
+@pytest.mark.parametrize("N, d, K, counts, box", [
+    (8, 3, 256, (2, 3), 4),
+    (8, 3, 1638, (2, 3), 4),
+    (8, 3, 4096, (2, 3), 5),
+    (8, 3, 256, (2, 3, 4, 5, 6), 5),
+    (8, 3, 1638, (2, 3, 4, 5, 6), 5),
+    (8, 3, 4096, (2, 3, 4, 5, 6), 6),
+    # 10-bit fields hold chunks of at most 505 steps
+    (3, 6, 505, (2, 3), 2),
+    (3, 6, 505, (2, 3, 4, 5, 6), 2),
+    # more alive blocks than an int8 mover index holds, sparse enough that
+    # the last ones move before a co-location
+    (20, 3, 256, (2, 3, 130), 41),
+], ids=["d3-K256-m2..3", "d3-K1638-m2..3", "d3-K4096-m2..3",
+        "d3-K256-m2..6", "d3-K1638-m2..6", "d3-K4096-m2..6",
+        "d6-K505-m2..3", "d6-K505-m2..6", "d3-K256-m130"])
+def test_chunk_equals_per_block_wrap_oracle(N, d, K, counts, box):
+    # the chunk on block differences and the oracle's per-block wrap, from
+    # one random state, end on the same sites at the same times and leave
+    # the stream at the same place, so they made the same draws; the slice
+    # mixes the alive counts and is taken from a larger set of replicas
+    torus = experiments._TorusWalk(N, simple_walk(d))
+    assert K <= torus.steps
+    rng = np.random.default_rng(K + len(counts))
+    r = min(experiments._CHUNK_CELLS // K, 2000 // max(counts))
+    total = r + 5
+    rows = np.sort(rng.choice(total, r, replace=False))
+    alive_counts = rng.choice(counts, total)
+    alive_counts[rows] = rng.permutation(np.resize(counts, r))
+    sites, alive = _apart_replicas(torus, rng, alive_counts, max(counts), box)
+    t0 = rng.exponential(size=total)
+    ends = []
+    for chunk in (torus._chunk,
+                  lambda *args: per_block_wrap_chunk(torus, *args)):
+        s, t, stream = sites.copy(), t0.copy(), np.random.default_rng(3)
+        chunk(stream, s, alive, t, rows, K)
+        ends.append((s, t, stream.random()))
+    (s, t, u), (s_oracle, t_oracle, u_oracle) = ends
+    assert np.array_equal(s, s_oracle)
+    assert np.array_equal(t, t_oracle)
+    assert u == u_oracle
+    stats = torus.stats
+    assert stats["chunk_cells"] == r * K
+    assert 0 < stats["chunk_cuts"] < r
+    assert stats["chunk_steps"] < stats["chunk_cells"]
 
 
 def test_few_block_sample_chunk_calls_fall_with_replicas_left(kingman):
