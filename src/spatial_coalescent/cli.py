@@ -22,13 +22,10 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import Annotated, Any, Literal, Optional
 
 import click
 import numpy as np
-import pydantic
 import scipy
-from pydantic import BaseModel, ConfigDict, Field
 
 from . import __version__
 from .engine import SimulationConfig, simulate, singletons_per_site
@@ -64,107 +61,160 @@ EXIT_INTERNAL = 4
 
 
 # ----------------------------------------------------------------------
-# config schema (strict: unknown fields rejected)
+# config schema: JSON types only, unknown fields rejected
 # ----------------------------------------------------------------------
+#
+# A check takes (value, path, errors) and returns the value as a run reads
+# it: an integer given for a number becomes a float, a pair a list, and a
+# section a dict with every field.  Each violation goes to `errors` as
+# "dotted.path: reason"; the value returned with one is never read.  A
+# section is a table of field -> (check, default), where the default is a
+# JSON value that goes through the check, or _REQUIRED.
 
-class _Strict(BaseModel):
-    model_config = ConfigDict(extra="forbid")
-
-
-PosInt = Annotated[int, Field(ge=1)]
-PosFloat = Annotated[float, Field(gt=0.0)]
-
-
-class PieceConfig(_Strict):
-    interval: tuple[float, float]
-    tag: str
-    # numbers, or a list of numbers (the polynomial piece's coefficients)
-    params: dict[str, float | list[float]] = Field(default_factory=dict)
+_REQUIRED = object()
 
 
-class MeasureConfig(_Strict):
-    atoms: list[tuple[float, float]] = Field(default_factory=list)
-    pieces: list[PieceConfig] = Field(default_factory=list)
-
-    def build(self) -> LambdaMeasure:
-        with _invalid_as("measure"):
-            return LambdaMeasure.from_dict(
-                {"atoms": [list(a) for a in self.atoms],
-                 "pieces": [p.model_dump() for p in self.pieces]})
+def _bad(errors, path, reason):
+    errors.append(f"{'.'.join(map(str, path)) or 'config'}: {reason}")
 
 
-class WalkConfig(_Strict):
-    dimension: int = 3
-    offsets: Optional[list[list[int]]] = None
-    probabilities: Optional[list[float]] = None
-
-    def build(self) -> WalkSpec:
-        with _invalid_as("geography.walk"):
-            if self.offsets is None:
-                return simple_walk(self.dimension)
-            return WalkSpec(self.dimension,
-                            tuple(tuple(o) for o in self.offsets),
-                            tuple(self.probabilities or ()))
+def _is(kinds, what, convert=lambda v: v):
+    """A value of a type in `kinds` (true is no integer), as converted."""
+    def check(v, path, errors):
+        try:
+            if type(v) in kinds:
+                return convert(v)
+        except OverflowError:   # an integer past the largest float
+            pass
+        _bad(errors, path, f"must be {what}")
+    return check
 
 
-class GeographyConfig(_Strict):
-    topology: str  # torus | complete | single | graph
-    N: Optional[int] = None
-    walk: WalkConfig = Field(default_factory=WalkConfig)
-    sites: Optional[int] = None
-    kernel: Optional[list[list[float]]] = None
-
-    def build(self):
-        with _invalid_as("geography"):
-            return self._build()
-
-    def _build(self):
-        if self.topology == "torus":
-            if self.N is None:
-                raise _ConfigError(["geography: torus requires N"])
-            return build_torus(self.N, self.walk.build())
-        if self.topology == "complete":
-            if self.sites is None:
-                raise _ConfigError(["geography: complete requires sites"])
-            return complete_graph(self.sites)
-        if self.topology == "single":
-            return single_site()
-        if self.topology == "graph":
-            if self.kernel is None:
-                raise _ConfigError(["geography: graph requires kernel"])
-            return generic_graph(np.asarray(self.kernel, dtype=float))
-        raise _ConfigError([f"geography: unknown topology {self.topology!r}"])
+def _where(check, ok, reason):
+    """`check`, then `reason` at the same path if what it passed fails ok."""
+    def run(v, path, errors):
+        n = len(errors)
+        v = check(v, path, errors)
+        if len(errors) == n and not ok(v):
+            _bad(errors, path, reason)
+        return v
+    return run
 
 
-class ExperimentConfig(_Strict):
-    name: str
-    params: dict[str, Any] = Field(default_factory=dict)
+def _or_none(check):
+    return lambda v, path, errors: (None if v is None
+                                    else check(v, path, errors))
 
 
-class RunConfig(_Strict):
-    seed: int
-    measure: Optional[MeasureConfig] = None
-    geography: Optional[GeographyConfig] = None
-    experiment: Optional[ExperimentConfig] = None
-    replicas: Optional[PosInt] = None
-    out_dir: Optional[str] = None
-    event_budget: Optional[PosInt] = None
+def _list(item):
+    def check(v, path, errors):
+        if type(v) is not list:
+            return _bad(errors, path, "must be a list")
+        return [item(x, (*path, i), errors) for i, x in enumerate(v)]
+    return check
+
+
+def _dict(item):
+    def check(v, path, errors):
+        if type(v) is not dict:
+            return _bad(errors, path, "must be an object")
+        return {k: item(x, (*path, k), errors) for k, x in v.items()}
+    return check
+
+
+def _pair(v, path, errors):
+    if type(v) is not list or len(v) > 2:
+        return _bad(errors, path, "must be a pair of numbers")
+    return [_NUMBER(v[i], (*path, i), errors) if i < len(v)
+            else _bad(errors, (*path, i), "required") for i in range(2)]
+
+
+def _section(table):
+    def check(v, path, errors):
+        if type(v) is not dict:
+            return _bad(errors, path, "must be an object")
+        out = {}
+        for name, (field, default) in table.items():
+            if name in v:
+                out[name] = field(v[name], (*path, name), errors)
+            elif default is _REQUIRED:
+                _bad(errors, (*path, name), "required")
+            else:
+                out[name] = field(default, (*path, name), errors)
+        for name in v:
+            if name not in table:
+                _bad(errors, (*path, name), "unknown field")
+        return out
+    return check
+
+
+def _int_from(low):
+    return _where(_INT, lambda v: v >= low, f"must be at least {low}")
+
+
+def _nonempty(check):
+    return _where(check, len, "must not be empty")
+
+
+def _number_or_list(number):
+    items = _list(number)
+    return lambda v, path, errors: (items if type(v) is list else number)(
+        v, path, errors)
+
+
+_INT, _STR = _is({int}, "an integer"), _is({str}, "a string")
+_NUMBER = _is({int, float}, "a number", float)
+_POS_INT = _int_from(1)
+_POS_NUMBER = _where(_NUMBER, lambda v: v > 0.0, "must be greater than 0")
+
+# the routes of green_function a config may name
+_GREEN_METHODS = ("BESSEL", "CUBATURE")
+
+_RUN_FIELDS = {
+    "seed": (_INT, _REQUIRED),
+    "measure": (_or_none(_section({
+        "atoms": (_list(_pair), []),
+        "pieces": (_list(_section({
+            "interval": (_pair, _REQUIRED),
+            "tag": (_STR, _REQUIRED),
+            # numbers, or a list of numbers (the polynomial's coefficients)
+            "params": (_dict(_number_or_list(_NUMBER)), {}),
+        })), []),
+    })), None),
+    "geography": (_or_none(_section({
+        "topology": (_STR, _REQUIRED),  # torus | complete | single | graph
+        "N": (_or_none(_INT), None),
+        "walk": (_section({
+            "dimension": (_INT, 3),
+            "offsets": (_or_none(_list(_list(_INT))), None),
+            "probabilities": (_or_none(_list(_NUMBER)), None),
+        }), {}),
+        "sites": (_or_none(_INT), None),
+        "kernel": (_or_none(_list(_list(_NUMBER))), None),
+    })), None),
+    # its params are checked against the experiment's own table
+    "experiment": (_or_none(_section({
+        "name": (_STR, _REQUIRED),
+        "params": (_is({dict}, "an object", dict), {}),
+    })), None),
+    "replicas": (_or_none(_POS_INT), None),
+    "out_dir": (_or_none(_STR), None),
+    "event_budget": (_or_none(_POS_INT), None),
     # simulate- and block_count-specific
-    n_per_site: Optional[PosInt] = None
-    horizon: Optional[float] = None
-    stop_blocks_at_most: Optional[int] = None
-    killing: bool = False
-    probe_times: list[float] = Field(default_factory=list)
+    "n_per_site": (_or_none(_POS_INT), None),
+    "horizon": (_or_none(_NUMBER), None),
+    "stop_blocks_at_most": (_or_none(_INT), None),
+    "killing": (_is({bool}, "true or false"), False),
+    "probe_times": (_list(_NUMBER), []),
     # rates-specific
-    b_max_table: Optional[Annotated[int, Field(ge=2)]] = None
+    "b_max_table": (_or_none(_int_from(2)), None),
     # green-specific
-    dimension: Optional[PosInt] = None
-    method: Optional[Literal["BESSEL", "CUBATURE"]] = None
-
-    def require(self, command: str, *sections: str) -> None:
-        if any(getattr(self, name) is None for name in sections):
-            raise _ConfigError([f"{command}: config requires "
-                                + " and ".join(sections)])
+    "dimension": (_or_none(_POS_INT), None),
+    "method": (_or_none(_where(_STR, _GREEN_METHODS.__contains__,
+                                "must be " + " or ".join(_GREEN_METHODS))),
+               None),
+}
+_RUN = _section(_RUN_FIELDS)
 
 
 class _ConfigError(Exception):
@@ -187,18 +237,56 @@ def _invalid_as(section: str):
         raise _ConfigError([f"{section}: {e}"]) from e
 
 
-def _validate(model, raw, *prefix):
-    """`model` validated from `raw`; each pydantic error becomes one
-    violation, located by its dotted path under `prefix`."""
-    try:
-        return model.model_validate(raw)
-    except pydantic.ValidationError as e:
-        raise _ConfigError(
-            [".".join(map(str, (*prefix, *err["loc"]))) + f": {err['msg']}"
-             for err in e.errors()]) from None
+def _validate(check, raw, *prefix):
+    """`raw` as `check` passes it, with every default filled in; a config
+    error listing each violation, located by its dotted path under
+    `prefix`, if there is any."""
+    errors = []
+    value = check(raw, prefix, errors)
+    if errors:
+        raise _ConfigError(errors)
+    return value
 
 
-def parse_config(path: str, **overrides) -> RunConfig:
+def _require(cfg: dict, command: str, *sections: str) -> None:
+    if any(cfg[name] is None for name in sections):
+        raise _ConfigError([f"{command}: config requires "
+                            + " and ".join(sections)])
+
+
+def _build_measure(measure: dict) -> LambdaMeasure:
+    with _invalid_as("measure"):
+        return LambdaMeasure.from_dict(measure)
+
+
+def _build_walk(walk: dict) -> WalkSpec:
+    with _invalid_as("geography.walk"):
+        if walk["offsets"] is None:
+            return simple_walk(walk["dimension"])
+        return WalkSpec(walk["dimension"],
+                        tuple(map(tuple, walk["offsets"])),
+                        tuple(walk["probabilities"] or ()))
+
+
+def _build_geography(geo: dict):
+    topology = geo["topology"]
+    needs = {"torus": "N", "complete": "sites",
+             "graph": "kernel"}.get(topology)
+    if needs is not None and geo[needs] is None:
+        raise _ConfigError([f"geography: {topology} requires {needs}"])
+    with _invalid_as("geography"):
+        if topology == "torus":
+            return build_torus(geo["N"], _build_walk(geo["walk"]))
+        if topology == "complete":
+            return complete_graph(geo["sites"])
+        if topology == "single":
+            return single_site()
+        if topology == "graph":
+            return generic_graph(np.asarray(geo["kernel"], dtype=float))
+    raise _ConfigError([f"geography: unknown topology {topology!r}"])
+
+
+def parse_config(path: str, **overrides) -> dict:
     """Read a JSON run config, set the overrides that are not None, and
     validate the result once, strictly."""
     try:
@@ -211,7 +299,7 @@ def parse_config(path: str, **overrides) -> RunConfig:
                            "PARSE_ERROR")
     if isinstance(raw, dict):
         raw.update((k, v) for k, v in overrides.items() if v is not None)
-    return _validate(RunConfig, raw)
+    return _validate(_RUN, raw)
 
 
 # ----------------------------------------------------------------------
@@ -251,10 +339,10 @@ class ArtifactWriter:
     listed in the manifest.  Reports carry no timestamps so reruns are byte
     identical."""
 
-    def __init__(self, cfg: RunConfig):
-        self.out_dir = cfg.out_dir
-        self.config = cfg.model_dump(mode="json")
-        self.seed = cfg.seed
+    def __init__(self, cfg: dict):
+        self.out_dir = cfg["out_dir"]
+        self.config = cfg
+        self.seed = cfg["seed"]
         self.files: list[str] = []
         self.t0 = time.monotonic()
         if self.out_dir:
@@ -334,14 +422,13 @@ def _load(config, **overrides):
     return cfg, ArtifactWriter(cfg)
 
 
-def _reject_unread(cfg: RunConfig, reads, what: str) -> None:
+def _reject_unread(cfg: dict, reads, what: str) -> None:
     """A config error naming each field outside `reads` that the config sets
     away from its default: `what` would ignore it."""
     # compared with the default, not None: killing defaults to False and
     # probe_times to []
-    ignored = [name for name, field in RunConfig.model_fields.items()
-               if name not in reads and getattr(cfg, name)
-               != field.get_default(call_default_factory=True)]
+    ignored = [name for name, (_check, default) in _RUN_FIELDS.items()
+               if name not in reads and cfg[name] != default]
     if ignored:
         raise _ConfigError([f"{name}: {what} does not use it"
                             for name in ignored])
@@ -388,11 +475,11 @@ def main():
 def rates(config, **overrides):
     """Per-merge and total rate tables as CSV."""
     cfg, writer = _load(config, **overrides)
-    cfg.require("rates", "measure")
+    _require(cfg, "rates", "measure")
     t0 = time.perf_counter()
-    kernel = RateKernel(cfg.measure.build())
+    kernel = RateKernel(_build_measure(cfg["measure"]))
     t1 = time.perf_counter()
-    b_hi = 64 if cfg.b_max_table is None else cfg.b_max_table
+    b_hi = 64 if cfg["b_max_table"] is None else cfg["b_max_table"]
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["b", "k", "value"])
@@ -418,9 +505,9 @@ def rates(config, **overrides):
 def classify(config, **overrides):
     """Comes-down-from-infinity dichotomy verdict as JSON."""
     cfg, writer = _load(config, **overrides)
-    cfg.require("classify", "measure")
+    _require(cfg, "classify", "measure")
     t0 = time.perf_counter()
-    kernel = RateKernel(cfg.measure.build())
+    kernel = RateKernel(_build_measure(cfg["measure"]))
     t1 = time.perf_counter()
     b_max = 1000
     verdict = cdi_classify(kernel, b_max=b_max)
@@ -452,11 +539,12 @@ def green(config, **overrides):
     the route's limit is TRUNCATION_UNSTABLE, exit 4."""
     cfg, writer = _load(config, **overrides)
     _reject_unread(cfg, _GREEN_READS, "green")
-    walk_cfg = (cfg.geography.walk if cfg.geography is not None
-                else WalkConfig(dimension=3 if cfg.dimension is None
-                                else cfg.dimension))
-    walk = walk_cfg.build()
-    method = cfg.method or green_method(walk)
+    if cfg["geography"] is not None:
+        walk = _build_walk(cfg["geography"]["walk"])
+    else:
+        walk = _build_walk({"dimension": cfg["dimension"] or 3,
+                            "offsets": None, "probabilities": None})
+    method = cfg["method"] or green_method(walk)
     t0 = time.perf_counter()
     with _invalid_as("method"):
         est, err = green_function(walk, method)
@@ -504,23 +592,24 @@ def simulate_cmd(config, fmt, **overrides):
     """Exact trajectory simulation; JSONL events or CSV block counts.
     Without a horizon the run also stops once one block is left."""
     cfg, writer = _load(config, **overrides)
-    cfg.require("simulate", "measure", "geography")
-    kernel = RateKernel(cfg.measure.build())
-    geo = cfg.geography.build()
-    init = singletons_per_site(geo, cfg.n_per_site or 1)
+    _require(cfg, "simulate", "measure", "geography")
+    kernel = RateKernel(_build_measure(cfg["measure"]))
+    geo = _build_geography(cfg["geography"])
+    init = singletons_per_site(geo, cfg["n_per_site"] or 1)
     with _invalid_as("simulate"):
         sim_cfg = SimulationConfig(
-            kernel=kernel, geography=geo, killing=cfg.killing,
-            horizon=cfg.horizon, stop_blocks_at_most=cfg.stop_blocks_at_most,
-            stop_when_absorbed=cfg.horizon is None,
-            seed=cfg.seed, probe_times=tuple(cfg.probe_times),
-            event_budget=cfg.event_budget, track_elements=False)
+            kernel=kernel, geography=geo, killing=cfg["killing"],
+            horizon=cfg["horizon"],
+            stop_blocks_at_most=cfg["stop_blocks_at_most"],
+            stop_when_absorbed=cfg["horizon"] is None,
+            seed=cfg["seed"], probe_times=tuple(cfg["probe_times"]),
+            event_budget=cfg["event_budget"], track_elements=False)
     rec = simulate(init, sim_cfg)
     if fmt == "csv":
         writer.write_text("trajectory.csv", _trajectory_csv(rec, init.block_count()))
     else:
-        writer.write_text("trajectory.jsonl",
-                          _trajectory_jsonl(rec, writer.config_hash, cfg.seed))
+        writer.write_text("trajectory.jsonl", _trajectory_jsonl(
+            rec, writer.config_hash, cfg["seed"]))
     report = {
         "final_time": rec.final_time,
         "stop_reason": rec.stop_reason,
@@ -532,74 +621,16 @@ def simulate_cmd(config, fmt, **overrides):
     click.echo(writer.finish(report, rec.stats), nl=False)
     if rec.budget_exhausted:
         _fail("BUDGET_EXCEEDED",
-              f"event budget {cfg.event_budget} exhausted at t={rec.final_time}; "
-              "partial trajectory flushed", EXIT_BUDGET,
+              f"event budget {cfg['event_budget']} exhausted at "
+              f"t={rec.final_time}; partial trajectory flushed", EXIT_BUDGET,
               events=len(rec.events))
 
 
 main.add_command(simulate_cmd, name="simulate")
 
 
-# ---- experiment params: one strict model per experiment, validated at the
+# ---- experiment params: one strict table per experiment, checked at the
 # config boundary so that a bad value exits 2 before any work starts
-
-class HittingTimeParams(_Strict):
-    n: int = Field(ge=2)
-    k: int = Field(2, ge=2)
-
-
-class TrendParams(_Strict):
-    n_grid: list[PosInt] = Field(min_length=2)
-    t_probe: PosFloat | list[PosFloat] = 0.5
-
-    @pydantic.field_validator("n_grid")
-    @classmethod
-    def _distinct(cls, n_grid):
-        # the growth exponent is a fit over the distinct sizes
-        if len(set(n_grid)) != len(n_grid):
-            raise ValueError("n_grid values must be distinct")
-        return n_grid
-
-
-class PairwiseParams(_Strict):
-    separation: Optional[list[int]] = None
-    kappa_value: Optional[PosFloat] = None
-
-
-class BlockCountParams(_Strict):
-    times: list[PosFloat] = Field(default_factory=lambda: [0.5, 1.0],
-                                  min_length=1)
-    kappa_value: Optional[PosFloat] = None
-
-    @pydantic.field_validator("times")
-    @classmethod
-    def _increasing(cls, times):
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("times must increase")
-        return times
-
-
-class StructureParams(_Strict):
-    n_blocks: int = Field(ge=2)
-    kappa_value: Optional[PosFloat] = None
-
-
-class CouplingParams(_Strict):
-    class_split: list[list[PosInt]] = Field(min_length=1)
-    t: PosFloat = 1.0
-
-    @pydantic.model_validator(mode="after")
-    def _covers_one_to_n(self):
-        elems = sorted(set().union(*map(set, self.class_split)))
-        if elems != list(range(1, len(elems) + 1)):
-            raise ValueError("class_split must cover 1..n")
-        return self
-
-
-class DecayShapeParams(_Strict):
-    N_values: list[PosInt] = Field(min_length=1)
-    t_grid: list[PosFloat] = Field(min_length=1)
-
 
 _EXPERIMENTS = {}
 # the top-level fields every experiment reads
@@ -607,66 +638,78 @@ _EVERY_EXPERIMENT_READS = frozenset({"seed", "measure", "geography",
                                      "experiment", "out_dir"})
 
 
-def _experiment(name, params_model=_Strict, reads=("replicas",)):
-    """Register an experiment that reads the top-level fields in `reads`
-    besides those every experiment reads; a config that sets any other
-    field away from its default is a config error."""
+def _experiment(name, params=_section({}), reads=("replicas",)):
+    """Register an experiment whose params pass the check `params`, and
+    that reads the top-level fields in `reads` besides those every
+    experiment reads; a config that sets any other field away from its
+    default is a config error."""
     def deco(fn):
-        _EXPERIMENTS[name] = (params_model, _EVERY_EXPERIMENT_READS | set(reads),
-                              fn)
+        _EXPERIMENTS[name] = (params, _EVERY_EXPERIMENT_READS | set(reads), fn)
         return fn
     return deco
 
 
-def _torus_walk(cfg: RunConfig) -> tuple[int, WalkSpec]:
+def _torus_walk(cfg: dict) -> tuple[int, WalkSpec]:
     """N and walk of a torus study, which builds its torus itself from
     geography.N and a walk that must connect it."""
-    geo = cfg.geography
-    if geo.topology != "torus" or geo.N is None or geo.N < 1:
-        raise _ConfigError([f"geography: experiment {cfg.experiment.name!r} "
-                            "needs topology 'torus' with N >= 1"])
-    walk = geo.walk.build()
+    geo = cfg["geography"]
+    if geo["topology"] != "torus" or geo["N"] is None or geo["N"] < 1:
+        raise _ConfigError([f"geography: experiment "
+                            f"{cfg['experiment']['name']!r} needs topology "
+                            "'torus' with N >= 1"])
+    walk = _build_walk(geo["walk"])
     with _invalid_as("geography.walk"):
-        check_torus_walk(geo.N, walk)
-    return geo.N, walk
+        check_torus_walk(geo["N"], walk)
+    return geo["N"], walk
 
 
-@_experiment("hitting_time", HittingTimeParams)
-def _run_hitting_time(cfg: RunConfig, p: HittingTimeParams, kernel: RateKernel):
-    geo = cfg.geography.build()
-    rep = estimate_Tnk(p.n, p.k, geo, kernel,
-                       replicas=cfg.replicas or 400, seed=cfg.seed)
+@_experiment("hitting_time", _section({"n": (_int_from(2), _REQUIRED),
+                                        "k": (_int_from(2), 2)}))
+def _run_hitting_time(cfg: dict, p: dict, kernel: RateKernel):
+    geo = _build_geography(cfg["geography"])
+    rep = estimate_Tnk(p["n"], p["k"], geo, kernel,
+                       replicas=cfg["replicas"] or 400, seed=cfg["seed"])
     out = rep.to_dict()
     bound = _finite_or_null(out["extras"]["uniform_bound"])
     out["extras"] = {**out["extras"], "uniform_bound": bound}
     raw = "replica,time\n" + "".join(
         f"{i},{v!r}\n" for i, v in enumerate(rep.per_replica))
-    return out, raw, "hitting_times.csv"
+    return {**out, "stats": rep.stats}, raw, "hitting_times.csv"
 
 
-@_experiment("trend", TrendParams, reads=("replicas", "killing"))
-def _run_trend(cfg: RunConfig, p: TrendParams, kernel: RateKernel):
-    geo = cfg.geography.build()
-    res = stay_infinite_trend(kernel, geo, p.n_grid, p.t_probe,
-                              replicas=cfg.replicas or 200, seed=cfg.seed,
-                              killing=cfg.killing)
+@_experiment("trend", _section({
+    # the growth exponent is a fit over the distinct sizes
+    "n_grid": (_where(_list(_POS_INT), lambda g: len(set(g)) == len(g) > 1,
+                      "must hold 2 or more distinct sizes"), _REQUIRED),
+    "t_probe": (_number_or_list(_POS_NUMBER), 0.5),
+}), reads=("replicas", "killing"))
+def _run_trend(cfg: dict, p: dict, kernel: RateKernel):
+    geo = _build_geography(cfg["geography"])
+    res = stay_infinite_trend(kernel, geo, p["n_grid"], p["t_probe"],
+                              replicas=cfg["replicas"] or 200,
+                              seed=cfg["seed"], killing=cfg["killing"])
     report = {"growth_exponent": res["growth_exponent"],
               "probes": list(res["probes"]),
               "per_n": {str(n): {str(t): list(v) for t, v in d.items()}
-                        for n, d in res["per_n"].items()}}
+                        for n, d in res["per_n"].items()},
+              "stats": res["stats"]}
     return report, None, None
 
 
-@_experiment("pairwise", PairwiseParams)
-def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
+_KAPPA_VALUE = (_or_none(_POS_NUMBER), None)
+
+
+@_experiment("pairwise", _section({"separation": (_or_none(_list(_INT)), None),
+                                   "kappa_value": _KAPPA_VALUE}))
+def _run_pairwise(cfg: dict, p: dict, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
-    if p.separation is not None and len(p.separation) != walk.dimension:
+    if p["separation"] is not None and len(p["separation"]) != walk.dimension:
         raise _ConfigError(
             [f"experiment.params.separation: needs {walk.dimension} entries"])
     comp = pairwise_torus_experiment(
         N, walk, kernel,
-        replicas=cfg.replicas or 2000, seed=cfg.seed,
-        separation=p.separation, kappa_value=p.kappa_value)
+        replicas=cfg["replicas"] or 2000, seed=cfg["seed"],
+        separation=p["separation"], kappa_value=p["kappa_value"])
     times = comp.extras.pop("rescaled_times")
     stats = comp.extras.pop("stats")
     raw = "replica,rescaled_time\n" + "".join(
@@ -674,15 +717,19 @@ def _run_pairwise(cfg: RunConfig, p: PairwiseParams, kernel: RateKernel):
     return {**comp.to_dict(), "stats": stats}, raw, "pairwise_times.csv"
 
 
-@_experiment("block_count", BlockCountParams,
-             reads=("replicas", "event_budget", "n_per_site"))
-def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
+@_experiment("block_count", _section({
+    "times": (_where(_nonempty(_list(_POS_NUMBER)),
+                     lambda t: all(a < b for a, b in zip(t, t[1:])),
+                     "times must increase"), [0.5, 1.0]),
+    "kappa_value": _KAPPA_VALUE,
+}), reads=("replicas", "event_budget", "n_per_site"))
+def _run_block_count(cfg: dict, p: dict, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
     res = block_count_limit_experiment(
-        N, walk, kernel, cfg.n_per_site or 10, p.times,
-        replicas=cfg.replicas or 500, seed=cfg.seed,
-        kappa_value=p.kappa_value,
-        event_budget=cfg.event_budget)
+        N, walk, kernel, cfg["n_per_site"] or 10, p["times"],
+        replicas=cfg["replicas"] or 500, seed=cfg["seed"],
+        kappa_value=p["kappa_value"],
+        event_budget=cfg["event_budget"])
     samples = res.pop("samples")
     report = {"kappa": res["kappa"],
               "joint_chi2_pvalue": res["joint_chi2_pvalue"],
@@ -696,35 +743,47 @@ def _run_block_count(cfg: RunConfig, p: BlockCountParams, kernel: RateKernel):
     return report, buf.getvalue(), "block_counts.csv"
 
 
-@_experiment("structure", StructureParams)
-def _run_structure(cfg: RunConfig, p: StructureParams, kernel: RateKernel):
+@_experiment("structure", _section({"n_blocks": (_int_from(2), _REQUIRED),
+                                    "kappa_value": _KAPPA_VALUE}))
+def _run_structure(cfg: dict, p: dict, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
     res = partition_structure_experiment(
         N, walk, kernel,
-        p.n_blocks, replicas=cfg.replicas or 3000, seed=cfg.seed,
-        kappa_value=p.kappa_value)
+        p["n_blocks"], replicas=cfg["replicas"] or 3000, seed=cfg["seed"],
+        kappa_value=p["kappa_value"])
     return res, None, None
 
 
-@_experiment("coupling", CouplingParams)
-def _run_coupling(cfg: RunConfig, p: CouplingParams, kernel: RateKernel):
-    geo = cfg.geography.build()
-    res = class_coupling_check(geo, kernel, p.class_split, p.t,
-                               replicas=cfg.replicas or 100, seed=cfg.seed)
+def _covers_one_to_n(p):
+    elems = sorted(set().union(*map(set, p["class_split"])))
+    return elems == list(range(1, len(elems) + 1))
+
+
+@_experiment("coupling", _where(_section({
+    "class_split": (_nonempty(_list(_list(_POS_INT))), _REQUIRED),
+    "t": (_POS_NUMBER, 1.0),
+}), _covers_one_to_n, "class_split must cover 1..n"))
+def _run_coupling(cfg: dict, p: dict, kernel: RateKernel):
+    geo = _build_geography(cfg["geography"])
+    res = class_coupling_check(geo, kernel, p["class_split"], p["t"],
+                               replicas=cfg["replicas"] or 100,
+                               seed=cfg["seed"])
     return res, None, None
 
 
-@_experiment("decay_shape", DecayShapeParams)
-def _run_decay_shape(cfg: RunConfig, p: DecayShapeParams, kernel: RateKernel):
-    walk = cfg.geography.walk.build()
-    res = block_decay_shape(kernel, walk, p.N_values, p.t_grid,
-                            replicas=cfg.replicas or 50, seed=cfg.seed)
+@_experiment("decay_shape", _section({
+    "N_values": (_nonempty(_list(_POS_INT)), _REQUIRED),
+    "t_grid": (_nonempty(_list(_POS_NUMBER)), _REQUIRED)}))
+def _run_decay_shape(cfg: dict, p: dict, kernel: RateKernel):
+    walk = _build_walk(cfg["geography"]["walk"])
+    res = block_decay_shape(kernel, walk, p["N_values"], p["t_grid"],
+                            replicas=cfg["replicas"] or 50, seed=cfg["seed"])
     return res, None, None
 
 
 @_experiment("kappa", reads=())
-def _run_kappa(cfg: RunConfig, _p, kernel: RateKernel):
-    walk = cfg.geography.walk.build()
+def _run_kappa(cfg: dict, _p, kernel: RateKernel):
+    walk = _build_walk(cfg["geography"]["walk"])
     return torus_kappa(walk, kernel), None, None
 
 
@@ -734,19 +793,20 @@ def _run_kappa(cfg: RunConfig, _p, kernel: RateKernel):
 def experiment(config, **overrides):
     """Run the experiment named in the config; report JSON plus raw CSV."""
     cfg, writer = _load(config, **overrides)
-    cfg.require("experiment", "experiment")
-    entry = _EXPERIMENTS.get(cfg.experiment.name)
+    _require(cfg, "experiment", "experiment")
+    name = cfg["experiment"]["name"]
+    entry = _EXPERIMENTS.get(name)
     if entry is None:
         raise _ConfigError(
-            [f"experiment: unknown name {cfg.experiment.name!r}; "
+            [f"experiment: unknown name {name!r}; "
              f"known: {sorted(_EXPERIMENTS)}"])
-    cfg.require("experiment", "measure", "geography")
-    params_model, reads, runner = entry
-    _reject_unread(cfg, reads, f"experiment {cfg.experiment.name!r}")
-    params = _validate(params_model, cfg.experiment.params,
+    _require(cfg, "experiment", "measure", "geography")
+    params_check, reads, runner = entry
+    _reject_unread(cfg, reads, f"experiment {name!r}")
+    params = _validate(params_check, cfg["experiment"]["params"],
                        "experiment", "params")
     t0 = time.perf_counter()
-    kernel = RateKernel(cfg.measure.build())
+    kernel = RateKernel(_build_measure(cfg["measure"]))
     t1 = time.perf_counter()
     report, raw, raw_name = runner(cfg, params, kernel)
     t2 = time.perf_counter()
@@ -754,5 +814,5 @@ def experiment(config, **overrides):
              **report.pop("stats", {})}
     if raw is not None:
         writer.write_text(raw_name, raw)
-    report.update(experiment=cfg.experiment.name, seed=cfg.seed)
+    report.update(experiment=name, seed=cfg["seed"])
     click.echo(writer.finish(report, stats), nl=False)

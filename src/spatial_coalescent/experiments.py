@@ -89,6 +89,8 @@ class EstimateReport:
     confidence: float = 0.95
     extras: dict = field(default_factory=dict)
     per_replica: list = field(default_factory=list)
+    # run counters for the manifest, never in to_dict()
+    stats: dict = field(default_factory=dict)
 
     def confidence_interval(self):
         z = special.ndtri(0.5 + self.confidence / 2.0)
@@ -109,14 +111,14 @@ class EstimateReport:
 
 @dataclass
 class DistributionComparison:
-    """An empirical law against a reference law.  `pairwise` has no
-    chi-square test: it puts the KS p-value of its rescaled times against
-    Exp(kappa) in `chi2_pvalue`, under that report key."""
+    """An empirical law against a reference law: `pairwise` gives the KS
+    statistic and p-value of its rescaled times against Exp(kappa), and
+    `block_count` the total variation distance at one time."""
     empirical: dict
     reference: dict
     ks_stat: float | None
     tv_distance: float | None
-    chi2_pvalue: float | None
+    ks_pvalue: float | None
     sample_size: int
     extras: dict = field(default_factory=dict)
 
@@ -126,20 +128,31 @@ class DistributionComparison:
             "reference": {str(k): v for k, v in self.reference.items()},
             "ks_stat": self.ks_stat,
             "tv_distance": self.tv_distance,
-            "chi2_pvalue": self.chi2_pvalue,
+            "ks_pvalue": self.ks_pvalue,
             "sample_size": self.sample_size,
             "extras": self.extras,
         }
 
 
 def _replica_runs(init, geography, kernel: RateKernel, seed: int,
-                  replicas: int, **stops):
+                  replicas: int, stats: dict, **stops):
     """One counts-only simulate record per replica seed of `seed`; `stops`
-    are further SimulationConfig fields (horizon, probes, stop rules)."""
+    are further SimulationConfig fields (horizon, probes, stop rules).
+    Each record's engine counters are added to `stats`: the events by tag
+    and the thinning rejections summed, and the largest `max_site_blocks`
+    and `lambda_table_size`."""
     for s in spawn_seeds(seed, replicas):
-        yield simulate(init, SimulationConfig(
+        rec = simulate(init, SimulationConfig(
             kernel=kernel, geography=geography, seed=s,
             record_events=False, track_elements=False, **stops))
+        events = stats.setdefault("events", {})
+        for tag, n in rec.stats["events"].items():
+            events[tag] = events.get(tag, 0) + n
+        stats["thinning_rejections"] = (stats.get("thinning_rejections", 0)
+                                        + rec.stats["thinning_rejections"])
+        for key in ("max_site_blocks", "lambda_table_size"):
+            stats[key] = max(stats.get(key, 0), rec.stats[key])
+        yield rec
 
 
 def _tv(p: dict, q: dict) -> float:
@@ -256,12 +269,14 @@ def _kolmogorov_sf(n: int, x: float) -> float:
 def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
                  replicas: int = 400, seed: int = 0) -> EstimateReport:
     """Mean time until at most k blocks per site remain, starting from n
-    singletons per site; compared against the uniform upper bound."""
+    singletons per site; compared against the uniform upper bound.  `stats`
+    holds the engine counters of _replica_runs."""
     if n < 2 or k < 2:
         raise ValueError("need n, k >= 2")
+    stats = {}
     times = [rec.final_time for rec in _replica_runs(
         singletons_per_site(geography, n), geography, kernel, seed, replicas,
-        stop_blocks_at_most=k * geography.size)]
+        stats, stop_blocks_at_most=k * geography.size)]
     arr = np.asarray(times)
     se = float(arr.std(ddof=1)) / math.sqrt(replicas) if replicas > 1 else 0.0
     verdict = cdi_classify(kernel, b_max=1000)
@@ -272,22 +287,24 @@ def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
     if verdict.verdict != "COMES_DOWN":
         extras["warning"] = "STAYS_INFINITE_WARNING"
     return EstimateReport(float(arr.mean()), se, replicas, extras=extras,
-                          per_replica=times)
+                          per_replica=times, stats=stats)
 
 
 def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
                         replicas: int = 200, seed: int = 0,
                         killing: bool = False) -> dict:
-    """E[#blocks(t_probe)] against n for diverging-count diagnosis."""
+    """E[#blocks(t_probe)] against n for diverging-count diagnosis; `stats`
+    holds the engine counters of _replica_runs over every n."""
     probes = tuple(t_probe) if hasattr(t_probe, "__iter__") else (t_probe,)
     horizon = max(probes)
-    results = {}
+    results, stats = {}, {}
     for n in n_grid:
         counts = {p: [] for p in probes}
         # coupled across n via shared seeds
         for rec in _replica_runs(singletons_per_site(geography, n), geography,
-                                 kernel, seed, replicas, killing=killing,
-                                 horizon=horizon, probe_times=probes):
+                                 kernel, seed, replicas, stats,
+                                 killing=killing, horizon=horizon,
+                                 probe_times=probes):
             for p, c in rec.probes:
                 counts[p].append(c)
         # one replica has no standard error
@@ -304,7 +321,7 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
     else:
         slope = 0.0
     return {"per_n": results, "growth_exponent": float(slope),
-            "probes": probes}
+            "probes": probes, "stats": stats}
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +472,7 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     ks_stat, ks_p = _ks_expon(rescaled, 1.0 / kappa_value)
     return DistributionComparison(
         empirical={}, reference={}, ks_stat=ks_stat,
-        tv_distance=None, chi2_pvalue=ks_p, sample_size=replicas,
+        tv_distance=None, ks_pvalue=ks_p, sample_size=replicas,
         extras={
             "kappa": kappa_value,
             "fitted_rate": 1.0 / float(np.mean(rescaled)),
@@ -478,7 +495,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     """Empirical law of the block count at rescaled times vs the exact
     Kingman entrance law at kappa*t; plus a two-time joint comparison
     against the exact two-time law.  `stats` holds the wall time of each
-    phase."""
+    phase and the engine counters of _replica_runs."""
     check_torus_walk(N, walk)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must increase")
@@ -490,9 +507,10 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     t1 = time.perf_counter()
     geo = build_torus(N, walk)
     probe_times = tuple(float(t) * vol for t in times)
+    engine_stats = {}
     runs = _replica_runs(singletons_per_site(geo, n_per_site), geo, kernel,
-                         seed, replicas, horizon=max(probe_times),
-                         probe_times=probe_times)
+                         seed, replicas, engine_stats,
+                         horizon=max(probe_times), probe_times=probe_times)
     samples = np.empty((replicas, len(probe_times)), dtype=np.int64)
     for i, rec in enumerate(runs):
         if i == 0 and event_budget is not None:
@@ -512,7 +530,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
         emp = _counts_to_dist(samples[:, j])
         comparisons.append(DistributionComparison(
             empirical=emp, reference=ref, ks_stat=None,
-            tv_distance=_tv(emp, ref), chi2_pvalue=None,
+            tv_distance=_tv(emp, ref), ks_pvalue=None,
             sample_size=replicas, extras={"t": float(t)}))
 
     joint_p = None
@@ -528,7 +546,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
         "joint_chi2_pvalue": joint_p,
         "samples": samples,
         "stats": {"kappa_s": t1 - t0, "sampling_s": t2 - t1,
-                  "reference_s": t3 - t2},
+                  "reference_s": t3 - t2, **engine_stats},
     }
 
 
@@ -988,18 +1006,19 @@ def class_coupling_check(geography, kernel: RateKernel, class_split, t: float,
 def block_decay_shape(kernel: RateKernel, walk: WalkSpec, N_values, t_grid,
                       replicas: int = 50, seed: int = 0) -> dict:
     """sup over a (t, N) grid of E[#blocks(t)] * t / #blocks(0); bounded for
-    coalescents that come down uniformly."""
-    stats = {}
+    coalescents that come down uniformly.  `stats` holds the engine
+    counters of _replica_runs over every N."""
+    cells, stats = {}, {}
     probes = tuple(t_grid)
     for N in N_values:
         geo = build_torus(N, walk)
         sums = {p: 0.0 for p in probes}
         for rec in _replica_runs(singletons_per_site(geo, 1), geo, kernel,
-                                 seed, replicas, horizon=max(probes),
+                                 seed, replicas, stats, horizon=max(probes),
                                  probe_times=probes):
             for p, c in rec.probes:
                 sums[p] += c
         for p in probes:   # one singleton per site: #blocks(0) = geo.size
-            stats[(N, p)] = sums[p] / replicas * p / geo.size
-    return {"per_cell": {f"N={N},t={p}": v for (N, p), v in stats.items()},
-            "sup_statistic": max(stats.values())}
+            cells[(N, p)] = sums[p] / replicas * p / geo.size
+    return {"per_cell": {f"N={N},t={p}": v for (N, p), v in cells.items()},
+            "sup_statistic": max(cells.values()), "stats": stats}

@@ -5,9 +5,15 @@ from pathlib import Path
 
 import pytest
 
-import spatial_coalescent
-from spatial_coalescent.measure import LambdaMeasure
-from spatial_coalescent.rates import RateKernel
+# numpy's BLAS on one thread unless the caller chose a count, as in
+# `python -m spatial_coalescent`: the variables are read when numpy loads,
+# which the imports below do, and child interpreters inherit them
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import spatial_coalescent  # noqa: E402
+from spatial_coalescent.measure import LambdaMeasure  # noqa: E402
+from spatial_coalescent.rates import RateKernel  # noqa: E402
 
 # the directory holding the imported package (src/ in a checkout), so that a
 # child interpreter runs the code under test and never an installed copy

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import typing
 
 import numpy as np
 import pytest
@@ -419,6 +418,10 @@ BLOCK_COUNT_CFG = {"seed": 4, "measure": KINGMAN,
 SAMPLER_STATS = {"chunk_calls", "chunk_replicas", "chunk_cells",
                  "chunk_steps", "chunk_cuts", "lockstep_events",
                  "lockstep_skipped"}
+# the engine counters summed over the replicas of hitting_time, trend,
+# block_count and decay_shape
+ENGINE_STATS = {"events", "thinning_rejections", "max_site_blocks",
+                "lambda_table_size"}
 STRUCTURE_CFG = {"seed": 5, "measure": KINGMAN,
                  "geography": {"topology": "torus", "N": 3},
                  "experiment": {"name": "structure",
@@ -432,15 +435,27 @@ PAIRWISE_CFG = {"seed": 6, "measure": KINGMAN,
 KAPPA_CFG = {"seed": 7, "measure": KINGMAN,
              "geography": {"topology": "torus", "N": 3},
              "experiment": {"name": "kappa"}}
+TREND_CFG = {"seed": 8, "measure": BETA_HEAVY, "killing": True,
+             "geography": {"topology": "complete", "sites": 2},
+             "experiment": {"name": "trend", "params": {"n_grid": [4, 8]}},
+             "replicas": 5}
+DECAY_SHAPE_CFG = {"seed": 9, "measure": KINGMAN,
+                   "geography": {"topology": "torus", "N": 1},
+                   "experiment": {"name": "decay_shape",
+                                  "params": {"N_values": [1, 2],
+                                             "t_grid": [0.5, 2.0]}},
+                   "replicas": 5}
 
 
 @pytest.mark.parametrize("cfg, phases", [
-    (EXP_CFG, set()),
-    (BLOCK_COUNT_CFG, {"kappa_s", "sampling_s", "reference_s"}),
+    (EXP_CFG, ENGINE_STATS),
+    (BLOCK_COUNT_CFG, {"kappa_s", "sampling_s", "reference_s"} | ENGINE_STATS),
     (STRUCTURE_CFG, SAMPLER_STATS),
     (PAIRWISE_CFG, SAMPLER_STATS),
     # one exact Green route, whose record is the report
     (KAPPA_CFG, set()),
+    (TREND_CFG, ENGINE_STATS),
+    (DECAY_SHAPE_CFG, ENGINE_STATS),
 ])
 def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
                                                            phases):
@@ -455,7 +470,15 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
     assert "stats" not in json.loads(reports[0])
     stats = manifests[0]["stats"]
     assert set(stats) == {"kernel_build_s", "run_s"} | phases
-    assert all(v >= 0.0 for v in stats.values())
+    assert all(v >= 0.0 for v in stats.values() if not isinstance(v, dict))
+    if ENGINE_STATS <= phases:
+        # counts, so the rerun has the same
+        assert ({k: stats[k] for k in ENGINE_STATS}
+                == {k: manifests[1]["stats"][k] for k in ENGINE_STATS})
+        assert set(stats["events"]) == {"MERGE", "MIGRATE", "KILL"}
+        assert stats["events"]["MERGE"] > 0
+        assert all(n >= 0 for n in stats["events"].values())
+        assert stats["lambda_table_size"] > stats["max_site_blocks"] > 0
     if phases == SAMPLER_STATS:
         assert stats["chunk_steps"] > 0 and stats["lockstep_events"] > 0
         assert stats["chunk_cuts"] <= stats["chunk_replicas"]
@@ -463,11 +486,11 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
 
 
 def test_green_routes_every_method_the_config_accepts():
-    # each value of RunConfig.method names a route of green_function
-    accepted = typing.get_args(typing.get_args(
-        cli.RunConfig.model_fields["method"].annotation)[0])
+    # each value the config's method accepts names a route of green_function
+    accepted = cli._GREEN_METHODS
     assert set(accepted) == {"BESSEL", "CUBATURE"}
     for method in accepted:
+        cli._validate(cli._RUN, {"seed": 1, "method": method})
         est, err = green_function(simple_walk(3), method)
         assert abs(est - 1.5163860591519809) <= err + 1e-12
 
@@ -660,9 +683,10 @@ def test_canonical_json_rejects_non_finite():
             cli._canonical_json({"x": [bad]})
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["scipy.stats", "pydantic"])
+def test_cli_import_leaves_scipy_stats_unloaded(module):
     r = run_python("-c", "import sys, spatial_coalescent.cli; "
-                   "print('scipy.stats' in sys.modules)")
+                   f"print({module!r} in sys.modules)")
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
 
