@@ -286,17 +286,37 @@ def _build_geography(geo: dict):
     raise _ConfigError([f"geography: unknown topology {topology!r}"])
 
 
+class _NonFiniteNumber(ValueError):
+    """A number in a config file that is not a finite float."""
+
+
+def _non_json_constant(token: str):
+    raise _NonFiniteNumber(f"{token} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NonFiniteNumber(f"{text} overflows a float")
+    return value
+
+
 def parse_config(path: str, **overrides) -> dict:
     """Read a JSON run config, set the overrides that are not None, and
-    validate the result once, strictly."""
+    validate the result once, strictly.  The file must be RFC 8259 JSON:
+    Python's NaN and Infinity tokens, and a number that overflows a float,
+    are parse errors, so no config value is ever non-finite."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_non_json_constant,
+                            parse_float=_finite_float)
     except FileNotFoundError:
         raise _ConfigError([f"config file not found: {path}"], "PARSE_ERROR")
     except json.JSONDecodeError as e:
         raise _ConfigError([f"{path}:{e.lineno}:{e.colno}: {e.msg}"],
                            "PARSE_ERROR")
+    except _NonFiniteNumber as e:
+        raise _ConfigError([f"{path}: {e}"], "PARSE_ERROR")
     if isinstance(raw, dict):
         raw.update((k, v) for k, v in overrides.items() if v is not None)
     return _validate(_RUN, raw)

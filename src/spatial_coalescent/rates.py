@@ -15,15 +15,17 @@ are cumulative sums of the single vector M(0, j), j = 0, 1, ...:
     lambda_{b+1} - lambda_b = b M(0, b-1)
     gamma_{b+1}  - gamma_b  = sum_{j<b} M(0, j)
 
-so every table entry is a sum of positive terms.  A request past the table
-grows it in one pass, to at least twice its length.  All moments come from
-the closed form `measure.moments`.  The merge-size law C(b,k) lambda_{b,k} /
-lambda_b is built a dyadic block [2^j, 2^(j+1)) of rows at a time: the top
-row from one `measure.log_moments` call (lambda_{b,k} underflows long
-before C(b,k) lambda_{b,k} is negligible), every lower row from it by the
+so every table entry is a sum of positive terms.  The totals are two
+float64 arrays; a request past them grows both in one pass, to at least
+twice their length.  All moments come from the closed form
+`measure.moments`.  The merge-size law C(b,k) lambda_{b,k} / lambda_b is
+built a dyadic block [2^j, 2^(j+1)) of rows at a time: the top row from one
+`measure.log_moments` call (lambda_{b,k} underflows long before
+C(b,k) lambda_{b,k} is negligible), every lower row from it by the
 consistency relation lambda_{b,k} = lambda_{b+1,k} + lambda_{b+1,k+1}, a
-sum of positive terms.  Nothing here integrates numerically; the binomial
-sums and the quadrature oracle of the test suite check the tables.
+sum of positive terms.  Only its cumulative form, which the engine bisects,
+is kept.  Nothing here integrates numerically; the binomial sums and the
+quadrature oracle of the test suite check the tables.
 Convention: lambda_b = gamma_b = 0 for b in {0, 1}.
 
 The module also houses the block-count classifier and the uniform
@@ -58,28 +60,30 @@ __all__ = [
 class RateKernel:
     """Memoized rate tables for one measure.
 
-    Totals (lambda_b, gamma_b) are grown lazily as cumulative sums of
-    M(0, j) (see the module docstring), each growth in one pass to at least
-    twice the table's length; it continues the running sums, so every entry
-    is the same whatever the growth history.  Per-(b,k) rows M(k-2, b-k)
-    are computed on demand.  Merge-size laws are built a dyadic block
-    [2^j, 2^(j+1)) at a time (past b = 4095, a segment of one): the first
-    request for b takes the top row of b's block from one log_moments call
-    and every lower row from the Pascal recursion (see `_merge_block`), and
-    stores the block as one folded triangle with no padding.  Each row is a fixed function of its block's
-    top row, so a law is bit-identical whatever was asked for before it.
-    Cached arrays are read-only views.
+    Totals (lambda_b, gamma_b) are two float64 arrays, grown lazily as
+    cumulative sums of M(0, j) (see the module docstring), each growth in
+    one pass to at least twice the table's length; it continues the running
+    sums, so every entry is the same whatever the growth history.  Per-(b,k)
+    rows M(k-2, b-k) are computed on demand.  Merge-size laws are built a
+    dyadic block [2^j, 2^(j+1)) at a time (past b = 4095, a segment of one):
+    the first request for b takes the top row of b's block from one
+    log_moments call and every lower row from the Pascal recursion (see
+    `_merge_weights`), sums and normalizes the block in place (see
+    `_merge_block`) and keeps it as one folded triangle of cumulative laws
+    with no padding.  Each row is a fixed function of its block's top row,
+    so a law is bit-identical whatever was asked for before it.  Cached
+    arrays, and the tables the totals return, are read-only views.
     """
 
     def __init__(self, measure_: LambdaMeasure, b_max: int = 256):
         self.measure = measure_
         # index b -> value; entries 0 and 1 are 0 by convention
-        self._lam = [0.0, 0.0]
-        self._gam = [0.0, 0.0]
+        self._lam = self._gam = np.zeros(2)
+        self._lam.flags.writeable = False
         self._m0_sum = 0.0      # sum_{j <= b_max - 2} M(0, j)
         self._bk_rows: dict[int, np.ndarray] = {}
-        # b -> (law, cumulative law), None where lambda_b = 0
-        self._merge_rows: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
+        # b -> cumulative law, None where lambda_b = 0
+        self._merge_rows: dict[int, np.ndarray | None] = {}
         self.ensure_b(b_max)
 
     @property
@@ -105,13 +109,16 @@ class RateKernel:
             return
         bs = np.arange(lo, max(2 * lo, b + 1))
         m0 = measure_mod.moments(self.measure, 0, bs - 2)
-        # running sums continued from the last entry (np.cumsum adds
-        # left to right, so a growth reproduces one long cumsum)
+        # running sums continued from the last entry, in place over the
+        # appended terms (np.cumsum adds left to right, so a growth
+        # reproduces one long cumsum)
         sums = np.cumsum(np.concatenate(([self._m0_sum], m0)))[1:]
-        lam = np.cumsum(np.concatenate(([self._lam[-1]], (bs - 1) * m0)))[1:]
-        gam = np.cumsum(np.concatenate(([self._gam[-1]], sums)))[1:]
-        self._lam.extend(lam.tolist())
-        self._gam.extend(gam.tolist())
+        lam = np.concatenate((self._lam, (bs - 1) * m0))
+        np.cumsum(lam[lo - 1:], out=lam[lo - 1:])
+        gam = np.concatenate((self._gam, sums))
+        np.cumsum(gam[lo - 1:], out=gam[lo - 1:])
+        lam.flags.writeable = gam.flags.writeable = False
+        self._lam, self._gam = lam, gam
         self._m0_sum = float(sums[-1])
 
     # -- totals ---------------------------------------------------------
@@ -120,22 +127,23 @@ class RateKernel:
         if b < 2:
             return 0.0
         self.ensure_b(b)
-        return self._lam[b]
+        return float(self._lam[b])
 
     def gamma_total(self, b: int) -> float:
         if b < 2:
             return 0.0
         self.ensure_b(b)
-        return self._gam[b]
+        return float(self._gam[b])
 
     def lambda_table(self, b_hi: int) -> np.ndarray:
-        """lambda_b for b = 0..b_hi as one array."""
+        """lambda_b for b = 0..b_hi, a read-only view of the table."""
         self.ensure_b(b_hi)
-        return np.asarray(self._lam[:b_hi + 1])
+        return self._lam[:b_hi + 1]
 
     def gamma_table(self, b_hi: int) -> np.ndarray:
+        """gamma_b for b = 0..b_hi, a read-only view of the table."""
         self.ensure_b(b_hi)
-        return np.asarray(self._gam[:b_hi + 1])
+        return self._gam[:b_hi + 1]
 
     # -- per-(b,k) rates ------------------------------------------------
 
@@ -161,16 +169,16 @@ class RateKernel:
     def merge_size_cumulative(self, b: int) -> np.ndarray:
         """P(merge size <= k) for k = 2..b, the law being
         C(b,k) lambda_{b,k} / lambda_b."""
-        return self._merge_row(b)[1]
+        return self._merge_row(b)
 
     def merge_size_cumulative_array(self, b: int) -> memoryview:
         """`merge_size_cumulative(b)` as a memoryview of the cached row, for
         samplers that bisect it once per draw: bisecting a numpy array makes
         a numpy scalar per probe, and an item of a memoryview is a float.
         It copies nothing; a row stored in reverse is a negative stride."""
-        return memoryview(self._merge_row(b)[1])
+        return memoryview(self._merge_row(b))
 
-    def _merge_row(self, b: int):
+    def _merge_row(self, b: int) -> np.ndarray:
         if b < 2:
             raise ValueError("need b >= 2")
         if b not in self._merge_rows:
@@ -194,15 +202,16 @@ def _merge_segment(b: int) -> tuple[int, int]:
     return b - b % rows, rows
 
 
-def _merge_block(meas: LambdaMeasure, lo: int, rows: int) -> dict:
-    """{b: (law, cumulative law)} for every row b of the block [lo, lo + rows),
-    read-only views of two folded arrays; {b: None} if every weight is 0.
+def _merge_weights(meas: LambdaMeasure, lo: int, rows: int) -> np.ndarray | None:
+    """The scaled weights q_{b,k} = C(b,k) lambda_{b,k} of every row b of the
+    block [lo, lo + rows), folded (see `_folded_rows`); None if every weight
+    is 0.
 
-    The weights q_{b,k} = C(b,k) lambda_{b,k} of the top row t come from one
-    log_moments call (C(b,k) overflows and lambda_{b,k} underflows long
-    before q_{b,k} is negligible) and are scaled by their largest.  Pitman's
-    consistency relation lambda_{b,k} = lambda_{b+1,k} + lambda_{b+1,k+1}
-    gives each lower row as
+    The weights of the top row t come from one log_moments call (C(b,k)
+    overflows and lambda_{b,k} underflows long before q_{b,k} is
+    negligible) and are scaled by their largest.  Pitman's consistency
+    relation lambda_{b,k} = lambda_{b+1,k} + lambda_{b+1,k+1} gives each
+    lower row as
 
         q_{b,k} = ((b+1-k) q_{b+1,k} + (k+1) q_{b+1,k+1}) / (b+1),
 
@@ -211,11 +220,6 @@ def _merge_block(meas: LambdaMeasure, lo: int, rows: int) -> dict:
     lambda_t < 4 lambda_b within a dyadic block, no scaled weight overflows,
     and a weight of law above 1e-250 stays far above the top-row weights
     lost to underflow.
-
-    The rows are stored folded, with no padding: line i of a
-    (rows / 2, lo + t - 2) array holds row lo + i in k order, then row t - i
-    in reverse.  The whole block is summed forward over each line's first
-    row and backward over its second, then normalized by the row totals.
     """
     top, half = lo + rows - 1, rows // 2
     m = np.arange(top - 1.0)                        # k - 2 for k = 2..t
@@ -224,46 +228,74 @@ def _merge_block(meas: LambdaMeasure, lo: int, rows: int) -> dict:
                + measure_mod.log_moments(meas, m, m[::-1]))
     shift = log_top.max()
     if not shift > -math.inf:
-        return dict.fromkeys(range(lo, top + 1))
-    law, cum = both = np.empty((2, half, lo + top - 2))
+        return None
+    weights = np.empty((half, lo + top - 2))
     # the weights are divided by the geometric mean c of b + 1 over the
     # block, not by b + 1 itself: a row's scale then drifts by at most
     # e^(rows / 10) and comes back, and it drops out when the row is normalized
     c = math.exp(np.log(np.arange(lo + 1, top + 1)).mean())
     w = np.arange(top + 2) / c
     # the second rows of the lines, stored k = b..2, then the first rows
-    row = law[0, lo - 1:]
+    row = weights[0, lo - 1:]
     np.exp(log_top[::-1] - shift, out=row)
     for b in range(top - 1, lo + half - 1, -1):
-        nxt = law[top - b, lo + top - b - 1:]
+        nxt = weights[top - b, lo + top - b - 1:]
         np.add(row[:-1] * w[b + 1:2:-1], row[1:] * w[1:b], out=nxt)
         row = nxt
     row = row[::-1]
     for b in range(lo + half - 1, lo - 1, -1):
-        nxt = law[b - lo, :b - 1]
+        nxt = weights[b - lo, :b - 1]
         np.add(row[:-1] * w[b - 1:0:-1], row[1:] * w[3:b + 2], out=nxt)
         row = nxt
+    return weights
 
-    # line i splits after lo - 1 + i cells, so columns [s0, s1) are mixed
+
+def _folded_rows(folded: np.ndarray, lo: int) -> dict:
+    """{b: row b in k order} for a block stored folded with no padding: line
+    i of a (rows / 2, lo + t - 2) array holds row lo + i in k order, then
+    row t - i in reverse, t the block's top row."""
+    half, top = len(folded), folded.shape[1] + 2 - lo
+    rows = {}
+    for i, s in enumerate(range(lo - 1, lo + half - 1)):
+        rows[lo + i] = folded[i, :s]
+        rows[top - i] = folded[i, s:][::-1]
+    return rows
+
+
+def _merge_block(meas: LambdaMeasure, lo: int, rows: int) -> dict:
+    """{b: cumulative law} for every row b of the block [lo, lo + rows),
+    read-only views of one folded array; {b: None} if every weight is 0.
+
+    The weights of `_merge_weights` are summed in place: forward over each
+    line's first row and backward over its second, then divided by the row
+    totals.  Only the columns where the two rows of a line meet are copied
+    first, so the block needs one array of its size.
+    """
+    cum = _merge_weights(meas, lo, rows)
+    if cum is None:
+        return dict.fromkeys(range(lo, lo + rows))
+    # line i splits after lo - 1 + i cells, so columns [s0, s1) are mixed:
+    # their weights are kept for the forward sums, since the backward sums
+    # overwrite them
+    half = len(cum)
     s0, s1 = lo - 1, lo + half - 2
-    np.cumsum(law[:, :s1], axis=1, out=cum[:, :s1])
     forward = cum[:, s0:s1].copy()
-    np.cumsum(law[:, s0:][:, ::-1], axis=1, out=cum[:, s0:][:, ::-1])
+    np.cumsum(cum[:, s0:][:, ::-1], axis=1, out=cum[:, s0:][:, ::-1])
+    np.cumsum(cum[:, :s0], axis=1, out=cum[:, :s0])
+    # the forward sums continued over the mixed columns
+    forward[:, :1] += cum[:, s0 - 1:s0]
+    np.cumsum(forward, axis=1, out=forward)
     first = np.tri(half, s1 - s0, -1, dtype=bool)   # column < split
     np.copyto(cum[:, s0:s1], forward, where=first)
     first_total = cum.diagonal(s0 - 1).copy()[:, None]
     second_total = cum.diagonal(s0).copy()[:, None]
-    mixed = both[:, :, s0:s1]
-    both[:, :, :s0] /= first_total
+    mixed = cum[:, s0:s1]
+    cum[:, :s0] /= first_total
     np.divide(mixed, first_total, out=mixed, where=first)
     np.divide(mixed, second_total, out=mixed, where=~first)
-    both[:, :, s1:] /= second_total
-    law.flags.writeable = cum.flags.writeable = False
-    laws = {}
-    for i, s in enumerate(range(lo - 1, s1 + 1)):
-        laws[lo + i] = law[i, :s], cum[i, :s]
-        laws[top - i] = law[i, s:][::-1], cum[i, s:][::-1]
-    return laws
+    cum[:, s1:] /= second_total
+    cum.flags.writeable = False
+    return _folded_rows(cum, lo)
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,12 @@ def test_config_value_errors_exit_2(tmp_path, cfg, command, needle):
     r = run_cli(tmp_path, cfg, command)
     assert r.returncode == 2, r.stdout + r.stderr
     payload = json.loads(r.stdout)
+    if "NaN" in json.dumps(cfg):
+        # NaN is not JSON: the config is refused as it is read, before the
+        # engine's own NaN checks (tests/test_engine.py) could see it
+        assert payload["error"] == "PARSE_ERROR"
+        assert "NaN is not a JSON number" in payload["message"]
+        return
     assert payload["error"] == "VALIDATION_ERROR"
     assert needle in payload["message"]
 
@@ -155,6 +161,53 @@ def test_missing_file_is_parse_error(tmp_path):
     r = coalsim("classify", "--config", tmp_path / "nope.json")
     assert r.returncode == 2, r.stdout + r.stderr
     assert json.loads(r.stdout)["error"] == "PARSE_ERROR"
+
+
+def _params_config(name, **params):
+    return json.dumps({"seed": 1, "measure": KINGMAN,
+                       "geography": {"topology": "torus", "N": 2},
+                       "replicas": 4,
+                       "experiment": {"name": name, "params": params}})
+
+
+# Python's json reads NaN, Infinity and -Infinity, which RFC 8259 does not
+# have, and 1e400 as infinity.  Read that way, the experiments failed with
+# exit 4, an atom of mass Infinity wrote infinite rates with exit 0, and the
+# NaN kernel failed with exit 4
+NON_FINITE = [
+    ("experiment", _params_config("structure", n_blocks=2, kappa_value=math.inf)),
+    ("experiment", _params_config("pairwise", kappa_value=math.inf)),
+    ("experiment", _params_config("block_count", kappa_value=math.inf)),
+    ("experiment", _params_config("block_count", times=[0.5, math.inf])),
+    ("experiment", _params_config("trend", n_grid=[2, 4], t_probe=math.inf)),
+    ("experiment", _params_config("coupling", class_split=[[1], [2]],
+                                  t=math.inf)),
+    ("experiment", _params_config("decay_shape", N_values=[1],
+                                  t_grid=[math.inf])),
+    ("rates", '{"seed": 1, "measure": {"atoms": [[0.0, Infinity]]}}'),
+    ("rates", '{"seed": 1, "measure": {"atoms": [[0.0, -Infinity]]}}'),
+    ("simulate", '{"seed": 1, "measure": {"atoms": [[0.0, 1.0]]}, "geography":'
+                 ' {"topology": "graph", "kernel": [[NaN]]}, "horizon": 1.0}'),
+    ("simulate", '{"seed": 1, "measure": {"atoms": [[0.0, 1.0]]}, "geography":'
+                 ' {"topology": "single"}, "horizon": 1e400}'),
+]
+
+
+@pytest.mark.parametrize("command, text", NON_FINITE, ids=[
+    "structure-kappa", "pairwise-kappa", "block_count-kappa",
+    "block_count-times", "trend-t_probe", "coupling-t", "decay_shape-t_grid",
+    "atom-mass", "atom-mass-negative", "graph-kernel", "horizon-overflow"])
+def test_non_finite_config_values_are_parse_errors(tmp_path, command, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    r = CliRunner().invoke(cli.main, [command, "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+    assert r.exit_code == 2, r.output
+    payload = json.loads(r.output)
+    assert payload["error"] == "PARSE_ERROR"
+    assert ("is not a JSON number" in payload["message"]
+            or "overflows a float" in payload["message"])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [("rates", "--format", "csv"),

@@ -204,8 +204,9 @@ def _paths(violations):
 def _params_nulled(cfg):
     """`cfg` with each non-finite number in experiment.params as null, as
     pydantic dumped an untyped field.  The validator keeps the number that
-    the params check reads; every experiment exits 4 on such a value
-    before it hashes its config."""
+    the params check reads; neither side sees one from a config file, since
+    `cli.parse_config` refuses NaN, Infinity and overflowing numbers as it
+    reads the file."""
     if cfg["experiment"] is None:
         return cfg
     params = json.loads(json.dumps(cfg["experiment"]["params"]),

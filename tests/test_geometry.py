@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
+from scipy.special import i0e
 
 from spatial_coalescent.errors import DimensionTooLow, SizeOverflow, TruncationUnstable
 from spatial_coalescent.geometry import (
@@ -19,6 +21,7 @@ from spatial_coalescent.geometry import (
     simple_walk,
     single_site,
 )
+from conftest import run_python
 from green_oracle import green_monte_carlo, tail_ratio
 
 
@@ -325,9 +328,40 @@ def test_green_bessel_rejects_non_axis_walk(walk):
 
 
 def test_green_bessel_raises_when_quadrature_cannot_bound_error():
-    # nearly one-dimensional: the integrand decays too slowly for quad
-    with pytest.raises(TruncationUnstable):
+    # nearly one-dimensional: the integrand decays like t^(-1/2) up to
+    # t of about 1e7, and the exp-sinh rules at steps 1/32 and 1/64 differ
+    # by 4.2e-6, far above the route's 1e-10 limit
+    with pytest.raises(TruncationUnstable, match="4.2"):
         green_function(_axis_walk((1e-7, 1e-7, 1 - 2e-7)), "BESSEL")
+
+
+def test_geometry_import_leaves_scipy_integrate_unloaded():
+    # BESSEL's rule is numpy alone; scipy.integrate costs about 26 MB
+    r = run_python("-c", "import sys, spatial_coalescent.geometry; "
+                   "print('scipy.integrate' in sys.modules)")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
+
+
+def _watson_quad(walk) -> float:
+    """Watson's integral by adaptive quadrature (`scipy.integrate.quad`),
+    the oracle of the BESSEL route's fixed exp-sinh rule."""
+    rates = walk.axis_rates
+    est, _err = integrate.quad(lambda t: float(np.prod(i0e(rates * t))),
+                               0.0, np.inf, epsabs=1e-14, epsrel=1e-13,
+                               limit=500)
+    return est
+
+
+@pytest.mark.parametrize("walk", [
+    simple_walk(3), simple_walk(4), simple_walk(6), simple_walk(8), LAZY,
+    _axis_walk((0.2, 0.3, 0.5)), _axis_walk((0.05, 0.05, 0.9)),
+    _axis_walk((1e-4, 1e-4, 1 - 2e-4)),
+], ids=["3", "4", "6", "8", "lazy", "anisotropic", "flat", "nearly-1d"])
+def test_green_bessel_exp_sinh_rule_matches_quad(walk):
+    g, err = green_function(walk, "BESSEL")
+    assert abs(g - _watson_quad(walk)) <= 1e-12
+    assert 0.0 < err <= 1e-10
 
 
 def test_green_cubature_raises_when_its_rules_disagree():

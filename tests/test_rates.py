@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 
 import numpy as np
@@ -22,13 +23,24 @@ from spatial_coalescent.measure import (
     _beta_share,
     log_moments,
 )
-from spatial_coalescent.rates import RateKernel, cdi_classify, tn_uniform_bound
+from spatial_coalescent.rates import (
+    RateKernel,
+    _folded_rows,
+    _merge_segment,
+    _merge_weights,
+    cdi_classify,
+    tn_uniform_bound,
+)
 
 
 def merge_law(kernel: RateKernel, b: int) -> np.ndarray:
-    """P(merge size = k) for k = 2..b, the cached law behind
-    `kernel.merge_size_cumulative(b)`."""
-    return kernel._merge_row(b)[0]
+    """P(merge size = k) for k = 2..b: row b of the Pascal recursion behind
+    `kernel.merge_size_cumulative(b)`, normalized here.  Raises
+    ZeroTotalRate where the kernel does."""
+    kernel.merge_size_cumulative(b)
+    lo, rows = _merge_segment(b)
+    weights = _folded_rows(_merge_weights(kernel.measure, lo, rows), lo)[b]
+    return weights / weights.sum()
 
 
 # ----------------------------------------------------------- per-merge rates
@@ -233,6 +245,36 @@ def test_merge_laws_independent_of_request_history(name):
                 == ascending.merge_size_cumulative(b).tobytes())
 
 
+# SHA-256 (first 16 hex digits) of lambda_b and gamma_b for b <= 10^4, and
+# of every cumulative merge row for b <= 4095, in row order
+_TABLE_DIGESTS = {
+    "kingman": ("ca40355ce8ea5e42", "aed563f2146526e8"),
+    "lebesgue": ("ed3aa5f9eeaae707", "4adbc0f20880bf85"),
+    "beta05": ("579b82c6cc481421", "cc37620405a53675"),
+    "beta15": ("eeadd9fdd60da496", "2dfb1d3f1bd60752"),
+    "mixture": ("14bdd03cfdd5ea9d", "9d98e326c47d538a"),
+    "power_02_1": ("885d03522044e99c", "a9288cacd7cbfeaa"),
+    "power_01_05": ("9013f7bd477b7a3e", "2bc5987045d97adb"),
+}
+
+
+def _table_digests(kern: RateKernel) -> tuple[str, str]:
+    totals = hashlib.sha256(kern.lambda_table(10**4).tobytes())
+    totals.update(kern.gamma_table(10**4).tobytes())
+    rows = hashlib.sha256()
+    for b in range(2, 4096):
+        rows.update(kern.merge_size_cumulative(b).tobytes())
+    return totals.hexdigest()[:16], rows.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", list(_history_measures()))
+def test_tables_pinned_to_the_bit(name):
+    # the totals and the cumulative rows are fixed sums of fixed moments, so
+    # a change of storage or of summation order must leave every bit
+    assert _table_digests(RateKernel(_history_measures()[name])) == \
+        _TABLE_DIGESTS[name]
+
+
 def _log_moments_cells(monkeypatch) -> list:
     """The cell count of every later log_moments call, appended as made."""
     real, cells = measure_mod.log_moments, []
@@ -282,8 +324,8 @@ def test_merge_size_cumulative_array_bisects_like_the_row(beta_heavy_kernel, b):
 
 def test_cached_rows_read_only():
     kern = RateKernel(LambdaMeasure.beta(1.5))
-    for row in (kern.merge_size_cumulative(9), merge_law(kern, 9),
-                kern.lambda_bk_row(9)):
+    for row in (kern.merge_size_cumulative(9), kern.lambda_bk_row(9),
+                kern.lambda_table(9), kern.gamma_table(9)):
         with pytest.raises(ValueError):
             row[0] = 0.5
     assert kern.merge_size_cumulative(9)[-1] == pytest.approx(1.0, abs=1e-15)
@@ -296,10 +338,12 @@ def test_large_blocks_are_built_in_segments(monkeypatch):
     # [4096, 8192) is cut into four segments of 1024 rows, each from its
     # own top row; one law at b = 10^5 builds a segment of 64 rows
     for b in (4096, 5119, 5120, 8191):
-        np.testing.assert_allclose(merge_law(kern, b),
-                                   _merge_law_one_row(measure, b), rtol=1e-10)
+        kern.merge_size_cumulative(b)
     assert kern.merge_size_cumulative(100_000)[-1] == 1.0
     assert cells == [5118, 6142, 8190, 100_030]
+    for b in (4096, 5119, 5120, 8191):
+        np.testing.assert_allclose(merge_law(kern, b),
+                                   _merge_law_one_row(measure, b), rtol=1e-10)
 
 
 def test_zero_merge_block_raises_and_spares_the_others(monkeypatch):
