@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -639,14 +639,8 @@ def coupled_simulate(initials, config: SimulationConfig):
                                        "finest configuration")
         subsets.append(sub)
 
-    cfg = SimulationConfig(
-        kernel=config.kernel, geography=config.geography,
-        killing=config.killing, horizon=config.horizon,
-        stop_blocks_at_most=config.stop_blocks_at_most,
-        stop_when_absorbed=config.stop_when_absorbed, seed=config.seed,
-        record_events=True, track_elements=True,
-        probe_times=config.probe_times, event_budget=config.event_budget)
-    rec = simulate(full, cfg)
+    rec = simulate(full, replace(config, record_events=True,
+                                 track_elements=True))
 
     # replay the full trajectory, snapshotting each variant after every event
     site_map = {}
@@ -664,10 +658,14 @@ def coupled_simulate(initials, config: SimulationConfig):
             labels.append(s)
         return LabeledPartition(blocks, labels, n=full.n)
 
-    series = [[(0.0, snapshot())] for _ in subsets]
-    for i, sub in enumerate(subsets):
-        series[i][0] = (0.0, series[0][0][1].restrict_to(sub)
-                        if i else series[0][0][1])
+    series = [[] for _ in subsets]
+
+    def record(time: float) -> None:
+        state = snapshot()
+        for i, sub in enumerate(subsets):
+            series[i].append((time, state if i == 0 else state.restrict_to(sub)))
+
+    record(0.0)
     for (time, tag, payload) in rec.events:
         if tag == "MERGE":
             _, chosen, _k = payload
@@ -684,9 +682,7 @@ def coupled_simulate(initials, config: SimulationConfig):
         else:  # KILL
             (bid,) = payload
             site_map[bid] = CEMETERY
-        state = snapshot()
-        for i, sub in enumerate(subsets):
-            series[i].append((time, state if i == 0 else state.restrict_to(sub)))
+        record(time)
 
     out = []
     for i, sub in enumerate(subsets):

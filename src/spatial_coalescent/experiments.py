@@ -134,24 +134,30 @@ class DistributionComparison:
         }
 
 
+def _add_engine_stats(stats: dict, rec) -> None:
+    """Add one simulate record's engine counters to `stats`: the events by
+    tag and the thinning rejections summed, and the largest
+    `max_site_blocks` and `lambda_table_size`."""
+    events = stats.setdefault("events", {})
+    for tag, n in rec.stats["events"].items():
+        events[tag] = events.get(tag, 0) + n
+    stats["thinning_rejections"] = (stats.get("thinning_rejections", 0)
+                                    + rec.stats["thinning_rejections"])
+    for key in ("max_site_blocks", "lambda_table_size"):
+        stats[key] = max(stats.get(key, 0), rec.stats[key])
+
+
 def _replica_runs(init, geography, kernel: RateKernel, seed: int,
                   replicas: int, stats: dict, **stops):
     """One counts-only simulate record per replica seed of `seed`; `stops`
     are further SimulationConfig fields (horizon, probes, stop rules).
-    Each record's engine counters are added to `stats`: the events by tag
-    and the thinning rejections summed, and the largest `max_site_blocks`
-    and `lambda_table_size`."""
+    Each record's engine counters are added to `stats` (see
+    `_add_engine_stats`)."""
     for s in spawn_seeds(seed, replicas):
         rec = simulate(init, SimulationConfig(
             kernel=kernel, geography=geography, seed=s,
             record_events=False, track_elements=False, **stops))
-        events = stats.setdefault("events", {})
-        for tag, n in rec.stats["events"].items():
-            events[tag] = events.get(tag, 0) + n
-        stats["thinning_rejections"] = (stats.get("thinning_rejections", 0)
-                                        + rec.stats["thinning_rejections"])
-        for key in ("max_site_blocks", "lambda_table_size"):
-            stats[key] = max(stats.get(key, 0), rec.stats[key])
+        _add_engine_stats(stats, rec)
         yield rec
 
 
@@ -977,7 +983,8 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
 def class_coupling_check(geography, kernel: RateKernel, class_split, t: float,
                          replicas: int = 100, seed: int = 0) -> dict:
     """Pathwise domination #full(t) <= sum_j #class_j(t) at all event times,
-    via the shared-stream coupled simulation."""
+    via the shared-stream coupled simulation.  `stats` holds the engine
+    counters of every replica's full trajectory (see `_add_engine_stats`)."""
     upsilon = geography.size
     # the full initial state; classes are element subsets of it
     all_elems = sorted(set().union(*[set(c) for c in class_split]))
@@ -987,10 +994,11 @@ def class_coupling_check(geography, kernel: RateKernel, class_split, t: float,
     full = engine_mod.singletons_at([e % upsilon for e in range(n)])
     variants = [full] + [full.restrict_to(set(c)) for c in class_split]
     seeds = spawn_seeds(seed, replicas)
-    violations = 0
+    violations, stats = 0, {}
     for s in seeds:
         outs = engine_mod.coupled_simulate(variants, SimulationConfig(
             kernel=kernel, geography=geography, horizon=t, seed=s))
+        _add_engine_stats(stats, outs[0][0])
         full_series = outs[0][1]
         class_series = [o[1] for o in outs[1:]]
         for step in range(len(full_series)):
@@ -1000,7 +1008,8 @@ def class_coupling_check(geography, kernel: RateKernel, class_split, t: float,
                 violations += 1
                 break
     return {"replicas": replicas, "violations": violations,
-            "domination_fraction": 1.0 - violations / replicas}
+            "domination_fraction": 1.0 - violations / replicas,
+            "stats": stats}
 
 
 def block_decay_shape(kernel: RateKernel, walk: WalkSpec, N_values, t_grid,

@@ -54,7 +54,8 @@ class WalkSpec:
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         probs = np.asarray(self.probabilities, dtype=float)
-        if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
+        if (not np.all(np.isfinite(probs)) or abs(probs.sum() - 1.0) > 1e-12
+                or np.any(probs < 0)):
             raise ValueError("step probabilities must be a distribution")
         offs = np.asarray(self.offsets, dtype=int)
         if offs.shape != (len(probs), self.dimension):
@@ -281,6 +282,8 @@ def generic_graph(kernel: np.ndarray) -> GeographySpec:
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
         raise ValueError("kernel must be square")
+    if not np.all(np.isfinite(kernel)):
+        raise ValueError("kernel entries must be finite")
     bad = np.where(np.abs(kernel.sum(axis=1) - 1.0) > 1e-12)[0]
     if len(bad):
         raise ValueError(f"kernel rows {bad.tolist()} do not sum to 1")

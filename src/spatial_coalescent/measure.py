@@ -1,7 +1,8 @@
 """Finite measures on [0,1]: atoms plus density pieces, with integration.
 
 A measure is a list of point atoms and a list of density pieces, of
-positive total mass (the zero measure is rejected on construction).
+positive, finite total mass (the zero measure, and a mass that is
+infinite or NaN, are rejected on construction).
 Supported density families: constant, beta(2-a, a) for a in (0,2), power
 x^p (1-x)^q, and user-supplied polynomials.  Atoms on the boundary of an
 interval count as inside (closed-interval convention), which makes
@@ -175,8 +176,8 @@ class DensityPiece:
 
 
 class LambdaMeasure:
-    """Finite measure on [0,1]: atoms + density pieces, of positive total
-    mass."""
+    """Finite measure on [0,1]: atoms + density pieces, of positive and
+    finite total mass (a NaN anywhere makes it NaN, and is rejected too)."""
 
     def __init__(self, atoms=(), pieces=()):
         atoms = [(float(loc), float(m)) for loc, m in atoms]
@@ -197,8 +198,9 @@ class LambdaMeasure:
                 raise ValueError("density pieces must have nonnegative mass")
             piece_mass += val
         self.total_mass = sum(m for _, m in self.atoms) + piece_mass
-        if self.total_mass <= 0.0:
-            raise ValueError("total mass on [0,1] must be positive")
+        if not 0.0 < self.total_mass < math.inf:
+            raise ValueError("total mass on [0,1] must be positive and "
+                             f"finite, got {self.total_mass}")
         self.has_atom_at_one = any(loc == 1.0 for loc, _ in self.atoms)
 
     # -- constructors ---------------------------------------------------

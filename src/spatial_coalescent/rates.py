@@ -23,9 +23,10 @@ built a dyadic block [2^j, 2^(j+1)) of rows at a time: the top row from one
 `measure.log_moments` call (lambda_{b,k} underflows long before
 C(b,k) lambda_{b,k} is negligible), every lower row from it by the
 consistency relation lambda_{b,k} = lambda_{b+1,k} + lambda_{b+1,k+1}, a
-sum of positive terms.  Only its cumulative form, which the engine bisects,
-is kept.  Nothing here integrates numerically; the binomial sums and the
-quadrature oracle of the test suite check the tables.
+sum of positive terms.  Each row is one array, summed and normalized in
+place once the row below it is built, so only its cumulative form, which
+the engine bisects, is kept.  Nothing here integrates numerically; the
+binomial sums and the quadrature oracle of the test suite check the tables.
 Convention: lambda_b = gamma_b = 0 for b in {0, 1}.
 
 The module also houses the block-count classifier and the uniform
@@ -41,6 +42,7 @@ the lower bounds on gamma_b that those parts give.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +70,12 @@ class RateKernel:
     dyadic block [2^j, 2^(j+1)) at a time (past b = 4095, a segment of one):
     the first request for b takes the top row of b's block from one
     log_moments call and every lower row from the Pascal recursion (see
-    `_merge_weights`), sums and normalizes the block in place (see
-    `_merge_block`) and keeps it as one folded triangle of cumulative laws
-    with no padding.  Each row is a fixed function of its block's top row,
-    so a law is bit-identical whatever was asked for before it.  Cached
-    arrays, and the tables the totals return, are read-only views.
+    `_merge_weights`), and sums and normalizes each row in place once the
+    row below is built from it (see `_merge_block`), so every cumulative
+    law is one array of its own.  Each row is a fixed function of its
+    block's top row, so a law is bit-identical whatever was asked for
+    before it.  Cached arrays, and the tables the totals return, are
+    read-only.
     """
 
     def __init__(self, measure_: LambdaMeasure, b_max: int = 256):
@@ -175,7 +178,7 @@ class RateKernel:
         """`merge_size_cumulative(b)` as a memoryview of the cached row, for
         samplers that bisect it once per draw: bisecting a numpy array makes
         a numpy scalar per probe, and an item of a memoryview is a float.
-        It copies nothing; a row stored in reverse is a negative stride."""
+        It copies nothing."""
         return memoryview(self._merge_row(b))
 
     def _merge_row(self, b: int) -> np.ndarray:
@@ -202,10 +205,12 @@ def _merge_segment(b: int) -> tuple[int, int]:
     return b - b % rows, rows
 
 
-def _merge_weights(meas: LambdaMeasure, lo: int, rows: int) -> np.ndarray | None:
-    """The scaled weights q_{b,k} = C(b,k) lambda_{b,k} of every row b of the
-    block [lo, lo + rows), folded (see `_folded_rows`); None if every weight
-    is 0.
+def _merge_weights(meas: LambdaMeasure, lo: int,
+                   rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (b, q_b) for every row b of the block [lo, lo + rows), top row
+    first, q_b the scaled weights q_{b,k} = C(b,k) lambda_{b,k} in k order,
+    each its own array; nothing if every weight is 0.  Row b - 1 is built
+    from row b before row b is yielded, so a consumer may overwrite it.
 
     The weights of the top row t come from one log_moments call (C(b,k)
     overflows and lambda_{b,k} underflows long before q_{b,k} is
@@ -221,81 +226,38 @@ def _merge_weights(meas: LambdaMeasure, lo: int, rows: int) -> np.ndarray | None
     and a weight of law above 1e-250 stays far above the top-row weights
     lost to underflow.
     """
-    top, half = lo + rows - 1, rows // 2
+    top = lo + rows - 1
     m = np.arange(top - 1.0)                        # k - 2 for k = 2..t
     log_fact = gammaln(np.arange(1.0, top + 2))     # log n!, n = 0..t
     log_top = (log_fact[top] - log_fact[2:] - log_fact[top - 2::-1]
                + measure_mod.log_moments(meas, m, m[::-1]))
     shift = log_top.max()
     if not shift > -math.inf:
-        return None
-    weights = np.empty((half, lo + top - 2))
+        return
     # the weights are divided by the geometric mean c of b + 1 over the
     # block, not by b + 1 itself: a row's scale then drifts by at most
     # e^(rows / 10) and comes back, and it drops out when the row is normalized
     c = math.exp(np.log(np.arange(lo + 1, top + 1)).mean())
     w = np.arange(top + 2) / c
-    # the second rows of the lines, stored k = b..2, then the first rows
-    row = weights[0, lo - 1:]
-    np.exp(log_top[::-1] - shift, out=row)
-    for b in range(top - 1, lo + half - 1, -1):
-        nxt = weights[top - b, lo + top - b - 1:]
-        np.add(row[:-1] * w[b + 1:2:-1], row[1:] * w[1:b], out=nxt)
+    row = np.exp(log_top - shift)
+    for b in range(top, lo, -1):
+        nxt = row[:-1] * w[b - 2:0:-1] + row[1:] * w[3:b + 1]
+        yield b, row
         row = nxt
-    row = row[::-1]
-    for b in range(lo + half - 1, lo - 1, -1):
-        nxt = weights[b - lo, :b - 1]
-        np.add(row[:-1] * w[b - 1:0:-1], row[1:] * w[3:b + 2], out=nxt)
-        row = nxt
-    return weights
-
-
-def _folded_rows(folded: np.ndarray, lo: int) -> dict:
-    """{b: row b in k order} for a block stored folded with no padding: line
-    i of a (rows / 2, lo + t - 2) array holds row lo + i in k order, then
-    row t - i in reverse, t the block's top row."""
-    half, top = len(folded), folded.shape[1] + 2 - lo
-    rows = {}
-    for i, s in enumerate(range(lo - 1, lo + half - 1)):
-        rows[lo + i] = folded[i, :s]
-        rows[top - i] = folded[i, s:][::-1]
-    return rows
+    yield lo, row
 
 
 def _merge_block(meas: LambdaMeasure, lo: int, rows: int) -> dict:
-    """{b: cumulative law} for every row b of the block [lo, lo + rows),
-    read-only views of one folded array; {b: None} if every weight is 0.
-
-    The weights of `_merge_weights` are summed in place: forward over each
-    line's first row and backward over its second, then divided by the row
-    totals.  Only the columns where the two rows of a line meet are copied
-    first, so the block needs one array of its size.
-    """
-    cum = _merge_weights(meas, lo, rows)
-    if cum is None:
-        return dict.fromkeys(range(lo, lo + rows))
-    # line i splits after lo - 1 + i cells, so columns [s0, s1) are mixed:
-    # their weights are kept for the forward sums, since the backward sums
-    # overwrite them
-    half = len(cum)
-    s0, s1 = lo - 1, lo + half - 2
-    forward = cum[:, s0:s1].copy()
-    np.cumsum(cum[:, s0:][:, ::-1], axis=1, out=cum[:, s0:][:, ::-1])
-    np.cumsum(cum[:, :s0], axis=1, out=cum[:, :s0])
-    # the forward sums continued over the mixed columns
-    forward[:, :1] += cum[:, s0 - 1:s0]
-    np.cumsum(forward, axis=1, out=forward)
-    first = np.tri(half, s1 - s0, -1, dtype=bool)   # column < split
-    np.copyto(cum[:, s0:s1], forward, where=first)
-    first_total = cum.diagonal(s0 - 1).copy()[:, None]
-    second_total = cum.diagonal(s0).copy()[:, None]
-    mixed = cum[:, s0:s1]
-    cum[:, :s0] /= first_total
-    np.divide(mixed, first_total, out=mixed, where=first)
-    np.divide(mixed, second_total, out=mixed, where=~first)
-    cum[:, s1:] /= second_total
-    cum.flags.writeable = False
-    return _folded_rows(cum, lo)
+    """{b: cumulative law} for every row b of the block [lo, lo + rows), each
+    a read-only array of its own; None where every weight is 0."""
+    laws = dict.fromkeys(range(lo, lo + rows))
+    for b, row in _merge_weights(meas, lo, rows):
+        # np.cumsum's own sum, without its wrapper's cost on short rows
+        np.add.accumulate(row, out=row)
+        row /= row[-1]
+        row.flags.writeable = False
+        laws[b] = row
+    return laws
 
 
 # ----------------------------------------------------------------------

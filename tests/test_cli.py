@@ -47,6 +47,16 @@ def test_zero_mass_measure_rejected(tmp_path):
     assert "positive" in json.loads(r.stdout)["message"]
 
 
+def test_infinite_mass_measure_rejected(tmp_path):
+    # each atom mass is finite, their sum is not
+    measure = {"atoms": [[0.0, 1e308], [0.5, 1e308]]}
+    r = run_cli(tmp_path, {"seed": 1, "measure": measure}, "rates")
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "VALIDATION_ERROR"
+    assert "measure" in payload["message"] and "finite" in payload["message"]
+
+
 def test_negative_density_rejected(tmp_path):
     measure = {"atoms": [[0.0, 1.0]],
                "pieces": [{"interval": [0, 1], "tag": "constant",
@@ -472,7 +482,7 @@ SAMPLER_STATS = {"chunk_calls", "chunk_replicas", "chunk_cells",
                  "chunk_steps", "chunk_cuts", "lockstep_events",
                  "lockstep_skipped"}
 # the engine counters summed over the replicas of hitting_time, trend,
-# block_count and decay_shape
+# block_count, coupling and decay_shape
 ENGINE_STATS = {"events", "thinning_rejections", "max_site_blocks",
                 "lambda_table_size"}
 STRUCTURE_CFG = {"seed": 5, "measure": KINGMAN,
@@ -492,6 +502,12 @@ TREND_CFG = {"seed": 8, "measure": BETA_HEAVY, "killing": True,
              "geography": {"topology": "complete", "sites": 2},
              "experiment": {"name": "trend", "params": {"n_grid": [4, 8]}},
              "replicas": 5}
+COUPLING_CFG = {"seed": 10, "measure": KINGMAN,
+                "geography": {"topology": "complete", "sites": 2},
+                "experiment": {"name": "coupling",
+                               "params": {"class_split": [[1, 2], [3, 4]],
+                                          "t": 2.0}},
+                "replicas": 5}
 DECAY_SHAPE_CFG = {"seed": 9, "measure": KINGMAN,
                    "geography": {"topology": "torus", "N": 1},
                    "experiment": {"name": "decay_shape",
@@ -508,6 +524,7 @@ DECAY_SHAPE_CFG = {"seed": 9, "measure": KINGMAN,
     # one exact Green route, whose record is the report
     (KAPPA_CFG, set()),
     (TREND_CFG, ENGINE_STATS),
+    (COUPLING_CFG, ENGINE_STATS),
     (DECAY_SHAPE_CFG, ENGINE_STATS),
 ])
 def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,

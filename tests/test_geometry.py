@@ -32,6 +32,13 @@ def test_walk_distribution_validated():
         WalkSpec(1, ((1,), (-1,)), (0.7, 0.7))
 
 
+@pytest.mark.parametrize("probs", [(math.nan, 1.0), (math.inf, -math.inf)])
+def test_walk_non_finite_probability_rejected(probs):
+    # a comparison with NaN is false, so range checks alone pass a NaN
+    with pytest.raises(ValueError, match="distribution"):
+        WalkSpec(1, ((1,), (-1,)), probs)
+
+
 def test_walk_must_span_all_coordinates():
     with pytest.raises(ValueError):
         WalkSpec(2, ((1, 0), (-1, 0)), (0.5, 0.5))
@@ -179,6 +186,13 @@ def test_generic_graph_names_bad_row():
     mat = np.array([[0.5, 0.5], [0.6, 0.6]])
     with pytest.raises(ValueError, match=r"rows \[1\]"):
         generic_graph(mat)
+
+
+@pytest.mark.parametrize("mat", [[[math.nan]], [[0.5, math.nan], [0.5, 0.5]],
+                                 [[math.inf, -math.inf], [0.5, 0.5]]])
+def test_generic_graph_non_finite_kernel_rejected(mat):
+    with pytest.raises(ValueError, match="finite"):
+        generic_graph(np.array(mat))
 
 
 def test_complete_graph_and_single_site():

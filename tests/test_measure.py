@@ -189,6 +189,21 @@ def test_zero_mass_rejected_on_direct_construction():
         LambdaMeasure(atoms=[], pieces=[])
 
 
+@pytest.mark.parametrize("atoms, pieces", [
+    ([(0.0, math.inf)], []),
+    ([(0.0, math.nan)], []),
+    ([(0.0, 1e308), (0.5, 1e308)], []),     # each finite, the sum is not
+    ([], [DensityPiece((0, 1), "power", {"p": math.nan, "q": 0.5})]),
+    ([], [DensityPiece((0, 1), "power", {"p": 0.5, "q": 0.5, "coeff": math.nan})]),
+    ([], [DensityPiece((0, 1), "constant", {"level": math.inf})]),
+], ids=["inf-atom", "nan-atom", "overflowing-atoms", "nan-p", "nan-coeff",
+        "inf-level"])
+def test_infinite_or_nan_mass_rejected(atoms, pieces):
+    # such a measure would give inf or nan rates, with a RuntimeWarning only
+    with pytest.raises(ValueError, match="finite"):
+        LambdaMeasure(atoms=atoms, pieces=pieces)
+
+
 def test_atom_flags():
     assert LambdaMeasure.unit_atom(1.0).has_atom_at_one
     assert not LambdaMeasure.unit_atom(0.0).has_atom_at_one

@@ -25,7 +25,6 @@ from spatial_coalescent.measure import (
 )
 from spatial_coalescent.rates import (
     RateKernel,
-    _folded_rows,
     _merge_segment,
     _merge_weights,
     cdi_classify,
@@ -39,7 +38,7 @@ def merge_law(kernel: RateKernel, b: int) -> np.ndarray:
     ZeroTotalRate where the kernel does."""
     kernel.merge_size_cumulative(b)
     lo, rows = _merge_segment(b)
-    weights = _folded_rows(_merge_weights(kernel.measure, lo, rows), lo)[b]
+    weights = dict(_merge_weights(kernel.measure, lo, rows))[b]
     return weights / weights.sum()
 
 
@@ -329,6 +328,17 @@ def test_cached_rows_read_only():
         with pytest.raises(ValueError):
             row[0] = 0.5
     assert kern.merge_size_cumulative(9)[-1] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("lo", [4, 64, 2048])
+def test_cached_rows_own_contiguous_memory(lo):
+    # the engine bisects a memoryview of each row: every row of a block,
+    # from its lower and its upper half, is its own array with unit stride
+    kern = RateKernel(LambdaMeasure.beta(1.5))
+    for b in range(lo, 2 * lo):
+        row = kern.merge_size_cumulative(b)
+        assert row.flags.c_contiguous and row.base is None
+        assert memoryview(row).strides == (8,)
 
 
 def test_large_blocks_are_built_in_segments(monkeypatch):
