@@ -18,7 +18,10 @@ per-site start state of a partition is computed once and cached on it, so
 replicas from one initial partition only copy it.
 
 Blocks carry (min element, size) always and full element sets only when an
-experiment needs partition identity.  Block ids follow the least-element
+experiment needs partition identity.  A start of singletons
+(`LabeledPartition.singletons`, which `singletons_at` and
+`singletons_per_site` return) holds only its labels, so a counts-only run
+from it never builds a block set.  Block ids follow the least-element
 order of the initial partition and a merge keeps its least id, so the ids
 of the surviving blocks stay in least-element order.  One seeded
 `random.Random` stream drives every draw, making trajectories
@@ -32,6 +35,8 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +60,8 @@ CEMETERY = "∂"
 
 class _StartLayout(NamedTuple):
     """Start state of `simulate` for one partition and site count, as
-    immutable tuples that each replica copies.  Block ids are the indices of
-    `LabeledPartition.blocks`."""
+    immutable sequences that each replica copies.  Block ids are the indices
+    of `LabeledPartition.blocks`."""
     sites: tuple       # site of each block
     mins: tuple        # least element of each block
     sizes: tuple       # size of each block
@@ -84,9 +89,12 @@ class _StartLayout(NamedTuple):
                 members = classes.setdefault(c, [])
                 class_pos[s] = len(members)
                 members.append(s)
-        return cls(sites=part.labels,
-                   mins=tuple(min(b) for b in part.blocks),
-                   sizes=tuple(len(b) for b in part.blocks),
+        if "blocks" in vars(part):
+            mins = tuple(min(b) for b in part.blocks)
+            sizes = tuple(len(b) for b in part.blocks)
+        else:  # a singleton start whose blocks were never built
+            mins, sizes = range(1, part.n + 1), (1,) * part.n
+        return cls(sites=part.labels, mins=mins, sizes=sizes,
                    rosters=tuple(map(tuple, rosters)),
                    roster_pos=tuple(roster_pos), counts=tuple(counts),
                    classes=tuple((c, tuple(m)) for c, m in classes.items()),
@@ -97,7 +105,11 @@ class LabeledPartition:
     """Partition of a finite integer ground set with per-block site labels.
 
     Blocks are kept sorted by least element.  Labels are site indices of a
-    geography, or the cemetery mark for killed blocks.
+    geography, or the cemetery mark for killed blocks.  The ground set is
+    built on first read.  A start of singletons (`singletons`) stores only
+    its labels and n: its blocks {1}, ..., {n} are built on first read too,
+    so reading `blocks`, `==`, `hash` or `restrict_to` gives the same
+    frozensets as the explicit partition.
     """
 
     def __init__(self, blocks, labels, n: int | None = None):
@@ -116,9 +128,26 @@ class LabeledPartition:
             total += len(b)
         if len(union) != total:
             raise ValueError("blocks must be disjoint")
-        self.ground = frozenset(union)
         self.n = n if n is not None else (max(union) if union else 0)
         self._layouts: dict[int, _StartLayout] = {}
+
+    @classmethod
+    def singletons(cls, labels) -> "LabeledPartition":
+        """One singleton block per label: element i+1 at labels[i]."""
+        part = cls.__new__(cls)
+        part.labels = tuple(labels)
+        part.n = len(part.labels)
+        part._layouts = {}
+        return part
+
+    @cached_property
+    def blocks(self) -> tuple:
+        # reached by a singleton start only: __init__ stores its blocks
+        return tuple(frozenset((e,)) for e in range(1, self.n + 1))
+
+    @cached_property
+    def ground(self) -> frozenset:
+        return frozenset().union(*self.blocks)
 
     def start_layout(self, n_sites: int) -> "_StartLayout":
         """The per-site state `simulate` starts from on a geography of
@@ -129,7 +158,7 @@ class LabeledPartition:
         return layout
 
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.labels)
 
     def as_pairs(self):
         return tuple((tuple(sorted(b)), lab)
@@ -158,20 +187,13 @@ class LabeledPartition:
 
 def singletons_per_site(geography: GeographySpec, n_per_site: int) -> LabeledPartition:
     """n singleton blocks at every site; elements numbered site-major."""
-    blocks, labels = [], []
-    e = 1
-    for s in range(geography.size):
-        for _ in range(n_per_site):
-            blocks.append({e})
-            labels.append(s)
-            e += 1
-    return LabeledPartition(blocks, labels, n=e - 1)
+    return LabeledPartition.singletons(
+        [s for s in range(geography.size) for _ in range(n_per_site)])
 
 
 def singletons_at(sites) -> LabeledPartition:
     """One singleton block per entry of `sites` (element i+1 at sites[i])."""
-    return LabeledPartition([{i + 1} for i in range(len(sites))], list(sites),
-                            n=len(sites))
+    return LabeledPartition.singletons(sites)
 
 
 @dataclass
@@ -189,16 +211,23 @@ class SimulationConfig:
     event_budget: int | None = None
 
     def __post_init__(self):
-        # NaN fails every comparison: a NaN horizon would never be passed
-        # and a NaN probe time never reached
+        # NaN fails every comparison: a NaN horizon would never be passed,
+        # a NaN probe time never reached, a NaN budget never spent and a NaN
+        # threshold met at once; each check is written so that NaN fails it
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be finite and positive")
-        if self.stop_blocks_at_most is not None and self.stop_blocks_at_most < 1:
-            raise ValueError("block threshold must be >= 1")
+        if self.stop_blocks_at_most is not None and not _is_count(
+                self.stop_blocks_at_most):
+            raise ValueError("block threshold must be an integer >= 1")
         if not all(0.0 <= p < math.inf for p in self.probe_times):
             raise ValueError("probe times must be finite and >= 0")
-        if self.event_budget is not None and self.event_budget < 1:
-            raise ValueError("event budget must be >= 1")
+        if self.event_budget is not None and not _is_count(self.event_budget):
+            raise ValueError("event budget must be an integer >= 1")
+
+
+def _is_count(value) -> bool:
+    """True for an integer >= 1 (NaN, inf and 2.5 are not)."""
+    return isinstance(value, Integral) and value >= 1
 
 
 @dataclass

@@ -46,6 +46,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from numbers import Integral
 
 import numpy as np
 from scipy import special
@@ -73,6 +74,15 @@ __all__ = [
     "few_block_torus_sample",
     "torus_kappa",
 ]
+
+
+def _check_run(replicas, kappa_value=None) -> None:
+    """Raise ValueError unless replicas is an integer >= 1 and kappa_value,
+    if given, is finite and positive (each check fails on NaN)."""
+    if not (isinstance(replicas, Integral) and replicas >= 1):
+        raise ValueError(f"replicas must be an integer >= 1, got {replicas!r}")
+    if kappa_value is not None and not 0.0 < kappa_value < math.inf:
+        raise ValueError(f"kappa must be finite and positive, got {kappa_value!r}")
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[int]:
@@ -277,6 +287,7 @@ def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
     """Mean time until at most k blocks per site remain, starting from n
     singletons per site; compared against the uniform upper bound.  `stats`
     holds the engine counters of _replica_runs."""
+    _check_run(replicas)
     if n < 2 or k < 2:
         raise ValueError("need n, k >= 2")
     stats = {}
@@ -301,6 +312,7 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
                         killing: bool = False) -> dict:
     """E[#blocks(t_probe)] against n for diverging-count diagnosis; `stats`
     holds the engine counters of _replica_runs over every n."""
+    _check_run(replicas)
     probes = tuple(t_probe) if hasattr(t_probe, "__iter__") else (t_probe,)
     horizon = max(probes)
     results, stats = {}, {}
@@ -464,6 +476,7 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     `separation` (default N e_1), vs Exp(kappa).  The times are the first
     merges of few_block_torus_sample with two blocks; extras["stats"] holds
     its counters."""
+    _check_run(replicas, kappa_value)
     d = walk.dimension
     kappa_info = None
     if kappa_value is None:
@@ -502,6 +515,7 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     Kingman entrance law at kappa*t; plus a two-time joint comparison
     against the exact two-time law.  `stats` holds the wall time of each
     phase and the engine counters of _replica_runs."""
+    _check_run(replicas, kappa_value)
     check_torus_walk(N, walk)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must increase")
@@ -841,6 +855,7 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     lockstep_events (events taken one at a time) and lockstep_skipped
     (passes with no co-located replica).
     """
+    _check_run(replicas)
     check_torus_walk(N, walk)
     start = np.asarray(start_positions, dtype=np.int64)
     n = start.shape[0]
@@ -921,6 +936,7 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     """Three marginals of the few-block limit: inter-coalescence times,
     uniformity of the merging pair, and the binary-merge fraction.  `stats`
     holds the counters of few_block_torus_sample."""
+    _check_run(replicas, kappa_value)
     d = walk.dimension
     vol = (2 * N + 1) ** d
     if kappa_value is None:
@@ -985,6 +1001,7 @@ def class_coupling_check(geography, kernel: RateKernel, class_split, t: float,
     """Pathwise domination #full(t) <= sum_j #class_j(t) at all event times,
     via the shared-stream coupled simulation.  `stats` holds the engine
     counters of every replica's full trajectory (see `_add_engine_stats`)."""
+    _check_run(replicas)
     upsilon = geography.size
     # the full initial state; classes are element subsets of it
     all_elems = sorted(set().union(*[set(c) for c in class_split]))
@@ -1017,6 +1034,7 @@ def block_decay_shape(kernel: RateKernel, walk: WalkSpec, N_values, t_grid,
     """sup over a (t, N) grid of E[#blocks(t)] * t / #blocks(0); bounded for
     coalescents that come down uniformly.  `stats` holds the engine
     counters of _replica_runs over every N."""
+    _check_run(replicas)
     cells, stats = {}, {}
     probes = tuple(t_grid)
     for N in N_values:

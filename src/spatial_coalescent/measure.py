@@ -18,10 +18,10 @@ the rates of a large merger, keep their relative accuracy.  `mass` and the
 total mass use the same closed form.
 
 Adaptive quadrature (`integrate_vector`) is the independent oracle route
-for arbitrary integrands; no production path calls it.  Densities with an
-integrable endpoint singularity x^e, e in (-1,0), are tamed by the
-substitution u = x^(1+e) so the quadrature only ever sees a bounded
-integrand.
+for arbitrary integrands; no production path calls it, and it imports
+scipy.integrate only when it runs.  Densities with an integrable endpoint
+singularity x^e, e in (-1,0), are tamed by the substitution u = x^(1+e)
+so the quadrature only ever sees a bounded integrand.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 from scipy.special import betainc, betaln, xlog1py, xlogy
 from scipy.special import gamma as _gamma_fn
 
@@ -244,7 +243,11 @@ class LambdaMeasure:
 # ----------------------------------------------------------------------
 
 def _quad_vector(g, lo, hi, cfg: QuadratureConfig):
-    val, err = _sci_integrate.quad_vec(
+    # imported here, so that only a process that runs the quadrature
+    # oracle pays for loading it
+    from scipy import integrate
+
+    val, err = integrate.quad_vec(
         g, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
         limit=min(cfg.max_subdivisions, 10_000), norm="max",
     )

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.special import gammaln
@@ -79,6 +80,8 @@ class RateKernel:
     """
 
     def __init__(self, measure_: LambdaMeasure, b_max: int = 256):
+        if not (isinstance(b_max, Integral) and b_max >= 2):
+            raise ValueError(f"b_max must be an integer >= 2, got {b_max!r}")
         self.measure = measure_
         # index b -> value; entries 0 and 1 are 0 by convention
         self._lam = self._gam = np.zeros(2)

@@ -753,7 +753,8 @@ def test_canonical_json_rejects_non_finite():
             cli._canonical_json({"x": [bad]})
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "pydantic"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate",
+                                    "pydantic"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
     r = run_python("-c", "import sys, spatial_coalescent.cli; "
                    f"print({module!r} in sys.modules)")

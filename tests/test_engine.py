@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,59 @@ def test_distance_ground_set_mismatch():
     b = LabeledPartition([{1}, {2}], [0, 0], n=2)
     with pytest.raises(GroundSetMismatch):
         partition_distance(a, b)
+
+
+@pytest.mark.parametrize("case", ["at", "per-site"])
+def test_singleton_start_equals_explicit_partition(case):
+    geo = complete_graph(3)
+    if case == "at":
+        start, labels = singletons_at([2, 0, 2, 1, 0]), [2, 0, 2, 1, 0]
+    else:
+        start, labels = singletons_per_site(geo, 2), [0, 0, 1, 1, 2, 2]
+    n = len(labels)
+    explicit = LabeledPartition([{e} for e in range(1, n + 1)], labels, n=n)
+    # the layout first, while the singleton start has built no block
+    lazy_layout = start.start_layout(geo.size)
+    assert "blocks" not in vars(start)
+    for name, lazy, full in zip(lazy_layout._fields, lazy_layout,
+                                explicit.start_layout(geo.size)):
+        assert tuple(lazy) == tuple(full), name
+    assert start.block_count() == explicit.block_count() == n
+    assert start.n == explicit.n
+    assert start == explicit and hash(start) == hash(explicit)
+    assert start.blocks == explicit.blocks
+    assert start.ground == explicit.ground == frozenset(range(1, n + 1))
+    assert start.restrict_to({2, 3, 5}) == explicit.restrict_to({2, 3, 5})
+
+
+def test_counts_only_run_builds_no_block(kingman):
+    start = singletons_per_site(complete_graph(2), 4)
+    simulate(start, SimulationConfig(kernel=kingman, geography=complete_graph(2),
+                                     seed=1, stop_when_absorbed=True,
+                                     record_events=False, track_elements=False))
+    assert "blocks" not in vars(start)
+
+
+@pytest.mark.parametrize("sites", [[0, 3], [-1, 0], [0, CEMETERY]],
+                         ids=["past-last", "negative", "cemetery"])
+def test_singleton_start_off_the_geography_raises(kingman, sites):
+    with pytest.raises(ValueError, match="not a site"):
+        simulate(singletons_at(sites), SimulationConfig(
+            kernel=kingman, geography=complete_graph(3), seed=1, horizon=1.0))
+
+
+def test_singleton_start_on_a_large_torus_stays_small():
+    # 17^3 sites x 10 blocks: a frozenset per block peaks at about 31 MB
+    geo = build_torus(8, simple_walk(3))
+    tracemalloc.start()
+    try:
+        start = singletons_per_site(geo, 10)
+        start.start_layout(geo.size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert start.block_count() == 49_130
+    assert peak < 8e6, peak
 
 
 @st.composite
@@ -292,6 +346,26 @@ def test_config_rejects_values_that_cannot_stop_or_probe(kingman, field, value,
     with pytest.raises(ValueError, match=needle):
         SimulationConfig(kernel=kingman, geography=single_site(),
                          **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("event_budget", math.nan), ("event_budget", math.inf),
+    ("event_budget", 2.5), ("stop_blocks_at_most", math.nan),
+    ("stop_blocks_at_most", math.inf), ("stop_blocks_at_most", 2.5),
+    ("stop_blocks_at_most", 0), ("b_max", math.nan), ("b_max", 2.5),
+    ("b_max", 1),
+], ids=["budget-nan", "budget-inf", "budget-2.5", "threshold-nan",
+        "threshold-inf", "threshold-2.5", "threshold-0", "b_max-nan",
+        "b_max-2.5", "b_max-1"])
+def test_counts_must_be_integers(kingman, field, value):
+    # unchecked, a NaN budget is never spent, a NaN threshold ends the run
+    # at t = 0 as absorbed, and a NaN b_max builds a table to b = 3
+    with pytest.raises(ValueError, match="integer"):
+        if field == "b_max":
+            RateKernel(LambdaMeasure.unit_atom(0.0), b_max=value)
+        else:
+            SimulationConfig(kernel=kingman, geography=single_site(),
+                             **{field: value})
 
 
 def test_probe_at_time_zero_reports_the_start(kingman):

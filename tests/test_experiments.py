@@ -181,6 +181,44 @@ def test_stay_infinite_trend_one_replica_has_no_std_error(kingman):
                for _mean, se in per_t.values())
 
 
+# every experiment entry point, called with small valid arguments
+# otherwise; `bad` holds the replicas or kappa_value under test
+_ENTRY_POINTS = {
+    "tnk": lambda k, bad: estimate_Tnk(
+        2, 2, complete_graph(2), k, seed=1, **bad),
+    "trend": lambda k, bad: stay_infinite_trend(
+        k, complete_graph(2), [2], 0.5, seed=1, **bad),
+    "pairwise": lambda k, bad: pairwise_torus_experiment(
+        2, simple_walk(3), k, seed=1, **bad),
+    "block-count": lambda k, bad: block_count_limit_experiment(
+        1, simple_walk(3), k, 1, [0.5], seed=1, **bad),
+    "structure": lambda k, bad: partition_structure_experiment(
+        2, simple_walk(3), k, 3, seed=1, **bad),
+    "few-block": lambda k, bad: few_block_torus_sample(
+        2, simple_walk(3), k, [[0, 0, 0], [2, 0, 0]], seed=1, **bad),
+    "coupling": lambda k, bad: class_coupling_check(
+        single_site(), k, [[1, 2]], t=1.0, seed=1, **bad),
+    "decay": lambda k, bad: block_decay_shape(
+        k, simple_walk(3), [1], [0.5], seed=1, **bad),
+}
+_KAPPA_TAKERS = ("pairwise", "block-count", "structure")
+
+
+@pytest.mark.parametrize("entry, bad", [
+    *((e, {"replicas": r}) for e in _ENTRY_POINTS
+      for r in (0, math.nan, 2.5)),
+    *((e, {"kappa_value": kv}) for e in _KAPPA_TAKERS
+      for kv in (-1.0, 0.0, math.inf, math.nan)),
+], ids=lambda v: (v if isinstance(v, str)
+                  else "-".join(f"{k}={x}" for k, x in v.items())))
+def test_experiments_reject_bad_replicas_and_kappa(kingman, entry, bad):
+    # unchecked, kappa -1 gives a KS statistic of 4173.6, kappa 0 a
+    # ZeroDivisionError, kappa inf a KS statistic of 1.0, and a NaN replica
+    # count a TypeError
+    with pytest.raises(ValueError, match="replicas|kappa"):
+        _ENTRY_POINTS[entry](kingman, bad)
+
+
 def test_structure_two_blocks_has_no_pair_uniformity(kingman):
     res = partition_structure_experiment(3, simple_walk(3), kingman, 2,
                                          replicas=20, seed=1,
