@@ -350,6 +350,16 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _csv_text(header, rows) -> str:
+    """A header and rows as CSV text, as csv.writer writes them: numbers as
+    str() gives them, lines ended by CRLF."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -500,22 +510,18 @@ def rates(config, **overrides):
     kernel = RateKernel(_build_measure(cfg["measure"]))
     t1 = time.perf_counter()
     b_hi = 64 if cfg["b_max_table"] is None else cfg["b_max_table"]
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["b", "k", "value"])
+    rows = []
     for b in range(2, b_hi + 1):
-        row = kernel.lambda_bk_row(b)
-        for k in range(2, b + 1):
-            w.writerow([b, k, repr(float(row[k - 2]))])
-        w.writerow([b, "lambda", repr(kernel.lambda_total(b))])
-        w.writerow([b, "gamma", repr(kernel.gamma_total(b))])
-    text = buf.getvalue()
+        row = kernel.lambda_bk_row(b).tolist()
+        rows.extend([b, k, row[k - 2]] for k in range(2, b + 1))
+        rows.append([b, "lambda", kernel.lambda_total(b)])
+        rows.append([b, "gamma", kernel.gamma_total(b)])
+    text = _csv_text(["b", "k", "value"], rows)
     t2 = time.perf_counter()
-    rows = text.count("\n") - 1
     click.echo(text, nl=False)
     writer.write_text("rates.csv", text)
-    writer.finish({"b_max": b_hi, "rows": rows},
-                  {"b_max": b_hi, "rows": rows,
+    writer.finish({"b_max": b_hi, "rows": len(rows)},
+                  {"b_max": b_hi, "rows": len(rows),
                    "kernel_build_s": t1 - t0, "table_s": t2 - t1})
 
 
@@ -591,18 +597,15 @@ def _trajectory_jsonl(rec, config_hash, seed) -> str:
 
 
 def _trajectory_csv(rec, n_start: int) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["time", "block_count"])
     count = n_start
-    w.writerow([0.0, count])
+    rows = [[0.0, count]]
     for t, tag, payload in rec.events:
         if tag == "MERGE":
             count -= payload[2] - 1
         elif tag == "KILL":
             count -= 1
-        w.writerow([t, count])
-    return buf.getvalue()
+        rows.append([t, count])
+    return _csv_text(["time", "block_count"], rows)
 
 
 @main.command()
@@ -658,13 +661,16 @@ _EVERY_EXPERIMENT_READS = frozenset({"seed", "measure", "geography",
                                      "experiment", "out_dir"})
 
 
-def _experiment(name, params=_section({}), reads=("replicas",)):
+def _experiment(name, params=_section({}), reads=("replicas",), table=None):
     """Register an experiment whose params pass the check `params`, and
     that reads the top-level fields in `reads` besides those every
     experiment reads; a config that sets any other field away from its
-    default is a config error."""
+    default is a config error.  A run returns the experiment's report dict
+    (see `experiments`); the rows under its `table` key go to the CSV file
+    that `table` names."""
     def deco(fn):
-        _EXPERIMENTS[name] = (params, _EVERY_EXPERIMENT_READS | set(reads), fn)
+        _EXPERIMENTS[name] = (params, _EVERY_EXPERIMENT_READS | set(reads),
+                              fn, table)
         return fn
     return deco
 
@@ -683,18 +689,17 @@ def _torus_walk(cfg: dict) -> tuple[int, WalkSpec]:
     return geo["N"], walk
 
 
+# Each run maps the config to the experiment's arguments and sets its
+# replica default.  It calls the experiment by its module-level name, which
+# a tracer may wrap.
+
 @_experiment("hitting_time", _section({"n": (_int_from(2), _REQUIRED),
-                                        "k": (_int_from(2), 2)}))
+                                        "k": (_int_from(2), 2)}),
+             table="hitting_times.csv")
 def _run_hitting_time(cfg: dict, p: dict, kernel: RateKernel):
-    geo = _build_geography(cfg["geography"])
-    rep = estimate_Tnk(p["n"], p["k"], geo, kernel,
-                       replicas=cfg["replicas"] or 400, seed=cfg["seed"])
-    out = rep.to_dict()
-    bound = _finite_or_null(out["extras"]["uniform_bound"])
-    out["extras"] = {**out["extras"], "uniform_bound": bound}
-    raw = "replica,time\n" + "".join(
-        f"{i},{v!r}\n" for i, v in enumerate(rep.per_replica))
-    return {**out, "stats": rep.stats}, raw, "hitting_times.csv"
+    return estimate_Tnk(p["n"], p["k"], _build_geography(cfg["geography"]),
+                        kernel, replicas=cfg["replicas"] or 400,
+                        seed=cfg["seed"])
 
 
 @_experiment("trend", _section({
@@ -704,37 +709,27 @@ def _run_hitting_time(cfg: dict, p: dict, kernel: RateKernel):
     "t_probe": (_number_or_list(_POS_NUMBER), 0.5),
 }), reads=("replicas", "killing"))
 def _run_trend(cfg: dict, p: dict, kernel: RateKernel):
-    geo = _build_geography(cfg["geography"])
-    res = stay_infinite_trend(kernel, geo, p["n_grid"], p["t_probe"],
-                              replicas=cfg["replicas"] or 200,
-                              seed=cfg["seed"], killing=cfg["killing"])
-    report = {"growth_exponent": res["growth_exponent"],
-              "probes": list(res["probes"]),
-              "per_n": {str(n): {str(t): list(v) for t, v in d.items()}
-                        for n, d in res["per_n"].items()},
-              "stats": res["stats"]}
-    return report, None, None
+    return stay_infinite_trend(kernel, _build_geography(cfg["geography"]),
+                               p["n_grid"], p["t_probe"],
+                               replicas=cfg["replicas"] or 200,
+                               seed=cfg["seed"], killing=cfg["killing"])
 
 
 _KAPPA_VALUE = (_or_none(_POS_NUMBER), None)
 
 
 @_experiment("pairwise", _section({"separation": (_or_none(_list(_INT)), None),
-                                   "kappa_value": _KAPPA_VALUE}))
+                                   "kappa_value": _KAPPA_VALUE}),
+             table="pairwise_times.csv")
 def _run_pairwise(cfg: dict, p: dict, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
     if p["separation"] is not None and len(p["separation"]) != walk.dimension:
         raise _ConfigError(
             [f"experiment.params.separation: needs {walk.dimension} entries"])
-    comp = pairwise_torus_experiment(
+    return pairwise_torus_experiment(
         N, walk, kernel,
         replicas=cfg["replicas"] or 2000, seed=cfg["seed"],
         separation=p["separation"], kappa_value=p["kappa_value"])
-    times = comp.extras.pop("rescaled_times")
-    stats = comp.extras.pop("stats")
-    raw = "replica,rescaled_time\n" + "".join(
-        f"{i},{v!r}\n" for i, v in enumerate(times))
-    return {**comp.to_dict(), "stats": stats}, raw, "pairwise_times.csv"
 
 
 @_experiment("block_count", _section({
@@ -742,36 +737,24 @@ def _run_pairwise(cfg: dict, p: dict, kernel: RateKernel):
                      lambda t: all(a < b for a, b in zip(t, t[1:])),
                      "times must increase"), [0.5, 1.0]),
     "kappa_value": _KAPPA_VALUE,
-}), reads=("replicas", "event_budget", "n_per_site"))
+}), reads=("replicas", "event_budget", "n_per_site"),
+    table="block_counts.csv")
 def _run_block_count(cfg: dict, p: dict, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
-    res = block_count_limit_experiment(
+    return block_count_limit_experiment(
         N, walk, kernel, cfg["n_per_site"] or 10, p["times"],
         replicas=cfg["replicas"] or 500, seed=cfg["seed"],
-        kappa_value=p["kappa_value"],
-        event_budget=cfg["event_budget"])
-    samples = res.pop("samples")
-    report = {"kappa": res["kappa"],
-              "joint_chi2_pvalue": res["joint_chi2_pvalue"],
-              "per_time": [c.to_dict() for c in res["per_time"]],
-              "stats": res.pop("stats")}
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["replica"] + [f"count_t{j}" for j in range(samples.shape[1])])
-    for i, row in enumerate(samples):
-        w.writerow([i] + [int(v) for v in row])
-    return report, buf.getvalue(), "block_counts.csv"
+        kappa_value=p["kappa_value"], event_budget=cfg["event_budget"])
 
 
 @_experiment("structure", _section({"n_blocks": (_int_from(2), _REQUIRED),
                                     "kappa_value": _KAPPA_VALUE}))
 def _run_structure(cfg: dict, p: dict, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
-    res = partition_structure_experiment(
+    return partition_structure_experiment(
         N, walk, kernel,
         p["n_blocks"], replicas=cfg["replicas"] or 3000, seed=cfg["seed"],
         kappa_value=p["kappa_value"])
-    return res, None, None
 
 
 def _covers_one_to_n(p):
@@ -784,27 +767,24 @@ def _covers_one_to_n(p):
     "t": (_POS_NUMBER, 1.0),
 }), _covers_one_to_n, "class_split must cover 1..n"))
 def _run_coupling(cfg: dict, p: dict, kernel: RateKernel):
-    geo = _build_geography(cfg["geography"])
-    res = class_coupling_check(geo, kernel, p["class_split"], p["t"],
-                               replicas=cfg["replicas"] or 100,
-                               seed=cfg["seed"])
-    return res, None, None
+    return class_coupling_check(_build_geography(cfg["geography"]), kernel,
+                                p["class_split"], p["t"],
+                                replicas=cfg["replicas"] or 100,
+                                seed=cfg["seed"])
 
 
 @_experiment("decay_shape", _section({
     "N_values": (_nonempty(_list(_POS_INT)), _REQUIRED),
     "t_grid": (_nonempty(_list(_POS_NUMBER)), _REQUIRED)}))
 def _run_decay_shape(cfg: dict, p: dict, kernel: RateKernel):
-    walk = _build_walk(cfg["geography"]["walk"])
-    res = block_decay_shape(kernel, walk, p["N_values"], p["t_grid"],
-                            replicas=cfg["replicas"] or 50, seed=cfg["seed"])
-    return res, None, None
+    return block_decay_shape(kernel, _build_walk(cfg["geography"]["walk"]),
+                             p["N_values"], p["t_grid"],
+                             replicas=cfg["replicas"] or 50, seed=cfg["seed"])
 
 
 @_experiment("kappa", reads=())
 def _run_kappa(cfg: dict, _p, kernel: RateKernel):
-    walk = _build_walk(cfg["geography"]["walk"])
-    return torus_kappa(walk, kernel), None, None
+    return torus_kappa(_build_walk(cfg["geography"]["walk"]), kernel)
 
 
 @main.command()
@@ -821,18 +801,19 @@ def experiment(config, **overrides):
             [f"experiment: unknown name {name!r}; "
              f"known: {sorted(_EXPERIMENTS)}"])
     _require(cfg, "experiment", "measure", "geography")
-    params_check, reads, runner = entry
+    params_check, reads, runner, table_name = entry
     _reject_unread(cfg, reads, f"experiment {name!r}")
     params = _validate(params_check, cfg["experiment"]["params"],
                        "experiment", "params")
     t0 = time.perf_counter()
     kernel = RateKernel(_build_measure(cfg["measure"]))
     t1 = time.perf_counter()
-    report, raw, raw_name = runner(cfg, params, kernel)
+    report = runner(cfg, params, kernel)
     t2 = time.perf_counter()
     stats = {"kernel_build_s": t1 - t0, "run_s": t2 - t1,
              **report.pop("stats", {})}
-    if raw is not None:
-        writer.write_text(raw_name, raw)
+    table = report.pop("table", None)
+    if table is not None:
+        writer.write_text(table_name, _csv_text(*table))
     report.update(experiment=name, seed=cfg["seed"])
     click.echo(writer.finish(report, stats), nl=False)

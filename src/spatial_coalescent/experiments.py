@@ -7,6 +7,17 @@ raw equality.  Reproducibility contract: a master seed is expanded into
 per-replica streams via numpy's SeedSequence spawn mechanism, so reports
 are deterministic functions of (config, seed).
 
+Every experiment entry point returns one plain dict, its report, ready for
+JSON (a bound that is not finite is None).  Two keys are reserved, and the
+CLI pops them before it writes report.json: `stats`, the run's counters
+and phase seconds, which go to the manifest, and `table`, a (header, rows)
+pair with one row per replica (estimate_Tnk, pairwise_torus_experiment,
+block_count_limit_experiment), which goes to a CSV.  The `kappa`
+experiment reports the torus_kappa record, which has neither key.  Each
+entry point first checks its replica count, its other counts and its kappa
+(_check_run), so that a value the CLI's config check rejects raises
+ValueError here too, not a TypeError or a silent result.
+
 Both few-block torus studies, the first coalescence of two blocks and the
 partition structure of n blocks, run on one vectorized sampler that is
 exact in law but orders of magnitude faster than the general engine:
@@ -44,7 +55,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from numbers import Integral
 
@@ -59,8 +69,6 @@ from .geometry import (WalkSpec, build_torus, check_torus_walk, green_function,
 from .rates import RateKernel, cdi_classify, tn_uniform_bound
 
 __all__ = [
-    "EstimateReport",
-    "DistributionComparison",
     "spawn_seeds",
     "estimate_Tnk",
     "stay_infinite_trend",
@@ -76,72 +84,24 @@ __all__ = [
 ]
 
 
-def _check_run(replicas, kappa_value=None) -> None:
-    """Raise ValueError unless replicas is an integer >= 1 and kappa_value,
-    if given, is finite and positive (each check fails on NaN)."""
-    if not (isinstance(replicas, Integral) and replicas >= 1):
-        raise ValueError(f"replicas must be an integer >= 1, got {replicas!r}")
+def _check_run(replicas, kappa_value=None, **counts) -> None:
+    """Raise ValueError unless replicas is an integer >= 1, kappa_value, if
+    given, is finite and positive, and each of `counts`, a name mapped to a
+    (value, least value) pair, is an integer of at least that value (each
+    check fails on NaN)."""
+    for name, (value, least) in {"replicas": (replicas, 1), **counts}.items():
+        if not (isinstance(value, Integral) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, "
+                             f"got {value!r}")
     if kappa_value is not None and not 0.0 < kappa_value < math.inf:
-        raise ValueError(f"kappa must be finite and positive, got {kappa_value!r}")
+        raise ValueError(f"kappa_value must be finite and positive, "
+                         f"got {kappa_value!r}")
 
 
 def spawn_seeds(master_seed: int, count: int) -> list[int]:
     """Per-replica seeds from one master seed (splittable, documented)."""
     seq = np.random.SeedSequence(master_seed)
     return [int(child.generate_state(1)[0]) for child in seq.spawn(count)]
-
-
-@dataclass
-class EstimateReport:
-    point_estimate: float
-    std_error: float
-    replicas: int
-    confidence: float = 0.95
-    extras: dict = field(default_factory=dict)
-    per_replica: list = field(default_factory=list)
-    # run counters for the manifest, never in to_dict()
-    stats: dict = field(default_factory=dict)
-
-    def confidence_interval(self):
-        z = special.ndtri(0.5 + self.confidence / 2.0)
-        return (self.point_estimate - z * self.std_error,
-                self.point_estimate + z * self.std_error)
-
-    def to_dict(self):
-        lo, hi = self.confidence_interval()
-        return {
-            "point_estimate": self.point_estimate,
-            "std_error": self.std_error,
-            "replicas": self.replicas,
-            "confidence": self.confidence,
-            "ci": [lo, hi],
-            "extras": self.extras,
-        }
-
-
-@dataclass
-class DistributionComparison:
-    """An empirical law against a reference law: `pairwise` gives the KS
-    statistic and p-value of its rescaled times against Exp(kappa), and
-    `block_count` the total variation distance at one time."""
-    empirical: dict
-    reference: dict
-    ks_stat: float | None
-    tv_distance: float | None
-    ks_pvalue: float | None
-    sample_size: int
-    extras: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "empirical": {str(k): v for k, v in self.empirical.items()},
-            "reference": {str(k): v for k, v in self.reference.items()},
-            "ks_stat": self.ks_stat,
-            "tv_distance": self.tv_distance,
-            "ks_pvalue": self.ks_pvalue,
-            "sample_size": self.sample_size,
-            "extras": self.extras,
-        }
 
 
 def _add_engine_stats(stats: dict, rec) -> None:
@@ -282,37 +242,50 @@ def _kolmogorov_sf(n: int, x: float) -> float:
 # hitting times T_n^(k)
 # ----------------------------------------------------------------------
 
+# the level of estimate_Tnk's normal confidence interval
+_CONFIDENCE = 0.95
+
+
 def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
-                 replicas: int = 400, seed: int = 0) -> EstimateReport:
+                 replicas: int = 400, seed: int = 0) -> dict:
     """Mean time until at most k blocks per site remain, starting from n
-    singletons per site; compared against the uniform upper bound.  `stats`
-    holds the engine counters of _replica_runs."""
-    _check_run(replicas)
-    if n < 2 or k < 2:
-        raise ValueError("need n, k >= 2")
+    singletons per site, with its standard error and normal confidence
+    interval `ci`; compared against the uniform upper bound, None where no
+    finite bound exists.  `table` holds each replica's time, `stats` the
+    engine counters of _replica_runs."""
+    _check_run(replicas, n=(n, 2), k=(k, 2))
     stats = {}
     times = [rec.final_time for rec in _replica_runs(
         singletons_per_site(geography, n), geography, kernel, seed, replicas,
         stats, stop_blocks_at_most=k * geography.size)]
     arr = np.asarray(times)
+    mean = float(arr.mean())
     se = float(arr.std(ddof=1)) / math.sqrt(replicas) if replicas > 1 else 0.0
+    z = float(special.ndtri(0.5 + _CONFIDENCE / 2.0))
+    bound = tn_uniform_bound(kernel, k=k, b_max=10_000)
     verdict = cdi_classify(kernel, b_max=1000)
-    extras = {
-        "uniform_bound": tn_uniform_bound(kernel, k=k, b_max=10_000),
-        "verdict": verdict.verdict,
-    }
+    extras = {"uniform_bound": None if bound == math.inf else bound,
+              "verdict": verdict.verdict}
     if verdict.verdict != "COMES_DOWN":
         extras["warning"] = "STAYS_INFINITE_WARNING"
-    return EstimateReport(float(arr.mean()), se, replicas, extras=extras,
-                          per_replica=times, stats=stats)
+    return {"point_estimate": mean, "std_error": se, "replicas": replicas,
+            "confidence": _CONFIDENCE, "ci": [mean - z * se, mean + z * se],
+            "extras": extras, "stats": stats,
+            "table": (["replica", "time"], list(enumerate(times)))}
 
 
 def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
                         replicas: int = 200, seed: int = 0,
                         killing: bool = False) -> dict:
-    """E[#blocks(t_probe)] against n for diverging-count diagnosis; `stats`
+    """E[#blocks(t_probe)] against n for diverging-count diagnosis: `per_n`
+    maps each n of n_grid (2 or more distinct sizes) to {probe time:
+    (mean, standard error)}, the error None from one replica.  `stats`
     holds the engine counters of _replica_runs over every n."""
-    _check_run(replicas)
+    _check_run(replicas, **{f"n_grid[{i}]": (n, 1)
+                            for i, n in enumerate(n_grid)})
+    if len(set(n_grid)) < 2:
+        raise ValueError(f"n_grid must hold 2 or more distinct sizes, "
+                         f"got {n_grid!r}")
     probes = tuple(t_probe) if hasattr(t_probe, "__iter__") else (t_probe,)
     horizon = max(probes)
     results, stats = {}, {}
@@ -471,12 +444,13 @@ def torus_kappa(walk: WalkSpec, kernel: RateKernel) -> dict:
 def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                               replicas: int = 2000, seed: int = 0,
                               separation=None,
-                              kappa_value: float | None = None) -> DistributionComparison:
+                              kappa_value: float | None = None) -> dict:
     """Rescaled first-coalescence time of two blocks, at the origin and at
-    `separation` (default N e_1), vs Exp(kappa).  The times are the first
-    merges of few_block_torus_sample with two blocks; extras["stats"] holds
-    its counters."""
-    _check_run(replicas, kappa_value)
+    `separation` (default N e_1), vs Exp(kappa): the KS statistic and its
+    p-value.  The times are the first merges of few_block_torus_sample with
+    two blocks; `table` holds each replica's, `stats` the sampler's
+    counters."""
+    _check_run(replicas, kappa_value, N=(N, 1))
     d = walk.dimension
     kappa_info = None
     if kappa_value is None:
@@ -489,17 +463,17 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     times = np.array([log[0][0] for log in logs])
     rescaled = times / (2 * N + 1) ** d
     ks_stat, ks_p = _ks_expon(rescaled, 1.0 / kappa_value)
-    return DistributionComparison(
-        empirical={}, reference={}, ks_stat=ks_stat,
-        tv_distance=None, ks_pvalue=ks_p, sample_size=replicas,
-        extras={
-            "kappa": kappa_value,
-            "fitted_rate": 1.0 / float(np.mean(rescaled)),
-            "mean_rescaled_time": float(np.mean(rescaled)),
-            "kappa_info": kappa_info or {},
-            "rescaled_times": rescaled,
+    mean = float(np.mean(rescaled))
+    # the pairwise report and each block-count comparison share one layout,
+    # so empirical, reference and tv_distance are empty here
+    return {"empirical": {}, "reference": {}, "ks_stat": ks_stat,
+            "tv_distance": None, "ks_pvalue": ks_p, "sample_size": replicas,
+            "extras": {"kappa": kappa_value, "fitted_rate": 1.0 / mean,
+                       "mean_rescaled_time": mean,
+                       "kappa_info": kappa_info or {}},
             "stats": stats,
-        })
+            "table": (["replica", "rescaled_time"],
+                      list(enumerate(rescaled.tolist())))}
 
 
 # ----------------------------------------------------------------------
@@ -512,10 +486,11 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                                  kappa_value: float | None = None,
                                  event_budget: int | None = None) -> dict:
     """Empirical law of the block count at rescaled times vs the exact
-    Kingman entrance law at kappa*t; plus a two-time joint comparison
-    against the exact two-time law.  `stats` holds the wall time of each
-    phase and the engine counters of _replica_runs."""
-    _check_run(replicas, kappa_value)
+    Kingman entrance law at kappa*t, by total variation (`per_time`); plus
+    a two-time joint comparison against the exact two-time law.  `table`
+    holds each replica's counts, `stats` the wall time of each phase and
+    the engine counters of _replica_runs."""
+    _check_run(replicas, kappa_value, N=(N, 1), n_per_site=(n_per_site, 1))
     check_torus_walk(N, walk)
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must increase")
@@ -544,19 +519,20 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
             samples[i, j] = c
     t2 = time.perf_counter()
 
+    # in the layout of the pairwise report, with no KS test
     comparisons = []
     for j, t in enumerate(times):
         ref = kingman_entrance_reference(kappa_value * float(t))
         emp = _counts_to_dist(samples[:, j])
-        comparisons.append(DistributionComparison(
-            empirical=emp, reference=ref, ks_stat=None,
-            tv_distance=_tv(emp, ref), ks_pvalue=None,
-            sample_size=replicas, extras={"t": float(t)}))
+        comparisons.append({"empirical": emp, "reference": ref,
+                            "ks_stat": None, "tv_distance": _tv(emp, ref),
+                            "ks_pvalue": None, "sample_size": replicas,
+                            "extras": {"t": float(t)}})
 
     joint_p = None
     if len(times) >= 2:
         gap = kappa_value * float(times[1]) - kappa_value * float(times[0])
-        joint = kingman_entrance_joint_law(comparisons[0].reference, gap)
+        joint = kingman_entrance_joint_law(comparisons[0]["reference"], gap)
         joint_p = _joint_chi2(samples[:, :2], joint)
     t3 = time.perf_counter()
 
@@ -564,9 +540,10 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
         "kappa": kappa_value,
         "per_time": comparisons,
         "joint_chi2_pvalue": joint_p,
-        "samples": samples,
         "stats": {"kappa_s": t1 - t0, "sampling_s": t2 - t1,
                   "reference_s": t3 - t2, **engine_stats},
+        "table": (["replica"] + [f"count_t{j}" for j in range(len(times))],
+                  [[i, *row] for i, row in enumerate(samples.tolist())]),
     }
 
 
@@ -936,7 +913,7 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     """Three marginals of the few-block limit: inter-coalescence times,
     uniformity of the merging pair, and the binary-merge fraction.  `stats`
     holds the counters of few_block_torus_sample."""
-    _check_run(replicas, kappa_value)
+    _check_run(replicas, kappa_value, N=(N, 1), n_blocks=(n_blocks, 2))
     d = walk.dimension
     vol = (2 * N + 1) ** d
     if kappa_value is None:
@@ -1034,7 +1011,8 @@ def block_decay_shape(kernel: RateKernel, walk: WalkSpec, N_values, t_grid,
     """sup over a (t, N) grid of E[#blocks(t)] * t / #blocks(0); bounded for
     coalescents that come down uniformly.  `stats` holds the engine
     counters of _replica_runs over every N."""
-    _check_run(replicas)
+    _check_run(replicas, **{f"N_values[{i}]": (N, 1)
+                            for i, N in enumerate(N_values)})
     cells, stats = {}, {}
     probes = tuple(t_grid)
     for N in N_values:

@@ -254,9 +254,9 @@ def test_criterion_05_hitting_time_bound(kingman, verdict_line):
     for geo, label, reps in cases:
         for n in (10, 50, 200):
             rep = estimate_Tnk(n, 2, geo, kingman, replicas=reps, seed=11)
-            _lo, hi = rep.confidence_interval()
-            verdict_line(rep.extras["uniform_bound"] == pytest.approx(bound, abs=1e-3),
-                         f"{label} n={n}: bound {rep.extras['uniform_bound']}")
+            _lo, hi = rep["ci"]
+            verdict_line(rep["extras"]["uniform_bound"] == pytest.approx(bound, abs=1e-3),
+                         f"{label} n={n}: bound {rep['extras']['uniform_bound']}")
             verdict_line(hi < bound,
                          f"{label} n={n}: upper CI {hi:.3f} not below {bound}")
 
@@ -298,7 +298,7 @@ def test_criterion_07_pairwise_scaling(kingman, kappa_info, verdict_line):
         comp = pairwise_torus_experiment(N, simple_walk(3), kingman,
                                          replicas=2000, seed=42,
                                          kappa_value=kappa_info["kappa"])
-        ks[N] = comp.ks_stat
+        ks[N] = comp["ks_stat"]
     verdict_line(ks[8] <= 0.05, f"KS at N=8 is {ks[8]:.4f}")
     verdict_line(ks[4] > ks[6] > ks[8],
                  f"KS not decreasing: {ks[4]:.4f}, {ks[6]:.4f}, {ks[8]:.4f}")
@@ -315,7 +315,7 @@ def test_criterion_08_block_count_limit(kingman, kappa_info, verdict_line):
         res = block_count_limit_experiment(N, simple_walk(3), kingman, 10,
                                            [0.5, 1.0], replicas=500, seed=42,
                                            kappa_value=kappa_info["kappa"])
-        tvs[N] = [c.tv_distance for c in res["per_time"]]
+        tvs[N] = [c["tv_distance"] for c in res["per_time"]]
         if N == 4:
             joint_p = res["joint_chi2_pvalue"]
     for j, t in enumerate((0.5, 1.0)):

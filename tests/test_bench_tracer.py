@@ -8,8 +8,11 @@ on the package.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
+
+from click.testing import CliRunner
 
 import spatial_coalescent.cli as cli
 import spatial_coalescent.engine as engine
@@ -30,7 +33,7 @@ def _load_spans():
     return module
 
 
-def test_tracer_installs_and_restores_on_the_package():
+def test_tracer_installs_and_restores_on_the_package(tmp_path):
     originals = [dict(vars(owner)) for owner in MODULES + CLASSES]
     tracer = _load_spans().Tracer()
     pkg = SimpleNamespace(measure=measure, rates=rates, geometry=geometry,
@@ -41,6 +44,21 @@ def test_tracer_installs_and_restores_on_the_package():
             assert getattr(measure, name).__wrapped__ is originals[0][name]
         assert rates.RateKernel.__dict__["ensure_b"].__wrapped__ is \
             originals[len(MODULES)]["ensure_b"]
+        # the `structure` experiment runs through the name that the tracer
+        # wrapped in cli, so its span records the call
+        structure = originals[MODULES.index(experiments)][
+            "partition_structure_experiment"]
+        assert cli.partition_structure_experiment.__wrapped__ is structure
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 1, "measure": {"atoms": [[0.0, 1.0]]}, "replicas": 2,
+            "geography": {"topology": "torus", "N": 1},
+            "experiment": {"name": "structure",
+                           "params": {"n_blocks": 2, "kappa_value": 0.5}}}))
+        r = CliRunner().invoke(cli.main.__wrapped__,
+                               ["experiment", "--config", str(config)])
+        assert r.exit_code == 0, r.output
+        assert tracer.calls("experiments.structure_stats") == 1
     finally:
         tracer.restore()
     for owner, before in zip(MODULES + CLASSES, originals):

@@ -516,6 +516,20 @@ DECAY_SHAPE_CFG = {"seed": 9, "measure": KINGMAN,
                    "replicas": 5}
 
 
+# sha256 of each config's report.json, pinned when the experiments moved to
+# one result shape: a refactor must leave every report byte-identical
+REPORT_SHA256 = {
+    "hitting_time": "8287277056ec77600c7677c076b027d87251d3885c50ac32ea81b720d3de157f",
+    "block_count": "ace70f4cafeb48ff841e2a6755af68c17b43e8e9c4f147c929e99d197912287d",
+    "structure": "ba4e56764c2e1a8e64c80472ac3ee0d316b34357dfa355c9d28a6db30cc541e0",
+    "pairwise": "3c4870365376d27e5ebf705a7d55fa3d1004bee2e947b15746ea354d5692660a",
+    "kappa": "672779e708f985999f1ed14afbaf8810a3deb7930ee68b802d4b46252636c235",
+    "trend": "ddbaa0a2e19c784d3e36308b847e02d3956feebb20ec4bc5f3a3bbdb3ab2fee4",
+    "coupling": "58a3fa728feffe6fcc48d6e3c140f38ffbade1060401b8029c90cb34fbe4da62",
+    "decay_shape": "bc4a2fbbe04685c7469bcbb1f7161f8fdd8ae4e3dbbeb1b3e867f027210435ce",
+}
+
+
 @pytest.mark.parametrize("cfg, phases", [
     (EXP_CFG, ENGINE_STATS),
     (BLOCK_COUNT_CFG, {"kappa_s", "sampling_s", "reference_s"} | ENGINE_STATS),
@@ -537,7 +551,9 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
         reports.append((out / "report.json").read_bytes())
         manifests.append(json.loads((out / "manifest.json").read_text()))
     assert reports[0] == reports[1]
-    assert "stats" not in json.loads(reports[0])
+    assert (hashlib.sha256(reports[0]).hexdigest()
+            == REPORT_SHA256[cfg["experiment"]["name"]])
+    assert not {"stats", "table"} & set(json.loads(reports[0]))
     stats = manifests[0]["stats"]
     assert set(stats) == {"kernel_build_s", "run_s"} | phases
     assert all(v >= 0.0 for v in stats.values() if not isinstance(v, dict))
@@ -553,6 +569,31 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
         assert stats["chunk_steps"] > 0 and stats["lockstep_events"] > 0
         assert stats["chunk_cuts"] <= stats["chunk_replicas"]
         assert stats["chunk_steps"] <= stats["chunk_cells"]
+
+
+@pytest.mark.parametrize("cfg, name", [
+    (EXP_CFG, "hitting_times.csv"),
+    (PAIRWISE_CFG, "pairwise_times.csv"),
+    (BLOCK_COUNT_CFG, "block_counts.csv"),
+], ids=["hitting_time", "pairwise", "block_count"])
+def test_experiment_tables_hold_plain_numbers(tmp_path, cfg, name):
+    # one row per replica, its index first, every cell a number float()
+    # reads (not a repr such as "np.float64(0.67)")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    r = CliRunner().invoke(cli.main, ["experiment", "--config", str(path),
+                                      "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    assert name in json.loads((out / "manifest.json").read_text())["files"]
+    header, *rows = (out / name).read_text().splitlines()
+    assert header.startswith("replica,")
+    assert [int(row.split(",")[0]) for row in rows] == list(range(cfg["replicas"]))
+    for row in rows:
+        cells = row.split(",")
+        assert len(cells) == header.count(",") + 1
+        for cell in cells:
+            float(cell)
 
 
 def test_green_routes_every_method_the_config_accepts():
@@ -756,6 +797,8 @@ def test_canonical_json_rejects_non_finite():
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate",
                                     "pydantic"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
+    # cli imports every module of the package, geometry too, whose BESSEL
+    # rule is numpy alone: scipy.integrate costs about 26 MB
     r = run_python("-c", "import sys, spatial_coalescent.cli; "
                    f"print({module!r} in sys.modules)")
     assert r.returncode == 0, r.stderr

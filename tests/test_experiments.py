@@ -165,13 +165,15 @@ def test_chisquare_p_is_scipy_chisquare():
         experiments._chisquare_p(obs, [x + 0.5 for x in exp])
 
 
-def test_confidence_quantile_is_norm_ppf():
+def test_confidence_quantile_is_norm_ppf(kingman):
     for conf in (0.5, 0.9, 0.95, 0.99):
         assert special.ndtri(0.5 + conf / 2.0) == sp_stats.norm.ppf(
             0.5 + conf / 2.0)
-    rep = experiments.EstimateReport(1.0, 0.1, 10)
+    rep = estimate_Tnk(3, 2, single_site(), kingman, replicas=10, seed=1)
+    mean, se = rep["point_estimate"], rep["std_error"]
+    assert se > 0.0 and rep["confidence"] == 0.95
     z = sp_stats.norm.ppf(0.975)
-    assert rep.confidence_interval() == (1.0 - z * 0.1, 1.0 + z * 0.1)
+    assert rep["ci"] == [mean - z * se, mean + z * se]
 
 
 def test_stay_infinite_trend_one_replica_has_no_std_error(kingman):
@@ -181,25 +183,24 @@ def test_stay_infinite_trend_one_replica_has_no_std_error(kingman):
                for _mean, se in per_t.values())
 
 
-# every experiment entry point, called with small valid arguments
-# otherwise; `bad` holds the replicas or kappa_value under test
+# every experiment entry point and its small valid arguments besides the
+# kernel and the seed; `bad` replaces the argument under test
 _ENTRY_POINTS = {
-    "tnk": lambda k, bad: estimate_Tnk(
-        2, 2, complete_graph(2), k, seed=1, **bad),
-    "trend": lambda k, bad: stay_infinite_trend(
-        k, complete_graph(2), [2], 0.5, seed=1, **bad),
-    "pairwise": lambda k, bad: pairwise_torus_experiment(
-        2, simple_walk(3), k, seed=1, **bad),
-    "block-count": lambda k, bad: block_count_limit_experiment(
-        1, simple_walk(3), k, 1, [0.5], seed=1, **bad),
-    "structure": lambda k, bad: partition_structure_experiment(
-        2, simple_walk(3), k, 3, seed=1, **bad),
-    "few-block": lambda k, bad: few_block_torus_sample(
-        2, simple_walk(3), k, [[0, 0, 0], [2, 0, 0]], seed=1, **bad),
-    "coupling": lambda k, bad: class_coupling_check(
-        single_site(), k, [[1, 2]], t=1.0, seed=1, **bad),
-    "decay": lambda k, bad: block_decay_shape(
-        k, simple_walk(3), [1], [0.5], seed=1, **bad),
+    "tnk": (estimate_Tnk, dict(n=2, k=2, geography=complete_graph(2))),
+    "trend": (stay_infinite_trend, dict(geography=complete_graph(2),
+                                        n_grid=[2, 4], t_probe=0.5)),
+    "pairwise": (pairwise_torus_experiment, dict(N=2, walk=simple_walk(3))),
+    "block-count": (block_count_limit_experiment,
+                    dict(N=1, walk=simple_walk(3), n_per_site=1, times=[0.5])),
+    "structure": (partition_structure_experiment,
+                  dict(N=2, walk=simple_walk(3), n_blocks=3)),
+    "few-block": (few_block_torus_sample,
+                  dict(N=2, walk=simple_walk(3),
+                       start_positions=[[0, 0, 0], [2, 0, 0]])),
+    "coupling": (class_coupling_check,
+                 dict(geography=single_site(), class_split=[[1, 2]], t=1.0)),
+    "decay": (block_decay_shape,
+              dict(walk=simple_walk(3), N_values=[1], t_grid=[0.5])),
 }
 _KAPPA_TAKERS = ("pairwise", "block-count", "structure")
 
@@ -209,14 +210,28 @@ _KAPPA_TAKERS = ("pairwise", "block-count", "structure")
       for r in (0, math.nan, 2.5)),
     *((e, {"kappa_value": kv}) for e in _KAPPA_TAKERS
       for kv in (-1.0, 0.0, math.inf, math.nan)),
+    # the counts the CLI's config check holds to integers of a least value
+    *(("tnk", {name: v}) for name in ("n", "k") for v in (1, 2.5, math.nan)),
+    ("trend", {"n_grid": [0, 4]}),
+    ("trend", {"n_grid": [2, 2.5]}),
+    ("trend", {"n_grid": [4, 4]}),
+    ("block-count", {"n_per_site": 0}),
+    ("block-count", {"n_per_site": 2.5}),
+    ("structure", {"n_blocks": 1}),
+    ("structure", {"n_blocks": 2.5}),
+    *((e, {"N": v}) for e in _KAPPA_TAKERS for v in (0, 2.5)),
+    ("decay", {"N_values": [1, 2.5]}),
 ], ids=lambda v: (v if isinstance(v, str)
                   else "-".join(f"{k}={x}" for k, x in v.items())))
 def test_experiments_reject_bad_replicas_and_kappa(kingman, entry, bad):
     # unchecked, kappa -1 gives a KS statistic of 4173.6, kappa 0 a
-    # ZeroDivisionError, kappa inf a KS statistic of 1.0, and a NaN replica
-    # count a TypeError
-    with pytest.raises(ValueError, match="replicas|kappa"):
-        _ENTRY_POINTS[entry](kingman, bad)
+    # ZeroDivisionError, kappa inf a KS statistic of 1.0, a NaN replica
+    # count or n a TypeError, n_grid [0, 4] a growth exponent of 0.0 and
+    # n_per_site 0 an empirical law of {0: 1.0}
+    fn, args = _ENTRY_POINTS[entry]
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        fn(kernel=kingman, seed=1, **{**args, **bad})
 
 
 def test_structure_two_blocks_has_no_pair_uniformity(kingman):
@@ -231,25 +246,26 @@ def test_structure_two_blocks_has_no_pair_uniformity(kingman):
 
 def test_hitting_time_zero_when_already_there(kingman):
     rep = estimate_Tnk(2, 2, complete_graph(3), kingman, replicas=10, seed=1)
-    assert rep.point_estimate == 0.0
-    assert rep.std_error == 0.0
+    assert rep["point_estimate"] == 0.0
+    assert rep["std_error"] == 0.0
 
 
 def test_hitting_time_single_site_oracle(kingman):
     # from 100 singletons to 2 blocks: sum_{b=3}^{100} 2/(b(b-1)) = 0.98
     rep = estimate_Tnk(100, 2, single_site(), kingman, replicas=1500, seed=3)
     oracle = 2 * (1 / 2 - 1 / 100)
-    assert abs(rep.point_estimate - oracle) <= 3 * rep.std_error
-    lo, hi = rep.confidence_interval()
-    assert lo <= rep.point_estimate <= hi
-    assert rep.extras["uniform_bound"] == pytest.approx(4.0, abs=1e-3)
+    assert abs(rep["point_estimate"] - oracle) <= 3 * rep["std_error"]
+    lo, hi = rep["ci"]
+    assert lo <= rep["point_estimate"] <= hi
+    assert rep["extras"]["uniform_bound"] == pytest.approx(4.0, abs=1e-3)
 
 
 def test_hitting_time_warns_when_staying_infinite():
     leb = RateKernel(LambdaMeasure.lebesgue())
     rep = estimate_Tnk(5, 2, single_site(), leb, replicas=20, seed=2)
-    assert rep.extras.get("warning") == "STAYS_INFINITE_WARNING"
-    assert rep.extras["uniform_bound"] == math.inf
+    assert rep["extras"].get("warning") == "STAYS_INFINITE_WARNING"
+    # no finite bound exists, and report.json holds no infinity
+    assert rep["extras"]["uniform_bound"] is None
 
 
 def test_stay_infinite_trend_lebesgue_grows():
@@ -380,8 +396,8 @@ def test_pairwise_same_site_start_is_faster(kingman):
                                            seed=11, separation=start,
                                            kappa_value=KAPPA_D3_UNIT)
                  for start in ([4, 0, 0], [0, 0, 0]))
-    assert (same.extras["mean_rescaled_time"]
-            < sep.extras["mean_rescaled_time"])
+    assert (same["extras"]["mean_rescaled_time"]
+            < sep["extras"]["mean_rescaled_time"])
 
 
 def test_pairwise_rate_increases_with_pair_mass():
@@ -392,15 +408,15 @@ def test_pairwise_rate_increases_with_pair_mass():
                                    kappa_value=KAPPA_D3_UNIT)
     c2 = pairwise_torus_experiment(4, w, doubled, replicas=600, seed=13,
                                    kappa_value=KAPPA_D3_UNIT)
-    assert c2.extras["fitted_rate"] > c1.extras["fitted_rate"]
+    assert c2["extras"]["fitted_rate"] > c1["extras"]["fitted_rate"]
 
 
 def test_pairwise_ks_reasonable_at_small_n(kingman):
     comp = pairwise_torus_experiment(4, simple_walk(3), kingman,
                                      replicas=800, seed=17,
                                      kappa_value=KAPPA_D3_UNIT)
-    assert comp.ks_stat < 0.08
-    assert comp.sample_size == 800
+    assert comp["ks_stat"] < 0.08
+    assert comp["sample_size"] == 800
 
 
 @pytest.fixture()
@@ -423,11 +439,11 @@ def test_torus_experiments_take_kappa_from_bessel_for_axis_walks(kingman,
                                          replicas=20, seed=1)
     assert green_routes == ["BESSEL", "BESSEL"]
     exact = kappa(1.5163860591519809, 1.0)
-    assert comp.extras["kappa"] == pytest.approx(exact, rel=1e-13)
-    assert comp.extras["kappa_info"]["G_method"] == "BESSEL"
-    assert comp.extras["kappa_info"]["G"] == pytest.approx(
+    assert comp["extras"]["kappa"] == pytest.approx(exact, rel=1e-13)
+    assert comp["extras"]["kappa_info"]["G_method"] == "BESSEL"
+    assert comp["extras"]["kappa_info"]["G"] == pytest.approx(
         1.5163860591519809, rel=1e-13)
-    assert res["kappa"] == comp.extras["kappa"]
+    assert res["kappa"] == comp["extras"]["kappa"]
 
 
 def test_torus_experiments_take_kappa_from_lattice_sum_for_other_walks(
@@ -435,8 +451,8 @@ def test_torus_experiments_take_kappa_from_lattice_sum_for_other_walks(
     g, _err = green_function(DIAGONAL, "CUBATURE")
     exact = kappa(g, kingman.lambda_bk(2, 2))
     comp = pairwise_torus_experiment(2, DIAGONAL, kingman, replicas=20, seed=1)
-    assert comp.extras["kappa_info"]["G_method"] == "CUBATURE"
-    assert comp.extras["kappa"] == exact
+    assert comp["extras"]["kappa_info"]["G_method"] == "CUBATURE"
+    assert comp["extras"]["kappa"] == exact
     res = partition_structure_experiment(2, DIAGONAL, kingman, 2,
                                          replicas=20, seed=1)
     assert res["kappa"] == exact
@@ -453,8 +469,8 @@ def test_drifted_walk_takes_kappa_from_its_symmetrization(kingman,
     comp = pairwise_torus_experiment(2, DRIFTED, kingman, replicas=20, seed=1)
     assert green_routes == ["BESSEL"]
     g, _err = green_function(DRIFTED.symmetrized(), "BESSEL")
-    assert comp.extras["kappa"] == kappa(g, kingman.lambda_bk(2, 2))
-    assert comp.extras["kappa"] == pytest.approx(0.5672, abs=1e-4)
+    assert comp["extras"]["kappa"] == kappa(g, kingman.lambda_bk(2, 2))
+    assert comp["extras"]["kappa"] == pytest.approx(0.5672, abs=1e-4)
 
 
 def test_torus_kappa_takes_green_of_symmetrized_walk(kingman, monkeypatch):
@@ -536,9 +552,9 @@ def test_block_count_small_torus(kingman, monkeypatch):
     # is built once and reused by the two-time law
     assert len(built) == 3
     for comp in res["per_time"]:
-        assert 0.0 <= comp.tv_distance <= 1.0
-        assert sum(comp.empirical.values()) == pytest.approx(1.0, abs=1e-9)
-        assert sum(comp.reference.values()) == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 <= comp["tv_distance"] <= 1.0
+        assert sum(comp["empirical"].values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(comp["reference"].values()) == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= res["joint_chi2_pvalue"] <= 1.0
 
 

@@ -21,7 +21,6 @@ from spatial_coalescent.geometry import (
     simple_walk,
     single_site,
 )
-from conftest import run_python
 from green_oracle import green_monte_carlo, tail_ratio
 
 
@@ -347,14 +346,6 @@ def test_green_bessel_raises_when_quadrature_cannot_bound_error():
     # by 4.2e-6, far above the route's 1e-10 limit
     with pytest.raises(TruncationUnstable, match="4.2"):
         green_function(_axis_walk((1e-7, 1e-7, 1 - 2e-7)), "BESSEL")
-
-
-def test_geometry_import_leaves_scipy_integrate_unloaded():
-    # BESSEL's rule is numpy alone; scipy.integrate costs about 26 MB
-    r = run_python("-c", "import sys, spatial_coalescent.geometry; "
-                   "print('scipy.integrate' in sys.modules)")
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "False"
 
 
 def _watson_quad(walk) -> float:
