@@ -27,21 +27,42 @@ of the surviving blocks stay in least-element order.  One seeded
 `random.Random` stream drives every draw, making trajectories
 bit-reproducible; uniform indices come from its `getrandbits` by rejection,
 the loop `random.Random` itself runs inside `choice` and `randrange`.
+
+The event loop runs in C (`_engine.c`, through ctypes).  Python seeds the
+`random.Random` and hands its Mersenne Twister state to the loop, which
+makes the same draws from it, so every record is bit for bit that of the
+Python loop kept as the reference in tests/engine_oracle.py.  The first
+`simulate` of a process builds the library with `cc` if none exists for
+this source, into `__pycache__/` beside this file, or into
+`~/.cache/spatial_coalescent/` where the package cannot be written to;
+importing the package neither builds nor loads it.  Without a compiler
+`simulate` raises `EngineBuildFailed`.  lambda_b past the kernel's table
+and the merge-size laws come from the kernel through a callback, as the
+loop reaches them; the loop also calls it every 2^16 steps, so that a
+signal handler (Ctrl-C) runs and stops the run.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
 import random
-from bisect import bisect_right
+import shutil
+import subprocess
+import tempfile
+from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from numbers import Integral
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IncompatibleVariants, ZeroRateDeadlock
+from .errors import EngineBuildFailed, IncompatibleVariants, ZeroRateDeadlock
 from .geometry import GeographySpec
 from .rates import RateKernel
 
@@ -59,46 +80,33 @@ CEMETERY = "∂"
 
 
 class _StartLayout(NamedTuple):
-    """Start state of `simulate` for one partition and site count, as
-    immutable sequences that each replica copies.  Block ids are the indices
-    of `LabeledPartition.blocks`."""
-    sites: tuple       # site of each block
-    mins: tuple        # least element of each block
-    sizes: tuple       # size of each block
-    rosters: tuple     # block ids at each site, in id order
-    roster_pos: tuple  # index of each block in its site's roster
-    counts: tuple      # blocks at each site
-    classes: tuple     # (c, sites holding c >= 2 blocks), c in order of first site
-    class_pos: tuple   # index of each site in its class (0 below 2 blocks)
+    """Start state of `simulate` for one partition and site count, as flat
+    C arrays that each replica copies.  Block ids are the indices of
+    `LabeledPartition.blocks`."""
+    sites: array        # int32: site of each block
+    mins: tuple         # least element of each block
+    sizes: array        # int64: size of each block
+    counts: array       # int64: blocks at each site
+    roster_ids: array   # int32: the block ids at site 0, then at site 1, ...;
+    #                     each site's in id order
 
     @classmethod
     def of(cls, part: "LabeledPartition", n_sites: int) -> "_StartLayout":
         for lab in part.labels:
             if lab == CEMETERY or not (0 <= lab < n_sites):
                 raise ValueError(f"initial label {lab!r} is not a site")
-        rosters: list[list[int]] = [[] for _ in range(n_sites)]
-        roster_pos = []
-        for bid, s in enumerate(part.labels):
-            roster_pos.append(len(rosters[s]))
-            rosters[s].append(bid)
-        counts = [len(r) for r in rosters]
-        classes: dict[int, list[int]] = {}
-        class_pos = [0] * n_sites
-        for s, c in enumerate(counts):
-            if c >= 2:
-                members = classes.setdefault(c, [])
-                class_pos[s] = len(members)
-                members.append(s)
+        sites = array("i", part.labels)
         if "blocks" in vars(part):
             mins = tuple(min(b) for b in part.blocks)
-            sizes = tuple(len(b) for b in part.blocks)
+            sizes = array("q", map(len, part.blocks))
         else:  # a singleton start whose blocks were never built
-            mins, sizes = range(1, part.n + 1), (1,) * part.n
-        return cls(sites=part.labels, mins=mins, sizes=sizes,
-                   rosters=tuple(map(tuple, rosters)),
-                   roster_pos=tuple(roster_pos), counts=tuple(counts),
-                   classes=tuple((c, tuple(m)) for c, m in classes.items()),
-                   class_pos=tuple(class_pos))
+            mins, sizes = range(1, part.n + 1), array("q", [1]) * part.n
+        labels = np.frombuffer(sites, dtype=np.int32)
+        counts = np.bincount(labels, minlength=n_sites).astype(np.int64)
+        roster_ids = np.argsort(labels, kind="stable").astype(np.int32)
+        return cls(sites=sites, mins=mins, sizes=sizes,
+                   counts=array("q", counts.tobytes()),
+                   roster_ids=array("i", roster_ids.tobytes()))
 
 
 class LabeledPartition:
@@ -278,363 +286,292 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     they fall below n, the loop `random.Random` runs inside `choice` and
     `randrange`.  Block ids stay in least-element order, so the survivor of
     a merge is its least id.
+
+    The loop runs in C (`_engine.c`), on the state `random.Random` holds
+    after seeding, and makes the draws `random.Random` would; the first
+    call builds it (see `_loop`).  Merges come back as a log, which is
+    replayed here when elements are tracked.
     """
+    loop = _loop()
     geo = config.geography
     kernel = config.kernel
     # mix the seed first: raw consecutive integer seeds bias the stream's
     # opening draws, which shows up in first-event statistics
     mixed = int.from_bytes(
         np.random.SeedSequence(config.seed).generate_state(4).tobytes(), "little")
-    rng = random.Random(mixed)
-    random_, getrandbits = rng.random, rng.getrandbits
-    log = math.log
-    sample_move = geo.sample_move
+    # 624 state words, then the index of the next one
+    mt = array("I", random.Random(mixed).getstate()[1])
 
-    n_sites = geo.size
-    move_rates = geo.move_rates.tolist()
-    max_move = max(move_rates)
-    uniform_moves = min(move_rates) == max_move
-
-    # block arrays indexed by block id; ids follow the least-element order
-    # of `initial` and a merge keeps its least id, so the surviving ids stay
-    # in least-element order and min_of is read only for the final summary
-    layout = initial.start_layout(n_sites)
-    site_of: list = list(layout.sites)
-    size_of = list(layout.sizes)
-    min_of = layout.mins
-    track = config.track_elements
-    elems = [set(b) for b in initial.blocks] if track else None
-
-    n_alive = len(site_of)
-    counts = list(layout.counts)
-    rosters = list(map(list, layout.rosters))
-    pos_in_roster = list(layout.roster_pos)
-    alive = list(range(n_alive))
-    alive_pos = list(range(n_alive))
-    # alive blocks at sites they can leave: with non-uniform move rates the
-    # proposal rate max_move * n_alive is only real while one is left
-    # (uniform rates never read it)
-    mobile = [1 if r > 0.0 else 0 for r in move_rates]
-    n_mobile = 0 if uniform_moves else sum(mobile[s] for s in site_of)
-
-    # count classes: sites_with[c] holds the sites with c >= 2 blocks.  The
-    # occupied classes are listed in `occupied` (class c at occ_pos[c]) with
-    # their weights lambda_c |S_c| in `occ_weight`, each recomputed from the
-    # class size whenever that changes; the coalescence rate is their sum.
-    # lam, sites_with and occ_pos grow with the largest site count seen.
-    max_seen = max(counts, default=0)
-    lam = kernel.lambda_table(max(max_seen, 2)).tolist()
-    sites_with: list[list[int]] = [[] for _ in lam]
-    occ_pos = [0] * len(lam)
-    occupied: list[int] = []
-    for c, members in layout.classes:
-        occ_pos[c] = len(occupied)
-        occupied.append(c)
-        sites_with[c] = list(members)
-    occ_weight = [lam[c] * len(sites_with[c]) for c in occupied]
-    pos_in_class = list(layout.class_pos)
-
-    merge_cum = kernel.merge_size_cumulative_array
+    layout = initial.start_layout(geo.size)
+    n_blocks, n_sites = len(layout.sites), geo.size
+    move_rates, move_start, move_cum, move_dest = geo.move_table
+    lam = kernel.lambda_table(kernel.b_max)
     # a Kingman measure merges pairs only, so it never needs a merge-size law
     binary = kernel.binary_merges
-
-    rec = TrajectoryRecord(initial=initial, seed=config.seed)
-    events = rec.events
-    record = config.record_events
-    killing = config.killing
-    horizon = math.inf if config.horizon is None else config.horizon
-    budget = config.event_budget or 0  # events counted from 1; 0: none
+    # the address of each merge-size row by b, 0 until the loop fetches it
+    rows = None if binary else np.zeros(n_blocks + 1, dtype=np.uintp)
+    track = config.track_elements
     threshold = config.stop_blocks_at_most
     # stop once at most `floor` blocks are alive (-1: never)
     floor = max(-1 if threshold is None else threshold,
                 1 if config.stop_when_absorbed else -1)
     probes = sorted(config.probe_times)
-    probe_idx = 0
-    next_probe = probes[0] if probes else math.inf
+    probe_at = array("d", probes)
+    # the final site and size of each block, the final count of each site
+    # and the count at each probe, in one buffer
+    final = np.empty(2 * n_blocks + n_sites + len(probes), dtype=np.int64)
+    at = _addr(final)
+    out = _Output(final_site=at, final_size=at + 8 * n_blocks,
+                  final_counts=at + 16 * n_blocks,
+                  probe_counts=at + 8 * (2 * n_blocks + n_sites))
+    errors: list = []
+    answers = _answers(kernel, out, errors)
+    next(answers)
+    try:
+        status = loop.sc_simulate(ctypes.byref(_Input(
+            mt=_addr(mt), mt_index=mt[-1], n_blocks=n_blocks, n_sites=n_sites,
+            site_of=_addr(layout.sites), size_of=_addr(layout.sizes),
+            counts=_addr(layout.counts), roster_ids=_addr(layout.roster_ids),
+            move_rates=_addr(move_rates), move_start=_addr(move_start),
+            move_cum=_addr(move_cum), move_dest=_addr(move_dest),
+            lam=_addr(lam), lam_avail=len(lam),
+            rows=None if rows is None else _addr(rows), binary=binary,
+            call=_Call(functools.partial(answers.send, None)),
+            killing=config.killing,
+            log_merges=config.record_events or track,
+            log_moves=config.record_events,
+            horizon=math.inf if config.horizon is None else config.horizon,
+            budget=config.event_budget or 0, floor=floor,
+            threshold=-1 if threshold is None else threshold,
+            probes=_addr(probe_at), n_probes=len(probes))),
+            ctypes.byref(out))
+        log_times = out.ev_time[:out.n_ev]
+        log = out.ev_data[:out.ev_len]
+    finally:
+        loop.sc_free(ctypes.byref(out))
+    if status == _DEADLOCK:
+        raise ZeroRateDeadlock("all rates vanished before the stop condition",
+                               time=out.t, blocks=out.n_alive)
+    if status == _CALLBACK_FAILED:
+        raise errors[0]
+    if status:
+        raise MemoryError("the event loop could not allocate its state")
 
-    def flush_probes(up_to: float, count: int):
-        nonlocal probe_idx, next_probe
-        while next_probe <= up_to:
-            rec.probes.append((next_probe, count))
-            probe_idx += 1
-            next_probe = probes[probe_idx] if probe_idx < len(probes) else math.inf
-
-    t = 0.0
-    n_events = n_merges = n_kills = n_rejected = 0
-
-    def block_stop(n_alive: int) -> str:
-        if n_alive > floor:
-            return ""
-        if threshold is not None and n_alive <= threshold:
-            return "BLOCKS_AT_MOST"
-        return "ABSORBED"
-
-    stop_reason = block_stop(n_alive)
-    # the totals change only with a count class, the alive count or the
-    # mobile count; an event that changes one of them marks them stale
-    stale = True
-    while not stop_reason:
-        if stale:
-            stale = False
-            coal_tot = sum(occ_weight)
-            mig_tot = max_move * n_alive if uniform_moves or n_mobile else 0.0
-            total = coal_tot + mig_tot
-            if killing:
-                total += n_alive
-            if total == 0.0:
-                if config.horizon is None:
-                    raise ZeroRateDeadlock("all rates vanished before the stop "
-                                           "condition", time=t, blocks=n_alive)
-                t = horizon
-                stop_reason = "HORIZON"
-                break
-            only_coal = mig_tot == 0.0 and not killing
-            kill_from = coal_tot + mig_tot if killing else math.inf
-            alive_bits = n_alive.bit_length()
-        t_next = t - log(1.0 - random_()) / total  # Exp(total)
-        if t_next > horizon:
-            t = horizon
-            stop_reason = "HORIZON"
-            break
-        if next_probe <= t_next:
-            flush_probes(t_next, n_alive)
-        t = t_next
-        u = random_() * total
-
-        if u < coal_tot or only_coal:
-            # ---- coalescence: class b with weight lambda_b |S_b| ----
-            acc = 0.0
-            for i, w in enumerate(occ_weight):
-                acc += w
-                if u < acc:
-                    break
-            # (a u rounded onto the total falls through to the last class)
-            b = occupied[i]
-            members = sites_with[b]
-            n = len(members)
-            nbits = n.bit_length()
-            r = getrandbits(nbits)
-            while r >= n:
-                r = getrandbits(nbits)
-            s = members[r]
-            roster = rosters[s]
-            k = 2
-            if b > 2:
-                # the uniform is drawn even when the law is a point mass, so
-                # a Kingman run keeps the stream of the law-based draw
-                u_k = random_()
-                if not binary:
-                    k = min(b, 2 + bisect_right(merge_cum(b), u_k))
-            if k == 2:
-                # a pair: two distinct uniform indices, none drawn when b == 2
-                if b == 2:
-                    x, y = roster
-                else:
-                    nbits = b.bit_length()
-                    i = getrandbits(nbits)
-                    while i >= b:
-                        i = getrandbits(nbits)
-                    nbits = (b - 1).bit_length()
-                    j = getrandbits(nbits)
-                    while j >= b - 1:
-                        j = getrandbits(nbits)
-                    if j >= i:
-                        j += 1
-                    x, y = roster[i], roster[j]
-                survivor, bid = (x, y) if x < y else (y, x)
-                size_of[survivor] += size_of[bid]
-                if track:
-                    elems[survivor] |= elems[bid]
-                    elems[bid] = None
-                last = roster.pop()
-                if last != bid:
-                    p = pos_in_roster[bid]
-                    roster[p] = last
-                    pos_in_roster[last] = p
-                last = alive.pop()
-                if last != bid:
-                    p = alive_pos[bid]
-                    alive[p] = last
-                    alive_pos[last] = p
-                site_of[bid] = None
-                if record:
-                    events.append((t, "MERGE", (s, (survivor, bid), 2)))
-            else:
-                chosen = list(roster) if k == b else rng.sample(roster, k)
-                survivor = min(chosen)
-                for bid in chosen:
-                    if bid == survivor:
-                        continue
-                    size_of[survivor] += size_of[bid]
-                    if track:
-                        elems[survivor] |= elems[bid]
-                        elems[bid] = None
-                    last = roster.pop()
-                    if last != bid:
-                        p = pos_in_roster[bid]
-                        roster[p] = last
-                        pos_in_roster[last] = p
-                    last = alive.pop()
-                    if last != bid:
-                        p = alive_pos[bid]
-                        alive[p] = last
-                        alive_pos[last] = p
-                    site_of[bid] = None
-                if record:
-                    events.append((t, "MERGE", (s, tuple(sorted(chosen)), k)))
-            n_alive -= k - 1
-            if not uniform_moves:
-                n_mobile -= (k - 1) * mobile[s]
-            stale = True
-            n_merges += 1
-            if n_alive <= floor:
-                stop_reason = block_stop(n_alive)
-            c = b - (k - 1)
-            dest = None
-        else:
-            # ---- killing or a migration proposal: a uniform alive block ----
-            r = getrandbits(alive_bits)
-            while r >= n_alive:
-                r = getrandbits(alive_bits)
-            bid = alive[r]
-            s = site_of[bid]
-            if u < kill_from:
-                if not uniform_moves and move_rates[s] <= max_move * random_():
-                    n_rejected += 1
-                    continue
-                dest = sample_move(s, random_())
-            else:
-                dest = None
-            roster = rosters[s]
-            last = roster.pop()
-            if last != bid:
-                p = pos_in_roster[bid]
-                roster[p] = last
-                pos_in_roster[last] = p
-            if dest is None:
-                last = alive.pop()
-                if last != bid:
-                    p = alive_pos[bid]
-                    alive[p] = last
-                    alive_pos[last] = p
-                site_of[bid] = CEMETERY
-                n_alive -= 1
-                if not uniform_moves:
-                    n_mobile -= mobile[s]
-                stale = True
-                n_kills += 1
-                if record:
-                    events.append((t, "KILL", (bid,)))
-                if n_alive <= floor:
-                    stop_reason = block_stop(n_alive)
-            else:
-                site_of[bid] = dest
-                roster = rosters[dest]
-                pos_in_roster[bid] = len(roster)
-                roster.append(bid)
-                if record:
-                    events.append((t, "MIGRATE", (bid, s, dest)))
-            b = counts[s]
-            c = b - 1
-
-        # ---- site s went from b to c blocks; dest, if any, gains one ----
-        # (each class move is written out in place rather than called: this
-        # path runs once per event)
-        counts[s] = c
-        if b >= 2:
-            members = sites_with[b]
-            last = members.pop()
-            if last != s:
-                p = pos_in_class[s]
-                members[p] = last
-                pos_in_class[last] = p
-            i = occ_pos[b]
-            if members:
-                occ_weight[i] = lam[b] * len(members)
-            else:
-                last_c = occupied.pop()
-                last_w = occ_weight.pop()
-                if last_c != b:
-                    occupied[i] = last_c
-                    occ_weight[i] = last_w
-                    occ_pos[last_c] = i
-            if c >= 2:
-                members = sites_with[c]
-                pos_in_class[s] = len(members)
-                members.append(s)
-                if len(members) == 1:
-                    occ_pos[c] = len(occupied)
-                    occupied.append(c)
-                    occ_weight.append(lam[c])
-                else:
-                    occ_weight[occ_pos[c]] = lam[c] * len(members)
-            stale = True
-        if dest is not None:
-            b = counts[dest]
-            counts[dest] = b + 1
-            if b:
-                if b == max_seen:
-                    max_seen += 1
-                    if max_seen == len(lam):
-                        lam.append(kernel.lambda_total(max_seen))
-                        sites_with.append([])
-                        occ_pos.append(0)
-                if b >= 2:
-                    members = sites_with[b]
-                    last = members.pop()
-                    if last != dest:
-                        p = pos_in_class[dest]
-                        members[p] = last
-                        pos_in_class[last] = p
-                    i = occ_pos[b]
-                    if members:
-                        occ_weight[i] = lam[b] * len(members)
-                    else:
-                        last_c = occupied.pop()
-                        last_w = occ_weight.pop()
-                        if last_c != b:
-                            occupied[i] = last_c
-                            occ_weight[i] = last_w
-                            occ_pos[last_c] = i
-                c = b + 1
-                members = sites_with[c]
-                pos_in_class[dest] = len(members)
-                members.append(dest)
-                if len(members) == 1:
-                    occ_pos[c] = len(occupied)
-                    occupied.append(c)
-                    occ_weight.append(lam[c])
-                else:
-                    occ_weight[occ_pos[c]] = lam[c] * len(members)
-                stale = True
-            if not uniform_moves:
-                n_mobile += mobile[dest] - mobile[s]
-                stale = True
-
-        n_events += 1
-        if n_events == budget and not stop_reason:
-            stop_reason = "BUDGET"
-            rec.budget_exhausted = True
-
-    flush_probes(t, n_alive)
-    rec.final_time = t
-    rec.stop_reason = stop_reason
-    rec.final_counts = counts
+    rec = TrajectoryRecord(initial=initial, seed=config.seed)
+    merges = _read_log(log_times, log, rec.events if config.record_events
+                       else None)
+    final_site, final_size = final[:n_blocks], final[n_blocks:2 * n_blocks]
+    final_counts = final[2 * n_blocks:2 * n_blocks + n_sites]
+    probe_counts = final[2 * n_blocks + n_sites:][:out.n_probed]
+    rec.probes = list(zip(probes, probe_counts.tolist()))
+    rec.stop_reason = _STOP_REASONS[out.stop]
+    # a run stopped by the horizon ends at it, in the type it was given
+    rec.final_time = (config.horizon if rec.stop_reason == "HORIZON"
+                      else out.t)
+    rec.budget_exhausted = bool(out.budget_exhausted)
+    rec.final_counts = final_counts.tolist()
     rec.stats = {
-        "events": {"MERGE": n_merges, "MIGRATE": n_events - n_merges - n_kills,
-                   "KILL": n_kills},
-        "thinning_rejections": n_rejected,
-        "max_site_blocks": max_seen,
-        "lambda_table_size": len(lam),
+        "events": {"MERGE": out.n_merges,
+                   "MIGRATE": out.n_events - out.n_merges - out.n_kills,
+                   "KILL": out.n_kills},
+        "thinning_rejections": out.n_rejected,
+        "max_site_blocks": out.max_seen,
+        "lambda_table_size": out.lam_len,
     }
-    rec.final_block_summary = [(m, size, s) for m, size, s
-                               in zip(min_of, size_of, site_of) if s is not None]
+    kept = np.flatnonzero(final_site != _MERGED).tolist()
+    labels = [CEMETERY if s == _CEMETERY else s
+              for s in final_site[kept].tolist()]
+    mins = layout.mins
+    rec.final_block_summary = [
+        (mins[bid], size, s)
+        for bid, size, s in zip(kept, final_size[kept].tolist(), labels)]
     if track:
-        kept = [bid for bid, s in enumerate(site_of) if s is not None]
+        elems = [set(b) for b in initial.blocks]
+        for ids in merges:
+            survivor = elems[ids[0]]
+            for bid in ids[1:]:
+                survivor |= elems[bid]
         rec.final_partition = LabeledPartition(
-            [elems[bid] for bid in kept], [site_of[bid] for bid in kept],
-            n=initial.n)
+            [elems[bid] for bid in kept], labels, n=initial.n)
     return rec
+
+
+def _read_log(times: list, log: list, events: list | None) -> list:
+    """The merged id tuples of the event log, in event order; with `events`,
+    every event is appended to it as a (time, tag, payload) tuple."""
+    merges = []
+    i = 0
+    for t in times:
+        tag = log[i]
+        if tag == _EV_MERGE:
+            s, k = log[i + 1], log[i + 2]
+            ids = tuple(log[i + 3:i + 3 + k])
+            merges.append(ids)
+            i += 3 + k
+            if events is not None:
+                events.append((t, "MERGE", (s, ids, k)))
+        elif tag == _EV_MIGRATE:
+            events.append((t, "MIGRATE", tuple(log[i + 1:i + 4])))
+            i += 4
+        else:
+            events.append((t, "KILL", (log[i + 1],)))
+            i += 2
+    return merges
+
+
+# ----------------------------------------------------------------------
+# the compiled event loop
+# ----------------------------------------------------------------------
+
+_SOURCE = Path(__file__).with_name("_engine.c")
+# no -ffast-math and no -march=native: a contracted multiply-add or a
+# reordered sum would change the bits of the stream
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_COMPILER = "cc"
+
+# sc_simulate's status, stop codes, site marks, event tags and requests
+# (_engine.c)
+_DEADLOCK, _CALLBACK_FAILED = 1, 3
+_STOP_REASONS = ("", "HORIZON", "BLOCKS_AT_MOST", "ABSORBED", "BUDGET")
+_MERGED, _CEMETERY = -1, -2
+_EV_MERGE, _EV_MIGRATE = 0, 1
+_ASK_LAMBDA, _ASK_ROW = 1, 2
+
+_p = ctypes.c_void_p
+_i = ctypes.c_int64
+_Call = ctypes.CFUNCTYPE(ctypes.c_int)
+
+
+class _Input(ctypes.Structure):
+    _fields_ = [
+        ("mt", _p), ("mt_index", _i), ("n_blocks", _i), ("n_sites", _i),
+        ("site_of", _p), ("size_of", _p), ("counts", _p), ("roster_ids", _p),
+        ("move_rates", _p), ("move_start", _p), ("move_cum", _p),
+        ("move_dest", _p), ("lam", _p), ("lam_avail", _i), ("rows", _p),
+        ("binary", _i), ("call", _Call),
+        ("killing", _i), ("log_merges", _i), ("log_moves", _i),
+        ("horizon", ctypes.c_double), ("budget", _i), ("floor", _i),
+        ("threshold", _i), ("probes", _p), ("n_probes", _i),
+    ]
+
+
+class _Output(ctypes.Structure):
+    _fields_ = [
+        ("t", ctypes.c_double), ("status", _i), ("stop", _i),
+        ("budget_exhausted", _i), ("n_alive", _i), ("n_events", _i),
+        ("n_merges", _i), ("n_kills", _i), ("n_rejected", _i),
+        ("max_seen", _i), ("lam_len", _i), ("n_probed", _i),
+        ("probe_counts", _p), ("final_site", _p), ("final_size", _p),
+        ("final_counts", _p), ("ev_time", ctypes.POINTER(ctypes.c_double)),
+        ("ev_data", ctypes.POINTER(_i)), ("n_ev", _i), ("ev_len", _i),
+        ("ev_cap", _i), ("ev_data_cap", _i), ("ask", _i), ("ask_b", _i),
+        ("answer", _p), ("answer_len", _i),
+    ]
+
+
+def _addr(buffer) -> int:
+    """The address of the data of an `array.array` or a C-contiguous
+    numpy array."""
+    if isinstance(buffer, array):
+        return buffer.buffer_info()[0]
+    return buffer.__array_interface__["data"][0]
+
+
+def _answers(kernel: RateKernel, out: _Output, errors: list):
+    """The loop's callback, a generator that ctypes resumes through `send`.
+
+    It answers the request in `out`: the lambda_b table grown to hold
+    `ask_b`, as `lambda_total(b)` grows it, or the cumulative merge-size
+    law of `ask_b`; a poll asks nothing.  It yields 0, or 1 once it has
+    caught an exception, which `simulate` raises when the loop has stopped.
+    The interpreter runs pending signal handlers as a frame starts or
+    resumes: here that is at the `yield`, inside the `try`, where a plain
+    function would meet a KeyboardInterrupt before its `try` and ctypes
+    would only print it.
+    """
+    kept = []  # the arrays the loop reads, alive until the call returns
+    try:
+        while True:
+            yield 0
+            if out.ask == _ASK_LAMBDA:
+                kernel.lambda_total(out.ask_b)
+                table = kernel.lambda_table(kernel.b_max)
+            elif out.ask == _ASK_ROW:
+                table = kernel.merge_size_cumulative(out.ask_b)
+            else:
+                continue
+            kept.append(table)
+            out.answer, out.answer_len = _addr(table), len(table)
+    except GeneratorExit:  # closed after a run that needed no stop
+        raise
+    except BaseException as exc:
+        errors.append(exc)
+    yield 1
+
+
+@functools.cache
+def _loop() -> ctypes.CDLL:
+    """The compiled event loop, built on first use.
+
+    The library is named by the sha256 of `_engine.c` and the compiler
+    flags, so a process loads the one built for its source and builds it
+    only if it is missing.  It lives in `__pycache__/` beside this file or,
+    where the package cannot be written to (an install owned by another
+    user), in `~/.cache/spatial_coalescent/`.  The build writes a temporary
+    file and renames it into place, so a process never loads a half-written
+    library.  Without a C compiler `cc` on PATH, or with neither directory
+    writable, it raises EngineBuildFailed.
+    """
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    name = f"_engine.{key}.so"
+    places = (_SOURCE.parent / "__pycache__",
+              Path.home() / ".cache" / "spatial_coalescent")
+    path = next((place / name for place in places
+                 if (place / name).exists()), None)
+    lib = ctypes.CDLL(str(path or _build(name, places)))
+    lib.sc_simulate.argtypes = [ctypes.POINTER(_Input), ctypes.POINTER(_Output)]
+    lib.sc_simulate.restype = _i
+    lib.sc_free.argtypes = [ctypes.POINTER(_Output)]
+    lib.sc_free.restype = None
+    return lib
+
+
+def _build(name: str, places: tuple) -> Path:
+    """Build the library as `name` in the first of `places` that can be
+    written to, and return its path."""
+    compiler = shutil.which(_COMPILER)
+    if compiler is None:
+        raise EngineBuildFailed(
+            f"no C compiler {_COMPILER!r} on PATH: simulate builds its event "
+            f"loop from {_SOURCE.name} with it on first use",
+            compiler=_COMPILER)
+    for place in places:
+        try:
+            place.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=name + ".", suffix=".tmp",
+                                       dir=place)
+        except OSError:
+            continue
+        os.close(fd)
+        try:
+            done = subprocess.run(
+                [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                capture_output=True, text=True)
+            if done.returncode:
+                raise EngineBuildFailed(
+                    f"{_COMPILER} could not build {_SOURCE.name}: "
+                    f"{done.stderr.strip()}", compiler=_COMPILER)
+            os.chmod(tmp, 0o755)  # mkstemp made it private to this user
+            os.replace(tmp, place / name)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return place / name
+    raise EngineBuildFailed(
+        f"cannot write the event loop library {name}: neither "
+        + " nor ".join(map(str, places)) + " is a writable directory",
+        compiler=_COMPILER, directories=[str(place) for place in places])
 
 
 # ----------------------------------------------------------------------

@@ -49,3 +49,7 @@ class TruncationUnstable(CoalescentError):
 
 class BudgetExceeded(CoalescentError):
     code = "BUDGET_EXCEEDED"
+
+
+class EngineBuildFailed(CoalescentError):
+    code = "ENGINE_BUILD_FAILED"

@@ -832,9 +832,15 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     lockstep_events (events taken one at a time) and lockstep_skipped
     (passes with no co-located replica).
     """
-    _check_run(replicas)
+    _check_run(replicas, N=(N, 1))
     check_torus_walk(N, walk)
-    start = np.asarray(start_positions, dtype=np.int64)
+    start = np.asarray(start_positions)
+    if not (start.ndim == 2 and start.shape[0] >= 1
+            and start.shape[1] == walk.dimension and start.dtype.kind in "iu"):
+        raise ValueError(f"start_positions must be n >= 1 rows of "
+                         f"{walk.dimension} integer coordinates, got "
+                         f"{start_positions!r}")
+    start = start.astype(np.int64)
     n = start.shape[0]
     lam_tab = kernel.lambda_table(n)
     merge_cums = {b: kernel.merge_size_cumulative(b) for b in range(2, n + 1)}

@@ -19,9 +19,13 @@ which takes any walk, is the oracle of the tests (tests/green_oracle.py).
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from numbers import Integral
 
 import numpy as np
 from scipy.special import i0e
@@ -114,8 +118,16 @@ class WalkSpec:
         return law
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless `value` is an integer >= `least` (NaN, inf
+    and 2.5 are not)."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
+
+
 def simple_walk(d: int) -> WalkSpec:
     """Simple symmetric nearest-neighbor walk on Z^d."""
+    _check_count("d", d, 1)
     offsets = []
     for axis in range(d):
         for sign in (-1, 1):
@@ -167,6 +179,19 @@ class GeographySpec:
         """Destination != i for a migrating block, from uniform u in [0,1)."""
         return self._move_dest[i][bisect_right(self._move_cum[i], u)]
 
+    @cached_property
+    def move_table(self) -> tuple:
+        """The move rates and the tables of `sample_move` as flat C arrays,
+        for the engine's compiled loop: (rates, starts, cum, dest), the
+        table of site i being cum[starts[i]:starts[i + 1]] (float64) and
+        dest[starts[i]:starts[i + 1]] (int32)."""
+        starts = array("q", [0])
+        for row in self._move_cum:
+            starts.append(starts[-1] + len(row))
+        return (array("d", self._move_rates.tobytes()), starts,
+                array("d", chain.from_iterable(self._move_cum)),
+                array("i", chain.from_iterable(self._move_dest)))
+
 
 def _move_tables(dests: np.ndarray, probs: np.ndarray):
     """Per-site sampling lists for `GeographySpec.sample_move`.
@@ -199,8 +224,7 @@ _TORUS_SITE_BUDGET = 1_000_000
 
 def build_torus(N: int, walk: WalkSpec) -> GeographySpec:
     """Torus [-N,N]^d with the wrapped base walk; sites in lexicographic order."""
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _check_count("N", N, 1)
     d = walk.dimension
     side = 2 * N + 1
     size = side**d
@@ -266,8 +290,7 @@ def _lattice_basis(vectors, d: int) -> np.ndarray:
 
 def complete_graph(n_sites: int) -> GeographySpec:
     """Uniform jumps to any other site."""
-    if n_sites < 2:
-        raise ValueError("need at least 2 sites")
+    _check_count("n_sites", n_sites, 2)
     kern = np.full((n_sites, n_sites), 1.0 / (n_sites - 1))
     np.fill_diagonal(kern, 0.0)
     return generic_graph(kern)

@@ -337,8 +337,8 @@ def cdi_classify(kernel: RateKernel, b_max: int = 1000) -> CdiVerdict:
     partial_sum is the sum up to b_max; tail_bound is the smallest of the
     parts' proved bounds on the rest (+inf if no part bounds it).
     """
-    if b_max < 2:
-        raise ValueError("classification needs b_max >= 2")
+    if not (isinstance(b_max, Integral) and b_max >= 2):
+        raise ValueError(f"b_max must be an integer >= 2, got {b_max!r}")
     gam = kernel.gamma_table(b_max + 1)
     partial = float(np.sum(1.0 / gam[2:b_max + 1]))
     bounds = _tail_bounds(kernel.measure, b_max, float(gam[b_max + 1]))
@@ -360,8 +360,8 @@ def tn_uniform_bound(kernel: RateKernel, k: int = 2, b_max: int = 10_000) -> flo
     """Upper bound sum_{b>=k} 1/gamma_b + k/gamma_k on the uniform mean
     hitting time of k-blocks-per-site; +inf when the sum diverges.  The
     terms past b_max are the classifier's proved tail bound."""
-    if k < 2:
-        raise ValueError("need k >= 2")
+    if not (isinstance(k, Integral) and k >= 2):
+        raise ValueError(f"k must be an integer >= 2, got {k!r}")
     gam_k = kernel.gamma_total(k)
     if gam_k <= 0.0:
         raise ZeroRate(f"gamma_{k} = 0", k=k)

@@ -2,6 +2,10 @@ import hashlib
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -803,6 +807,89 @@ def test_cli_import_leaves_scipy_stats_unloaded(module):
                    f"print({module!r} in sys.modules)")
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def test_cli_import_neither_builds_nor_loads_the_engine_loop():
+    # the compiled event loop is built and loaded by the first simulate
+    # call, never at import, so cold start stays as it was
+    r = run_python("-c", """
+import os
+import spatial_coalescent.cli
+from spatial_coalescent import engine
+maps = "/proc/self/maps"
+mapped = os.path.exists(maps) and "_engine." in open(maps).read()
+print(engine._loop.cache_info().currsize, mapped)
+""")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["0", "False"]
+
+
+def test_simulate_without_a_compiler_exits_4(tmp_path):
+    # a fresh copy of the package holds no built loop, and with no cc on
+    # PATH the first simulate cannot build it: no fallback, exit 4
+    package = Path(cli.__file__).parent
+    shutil.copytree(package, tmp_path / "copy" / package.name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "bin").mkdir()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "measure": KINGMAN,
+                                  "geography": {"topology": "single"},
+                                  "n_per_site": 3}))
+    # HOME too, so that no library built into ~/.cache/ is found
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "copy"),
+           "PATH": str(tmp_path / "bin"), "HOME": str(tmp_path / "home")}
+    r = subprocess.run([sys.executable, "-m", "spatial_coalescent", "simulate",
+                        "--config", str(config), "--out", str(tmp_path / "out")],
+                       capture_output=True, text=True, env=env, cwd=tmp_path,
+                       timeout=120)
+    assert r.returncode == 4, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"] == "ENGINE_BUILD_FAILED"
+    assert "C compiler 'cc'" in payload["message"]
+    assert payload["context"] == {"compiler": "cc"}
+    assert not list(tmp_path.rglob("*.so"))
+
+
+@pytest.mark.parametrize("home", ["writable", "a file"])
+def test_simulate_from_a_package_it_cannot_write_to(tmp_path, home):
+    # an install owned by someone else: the copy's __pycache__ is a plain
+    # file (and the copy read-only), so nothing, root included, can build
+    # into it; the loop is built into ~/.cache/ instead, or, with no
+    # writable home either, simulate exits 4 naming both directories
+    package = Path(cli.__file__).parent
+    copy = tmp_path / "copy" / package.name
+    shutil.copytree(package, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "__pycache__").write_text("")
+    copy.chmod(0o555)
+    home_dir = tmp_path / "home"
+    if home == "a file":
+        home_dir.write_text("")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "measure": KINGMAN,
+                                  "geography": {"topology": "single"},
+                                  "n_per_site": 3}))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "copy"),
+           "HOME": str(home_dir)}
+    try:
+        r = subprocess.run([sys.executable, "-m", "spatial_coalescent",
+                            "simulate", "--config", str(config),
+                            "--out", str(tmp_path / "out")],
+                           capture_output=True, text=True, env=env,
+                           cwd=tmp_path, timeout=120)
+    finally:
+        copy.chmod(0o755)
+    cache = home_dir / ".cache" / "spatial_coalescent"
+    if home == "writable":
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert [p.name.endswith(".so") for p in cache.iterdir()] == [True]
+    else:
+        assert r.returncode == 4, r.stdout + r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["error"] == "ENGINE_BUILD_FAILED"
+        assert payload["context"]["directories"] == [
+            str(copy / "__pycache__"), str(cache)]
+    assert not list((tmp_path / "copy").rglob("*.so"))
 
 
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

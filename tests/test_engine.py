@@ -1,6 +1,13 @@
 import hashlib
 import math
+import os
+import shutil
+import signal
+import subprocess
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sp_stats
 
 from partitions import GroundSetMismatch, partition_distance, restrict_partition
+from spatial_coalescent import engine
 from spatial_coalescent.engine import (
     CEMETERY,
     LabeledPartition,
@@ -327,6 +335,27 @@ def test_event_budget_stops_run(kingman):
     assert len(rec.events) == 4
 
 
+def test_ctrl_c_stops_a_long_run(kingman):
+    # one block hopping between two sites for 10^8 events (about 12 s):
+    # the compiled loop hands control back every 2^16 steps, so a SIGINT
+    # sent 50 ms in raises KeyboardInterrupt out of simulate at once
+    config = SimulationConfig(kernel=kingman, geography=complete_graph(2),
+                              seed=0, record_events=False,
+                              track_elements=False, event_budget=10**8)
+    engine._loop()  # built and loaded before the clock starts
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    timer = threading.Timer(0.05, os.kill, (os.getpid(), signal.SIGINT))
+    start = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            timer.start()
+            simulate(singletons_at([0]), config)
+    finally:
+        timer.cancel()
+        signal.signal(signal.SIGINT, previous)
+    assert time.perf_counter() - start < 3.0
+
+
 @pytest.mark.parametrize("field, value, needle", [
     ("horizon", math.nan, "horizon"),
     ("horizon", math.inf, "horizon"),
@@ -485,6 +514,23 @@ def test_simulate_stream_is_pinned(case, kingman, beta_heavy_kernel):
     # pinned one: same draws, same order, same events and counters
     assert _stream_digest(case, kingman, beta_heavy_kernel) == \
         _PINNED_STREAMS[case]
+
+
+def test_engine_library_lies_under_a_gitignored_path(kingman):
+    # the first simulate builds the loop into __pycache__/ beside engine.py,
+    # named by the hash of its source, which a checkout never commits
+    simulate(singletons_at([0, 0]), SimulationConfig(
+        kernel=kingman, geography=single_site(), seed=1, horizon=1.0))
+    library = Path(engine._loop()._name)
+    package = Path(engine.__file__).parent
+    assert library.parent == package / "__pycache__"
+    assert library.name.startswith("_engine.") and library.suffix == ".so"
+    root = Path(__file__).resolve().parents[1]
+    assert "__pycache__/" in (root / ".gitignore").read_text().split()
+    if (root / ".git").exists() and shutil.which("git"):
+        check = subprocess.run(["git", "check-ignore", "-q", str(library)],
+                               cwd=root)
+        assert check.returncode == 0
 
 
 def test_merge_survivor_is_least_id(beta_heavy_kernel):

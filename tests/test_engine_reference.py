@@ -1,0 +1,182 @@
+"""The compiled event loop of `simulate` against the reference Python loop
+(tests/engine_oracle.py): every field of every record must be equal, for
+each kernel, geography and stop rule, with recording on and off."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import engine_oracle
+from spatial_coalescent.engine import (
+    SimulationConfig,
+    simulate,
+    singletons_at,
+    singletons_per_site,
+)
+from spatial_coalescent.errors import ZeroRateDeadlock
+from spatial_coalescent.geometry import (
+    build_torus,
+    complete_graph,
+    generic_graph,
+    simple_walk,
+    single_site,
+)
+from spatial_coalescent.measure import DensityPiece, LambdaMeasure
+from spatial_coalescent.rates import RateKernel
+
+FIELDS = ("events", "probes", "final_time", "stop_reason", "final_counts",
+          "final_block_summary", "final_partition", "stats", "budget_exhausted")
+
+MEASURES = {
+    "kingman": lambda: LambdaMeasure.unit_atom(0.0),
+    "beta1.5": lambda: LambdaMeasure.beta(1.5),
+    "atom1+beta": lambda: LambdaMeasure(
+        atoms=[(1.0, 0.5)],
+        pieces=[DensityPiece((0.0, 0.6), "beta", {"alpha": 1.5})]),
+}
+
+# site 2 never moves; sites 0, 1 and 3 move at rates 0.5, 0.2 and 0.75
+_UNEQUAL = np.array([[0.5, 0.3, 0.2, 0.0], [0.1, 0.8, 0.1, 0.0],
+                     [0.0, 0.0, 1.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+
+
+def _start(geography):
+    """(geography, start): sizes that reach multiple mergers at one site,
+    sample's pool and set branches (b above 21 and above 85), set-branch
+    samples at two sites in turn, and, on the torus, sites that gain
+    blocks."""
+    if geography == "one-site":
+        return single_site(), singletons_at([0] * 100)
+    if geography == "complete":
+        geo = complete_graph(4)
+        return geo, singletons_at([0] * 30 + [1] * 28 + [2] * 3 + [3])
+    if geography == "torus":
+        geo = build_torus(2, simple_walk(3))
+        return geo, singletons_per_site(geo, 2)
+    geo = generic_graph(_UNEQUAL)
+    return geo, singletons_per_site(geo, 8)
+
+
+SETTINGS = {
+    "absorb": dict(stop_when_absorbed=True, horizon=50.0),
+    "kill-probes": dict(killing=True, horizon=3.0,
+                        probe_times=(0.0, 0.05, 0.5, 1.0, 10.0)),
+    # an integer horizon and probe time: a run ends at the value it was given
+    "budget": dict(horizon=20, event_budget=60, probe_times=(0.2, 1)),
+    "threshold": dict(horizon=20.0, stop_blocks_at_most=5,
+                      probe_times=(0.1, 0.3)),
+}
+
+RECORDING = [(True, True), (False, False), (True, False), (False, True)]
+
+
+def _both(init, **fields):
+    """The records of the compiled and the reference loop."""
+    cfg = SimulationConfig(**fields)
+    return simulate(init, cfg), engine_oracle.simulate(init, cfg)
+
+
+def _assert_same(got, want):
+    for name in FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    # equal numbers can still differ in type, and in a report's JSON
+    assert type(got.final_time) is type(want.final_time)
+    assert [type(t) for t, _c in got.probes] == [type(t) for t, _c in want.probes]
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+@pytest.mark.parametrize("geography", ["one-site", "complete", "torus",
+                                       "unequal"])
+@pytest.mark.parametrize("measure", sorted(MEASURES))
+def test_compiled_loop_equals_reference(measure, geography, setting):
+    kernel = RateKernel(MEASURES[measure]())
+    geo, init = _start(geography)
+    for seed in (0, 1):
+        for record, track in RECORDING:
+            got, want = _both(init, kernel=kernel, geography=geo, seed=seed,
+                              record_events=record, track_elements=track,
+                              **SETTINGS[setting])
+            _assert_same(got, want)
+
+
+def test_reference_cases_reach_every_path():
+    # the grid above draws pairs and multiple mergers of every size up to
+    # the whole site, kills, thinning rejections, and stops of every reason
+    seen = {"k==b": 0, "2<k<b": 0, "KILL": 0, "rejected": 0}
+    reasons = set()
+    for measure in MEASURES:
+        kernel = RateKernel(MEASURES[measure]())
+        for geography in ("one-site", "unequal"):
+            geo, init = _start(geography)
+            for setting, seed in itertools.product(SETTINGS.values(), (0, 1)):
+                rec = simulate(init, SimulationConfig(
+                    kernel=kernel, geography=geo, seed=seed, **setting))
+                reasons.add(rec.stop_reason)
+                seen["KILL"] += rec.stats["events"]["KILL"]
+                seen["rejected"] += rec.stats["thinning_rejections"]
+                if geography == "unequal" or setting.get("killing"):
+                    continue
+                # one site: its count is the alive count
+                alive = init.block_count()
+                for _t, tag, (_s, _ids, k) in rec.events:
+                    if k > 2:
+                        seen["k==b" if k == alive else "2<k<b"] += 1
+                    alive -= k - 1
+    assert reasons == {"ABSORBED", "HORIZON", "BUDGET", "BLOCKS_AT_MOST"}
+    assert all(seen.values()), seen
+
+
+def test_lambda_table_grows_as_the_reference_grows_it():
+    # b_max = 3 at the start: sites that gain a fourth block grow the
+    # kernel's table inside the run, on both sides to the same length
+    geo = build_torus(1, simple_walk(3))
+    init = singletons_per_site(geo, 3)
+    kernels = [RateKernel(LambdaMeasure.beta(1.5), b_max=2) for _ in range(2)]
+    recs = [run(init, SimulationConfig(kernel=k, geography=geo, seed=5,
+                                       horizon=4.0))
+            for run, k in zip((simulate, engine_oracle.simulate), kernels)]
+    _assert_same(*recs)
+    assert recs[0].stats["max_site_blocks"] >= 4
+    assert kernels[0].b_max == kernels[1].b_max > 3
+
+
+@pytest.mark.parametrize("kernel_rows", [
+    np.eye(2),
+    np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
+], ids=["frozen", "thinned"])
+def test_deadlock_raised_like_the_reference(kingman_kernel, kernel_rows):
+    geo = generic_graph(kernel_rows)
+    cfg = SimulationConfig(kernel=kingman_kernel, geography=geo, seed=1,
+                           stop_when_absorbed=True)
+    errors = []
+    for run in (simulate, engine_oracle.simulate):
+        with pytest.raises(ZeroRateDeadlock) as info:
+            run(singletons_at([0, 1]), cfg)
+        errors.append((str(info.value), info.value.context))
+    assert errors[0] == errors[1]
+
+
+def test_kernel_error_inside_the_loop_propagates(monkeypatch):
+    # a merge-size law is fetched from inside the compiled loop; an
+    # exception raised there reaches the caller unchanged
+    def broken(self, b):
+        raise RuntimeError(f"no law for b = {b}")
+
+    monkeypatch.setattr(RateKernel, "merge_size_cumulative", broken)
+    with pytest.raises(RuntimeError, match="no law for b = 10"):
+        simulate(singletons_at([0] * 10), SimulationConfig(
+            kernel=RateKernel(LambdaMeasure.beta(1.5)),
+            geography=single_site(), seed=0, stop_when_absorbed=True))
+
+
+def test_zero_blocks_and_no_horizon(kingman_kernel):
+    # an empty start with nothing to wait for: both loops deadlock
+    with pytest.raises(ZeroRateDeadlock):
+        simulate(singletons_at([]), SimulationConfig(
+            kernel=kingman_kernel, geography=single_site(), seed=0))
+    got, want = _both(singletons_at([]), kernel=kingman_kernel,
+                      geography=single_site(), seed=0, horizon=1.0,
+                      probe_times=(0.5, math.nextafter(1.0, 2.0)))
+    _assert_same(got, want)

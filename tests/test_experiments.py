@@ -196,7 +196,7 @@ _ENTRY_POINTS = {
                   dict(N=2, walk=simple_walk(3), n_blocks=3)),
     "few-block": (few_block_torus_sample,
                   dict(N=2, walk=simple_walk(3),
-                       start_positions=[[0, 0, 0], [2, 0, 0]])),
+                       start_positions=[[0, 0, 0], [2, 0, 0]], replicas=2)),
     "coupling": (class_coupling_check,
                  dict(geography=single_site(), class_split=[[1, 2]], t=1.0)),
     "decay": (block_decay_shape,
@@ -221,6 +221,10 @@ _KAPPA_TAKERS = ("pairwise", "block-count", "structure")
     ("structure", {"n_blocks": 2.5}),
     *((e, {"N": v}) for e in _KAPPA_TAKERS for v in (0, 2.5)),
     ("decay", {"N_values": [1, 2.5]}),
+    *(("few-block", {"N": v}) for v in (0, 2.5)),
+    # n >= 1 rows of d integer coordinates
+    *(("few-block", {"start_positions": v})
+      for v in ([], [0, 0, 0], [[0, 0], [2, 0]], [[0, 0, 0.5]])),
 ], ids=lambda v: (v if isinstance(v, str)
                   else "-".join(f"{k}={x}" for k, x in v.items())))
 def test_experiments_reject_bad_replicas_and_kappa(kingman, entry, bad):

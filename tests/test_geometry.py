@@ -54,6 +54,24 @@ def test_simple_walk_shape():
     assert np.allclose(w.probs_array, 1.0 / 6.0)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: simple_walk(0), "d"),
+    (lambda: simple_walk(2.5), "d"),
+    (lambda: simple_walk(math.nan), "d"),
+    (lambda: complete_graph(1), "n_sites"),
+    (lambda: complete_graph(2.5), "n_sites"),
+    (lambda: build_torus(0, simple_walk(3)), "N"),
+    (lambda: build_torus(2.5, simple_walk(3)), "N"),
+    (lambda: build_torus(math.nan, simple_walk(3)), "N"),
+], ids=["walk-0", "walk-2.5", "walk-nan", "complete-1", "complete-2.5",
+        "torus-0", "torus-2.5", "torus-nan"])
+def test_geometry_counts_must_be_integers(build, name):
+    # unchecked, simple_walk(0) raised ZeroDivisionError and a count of 2.5
+    # a TypeError
+    with pytest.raises(ValueError, match=rf"integer {name} >= "):
+        build()
+
+
 DIAGONAL = WalkSpec(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
                         (0, 0, 1), (0, 0, -1), (1, 1, 0), (-1, -1, 0)),
                     (0.125,) * 8)

@@ -460,6 +460,21 @@ def test_gamma_over_b_diverges_beta_heavy(beta_heavy_kernel):
 
 # ----------------------------------------------------------- classification
 
+
+@pytest.mark.parametrize("call, name", [
+    (lambda k: cdi_classify(k, b_max=2.5), "b_max"),
+    (lambda k: cdi_classify(k, b_max=math.nan), "b_max"),
+    (lambda k: cdi_classify(k, b_max=1), "b_max"),
+    (lambda k: tn_uniform_bound(k, k=2.5), "k"),
+    (lambda k: tn_uniform_bound(k, k=1), "k"),
+], ids=["classify-2.5", "classify-nan", "classify-1", "bound-k-2.5",
+        "bound-k-1"])
+def test_rate_counts_must_be_integers(kingman_kernel, call, name):
+    # unchecked, b_max 2.5 or NaN raised TypeError and k 2.5 IndexError
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+        call(kingman_kernel)
+
+
 def test_cdi_kingman(kingman_kernel):
     v = cdi_classify(kingman_kernel, b_max=1000)
     assert v.verdict == "COMES_DOWN"
