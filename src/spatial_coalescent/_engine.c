@@ -1,7 +1,8 @@
-/* The event loop of `engine.simulate`, loaded through ctypes.
+/* The event loop of `engine.simulate` and the free-migration scan of
+ * `experiments.few_block_torus_sample`, loaded through ctypes.
  *
- * It replays the draws of CPython's `random.Random` (MT19937) from the
- * state `getstate()` gives, so a run is bit for bit the run the Python
+ * The loop seeds MT19937 as CPython's `random.seed(int)` does and replays
+ * the draws of `random.Random`, so a run is bit for bit the run the Python
  * loop in tests/engine_oracle.py makes from the same seed:
  *   - random() is ((a >> 5) * 2^26 + (b >> 6)) / 2^53 of two words;
  *   - getrandbits(k), 1 <= k <= 32, is one word >> (32 - k);
@@ -44,8 +45,8 @@ enum { ASK_POLL, ASK_LAMBDA, ASK_ROW };
 typedef int (*call_fn)(void);
 
 typedef struct {
-    uint32_t *mt;                /* 624 words, advanced in place */
-    int64_t mt_index;
+    const uint32_t *key;         /* the seed's 32-bit words, low first */
+    int64_t key_len;
     int64_t n_blocks, n_sites;
     const int32_t *site_of;      /* start site of each block */
     const int64_t *size_of;      /* start size of each block */
@@ -91,7 +92,44 @@ typedef struct {
 
 /* ---- CPython's Mersenne Twister --------------------------------------- */
 
-typedef struct { uint32_t *mt; int64_t index; } mt_state;
+typedef struct { uint32_t mt[MT_N]; int64_t index; } mt_state;
+
+/* CPython's random.seed(n) for an int n >= 0 whose 32-bit words, low
+ * first, are key[0:len]: init_by_array over the words up to the highest
+ * nonzero one, and at least one */
+static void seed_by_array(mt_state *r, const uint32_t *key, int64_t len)
+{
+    uint32_t *mt = r->mt;
+    int64_t i = 1, j = 0, k;
+    while (len > 1 && key[len - 1] == 0)
+        len--;
+    mt[0] = 19650218U;
+    for (k = 1; k < MT_N; k++)
+        mt[k] = 1812433253U * (mt[k - 1] ^ (mt[k - 1] >> 30)) + (uint32_t)k;
+    for (k = MT_N > len ? MT_N : len; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= len)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
+                - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    r->index = MT_N;
+}
 
 static uint32_t genrand(mt_state *r)
 {
@@ -295,7 +333,7 @@ static int64_t block_stop(const sc_input *in, int64_t n_alive)
 int64_t sc_simulate(const sc_input *in, sc_output *out)
 {
     const int64_t n0 = in->n_blocks, n_sites = in->n_sites;
-    mt_state rng = {in->mt, in->mt_index};
+    mt_state rng;
     int64_t *site_of = out->final_site;
     int64_t *size_of = out->final_size;
     int64_t *counts = out->final_counts;
@@ -328,6 +366,7 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
         || !k.occupied || !k.occ_pos || !k.occ_weight || !k.pos_in_class
         || !chosen || !record || (!in->binary && (!pool || !selected)))
         goto no_memory;
+    seed_by_array(&rng, in->key, in->key_len);
 
     /* ---- the start state, copied from the layout ---- */
     memcpy(size_of, in->size_of, n0 * sizeof *size_of);
@@ -660,4 +699,67 @@ done:
     free(selected);
     free(record);
     return status;
+}
+
+/* ---- the few-block sampler's chunk of free migration ------------------ */
+
+/* The scan of `experiments._TorusWalk._chunk` over the draws it made in
+ * numpy: up to K jump-chain steps of free migration for each of r
+ * replicas of n slots, in row order.  A site is packed, coordinate f in
+ * bits [f width, (f + 1) width) as a value in [0, side); steps[s] is step s
+ * of the walk packed so, each coordinate taken mod side, and `cuts` the
+ * walk's cumulative step law without its last entry.  Replica i, with m
+ * alive slots (alive[i n:(i + 1) n]), takes at step x the
+ * (int64)(u_mover[i K + x] m)-th alive slot as the mover and step
+ * #{cuts <= u_step[i K + x]}, the arithmetic of numpy's `astype` and of
+ * the sampler's `draw_steps`, and stops after the first step that puts the
+ * mover on the site of another alive block.  Its end sites are written
+ * over sites[i n:(i + 1) n] and the number of steps it took to taken[i];
+ * `scratch` holds 2 n entries.  Returns the number of replicas that met
+ * another block within their K steps (on the last one too). */
+int64_t sc_chunk(int64_t r, int64_t n, int64_t K, int64_t *sites,
+                 const uint8_t *alive, const double *u_mover,
+                 const double *u_step, const double *cuts, int64_t n_cuts,
+                 const int64_t *steps, int64_t d, int64_t side,
+                 int64_t width, int64_t *scratch, int64_t *taken)
+{
+    /* the alive blocks' slots and sites */
+    int64_t *slot = scratch, *at = scratch + n;
+    /* a site plus a step has each field in [0, 2 side - 1), and a field v
+     * plus 2^(width - 1) - side sets bit width - 1 exactly when v >= side,
+     * as the fields are wider than 2 side: one add and mask find the fields
+     * to wrap, whichever they are */
+    int64_t ones = 0, n_met = 0;
+    for (int64_t f = 0; f < d; f++)
+        ones |= (int64_t)1 << (f * width);
+    const int64_t half = (((int64_t)1 << (width - 1)) - side) * ones;
+    for (int64_t i = 0; i < r; i++) {
+        int64_t *site = sites + i * n;
+        const double *um = u_mover + i * K, *us = u_step + i * K;
+        int64_t m = 0, x;
+        for (int64_t j = 0; j < n; j++)
+            if (alive[i * n + j]) {
+                slot[m] = j;
+                at[m++] = site[j];
+            }
+        for (x = 0; x < K; x++) {
+            /* counted and compared without early exits, whose branches
+             * would follow the uniforms and be mispredicted */
+            int64_t j = (int64_t)(um[x] * (double)m), s = 0, to, hits = 0;
+            for (int64_t c = 0; c < n_cuts; c++)
+                s += cuts[c] <= us[x];
+            to = at[j] + steps[s];
+            to -= (((to + half) >> (width - 1)) & ones) * side;
+            at[j] = to;
+            for (int64_t a = 0; a < m; a++)
+                hits += at[a] == to;
+            if (hits > 1)
+                break;
+        }
+        for (int64_t a = 0; a < m; a++)
+            site[slot[a]] = at[a];
+        taken[i] = x < K ? x + 1 : K;
+        n_met += x < K;
+    }
+    return n_met;
 }

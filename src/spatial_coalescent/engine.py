@@ -28,18 +28,20 @@ of the surviving blocks stay in least-element order.  One seeded
 bit-reproducible; uniform indices come from its `getrandbits` by rejection,
 the loop `random.Random` itself runs inside `choice` and `randrange`.
 
-The event loop runs in C (`_engine.c`, through ctypes).  Python seeds the
-`random.Random` and hands its Mersenne Twister state to the loop, which
-makes the same draws from it, so every record is bit for bit that of the
-Python loop kept as the reference in tests/engine_oracle.py.  The first
-`simulate` of a process builds the library with `cc` if none exists for
-this source, into `__pycache__/` beside this file, or into
+The event loop runs in C (`_engine.c`, through ctypes).  Python mixes the
+seed, and the loop seeds its Mersenne Twister from it as `random.Random`
+does and makes the same draws, so every record is bit for bit that of the
+Python loop kept as the reference in tests/engine_oracle.py.  The same
+library holds the few-block sampler's free-migration scan (`sc_chunk`,
+called by `experiments._TorusWalk`).  The first `simulate` or few-block
+sample of a process builds the library with `cc` if none exists for this
+source, into `__pycache__/` beside this file, or into
 `~/.cache/spatial_coalescent/` where the package cannot be written to;
 importing the package neither builds nor loads it.  Without a compiler
-`simulate` raises `EngineBuildFailed`.  lambda_b past the kernel's table
-and the merge-size laws come from the kernel through a callback, as the
-loop reaches them; the loop also calls it every 2^16 steps, so that a
-signal handler (Ctrl-C) runs and stops the run.
+both raise `EngineBuildFailed`.  lambda_b past the kernel's table and the
+merge-size laws come from the kernel through a callback, as the loop
+reaches them; the loop also calls it every 2^16 steps, so that a signal
+handler (Ctrl-C) runs and stops the run.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import functools
 import hashlib
 import math
 import os
-import random
 import shutil
 import subprocess
 import tempfile
@@ -287,20 +288,19 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     `randrange`.  Block ids stay in least-element order, so the survivor of
     a merge is its least id.
 
-    The loop runs in C (`_engine.c`), on the state `random.Random` holds
-    after seeding, and makes the draws `random.Random` would; the first
-    call builds it (see `_loop`).  Merges come back as a log, which is
+    The loop runs in C (`_engine.c`), seeds its Mersenne Twister as
+    `random.Random` does and makes the draws `random.Random` would; the
+    first call builds it (see `_loop`).  Merges come back as a log, which is
     replayed here when elements are tracked.
     """
     loop = _loop()
     geo = config.geography
     kernel = config.kernel
     # mix the seed first: raw consecutive integer seeds bias the stream's
-    # opening draws, which shows up in first-event statistics
-    mixed = int.from_bytes(
-        np.random.SeedSequence(config.seed).generate_state(4).tobytes(), "little")
-    # 624 state words, then the index of the next one
-    mt = array("I", random.Random(mixed).getstate()[1])
+    # opening draws, which shows up in first-event statistics; the loop
+    # seeds as random.Random(mixed) does, mixed being these four 32-bit
+    # words, low first
+    key = np.random.SeedSequence(config.seed).generate_state(4)
 
     layout = initial.start_layout(geo.size)
     n_blocks, n_sites = len(layout.sites), geo.size
@@ -329,7 +329,8 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     next(answers)
     try:
         status = loop.sc_simulate(ctypes.byref(_Input(
-            mt=_addr(mt), mt_index=mt[-1], n_blocks=n_blocks, n_sites=n_sites,
+            key=_addr(key), key_len=len(key), n_blocks=n_blocks,
+            n_sites=n_sites,
             site_of=_addr(layout.sites), size_of=_addr(layout.sizes),
             counts=_addr(layout.counts), roster_ids=_addr(layout.roster_ids),
             move_rates=_addr(move_rates), move_start=_addr(move_start),
@@ -420,7 +421,7 @@ def _read_log(times: list, log: list, events: list | None) -> list:
 
 
 # ----------------------------------------------------------------------
-# the compiled event loop
+# the compiled library: the event loop and the few-block chunk scan
 # ----------------------------------------------------------------------
 
 _SOURCE = Path(__file__).with_name("_engine.c")
@@ -444,7 +445,7 @@ _Call = ctypes.CFUNCTYPE(ctypes.c_int)
 
 class _Input(ctypes.Structure):
     _fields_ = [
-        ("mt", _p), ("mt_index", _i), ("n_blocks", _i), ("n_sites", _i),
+        ("key", _p), ("key_len", _i), ("n_blocks", _i), ("n_sites", _i),
         ("site_of", _p), ("size_of", _p), ("counts", _p), ("roster_ids", _p),
         ("move_rates", _p), ("move_start", _p), ("move_cum", _p),
         ("move_dest", _p), ("lam", _p), ("lam_avail", _i), ("rows", _p),
@@ -511,7 +512,10 @@ def _answers(kernel: RateKernel, out: _Output, errors: list):
 
 @functools.cache
 def _loop() -> ctypes.CDLL:
-    """The compiled event loop, built on first use.
+    """The compiled library of `_engine.c`, built on first use.  It has two
+    entry points: `sc_simulate`, the event loop of `simulate`, and
+    `sc_chunk`, the free-migration scan of the few-block sampler
+    (`experiments._TorusWalk._chunk`).
 
     The library is named by the sha256 of `_engine.c` and the compiler
     flags, so a process loads the one built for its source and builds it
@@ -534,6 +538,11 @@ def _loop() -> ctypes.CDLL:
     lib.sc_simulate.restype = _i
     lib.sc_free.argtypes = [ctypes.POINTER(_Output)]
     lib.sc_free.restype = None
+    # r, n, K, sites, alive, u_mover, u_step, cuts, n_cuts, steps, d, side,
+    # width, scratch, taken
+    lib.sc_chunk.argtypes = [_i, _i, _i, _p, _p, _p, _p, _p, _i, _p, _i, _i,
+                             _i, _p, _p]
+    lib.sc_chunk.restype = _i
     return lib
 
 
@@ -543,8 +552,9 @@ def _build(name: str, places: tuple) -> Path:
     compiler = shutil.which(_COMPILER)
     if compiler is None:
         raise EngineBuildFailed(
-            f"no C compiler {_COMPILER!r} on PATH: simulate builds its event "
-            f"loop from {_SOURCE.name} with it on first use",
+            f"no C compiler {_COMPILER!r} on PATH: simulate and the few-block "
+            f"sampler build their library from {_SOURCE.name} with it on "
+            f"first use",
             compiler=_COMPILER)
     for place in places:
         try:
@@ -569,7 +579,7 @@ def _build(name: str, places: tuple) -> Path:
                 os.unlink(tmp)
         return place / name
     raise EngineBuildFailed(
-        f"cannot write the event loop library {name}: neither "
+        f"cannot write the engine library {name}: neither "
         + " nor ".join(map(str, places)) + " is a writable directory",
         compiler=_COMPILER, directories=[str(place) for place in places])
 

@@ -24,13 +24,14 @@ exact in law but orders of magnitude faster than the general engine:
 few_block_torus_sample advances replicas whose blocks are apart by chunks
 of pure migration cut at the first co-location, and the others one
 jump-chain event at a time.  It holds a site as one packed int64, a bit
-field per coordinate; a chunk leaves its paths unwrapped and finds the
-first co-location from each alive block's packed displacement from one of
-them, so that only the end sites are wrapped and a replica pays only for
-its alive blocks.  It logs a merge's participants as slot indices, each
-the least start index of its group, and returns counters of its chunks and
-lockstep events.  It and the block-count study first check that the walk
-connects the torus (geometry.check_torus_walk).
+field per coordinate; a chunk draws its movers, steps and times in numpy
+and scans them in C, one step at a time, in the engine's compiled library
+(engine._loop), so that a replica pays only for the steps it takes up to
+its first co-location and for its alive blocks.  It logs a merge's
+participants as slot indices, each the least start index of its group, and
+returns counters of its chunks and lockstep events.  It and the
+block-count study first check that the walk connects the torus
+(geometry.check_torus_walk).
 
 kappa is about the difference of two blocks' positions, so it takes G of
 the symmetrized walk (geometry.WalkSpec.symmetrized).  Without a given
@@ -578,8 +579,7 @@ def _joint_chi2(pairs: np.ndarray, law: dict, min_expected: float = 5.0) -> floa
 # its replicas at once, in at most _CHUNK_CELLS (replicas x steps) cells.  K is
 # _CHUNK_STEPS while a pass has at least _CHUNK_CELLS // _CHUNK_STEPS apart
 # replicas and grows as they thin out, up to _MAX_CHUNK_STEPS, so that the
-# last replicas of a run take few passes.  Replicas are sliced to fit, so that
-# each array of a chunk (256 KB of int64) stays in cache.
+# last replicas of a run take few passes.
 _CHUNK_STEPS = 256
 _MAX_CHUNK_STEPS = 4096
 _CHUNK_CELLS = 1 << 15
@@ -590,23 +590,14 @@ class _TorusWalk:
     hold each coordinate, (x_i + N) mod side, in its own bit field: one step
     at a time, or a chunk of free migration at once.
 
-    A chunk follows each alive block j >= 1 by its displacement from the
-    replica's first alive block (block 0), Q_j = P_j - P_0: the cumulative
-    sum, left unwrapped, of +step where j moves and -step where block 0
-    does, only over the replicas where j is alive.  A replica with two alive
-    blocks is one cumulative sum and one test.  A displacement of two blocks
-    plus `dbias` (side - 1 + steps * reach per field) has every field in
-    [0, 2 dbias], and the two share a site exactly when each field is dbias
-    modulo side (`zero`).  A step changes only the mover's pairs, so the
-    first co-location is the first step at which any two alive blocks share
-    a site: a replica with at most 3 alive blocks tests every pair (Q_j, and
-    Q_j - Q_i), no more tests than the mover against each block, and one
-    with more tests the mover's displacement against each block's.
-    Block 0's end site is its start plus a prefix sum of its own moves, and
-    block j's that plus Q_j.  The fields are wide enough for all this;
-    wrap() maps a path plus `bias` back into [0, side).  `steps`, the
-    longest chunk, is _MAX_CHUNK_STEPS unless the 62 // d bits of a field
-    hold fewer.
+    A chunk draws its movers, steps and times in numpy and scans them in C
+    (`sc_chunk` in _engine.c, the event loop's library): each replica in
+    row order moves its mover one step at a time, each field wrapped once,
+    and stops at the first step that puts it on another alive block's site.
+    `steps`, the longest chunk, is _MAX_CHUNK_STEPS unless a field of 62 // d
+    bits cannot hold 2 (side - 1 + steps * reach); the fields are that wide,
+    so that wrap() maps a path of up to `steps` steps plus `bias` back into
+    [0, side).  The chunk lengths, and so the draws, follow from this rule.
     """
 
     def __init__(self, N: int, walk: WalkSpec):
@@ -618,7 +609,6 @@ class _TorusWalk:
         self.cuts = np.cumsum(walk.probs_array)[:-1]
         self.step_type = np.min_scalar_type(self.cuts.size)
         reach = int(np.max(np.abs(offsets)))
-        # largest field of a difference: 2 (side - 1 + steps * reach)
         field_max = (1 << (62 // d)) - 1
         self.steps = min(_MAX_CHUNK_STEPS,
                          (field_max - 2 * (self.side - 1)) // (2 * reach))
@@ -626,23 +616,17 @@ class _TorusWalk:
             raise SizeOverflow(f"a {d}-dimensional torus of side {self.side} "
                                "does not fit the packed chunk coordinates")
         bias = self.steps * reach
-        dbias = self.side - 1 + bias
-        width = (2 * dbias).bit_length()
-        self.shifts = width * np.arange(d, dtype=np.int64)
-        self.field = (1 << width) - 1
+        self.width = (2 * (self.side - 1 + bias)).bit_length()
+        self.shifts = self.width * np.arange(d, dtype=np.int64)
+        self.field = (1 << self.width) - 1
         self.bias = int((bias << self.shifts).sum())
-        self.dbias = int((dbias << self.shifts).sum())
         self.packed_steps = (offsets << self.shifts).sum(axis=1)
-        values = np.arange(1 << width)
+        # each step with its coordinates taken mod side, for the chunk's scan
+        self.mod_steps = ((offsets % self.side) << self.shifts).sum(axis=1)
+        values = np.arange(1 << self.width)
         # biased field value -> its wrapped value, shifted into its field
         wrapped = (values - bias) % self.side
         self.tables = [wrapped << shift for shift in self.shifts]
-        self.zero = (values - dbias) % self.side == 0
-        # work arrays of the chunks: `work` holds M + 2 arrays of
-        # _CHUNK_CELLS int64s for the most alive blocks M of any chunk yet
-        self.work = np.empty(0, dtype=np.int64)
-        self.hit = np.empty(_CHUNK_CELLS, dtype=bool)
-        self.cell_index = np.arange(_CHUNK_CELLS)
         self.stats = dict.fromkeys(("chunk_calls", "chunk_replicas",
                                     "chunk_cells", "chunk_steps",
                                     "chunk_cuts"), 0)
@@ -687,125 +671,33 @@ class _TorusWalk:
             self._chunk(rng, sites, alive, t, rows[lo:lo + per_slice], K)
 
     def _chunk(self, rng, sites, alive, t, rows, K) -> None:
-        r = rows.size
-        n = r * K
+        r, n = rows.size, alive.shape[1]
         live = alive[rows]
         m = live.sum(axis=1)
-        M = int(m.max())
-        if self.work.size < (M + 2) * n + 1:
-            self.work = np.empty((M + 2) * _CHUNK_CELLS + 1, dtype=np.int64)
-        # rel[j] (j >= 1) is block j's displacement from block 0; rel[0],
-        # `low` and `own_moves` are scratch
-        rel = self.work[:M * n].reshape(M, r, K)
-        low = self.work[M * n:(M + 1) * n]
-        own_moves = self.work[(M + 1) * n:(M + 2) * n + 1]
-        # each step's mover is a uniform alive block, its index among them
-        u = rng.random((r, K))
-        u *= m[:, None]
-        mover = u.astype(np.min_scalar_type(M - 1))
-        del u
-        steps = self.draw_steps(rng, n).reshape(r, K)
-        # rows by falling alive count, so that the replicas whose j-th block
-        # is alive are the first at_least[j]; order[:, j] is the slot of
-        # that block, and past the alive count come dead ones
-        by_m = np.argsort(-m, kind="stable")
-        if np.any(m[:-1] < m[1:]):
-            mover, steps = mover[by_m], steps[by_m]
-        at_least = (r - np.cumsum(np.bincount(m, minlength=M))).tolist()
-        order = np.argsort(~live[by_m], axis=1, kind="stable")[:, :M]
-        row_sites = (rows[by_m, None], order)
-        start = sites[row_sites]
-        own = mover == 0
-        # block 0's own moves, and a cell of padding for their prefix sums;
-        # rel[1] (rel[0] if one block is alive) holds every move until it
-        # becomes Q_1, the last displacement taken
-        moves = rel[min(1, M - 1)]
-        np.take(self.packed_steps, steps, out=moves, mode="clip")
-        np.multiply(moves, own, out=own_moves[:n].reshape(r, K))
-        own_moves[n] = 0
-        # Q_j = P_j - P_0 steps by +step where j moves and -step where 0
-        # does; rel[j] is Q_j plus the start difference plus dbias
-        moves -= own_moves[:n].reshape(r, K)
-        moves -= own_moves[:n].reshape(r, K)
-        for j in range(M - 1, 0, -1):
-            rj = at_least[j]
-            inc = rel[j, :rj]
-            if j > 1:
-                np.multiply(moves[:rj], (mover[:rj] == j) | own[:rj], out=inc)
-            elif M > 2:
-                r2 = at_least[2]
-                inc[:r2] *= mover[:r2] < 2
-            inc[:, 0] += start[:rj, j] - start[:rj, 0] + self.dbias
-            np.cumsum(inc, axis=1, out=inc)
-        # the first `many` rows have more than 3 alive blocks and test the
-        # mover against each block; the others test every pair
-        first = np.full(r, K)
-        many = at_least[3] if M > 3 else 0
-        for j in range(1, min(M, 3)):
-            self._first_meet(rel[j, many:at_least[j]], first[many:], low)
-        if M > 2:
-            # blocks 1 and 2
-            three = slice(many, at_least[2])
-            diff = rel[0, three]
-            np.subtract(rel[2, three], rel[1, three], out=diff)
-            diff += self.dbias
-            self._first_meet(diff, first[many:], low)
-        if many:
-            # block 0's own displacement is 0, so rel[0] is dbias, and
-            # `lands` is the mover's displacement plus 2 dbias
-            rel[0, :many].fill(self.dbias)
-            cells = mover[:many].astype(np.intp)
-            cells *= n
-            cells += self.cell_index[:many * K].reshape(many, K)
-            lands = rel.ravel()[cells]
-            lands += self.dbias
-            for j in range(M):
-                rj = min(at_least[j], many)
-                self._first_meet(lands[:rj] - rel[j, :rj], first, low,
-                                 mover[:rj] != j)
-        taken = np.minimum(first + 1, K)
-        # block 0's end site from a prefix sum of its own moves, the others'
-        # from their displacements
-        base = self.cell_index[:r] * K
-        ends = start + self.bias
-        ends[:, 0] += np.add.reduceat(
-            own_moves, np.column_stack((base, base + taken)).ravel())[::2]
-        for j in range(1, M):
-            rj = at_least[j]
-            ends[:rj, j] = (ends[:rj, 0] - self.dbias
-                            + rel[j, self.cell_index[:rj], taken[:rj] - 1])
-        sites[row_sites] = self.wrap(ends)
+        # each step's mover is a uniform alive block, (int)(u m)-th of them,
+        # and its step #{cuts <= u} of a second uniform
+        u_mover = rng.random((r, K))
+        u_step = rng.random(r * K)
+        block = sites[rows]
+        scratch = np.empty(2 * n, dtype=np.int64)
+        taken = np.empty(r, dtype=np.int64)
+        addr = engine_mod._addr
+        met = engine_mod._loop().sc_chunk(
+            r, n, K, addr(block), addr(live), addr(u_mover), addr(u_step),
+            addr(self.cuts), self.cuts.size, addr(self.mod_steps),
+            self.shifts.size, self.side, self.width, addr(scratch),
+            addr(taken))
+        sites[rows] = block
         # holding times are Exp(m) and independent of the jump chain, so the
         # time of `taken` steps is one Gamma(taken, 1/m) draw, made in the
         # order of `rows`
-        taken_by_row = np.empty_like(taken)
-        taken_by_row[by_m] = taken
-        t[rows] += rng.gamma(taken_by_row, 1.0 / m)
+        t[rows] += rng.gamma(taken, 1.0 / m)
         stats = self.stats
         stats["chunk_calls"] += 1
         stats["chunk_replicas"] += r
-        stats["chunk_cells"] += n
+        stats["chunk_cells"] += r * K
         stats["chunk_steps"] += int(taken.sum())
-        stats["chunk_cuts"] += int(np.count_nonzero(first < K))
-
-    def _first_meet(self, diff, first, low, keep=None) -> None:
-        """Lower first[i] to the first step x at which diff[i, x], a packed
-        difference plus dbias, says that two blocks share a site (and
-        keep[i, x] holds).  `low` is scratch."""
-        flat = diff.ravel()
-        low = low[:flat.size]
-        hit = self.hit[:flat.size]
-        np.bitwise_and(flat, self.field, out=low)
-        np.take(self.zero, low, out=hit, mode="clip")
-        if keep is not None:
-            hit &= keep.ravel()
-        c = np.flatnonzero(hit)
-        v = flat[c]
-        met = np.ones(c.size, dtype=bool)
-        for shift in self.shifts[1:]:
-            met &= self.zero[(v >> shift) & self.field]
-        row, x = np.divmod(c[met], diff.shape[1])
-        np.minimum.at(first, row, x)
+        stats["chunk_cuts"] += met
 
 
 def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
@@ -820,15 +712,20 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     While no two alive blocks of a replica share a site, its chain is pure
     migration (Exp(m_alive) holding times, a uniform alive block, a step
     from the walk), and it advances a chunk of steps at once up to its first
-    co-location.  Replicas with co-located blocks advance one event at a
-    time, all in lockstep.  Sites are the packed sites of _TorusWalk.
-    Raises ValueError if the walk does not connect the torus.
+    co-location: the draws of a chunk are made in numpy and scanned in C
+    (_TorusWalk._chunk), so the first call of a process loads the engine's
+    library and builds it if it is missing.  Replicas with co-located
+    blocks advance one event at a time, all in lockstep.  Sites are the
+    packed sites of _TorusWalk.  Raises ValueError if the walk does not
+    connect the torus, and EngineBuildFailed if the library cannot be
+    built.
 
     The counters: chunk_calls (chunks run, each over a slice of replicas),
     chunk_replicas (replica chunks), chunk_cells (steps drawn in them, the
     sum of replicas x chunk length), chunk_steps (jump-chain steps taken in
     them; the cells past a co-location are drawn and thrown away),
-    chunk_cuts (replica chunks cut short by a co-location),
+    chunk_cuts (replica chunks ended by a co-location, on their last
+    step too),
     lockstep_events (events taken one at a time) and lockstep_skipped
     (passes with no co-located replica).
     """

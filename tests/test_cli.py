@@ -825,28 +825,32 @@ print(engine._loop.cache_info().currsize, mapped)
 
 
 def test_simulate_without_a_compiler_exits_4(tmp_path):
-    # a fresh copy of the package holds no built loop, and with no cc on
-    # PATH the first simulate cannot build it: no fallback, exit 4
+    # a fresh copy of the package holds no built library, and with no cc on
+    # PATH neither the first simulate nor the few-block sampler of a
+    # structure run can build it: no fallback, exit 4
     package = Path(cli.__file__).parent
     shutil.copytree(package, tmp_path / "copy" / package.name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     (tmp_path / "bin").mkdir()
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"seed": 1, "measure": KINGMAN,
-                                  "geography": {"topology": "single"},
-                                  "n_per_site": 3}))
     # HOME too, so that no library built into ~/.cache/ is found
     env = {**os.environ, "PYTHONPATH": str(tmp_path / "copy"),
            "PATH": str(tmp_path / "bin"), "HOME": str(tmp_path / "home")}
-    r = subprocess.run([sys.executable, "-m", "spatial_coalescent", "simulate",
-                        "--config", str(config), "--out", str(tmp_path / "out")],
-                       capture_output=True, text=True, env=env, cwd=tmp_path,
-                       timeout=120)
-    assert r.returncode == 4, r.stdout + r.stderr
-    payload = json.loads(r.stdout)
-    assert payload["error"] == "ENGINE_BUILD_FAILED"
-    assert "C compiler 'cc'" in payload["message"]
-    assert payload["context"] == {"compiler": "cc"}
+    for command, cfg in [("simulate", {"seed": 1, "measure": KINGMAN,
+                                       "geography": {"topology": "single"},
+                                       "n_per_site": 3}),
+                         ("experiment", STRUCTURE_CFG)]:
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps(cfg))
+        r = subprocess.run([sys.executable, "-m", "spatial_coalescent",
+                            command, "--config", str(config),
+                            "--out", str(tmp_path / command)],
+                           capture_output=True, text=True, env=env,
+                           cwd=tmp_path, timeout=120)
+        assert r.returncode == 4, r.stdout + r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["error"] == "ENGINE_BUILD_FAILED"
+        assert "C compiler 'cc'" in payload["message"]
+        assert payload["context"] == {"compiler": "cc"}
     assert not list(tmp_path.rglob("*.so"))
 
 

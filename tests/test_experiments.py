@@ -686,8 +686,8 @@ def _separated_starts(N, n, d):
         "simple-N6-n12"])
 def test_few_block_sample_logs_equal_per_block_wrap_oracle(
         monkeypatch, N, walk, measure, starts, replicas):
-    # the chunk on packed differences makes the oracle's draws in its order
-    # and finds the same first co-location, so the logs agree to the bit:
+    # the C scan of the chunk makes the oracle's draws in its order and
+    # finds the same first co-location, so the logs agree to the bit:
     # the last case starts with passes of 256-step chunks, the others take
     # longer ones throughout
     kernel = RateKernel(LambdaMeasure.unit_atom(0.0) if measure == "kingman"
@@ -736,7 +736,7 @@ def _apart_replicas(torus, rng, alive_counts, n_blocks, box):
         "d3-K256-m2..6", "d3-K1638-m2..6", "d3-K4096-m2..6",
         "d6-K505-m2..3", "d6-K505-m2..6", "d3-K256-m130"])
 def test_chunk_equals_per_block_wrap_oracle(N, d, K, counts, box):
-    # the chunk on block differences and the oracle's per-block wrap, from
+    # the chunk's C scan and the oracle's per-block wrap, from
     # one random state, end on the same sites at the same times and leave
     # the stream at the same place, so they made the same draws; the slice
     # mixes the alive counts and is taken from a larger set of replicas
@@ -764,6 +764,49 @@ def test_chunk_equals_per_block_wrap_oracle(N, d, K, counts, box):
     assert stats["chunk_cells"] == r * K
     assert 0 < stats["chunk_cuts"] < r
     assert stats["chunk_steps"] < stats["chunk_cells"]
+
+
+class _ScriptedDraws:
+    """A chunk's draws, scripted: one uniform for every mover, one for every
+    step, and the Gamma counts it asks for (it returns 0 times)."""
+
+    def __init__(self, u_mover, u_step):
+        self.uniforms = [u_mover, u_step]
+        self.taken = None
+
+    def random(self, shape):
+        return np.full(shape, self.uniforms.pop(0))
+
+    def gamma(self, taken, scale):
+        self.taken = taken.tolist()
+        return np.zeros_like(scale)
+
+
+def test_chunk_cuts_at_a_meeting_on_its_last_step():
+    # block 0 steps +e_1 at every step towards block 1, `gap` sites ahead,
+    # so they meet at step gap - 1 (from 0): in a chunk of K = 4 steps the
+    # gap-4 replica meets on the last step, a cut of K steps, and the gap-5
+    # one never meets
+    torus = experiments._TorusWalk(4, simple_walk(3))
+    gaps, K = [2, 3, 4, 5], 4
+    rows = np.arange(len(gaps))
+    start = torus.pack([[[0, 0, 0], [g, 0, 0]] for g in gaps])
+    alive = np.ones(start.shape, dtype=bool)
+    # u = 0 moves the first alive block; 0.2 takes step 1 of simple_walk,
+    # +e_1
+    ends = []
+    for chunk in (torus._chunk,
+                  lambda *args: per_block_wrap_chunk(torus, *args)):
+        sites, draws = start.copy(), _ScriptedDraws(0.0, 0.2)
+        chunk(draws, sites, alive, np.zeros(len(gaps)), rows, K)
+        ends.append((sites.tolist(), draws.taken))
+    assert ends[0] == ends[1]
+    assert ends[0][1] == [2, 3, 4, 4]
+    assert ends[0][0] == torus.pack([[[g, 0, 0], [g, 0, 0]] for g in (2, 3, 4)]
+                                    + [[[4, 0, 0], [5, 0, 0]]]).tolist()
+    assert torus.stats["chunk_cuts"] == 3
+    assert torus.stats["chunk_steps"] == 13
+    assert torus.stats["chunk_cells"] == 16
 
 
 def test_few_block_sample_chunk_calls_fall_with_replicas_left(kingman):

@@ -8,11 +8,12 @@ numpy pass, independently of `experiments.few_block_torus_sample`, which
 moves both blocks and serves the production experiments; the tests compare
 the two in law.
 
-`per_block_wrap_chunk` is the sampler's chunk of free migration in its first
-form: it wraps every alive block's path back onto the torus at every step
-and compares each with the mover's site.  It takes the chunk length K from
-its caller and makes the same draws as `experiments._TorusWalk._chunk`, so
-in its place the sampler's logs must not change by a bit, at any K.
+`per_block_wrap_chunk` is the sampler's chunk of free migration in numpy
+alone: it wraps every alive block's path back onto the torus at every step
+and compares each with the mover's site, where `experiments._TorusWalk._chunk`
+scans the steps one at a time in C (`sc_chunk`).  It takes the chunk length
+K from its caller and makes the same draws as `_chunk`, so in its place the
+sampler's logs must not change by a bit, at any K.
 """
 
 from __future__ import annotations
