@@ -23,15 +23,16 @@ experiment needs partition identity.  A start of singletons
 `singletons_per_site` return) holds only its labels, so a counts-only run
 from it never builds a block set.  Block ids follow the least-element
 order of the initial partition and a merge keeps its least id, so the ids
-of the surviving blocks stay in least-element order.  One seeded
-`random.Random` stream drives every draw, making trajectories
-bit-reproducible; uniform indices come from its `getrandbits` by rejection,
-the loop `random.Random` itself runs inside `choice` and `randrange`.
+of the surviving blocks stay in least-element order.
 
-The event loop runs in C (`_engine.c`, through ctypes).  Python mixes the
-seed, and the loop seeds its Mersenne Twister from it as `random.Random`
-does and makes the same draws, so every record is bit for bit that of the
-Python loop kept as the reference in tests/engine_oracle.py.  The same
+The event loop runs in C (`_engine.c`, through ctypes).  One seeded
+Mersenne Twister stream drives every draw, making trajectories
+bit-reproducible: Python mixes the seed, and the loop seeds the generator
+from it as `random.Random` would and makes the draws `random.Random` would
+make, uniform indices by rejection from its raw bits as in `choice` and
+`randrange`.  So every record is bit for bit that of the Python loop kept
+as the reference in tests/engine_oracle.py.  The loop reads the geography's
+kernel as its flat move table (`GeographySpec.move_table`).  The same
 library holds the few-block sampler's free-migration scan (`sc_chunk`,
 called by `experiments._TorusWalk`).  The first `simulate` or few-block
 sample of a process builds the library with `cc` if none exists for this
@@ -57,13 +58,13 @@ import tempfile
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from numbers import Integral
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EngineBuildFailed, IncompatibleVariants, ZeroRateDeadlock
+from .errors import (EngineBuildFailed, IncompatibleVariants, ZeroRateDeadlock,
+                     check_count)
 from .geometry import GeographySpec
 from .rates import RateKernel
 
@@ -84,7 +85,7 @@ class _StartLayout(NamedTuple):
     """Start state of `simulate` for one partition and site count, as flat
     C arrays that each replica copies.  Block ids are the indices of
     `LabeledPartition.blocks`."""
-    sites: array        # int32: site of each block
+    site_of: array      # int32: site of each block
     mins: tuple         # least element of each block
     sizes: array        # int64: size of each block
     counts: array       # int64: blocks at each site
@@ -96,16 +97,16 @@ class _StartLayout(NamedTuple):
         for lab in part.labels:
             if lab == CEMETERY or not (0 <= lab < n_sites):
                 raise ValueError(f"initial label {lab!r} is not a site")
-        sites = array("i", part.labels)
+        site_of = array("i", part.labels)
         if "blocks" in vars(part):
             mins = tuple(min(b) for b in part.blocks)
             sizes = array("q", map(len, part.blocks))
         else:  # a singleton start whose blocks were never built
             mins, sizes = range(1, part.n + 1), array("q", [1]) * part.n
-        labels = np.frombuffer(sites, dtype=np.int32)
+        labels = np.frombuffer(site_of, dtype=np.int32)
         counts = np.bincount(labels, minlength=n_sites).astype(np.int64)
         roster_ids = np.argsort(labels, kind="stable").astype(np.int32)
-        return cls(sites=sites, mins=mins, sizes=sizes,
+        return cls(site_of=site_of, mins=mins, sizes=sizes,
                    counts=array("q", counts.tobytes()),
                    roster_ids=array("i", roster_ids.tobytes()))
 
@@ -196,6 +197,7 @@ class LabeledPartition:
 
 def singletons_per_site(geography: GeographySpec, n_per_site: int) -> LabeledPartition:
     """n singleton blocks at every site; elements numbered site-major."""
+    check_count("n_per_site", n_per_site, 1)
     return LabeledPartition.singletons(
         [s for s in range(geography.size) for _ in range(n_per_site)])
 
@@ -225,18 +227,12 @@ class SimulationConfig:
         # threshold met at once; each check is written so that NaN fails it
         if self.horizon is not None and not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be finite and positive")
-        if self.stop_blocks_at_most is not None and not _is_count(
-                self.stop_blocks_at_most):
-            raise ValueError("block threshold must be an integer >= 1")
+        if self.stop_blocks_at_most is not None:
+            check_count("block threshold", self.stop_blocks_at_most, 1)
         if not all(0.0 <= p < math.inf for p in self.probe_times):
             raise ValueError("probe times must be finite and >= 0")
-        if self.event_budget is not None and not _is_count(self.event_budget):
-            raise ValueError("event budget must be an integer >= 1")
-
-
-def _is_count(value) -> bool:
-    """True for an integer >= 1 (NaN, inf and 2.5 are not)."""
-    return isinstance(value, Integral) and value >= 1
+        if self.event_budget is not None:
+            check_count("event budget", self.event_budget, 1)
 
 
 @dataclass
@@ -268,14 +264,15 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     a class (a migration between a lone block and an empty site changes
     none); a coalescence picks a class with weight lambda_c |S_c| and then a
     uniform site in it.  Migration proposals come at rate max_move per block
-    and a proposal from site s is kept with probability move_rate(s) /
+    and a proposal from site s is kept with probability move_rates[s] /
     max_move, which is 1 when every site has the same move rate (a torus); a
     rejected proposal is a null step that changes nothing.  No running float
     total is kept, so no rate can drift.  The per-site start state is copied
     from the layout cached on `initial` (`LabeledPartition.start_layout`).
 
-    Every draw comes from one `random.Random`, seeded from `config.seed`
-    through a SeedSequence.  Each event takes a holding-time uniform and an
+    Every draw comes from one Mersenne Twister stream, seeded as
+    `random.Random` would be from four words of `config.seed`'s
+    SeedSequence.  Each event takes a holding-time uniform and an
     event-type uniform, then:
       - coalescence: a site index in the class; past two blocks the
         merge-size uniform; then two indices for a pair, or `sample` for
@@ -283,13 +280,14 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
       - killing: an alive-block index;
       - migration: an alive-block index, the thinning uniform (only when
         move rates differ) and the move uniform.
-    An index below n takes n.bit_length() bits from `getrandbits` until
-    they fall below n, the loop `random.Random` runs inside `choice` and
+    An index below n takes n.bit_length() bits of the stream until they
+    fall below n, as `random.Random.getrandbits` does inside `choice` and
     `randrange`.  Block ids stay in least-element order, so the survivor of
     a merge is its least id.
 
     The loop runs in C (`_engine.c`), seeds its Mersenne Twister as
-    `random.Random` does and makes the draws `random.Random` would; the
+    `random.Random` does and makes the draws `random.Random` would, so its
+    records are those of the Python loop in tests/engine_oracle.py; the
     first call builds it (see `_loop`).  Merges come back as a log, which is
     replayed here when elements are tracked.
     """
@@ -303,7 +301,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     key = np.random.SeedSequence(config.seed).generate_state(4)
 
     layout = initial.start_layout(geo.size)
-    n_blocks, n_sites = len(layout.sites), geo.size
+    n_blocks, n_sites = len(layout.site_of), geo.size
     move_rates, move_start, move_cum, move_dest = geo.move_table
     lam = kernel.lambda_table(kernel.b_max)
     # a Kingman measure merges pairs only, so it never needs a merge-size law
@@ -331,7 +329,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
         status = loop.sc_simulate(ctypes.byref(_Input(
             key=_addr(key), key_len=len(key), n_blocks=n_blocks,
             n_sites=n_sites,
-            site_of=_addr(layout.sites), size_of=_addr(layout.sizes),
+            site_of=_addr(layout.site_of), size_of=_addr(layout.sizes),
             counts=_addr(layout.counts), roster_ids=_addr(layout.roster_ids),
             move_rates=_addr(move_rates), move_start=_addr(move_start),
             move_cum=_addr(move_cum), move_dest=_addr(move_dest),

@@ -1,10 +1,21 @@
 """Error types shared across the package.
 
 Each error carries a short machine-readable ``code`` used by the CLI to
-build error JSON and pick exit codes.
+build error JSON and pick exit codes.  `check_count` is the one check of a
+count argument, which every module uses.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless `value` is an integer >= `least` (NaN, inf
+    and 2.5 are not)."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer {name} >= {least}, "
+                         f"got {value!r}")
 
 
 class CoalescentError(Exception):

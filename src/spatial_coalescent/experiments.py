@@ -57,14 +57,14 @@ import math
 import time
 from collections import Counter
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from numbers import Integral
 
 import numpy as np
 from scipy import special
 
 from . import engine as engine_mod
 from .engine import SimulationConfig, simulate, singletons_per_site
-from .errors import BudgetExceeded, SizeOverflow, TruncationUnstable
+from .errors import (BudgetExceeded, SizeOverflow, TruncationUnstable,
+                     check_count)
 from .geometry import (WalkSpec, build_torus, check_torus_walk, green_function,
                        green_method, kappa)
 from .rates import RateKernel, cdi_classify, tn_uniform_bound
@@ -91,9 +91,7 @@ def _check_run(replicas, kappa_value=None, **counts) -> None:
     (value, least value) pair, is an integer of at least that value (each
     check fails on NaN)."""
     for name, (value, least) in {"replicas": (replicas, 1), **counts}.items():
-        if not (isinstance(value, Integral) and value >= least):
-            raise ValueError(f"{name} must be an integer >= {least}, "
-                             f"got {value!r}")
+        check_count(name, value, least)
     if kappa_value is not None and not 0.0 < kappa_value < math.inf:
         raise ValueError(f"kappa_value must be finite and positive, "
                          f"got {kappa_value!r}")
@@ -101,6 +99,7 @@ def _check_run(replicas, kappa_value=None, **counts) -> None:
 
 def spawn_seeds(master_seed: int, count: int) -> list[int]:
     """Per-replica seeds from one master seed (splittable, documented)."""
+    check_count("count", count, 0)
     seq = np.random.SeedSequence(master_seed)
     return [int(child.generate_state(1)[0]) for child in seq.spawn(count)]
 
@@ -590,14 +589,18 @@ class _TorusWalk:
     hold each coordinate, (x_i + N) mod side, in its own bit field: one step
     at a time, or a chunk of free migration at once.
 
-    A chunk draws its movers, steps and times in numpy and scans them in C
-    (`sc_chunk` in _engine.c, the event loop's library): each replica in
-    row order moves its mover one step at a time, each field wrapped once,
-    and stops at the first step that puts it on another alive block's site.
-    `steps`, the longest chunk, is _MAX_CHUNK_STEPS unless a field of 62 // d
-    bits cannot hold 2 (side - 1 + steps * reach); the fields are that wide,
-    so that wrap() maps a path of up to `steps` steps plus `bias` back into
-    [0, side).  The chunk lengths, and so the draws, follow from this rule.
+    A step adds the step's coordinates taken mod side (`mod_steps`), which
+    leaves each field in [0, 2 side - 1), and wraps the fields that reached
+    side with one add and mask: a field v plus 2^(width - 1) - side sets bit
+    width - 1 exactly when v >= side.  A chunk draws its movers, steps and
+    times in numpy and scans them in C (`sc_chunk` in _engine.c, the event
+    loop's library), which wraps the same way: each replica in row order
+    moves its mover one step at a time and stops at the first step that
+    puts it on another alive block's site.  `steps`, the longest chunk, is
+    _MAX_CHUNK_STEPS unless a field of 62 // d bits cannot hold
+    2 (side - 1 + steps * reach), and the fields are that wide, wider than
+    2 side as the wrap needs.  The chunk lengths, and so the draws, follow
+    from this rule.
     """
 
     def __init__(self, N: int, walk: WalkSpec):
@@ -615,30 +618,19 @@ class _TorusWalk:
         if self.steps < 1:
             raise SizeOverflow(f"a {d}-dimensional torus of side {self.side} "
                                "does not fit the packed chunk coordinates")
-        bias = self.steps * reach
-        self.width = (2 * (self.side - 1 + bias)).bit_length()
+        self.width = (2 * (self.side - 1 + self.steps * reach)).bit_length()
         self.shifts = self.width * np.arange(d, dtype=np.int64)
-        self.field = (1 << self.width) - 1
-        self.bias = int((bias << self.shifts).sum())
-        self.packed_steps = (offsets << self.shifts).sum(axis=1)
-        # each step with its coordinates taken mod side, for the chunk's scan
         self.mod_steps = ((offsets % self.side) << self.shifts).sum(axis=1)
-        values = np.arange(1 << self.width)
-        # biased field value -> its wrapped value, shifted into its field
-        wrapped = (values - bias) % self.side
-        self.tables = [wrapped << shift for shift in self.shifts]
+        # the wrap's add and mask: bit 0 of each field, and what each field
+        # adds to reach its top bit from side
+        self._ones = int((1 << self.shifts).sum())
+        self._half = ((1 << (self.width - 1)) - self.side) * self._ones
         self.stats = dict.fromkeys(("chunk_calls", "chunk_replicas",
                                     "chunk_cells", "chunk_steps",
                                     "chunk_cuts"), 0)
 
     def pack(self, coords) -> np.ndarray:
         return ((np.asarray(coords) % self.side) << self.shifts).sum(axis=-1)
-
-    def wrap(self, path) -> np.ndarray:
-        site = self.tables[0][path & self.field]
-        for shift, table in zip(self.shifts[1:], self.tables[1:]):
-            site += table[(path >> shift) & self.field]
-        return site
 
     def draw_steps(self, rng, shape) -> np.ndarray:
         u = rng.random(shape)
@@ -648,7 +640,9 @@ class _TorusWalk:
         return step
 
     def move(self, sites, steps) -> np.ndarray:
-        return self.wrap(sites + self.bias + self.packed_steps[steps])
+        to = sites + self.mod_steps[steps]
+        to -= (((to + self._half) >> (self.width - 1)) & self._ones) * self.side
+        return to
 
     def walk_apart(self, rng, sites, alive, t, rows) -> None:
         """Advance replicas `rows`, none of which has two alive blocks on one

@@ -2,8 +2,10 @@
 
 A geography is a finite site set with a row-stochastic migration kernel;
 blocks jump at rate 1 according to the kernel.  Tori T^N = [-N,N]^d cap Z^d
-wrap a base random-walk step distribution modulo the side length 2N+1 and
-are stored as neighbor tables (dense matrices only for generic graphs).
+wrap a base random-walk step distribution modulo the side length 2N+1, their
+sites numbered in the lexicographic order of the coordinates.  Every
+geography keeps its kernel in one form, the flat move table that the
+engine's compiled loop reads (GeographySpec.move_table).
 
 The Green function G of a walk (expected visits to the origin, discrete
 time) and the constant kappa = 2 / (G + 2/lambda_{2,2}) drive the
@@ -19,18 +21,15 @@ which takes any walk, is the oracle of the tests (tests/green_oracle.py).
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from numbers import Integral
 
 import numpy as np
 from scipy.special import i0e
 
-from .errors import DimensionTooLow, SizeOverflow, TruncationUnstable
+from .errors import (DimensionTooLow, SizeOverflow, TruncationUnstable,
+                     check_count)
 
 __all__ = [
     "WalkSpec",
@@ -55,8 +54,7 @@ class WalkSpec:
     probabilities: tuple  # matching probabilities, summing to 1
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        check_count("dimension", self.dimension, 1)
         probs = np.asarray(self.probabilities, dtype=float)
         if (not np.all(np.isfinite(probs)) or abs(probs.sum() - 1.0) > 1e-12
                 or np.any(probs < 0)):
@@ -118,16 +116,9 @@ class WalkSpec:
         return law
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValueError unless `value` is an integer >= `least` (NaN, inf
-    and 2.5 are not)."""
-    if not (isinstance(value, Integral) and value >= least):
-        raise ValueError(f"need an integer {name} >= {least}, got {value!r}")
-
-
 def simple_walk(d: int) -> WalkSpec:
     """Simple symmetric nearest-neighbor walk on Z^d."""
-    _check_count("d", d, 1)
+    check_count("d", d, 1)
     offsets = []
     for axis in range(d):
         for sign in (-1, 1):
@@ -141,82 +132,49 @@ def simple_walk(d: int) -> WalkSpec:
 class GeographySpec:
     """Finite site set plus migration kernel; immutable after build.
 
-    Torus geographies give the kernel as a neighbor table (one row of step
-    destinations per site), generic graphs as a dense matrix; both are kept
-    only as per-site move rates and sampling tables.  Self-jumps are split
-    out: a site's move rate is the probability of leaving it, and
-    `sample_move` draws only real moves (a jump to the same site does not
-    change state).
+    A torus gives the kernel as a neighbor table, one row of step
+    destinations per site, a generic graph as a dense matrix.  It is kept
+    only as `move_table`, flat arrays that the engine's compiled loop reads
+    and `sample_move` bisects: (rates, starts, cum, dest), the move rate of
+    each site (float64) and the table of site i, cum[starts[i]:starts[i + 1]]
+    (float64) and dest[starts[i]:starts[i + 1]] (int32), empty for a site
+    that never moves.  Self-jumps are split out: a site's move rate is the
+    probability of leaving it, and `sample_move` draws only real moves (a
+    jump to the same site does not change state).
     """
 
-    def __init__(self, sites, *, neighbors=None, step_probs=None,
+    def __init__(self, size: int, *, neighbors=None, step_probs=None,
                  dense_kernel=None):
-        self.sites = sites
-        self.size = len(sites)
+        self.size = size
         if neighbors is not None:
-            self_mask = neighbors == np.arange(self.size)[:, None]
-            self._move_rates = 1.0 - self_mask @ step_probs
+            self_mask = neighbors == np.arange(size)[:, None]
+            self.move_rates = 1.0 - self_mask @ step_probs
             dests = neighbors
             probs = np.where(self_mask, 0.0, step_probs[None, :])
         else:
-            self._move_rates = 1.0 - np.diag(dense_kernel)
-            dests = np.broadcast_to(np.arange(self.size), dense_kernel.shape)
+            self.move_rates = 1.0 - np.diag(dense_kernel)
+            dests = np.broadcast_to(np.arange(size), dense_kernel.shape)
             probs = dense_kernel.copy()
             np.fill_diagonal(probs, 0.0)
-        self._move_cum, self._move_dest = _move_tables(dests, probs)
-
-    # -- kernel access --------------------------------------------------
-
-    def move_rate(self, i: int) -> float:
-        """Rate at which a block at site i actually changes site (<= 1)."""
-        return float(self._move_rates[i])
-
-    @property
-    def move_rates(self) -> np.ndarray:
-        return self._move_rates
+        # row i of `probs` weighs the destinations in row i of `dests`, self-
+        # jumps zeroed.  Site i's table keeps the destinations of positive
+        # weight and their cumulative conditional probabilities, summed left
+        # to right and divided by the row's last partial sum, so the last is
+        # that sum over itself, exactly 1.0, and bisecting any u in [0, 1)
+        # lands in the row.
+        kept = probs > 0.0
+        cum = np.cumsum(probs, axis=1)
+        lengths = kept.sum(axis=1)
+        starts = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        self.move_table = (self.move_rates, starts,
+                           cum[kept] / np.repeat(cum[:, -1], lengths),
+                           dests[kept].astype(np.int32))
 
     def sample_move(self, i: int, u: float) -> int:
         """Destination != i for a migrating block, from uniform u in [0,1)."""
-        return self._move_dest[i][bisect_right(self._move_cum[i], u)]
-
-    @cached_property
-    def move_table(self) -> tuple:
-        """The move rates and the tables of `sample_move` as flat C arrays,
-        for the engine's compiled loop: (rates, starts, cum, dest), the
-        table of site i being cum[starts[i]:starts[i + 1]] (float64) and
-        dest[starts[i]:starts[i + 1]] (int32)."""
-        starts = array("q", [0])
-        for row in self._move_cum:
-            starts.append(starts[-1] + len(row))
-        return (array("d", self._move_rates.tobytes()), starts,
-                array("d", chain.from_iterable(self._move_cum)),
-                array("i", chain.from_iterable(self._move_dest)))
-
-
-def _move_tables(dests: np.ndarray, probs: np.ndarray):
-    """Per-site sampling lists for `GeographySpec.sample_move`.
-
-    Row i of `probs` weighs the destinations in row i of `dests`, self-jumps
-    already zeroed.  For each site keep the destinations of positive weight
-    and their cumulative conditional probabilities, the last set to exactly
-    1.0 so that bisecting any u in [0, 1) lands in the row.  Equal
-    cumulative rows (every site of a torus without self-jumps) are shared.
-    """
-    cum_rows, dest_rows = [], []
-    shared: dict[tuple, list] = {}
-    for dest_row, prob_row in zip(dests.tolist(), probs.tolist()):
-        kept = [(d, p) for d, p in zip(dest_row, prob_row) if p > 0.0]
-        total = sum(p for _d, p in kept)
-        acc = 0.0
-        cum = []
-        for _d, p in kept:
-            acc += p
-            cum.append(acc / total)
-        if cum:
-            cum[-1] = 1.0
-        cum_rows.append(shared.setdefault(tuple(cum), cum))
-        dest_rows.append([d for d, _p in kept])
-    return cum_rows, dest_rows
+        _rates, starts, cum, dest = self.move_table
+        return int(dest[bisect_right(cum, u, starts[i], starts[i + 1])])
 
 
 _TORUS_SITE_BUDGET = 1_000_000
@@ -224,7 +182,7 @@ _TORUS_SITE_BUDGET = 1_000_000
 
 def build_torus(N: int, walk: WalkSpec) -> GeographySpec:
     """Torus [-N,N]^d with the wrapped base walk; sites in lexicographic order."""
-    _check_count("N", N, 1)
+    check_count("N", N, 1)
     d = walk.dimension
     side = 2 * N + 1
     size = side**d
@@ -234,7 +192,6 @@ def build_torus(N: int, walk: WalkSpec) -> GeographySpec:
     axes = [np.arange(-N, N + 1)] * d
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=1)  # lexicographic
-    sites = [tuple(int(c) for c in row) for row in coords]
     offsets = walk.offsets_array
     probs = walk.probs_array
     neighbors = np.empty((size, len(offsets)), dtype=np.int64)
@@ -244,7 +201,7 @@ def build_torus(N: int, walk: WalkSpec) -> GeographySpec:
         for axis in range(d):
             idx = idx * side + wrapped[:, axis]
         neighbors[:, j] = idx
-    return GeographySpec(sites, neighbors=neighbors, step_probs=probs)
+    return GeographySpec(size, neighbors=neighbors, step_probs=probs)
 
 
 def check_torus_walk(N: int, walk: WalkSpec) -> None:
@@ -290,7 +247,7 @@ def _lattice_basis(vectors, d: int) -> np.ndarray:
 
 def complete_graph(n_sites: int) -> GeographySpec:
     """Uniform jumps to any other site."""
-    _check_count("n_sites", n_sites, 2)
+    check_count("n_sites", n_sites, 2)
     kern = np.full((n_sites, n_sites), 1.0 / (n_sites - 1))
     np.fill_diagonal(kern, 0.0)
     return generic_graph(kern)
@@ -298,7 +255,7 @@ def complete_graph(n_sites: int) -> GeographySpec:
 
 def single_site() -> GeographySpec:
     """One site with a self-loop kernel: migration is a no-op."""
-    return GeographySpec([0], dense_kernel=np.array([[1.0]]))
+    return GeographySpec(1, dense_kernel=np.array([[1.0]]))
 
 
 def generic_graph(kernel: np.ndarray) -> GeographySpec:
@@ -312,7 +269,7 @@ def generic_graph(kernel: np.ndarray) -> GeographySpec:
         raise ValueError(f"kernel rows {bad.tolist()} do not sum to 1")
     if np.any(kernel < 0):
         raise ValueError("kernel entries must be nonnegative")
-    return GeographySpec(list(range(kernel.shape[0])), dense_kernel=kernel)
+    return GeographySpec(kernel.shape[0], dense_kernel=kernel)
 
 
 # ----------------------------------------------------------------------
@@ -453,6 +410,7 @@ def _duffy_rule(steps: np.ndarray, coefs: np.ndarray, n: int) -> float:
 
 def kappa(G: float, lambda22: float) -> float:
     """Pairwise limit constant 2 / (G + 2/lambda_{2,2})."""
-    if G < 1.0 or lambda22 <= 0.0:
-        raise ValueError("need G >= 1 and lambda22 > 0")
+    if not (G >= 1.0 and lambda22 > 0.0):
+        raise ValueError(f"need G >= 1 and lambda22 > 0, got G = {G!r} and "
+                         f"lambda22 = {lambda22!r}")
     return 2.0 / (G + 2.0 / lambda22)

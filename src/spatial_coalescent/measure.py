@@ -99,13 +99,16 @@ class DensityPiece:
             alpha = self.params["alpha"]
             if not (0.0 < alpha < 2.0):
                 raise ValueError("beta family needs alpha in (0,2)")
+        # each check is a comparison that NaN fails
         if self.tag == "power":
-            if self.params["p"] <= -1.0 or self.params["q"] <= -1.0:
-                raise ValueError("power exponents must exceed -1")
-            if self.params.get("coeff", 1.0) < 0.0:
-                raise ValueError("power coeff must be nonnegative")
-        if self.tag == "constant" and self.params.get("level", 1.0) < 0.0:
-            raise ValueError("constant level must be nonnegative")
+            if not (-1.0 < self.params["p"] < math.inf
+                    and -1.0 < self.params["q"] < math.inf):
+                raise ValueError("power exponents must be finite and exceed -1")
+            if not 0.0 <= self.params.get("coeff", 1.0) < math.inf:
+                raise ValueError("power coeff must be finite and nonnegative")
+        if (self.tag == "constant"
+                and not 0.0 <= self.params.get("level", 1.0) < math.inf):
+            raise ValueError("constant level must be finite and nonnegative")
         if self.tag == "polynomial" and _negative_somewhere(
                 self.params["coefficients"], a, b):
             raise ValueError(f"polynomial density is negative on {self.interval}")

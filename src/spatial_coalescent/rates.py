@@ -44,13 +44,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from scipy.special import gammaln
 
 from . import measure as measure_mod
-from .errors import ZeroRate, ZeroTotalRate
+from .errors import ZeroRate, ZeroTotalRate, check_count
 from .measure import LambdaMeasure
 
 __all__ = [
@@ -80,8 +79,7 @@ class RateKernel:
     """
 
     def __init__(self, measure_: LambdaMeasure, b_max: int = 256):
-        if not (isinstance(b_max, Integral) and b_max >= 2):
-            raise ValueError(f"b_max must be an integer >= 2, got {b_max!r}")
+        check_count("b_max", b_max, 2)
         self.measure = measure_
         # index b -> value; entries 0 and 1 are 0 by convention
         self._lam = self._gam = np.zeros(2)
@@ -155,8 +153,7 @@ class RateKernel:
 
     def lambda_bk_row(self, b: int) -> np.ndarray:
         """Array of lambda_{b,k} = M(k-2, b-k) for k = 2..b."""
-        if b < 2:
-            raise ValueError("need b >= 2")
+        check_count("b", b, 2)
         row = self._bk_rows.get(b)
         if row is None:
             ks = np.arange(2, b + 1)
@@ -166,7 +163,8 @@ class RateKernel:
         return row
 
     def lambda_bk(self, b: int, k: int) -> float:
-        if not 2 <= k <= b:
+        check_count("k", k, 2)
+        if k > b:
             raise ValueError(f"need 2 <= k <= b, got k={k}, b={b}")
         return float(self.lambda_bk_row(b)[k - 2])
 
@@ -175,18 +173,7 @@ class RateKernel:
     def merge_size_cumulative(self, b: int) -> np.ndarray:
         """P(merge size <= k) for k = 2..b, the law being
         C(b,k) lambda_{b,k} / lambda_b."""
-        return self._merge_row(b)
-
-    def merge_size_cumulative_array(self, b: int) -> memoryview:
-        """`merge_size_cumulative(b)` as a memoryview of the cached row, for
-        samplers that bisect it once per draw: bisecting a numpy array makes
-        a numpy scalar per probe, and an item of a memoryview is a float.
-        It copies nothing."""
-        return memoryview(self._merge_row(b))
-
-    def _merge_row(self, b: int) -> np.ndarray:
-        if b < 2:
-            raise ValueError("need b >= 2")
+        check_count("b", b, 2)
         if b not in self._merge_rows:
             self._merge_rows.update(_merge_block(self.measure, *_merge_segment(b)))
         cached = self._merge_rows[b]
@@ -337,8 +324,7 @@ def cdi_classify(kernel: RateKernel, b_max: int = 1000) -> CdiVerdict:
     partial_sum is the sum up to b_max; tail_bound is the smallest of the
     parts' proved bounds on the rest (+inf if no part bounds it).
     """
-    if not (isinstance(b_max, Integral) and b_max >= 2):
-        raise ValueError(f"b_max must be an integer >= 2, got {b_max!r}")
+    check_count("b_max", b_max, 2)
     gam = kernel.gamma_table(b_max + 1)
     partial = float(np.sum(1.0 / gam[2:b_max + 1]))
     bounds = _tail_bounds(kernel.measure, b_max, float(gam[b_max + 1]))
@@ -360,8 +346,7 @@ def tn_uniform_bound(kernel: RateKernel, k: int = 2, b_max: int = 10_000) -> flo
     """Upper bound sum_{b>=k} 1/gamma_b + k/gamma_k on the uniform mean
     hitting time of k-blocks-per-site; +inf when the sum diverges.  The
     terms past b_max are the classifier's proved tail bound."""
-    if not (isinstance(k, Integral) and k >= 2):
-        raise ValueError(f"k must be an integer >= 2, got {k!r}")
+    check_count("k", k, 2)
     gam_k = kernel.gamma_total(k)
     if gam_k <= 0.0:
         raise ZeroRate(f"gamma_{k} = 0", k=k)

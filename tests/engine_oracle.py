@@ -11,6 +11,7 @@ afresh for each run.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_right
@@ -65,6 +66,14 @@ class _StartLayout(NamedTuple):
                    roster_pos=tuple(roster_pos), counts=tuple(counts),
                    classes=tuple((c, tuple(m)) for c, m in classes.items()),
                    class_pos=tuple(class_pos))
+
+
+def merge_size_cumulative_array(kernel, b: int) -> memoryview:
+    """`kernel.merge_size_cumulative(b)` as a memoryview of the cached row,
+    for the loop below, which bisects it once per draw: bisecting a numpy
+    array makes a numpy scalar per probe, and an item of a memoryview is a
+    float.  It copies nothing."""
+    return memoryview(kernel.merge_size_cumulative(b))
 
 
 def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryRecord:
@@ -151,7 +160,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     occ_weight = [lam[c] * len(sites_with[c]) for c in occupied]
     pos_in_class = list(layout.class_pos)
 
-    merge_cum = kernel.merge_size_cumulative_array
+    merge_cum = functools.partial(merge_size_cumulative_array, kernel)
     # a Kingman measure merges pairs only, so it never needs a merge-size law
     binary = kernel.binary_merges
 

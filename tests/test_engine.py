@@ -271,8 +271,10 @@ def test_engine_pair_on_torus_matches_relative_walk_sampler(kingman):
     N = 4
     walk = simple_walk(3)
     geo = build_torus(N, walk)
-    start = singletons_at([geo.sites.index((0, 0, 0)),
-                           geo.sites.index((N, 0, 0))])
+    # sites are numbered in the lexicographic order of [-N, N]^3
+    side = 2 * N + 1
+    start = singletons_at([np.ravel_multi_index((N, N, N), (side,) * 3),
+                           np.ravel_multi_index((2 * N, N, N), (side,) * 3)])
     times = [simulate(start, SimulationConfig(
         kernel=kingman, geography=geo, seed=s, stop_blocks_at_most=1,
         record_events=False, track_elements=False)).final_time
@@ -382,16 +384,24 @@ def test_config_rejects_values_that_cannot_stop_or_probe(kingman, field, value,
     ("event_budget", 2.5), ("stop_blocks_at_most", math.nan),
     ("stop_blocks_at_most", math.inf), ("stop_blocks_at_most", 2.5),
     ("stop_blocks_at_most", 0), ("b_max", math.nan), ("b_max", 2.5),
-    ("b_max", 1),
+    ("b_max", 1), ("n_per_site", -1), ("n_per_site", 2.5),
+    ("count", math.nan),
 ], ids=["budget-nan", "budget-inf", "budget-2.5", "threshold-nan",
         "threshold-inf", "threshold-2.5", "threshold-0", "b_max-nan",
-        "b_max-2.5", "b_max-1"])
+        "b_max-2.5", "b_max-1", "per-site--1", "per-site-2.5",
+        "seeds-nan"])
 def test_counts_must_be_integers(kingman, field, value):
     # unchecked, a NaN budget is never spent, a NaN threshold ends the run
-    # at t = 0 as absorbed, and a NaN b_max builds a table to b = 3
+    # at t = 0 as absorbed, a NaN b_max builds a table to b = 3,
+    # singletons_per_site(geo, -1) gave an empty start and 2.5 a TypeError,
+    # and spawn_seeds(0, nan) a TypeError
     with pytest.raises(ValueError, match="integer"):
         if field == "b_max":
             RateKernel(LambdaMeasure.unit_atom(0.0), b_max=value)
+        elif field == "n_per_site":
+            singletons_per_site(complete_graph(2), value)
+        elif field == "count":
+            spawn_seeds(0, value)
         else:
             SimulationConfig(kernel=kingman, geography=single_site(),
                              **{field: value})

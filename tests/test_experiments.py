@@ -33,7 +33,8 @@ from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
 import green_oracle
 from conftest import run_python
-from torus_oracle import pairwise_first_coalescence_times, per_block_wrap_chunk
+from torus_oracle import (BiasedPaths, pairwise_first_coalescence_times,
+                          per_block_wrap_chunk)
 
 KAPPA_D3_UNIT = 0.5687658867  # 2 / (G + 2) for the nearest-neighbor walk
 
@@ -656,6 +657,30 @@ REACH_2_D4 = WalkSpec(4, ((0, 1, 2, 0), (0, -1, -2, 0), (1, 0, 0, 0),
                           (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
                           (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1),
                           (0, 0, 0, -1)), (0.1, 0.1) + (0.1,) * 8)
+
+
+@pytest.mark.parametrize("N, walk, steps", [
+    (3, simple_walk(3), 4096),
+    (4, LAZY, 4096),
+    (3, REACH_2, 4096),
+    # 10-bit fields hold chunks of at most 505 steps
+    (3, simple_walk(6), 505),
+], ids=["simple-d3", "lazy-d3", "reach2-d3", "simple-d6"])
+def test_lockstep_move_equals_biased_path_oracle(N, walk, steps):
+    # the lockstep pass wraps a step by the add and mask of the C scan; the
+    # oracle wraps a biased path by one table per field: every site after
+    # every step must agree
+    torus = experiments._TorusWalk(N, walk)
+    assert torus.steps == steps
+    d, side = walk.dimension, 2 * N + 1
+    coords = np.indices((side,) * d).reshape(d, -1).T
+    sites = np.repeat(torus.pack(coords), len(walk.offsets))
+    step = np.tile(np.arange(len(walk.offsets)), side ** d)
+    moved = torus.move(sites, step)
+    assert np.array_equal(moved, BiasedPaths(torus).move(sites, step))
+    # and both land where the step takes the coordinates
+    ends = coords.repeat(len(walk.offsets), axis=0) + walk.offsets_array[step]
+    assert np.array_equal(moved, torus.pack(ends))
 
 
 def _separated_starts(N, n, d):

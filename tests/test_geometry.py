@@ -63,11 +63,14 @@ def test_simple_walk_shape():
     (lambda: build_torus(0, simple_walk(3)), "N"),
     (lambda: build_torus(2.5, simple_walk(3)), "N"),
     (lambda: build_torus(math.nan, simple_walk(3)), "N"),
+    (lambda: WalkSpec(math.nan, ((1,), (-1,)), (0.5, 0.5)), "dimension"),
+    (lambda: WalkSpec(0, ((1,), (-1,)), (0.5, 0.5)), "dimension"),
 ], ids=["walk-0", "walk-2.5", "walk-nan", "complete-1", "complete-2.5",
-        "torus-0", "torus-2.5", "torus-nan"])
+        "torus-0", "torus-2.5", "torus-nan", "walk-spec-nan", "walk-spec-0"])
 def test_geometry_counts_must_be_integers(build, name):
-    # unchecked, simple_walk(0) raised ZeroDivisionError and a count of 2.5
-    # a TypeError
+    # unchecked, simple_walk(0) raised ZeroDivisionError, a count of 2.5
+    # a TypeError, and WalkSpec's NaN dimension passed its range check (the
+    # shape check caught it)
     with pytest.raises(ValueError, match=rf"integer {name} >= "):
         build()
 
@@ -117,14 +120,15 @@ def test_symmetrized_averages_mirrors_and_merges_duplicates():
 # ---------------------------------------------------------------- torus
 
 def _kernel_row(geo, i):
-    """Row i of the migration kernel, rebuilt from the tables sample_move
-    draws from: the move rate, and the destinations with their cumulative
-    conditional probabilities; the rest of the row stays on site i."""
+    """Row i of the migration kernel, rebuilt from the move table that the
+    engine reads and sample_move bisects: the move rate, and the
+    destinations with their cumulative conditional probabilities; the rest
+    of the row stays on site i."""
+    rates, starts, cum, dest = geo.move_table
     row = np.zeros(geo.size)
-    rate = geo.move_rate(i)
-    np.add.at(row, geo._move_dest[i],
-              rate * np.diff(geo._move_cum[i], prepend=0.0))
-    row[i] += 1.0 - rate
+    lo, hi = starts[i], starts[i + 1]
+    np.add.at(row, dest[lo:hi], rates[i] * np.diff(cum[lo:hi], prepend=0.0))
+    row[i] += 1.0 - rates[i]
     return row
 
 
@@ -219,7 +223,53 @@ def test_complete_graph_and_single_site():
     assert np.allclose(row[1:], 1.0 / 3.0)
     s = single_site()
     assert s.size == 1
-    assert s.move_rate(0) == 0.0
+    assert s.move_rates[0] == 0.0
+
+
+# sites 0, 1 and 3 move at rates 0.5, 0.2 and 0.75, and site 2 never moves
+_ABSORBING = np.array([[0.5, 0.3, 0.2, 0.0], [0.1, 0.8, 0.1, 0.0],
+                       [0.0, 0.0, 1.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+
+
+def _random_dense_kernel(n, seed):
+    rng = np.random.default_rng(seed)
+    kern = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    kern[np.arange(n), rng.integers(n, size=n)] += 0.1  # no empty row
+    return kern / kern.sum(axis=1, keepdims=True)
+
+
+_DENSE_50 = _random_dense_kernel(50, 7)
+
+
+@pytest.mark.parametrize("geo, kern", [
+    (generic_graph(_ABSORBING), _ABSORBING),
+    (build_torus(2, LAZY), None),
+    (generic_graph(_DENSE_50), _DENSE_50),
+], ids=["absorbing-site", "lazy-torus", "random-dense-50"])
+def test_move_table_is_the_kernel(geo, kern):
+    rates, starts, cum, dest = geo.move_table
+    assert (rates.dtype, starts.dtype, cum.dtype, dest.dtype) == (
+        np.float64, np.int64, np.float64, np.int32)
+    assert starts[0] == 0 and starts[-1] == cum.size == dest.size
+    sizes = np.diff(starts)
+    site = np.repeat(np.arange(geo.size), sizes)
+    # every nonempty row ends in exactly 1.0, and no move is a self-jump
+    assert np.all(cum[starts[1:][sizes > 0] - 1] == 1.0)
+    assert not np.any(dest == site)
+    assert np.all(sizes[rates == 0.0] == 0) and np.all(sizes[rates > 0.0] > 0)
+    if kern is None:
+        # the lazy walk stays with probability 1/2; every other step is a
+        # move to a distinct neighbor with probability 1/12
+        assert np.all(rates == 0.5) and np.all(sizes == 6)
+        for i in range(geo.size):
+            row = _kernel_row(geo, i)
+            assert row[i] == 0.5
+            assert np.allclose(np.delete(row, i)[np.delete(row, i) > 0],
+                               1 / 12)
+    else:
+        assert np.array_equal(sizes == 0, np.diag(kern) == 1.0)
+        mat = np.vstack([_kernel_row(geo, i) for i in range(geo.size)])
+        assert np.allclose(mat, kern, rtol=0.0, atol=1e-15)
 
 
 def test_sample_move_draws_only_real_moves():
@@ -489,6 +539,15 @@ def test_green_rejects_low_dimension():
 
 def test_kappa_arithmetic():
     assert kappa(3.0, 2.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("G, lambda22", [
+    (math.nan, 1.0), (2.0, math.nan), (0.5, 1.0), (2.0, 0.0), (2.0, -1.0),
+], ids=["G-nan", "lambda22-nan", "G-below-1", "lambda22-0", "lambda22-negative"])
+def test_kappa_rejects_bad_arguments(G, lambda22):
+    # unchecked, a NaN G or lambda22 gave kappa = nan
+    with pytest.raises(ValueError, match="need G >= 1 and lambda22 > 0"):
+        kappa(G, lambda22)
 
 
 def test_kappa_kingman_reference_value():

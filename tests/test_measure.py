@@ -193,15 +193,23 @@ def test_zero_mass_rejected_on_direct_construction():
     ([(0.0, math.inf)], []),
     ([(0.0, math.nan)], []),
     ([(0.0, 1e308), (0.5, 1e308)], []),     # each finite, the sum is not
-    ([], [DensityPiece((0, 1), "power", {"p": math.nan, "q": 0.5})]),
-    ([], [DensityPiece((0, 1), "power", {"p": 0.5, "q": 0.5, "coeff": math.nan})]),
-    ([], [DensityPiece((0, 1), "constant", {"level": math.inf})]),
+    ([], [((0, 1), "power", {"p": math.nan, "q": 0.5})]),
+    ([], [((0, 1), "power", {"p": 0.5, "q": 0.5, "coeff": math.nan})]),
+    ([], [((0, 1), "constant", {"level": math.inf})]),
+    ([], [((0, 1), "power", {"p": 0.5, "q": math.nan})]),
+    ([], [((0, 1), "power", {"p": math.inf, "q": 0.5})]),
+    ([], [((0, 1), "power", {"p": 0.5, "q": 0.5, "coeff": math.inf})]),
+    ([], [((0, 1), "constant", {"level": math.nan})]),
 ], ids=["inf-atom", "nan-atom", "overflowing-atoms", "nan-p", "nan-coeff",
-        "inf-level"])
+        "inf-level", "nan-q", "inf-p", "inf-coeff", "nan-level"])
 def test_infinite_or_nan_mass_rejected(atoms, pieces):
-    # such a measure would give inf or nan rates, with a RuntimeWarning only
+    # such a measure would give inf or nan rates, with a RuntimeWarning
+    # only; a piece with a NaN or infinite parameter is rejected as it is
+    # built (unchecked, NaN p, q, coeff and level and an infinite level
+    # were accepted)
     with pytest.raises(ValueError, match="finite"):
-        LambdaMeasure(atoms=atoms, pieces=pieces)
+        LambdaMeasure(atoms=atoms, pieces=[DensityPiece(*piece)
+                                           for piece in pieces])
 
 
 def test_atom_flags():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import betainc, betaln, gammaln, logsumexp
 from scipy.stats import binom
 
+import engine_oracle
 from quadrature_oracle import gamma_increment_integral, lambda_increment_integral
 from rate_inequalities import (
     deterministic_chain_bound,
@@ -310,10 +311,11 @@ def test_beta_share_skipped_tails_bit_identical(lo, hi):
 
 @pytest.mark.parametrize("b", [3, 7, 64, 300])
 def test_merge_size_cumulative_array_bisects_like_the_row(beta_heavy_kernel, b):
-    # the engine bisects the memoryview; it is the cached row itself, so
-    # every draw picks the index that searchsorted picks on the row
+    # the reference loop (tests/engine_oracle.py) bisects the memoryview; it
+    # is the cached row itself, so every draw picks the index that
+    # searchsorted picks on the row
     row = beta_heavy_kernel.merge_size_cumulative(b)
-    table = beta_heavy_kernel.merge_size_cumulative_array(b)
+    table = engine_oracle.merge_size_cumulative_array(beta_heavy_kernel, b)
     assert table.readonly and table.tobytes() == row.tobytes()
     assert np.shares_memory(np.asarray(table), row)
     u = np.concatenate([np.random.default_rng(b).random(2000), row])
@@ -332,8 +334,9 @@ def test_cached_rows_read_only():
 
 @pytest.mark.parametrize("lo", [4, 64, 2048])
 def test_cached_rows_own_contiguous_memory(lo):
-    # the engine bisects a memoryview of each row: every row of a block,
-    # from its lower and its upper half, is its own array with unit stride
+    # the engine reads each row by its address, and the reference loop
+    # bisects a memoryview of it: every row of a block, from its lower and
+    # its upper half, is its own array with unit stride
     kern = RateKernel(LambdaMeasure.beta(1.5))
     for b in range(lo, 2 * lo):
         row = kern.merge_size_cumulative(b)
@@ -467,10 +470,15 @@ def test_gamma_over_b_diverges_beta_heavy(beta_heavy_kernel):
     (lambda k: cdi_classify(k, b_max=1), "b_max"),
     (lambda k: tn_uniform_bound(k, k=2.5), "k"),
     (lambda k: tn_uniform_bound(k, k=1), "k"),
+    (lambda k: k.lambda_bk_row(2.5), "b"),
+    (lambda k: k.merge_size_cumulative(2.5), "b"),
+    (lambda k: k.lambda_bk(3, 2.5), "k"),
 ], ids=["classify-2.5", "classify-nan", "classify-1", "bound-k-2.5",
-        "bound-k-1"])
+        "bound-k-1", "bk-row-2.5", "merge-law-2.5", "bk-k-2.5"])
 def test_rate_counts_must_be_integers(kingman_kernel, call, name):
-    # unchecked, b_max 2.5 or NaN raised TypeError and k 2.5 IndexError
+    # unchecked, b_max 2.5 or NaN raised TypeError, k 2.5 IndexError (in
+    # tn_uniform_bound and lambda_bk), lambda_bk_row(2.5) returned a row of
+    # two entries and merge_size_cumulative(2.5) raised AttributeError
     with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
         call(kingman_kernel)
 

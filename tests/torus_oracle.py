@@ -13,7 +13,9 @@ alone: it wraps every alive block's path back onto the torus at every step
 and compares each with the mover's site, where `experiments._TorusWalk._chunk`
 scans the steps one at a time in C (`sc_chunk`).  It takes the chunk length
 K from its caller and makes the same draws as `_chunk`, so in its place the
-sampler's logs must not change by a bit, at any K.
+sampler's logs must not change by a bit, at any K.  It wraps by its own
+`BiasedPaths` tables, not by the add and mask of `sc_chunk` and
+`_TorusWalk.move`, so that each is checked against an independent wrap.
 """
 
 from __future__ import annotations
@@ -67,16 +69,54 @@ def pairwise_first_coalescence_times(N: int, walk: WalkSpec, lambda22: float,
     return out
 
 
+class BiasedPaths:
+    """The steps of a `_TorusWalk` on biased packed paths, taken from its
+    `side`, `width`, `steps` and the residues of its steps (`mod_steps`).
+
+    Each step is taken as the representative of its residue with
+    coordinates in [-N, N], none larger in absolute value than the walk's
+    own; `reach` is the largest.  A path from a site plus `bias`,
+    `steps * reach` in each field, stays in [0, side - 1 + 2 steps reach]
+    per field for up to `steps` steps, which the fields hold, and `wrap`
+    maps it back to its site on the torus with one table per field.
+    """
+
+    def __init__(self, torus):
+        side, width = torus.side, torus.width
+        shifts = width * np.arange(torus.shifts.size, dtype=np.int64)
+        residues = (torus.mod_steps[:, None] >> shifts) & ((1 << width) - 1)
+        offsets = np.where(residues > side // 2, residues - side, residues)
+        bias = torus.steps * int(np.abs(offsets).max())
+        self.packed_steps = (offsets << shifts).sum(axis=1)
+        self.bias = int((bias << shifts).sum())
+        self.field = (1 << width) - 1
+        self.shifts = shifts
+        # biased field value -> its wrapped value, shifted into its field
+        wrapped = (np.arange(1 << width) - bias) % side
+        self.tables = [wrapped << shift for shift in shifts]
+
+    def wrap(self, path) -> np.ndarray:
+        site = self.tables[0][path & self.field]
+        for shift, table in zip(self.shifts[1:], self.tables[1:]):
+            site += table[(path >> shift) & self.field]
+        return site
+
+    def move(self, sites, steps) -> np.ndarray:
+        """`_TorusWalk.move`: each site after its step."""
+        return self.wrap(sites + self.bias + self.packed_steps[steps])
+
+
 def per_block_wrap_chunk(torus, rng, sites, alive, t, rows, K) -> None:
     """`_TorusWalk._chunk` of K steps by wrapping each block's path at every
     step."""
+    paths_of = BiasedPaths(torus)
     r = rows.size
     live = alive[rows]
     m = live.sum(axis=1)
     order = np.argsort(~live, axis=1, kind="stable")[:, :m.max()]
     mover = (rng.random((r, K)) * m[:, None]).astype(np.intp)
-    moves = torus.packed_steps[torus.draw_steps(rng, (r, K))]
-    start = sites[rows[:, None], order] + torus.bias
+    moves = paths_of.packed_steps[torus.draw_steps(rng, (r, K))]
+    start = sites[rows[:, None], order] + paths_of.bias
     paths = np.empty((order.shape[1], r, K), dtype=np.int64)
     lands = np.zeros((r, K), dtype=np.int64)   # site of the mover
     for i, path in enumerate(paths):    # site of the i-th block per step
@@ -84,7 +124,7 @@ def per_block_wrap_chunk(torus, rng, sites, alive, t, rows, K) -> None:
         np.multiply(moves, moved, out=path)
         np.cumsum(path, axis=1, out=path)
         path += start[:, i, None]
-        path[:] = torus.wrap(path)
+        path[:] = paths_of.wrap(path)
         lands += path * moved
     # blocks on the mover's new site, the mover included
     alive_path = np.arange(len(paths))[:, None, None] < m[:, None]
