@@ -1,9 +1,9 @@
-/* The event loop of `engine.simulate` and the free-migration scan of
+/* The event loop of `engine.simulate` and the few-block sampler of
  * `experiments.few_block_torus_sample`, loaded through ctypes.
  *
- * The loop seeds MT19937 as CPython's `random.seed(int)` does and replays
- * the draws of `random.Random`, so a run is bit for bit the run the Python
- * loop in tests/engine_oracle.py makes from the same seed:
+ * The event loop seeds MT19937 as CPython's `random.seed(int)` does and
+ * replays the draws of `random.Random`, so a run is bit for bit the run
+ * the Python loop in tests/engine_oracle.py makes from the same seed:
  *   - random() is ((a >> 5) * 2^26 + (b >> 6)) / 2^53 of two words;
  *   - getrandbits(k), 1 <= k <= 32, is one word >> (32 - k);
  *   - an index below n takes bit_length(n) bits until they fall below n
@@ -24,12 +24,29 @@
  * of b (kept in the caller's `rows` for the rest of the run), or, every
  * 2^16 steps, nothing, so that the caller can run pending signal handlers.
  * A nonzero answer stops the loop.
+ *
+ * The few-block sampler (`sc_few_block`) is one loop on numpy's bit
+ * generator, the `bitgen_t` of the caller's `numpy.random.Generator`.  It
+ * makes the draws the numpy sampler in tests/torus_oracle.py makes, in its
+ * order, so its merge logs are that sampler's to the bit: uniforms by the
+ * generator's next_double, and holding times, merge subsets
+ * (Generator.choice) and Gamma times by numpy's own functions in
+ * numpy/random/lib/libnpyrandom.a, which the library links.  Their
+ * prototypes are declared here, as distributions.h includes Python.h.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include <numpy/random/bitgen.h>
+
+/* from numpy's numpy/random/distributions.h */
+double random_standard_exponential(bitgen_t *bitgen_state);
+double random_standard_gamma(bitgen_t *bitgen_state, double shape);
+uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off,
+                               uint64_t rng, uint64_t mask, bool use_masked);
 
 #define MT_N 624
 #define MT_M 397
@@ -701,65 +718,435 @@ done:
     return status;
 }
 
-/* ---- the few-block sampler's chunk of free migration ------------------ */
+/* ---- the few-block sampler ------------------------------------------- */
 
-/* The scan of `experiments._TorusWalk._chunk` over the draws it made in
- * numpy: up to K jump-chain steps of free migration for each of r
- * replicas of n slots, in row order.  A site is packed, coordinate f in
- * bits [f width, (f + 1) width) as a value in [0, side); steps[s] is step s
- * of the walk packed so, each coordinate taken mod side, and `cuts` the
- * walk's cumulative step law without its last entry.  Replica i, with m
- * alive slots (alive[i n:(i + 1) n]), takes at step x the
- * (int64)(u_mover[i K + x] m)-th alive slot as the mover and step
- * #{cuts <= u_step[i K + x]}, the arithmetic of numpy's `astype` and of
- * the sampler's `draw_steps`, and stops after the first step that puts the
- * mover on the site of another alive block.  Its end sites are written
- * over sites[i n:(i + 1) n] and the number of steps it took to taken[i];
- * `scratch` holds 2 n entries.  Returns the number of replicas that met
- * another block within their K steps (on the last one too). */
-int64_t sc_chunk(int64_t r, int64_t n, int64_t K, int64_t *sites,
-                 const uint8_t *alive, const double *u_mover,
-                 const double *u_step, const double *cuts, int64_t n_cuts,
-                 const int64_t *steps, int64_t d, int64_t side,
-                 int64_t width, int64_t *scratch, int64_t *taken)
+/* Free migration advances a pass's apart replicas by chunks of K steps: K
+ * is CHUNK_STEPS (or max_steps, if less) while a pass has at least
+ * CHUNK_CELLS / CHUNK_STEPS = 128 apart replicas, sliced 128 to a chunk,
+ * and CHUNK_CELLS / r steps, up to max_steps, for r fewer, so that a chunk
+ * fills about CHUNK_CELLS cells and the last replicas of a run take few
+ * passes.  The law does not depend on K, but the draws do. */
+#define CHUNK_STEPS 256
+#define CHUNK_CELLS (1 << 15)
+/* Generator.choice's tail shuffle: a population over CHOICE_TAIL_POP of
+ * which more than a CHOICE_TAIL_FRACTION-th is taken */
+#define CHOICE_TAIL_POP 10000
+#define CHOICE_TAIL_FRACTION 50
+
+typedef struct {
+    int64_t replicas, n;
+    const int64_t *start;        /* the packed start site of each slot */
+    const double *lam;           /* lambda_c, c = 0..n */
+    const double *const *rows;   /* by b = 2..n: P(merge size <= k), k = 2..b */
+    const double *cuts;          /* the step law's cumulative sums, last left out */
+    int64_t n_cuts;
+    const int64_t *steps;        /* n_cuts + 1 steps, packed mod side */
+    int64_t d, side, width, max_steps;
+    call_fn call;                /* polled; nonzero stops the sample */
+    /* the merge log, in the caller's buffers: per merge its replica, time
+     * and size k, and its k slots ascending in log_slots */
+    int64_t *log_replica, *log_k, *log_slots;
+    double *log_time;
+    int64_t n_merges, n_slots;
+    int64_t chunk_calls, chunk_replicas, chunk_cells, chunk_steps, chunk_cuts;
+    int64_t lockstep_events, lockstep_skipped;
+} sc_sample;
+
+/* The indices of numpy's Generator.choice(pop, k, replace=False), in its
+ * order, from the same draws of `bg`: a tail shuffle of 0..pop - 1 whose
+ * last k entries are taken, or Floyd's algorithm and then a shuffle, every
+ * index drawn by random_bounded_uint64 as numpy draws it.  `work` holds pop
+ * entries. */
+void sc_choice(bitgen_t *bg, int64_t pop, int64_t k, int64_t *idx,
+               int64_t *work)
 {
-    /* the alive blocks' slots and sites */
-    int64_t *slot = scratch, *at = scratch + n;
-    /* a site plus a step has each field in [0, 2 side - 1), and a field v
-     * plus 2^(width - 1) - side sets bit width - 1 exactly when v >= side,
-     * as the fields are wider than 2 side: one add and mask find the fields
-     * to wrap, whichever they are */
-    int64_t ones = 0, n_met = 0;
-    for (int64_t f = 0; f < d; f++)
-        ones |= (int64_t)1 << (f * width);
-    const int64_t half = (((int64_t)1 << (width - 1)) - side) * ones;
+    if (pop > CHOICE_TAIL_POP && k > pop / CHOICE_TAIL_FRACTION) {
+        int64_t first = pop - k > 1 ? pop - k : 1;
+        for (int64_t i = 0; i < pop; i++)
+            work[i] = i;
+        for (int64_t i = pop - 1; i >= first; i--) {
+            int64_t j = (int64_t)random_bounded_uint64(bg, 0, i, 0, 0);
+            int64_t x = work[j];
+            work[j] = work[i];
+            work[i] = x;
+        }
+        memcpy(idx, work + pop - k, k * sizeof *idx);
+        return;
+    }
+    /* Floyd: for j = pop - k..pop - 1 a uniform value in [0, j], or j if
+     * that was taken before; work marks the values taken */
+    memset(work, 0, pop * sizeof *work);
+    for (int64_t j = pop - k; j < pop; j++) {
+        int64_t val = (int64_t)random_bounded_uint64(bg, 0, j, 0, 0);
+        if (work[val])
+            val = j;
+        work[val] = 1;
+        idx[j - (pop - k)] = val;
+    }
+    for (int64_t i = k - 1; i >= 1; i--) {
+        int64_t j = (int64_t)random_bounded_uint64(bg, 0, i, 0, 0);
+        int64_t x = idx[j];
+        idx[j] = idx[i];
+        idx[i] = x;
+    }
+}
+
+/* numpy's pairwise sum of a[0:n] (`np.add.reduce` of one float64 row):
+ * sequential below 8 entries, 8 accumulators up to 128, halves above */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (i = 0; i < 8; i++)
+            r[i] = a[i];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int64_t j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+typedef struct {
+    bitgen_t *bg;
+    sc_sample *s;
+    int64_t n, ones, half, since_poll;
+    /* by replica and slot: the site, the alive blocks on it (1 for a dead
+     * slot) and whether the slot is alive */
+    int64_t *site, *count;
+    uint8_t *alive;
+    double *t;                   /* by replica */
+    /* a chunk's draws and steps taken, by cell and by replica */
+    double *u_mover, *u_step;
+    int64_t *taken;
+    /* a lockstep pass's rates and event uniform, by crowded replica */
+    double *coal, *total, *u;
+    /* one replica's alive slots and their sites, lambda weights, merge
+     * members and k-subset, by slot */
+    int64_t *slot, *at, *members, *idx, *work;
+    double *weight;
+} sampler;
+
+/* step #{cuts <= u} of the walk */
+static int64_t step_of(const sc_sample *s, double u)
+{
+    int64_t k = 0;
+    for (int64_t c = 0; c < s->n_cuts; c++)
+        k += s->cuts[c] <= u;
+    return k;
+}
+
+/* site x after step k: the step's fields taken mod side leave each field
+ * in [0, 2 side - 1), and a field v plus 2^(width - 1) - side sets bit
+ * width - 1 exactly when v >= side, as the fields are wider than 2 side:
+ * one add and mask find the fields to wrap, whichever they are */
+static int64_t move(const sampler *w, int64_t x, int64_t k)
+{
+    int64_t to = x + w->s->steps[k];
+    return to - (((to + w->half) >> (w->s->width - 1)) & w->ones)
+                * w->s->side;
+}
+
+static int64_t alive_count(const sampler *w, int64_t r)
+{
+    int64_t m = 0;
+    for (int64_t j = 0; j < w->n; j++)
+        m += w->alive[r * w->n + j];
+    return m;
+}
+
+/* one chunk of K steps for the r replicas `rows`, none of which has two
+ * alive blocks on one site: the movers' uniforms, the steps' uniforms,
+ * then, replica by replica, the steps up to and with the first that puts
+ * the mover on another alive block's site, and last one Gamma(taken, 1/m)
+ * holding time per replica, in row order */
+static void chunk(sampler *w, const int64_t *rows, int64_t r, int64_t K)
+{
+    bitgen_t *bg = w->bg;
+    sc_sample *s = w->s;
+    const int64_t n = w->n;
+    int64_t met = 0, steps = 0;
+    for (int64_t i = 0; i < r * K; i++)
+        w->u_mover[i] = bg->next_double(bg->state);
+    for (int64_t i = 0; i < r * K; i++)
+        w->u_step[i] = bg->next_double(bg->state);
     for (int64_t i = 0; i < r; i++) {
-        int64_t *site = sites + i * n;
-        const double *um = u_mover + i * K, *us = u_step + i * K;
+        int64_t *site = w->site + rows[i] * n;
+        const uint8_t *alive = w->alive + rows[i] * n;
+        const double *um = w->u_mover + i * K, *us = w->u_step + i * K;
         int64_t m = 0, x;
         for (int64_t j = 0; j < n; j++)
-            if (alive[i * n + j]) {
-                slot[m] = j;
-                at[m++] = site[j];
+            if (alive[j]) {
+                w->slot[m] = j;
+                w->at[m++] = site[j];
             }
         for (x = 0; x < K; x++) {
             /* counted and compared without early exits, whose branches
              * would follow the uniforms and be mispredicted */
-            int64_t j = (int64_t)(um[x] * (double)m), s = 0, to, hits = 0;
-            for (int64_t c = 0; c < n_cuts; c++)
-                s += cuts[c] <= us[x];
-            to = at[j] + steps[s];
-            to -= (((to + half) >> (width - 1)) & ones) * side;
-            at[j] = to;
+            int64_t j = (int64_t)(um[x] * (double)m), hits = 0;
+            int64_t to = move(w, w->at[j], step_of(s, us[x]));
+            w->at[j] = to;
             for (int64_t a = 0; a < m; a++)
-                hits += at[a] == to;
+                hits += w->at[a] == to;
             if (hits > 1)
                 break;
         }
         for (int64_t a = 0; a < m; a++)
-            site[slot[a]] = at[a];
-        taken[i] = x < K ? x + 1 : K;
-        n_met += x < K;
+            site[w->slot[a]] = w->at[a];
+        w->taken[i] = x < K ? x + 1 : K;
+        met += x < K;
+        steps += w->taken[i];
     }
-    return n_met;
+    for (int64_t i = 0; i < r; i++)
+        w->t[rows[i]] += 1.0 / (double)alive_count(w, rows[i])
+                         * random_standard_gamma(bg, (double)w->taken[i]);
+    s->chunk_calls++;
+    s->chunk_replicas += r;
+    s->chunk_cells += r * K;
+    s->chunk_steps += steps;
+    s->chunk_cuts += met;
+    w->since_poll += steps;
+}
+
+/* advance the apart replicas `rows` by free migration, chunk by chunk;
+ * nonzero: the caller asked to stop */
+static int walk_apart(sampler *w, const int64_t *rows, int64_t r)
+{
+    if (!r)
+        return 0;
+    int64_t K = CHUNK_CELLS / r > CHUNK_STEPS ? CHUNK_CELLS / r : CHUNK_STEPS;
+    if (K > w->s->max_steps)
+        K = w->s->max_steps;
+    const int64_t per_chunk = CHUNK_CELLS / K;
+    for (int64_t lo = 0; lo < r; lo += per_chunk) {
+        chunk(w, rows + lo, r - lo < per_chunk ? r - lo : per_chunk, K);
+        if (w->since_poll > POLL_MASK) {
+            w->since_poll = 0;
+            if (w->s->call())
+                return -1;
+        }
+    }
+    return 0;
+}
+
+/* the weight of each slot of replica r: an alive block with b - 1 others
+ * on its site weighs lambda_b / b, so a site weighs lambda_b */
+static void weigh(sampler *w, int64_t r)
+{
+    for (int64_t j = 0; j < w->n; j++) {
+        int64_t b = w->count[r * w->n + j];
+        w->weight[j] = w->alive[r * w->n + j] ? w->s->lam[b] / (double)b : 0.0;
+    }
+}
+
+/* one event for each of the c crowded replicas `rows`, in lockstep: for
+ * all of them the holding times, then the event uniforms; then, for each
+ * merging replica in turn, its site by lambda weight, its merge size and
+ * its k-subset; then the step of each migrating replica */
+static void lockstep(sampler *w, const int64_t *rows, int64_t c)
+{
+    bitgen_t *bg = w->bg;
+    sc_sample *s = w->s;
+    const int64_t n = w->n;
+    double *coal = w->coal, *total = w->total, *u = w->u, *weight = w->weight;
+    for (int64_t i = 0; i < c; i++) {
+        weigh(w, rows[i]);
+        /* np.add.reduce of the row: its pairwise sum added to 0.0 */
+        coal[i] = 0.0 + pairwise_sum(weight, n);
+        total[i] = coal[i] + (double)alive_count(w, rows[i]);
+    }
+    for (int64_t i = 0; i < c; i++)
+        w->t[rows[i]] += random_standard_exponential(bg) / total[i];
+    for (int64_t i = 0; i < c; i++)
+        u[i] = bg->next_double(bg->state) * total[i];
+    for (int64_t i = 0; i < c; i++) {
+        if (!(u[i] < coal[i]))
+            continue;
+        const int64_t r = rows[i];
+        int64_t *site = w->site + r * n;
+        uint8_t *alive = w->alive + r * n;
+        weigh(w, r);
+        /* the first block whose running weight passes u (np.searchsorted,
+         * side="right", on np.cumsum), the last one if none does */
+        int64_t pick = n - 1, last = 0;
+        double acc = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            acc += weight[j];
+            if (acc > u[i]) {
+                pick = j;
+                break;
+            }
+        }
+        /* a u that the sequential sum rounds past falls on the last
+         * weighted block */
+        if (!(weight[pick] > 0.0)) {
+            for (int64_t j = 0; j < n; j++)
+                if (weight[j] > 0.0)
+                    last = j;
+            pick = last;
+        }
+        int64_t b = 0;
+        for (int64_t j = 0; j < n; j++)
+            if (alive[j] && site[j] == site[pick])
+                w->members[b++] = j;
+        int64_t k = 2 + bisect_right(s->rows[b], b - 1,
+                                     bg->next_double(bg->state));
+        if (k > b)
+            k = b;
+        sc_choice(bg, b, k, w->idx, w->work);
+        /* the slots in ascending order; all but the least die */
+        int64_t *out = s->log_slots + s->n_slots;
+        for (int64_t a = 0; a < k; a++) {
+            int64_t x = w->members[w->idx[a]], p = a;
+            for (; p > 0 && out[p - 1] > x; p--)
+                out[p] = out[p - 1];
+            out[p] = x;
+        }
+        for (int64_t a = 1; a < k; a++)
+            alive[out[a]] = 0;
+        s->log_replica[s->n_merges] = r;
+        s->log_time[s->n_merges] = w->t[r];
+        s->log_k[s->n_merges++] = k;
+        s->n_slots += k;
+    }
+    for (int64_t i = 0; i < c; i++) {
+        if (u[i] < coal[i])
+            continue;
+        /* the target-th alive block, target = floor(u - coal) + 1 */
+        const int64_t r = rows[i];
+        int64_t target = (int64_t)floor(u[i] - coal[i]) + 1, j = 0;
+        int64_t m = alive_count(w, r);
+        if (target > m)
+            target = m;
+        for (int64_t seen = 0; j < n; j++)
+            if ((seen += w->alive[r * n + j]) >= target)
+                break;
+        w->site[r * n + j] = move(w, w->site[r * n + j],
+                                  step_of(s, bg->next_double(bg->state)));
+    }
+}
+
+/* The few-block sampler of `experiments.few_block_torus_sample`: every
+ * replica from its start to its last merge, on numpy's bit generator `bg`.
+ * Pass by pass, as the Python loop in tests/torus_oracle.py, it splits the
+ * replicas left into apart and crowded ones (two alive blocks on one
+ * site), advances the apart ones by chunks of free migration and the
+ * crowded ones by one event each, and drops the replicas with one block
+ * left; so each draw is the one numpy made there, in numpy's order.  The
+ * caller is polled once per pass and every 2^16 chunk steps.  Returns OK,
+ * NO_MEMORY or CALLBACK_FAILED. */
+int64_t sc_few_block(bitgen_t *bg, sc_sample *s)
+{
+    const int64_t R = s->replicas, n = s->n;
+    sampler w = {.bg = bg, .s = s, .n = n};
+    for (int64_t f = 0; f < s->d; f++)
+        w.ones |= (int64_t)1 << (f * s->width);
+    w.half = (((int64_t)1 << (s->width - 1)) - s->side) * w.ones;
+    /* the replicas left, in replica order, and one pass's split of them */
+    int64_t *left = malloc(R * sizeof *left);
+    int64_t *apart = malloc(R * sizeof *apart);
+    int64_t *crowded = malloc(R * sizeof *crowded);
+    w.site = malloc(R * n * sizeof *w.site);
+    w.count = malloc(R * n * sizeof *w.count);
+    w.alive = malloc(R * n);
+    w.t = calloc(R, sizeof *w.t);
+    w.u_mover = malloc(CHUNK_CELLS * sizeof *w.u_mover);
+    w.u_step = malloc(CHUNK_CELLS * sizeof *w.u_step);
+    w.taken = malloc(CHUNK_CELLS * sizeof *w.taken);
+    w.coal = malloc(R * sizeof *w.coal);
+    w.total = malloc(R * sizeof *w.total);
+    w.u = malloc(R * sizeof *w.u);
+    w.slot = malloc(n * sizeof *w.slot);
+    w.at = malloc(n * sizeof *w.at);
+    w.members = malloc(n * sizeof *w.members);
+    w.idx = malloc(n * sizeof *w.idx);
+    w.work = malloc(n * sizeof *w.work);
+    w.weight = malloc(n * sizeof *w.weight);
+    int64_t status = OK, n_left = R;
+    if (!left || !apart || !crowded || !w.site || !w.count || !w.alive
+        || !w.t || !w.u_mover || !w.u_step || !w.taken || !w.coal || !w.total
+        || !w.u || !w.slot || !w.at || !w.members || !w.idx || !w.work
+        || !w.weight) {
+        status = NO_MEMORY;
+        goto done;
+    }
+    for (int64_t r = 0; r < R; r++) {
+        memcpy(w.site + r * n, s->start, n * sizeof *w.site);
+        memset(w.alive + r * n, 1, n);
+        left[r] = r;
+    }
+    while (n_left) {
+        if (s->call()) {
+            status = CALLBACK_FAILED;
+            break;
+        }
+        int64_t n_apart = 0, n_crowded = 0;
+        for (int64_t i = 0; i < n_left; i++) {
+            const int64_t r = left[i], *site = w.site + r * n;
+            const uint8_t *alive = w.alive + r * n;
+            int64_t most = 1;
+            for (int64_t j = 0; j < n; j++) {
+                int64_t b = 1;
+                if (alive[j]) {
+                    b = 0;
+                    for (int64_t a = 0; a < n; a++)
+                        b += alive[a] && site[a] == site[j];
+                }
+                w.count[r * n + j] = b;
+                most = b > most ? b : most;
+            }
+            if (most > 1)
+                crowded[n_crowded++] = r;
+            else
+                apart[n_apart++] = r;
+        }
+        if (walk_apart(&w, apart, n_apart)) {
+            status = CALLBACK_FAILED;
+            break;
+        }
+        s->lockstep_events += n_crowded;
+        if (n_crowded)
+            lockstep(&w, crowded, n_crowded);
+        else
+            s->lockstep_skipped++;
+        int64_t kept = 0;
+        for (int64_t i = 0; i < n_left; i++)
+            if (alive_count(&w, left[i]) > 1)
+                left[kept++] = left[i];
+        n_left = kept;
+    }
+done:
+    free(left);
+    free(apart);
+    free(crowded);
+    free(w.site);
+    free(w.count);
+    free(w.alive);
+    free(w.t);
+    free(w.u_mover);
+    free(w.u_step);
+    free(w.taken);
+    free(w.coal);
+    free(w.total);
+    free(w.u);
+    free(w.slot);
+    free(w.at);
+    free(w.members);
+    free(w.idx);
+    free(w.work);
+    free(w.weight);
+    return status;
 }

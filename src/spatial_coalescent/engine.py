@@ -33,8 +33,9 @@ make, uniform indices by rejection from its raw bits as in `choice` and
 `randrange`.  So every record is bit for bit that of the Python loop kept
 as the reference in tests/engine_oracle.py.  The loop reads the geography's
 kernel as its flat move table (`GeographySpec.move_table`).  The same
-library holds the few-block sampler's free-migration scan (`sc_chunk`,
-called by `experiments._TorusWalk`).  The first `simulate` or few-block
+library holds the few-block sampler (`sc_few_block`, called by
+`experiments.few_block_torus_sample`), built against numpy's random
+headers and its `libnpyrandom.a`.  The first `simulate` or few-block
 sample of a process builds the library with `cc` if none exists for this
 source, into `__pycache__/` beside this file, or into
 `~/.cache/spatial_coalescent/` where the package cannot be written to;
@@ -323,8 +324,6 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
                   final_counts=at + 16 * n_blocks,
                   probe_counts=at + 8 * (2 * n_blocks + n_sites))
     errors: list = []
-    answers = _answers(kernel, out, errors)
-    next(answers)
     try:
         status = loop.sc_simulate(ctypes.byref(_Input(
             key=_addr(key), key_len=len(key), n_blocks=n_blocks,
@@ -335,7 +334,8 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
             move_cum=_addr(move_cum), move_dest=_addr(move_dest),
             lam=_addr(lam), lam_avail=len(lam),
             rows=None if rows is None else _addr(rows), binary=binary,
-            call=_Call(functools.partial(answers.send, None)),
+            call=_callback(errors, functools.partial(_answer, kernel, out,
+                                                     [])),
             killing=config.killing,
             log_merges=config.record_events or track,
             log_moves=config.record_events,
@@ -351,10 +351,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     if status == _DEADLOCK:
         raise ZeroRateDeadlock("all rates vanished before the stop condition",
                                time=out.t, blocks=out.n_alive)
-    if status == _CALLBACK_FAILED:
-        raise errors[0]
-    if status:
-        raise MemoryError("the event loop could not allocate its state")
+    _raise_status(status, errors)
 
     rec = TrajectoryRecord(initial=initial, seed=config.seed)
     merges = _read_log(log_times, log, rec.events if config.record_events
@@ -419,7 +416,7 @@ def _read_log(times: list, log: list, events: list | None) -> list:
 
 
 # ----------------------------------------------------------------------
-# the compiled library: the event loop and the few-block chunk scan
+# the compiled library: the event loop and the few-block sampler
 # ----------------------------------------------------------------------
 
 _SOURCE = Path(__file__).with_name("_engine.c")
@@ -428,8 +425,8 @@ _SOURCE = Path(__file__).with_name("_engine.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILER = "cc"
 
-# sc_simulate's status, stop codes, site marks, event tags and requests
-# (_engine.c)
+# the loops' status, sc_simulate's stop codes, site marks, event tags and
+# requests (_engine.c)
 _DEADLOCK, _CALLBACK_FAILED = 1, 3
 _STOP_REASONS = ("", "HORIZON", "BLOCKS_AT_MOST", "ABSORBED", "BUDGET")
 _MERGED, _CEMETERY = -1, -2
@@ -468,6 +465,21 @@ class _Output(ctypes.Structure):
     ]
 
 
+class _Sample(ctypes.Structure):
+    """sc_few_block's arguments, counters and merge log (`sc_sample`)."""
+    _fields_ = [
+        ("replicas", _i), ("n", _i), ("start", _p), ("lam", _p),
+        ("rows", _p), ("cuts", _p), ("n_cuts", _i), ("steps", _p),
+        ("d", _i), ("side", _i), ("width", _i), ("max_steps", _i),
+        ("call", _Call),
+        ("log_replica", _p), ("log_k", _p), ("log_slots", _p),
+        ("log_time", _p), ("n_merges", _i), ("n_slots", _i),
+        ("chunk_calls", _i), ("chunk_replicas", _i), ("chunk_cells", _i),
+        ("chunk_steps", _i), ("chunk_cuts", _i), ("lockstep_events", _i),
+        ("lockstep_skipped", _i),
+    ]
+
+
 def _addr(buffer) -> int:
     """The address of the data of an `array.array` or a C-contiguous
     numpy array."""
@@ -476,57 +488,87 @@ def _addr(buffer) -> int:
     return buffer.__array_interface__["data"][0]
 
 
-def _answers(kernel: RateKernel, out: _Output, errors: list):
-    """The loop's callback, a generator that ctypes resumes through `send`.
+def _callback(errors: list, answer=None) -> _Call:
+    """A loop's callback: a generator that ctypes resumes through `send`.
 
-    It answers the request in `out`: the lambda_b table grown to hold
-    `ask_b`, as `lambda_total(b)` grows it, or the cumulative merge-size
-    law of `ask_b`; a poll asks nothing.  It yields 0, or 1 once it has
-    caught an exception, which `simulate` raises when the loop has stopped.
-    The interpreter runs pending signal handlers as a frame starts or
-    resumes: here that is at the `yield`, inside the `try`, where a plain
+    Each resume runs `answer()`, if given, which answers the loop's request;
+    a poll needs no answer.  It returns 0, or 1 once it has caught an
+    exception, which the caller raises from `errors` when the loop has
+    stopped.  The interpreter runs pending signal handlers as a frame starts
+    or resumes: here that is at the `yield`, inside the `try`, where a plain
     function would meet a KeyboardInterrupt before its `try` and ctypes
     would only print it.
     """
-    kept = []  # the arrays the loop reads, alive until the call returns
-    try:
-        while True:
-            yield 0
-            if out.ask == _ASK_LAMBDA:
-                kernel.lambda_total(out.ask_b)
-                table = kernel.lambda_table(kernel.b_max)
-            elif out.ask == _ASK_ROW:
-                table = kernel.merge_size_cumulative(out.ask_b)
-            else:
-                continue
-            kept.append(table)
-            out.answer, out.answer_len = _addr(table), len(table)
-    except GeneratorExit:  # closed after a run that needed no stop
-        raise
-    except BaseException as exc:
-        errors.append(exc)
-    yield 1
+    def answers():
+        try:
+            while True:
+                yield 0
+                if answer is not None:
+                    answer()
+        except GeneratorExit:  # closed after a run that needed no stop
+            raise
+        except BaseException as exc:
+            errors.append(exc)
+        yield 1
+
+    resume = answers()
+    next(resume)
+    return _Call(functools.partial(resume.send, None))
+
+
+def _answer(kernel: RateKernel, out: _Output, kept: list) -> None:
+    """Answer sc_simulate's request in `out`: the lambda_b table grown to
+    hold `ask_b`, as `lambda_total(b)` grows it, or the cumulative
+    merge-size law of `ask_b`, kept in `kept` until the call returns."""
+    if out.ask == _ASK_LAMBDA:
+        kernel.lambda_total(out.ask_b)
+        table = kernel.lambda_table(kernel.b_max)
+    elif out.ask == _ASK_ROW:
+        table = kernel.merge_size_cumulative(out.ask_b)
+    else:
+        return
+    kept.append(table)
+    out.answer, out.answer_len = _addr(table), len(table)
+
+
+def _raise_status(status: int, errors: list) -> None:
+    """Raise what stopped a loop that returned `status`, unless it is OK:
+    the callback's exception, or MemoryError."""
+    if status == _CALLBACK_FAILED:
+        raise errors[0]
+    if status:
+        raise MemoryError("the compiled loop could not allocate its state")
+
+
+def _numpy_random_dirs() -> tuple[Path, Path]:
+    """numpy's include directory, which holds numpy/random/bitgen.h, and
+    the directory of numpy/random/lib/libnpyrandom.a, numpy's
+    distributions, which the library is built against."""
+    return Path(np.get_include()), Path(np.__file__).parent / "random" / "lib"
 
 
 @functools.cache
 def _loop() -> ctypes.CDLL:
-    """The compiled library of `_engine.c`, built on first use.  It has two
-    entry points: `sc_simulate`, the event loop of `simulate`, and
-    `sc_chunk`, the free-migration scan of the few-block sampler
-    (`experiments._TorusWalk._chunk`).
+    """The compiled library of `_engine.c`, built on first use.  Its entry
+    points: `sc_simulate`, the event loop of `simulate`; `sc_few_block`,
+    the few-block sampler (`experiments.few_block_torus_sample`); and
+    `sc_choice`, the sampler's `Generator.choice`.  The library links
+    numpy's distributions (`_numpy_random_dirs`), whose functions it
+    exports too.
 
-    The library is named by the sha256 of `_engine.c` and the compiler
-    flags, so a process loads the one built for its source and builds it
-    only if it is missing.  It lives in `__pycache__/` beside this file or,
+    The library is named by the sha256 of `_engine.c`, the compiler flags,
+    numpy's version and numpy's include and lib directories, so a process
+    loads the one built for its source and its numpy and builds it only
+    if it is missing.  It lives in `__pycache__/` beside this file or,
     where the package cannot be written to (an install owned by another
     user), in `~/.cache/spatial_coalescent/`.  The build writes a temporary
     file and renames it into place, so a process never loads a half-written
-    library.  Without a C compiler `cc` on PATH, or with neither directory
-    writable, it raises EngineBuildFailed.
+    library, and then deletes the other `_engine.*.so` files of that
+    directory, the libraries of earlier sources.  Without a C compiler `cc`
+    on PATH, without numpy's bitgen.h or libnpyrandom.a, or with neither
+    directory writable, it raises EngineBuildFailed.
     """
-    source = _SOURCE.read_bytes()
-    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-    name = f"_engine.{key}.so"
+    name = _library_name()
     places = (_SOURCE.parent / "__pycache__",
               Path.home() / ".cache" / "spatial_coalescent")
     path = next((place / name for place in places
@@ -536,17 +578,29 @@ def _loop() -> ctypes.CDLL:
     lib.sc_simulate.restype = _i
     lib.sc_free.argtypes = [ctypes.POINTER(_Output)]
     lib.sc_free.restype = None
-    # r, n, K, sites, alive, u_mover, u_step, cuts, n_cuts, steps, d, side,
-    # width, scratch, taken
-    lib.sc_chunk.argtypes = [_i, _i, _i, _p, _p, _p, _p, _p, _i, _p, _i, _i,
-                             _i, _p, _p]
-    lib.sc_chunk.restype = _i
+    lib.sc_few_block.argtypes = [_p, ctypes.POINTER(_Sample)]
+    lib.sc_few_block.restype = _i
+    # bitgen, pop, k, idx, work
+    lib.sc_choice.argtypes = [_p, _i, _i, _p, _p]
+    lib.sc_choice.restype = None
     return lib
+
+
+def _library_name() -> str:
+    """`_engine.<key>.so`, the key taken from the sha256 of `_engine.c`,
+    the compiler flags, numpy's version and its include and lib
+    directories."""
+    include, lib_dir = _numpy_random_dirs()
+    built_with = "\0".join((*_CFLAGS, np.__version__, str(include),
+                             str(lib_dir)))
+    key = hashlib.sha256(_SOURCE.read_bytes() + built_with.encode())
+    return f"_engine.{key.hexdigest()[:16]}.so"
 
 
 def _build(name: str, places: tuple) -> Path:
     """Build the library as `name` in the first of `places` that can be
-    written to, and return its path."""
+    written to, delete the other `_engine.*.so` files there, and return
+    its path."""
     compiler = shutil.which(_COMPILER)
     if compiler is None:
         raise EngineBuildFailed(
@@ -554,6 +608,13 @@ def _build(name: str, places: tuple) -> Path:
             f"sampler build their library from {_SOURCE.name} with it on "
             f"first use",
             compiler=_COMPILER)
+    include, lib_dir = _numpy_random_dirs()
+    for needed in (include / "numpy" / "random" / "bitgen.h",
+                   lib_dir / "libnpyrandom.a"):
+        if not needed.is_file():
+            raise EngineBuildFailed(
+                f"numpy's {needed.name} is missing: {_SOURCE.name} is built "
+                f"against {needed}", missing=str(needed))
     for place in places:
         try:
             place.mkdir(parents=True, exist_ok=True)
@@ -564,7 +625,8 @@ def _build(name: str, places: tuple) -> Path:
         os.close(fd)
         try:
             done = subprocess.run(
-                [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                [compiler, *_CFLAGS, f"-I{include}", "-o", tmp, str(_SOURCE),
+                 f"-L{lib_dir}", "-lnpyrandom", "-lm"],
                 capture_output=True, text=True)
             if done.returncode:
                 raise EngineBuildFailed(
@@ -575,6 +637,12 @@ def _build(name: str, places: tuple) -> Path:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for stale in place.glob("_engine.*.so"):
+            if stale.name != name:
+                try:
+                    stale.unlink()
+                except OSError:  # gone already, or not ours to delete
+                    pass
         return place / name
     raise EngineBuildFailed(
         f"cannot write the engine library {name}: neither "

@@ -19,15 +19,16 @@ entry point first checks its replica count, its other counts and its kappa
 ValueError here too, not a TypeError or a silent result.
 
 Both few-block torus studies, the first coalescence of two blocks and the
-partition structure of n blocks, run on one vectorized sampler that is
-exact in law but orders of magnitude faster than the general engine:
+partition structure of n blocks, run on one sampler that is exact in law
+but orders of magnitude faster than the general engine:
 few_block_torus_sample advances replicas whose blocks are apart by chunks
 of pure migration cut at the first co-location, and the others one
 jump-chain event at a time.  It holds a site as one packed int64, a bit
-field per coordinate; a chunk draws its movers, steps and times in numpy
-and scans them in C, one step at a time, in the engine's compiled library
-(engine._loop), so that a replica pays only for the steps it takes up to
-its first co-location and for its alive blocks.  It logs a merge's
+field per coordinate, and runs as one C loop in the engine's compiled
+library (engine._loop) on the bit generator of a numpy Generator, making
+the draws of the numpy sampler kept as its reference in
+tests/torus_oracle.py, so that a replica pays only for the steps it takes
+up to its first co-location and for its alive blocks.  It logs a merge's
 participants as slot indices, each the least start index of its group, and
 returns counters of its chunks and lockstep events.  It and the
 block-count study first check that the walk connects the torus
@@ -53,6 +54,7 @@ cannot be tested (one pair of blocks, one replica) is None.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from collections import Counter
@@ -571,32 +573,24 @@ def _joint_chi2(pairs: np.ndarray, law: dict, min_expected: float = 5.0) -> floa
 
 
 # ----------------------------------------------------------------------
-# few-block partition structure on the torus (vectorized sampler)
+# few-block partition structure on the torus (the compiled sampler)
 # ----------------------------------------------------------------------
 
-# Free migration in few_block_torus_sample: a chunk draws K steps for each of
-# its replicas at once, in at most _CHUNK_CELLS (replicas x steps) cells.  K is
-# _CHUNK_STEPS while a pass has at least _CHUNK_CELLS // _CHUNK_STEPS apart
-# replicas and grows as they thin out, up to _MAX_CHUNK_STEPS, so that the
-# last replicas of a run take few passes.
-_CHUNK_STEPS = 256
+# A chunk of free migration in few_block_torus_sample takes at most
+# _MAX_CHUNK_STEPS steps, fewer where a packed field could not hold them.
 _MAX_CHUNK_STEPS = 4096
-_CHUNK_CELLS = 1 << 15
 
 
 class _TorusWalk:
     """The walk on the torus [-N, N]^d, whose sites are packed int64s that
-    hold each coordinate, (x_i + N) mod side, in its own bit field: one step
-    at a time, or a chunk of free migration at once.
+    hold each coordinate, (x_i + N) mod side, in its own bit field, in the
+    form that the compiled few-block sampler (`sc_few_block` in _engine.c)
+    reads: the step law's cumulative sums `cuts` without the last one, and
+    each step packed with its coordinates taken mod side (`mod_steps`).
 
-    A step adds the step's coordinates taken mod side (`mod_steps`), which
-    leaves each field in [0, 2 side - 1), and wraps the fields that reached
-    side with one add and mask: a field v plus 2^(width - 1) - side sets bit
-    width - 1 exactly when v >= side.  A chunk draws its movers, steps and
-    times in numpy and scans them in C (`sc_chunk` in _engine.c, the event
-    loop's library), which wraps the same way: each replica in row order
-    moves its mover one step at a time and stops at the first step that
-    puts it on another alive block's site.  `steps`, the longest chunk, is
+    A step adds its packed residues, which leaves each field in
+    [0, 2 side - 1), and wraps the fields that reached side with one add
+    and mask.  `steps`, the longest chunk of free migration, is
     _MAX_CHUNK_STEPS unless a field of 62 // d bits cannot hold
     2 (side - 1 + steps * reach), and the fields are that wide, wider than
     2 side as the wrap needs.  The chunk lengths, and so the draws, follow
@@ -610,7 +604,6 @@ class _TorusWalk:
         # a uniform u selects step #{cuts <= u}; the last cumulative
         # probability (1 up to rounding) is left out so u cannot overrun
         self.cuts = np.cumsum(walk.probs_array)[:-1]
-        self.step_type = np.min_scalar_type(self.cuts.size)
         reach = int(np.max(np.abs(offsets)))
         field_max = (1 << (62 // d)) - 1
         self.steps = min(_MAX_CHUNK_STEPS,
@@ -621,77 +614,9 @@ class _TorusWalk:
         self.width = (2 * (self.side - 1 + self.steps * reach)).bit_length()
         self.shifts = self.width * np.arange(d, dtype=np.int64)
         self.mod_steps = ((offsets % self.side) << self.shifts).sum(axis=1)
-        # the wrap's add and mask: bit 0 of each field, and what each field
-        # adds to reach its top bit from side
-        self._ones = int((1 << self.shifts).sum())
-        self._half = ((1 << (self.width - 1)) - self.side) * self._ones
-        self.stats = dict.fromkeys(("chunk_calls", "chunk_replicas",
-                                    "chunk_cells", "chunk_steps",
-                                    "chunk_cuts"), 0)
 
     def pack(self, coords) -> np.ndarray:
         return ((np.asarray(coords) % self.side) << self.shifts).sum(axis=-1)
-
-    def draw_steps(self, rng, shape) -> np.ndarray:
-        u = rng.random(shape)
-        step = np.zeros(shape, dtype=self.step_type)
-        for cut in self.cuts:
-            step += u >= cut
-        return step
-
-    def move(self, sites, steps) -> np.ndarray:
-        to = sites + self.mod_steps[steps]
-        to -= (((to + self._half) >> (self.width - 1)) & self._ones) * self.side
-        return to
-
-    def walk_apart(self, rng, sites, alive, t, rows) -> None:
-        """Advance replicas `rows`, none of which has two alive blocks on one
-        site, by pure migration up to each one's first co-location, or by
-        K steps if there is none.  Updates sites and t in place.
-
-        The chunk length K is _CHUNK_STEPS (or `steps`, if less) for a pass
-        of at least _CHUNK_CELLS // _CHUNK_STEPS = 128 replicas, sliced 128
-        replicas to a chunk.  A smaller pass of r replicas is one chunk of
-        K = _CHUNK_CELLS // r steps, up to `steps`, so that it still fills
-        about _CHUNK_CELLS cells and the last replicas of a run take few
-        passes.  The law does not depend on K, but the draws do: only a pass
-        of at least 128 replicas draws what fixed 256-step chunks draw, in
-        their order."""
-        if not rows.size:
-            return
-        K = min(self.steps, max(_CHUNK_STEPS, _CHUNK_CELLS // rows.size))
-        per_slice = _CHUNK_CELLS // K
-        for lo in range(0, rows.size, per_slice):
-            self._chunk(rng, sites, alive, t, rows[lo:lo + per_slice], K)
-
-    def _chunk(self, rng, sites, alive, t, rows, K) -> None:
-        r, n = rows.size, alive.shape[1]
-        live = alive[rows]
-        m = live.sum(axis=1)
-        # each step's mover is a uniform alive block, (int)(u m)-th of them,
-        # and its step #{cuts <= u} of a second uniform
-        u_mover = rng.random((r, K))
-        u_step = rng.random(r * K)
-        block = sites[rows]
-        scratch = np.empty(2 * n, dtype=np.int64)
-        taken = np.empty(r, dtype=np.int64)
-        addr = engine_mod._addr
-        met = engine_mod._loop().sc_chunk(
-            r, n, K, addr(block), addr(live), addr(u_mover), addr(u_step),
-            addr(self.cuts), self.cuts.size, addr(self.mod_steps),
-            self.shifts.size, self.side, self.width, addr(scratch),
-            addr(taken))
-        sites[rows] = block
-        # holding times are Exp(m) and independent of the jump chain, so the
-        # time of `taken` steps is one Gamma(taken, 1/m) draw, made in the
-        # order of `rows`
-        t[rows] += rng.gamma(taken, 1.0 / m)
-        stats = self.stats
-        stats["chunk_calls"] += 1
-        stats["chunk_replicas"] += r
-        stats["chunk_cells"] += r * K
-        stats["chunk_steps"] += int(taken.sum())
-        stats["chunk_cuts"] += met
 
 
 def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
@@ -703,16 +628,24 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     participants, a sorted tuple of slots, are each the least start index
     of their group.
 
+    The sampler is one C loop (`sc_few_block` in the engine's library,
+    engine._loop) on the bit generator of numpy's Generator seeded by
+    SeedSequence(seed), so the first call of a process loads the library
+    and builds it if it is missing.  It runs all replicas pass by pass.
     While no two alive blocks of a replica share a site, its chain is pure
     migration (Exp(m_alive) holding times, a uniform alive block, a step
-    from the walk), and it advances a chunk of steps at once up to its first
-    co-location: the draws of a chunk are made in numpy and scanned in C
-    (_TorusWalk._chunk), so the first call of a process loads the engine's
-    library and builds it if it is missing.  Replicas with co-located
-    blocks advance one event at a time, all in lockstep.  Sites are the
-    packed sites of _TorusWalk.  Raises ValueError if the walk does not
-    connect the torus, and EngineBuildFailed if the library cannot be
-    built.
+    from the walk), and a pass advances it by a chunk of steps up to its
+    first co-location, with one Gamma time for the steps taken.  Replicas
+    with co-located blocks advance one event at a time, all in lockstep:
+    coalescence at rate sum_sites lambda_b against migration at rate
+    m_alive, the site by lambda_b, the merge size from the kernel's law and
+    a uniform k-subset (Generator.choice).  Each draw is the one the numpy
+    sampler kept as the reference in tests/torus_oracle.py makes, in its
+    order, so the logs and counters are that sampler's to the bit.  Sites
+    are the packed sites of _TorusWalk.  Ctrl-C stops a sample: the loop
+    hands control back once per pass and every 2^16 chunk steps.  Raises
+    ValueError if the walk does not connect the torus, and
+    EngineBuildFailed if the library cannot be built.
 
     The counters: chunk_calls (chunks run, each over a slice of replicas),
     chunk_replicas (replica chunks), chunk_cells (steps drawn in them, the
@@ -731,76 +664,46 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
         raise ValueError(f"start_positions must be n >= 1 rows of "
                          f"{walk.dimension} integer coordinates, got "
                          f"{start_positions!r}")
-    start = start.astype(np.int64)
     n = start.shape[0]
-    lam_tab = kernel.lambda_table(n)
-    merge_cums = {b: kernel.merge_size_cumulative(b) for b in range(2, n + 1)}
+    lam = kernel.lambda_table(n)
+    merge_cums = [kernel.merge_size_cumulative(b) for b in range(2, n + 1)]
+    rows = np.zeros(n + 1, dtype=np.uintp)
+    rows[2:] = [engine_mod._addr(cum) for cum in merge_cums]
     torus = _TorusWalk(N, walk)
+    packed = torus.pack(start.astype(np.int64) + N)
+    # a merge of k slots leaves k - 1 fewer alive, so a replica logs at most
+    # n - 1 merges of at most 2 (n - 1) slots in all
+    merges = replicas * (n - 1)
+    log_ints = np.empty(4 * merges, dtype=np.int64)
+    log_time = np.empty(merges)
+    addr = engine_mod._addr
+    errors: list = []
+    sample = engine_mod._Sample(
+        replicas=replicas, n=n, start=addr(packed), lam=addr(lam),
+        rows=addr(rows), cuts=addr(torus.cuts), n_cuts=torus.cuts.size,
+        steps=addr(torus.mod_steps), d=walk.dimension, side=torus.side,
+        width=torus.width, max_steps=torus.steps,
+        call=engine_mod._callback(errors),
+        log_replica=addr(log_ints), log_k=addr(log_ints) + 8 * merges,
+        log_slots=addr(log_ints) + 16 * merges, log_time=addr(log_time))
+    loop = engine_mod._loop()
+    bitgen = np.random.default_rng(np.random.SeedSequence(seed)).bit_generator
+    with bitgen.lock:
+        status = loop.sc_few_block(bitgen.ctypes.bit_generator,
+                                   ctypes.byref(sample))
+    engine_mod._raise_status(status, errors)
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sites = np.tile(torus.pack(start + N), (replicas, 1))   # (R, n)
-    alivemask = np.ones((replicas, n), dtype=bool)
-    t = np.zeros(replicas)
     logs: list[list] = [[] for _ in range(replicas)]
-    idx = np.arange(replicas)
-    # dead blocks get unique negative sites so they never collide
-    dead_key = -(np.arange(n) + 1)
-    lockstep_events = lockstep_skipped = 0
-
-    while idx.size:
-        key = np.where(alivemask, sites, dead_key)
-        eq = key[:, :, None] == key[:, None, :]
-        cnt = eq.sum(axis=2)
-        crowded = (cnt > 1).any(axis=1)
-        torus.walk_apart(rng, sites, alivemask, t, np.flatnonzero(~crowded))
-
-        rows = np.flatnonzero(crowded)
-        lockstep_events += rows.size
-        if rows.size:
-            live = alivemask[rows]
-            lam_per_block = np.where(live, lam_tab[cnt[rows]] / cnt[rows], 0.0)
-            coal_rate = lam_per_block.sum(axis=1)
-            m_alive = live.sum(axis=1)
-            total = coal_rate + m_alive
-            t[rows] += rng.exponential(1.0, size=rows.size) / total
-            u = rng.random(rows.size) * total
-            coal = u < coal_rate
-
-            for j in np.nonzero(coal)[0]:
-                r = rows[j]
-                # block selection with weight lam(b)/b picks its site with
-                # weight lam(b); then merge k of the b co-located blocks
-                pick = np.searchsorted(np.cumsum(lam_per_block[j]), u[j], side="right")
-                pick = min(int(pick), n - 1)
-                members = np.nonzero(eq[r, pick] & alivemask[r])[0]
-                b = len(members)
-                k = 2 + int(np.searchsorted(merge_cums[b], rng.random(), side="right"))
-                k = min(k, b)
-                chosen = sorted(map(int, rng.choice(members, size=k, replace=False)))
-                logs[idx[r]].append((float(t[r]), tuple(chosen), k))
-                alivemask[r, chosen[1:]] = False
-
-            mig = ~coal
-            if np.any(mig):
-                movers = rows[mig]
-                # uniform alive block per migrating replica
-                target = np.floor(u[mig] - coal_rate[mig]).astype(np.int64) + 1
-                target = np.minimum(target, m_alive[mig])
-                cs = np.cumsum(live[mig], axis=1)
-                blocksel = (cs >= target[:, None]).argmax(axis=1)
-                steps = torus.draw_steps(rng, movers.size)
-                sites[movers, blocksel] = torus.move(sites[movers, blocksel], steps)
-        else:
-            # its draws would all be empty; the filter below still runs, or
-            # a one-block start would never end
-            lockstep_skipped += 1
-
-        done = alivemask.sum(axis=1) <= 1
-        if np.any(done):
-            keep = ~done
-            idx, sites, alivemask, t = idx[keep], sites[keep], alivemask[keep], t[keep]
-    return logs, {**torus.stats, "lockstep_events": lockstep_events,
-                  "lockstep_skipped": lockstep_skipped}
+    slots = log_ints[2 * merges:2 * merges + sample.n_slots].tolist()
+    at = 0
+    for r, tm, k in zip(log_ints[:sample.n_merges].tolist(),
+                        log_time[:sample.n_merges].tolist(),
+                        log_ints[merges:merges + sample.n_merges].tolist()):
+        logs[r].append((tm, tuple(slots[at:at + k]), k))
+        at += k
+    return logs, {name: getattr(sample, name) for name in (
+        "chunk_calls", "chunk_replicas", "chunk_cells", "chunk_steps",
+        "chunk_cuts", "lockstep_events", "lockstep_skipped")}
 
 
 def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,

@@ -93,10 +93,45 @@ def deterministic_chain_bound(kernel: RateKernel, m: int, upsilon: int,
         remaining = m - consumed
         lhs += j / kernel.gamma_total(remaining // upsilon)
         consumed += j
-    rhs = ((m - n * upsilon) / kernel.gamma_total(n)
-           + sum(upsilon / kernel.gamma_total(b) for b in range(2, n))
-           + 2 * upsilon / kernel.gamma_total(2))
-    return lhs, rhs
+    return lhs, _chain_rhs(kernel, m, upsilon)
+
+
+def _chain_rhs(kernel: RateKernel, m: int, upsilon: int) -> float:
+    n = m // upsilon
+    return ((m - n * upsilon) / kernel.gamma_total(n)
+            + sum(upsilon / kernel.gamma_total(b) for b in range(2, n))
+            + 2 * upsilon / kernel.gamma_total(2))
+
+
+def max_chain_bound(kernel: RateKernel, m: int,
+                    upsilon: int) -> tuple[float, float]:
+    """The largest left side of `deterministic_chain_bound` over every valid
+    decrement sequence of (m, upsilon), and the right side, or None if no
+    sequence is valid.
+
+    Each term j / gamma_{(m - c) // upsilon} depends only on the count c
+    consumed before it, so the largest left side is a longest path over c:
+    best[c] is the largest sum of a valid prefix that has consumed c, with
+    the terms added left to right as `deterministic_chain_bound` adds them
+    (rounding is monotone, so the largest rounded prefix makes the largest
+    rounded extension), and a sequence ends with the largest last
+    decrement, m - 1 - c.  O(m^2) operations, against about 2^(m - 2
+    upsilon) sequences.
+    """
+    cap = m - 2 * upsilon
+    if cap <= 0 or m // upsilon < 2:
+        return None
+    kernel.ensure_b(max(m // upsilon, 2))
+    best = np.full(cap, -np.inf)
+    best[0] = 0.0
+    lhs = -np.inf
+    for c in range(cap):
+        g = kernel.gamma_total((m - c) // upsilon)
+        # prefixes that stay below cap, then the largest closing decrement
+        best[c + 1:] = np.maximum(best[c + 1:],
+                                  best[c] + np.arange(1, cap - c) / g)
+        lhs = max(lhs, best[c] + (m - 1 - c) / g)
+    return float(lhs), _chain_rhs(kernel, m, upsilon)
 
 
 def valid_decrement_sequences(m: int, upsilon: int):

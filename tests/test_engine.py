@@ -25,7 +25,8 @@ from spatial_coalescent.engine import (
     singletons_at,
     singletons_per_site,
 )
-from spatial_coalescent.errors import IncompatibleVariants, ZeroRateDeadlock
+from spatial_coalescent.errors import (EngineBuildFailed, IncompatibleVariants,
+                                       ZeroRateDeadlock)
 from spatial_coalescent.experiments import spawn_seeds
 from spatial_coalescent.geometry import (
     build_torus,
@@ -541,6 +542,57 @@ def test_engine_library_lies_under_a_gitignored_path(kingman):
         check = subprocess.run(["git", "check-ignore", "-q", str(library)],
                                cwd=root)
         assert check.returncode == 0
+
+
+def test_library_name_covers_numpy_version_and_directories(monkeypatch,
+                                                         tmp_path):
+    # a library built against one numpy is never loaded with another
+    name = engine._library_name()
+    assert name.startswith("_engine.") and name.endswith(".so")
+    monkeypatch.setattr(np, "__version__", np.__version__ + ".post1")
+    assert engine._library_name() != name
+    monkeypatch.undo()
+    include, lib_dir = engine._numpy_random_dirs()
+    for dirs in ((tmp_path, lib_dir), (include, tmp_path)):
+        monkeypatch.setattr(engine, "_numpy_random_dirs", lambda: dirs)
+        assert engine._library_name() != name
+
+
+@pytest.mark.parametrize("present", [[], ["numpy/random/bitgen.h"]],
+                         ids=["nothing", "header-only"])
+def test_build_without_numpy_random_files_names_the_missing_one(
+        monkeypatch, tmp_path, present):
+    # numpy's random headers and libnpyrandom.a looked up in an empty
+    # directory: EngineBuildFailed (exit 4) names the first file missing,
+    # before anything is written
+    for rel in present:
+        (tmp_path / rel).parent.mkdir(parents=True)
+        (tmp_path / rel).write_text("")
+    monkeypatch.setattr(engine, "_numpy_random_dirs",
+                        lambda: (tmp_path, tmp_path))
+    missing = "libnpyrandom.a" if present else "bitgen.h"
+    places = (tmp_path / "here", tmp_path / "there")
+    with pytest.raises(EngineBuildFailed, match=rf"numpy's {missing} is "
+                       "missing") as caught:
+        engine._build(engine._library_name(), places)
+    assert caught.value.context["missing"].endswith(missing)
+    assert not any(place.exists() for place in places)
+
+
+def test_build_deletes_the_stale_libraries_of_its_directory(tmp_path):
+    # the libraries of earlier sources in the directory the build wrote to
+    # go; a build in progress (*.tmp), other files and the other place stay
+    here, there = tmp_path / "pycache", tmp_path / "cache"
+    here.mkdir()
+    there.mkdir()
+    kept = ["_engine.feedfacefeedface.so.x1y2z3.tmp", "other.so"]
+    for name in [*kept, "_engine.0123456789abcdef.so"]:
+        (here / name).write_text("")
+    (there / "_engine.0123456789abcdef.so").write_text("")
+    name = engine._library_name()
+    assert engine._build(name, (here, there)) == here / name
+    assert sorted(p.name for p in here.iterdir()) == sorted([name, *kept])
+    assert [p.name for p in there.iterdir()] == ["_engine.0123456789abcdef.so"]
 
 
 def test_merge_survivor_is_least_id(beta_heavy_kernel):

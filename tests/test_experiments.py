@@ -1,4 +1,9 @@
+import ctypes
 import math
+import os
+import signal
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +11,7 @@ import pytest
 from scipy import special
 from scipy import stats as sp_stats
 
-from spatial_coalescent import experiments
+from spatial_coalescent import engine, experiments
 from spatial_coalescent.errors import BudgetExceeded, TruncationUnstable
 from spatial_coalescent.experiments import (
     block_count_limit_experiment,
@@ -32,9 +37,10 @@ from spatial_coalescent.geometry import (
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
 import green_oracle
+import torus_oracle
 from conftest import run_python
-from torus_oracle import (BiasedPaths, pairwise_first_coalescence_times,
-                          per_block_wrap_chunk)
+from torus_oracle import (BiasedPaths, ReferenceWalk,
+                          pairwise_first_coalescence_times)
 
 KAPPA_D3_UNIT = 0.5687658867  # 2 / (G + 2) for the nearest-neighbor walk
 
@@ -617,12 +623,13 @@ def test_few_block_long_chunks_match_pairwise_sampler(kingman, w):
     (3, 6, 3, [(3, 505)]),
 ])
 def test_walk_apart_chunk_length_rule(monkeypatch, N, d, apart, calls):
-    # a pass of at least 128 apart replicas is sliced into 256-step chunks of
-    # 128 replicas; a smaller one is one chunk of about 2^15 cells, up to
-    # what the bit fields hold
-    torus = experiments._TorusWalk(N, simple_walk(d))
+    # the reference sampler's rule, which the C loop follows (the logs-equal
+    # tests compare their chunk counters): a pass of at least 128 apart
+    # replicas is sliced into 256-step chunks of 128 replicas; a smaller one
+    # is one chunk of about 2^15 cells, up to what the bit fields hold
+    torus = ReferenceWalk(N, simple_walk(d))
     seen = []
-    monkeypatch.setattr(torus, "_chunk", lambda rng, sites, alive, t, rows, K:
+    monkeypatch.setattr(torus, "chunk", lambda rng, sites, alive, t, rows, K:
                         seen.append((rows.size, K)))
     torus.walk_apart(None, None, None, None, np.arange(apart))
     assert seen == calls
@@ -667,10 +674,10 @@ REACH_2_D4 = WalkSpec(4, ((0, 1, 2, 0), (0, -1, -2, 0), (1, 0, 0, 0),
     (3, simple_walk(6), 505),
 ], ids=["simple-d3", "lazy-d3", "reach2-d3", "simple-d6"])
 def test_lockstep_move_equals_biased_path_oracle(N, walk, steps):
-    # the lockstep pass wraps a step by the add and mask of the C scan; the
-    # oracle wraps a biased path by one table per field: every site after
-    # every step must agree
-    torus = experiments._TorusWalk(N, walk)
+    # the reference's lockstep pass wraps a step by the add and mask of the
+    # C loop; the oracle wraps a biased path by one table per field: every
+    # site after every step must agree
+    torus = ReferenceWalk(N, walk)
     assert torus.steps == steps
     d, side = walk.dimension, 2 * N + 1
     coords = np.indices((side,) * d).reshape(d, -1).T
@@ -710,19 +717,20 @@ def _separated_starts(N, n, d):
         "co-located-n6", "one-block", "simple-N4-n2-256-step",
         "simple-N6-n12"])
 def test_few_block_sample_logs_equal_per_block_wrap_oracle(
-        monkeypatch, N, walk, measure, starts, replicas):
-    # the C scan of the chunk makes the oracle's draws in its order and
-    # finds the same first co-location, so the logs agree to the bit:
-    # the last case starts with passes of 256-step chunks, the others take
-    # longer ones throughout
+        N, walk, measure, starts, replicas):
+    # the C loop makes the numpy reference's draws in its order, with
+    # per_block_wrap_chunk for its chunks, so the logs and counters agree
+    # to the bit: the 256-step case starts with passes of 256-step chunks,
+    # the others take longer ones throughout; the n = 12 case sums its
+    # lambda weights in numpy's pairwise order
     kernel = RateKernel(LambdaMeasure.unit_atom(0.0) if measure == "kingman"
                         else LambdaMeasure.beta(1.5))
     logs, stats = few_block_torus_sample(N, walk, kernel, starts, replicas,
                                          seed=11)
-    monkeypatch.setattr(experiments._TorusWalk, "_chunk", per_block_wrap_chunk)
-    oracle, _ = few_block_torus_sample(N, walk, kernel, starts, replicas,
-                                       seed=11)
+    oracle, oracle_stats = torus_oracle.few_block_torus_sample(
+        N, walk, kernel, starts, replicas, seed=11)
     assert logs == oracle
+    assert stats == oracle_stats
     assert all(sum(k - 1 for _t, _p, k in log) == len(starts) - 1
                for log in logs)
     assert all(type(v) is int for v in stats.values())   # JSON-ready
@@ -731,64 +739,57 @@ def test_few_block_sample_logs_equal_per_block_wrap_oracle(
         assert stats["lockstep_skipped"] == 1 and stats["lockstep_events"] == 0
 
 
-def _apart_replicas(torus, rng, alive_counts, n_blocks, box):
-    # sites of one replica per alive count, alive on random slots, at
-    # distinct sites of a box of side `box`, so that some meet in a chunk
-    d = torus.shifts.size
-    coords = np.array([np.unravel_index(rng.choice(box ** d, n_blocks,
-                                                   replace=False), (box,) * d)
-                       for _ in alive_counts]).transpose(0, 2, 1)
-    alive = np.zeros((len(alive_counts), n_blocks), dtype=bool)
-    for row, m in zip(alive, alive_counts):
-        row[rng.choice(n_blocks, m, replace=False)] = True
-    return torus.pack(coords), alive
+def _box_starts(d, n, box, seed=1):
+    # n distinct sites of a box of side `box` around the origin, so that
+    # some blocks meet in the first chunks
+    cells = np.random.default_rng(seed).choice(box ** d, n, replace=False)
+    return np.array(np.unravel_index(cells, (box,) * d)).T - box // 2
 
 
-@pytest.mark.parametrize("N, d, K, counts, box", [
-    (8, 3, 256, (2, 3), 4),
-    (8, 3, 1638, (2, 3), 4),
-    (8, 3, 4096, (2, 3), 5),
-    (8, 3, 256, (2, 3, 4, 5, 6), 5),
-    (8, 3, 1638, (2, 3, 4, 5, 6), 5),
-    (8, 3, 4096, (2, 3, 4, 5, 6), 6),
+@pytest.mark.parametrize("N, d, K, n, box, measure, replicas", [
+    (8, 3, 256, 3, 4, "kingman", 128),
+    (8, 3, 1638, 3, 4, "kingman", 20),
+    (8, 3, 4096, 3, 5, "beta", 8),
+    (8, 3, 256, 6, 5, "beta", 128),
+    (8, 3, 1638, 6, 5, "kingman", 20),
+    (8, 3, 4096, 6, 6, "beta", 8),
     # 10-bit fields hold chunks of at most 505 steps
-    (3, 6, 505, (2, 3), 2),
-    (3, 6, 505, (2, 3, 4, 5, 6), 2),
-    # more alive blocks than an int8 mover index holds, sparse enough that
-    # the last ones move before a co-location
-    (20, 3, 256, (2, 3, 130), 41),
+    (3, 6, 505, 3, 2, "kingman", 4),
+    (3, 6, 505, 6, 2, "beta", 4),
+    # more alive blocks than an int8 mover index holds
+    (3, 3, 4096, 130, 7, "beta", 2),
 ], ids=["d3-K256-m2..3", "d3-K1638-m2..3", "d3-K4096-m2..3",
         "d3-K256-m2..6", "d3-K1638-m2..6", "d3-K4096-m2..6",
-        "d6-K505-m2..3", "d6-K505-m2..6", "d3-K256-m130"])
-def test_chunk_equals_per_block_wrap_oracle(N, d, K, counts, box):
-    # the chunk's C scan and the oracle's per-block wrap, from
-    # one random state, end on the same sites at the same times and leave
-    # the stream at the same place, so they made the same draws; the slice
-    # mixes the alive counts and is taken from a larger set of replicas
-    torus = experiments._TorusWalk(N, simple_walk(d))
-    assert K <= torus.steps
-    rng = np.random.default_rng(K + len(counts))
-    r = min(experiments._CHUNK_CELLS // K, 2000 // max(counts))
-    total = r + 5
-    rows = np.sort(rng.choice(total, r, replace=False))
-    alive_counts = rng.choice(counts, total)
-    alive_counts[rows] = rng.permutation(np.resize(counts, r))
-    sites, alive = _apart_replicas(torus, rng, alive_counts, max(counts), box)
-    t0 = rng.exponential(size=total)
-    ends = []
-    for chunk in (torus._chunk,
-                  lambda *args: per_block_wrap_chunk(torus, *args)):
-        s, t, stream = sites.copy(), t0.copy(), np.random.default_rng(3)
-        chunk(stream, s, alive, t, rows, K)
-        ends.append((s, t, stream.random()))
-    (s, t, u), (s_oracle, t_oracle, u_oracle) = ends
-    assert np.array_equal(s, s_oracle)
-    assert np.array_equal(t, t_oracle)
-    assert u == u_oracle
-    stats = torus.stats
-    assert stats["chunk_cells"] == r * K
-    assert 0 < stats["chunk_cuts"] < r
-    assert stats["chunk_steps"] < stats["chunk_cells"]
+        "d6-K505-m2..3", "d6-K505-m2..6", "d3-K4096-m130"])
+def test_chunk_equals_per_block_wrap_oracle(monkeypatch, N, d, K, n, box,
+                                            measure, replicas):
+    # the C loop against the reference, whose chunks are
+    # per_block_wrap_chunk, from n blocks at distinct sites of a box, with
+    # as many replicas as make the first pass one chunk of K steps: the
+    # logs and counters agree to the bit, so the loop's chunks made the
+    # oracle's draws in its order and ended where its chunks end, over
+    # passes that mix replicas of every alive count from 2 to n
+    kernel = RateKernel(LambdaMeasure.unit_atom(0.0) if measure == "kingman"
+                        else LambdaMeasure.beta(1.5))
+    starts = _box_starts(d, n, box)
+    logs, stats = few_block_torus_sample(N, simple_walk(d), kernel, starts,
+                                         replicas, seed=5)
+    chunks, alive_counts = [], set()
+    chunk = ReferenceWalk.chunk
+
+    def counted(torus, rng, sites, alive, t, rows, K):
+        chunks.append((rows.size, K))
+        alive_counts.update(alive[rows].sum(axis=1).tolist())
+        chunk(torus, rng, sites, alive, t, rows, K)
+
+    monkeypatch.setattr(ReferenceWalk, "chunk", counted)
+    oracle, oracle_stats = torus_oracle.few_block_torus_sample(
+        N, simple_walk(d), kernel, starts, replicas, seed=5)
+    assert chunks[0] == (replicas, K)
+    assert min(alive_counts) == 2 and max(alive_counts) == n
+    assert logs == oracle
+    assert stats == oracle_stats
+    assert stats["chunk_cuts"] > 0
 
 
 class _ScriptedDraws:
@@ -808,27 +809,24 @@ class _ScriptedDraws:
 
 
 def test_chunk_cuts_at_a_meeting_on_its_last_step():
-    # block 0 steps +e_1 at every step towards block 1, `gap` sites ahead,
-    # so they meet at step gap - 1 (from 0): in a chunk of K = 4 steps the
-    # gap-4 replica meets on the last step, a cut of K steps, and the gap-5
-    # one never meets
-    torus = experiments._TorusWalk(4, simple_walk(3))
+    # the reference's chunk, whose counters the C loop's equal in the
+    # logs-equal tests (whose runs at seed 11 hold such cuts): block 0 steps +e_1 at every step towards block 1,
+    # `gap` sites ahead, so they meet at step gap - 1 (from 0): in a chunk
+    # of K = 4 steps the gap-4 replica meets on the last step, a cut of K
+    # steps, and the gap-5 one never meets
+    torus = ReferenceWalk(4, simple_walk(3))
     gaps, K = [2, 3, 4, 5], 4
     rows = np.arange(len(gaps))
-    start = torus.pack([[[0, 0, 0], [g, 0, 0]] for g in gaps])
-    alive = np.ones(start.shape, dtype=bool)
+    sites = torus.pack([[[0, 0, 0], [g, 0, 0]] for g in gaps])
+    alive = np.ones(sites.shape, dtype=bool)
     # u = 0 moves the first alive block; 0.2 takes step 1 of simple_walk,
     # +e_1
-    ends = []
-    for chunk in (torus._chunk,
-                  lambda *args: per_block_wrap_chunk(torus, *args)):
-        sites, draws = start.copy(), _ScriptedDraws(0.0, 0.2)
-        chunk(draws, sites, alive, np.zeros(len(gaps)), rows, K)
-        ends.append((sites.tolist(), draws.taken))
-    assert ends[0] == ends[1]
-    assert ends[0][1] == [2, 3, 4, 4]
-    assert ends[0][0] == torus.pack([[[g, 0, 0], [g, 0, 0]] for g in (2, 3, 4)]
-                                    + [[[4, 0, 0], [5, 0, 0]]]).tolist()
+    draws = _ScriptedDraws(0.0, 0.2)
+    torus.chunk(draws, sites, alive, np.zeros(len(gaps)), rows, K)
+    assert draws.taken == [2, 3, 4, 4]
+    assert sites.tolist() == torus.pack(
+        [[[g, 0, 0], [g, 0, 0]] for g in (2, 3, 4)]
+        + [[[4, 0, 0], [5, 0, 0]]]).tolist()
     assert torus.stats["chunk_cuts"] == 3
     assert torus.stats["chunk_steps"] == 13
     assert torus.stats["chunk_cells"] == 16
@@ -840,6 +838,106 @@ def test_few_block_sample_chunk_calls_fall_with_replicas_left(kingman):
     _, stats = few_block_torus_sample(8, simple_walk(3), kingman,
                                       _separated_starts(8, 3, 3), 100, seed=11)
     assert stats["chunk_calls"] < 431 / 2
+
+
+def _bitgen(rng):
+    return rng.bit_generator.ctypes.bit_generator
+
+
+def _warmed(seed, warm):
+    # a fresh Generator, or one whose bit generator holds a buffered 32-bit
+    # half after `warm` bounded draws
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10, size=warm)
+    return rng
+
+
+@pytest.mark.parametrize("pop", range(2, 13))
+def test_c_choice_equals_generator_choice(pop):
+    # the sampler's k-subset is Generator.choice(b, k, replace=False),
+    # Floyd's algorithm and a shuffle on numpy's bounded draws: the same
+    # indices in the same order for every k, and the bit generator left in
+    # the same state
+    loop = engine._loop()
+    idx, work = np.empty(pop, dtype=np.int64), np.empty(pop, dtype=np.int64)
+    for k in range(1, pop + 1):
+        for seed in range(3):
+            for warm in (0, 1):
+                ours, numpys = _warmed(seed, warm), _warmed(seed, warm)
+                loop.sc_choice(_bitgen(ours), pop, k, engine._addr(idx),
+                               engine._addr(work))
+                assert idx[:k].tolist() == numpys.choice(
+                    pop, k, replace=False).tolist()
+                assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [2, 200, 201, 5000, 10007],
+                         ids=["floyd-2", "floyd-200", "tail-201", "tail-5000",
+                              "tail-all"])
+def test_c_choice_takes_the_tail_shuffle_of_a_large_population(k):
+    # over 10,000 blocks, taking more than a fiftieth of them, choice
+    # shuffles the tail of the whole population instead
+    loop = engine._loop()
+    pop = 10007
+    idx, work = np.empty(pop, dtype=np.int64), np.empty(pop, dtype=np.int64)
+    ours, numpys = _warmed(4, 1), _warmed(4, 1)
+    loop.sc_choice(_bitgen(ours), pop, k, engine._addr(idx),
+                   engine._addr(work))
+    assert idx[:k].tolist() == numpys.choice(pop, k, replace=False).tolist()
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def _numpy_draw(name, *argtypes):
+    # numpy's distribution function `name`, as the library links it
+    draw = getattr(ctypes.CDLL(engine._loop()._name), name)
+    draw.argtypes = [ctypes.c_void_p, *argtypes]
+    draw.restype = ctypes.c_double
+    return draw
+
+
+def test_linked_gamma_equals_generator_gamma():
+    # a chunk's holding time is (1.0 / m) * random_standard_gamma(taken),
+    # which must be rng.gamma(taken, 1.0 / m), including the shape-1
+    # exponential branch and the large shapes of long chunks
+    gamma = _numpy_draw("random_standard_gamma", ctypes.c_double)
+    taken = np.array([1, 2, 3, 7, 255, 256, 4095, 4096] * 40)
+    m = np.resize(np.arange(1, 14), taken.size)
+    ours, numpys = np.random.default_rng(8), np.random.default_rng(8)
+    got = [1.0 / mi * gamma(_bitgen(ours), float(x))
+           for x, mi in zip(taken.tolist(), m.tolist())]
+    assert got == numpys.gamma(taken, 1.0 / m).tolist()
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_linked_exponential_equals_generator_exponential():
+    # a lockstep event's holding time is random_standard_exponential, which
+    # must be rng.exponential(1.0), the ziggurat's rare tail included
+    exponential = _numpy_draw("random_standard_exponential")
+    ours, numpys = np.random.default_rng(9), np.random.default_rng(9)
+    got = [exponential(_bitgen(ours)) for _ in range(5000)]
+    assert got == numpys.exponential(1.0, size=5000).tolist()
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_ctrl_c_stops_a_long_sample(kingman):
+    # 2000 pairs of blocks 40 sites apart on the N = 40 torus (about a
+    # minute): the loop hands control back once per pass and every 2^16
+    # chunk steps, so a SIGINT sent 50 ms in raises KeyboardInterrupt out of
+    # few_block_torus_sample at once
+    engine._loop()  # built and loaded before the clock starts
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    timer = threading.Timer(0.05, os.kill, (os.getpid(), signal.SIGINT))
+    start = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            timer.start()
+            few_block_torus_sample(40, simple_walk(3), kingman,
+                                   [[0, 0, 0], [40, 0, 0]], replicas=2000,
+                                   seed=1)
+    finally:
+        timer.cancel()
+        signal.signal(signal.SIGINT, previous)
+    assert time.perf_counter() - start < 3.0
 
 
 # +-3 e_1 (0.1 each), +-e_2 and +-e_3 (0.2 each): on the side-3 torus the

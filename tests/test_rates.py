@@ -13,6 +13,7 @@ from quadrature_oracle import gamma_increment_integral, lambda_increment_integra
 from rate_inequalities import (
     deterministic_chain_bound,
     estimate_rho,
+    max_chain_bound,
     spatial_rate_bounds_check,
     valid_decrement_sequences,
 )
@@ -627,15 +628,28 @@ def test_spatial_bounds_random_vectors(counts):
 
 
 def test_chain_bound_exhaustive_small(kingman_kernel):
+    # every valid decrement sequence up to m = 14 (upsilon 1 and 2) is
+    # enumerated: each satisfies the bound, and the largest left side is the
+    # longest-path DP's to the bit; the DP then checks the largest left side
+    # of every sequence up to m = 200, upsilon up to 3
     checked = 0
-    for m in range(5, 21):
+    for m in range(5, 15):
         for upsilon in (1, 2):
+            most = -math.inf
             for seq in valid_decrement_sequences(m, upsilon):
                 lhs, rhs = deterministic_chain_bound(
                     kingman_kernel, m, upsilon, seq)
                 assert lhs <= rhs * (1 + 1e-12)
+                most = max(most, lhs)
                 checked += 1
+            assert max_chain_bound(kingman_kernel, m, upsilon) == (most, rhs)
     assert checked > 50
+    for m in range(5, 201):
+        for upsilon in (1, 2, 3):
+            bound = max_chain_bound(kingman_kernel, m, upsilon)
+            if bound is not None:
+                lhs, rhs = bound
+                assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_rho_estimate_sane(kingman_kernel):
