@@ -25,15 +25,26 @@
  * 2^16 steps, nothing, so that the caller can run pending signal handlers.
  * A nonzero answer stops the loop.
  *
- * The few-block sampler (`sc_few_block`) is one loop on numpy's bit
- * generator, the `bitgen_t` of the caller's `numpy.random.Generator`.  It
- * makes the draws the numpy sampler in tests/torus_oracle.py makes, in its
- * order, so its merge logs are that sampler's to the bit: uniforms by the
- * generator's next_double, and holding times, merge subsets
- * (Generator.choice) and Gamma times by numpy's own functions in
+ * The few-block sampler (`sc_few_block`) is one loop on its own PCG64,
+ * seeded from the public state of numpy's PCG64 (`PCG64.state`: state, inc
+ * and the buffered 32-bit half) and wrapped in a `bitgen_t` whose draws are
+ * numpy's: a 64-bit word is the XSL RR output of the stepped 128-bit LCG, a
+ * double its top 53 bits, a 32-bit draw the low half of a word whose high
+ * half is kept for the next one.  It makes the draws the numpy sampler in
+ * tests/torus_oracle.py makes, in its order, so its merge logs are that
+ * sampler's to the bit: uniforms by next_double, and holding times, merge
+ * subsets (Generator.choice) and Gamma times by numpy's own functions in
  * numpy/random/lib/libnpyrandom.a, which the library links.  Their
- * prototypes are declared here, as distributions.h includes Python.h.
+ * prototypes are declared here, as distributions.h includes Python.h.  A
+ * chunk of free migration computes its uniforms inline, on two chains that
+ * jump ahead in the LCG (Brown 1994), and skips the cells past each
+ * replica's first co-location instead of drawing them: it leaves the
+ * generator where drawing every cell would have.
  */
+
+#ifndef __SIZEOF_INT128__
+#error "the few-block sampler's PCG64 needs a compiler with unsigned __int128"
+#endif
 
 #include <math.h>
 #include <stdint.h>
@@ -718,6 +729,102 @@ done:
     return status;
 }
 
+/* ---- numpy's PCG64 ----------------------------------------------------- */
+
+typedef unsigned __int128 u128;
+
+/* PCG64's state, as numpy's `PCG64.state` holds it: the LCG's state and
+ * increment, low word first, and the buffered high half of a word */
+typedef struct {
+    uint64_t state[2], inc[2];
+    uint64_t has_uint32, uinteger;
+} pcg64;
+
+/* the LCG's multiplier, PCG's default for 128 bits */
+#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+/* s -> mult s + plus, mod 2^128: the LCG stepped some number of times */
+typedef struct { u128 mult, plus; } lcg_jump;
+
+static u128 words_u128(const uint64_t *w)
+{
+    return (u128)w[1] << 64 | w[0];
+}
+
+static void set_words(uint64_t *w, u128 x)
+{
+    w[0] = (uint64_t)x;
+    w[1] = (uint64_t)(x >> 64);
+}
+
+/* the output of state s: XSL RR, the xor of its halves rotated right by
+ * its top 6 bits */
+static inline uint64_t pcg_output(u128 s)
+{
+    uint64_t v = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    unsigned rot = (unsigned)(s >> 122);
+    return (v >> rot) | (v << (-rot & 63));
+}
+
+static inline double word_double(uint64_t x)
+{
+    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* `delta` steps of the LCG of increment inc, by squaring (Brown 1994) */
+static lcg_jump jump_of(u128 inc, uint64_t delta)
+{
+    lcg_jump acc = {1, 0};
+    u128 mult = PCG_MULT, plus = inc;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            acc.mult *= mult;
+            acc.plus = acc.plus * mult + plus;
+        }
+        plus *= mult + 1;
+        mult *= mult;
+    }
+    return acc;
+}
+
+static uint64_t pcg64_next64(void *st)
+{
+    pcg64 *g = st;
+    u128 s = words_u128(g->state) * PCG_MULT + words_u128(g->inc);
+    set_words(g->state, s);
+    return pcg_output(s);
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    pcg64 *g = st;
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return (uint32_t)g->uinteger;
+    }
+    uint64_t x = pcg64_next64(g);
+    g->has_uint32 = 1;
+    g->uinteger = x >> 32;
+    return (uint32_t)x;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return word_double(pcg64_next64(st));
+}
+
+/* Advance `g` by `delta` words, keeping its buffered half, as `delta`
+ * draws of next_double do, and point `bg`, unless NULL, at it.  The
+ * sampler's generator, exported so that tests can pin it to numpy's. */
+void sc_pcg64(pcg64 *g, uint64_t delta, bitgen_t *bg)
+{
+    lcg_jump j = jump_of(words_u128(g->inc), delta);
+    set_words(g->state, j.mult * words_u128(g->state) + j.plus);
+    if (bg)
+        *bg = (bitgen_t){g, pcg64_next64, pcg64_next32, pcg64_next_double,
+                         pcg64_next64};
+}
+
 /* ---- the few-block sampler ------------------------------------------- */
 
 /* Free migration advances a pass's apart replicas by chunks of K steps: K
@@ -734,6 +841,7 @@ done:
 #define CHOICE_TAIL_FRACTION 50
 
 typedef struct {
+    pcg64 rng;                   /* the seed's state in, the sample's out */
     int64_t replicas, n;
     const int64_t *start;        /* the packed start site of each slot */
     const double *lam;           /* lambda_c, c = 0..n */
@@ -820,18 +928,26 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
 }
 
+/* the walk's packed steps and the add and mask that wrap a site (`move`) */
 typedef struct {
-    bitgen_t *bg;
+    const int64_t *steps;
+    int64_t ones, half, top, side;
+} wrap;
+
+typedef struct {
+    bitgen_t bg;                 /* on s->rng */
     sc_sample *s;
-    int64_t n, ones, half, since_poll;
+    wrap torus;
+    int64_t n, since_poll;
+    /* by bucket [b/256, (b+1)/256) of a step uniform, the top 8 bits of its
+     * word: its step, or -1 where a cut lies inside the bucket */
+    int32_t step_table[256];
     /* by replica and slot: the site, the alive blocks on it (1 for a dead
      * slot) and whether the slot is alive */
     int64_t *site, *count;
     uint8_t *alive;
     double *t;                   /* by replica */
-    /* a chunk's draws and steps taken, by cell and by replica */
-    double *u_mover, *u_step;
-    int64_t *taken;
+    int64_t *taken;              /* a chunk's steps taken, by replica */
     /* a lockstep pass's rates and event uniform, by crowded replica */
     double *coal, *total, *u;
     /* one replica's alive slots and their sites, lambda weights, merge
@@ -849,15 +965,38 @@ static int64_t step_of(const sc_sample *s, double u)
     return k;
 }
 
+/* step_of the uniform of word x, looked up in its bucket where no cut
+ * splits it */
+static inline int64_t step_at(const sampler *w, uint64_t x)
+{
+    int64_t k = w->step_table[x >> 56];
+    return k >= 0 ? k : step_of(w->s, word_double(x));
+}
+
+static void fill_step_table(sampler *w)
+{
+    const sc_sample *s = w->s;
+    for (int b = 0; b < 256; b++) {
+        const double lo = b / 256.0, hi = (b + 1) / 256.0;
+        int32_t k = 0;
+        for (int64_t c = 0; c < s->n_cuts && k >= 0; c++) {
+            if (lo < s->cuts[c] && s->cuts[c] < hi)
+                k = -1;
+            else
+                k += s->cuts[c] <= lo;
+        }
+        w->step_table[b] = k;
+    }
+}
+
 /* site x after step k: the step's fields taken mod side leave each field
  * in [0, 2 side - 1), and a field v plus 2^(width - 1) - side sets bit
  * width - 1 exactly when v >= side, as the fields are wider than 2 side:
  * one add and mask find the fields to wrap, whichever they are */
-static int64_t move(const sampler *w, int64_t x, int64_t k)
+static inline int64_t move(wrap g, int64_t x, int64_t k)
 {
-    int64_t to = x + w->s->steps[k];
-    return to - (((to + w->half) >> (w->s->width - 1)) & w->ones)
-                * w->s->side;
+    int64_t to = x + g.steps[k];
+    return to - (((to + g.half) >> g.top) & g.ones) * g.side;
 }
 
 static int64_t alive_count(const sampler *w, int64_t r)
@@ -872,47 +1011,59 @@ static int64_t alive_count(const sampler *w, int64_t r)
  * alive blocks on one site: the movers' uniforms, the steps' uniforms,
  * then, replica by replica, the steps up to and with the first that puts
  * the mover on another alive block's site, and last one Gamma(taken, 1/m)
- * holding time per replica, in row order */
+ * holding time per replica, in row order.
+ *
+ * The uniforms are the next 2rK words of the generator, from p on: replica
+ * i's movers at p + iK.., its steps at p + rK + iK...  Each replica steps
+ * two chains of the LCG from those states, a word per step taken, and the
+ * next replica's chains start K words on, so that the cells past a
+ * co-location are never computed; the generator is left at p + 2rK. */
 static void chunk(sampler *w, const int64_t *rows, int64_t r, int64_t K)
 {
-    bitgen_t *bg = w->bg;
     sc_sample *s = w->s;
     const int64_t n = w->n;
-    int64_t met = 0, steps = 0;
-    for (int64_t i = 0; i < r * K; i++)
-        w->u_mover[i] = bg->next_double(bg->state);
-    for (int64_t i = 0; i < r * K; i++)
-        w->u_step[i] = bg->next_double(bg->state);
+    const wrap torus = w->torus;
+    int64_t *at = w->at, met = 0, steps = 0;
+    const u128 inc = words_u128(s->rng.inc);
+    const lcg_jump by_K = jump_of(inc, K), by_rK = jump_of(inc, r * K);
+    u128 mover = words_u128(s->rng.state);
+    u128 stepper = by_rK.mult * mover + by_rK.plus;
     for (int64_t i = 0; i < r; i++) {
         int64_t *site = w->site + rows[i] * n;
         const uint8_t *alive = w->alive + rows[i] * n;
-        const double *um = w->u_mover + i * K, *us = w->u_step + i * K;
+        u128 ms = mover, ss = stepper;
         int64_t m = 0, x;
         for (int64_t j = 0; j < n; j++)
             if (alive[j]) {
                 w->slot[m] = j;
-                w->at[m++] = site[j];
+                at[m++] = site[j];
             }
         for (x = 0; x < K; x++) {
+            ms = ms * PCG_MULT + inc;
+            ss = ss * PCG_MULT + inc;
             /* counted and compared without early exits, whose branches
              * would follow the uniforms and be mispredicted */
-            int64_t j = (int64_t)(um[x] * (double)m), hits = 0;
-            int64_t to = move(w, w->at[j], step_of(s, us[x]));
-            w->at[j] = to;
+            int64_t j = (int64_t)(word_double(pcg_output(ms)) * (double)m);
+            int64_t to = move(torus, at[j], step_at(w, pcg_output(ss)));
+            int64_t hits = 0;
+            at[j] = to;
             for (int64_t a = 0; a < m; a++)
-                hits += w->at[a] == to;
+                hits += at[a] == to;
             if (hits > 1)
                 break;
         }
         for (int64_t a = 0; a < m; a++)
-            site[w->slot[a]] = w->at[a];
+            site[w->slot[a]] = at[a];
         w->taken[i] = x < K ? x + 1 : K;
         met += x < K;
         steps += w->taken[i];
+        mover = by_K.mult * mover + by_K.plus;
+        stepper = by_K.mult * stepper + by_K.plus;
     }
+    set_words(s->rng.state, stepper);
     for (int64_t i = 0; i < r; i++)
         w->t[rows[i]] += 1.0 / (double)alive_count(w, rows[i])
-                         * random_standard_gamma(bg, (double)w->taken[i]);
+                         * random_standard_gamma(&w->bg, (double)w->taken[i]);
     s->chunk_calls++;
     s->chunk_replicas += r;
     s->chunk_cells += r * K;
@@ -958,7 +1109,7 @@ static void weigh(sampler *w, int64_t r)
  * its k-subset; then the step of each migrating replica */
 static void lockstep(sampler *w, const int64_t *rows, int64_t c)
 {
-    bitgen_t *bg = w->bg;
+    bitgen_t *bg = &w->bg;
     sc_sample *s = w->s;
     const int64_t n = w->n;
     double *coal = w->coal, *total = w->total, *u = w->u, *weight = w->weight;
@@ -1034,13 +1185,14 @@ static void lockstep(sampler *w, const int64_t *rows, int64_t c)
         for (int64_t seen = 0; j < n; j++)
             if ((seen += w->alive[r * n + j]) >= target)
                 break;
-        w->site[r * n + j] = move(w, w->site[r * n + j],
-                                  step_of(s, bg->next_double(bg->state)));
+        /* the step's uniform is next_double's, the word's top 53 bits */
+        w->site[r * n + j] = move(w->torus, w->site[r * n + j],
+                                  step_at(w, bg->next_uint64(bg->state)));
     }
 }
 
 /* The few-block sampler of `experiments.few_block_torus_sample`: every
- * replica from its start to its last merge, on numpy's bit generator `bg`.
+ * replica from its start to its last merge, on the generator `s->rng`.
  * Pass by pass, as the Python loop in tests/torus_oracle.py, it splits the
  * replicas left into apart and crowded ones (two alive blocks on one
  * site), advances the apart ones by chunks of free migration and the
@@ -1048,13 +1200,16 @@ static void lockstep(sampler *w, const int64_t *rows, int64_t c)
  * left; so each draw is the one numpy made there, in numpy's order.  The
  * caller is polled once per pass and every 2^16 chunk steps.  Returns OK,
  * NO_MEMORY or CALLBACK_FAILED. */
-int64_t sc_few_block(bitgen_t *bg, sc_sample *s)
+int64_t sc_few_block(sc_sample *s)
 {
     const int64_t R = s->replicas, n = s->n;
-    sampler w = {.bg = bg, .s = s, .n = n};
+    sampler w = {.s = s, .n = n};
+    sc_pcg64(&s->rng, 0, &w.bg);
+    fill_step_table(&w);
+    w.torus = (wrap){s->steps, 0, 0, s->width - 1, s->side};
     for (int64_t f = 0; f < s->d; f++)
-        w.ones |= (int64_t)1 << (f * s->width);
-    w.half = (((int64_t)1 << (s->width - 1)) - s->side) * w.ones;
+        w.torus.ones |= (int64_t)1 << (f * s->width);
+    w.torus.half = (((int64_t)1 << (s->width - 1)) - s->side) * w.torus.ones;
     /* the replicas left, in replica order, and one pass's split of them */
     int64_t *left = malloc(R * sizeof *left);
     int64_t *apart = malloc(R * sizeof *apart);
@@ -1063,8 +1218,6 @@ int64_t sc_few_block(bitgen_t *bg, sc_sample *s)
     w.count = malloc(R * n * sizeof *w.count);
     w.alive = malloc(R * n);
     w.t = calloc(R, sizeof *w.t);
-    w.u_mover = malloc(CHUNK_CELLS * sizeof *w.u_mover);
-    w.u_step = malloc(CHUNK_CELLS * sizeof *w.u_step);
     w.taken = malloc(CHUNK_CELLS * sizeof *w.taken);
     w.coal = malloc(R * sizeof *w.coal);
     w.total = malloc(R * sizeof *w.total);
@@ -1077,7 +1230,7 @@ int64_t sc_few_block(bitgen_t *bg, sc_sample *s)
     w.weight = malloc(n * sizeof *w.weight);
     int64_t status = OK, n_left = R;
     if (!left || !apart || !crowded || !w.site || !w.count || !w.alive
-        || !w.t || !w.u_mover || !w.u_step || !w.taken || !w.coal || !w.total
+        || !w.t || !w.taken || !w.coal || !w.total
         || !w.u || !w.slot || !w.at || !w.members || !w.idx || !w.work
         || !w.weight) {
         status = NO_MEMORY;
@@ -1136,8 +1289,6 @@ done:
     free(w.count);
     free(w.alive);
     free(w.t);
-    free(w.u_mover);
-    free(w.u_step);
     free(w.taken);
     free(w.coal);
     free(w.total);

@@ -465,11 +465,30 @@ class _Output(ctypes.Structure):
     ]
 
 
+class _Pcg64(ctypes.Structure):
+    """The few-block sampler's generator (`pcg64`): numpy's PCG64 state,
+    the LCG's state and increment as 64-bit words, low first, and the
+    buffered 32-bit half."""
+    _fields_ = [
+        ("state", ctypes.c_uint64 * 2), ("inc", ctypes.c_uint64 * 2),
+        ("has_uint32", ctypes.c_uint64), ("uinteger", ctypes.c_uint64),
+    ]
+
+    @classmethod
+    def of(cls, state: dict) -> "_Pcg64":
+        """The generator at `state`, the public `PCG64.state` dict."""
+        def words(x: int):
+            return (ctypes.c_uint64 * 2)(x & 0xFFFFFFFFFFFFFFFF, x >> 64)
+        lcg = state["state"]
+        return cls(words(lcg["state"]), words(lcg["inc"]),
+                   state["has_uint32"], state["uinteger"])
+
+
 class _Sample(ctypes.Structure):
     """sc_few_block's arguments, counters and merge log (`sc_sample`)."""
     _fields_ = [
-        ("replicas", _i), ("n", _i), ("start", _p), ("lam", _p),
-        ("rows", _p), ("cuts", _p), ("n_cuts", _i), ("steps", _p),
+        ("rng", _Pcg64), ("replicas", _i), ("n", _i), ("start", _p),
+        ("lam", _p), ("rows", _p), ("cuts", _p), ("n_cuts", _i), ("steps", _p),
         ("d", _i), ("side", _i), ("width", _i), ("max_steps", _i),
         ("call", _Call),
         ("log_replica", _p), ("log_k", _p), ("log_slots", _p),
@@ -551,10 +570,11 @@ def _numpy_random_dirs() -> tuple[Path, Path]:
 def _loop() -> ctypes.CDLL:
     """The compiled library of `_engine.c`, built on first use.  Its entry
     points: `sc_simulate`, the event loop of `simulate`; `sc_few_block`,
-    the few-block sampler (`experiments.few_block_torus_sample`); and
-    `sc_choice`, the sampler's `Generator.choice`.  The library links
-    numpy's distributions (`_numpy_random_dirs`), whose functions it
-    exports too.
+    the few-block sampler (`experiments.few_block_torus_sample`);
+    `sc_choice`, the sampler's `Generator.choice`; and `sc_pcg64`, which
+    jumps the sampler's generator ahead and wraps it as a numpy
+    `bitgen_t`.  The library links numpy's distributions
+    (`_numpy_random_dirs`), whose functions it exports too.
 
     The library is named by the sha256 of `_engine.c`, the compiler flags,
     numpy's version and numpy's include and lib directories, so a process
@@ -578,11 +598,14 @@ def _loop() -> ctypes.CDLL:
     lib.sc_simulate.restype = _i
     lib.sc_free.argtypes = [ctypes.POINTER(_Output)]
     lib.sc_free.restype = None
-    lib.sc_few_block.argtypes = [_p, ctypes.POINTER(_Sample)]
+    lib.sc_few_block.argtypes = [ctypes.POINTER(_Sample)]
     lib.sc_few_block.restype = _i
     # bitgen, pop, k, idx, work
     lib.sc_choice.argtypes = [_p, _i, _i, _p, _p]
     lib.sc_choice.restype = None
+    # generator, delta, bitgen (or None)
+    lib.sc_pcg64.argtypes = [ctypes.POINTER(_Pcg64), ctypes.c_uint64, _p]
+    lib.sc_pcg64.restype = None
     return lib
 
 

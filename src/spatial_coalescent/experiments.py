@@ -25,10 +25,11 @@ few_block_torus_sample advances replicas whose blocks are apart by chunks
 of pure migration cut at the first co-location, and the others one
 jump-chain event at a time.  It holds a site as one packed int64, a bit
 field per coordinate, and runs as one C loop in the engine's compiled
-library (engine._loop) on the bit generator of a numpy Generator, making
-the draws of the numpy sampler kept as its reference in
-tests/torus_oracle.py, so that a replica pays only for the steps it takes
-up to its first co-location and for its alive blocks.  It logs a merge's
+library (engine._loop) on its own PCG64, seeded from numpy's public
+PCG64 state, making the draws of the numpy sampler kept as its reference
+in tests/torus_oracle.py.  A chunk jumps past the words of the cells after
+a replica's first co-location instead of drawing them, so that a replica
+pays only for the steps it takes and for its alive blocks.  It logs a merge's
 participants as slot indices, each the least start index of its group, and
 returns counters of its chunks and lockstep events.  It and the
 block-count study first check that the walk connects the torus
@@ -629,13 +630,20 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     of their group.
 
     The sampler is one C loop (`sc_few_block` in the engine's library,
-    engine._loop) on the bit generator of numpy's Generator seeded by
-    SeedSequence(seed), so the first call of a process loads the library
-    and builds it if it is missing.  It runs all replicas pass by pass.
-    While no two alive blocks of a replica share a site, its chain is pure
-    migration (Exp(m_alive) holding times, a uniform alive block, a step
-    from the walk), and a pass advances it by a chunk of steps up to its
-    first co-location, with one Gamma time for the steps taken.  Replicas
+    engine._loop) on a PCG64 of its own, seeded from the public state of
+    numpy's PCG64(SeedSequence(seed)), the bit generator of
+    default_rng(seed), whose draws it makes to the bit.  The first call of
+    a process loads the library and builds it if it is missing.  It runs
+    all replicas pass by pass.  While no two alive blocks of a replica
+    share a site, its chain is pure migration (Exp(m_alive) holding times,
+    a uniform alive block, a step from the walk), and a pass advances it by
+    a chunk of steps up to its first co-location, with one Gamma time for
+    the steps taken.  A chunk's
+    uniforms, the movers' of all its cells and then the steps', are the
+    generator's next words; the loop computes them inline on two chains
+    that jump ahead in the generator's LCG, one per replica and kind, so
+    the cells past a replica's co-location are skipped, not drawn, and the
+    generator ends where drawing them all would leave it.  Replicas
     with co-located blocks advance one event at a time, all in lockstep:
     coalescence at rate sum_sites lambda_b against migration at rate
     m_alive, the site by lambda_b, the merge size from the kernel's law and
@@ -648,9 +656,10 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     EngineBuildFailed if the library cannot be built.
 
     The counters: chunk_calls (chunks run, each over a slice of replicas),
-    chunk_replicas (replica chunks), chunk_cells (steps drawn in them, the
-    sum of replicas x chunk length), chunk_steps (jump-chain steps taken in
-    them; the cells past a co-location are drawn and thrown away),
+    chunk_replicas (replica chunks), chunk_cells (the cells of the chunks,
+    the sum of replicas x chunk length, whose words the generator passes),
+    chunk_steps (jump-chain steps taken in them, the cells computed; the
+    cells past a co-location are skipped),
     chunk_cuts (replica chunks ended by a co-location, on their last
     step too),
     lockstep_events (events taken one at a time) and lockstep_skipped
@@ -678,19 +687,17 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     log_time = np.empty(merges)
     addr = engine_mod._addr
     errors: list = []
+    seeded = np.random.PCG64(np.random.SeedSequence(seed)).state
     sample = engine_mod._Sample(
-        replicas=replicas, n=n, start=addr(packed), lam=addr(lam),
-        rows=addr(rows), cuts=addr(torus.cuts), n_cuts=torus.cuts.size,
+        rng=engine_mod._Pcg64.of(seeded), replicas=replicas, n=n,
+        start=addr(packed), lam=addr(lam), rows=addr(rows),
+        cuts=addr(torus.cuts), n_cuts=torus.cuts.size,
         steps=addr(torus.mod_steps), d=walk.dimension, side=torus.side,
         width=torus.width, max_steps=torus.steps,
         call=engine_mod._callback(errors),
         log_replica=addr(log_ints), log_k=addr(log_ints) + 8 * merges,
         log_slots=addr(log_ints) + 16 * merges, log_time=addr(log_time))
-    loop = engine_mod._loop()
-    bitgen = np.random.default_rng(np.random.SeedSequence(seed)).bit_generator
-    with bitgen.lock:
-        status = loop.sc_few_block(bitgen.ctypes.bit_generator,
-                                   ctypes.byref(sample))
+    status = engine_mod._loop().sc_few_block(ctypes.byref(sample))
     engine_mod._raise_status(status, errors)
 
     logs: list[list] = [[] for _ in range(replicas)]

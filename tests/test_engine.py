@@ -595,6 +595,19 @@ def test_build_deletes_the_stale_libraries_of_its_directory(tmp_path):
     assert [p.name for p in there.iterdir()] == ["_engine.0123456789abcdef.so"]
 
 
+def test_build_without_128_bit_integers_fails_to_build(monkeypatch,
+                                                        tmp_path):
+    # the few-block sampler's PCG64 needs unsigned __int128: a compiler
+    # without it, here one that has the macro taken away, stops at the
+    # source's #error, which is EngineBuildFailed (exit 4), and writes
+    # no library
+    monkeypatch.setattr(engine, "_CFLAGS",
+                        (*engine._CFLAGS, "-U__SIZEOF_INT128__"))
+    with pytest.raises(EngineBuildFailed, match="unsigned __int128"):
+        engine._build(engine._library_name(), (tmp_path,))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_merge_survivor_is_least_id(beta_heavy_kernel):
     # ids follow least-element order and a merge keeps its least id, so the
     # counts-only summary agrees with the element sets

@@ -581,9 +581,25 @@ def test_structure_small_case(kingman):
     assert res["pair_uniformity_pvalue"] > 1e-4
 
 
+@pytest.fixture(scope="module")
+def relative_times():
+    # the relative-walk sampler's first-coalescence times of two blocks 4
+    # sites apart on the N = 4 torus, computed once per walk for the tests
+    # that compare the few-block sampler with them
+    cache = {}
+
+    def times(w):
+        if w not in cache:
+            cache[w] = pairwise_first_coalescence_times(
+                4, w, 1.0, 4000, seed=32, separation=[4, 0, 0])
+        return cache[w]
+    return times
+
+
 @pytest.mark.parametrize("w", [simple_walk(3), DRIFTED, LAZY],
                          ids=["simple", "drifted", "lazy"])
-def test_few_block_first_coalescence_matches_pairwise_sampler(kingman, w):
+def test_few_block_first_coalescence_matches_pairwise_sampler(
+        kingman, relative_times, w):
     # distributional check of the chunked few-block sampler, the path of
     # pairwise_torus_experiment: with two blocks its first merge time has
     # the law of the independent relative-walk sampler's first-coalescence
@@ -592,13 +608,13 @@ def test_few_block_first_coalescence_matches_pairwise_sampler(kingman, w):
                                      replicas=4000, seed=31)
     chunked = np.array([log[0][0] for log in logs])
     assert all(len(log) == 1 and log[0][2] == 2 for log in logs)
-    relative = pairwise_first_coalescence_times(4, w, 1.0, 4000, seed=32,
-                                                separation=[4, 0, 0])
+    relative = relative_times(w)
     assert sp_stats.ks_2samp(chunked, relative).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("w", [simple_walk(3), LAZY], ids=["simple", "lazy"])
-def test_few_block_long_chunks_match_pairwise_sampler(kingman, w):
+def test_few_block_long_chunks_match_pairwise_sampler(kingman, relative_times,
+                                                      w):
     # calls of fewer than 128 replicas, whose every pass takes chunks of
     # more than 256 steps: pooled, their first merge times have the law of
     # the relative-walk sampler's first-coalescence time
@@ -606,8 +622,7 @@ def test_few_block_long_chunks_match_pairwise_sampler(kingman, w):
                for log in few_block_torus_sample(
                    4, w, kingman, [[0, 0, 0], [4, 0, 0]], replicas=100,
                    seed=seed)[0]]
-    relative = pairwise_first_coalescence_times(4, w, 1.0, 4000, seed=32,
-                                                separation=[4, 0, 0])
+    relative = relative_times(w)
     assert sp_stats.ks_2samp(chunked, relative).pvalue > 1e-3
 
 
@@ -664,6 +679,12 @@ REACH_2_D4 = WalkSpec(4, ((0, 1, 2, 0), (0, -1, -2, 0), (1, 0, 0, 0),
                           (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
                           (0, 0, 1, 0), (0, 0, -1, 0), (0, 0, 0, 1),
                           (0, 0, 0, -1)), (0.1, 0.1) + (0.1,) * 8)
+# an axis walk whose +-e_1 steps, 5e-4 each, put the cuts 0.4, 0.4005 and
+# 0.401 into one 1/256 bucket of the step uniform, which the sampler's step
+# table leaves to the cut-by-cut count
+RARE_E1 = WalkSpec(3, ((0, 1, 0), (0, -1, 0), (1, 0, 0), (-1, 0, 0),
+                       (0, 0, 1), (0, 0, -1)),
+                   (0.2, 0.2, 5e-4, 5e-4, 0.2995, 0.2995))
 
 
 @pytest.mark.parametrize("N, walk, steps", [
@@ -712,10 +733,11 @@ def _separated_starts(N, n, d):
     (4, simple_walk(3), "kingman", [[0, 0, 0]], 30),
     (4, simple_walk(3), "kingman", _separated_starts(4, 2, 3), 300),
     (6, simple_walk(3), "beta", _separated_starts(6, 12, 3), 20),
+    (4, RARE_E1, "kingman", _separated_starts(4, 3, 3), 60),
 ], ids=["simple-N8-n3", "lazy-N4-n4", "drifted-N3-n6", "reach2-N4-n2",
         "simple-d4-N3-n3", "reach2-d4-N3-n4", "drifted-N4-n2",
         "co-located-n6", "one-block", "simple-N4-n2-256-step",
-        "simple-N6-n12"])
+        "simple-N6-n12", "rare-e1-N4-n3"])
 def test_few_block_sample_logs_equal_per_block_wrap_oracle(
         N, walk, measure, starts, replicas):
     # the C loop makes the numpy reference's draws in its order, with
@@ -917,6 +939,118 @@ def test_linked_exponential_equals_generator_exponential():
     got = [exponential(_bitgen(ours)) for _ in range(5000)]
     assert got == numpys.exponential(1.0, size=5000).tolist()
     assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+class _Bitgen(ctypes.Structure):
+    """numpy's `bitgen_t`, as sc_pcg64 fills it."""
+    _fields_ = [
+        ("state", ctypes.c_void_p),
+        ("next_uint64", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)),
+        ("next_uint32", ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)),
+        ("next_double", ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)),
+        ("next_raw", ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)),
+    ]
+
+
+def _ours(numpys):
+    # the sampler's generator at the state of numpy's bit generator
+    # `numpys`, wrapped as a bitgen_t; the generator is kept on the wrapper
+    rng = engine._Pcg64.of(numpys.state)
+    bg = _Bitgen()
+    engine._loop().sc_pcg64(ctypes.byref(rng), 0, ctypes.byref(bg))
+    bg.rng = rng
+    return bg
+
+
+def _same_state(bg, numpys):
+    theirs = engine._Pcg64.of(numpys.state)
+    return all(getattr(bg.rng, name)[:] == getattr(theirs, name)[:]
+               for name in ("state", "inc")) and (
+        (bg.rng.has_uint32, bg.rng.uinteger)
+        == (theirs.has_uint32, theirs.uinteger))
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2 ** 70 + 5])
+def test_sampler_pcg64_draws_equal_numpys(seed):
+    # the few-block sampler's own PCG64, seeded from PCG64.state, makes
+    # numpy's PCG64 draws: its raw words, its doubles (Generator.random),
+    # and its 32-bit draws, whose high halves are buffered, also from a
+    # state that holds a buffered half
+    numpys = np.random.PCG64(np.random.SeedSequence(seed))
+    ours = _ours(numpys)
+    assert [ours.next_raw(ours.state) for _ in range(1000)] \
+        == numpys.random_raw(1000).tolist()
+    assert [ours.next_uint64(ours.state) for _ in range(10)] \
+        == numpys.random_raw(10).tolist()
+    assert _same_state(ours, numpys)
+    doubles = np.random.Generator(numpys).random(1001).tolist()
+    assert [ours.next_double(ours.state) for _ in range(1001)] == doubles
+    assert _same_state(ours, numpys)
+    draw32 = numpys.ctypes.next_uint32
+    for buffered in (0, 1):
+        numpys.state = {**numpys.state, "has_uint32": buffered,
+                        "uinteger": 0xDEADBEEF}
+        ours = _ours(numpys)
+        assert [ours.next_uint32(ours.state) for _ in range(1001)] \
+            == [draw32(numpys.ctypes.state_address) for _ in range(1001)]
+        assert _same_state(ours, numpys)
+        assert ours.rng.has_uint32 == 1 - buffered
+
+
+def _chunk_words():
+    # the words r K of every chunk that the chunk rule makes on the tori of
+    # the logs-equal tests (at most 4096 steps) and of the d = 6 walks (at
+    # most 505), for up to 300 apart replicas
+    words = set()
+    for torus in (ReferenceWalk(8, simple_walk(3)),
+                  ReferenceWalk(3, simple_walk(6))):
+        torus.chunk = lambda rng, sites, alive, t, rows, K: words.add(
+            rows.size * K)
+        for apart in range(1, 301):
+            torus.walk_apart(None, None, None, None, np.arange(apart))
+    return sorted(words)
+
+
+def test_sampler_pcg64_jumps_equal_numpys_advance():
+    # a chunk jumps its two chains of words ahead; a jump of delta words
+    # lands where PCG64.advance(delta) does, for every chunk's r K, and
+    # keeps the buffered 32-bit half, as delta draws of a double would
+    loop = engine._loop()
+    deltas = [0, 1, 255, 256, 2 ** 20 + 3, *_chunk_words()]
+    assert 32768 in deltas and 4096 in deltas and 505 in deltas
+    for seed, delta in enumerate(deltas):
+        numpys = np.random.PCG64(np.random.SeedSequence(seed))
+        numpys.state = {**numpys.state, "has_uint32": 1, "uinteger": 7}
+        rng = engine._Pcg64.of(numpys.state)
+        loop.sc_pcg64(ctypes.byref(rng), delta, None)
+        numpys.advance(delta)
+        assert rng.state[:] == engine._Pcg64.of(numpys.state).state[:]
+        assert (rng.has_uint32, rng.uinteger) == (1, 7)
+
+
+def test_sampler_pcg64_distributions_equal_generators():
+    # Generator.choice, the gamma and the exponential, run on the sampler's
+    # generator, equal numpy's Generator on numpy's PCG64 to the bit
+    loop = engine._loop()
+    gamma = _numpy_draw("random_standard_gamma", ctypes.c_double)
+    exponential = _numpy_draw("random_standard_exponential")
+    numpys = np.random.Generator(np.random.PCG64(np.random.SeedSequence(3)))
+    numpys.integers(0, 10)
+    assert numpys.bit_generator.state["has_uint32"] == 1
+    ours = _ours(numpys.bit_generator)
+    idx, work = np.empty(13, dtype=np.int64), np.empty(13, dtype=np.int64)
+    for pop in range(2, 14):
+        for k in range(1, pop + 1):
+            loop.sc_choice(ctypes.byref(ours), pop, k, engine._addr(idx),
+                           engine._addr(work))
+            assert idx[:k].tolist() == numpys.choice(
+                pop, k, replace=False).tolist()
+    taken = np.array([1, 2, 3, 7, 255, 256, 4095, 4096] * 20)
+    assert [gamma(ctypes.byref(ours), float(x)) for x in taken.tolist()] \
+        == numpys.standard_gamma(taken.astype(float)).tolist()
+    assert [exponential(ctypes.byref(ours)) for _ in range(3000)] \
+        == numpys.exponential(1.0, size=3000).tolist()
+    assert _same_state(ours, numpys.bit_generator)
 
 
 def test_ctrl_c_stops_a_long_sample(kingman):
