@@ -19,11 +19,16 @@
  * the gap), the alive list, and the count classes (sites holding c >= 2
  * blocks) with one weight lambda_c |S_c| per occupied class.
  *
- * The loop asks the caller through one callback, with the request in the
- * output struct: lambda_b past the table it was given, the merge-size row
- * of b (kept in the caller's `rows` for the rest of the run), or, every
- * 2^16 steps, nothing, so that the caller can run pending signal handlers.
- * A nonzero answer stops the loop.
+ * Each loop takes one struct, `sc_run` or `sc_sample`, that holds its
+ * inputs, its outputs and its log, and takes its fixed-size arrays from one
+ * allocation (`carve`), released by one free.  The lists that grow,
+ * the site rosters, the count classes and the event log, grow by `reserve`.
+ *
+ * The event loop asks the caller through one callback, with the request in
+ * the run struct: lambda_b past its table, answered in `lam` and
+ * `lam_avail`, the merge-size row of b, answered in `rows`, or, every 2^16
+ * steps, nothing, so that the caller can run pending signal handlers.  A
+ * nonzero answer stops the loop.
  *
  * The few-block sampler (`sc_few_block`) is one loop on its own PCG64,
  * seeded from the public state of numpy's PCG64 (`PCG64.state`: state, inc
@@ -70,7 +75,7 @@ enum { ASK_POLL, ASK_LAMBDA, ASK_ROW };
 #define MERGED (-1)
 #define CEMETERY (-2)
 
-typedef int (*call_fn)(void);
+typedef int (*call_fn)(void *);  /* given the loop's struct */
 
 typedef struct {
     const uint32_t *key;         /* the seed's 32-bit words, low first */
@@ -84,39 +89,34 @@ typedef struct {
     const int64_t *move_start;   /* n_sites + 1 offsets into move_cum/dest */
     const double *move_cum;      /* cumulative move law per site, last 1.0 */
     const int32_t *move_dest;
-    const double *lam;           /* lambda_b of the kernel, b < lam_avail */
+    const double *lam;           /* lambda_b, b < lam_avail (at least 3) */
     int64_t lam_avail;
-    const double **rows;         /* merge-size rows by b, NULL until fetched */
+    const double **rows;         /* merge-size rows by b, NULL until asked */
     int64_t binary;              /* every merge is a pair */
-    call_fn call;                /* answers the request in sc_output */
+    call_fn call;                /* answers the request below */
     int64_t killing, log_merges, log_moves;
     double horizon;              /* INFINITY for none */
     int64_t budget;              /* 0: none */
     int64_t floor, threshold;    /* -1: none */
     const double *probes;        /* sorted */
     int64_t n_probes;
-} sc_input;
-
-typedef struct {
+    /* the outcome, in the caller's arrays and here */
+    int64_t *probe_counts;       /* n_probes */
+    int64_t *final_site;         /* n_blocks: MERGED, CEMETERY or a site */
+    int64_t *final_size;         /* n_blocks */
+    int64_t *final_counts;       /* n_sites */
     double t;
-    int64_t status, stop, budget_exhausted;
+    int64_t stop, budget_exhausted;
     int64_t n_alive, n_events, n_merges, n_kills, n_rejected;
-    int64_t max_seen, lam_len, n_probed;
-    int64_t *probe_counts;       /* caller's, n_probes */
-    int64_t *final_site;         /* caller's, n_blocks: MERGED, CEMETERY or a site */
-    int64_t *final_size;         /* caller's, n_blocks */
-    int64_t *final_counts;       /* caller's, n_sites */
+    int64_t max_seen, n_probed;
     /* the event log, owned here until sc_free: a time per event and, per
      * event, MERGE s k ids... (ids ascending) | MIGRATE bid s dest | KILL bid */
     double *ev_time;
     int64_t *ev_data;
     int64_t n_ev, ev_len, ev_cap, ev_data_cap;
-    /* a request to the caller (ASK_*, for b) and its answer: the address
-     * and length of lambda_b's table, or the address of a row */
+    /* a request to the caller: ASK_*, for b */
     int64_t ask, ask_b;
-    const double *answer;
-    int64_t answer_len;
-} sc_output;
+} sc_run;
 
 /* ---- CPython's Mersenne Twister --------------------------------------- */
 
@@ -220,20 +220,83 @@ static int64_t bisect_right(const double *a, int64_t n, double x)
     return lo;
 }
 
+/* ---- memory ------------------------------------------------------------ */
+
+/* Under AddressSanitizer a poisoned gap follows each carved array, so that
+ * an overrun of one array is reported, not written into the next. */
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#define CARVE_GAP 16
+#else
+#define CARVE_GAP 0
+#define ASAN_POISON_MEMORY_REGION(at, size) ((void)(at), (void)(size))
+#endif
+
+/* A loop carves its fixed-size arrays twice: from an arena with no block,
+ * which adds up their sizes, then from one block of that size (carve_again),
+ * so each array gets the room it was sized with and one free releases all.
+ * Only arrays read before written are zeroed: pages never reached stay
+ * untouched. */
+typedef struct { char *base; size_t used; } arena;
+
+/* n entries of `size` bytes, 8-byte aligned; NULL before the block exists */
+static void *carve(arena *a, int64_t n, size_t size)
+{
+    char *p = a->base ? a->base + a->used : NULL;
+    size_t bytes = (size_t)n * size;
+    size_t room = ((bytes + 7) & ~(size_t)7) + CARVE_GAP;
+    if (p)
+        ASAN_POISON_MEMORY_REGION(p + bytes, room - bytes);
+    a->used += room;
+    return p;
+}
+
+static void *carve_zeroed(arena *a, int64_t n, size_t size)
+{
+    void *p = carve(a, n, size);
+    if (p)
+        memset(p, 0, (size_t)n * size);
+    return p;
+}
+
+/* after a pass of carves: nonzero if it only sized the block, now
+ * allocated; zero once carved, or if no block (base NULL) */
+static int carve_again(arena *a)
+{
+    if (a->base)
+        return 0;
+    a->base = malloc(a->used);
+    a->used = 0;
+    return a->base != NULL;
+}
+
+/* Grow the array of *cap entries of `size` bytes whose pointer is at `at`,
+ * doubling from 16 entries, to hold `need`; nonzero, with the array and
+ * *cap left as they were, if it cannot grow. */
+static int reserve(void *at, int64_t *cap, int64_t need, size_t size)
+{
+    void *v;
+    if (need <= *cap)
+        return 0;
+    int64_t c = *cap ? *cap : 16;
+    while (c < need)
+        c *= 2;
+    memcpy(&v, at, sizeof v);
+    if (!(v = realloc(v, c * size)))
+        return -1;
+    memcpy(at, &v, sizeof v);
+    *cap = c;
+    return 0;
+}
+
 /* ---- growable int lists ----------------------------------------------- */
 
 typedef struct { int32_t *v; int64_t n, cap; } list;
 
 static int push(list *a, int32_t x)
 {
-    if (a->n == a->cap) {
-        int64_t cap = a->cap ? 2 * a->cap : 4;
-        int32_t *v = realloc(a->v, cap * sizeof *v);
-        if (!v)
-            return -1;
-        a->v = v;
-        a->cap = cap;
-    }
+    if (reserve(&a->v, &a->cap, a->n + 1, sizeof *a->v))
+        return -1;
     a->v[a->n++] = x;
     return 0;
 }
@@ -249,57 +312,32 @@ static void drop(list *a, int32_t x, int64_t *pos)
     }
 }
 
-static int log_event(sc_output *o, double t, const int64_t *data, int64_t n)
+static int log_event(sc_run *run, double t, const int64_t *data, int64_t n)
 {
-    if (o->n_ev == o->ev_cap) {
-        int64_t cap = o->ev_cap ? 2 * o->ev_cap : 256;
-        double *v = realloc(o->ev_time, cap * sizeof *v);
-        if (!v)
-            return -1;
-        o->ev_time = v;
-        o->ev_cap = cap;
-    }
-    if (o->ev_len + n > o->ev_data_cap) {
-        int64_t cap = o->ev_data_cap ? 2 * o->ev_data_cap : 1024;
-        while (cap < o->ev_len + n)
-            cap *= 2;
-        int64_t *v = realloc(o->ev_data, cap * sizeof *v);
-        if (!v)
-            return -1;
-        o->ev_data = v;
-        o->ev_data_cap = cap;
-    }
-    o->ev_time[o->n_ev++] = t;
-    memcpy(o->ev_data + o->ev_len, data, n * sizeof *data);
-    o->ev_len += n;
+    if (reserve(&run->ev_time, &run->ev_cap, run->n_ev + 1, sizeof t)
+        || reserve(&run->ev_data, &run->ev_data_cap, run->ev_len + n,
+                   sizeof *data))
+        return -1;
+    run->ev_time[run->n_ev++] = t;
+    memcpy(run->ev_data + run->ev_len, data, n * sizeof *data);
+    run->ev_len += n;
     return 0;
 }
 
 /* ask the caller; nonzero: stop */
-static int ask(const sc_input *in, sc_output *o, int64_t what, int64_t b)
+static int ask(sc_run *run, int64_t what, int64_t b)
 {
-    o->ask = what;
-    o->ask_b = b;
-    return in->call();
+    run->ask = what;
+    run->ask_b = b;
+    return run->call(run);
 }
 
-/* a lambda_b table that holds b */
-static int grow_lambda(const sc_input *in, sc_output *o, int64_t b,
-                       const double **lam, int64_t *avail)
+void sc_free(sc_run *run)
 {
-    if (ask(in, o, ASK_LAMBDA, b))
-        return -1;
-    *lam = o->answer;
-    *avail = o->answer_len;
-    return 0;
-}
-
-void sc_free(sc_output *o)
-{
-    free(o->ev_time);
-    free(o->ev_data);
-    o->ev_time = NULL;
-    o->ev_data = NULL;
+    free(run->ev_time);
+    free(run->ev_data);
+    run->ev_time = NULL;
+    run->ev_data = NULL;
 }
 
 /* ---- the loop ---------------------------------------------------------- */
@@ -310,7 +348,7 @@ typedef struct {
     double *occ_weight;          /* lambda_c |S_c| per occupied class */
     int64_t *pos_in_class;       /* by site */
     int64_t n_occ;
-    const double *lam;
+    const double *const *lam;    /* the run's lambda_b table */
 } classes;
 
 /* site s leaves class b (b >= 2) */
@@ -320,7 +358,7 @@ static void class_leave(classes *k, int64_t b, int32_t s)
     drop(members, s, k->pos_in_class);
     int64_t i = k->occ_pos[b];
     if (members->n) {
-        k->occ_weight[i] = k->lam[b] * (double)members->n;
+        k->occ_weight[i] = (*k->lam)[b] * (double)members->n;
     } else {
         int64_t last_c = k->occupied[--k->n_occ];
         double last_w = k->occ_weight[k->n_occ];
@@ -342,83 +380,84 @@ static int class_join(classes *k, int64_t c, int32_t s)
     if (members->n == 1) {
         k->occ_pos[c] = k->n_occ;
         k->occupied[k->n_occ] = c;
-        k->occ_weight[k->n_occ++] = k->lam[c];
+        k->occ_weight[k->n_occ++] = (*k->lam)[c];
     } else {
-        k->occ_weight[k->occ_pos[c]] = k->lam[c] * (double)members->n;
+        k->occ_weight[k->occ_pos[c]] = (*k->lam)[c] * (double)members->n;
     }
     return 0;
 }
 
-static int64_t block_stop(const sc_input *in, int64_t n_alive)
+static int64_t block_stop(const sc_run *run, int64_t n_alive)
 {
-    if (n_alive > in->floor)
+    if (n_alive > run->floor)
         return STOP_NONE;
-    if (in->threshold >= 0 && n_alive <= in->threshold)
+    if (run->threshold >= 0 && n_alive <= run->threshold)
         return STOP_BLOCKS_AT_MOST;
     return STOP_ABSORBED;
 }
 
-int64_t sc_simulate(const sc_input *in, sc_output *out)
+int64_t sc_simulate(sc_run *run)
 {
-    const int64_t n0 = in->n_blocks, n_sites = in->n_sites;
+    const int64_t n0 = run->n_blocks, n_sites = run->n_sites;
     mt_state rng;
-    int64_t *site_of = out->final_site;
-    int64_t *size_of = out->final_size;
-    int64_t *counts = out->final_counts;
-    list *rosters = calloc(n_sites, sizeof *rosters);
-    int64_t *pos_in_roster = malloc((n0 + 1) * sizeof *pos_in_roster);
-    list alive = {malloc((n0 + 1) * sizeof *alive.v), 0, n0 + 1};
-    int64_t *alive_pos = malloc((n0 + 1) * sizeof *alive_pos);
-    classes k = {0};
-    k.sites_with = calloc(n0 + 2, sizeof *k.sites_with);
-    k.occupied = malloc((n0 + 2) * sizeof *k.occupied);
-    k.occ_pos = calloc(n0 + 2, sizeof *k.occ_pos);
-    k.occ_weight = malloc((n0 + 2) * sizeof *k.occ_weight);
-    k.pos_in_class = calloc(n_sites, sizeof *k.pos_in_class);
-    k.lam = in->lam;
-    /* a merge's chosen ids, sample's pool and set (multiple mergers
-     * only), and the log record of one event */
-    int32_t *chosen = malloc((n0 + 1) * sizeof *chosen);
-    int32_t *pool = in->binary ? NULL : malloc((n0 + 1) * sizeof *pool);
-    char *selected = in->binary ? NULL : calloc(n0 + 1, 1);
-    int64_t *record = malloc((n0 + 4) * sizeof *record);
+    int64_t *site_of = run->final_site;
+    int64_t *size_of = run->final_size;
+    int64_t *counts = run->final_counts;
+    /* the lists that grow: the rosters by site, then the count classes */
+    list *rosters, alive;
+    int64_t *pos_in_roster, *alive_pos, *record;
+    int32_t *chosen, *pool;
+    char *selected;
+    classes k = {.lam = &run->lam};
+    arena a = {NULL, 0};
+    do {
+        rosters = carve_zeroed(&a, n_sites + n0 + 2, sizeof *rosters);
+        pos_in_roster = carve(&a, n0 + 1, sizeof *pos_in_roster);
+        alive = (list){carve(&a, n0 + 1, sizeof *alive.v), 0, n0 + 1};
+        alive_pos = carve(&a, n0 + 1, sizeof *alive_pos);
+        k.occupied = carve(&a, n0 + 2, sizeof *k.occupied);
+        k.occ_pos = carve(&a, n0 + 2, sizeof *k.occ_pos);
+        k.occ_weight = carve(&a, n0 + 2, sizeof *k.occ_weight);
+        k.pos_in_class = carve(&a, n_sites, sizeof *k.pos_in_class);
+        /* a merge's chosen ids, sample's pool and set (multiple mergers
+         * only), and the log record of one event */
+        chosen = carve(&a, n0 + 1, sizeof *chosen);
+        pool = carve(&a, run->binary ? 0 : n0 + 1, sizeof *pool);
+        selected = carve_zeroed(&a, run->binary ? 0 : n0 + 1,
+                                sizeof *selected);
+        record = carve(&a, n0 + 4, sizeof *record);
+    } while (carve_again(&a));
+    if (!a.base)
+        return NO_MEMORY;
+    k.sites_with = rosters + n_sites;
 
     int64_t status = OK, stop = STOP_NONE;
     double t = 0.0;
     int64_t n_events = 0, n_merges = 0, n_kills = 0, n_rejected = 0;
     int64_t probe_idx = 0, max_seen = 0, n_mobile = 0;
-    int64_t lam_len = 3, lam_avail = in->lam_avail;
     double max_move = 0.0, min_move = INFINITY;
 
-    if (!rosters || !pos_in_roster || !alive.v || !alive_pos || !k.sites_with
-        || !k.occupied || !k.occ_pos || !k.occ_weight || !k.pos_in_class
-        || !chosen || !record || (!in->binary && (!pool || !selected)))
-        goto no_memory;
-    seed_by_array(&rng, in->key, in->key_len);
+    seed_by_array(&rng, run->key, run->key_len);
 
     /* ---- the start state, copied from the layout ---- */
-    memcpy(size_of, in->size_of, n0 * sizeof *size_of);
+    memcpy(size_of, run->size_of, n0 * sizeof *size_of);
     for (int64_t s = 0, lo = 0, hi; s < n_sites; s++, lo = hi) {
-        hi = lo + in->counts[s];
-        list *r = &rosters[s];
-        r->cap = hi - lo > 4 ? hi - lo : 4;
-        r->v = malloc(r->cap * sizeof *r->v);
-        if (!r->v)
-            goto no_memory;
+        hi = lo + run->counts[s];
         for (int64_t j = lo; j < hi; j++) {
-            pos_in_roster[in->roster_ids[j]] = j - lo;
-            r->v[r->n++] = in->roster_ids[j];
+            pos_in_roster[run->roster_ids[j]] = j - lo;
+            if (push(&rosters[s], run->roster_ids[j]))
+                goto no_memory;
         }
         counts[s] = hi - lo;
         if (counts[s] > max_seen)
             max_seen = counts[s];
-        if (in->move_rates[s] > max_move)
-            max_move = in->move_rates[s];
-        if (in->move_rates[s] < min_move)
-            min_move = in->move_rates[s];
+        if (run->move_rates[s] > max_move)
+            max_move = run->move_rates[s];
+        if (run->move_rates[s] < min_move)
+            min_move = run->move_rates[s];
     }
     for (int64_t i = 0; i < n0; i++) {
-        site_of[i] = in->site_of[i];
+        site_of[i] = run->site_of[i];
         alive.v[alive.n++] = (int32_t)i;
         alive_pos[i] = i;
     }
@@ -427,13 +466,9 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
      * proposal rate max_move * n_alive is only real while one is left */
     if (!uniform_moves)
         for (int64_t i = 0; i < n0; i++)
-            n_mobile += in->move_rates[site_of[i]] > 0.0;
-    /* lambda_b is read for b < lam_len, the length of the Python loop's
-     * table; the kernel's own table is grown whenever lam_len passes it */
-    if (max_seen > 2)
-        lam_len = max_seen + 1;
-    if (lam_len > lam_avail
-        && grow_lambda(in, out, lam_len - 1, &k.lam, &lam_avail))
+            n_mobile += run->move_rates[site_of[i]] > 0.0;
+    /* lambda_b is read for b <= max_seen: the table grows with it */
+    if (max_seen >= run->lam_avail && ask(run, ASK_LAMBDA, max_seen))
         goto callback_failed;
     for (int64_t s = 0; s < n_sites; s++)
         if (counts[s] >= 2 && class_join(&k, counts[s], (int32_t)s))
@@ -441,13 +476,13 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
 
     double coal_tot = 0.0, total = 0.0, kill_from = INFINITY;
     int only_coal = 0, alive_shift = 32;
-    stop = block_stop(in, alive.n);
+    stop = block_stop(run, alive.n);
     /* the totals change only with a count class, the alive count or the
      * mobile count; an event that changes one of them marks them stale */
     int stale = 1;
     uint32_t steps = 0;
     while (!stop) {
-        if (!(++steps & POLL_MASK) && ask(in, out, ASK_POLL, 0))
+        if (!(++steps & POLL_MASK) && ask(run, ASK_POLL, 0))
             goto callback_failed;
         if (stale) {
             stale = 0;
@@ -457,29 +492,29 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
             double mig_tot = uniform_moves || n_mobile
                              ? max_move * (double)alive.n : 0.0;
             total = coal_tot + mig_tot;
-            if (in->killing)
+            if (run->killing)
                 total += (double)alive.n;
             if (total == 0.0) {
-                if (isinf(in->horizon)) {
+                if (isinf(run->horizon)) {
                     status = DEADLOCK;
                     break;
                 }
-                t = in->horizon;
+                t = run->horizon;
                 stop = STOP_HORIZON;
                 break;
             }
-            only_coal = mig_tot == 0.0 && !in->killing;
-            kill_from = in->killing ? coal_tot + mig_tot : INFINITY;
+            only_coal = mig_tot == 0.0 && !run->killing;
+            kill_from = run->killing ? coal_tot + mig_tot : INFINITY;
             alive_shift = 32 - bit_length(alive.n);
         }
         double t_next = t - log(1.0 - random_double(&rng)) / total;
-        if (t_next > in->horizon) {
-            t = in->horizon;
+        if (t_next > run->horizon) {
+            t = run->horizon;
             stop = STOP_HORIZON;
             break;
         }
-        while (probe_idx < in->n_probes && in->probes[probe_idx] <= t_next)
-            out->probe_counts[probe_idx++] = alive.n;
+        while (probe_idx < run->n_probes && run->probes[probe_idx] <= t_next)
+            run->probe_counts[probe_idx++] = alive.n;
         t = t_next;
         double u = random_double(&rng) * total;
 
@@ -504,14 +539,10 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
                 /* the uniform is drawn even when the law is a point mass, so
                  * a Kingman run keeps the stream of the law-based draw */
                 double u_k = random_double(&rng);
-                if (!in->binary) {
-                    const double *row = in->rows[b];
-                    if (!row) {
-                        if (ask(in, out, ASK_ROW, b))
-                            goto callback_failed;
-                        row = in->rows[b] = out->answer;
-                    }
-                    mk = 2 + bisect_right(row, b - 1, u_k);
+                if (!run->binary) {
+                    if (!run->rows[b] && ask(run, ASK_ROW, b))
+                        goto callback_failed;
+                    mk = 2 + bisect_right(run->rows[b], b - 1, u_k);
                     if (mk > b)
                         mk = b;
                 }
@@ -571,7 +602,7 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
                 drop(&alive, bid, alive_pos);
                 site_of[bid] = MERGED;
             }
-            if (in->log_merges) {
+            if (run->log_merges) {
                 /* MERGE s k, then the chosen ids in ascending order */
                 record[0] = EV_MERGE;
                 record[1] = s;
@@ -582,15 +613,15 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
                         record[p] = record[p - 1];
                     record[p] = x;
                 }
-                if (log_event(out, t, record, mk + 3))
+                if (log_event(run, t, record, mk + 3))
                     goto no_memory;
             }
             if (!uniform_moves)
-                n_mobile -= (mk - 1) * (in->move_rates[s] > 0.0);
+                n_mobile -= (mk - 1) * (run->move_rates[s] > 0.0);
             stale = 1;
             n_merges++;
-            if (alive.n <= in->floor)
-                stop = block_stop(in, alive.n);
+            if (alive.n <= run->floor)
+                stop = block_stop(run, alive.n);
             c = b - (mk - 1);
         } else {
             /* ---- killing or a migration proposal: a uniform alive block ---- */
@@ -601,13 +632,13 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
             s = (int32_t)site_of[bid];
             if (u < kill_from) {
                 if (!uniform_moves
-                    && in->move_rates[s] <= max_move * random_double(&rng)) {
+                    && run->move_rates[s] <= max_move * random_double(&rng)) {
                     n_rejected++;
                     continue;
                 }
-                const int64_t lo = in->move_start[s];
-                dest = in->move_dest[lo + bisect_right(
-                    in->move_cum + lo, in->move_start[s + 1] - lo,
+                const int64_t lo = run->move_start[s];
+                dest = run->move_dest[lo + bisect_right(
+                    run->move_cum + lo, run->move_start[s + 1] - lo,
                     random_double(&rng))];
             }
             drop(&rosters[s], bid, pos_in_roster);
@@ -615,28 +646,28 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
                 drop(&alive, bid, alive_pos);
                 site_of[bid] = CEMETERY;
                 if (!uniform_moves)
-                    n_mobile -= in->move_rates[s] > 0.0;
+                    n_mobile -= run->move_rates[s] > 0.0;
                 stale = 1;
                 n_kills++;
-                if (in->log_moves) {
+                if (run->log_moves) {
                     record[0] = EV_KILL;
                     record[1] = bid;
-                    if (log_event(out, t, record, 2))
+                    if (log_event(run, t, record, 2))
                         goto no_memory;
                 }
-                if (alive.n <= in->floor)
-                    stop = block_stop(in, alive.n);
+                if (alive.n <= run->floor)
+                    stop = block_stop(run, alive.n);
             } else {
                 site_of[bid] = dest;
                 pos_in_roster[bid] = rosters[dest].n;
                 if (push(&rosters[dest], bid))
                     goto no_memory;
-                if (in->log_moves) {
+                if (run->log_moves) {
                     record[0] = EV_MIGRATE;
                     record[1] = bid;
                     record[2] = s;
                     record[3] = dest;
-                    if (log_event(out, t, record, 4))
+                    if (log_event(run, t, record, 4))
                         goto no_memory;
                 }
             }
@@ -656,16 +687,9 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
             b = counts[dest];
             counts[dest] = b + 1;
             if (b) {
-                if (b == max_seen) {
-                    max_seen++;
-                    if (max_seen == lam_len) {
-                        if (max_seen >= lam_avail
-                            && grow_lambda(in, out, max_seen, &k.lam,
-                                           &lam_avail))
-                            goto callback_failed;
-                        lam_len++;
-                    }
-                }
+                if (b == max_seen && ++max_seen >= run->lam_avail
+                    && ask(run, ASK_LAMBDA, max_seen))
+                    goto callback_failed;
                 if (b >= 2)
                     class_leave(&k, b, dest);
                 if (class_join(&k, b + 1, dest))
@@ -673,21 +697,21 @@ int64_t sc_simulate(const sc_input *in, sc_output *out)
                 stale = 1;
             }
             if (!uniform_moves) {
-                n_mobile += (in->move_rates[dest] > 0.0)
-                            - (in->move_rates[s] > 0.0);
+                n_mobile += (run->move_rates[dest] > 0.0)
+                            - (run->move_rates[s] > 0.0);
                 stale = 1;
             }
         }
 
         n_events++;
-        if (n_events == in->budget && !stop) {
+        if (n_events == run->budget && !stop) {
             stop = STOP_BUDGET;
-            out->budget_exhausted = 1;
+            run->budget_exhausted = 1;
         }
     }
     if (status == OK)
-        while (probe_idx < in->n_probes && in->probes[probe_idx] <= t)
-            out->probe_counts[probe_idx++] = alive.n;
+        while (probe_idx < run->n_probes && run->probes[probe_idx] <= t)
+            run->probe_counts[probe_idx++] = alive.n;
     goto done;
 
 no_memory:
@@ -696,36 +720,18 @@ no_memory:
 callback_failed:
     status = CALLBACK_FAILED;
 done:
-    out->status = status;
-    out->stop = stop;
-    out->t = t;
-    out->n_alive = alive.n;
-    out->n_events = n_events;
-    out->n_merges = n_merges;
-    out->n_kills = n_kills;
-    out->n_rejected = n_rejected;
-    out->max_seen = max_seen;
-    out->lam_len = lam_len;
-    out->n_probed = probe_idx;
-    if (rosters)
-        for (int64_t s = 0; s < n_sites; s++)
-            free(rosters[s].v);
-    if (k.sites_with)
-        for (int64_t c = 0; c < n0 + 2; c++)
-            free(k.sites_with[c].v);
-    free(rosters);
-    free(pos_in_roster);
-    free(alive.v);
-    free(alive_pos);
-    free(k.sites_with);
-    free(k.occupied);
-    free(k.occ_pos);
-    free(k.occ_weight);
-    free(k.pos_in_class);
-    free(chosen);
-    free(pool);
-    free(selected);
-    free(record);
+    run->stop = stop;
+    run->t = t;
+    run->n_alive = alive.n;
+    run->n_events = n_events;
+    run->n_merges = n_merges;
+    run->n_kills = n_kills;
+    run->n_rejected = n_rejected;
+    run->max_seen = max_seen;
+    run->n_probed = probe_idx;
+    for (int64_t i = 0; i < n_sites + n0 + 2; i++)
+        free(rosters[i].v);
+    free(a.base);
     return status;
 }
 
@@ -1086,7 +1092,7 @@ static int walk_apart(sampler *w, const int64_t *rows, int64_t r)
         chunk(w, rows + lo, r - lo < per_chunk ? r - lo : per_chunk, K);
         if (w->since_poll > POLL_MASK) {
             w->since_poll = 0;
-            if (w->s->call())
+            if (w->s->call(w->s))
                 return -1;
         }
     }
@@ -1204,45 +1210,43 @@ int64_t sc_few_block(sc_sample *s)
 {
     const int64_t R = s->replicas, n = s->n;
     sampler w = {.s = s, .n = n};
+    /* the replicas left, in replica order, and one pass's split of them */
+    int64_t *left, *apart, *crowded, status = OK, n_left = R;
+    arena a = {NULL, 0};
+    do {
+        left = carve(&a, R, sizeof *left);
+        apart = carve(&a, R, sizeof *apart);
+        crowded = carve(&a, R, sizeof *crowded);
+        w.site = carve(&a, R * n, sizeof *w.site);
+        w.count = carve(&a, R * n, sizeof *w.count);
+        w.alive = carve(&a, R * n, sizeof *w.alive);
+        w.t = carve_zeroed(&a, R, sizeof *w.t);
+        w.taken = carve(&a, CHUNK_CELLS, sizeof *w.taken);
+        w.coal = carve(&a, R, sizeof *w.coal);
+        w.total = carve(&a, R, sizeof *w.total);
+        w.u = carve(&a, R, sizeof *w.u);
+        w.slot = carve(&a, n, sizeof *w.slot);
+        w.at = carve(&a, n, sizeof *w.at);
+        w.members = carve(&a, n, sizeof *w.members);
+        w.idx = carve(&a, n, sizeof *w.idx);
+        w.work = carve(&a, n, sizeof *w.work);
+        w.weight = carve(&a, n, sizeof *w.weight);
+    } while (carve_again(&a));
+    if (!a.base)
+        return NO_MEMORY;
     sc_pcg64(&s->rng, 0, &w.bg);
     fill_step_table(&w);
     w.torus = (wrap){s->steps, 0, 0, s->width - 1, s->side};
     for (int64_t f = 0; f < s->d; f++)
         w.torus.ones |= (int64_t)1 << (f * s->width);
     w.torus.half = (((int64_t)1 << (s->width - 1)) - s->side) * w.torus.ones;
-    /* the replicas left, in replica order, and one pass's split of them */
-    int64_t *left = malloc(R * sizeof *left);
-    int64_t *apart = malloc(R * sizeof *apart);
-    int64_t *crowded = malloc(R * sizeof *crowded);
-    w.site = malloc(R * n * sizeof *w.site);
-    w.count = malloc(R * n * sizeof *w.count);
-    w.alive = malloc(R * n);
-    w.t = calloc(R, sizeof *w.t);
-    w.taken = malloc(CHUNK_CELLS * sizeof *w.taken);
-    w.coal = malloc(R * sizeof *w.coal);
-    w.total = malloc(R * sizeof *w.total);
-    w.u = malloc(R * sizeof *w.u);
-    w.slot = malloc(n * sizeof *w.slot);
-    w.at = malloc(n * sizeof *w.at);
-    w.members = malloc(n * sizeof *w.members);
-    w.idx = malloc(n * sizeof *w.idx);
-    w.work = malloc(n * sizeof *w.work);
-    w.weight = malloc(n * sizeof *w.weight);
-    int64_t status = OK, n_left = R;
-    if (!left || !apart || !crowded || !w.site || !w.count || !w.alive
-        || !w.t || !w.taken || !w.coal || !w.total
-        || !w.u || !w.slot || !w.at || !w.members || !w.idx || !w.work
-        || !w.weight) {
-        status = NO_MEMORY;
-        goto done;
-    }
     for (int64_t r = 0; r < R; r++) {
         memcpy(w.site + r * n, s->start, n * sizeof *w.site);
         memset(w.alive + r * n, 1, n);
         left[r] = r;
     }
     while (n_left) {
-        if (s->call()) {
+        if (s->call(s)) {
             status = CALLBACK_FAILED;
             break;
         }
@@ -1281,23 +1285,6 @@ int64_t sc_few_block(sc_sample *s)
                 left[kept++] = left[i];
         n_left = kept;
     }
-done:
-    free(left);
-    free(apart);
-    free(crowded);
-    free(w.site);
-    free(w.count);
-    free(w.alive);
-    free(w.t);
-    free(w.taken);
-    free(w.coal);
-    free(w.total);
-    free(w.u);
-    free(w.slot);
-    free(w.at);
-    free(w.members);
-    free(w.idx);
-    free(w.work);
-    free(w.weight);
+    free(a.base);
     return status;
 }

@@ -505,6 +505,7 @@ def main():
 def rates(config, **overrides):
     """Per-merge and total rate tables as CSV."""
     cfg, writer = _load(config, **overrides)
+    _reject_unread(cfg, {"seed", "measure", "b_max_table", "out_dir"}, "rates")
     _require(cfg, "rates", "measure")
     t0 = time.perf_counter()
     kernel = RateKernel(_build_measure(cfg["measure"]))
@@ -531,6 +532,7 @@ def rates(config, **overrides):
 def classify(config, **overrides):
     """Comes-down-from-infinity dichotomy verdict as JSON."""
     cfg, writer = _load(config, **overrides)
+    _reject_unread(cfg, {"seed", "measure", "out_dir"}, "classify")
     _require(cfg, "classify", "measure")
     t0 = time.perf_counter()
     kernel = RateKernel(_build_measure(cfg["measure"]))
@@ -564,7 +566,9 @@ def green(config, **overrides):
     walk.  A walk the route cannot take is a config error; a bound above
     the route's limit is TRUNCATION_UNSTABLE, exit 4."""
     cfg, writer = _load(config, **overrides)
-    _reject_unread(cfg, _GREEN_READS, "green")
+    # a geography's walk has its own dimension
+    _reject_unread(cfg, _GREEN_READS - ({"dimension"} if cfg["geography"]
+                                        else set()), "green")
     if cfg["geography"] is not None:
         walk = _build_walk(cfg["geography"]["walk"])
     else:
@@ -615,6 +619,9 @@ def simulate_cmd(config, fmt, **overrides):
     """Exact trajectory simulation; JSONL events or CSV block counts.
     Without a horizon the run also stops once one block is left."""
     cfg, writer = _load(config, **overrides)
+    _reject_unread(cfg, {"seed", "measure", "geography", "n_per_site",
+                         "horizon", "stop_blocks_at_most", "killing",
+                         "probe_times", "event_budget", "out_dir"}, "simulate")
     _require(cfg, "simulate", "measure", "geography")
     kernel = RateKernel(_build_measure(cfg["measure"]))
     geo = _build_geography(cfg["geography"])

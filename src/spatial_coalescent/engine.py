@@ -33,11 +33,12 @@ make, uniform indices by rejection from its raw bits as in `choice` and
 `randrange`.  So every record is bit for bit that of the Python loop kept
 as the reference in tests/engine_oracle.py.  The loop reads the geography's
 kernel as its flat move table (`GeographySpec.move_table`).  The same
-library holds the few-block sampler (`sc_few_block`, called by
-`experiments.few_block_torus_sample`), built against numpy's random
-headers and its `libnpyrandom.a`.  The first `simulate` or few-block
-sample of a process builds the library with `cc` if none exists for this
-source, into `__pycache__/` beside this file, or into
+library, built against numpy's random headers and `libnpyrandom.a`, holds
+the few-block sampler (`sc_few_block`, run by `few_block_sample`), and
+this module its whole interface: each loop takes one struct (`_Run`,
+`_Sample`) of its arguments, outcome and log.  The first `simulate` or
+few-block sample of a process builds the library with `cc` if none exists
+for this source, into `__pycache__/` beside this file, or into
 `~/.cache/spatial_coalescent/` where the package cannot be written to;
 importing the package neither builds nor loads it.  Without a compiler
 both raise `EngineBuildFailed`.  lambda_b past the kernel's table and the
@@ -320,59 +321,53 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     # and the count at each probe, in one buffer
     final = np.empty(2 * n_blocks + n_sites + len(probes), dtype=np.int64)
     at = _addr(final)
-    out = _Output(final_site=at, final_size=at + 8 * n_blocks,
-                  final_counts=at + 16 * n_blocks,
-                  probe_counts=at + 8 * (2 * n_blocks + n_sites))
     errors: list = []
+    run = _Run(
+        key=_addr(key), key_len=len(key), n_blocks=n_blocks, n_sites=n_sites,
+        site_of=_addr(layout.site_of), size_of=_addr(layout.sizes),
+        counts=_addr(layout.counts), roster_ids=_addr(layout.roster_ids),
+        move_rates=_addr(move_rates), move_start=_addr(move_start),
+        move_cum=_addr(move_cum), move_dest=_addr(move_dest),
+        lam=_addr(lam), lam_avail=len(lam),
+        rows=None if rows is None else _addr(rows), binary=binary,
+        killing=config.killing, log_merges=config.record_events or track,
+        log_moves=config.record_events,
+        horizon=math.inf if config.horizon is None else config.horizon,
+        budget=config.event_budget or 0, floor=floor,
+        threshold=-1 if threshold is None else threshold,
+        probes=_addr(probe_at), n_probes=len(probes),
+        probe_counts=at + 8 * (2 * n_blocks + n_sites), final_site=at,
+        final_size=at + 8 * n_blocks, final_counts=at + 16 * n_blocks,
+        call=_callback(errors, functools.partial(_answer, kernel, rows, [])))
     try:
-        status = loop.sc_simulate(ctypes.byref(_Input(
-            key=_addr(key), key_len=len(key), n_blocks=n_blocks,
-            n_sites=n_sites,
-            site_of=_addr(layout.site_of), size_of=_addr(layout.sizes),
-            counts=_addr(layout.counts), roster_ids=_addr(layout.roster_ids),
-            move_rates=_addr(move_rates), move_start=_addr(move_start),
-            move_cum=_addr(move_cum), move_dest=_addr(move_dest),
-            lam=_addr(lam), lam_avail=len(lam),
-            rows=None if rows is None else _addr(rows), binary=binary,
-            call=_callback(errors, functools.partial(_answer, kernel, out,
-                                                     [])),
-            killing=config.killing,
-            log_merges=config.record_events or track,
-            log_moves=config.record_events,
-            horizon=math.inf if config.horizon is None else config.horizon,
-            budget=config.event_budget or 0, floor=floor,
-            threshold=-1 if threshold is None else threshold,
-            probes=_addr(probe_at), n_probes=len(probes))),
-            ctypes.byref(out))
-        log_times = out.ev_time[:out.n_ev]
-        log = out.ev_data[:out.ev_len]
+        status = loop.sc_simulate(ctypes.byref(run))
+        log_times = run.ev_time[:run.n_ev]
+        log = run.ev_data[:run.ev_len]
     finally:
-        loop.sc_free(ctypes.byref(out))
-    if status == _DEADLOCK:
-        raise ZeroRateDeadlock("all rates vanished before the stop condition",
-                               time=out.t, blocks=out.n_alive)
-    _raise_status(status, errors)
+        loop.sc_free(ctypes.byref(run))
+    _raise_status(status, errors, run)
 
     rec = TrajectoryRecord(initial=initial, seed=config.seed)
     merges = _read_log(log_times, log, rec.events if config.record_events
                        else None)
     final_site, final_size = final[:n_blocks], final[n_blocks:2 * n_blocks]
     final_counts = final[2 * n_blocks:2 * n_blocks + n_sites]
-    probe_counts = final[2 * n_blocks + n_sites:][:out.n_probed]
+    probe_counts = final[2 * n_blocks + n_sites:][:run.n_probed]
     rec.probes = list(zip(probes, probe_counts.tolist()))
-    rec.stop_reason = _STOP_REASONS[out.stop]
+    rec.stop_reason = _STOP_REASONS[run.stop]
     # a run stopped by the horizon ends at it, in the type it was given
     rec.final_time = (config.horizon if rec.stop_reason == "HORIZON"
-                      else out.t)
-    rec.budget_exhausted = bool(out.budget_exhausted)
+                      else run.t)
+    rec.budget_exhausted = bool(run.budget_exhausted)
     rec.final_counts = final_counts.tolist()
     rec.stats = {
-        "events": {"MERGE": out.n_merges,
-                   "MIGRATE": out.n_events - out.n_merges - out.n_kills,
-                   "KILL": out.n_kills},
-        "thinning_rejections": out.n_rejected,
-        "max_site_blocks": out.max_seen,
-        "lambda_table_size": out.lam_len,
+        "events": {"MERGE": run.n_merges,
+                   "MIGRATE": run.n_events - run.n_merges - run.n_kills,
+                   "KILL": run.n_kills},
+        "thinning_rejections": run.n_rejected,
+        "max_site_blocks": run.max_seen,
+        # the Python loop's table grew from 3 entries as max_seen did
+        "lambda_table_size": max(3, run.max_seen + 1),
     }
     kept = np.flatnonzero(final_site != _MERGED).tolist()
     labels = [CEMETERY if s == _CEMETERY else s
@@ -415,6 +410,48 @@ def _read_log(times: list, log: list, events: list | None) -> list:
     return merges
 
 
+def few_block_sample(kernel: RateKernel, torus, start: np.ndarray,
+                     replicas: int, seed: int) -> tuple[list, dict]:
+    """`experiments.few_block_torus_sample` run by `sc_few_block` from the
+    packed sites `start` on `torus` (`experiments._TorusWalk`), seeded from
+    PCG64(SeedSequence(seed)).state: the merge logs and the counters."""
+    n = len(start)
+    lam = kernel.lambda_table(n)
+    merge_cums = [kernel.merge_size_cumulative(b) for b in range(2, n + 1)]
+    rows = np.zeros(n + 1, dtype=np.uintp)
+    rows[2:] = [_addr(cum) for cum in merge_cums]
+    # a merge of k slots leaves k - 1 fewer alive, so a replica logs at most
+    # n - 1 merges of at most 2 (n - 1) slots in all
+    merges = replicas * (n - 1)
+    log_ints = np.empty(4 * merges, dtype=np.int64)
+    log_time = np.empty(merges)
+    at = _addr(log_ints)
+    errors: list = []
+    sample = _Sample(
+        rng=_Pcg64.of(np.random.PCG64(np.random.SeedSequence(seed)).state),
+        replicas=replicas, n=n, start=_addr(start),
+        lam=_addr(lam), rows=_addr(rows), cuts=_addr(torus.cuts),
+        n_cuts=torus.cuts.size, steps=_addr(torus.mod_steps),
+        d=torus.shifts.size, side=torus.side, width=torus.width,
+        max_steps=torus.steps, call=_callback(errors), log_replica=at,
+        log_k=at + 8 * merges, log_slots=at + 16 * merges,
+        log_time=_addr(log_time))
+    status = _loop().sc_few_block(ctypes.byref(sample))
+    _raise_status(status, errors, sample)
+
+    logs: list[list] = [[] for _ in range(replicas)]
+    slots = log_ints[2 * merges:2 * merges + sample.n_slots].tolist()
+    i = 0
+    for r, tm, k in zip(log_ints[:sample.n_merges].tolist(),
+                        log_time[:sample.n_merges].tolist(),
+                        log_ints[merges:merges + sample.n_merges].tolist()):
+        logs[r].append((tm, tuple(slots[i:i + k]), k))
+        i += k
+    return logs, {name: getattr(sample, name) for name in (
+        "chunk_calls", "chunk_replicas", "chunk_cells", "chunk_steps",
+        "chunk_cuts", "lockstep_events", "lockstep_skipped")}
+
+
 # ----------------------------------------------------------------------
 # the compiled library: the event loop and the few-block sampler
 # ----------------------------------------------------------------------
@@ -435,10 +472,11 @@ _ASK_LAMBDA, _ASK_ROW = 1, 2
 
 _p = ctypes.c_void_p
 _i = ctypes.c_int64
-_Call = ctypes.CFUNCTYPE(ctypes.c_int)
+_Call = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)
 
 
-class _Input(ctypes.Structure):
+class _Run(ctypes.Structure):
+    """sc_simulate's arguments, outcome, event log and request (`sc_run`)."""
     _fields_ = [
         ("key", _p), ("key_len", _i), ("n_blocks", _i), ("n_sites", _i),
         ("site_of", _p), ("size_of", _p), ("counts", _p), ("roster_ids", _p),
@@ -448,20 +486,14 @@ class _Input(ctypes.Structure):
         ("killing", _i), ("log_merges", _i), ("log_moves", _i),
         ("horizon", ctypes.c_double), ("budget", _i), ("floor", _i),
         ("threshold", _i), ("probes", _p), ("n_probes", _i),
-    ]
-
-
-class _Output(ctypes.Structure):
-    _fields_ = [
-        ("t", ctypes.c_double), ("status", _i), ("stop", _i),
+        ("probe_counts", _p), ("final_site", _p), ("final_size", _p),
+        ("final_counts", _p), ("t", ctypes.c_double), ("stop", _i),
         ("budget_exhausted", _i), ("n_alive", _i), ("n_events", _i),
         ("n_merges", _i), ("n_kills", _i), ("n_rejected", _i),
-        ("max_seen", _i), ("lam_len", _i), ("n_probed", _i),
-        ("probe_counts", _p), ("final_site", _p), ("final_size", _p),
-        ("final_counts", _p), ("ev_time", ctypes.POINTER(ctypes.c_double)),
+        ("max_seen", _i), ("n_probed", _i),
+        ("ev_time", ctypes.POINTER(ctypes.c_double)),
         ("ev_data", ctypes.POINTER(_i)), ("n_ev", _i), ("ev_len", _i),
         ("ev_cap", _i), ("ev_data_cap", _i), ("ask", _i), ("ask_b", _i),
-        ("answer", _p), ("answer_len", _i),
     ]
 
 
@@ -510,20 +542,20 @@ def _addr(buffer) -> int:
 def _callback(errors: list, answer=None) -> _Call:
     """A loop's callback: a generator that ctypes resumes through `send`.
 
-    Each resume runs `answer()`, if given, which answers the loop's request;
-    a poll needs no answer.  It returns 0, or 1 once it has caught an
-    exception, which the caller raises from `errors` when the loop has
-    stopped.  The interpreter runs pending signal handlers as a frame starts
-    or resumes: here that is at the `yield`, inside the `try`, where a plain
-    function would meet a KeyboardInterrupt before its `try` and ctypes
-    would only print it.
+    Each resume runs `answer(at)`, if given, with the address of the loop's
+    struct, which holds the request; a poll needs no answer.  It returns 0,
+    or 1 once it has caught an exception, which the caller raises from
+    `errors` when the loop has stopped.  The interpreter runs pending signal
+    handlers as a frame starts or resumes: here that is at the `yield`,
+    inside the `try`, where a plain function would meet a KeyboardInterrupt
+    before its `try` and ctypes would only print it.
     """
     def answers():
         try:
             while True:
-                yield 0
+                at = yield 0
                 if answer is not None:
-                    answer()
+                    answer(at)
         except GeneratorExit:  # closed after a run that needed no stop
             raise
         except BaseException as exc:
@@ -532,27 +564,33 @@ def _callback(errors: list, answer=None) -> _Call:
 
     resume = answers()
     next(resume)
-    return _Call(functools.partial(resume.send, None))
+    return _Call(resume.send)
 
 
-def _answer(kernel: RateKernel, out: _Output, kept: list) -> None:
-    """Answer sc_simulate's request in `out`: the lambda_b table grown to
-    hold `ask_b`, as `lambda_total(b)` grows it, or the cumulative
-    merge-size law of `ask_b`, kept in `kept` until the call returns."""
-    if out.ask == _ASK_LAMBDA:
-        kernel.lambda_total(out.ask_b)
+def _answer(kernel: RateKernel, rows, kept: list, at: int) -> None:
+    """Answer the request of the run at `at`: `lam` grown to hold `ask_b`,
+    as `lambda_total(b)` grows it, or `rows[ask_b]`, the cumulative
+    merge-size law; each table is kept in `kept` until the call returns."""
+    run = _Run.from_address(at)
+    if run.ask == _ASK_LAMBDA:
+        kernel.lambda_total(run.ask_b)
         table = kernel.lambda_table(kernel.b_max)
-    elif out.ask == _ASK_ROW:
-        table = kernel.merge_size_cumulative(out.ask_b)
+        run.lam, run.lam_avail = _addr(table), len(table)
+    elif run.ask == _ASK_ROW:
+        table = kernel.merge_size_cumulative(run.ask_b)
+        rows[run.ask_b] = _addr(table)
     else:
         return
     kept.append(table)
-    out.answer, out.answer_len = _addr(table), len(table)
 
 
-def _raise_status(status: int, errors: list) -> None:
+def _raise_status(status: int, errors: list, run) -> None:
     """Raise what stopped a loop that returned `status`, unless it is OK:
-    the callback's exception, or MemoryError."""
+    ZeroRateDeadlock at the time and block count of `run`, the callback's
+    exception, or MemoryError."""
+    if status == _DEADLOCK:
+        raise ZeroRateDeadlock("all rates vanished before the stop condition",
+                               time=run.t, blocks=run.n_alive)
     if status == _CALLBACK_FAILED:
         raise errors[0]
     if status:
@@ -569,8 +607,9 @@ def _numpy_random_dirs() -> tuple[Path, Path]:
 @functools.cache
 def _loop() -> ctypes.CDLL:
     """The compiled library of `_engine.c`, built on first use.  Its entry
-    points: `sc_simulate`, the event loop of `simulate`; `sc_few_block`,
-    the few-block sampler (`experiments.few_block_torus_sample`);
+    points: `sc_simulate`, the event loop of `simulate`, and `sc_few_block`,
+    the few-block sampler of `few_block_sample`, each on its one struct
+    (`_Run`, `_Sample`); `sc_free`, which releases a `_Run`'s event log;
     `sc_choice`, the sampler's `Generator.choice`; and `sc_pcg64`, which
     jumps the sampler's generator ahead and wraps it as a numpy
     `bitgen_t`.  The library links numpy's distributions
@@ -594,9 +633,9 @@ def _loop() -> ctypes.CDLL:
     path = next((place / name for place in places
                  if (place / name).exists()), None)
     lib = ctypes.CDLL(str(path or _build(name, places)))
-    lib.sc_simulate.argtypes = [ctypes.POINTER(_Input), ctypes.POINTER(_Output)]
+    lib.sc_simulate.argtypes = [ctypes.POINTER(_Run)]
     lib.sc_simulate.restype = _i
-    lib.sc_free.argtypes = [ctypes.POINTER(_Output)]
+    lib.sc_free.argtypes = [ctypes.POINTER(_Run)]
     lib.sc_free.restype = None
     lib.sc_few_block.argtypes = [ctypes.POINTER(_Sample)]
     lib.sc_few_block.restype = _i

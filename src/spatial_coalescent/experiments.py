@@ -25,7 +25,7 @@ few_block_torus_sample advances replicas whose blocks are apart by chunks
 of pure migration cut at the first co-location, and the others one
 jump-chain event at a time.  It holds a site as one packed int64, a bit
 field per coordinate, and runs as one C loop in the engine's compiled
-library (engine._loop) on its own PCG64, seeded from numpy's public
+library (engine.few_block_sample) on its own PCG64, seeded from numpy's public
 PCG64 state, making the draws of the numpy sampler kept as its reference
 in tests/torus_oracle.py.  A chunk jumps past the words of the cells after
 a replica's first co-location instead of drawing them, so that a replica
@@ -55,7 +55,6 @@ cannot be tested (one pair of blocks, one replica) is None.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import time
 from collections import Counter
@@ -293,19 +292,20 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
     horizon = max(probes)
     results, stats = {}, {}
     for n in n_grid:
-        counts = {p: [] for p in probes}
+        counts = [[] for _ in probes]
         # coupled across n via shared seeds
         for rec in _replica_runs(singletons_per_site(geography, n), geography,
                                  kernel, seed, replicas, stats,
                                  killing=killing, horizon=horizon,
                                  probe_times=probes):
-            for p, c in rec.probes:
-                counts[p].append(c)
-        # one replica has no standard error
+            for j, (_p, c) in enumerate(rec.probes):
+                counts[j].append(c)
+        # by index, as a record's probes run in time order; one replica has
+        # no standard error
         results[n] = {p: (float(np.mean(v)),
                           float(np.std(v, ddof=1)) / math.sqrt(replicas)
                           if replicas > 1 else None)
-                      for p, v in counts.items()}
+                      for p, v in zip(sorted(probes), counts)}
     # growth exponent of the mean at the largest probe time
     p_last = probes[-1]
     ns = np.array(sorted(results))
@@ -629,8 +629,8 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
     participants, a sorted tuple of slots, are each the least start index
     of their group.
 
-    The sampler is one C loop (`sc_few_block` in the engine's library,
-    engine._loop) on a PCG64 of its own, seeded from the public state of
+    The sampler is one C loop (engine.few_block_sample runs `sc_few_block`)
+    on a PCG64 of its own, seeded from the public state of
     numpy's PCG64(SeedSequence(seed)), the bit generator of
     default_rng(seed), whose draws it makes to the bit.  The first call of
     a process loads the library and builds it if it is missing.  It runs
@@ -673,44 +673,9 @@ def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
         raise ValueError(f"start_positions must be n >= 1 rows of "
                          f"{walk.dimension} integer coordinates, got "
                          f"{start_positions!r}")
-    n = start.shape[0]
-    lam = kernel.lambda_table(n)
-    merge_cums = [kernel.merge_size_cumulative(b) for b in range(2, n + 1)]
-    rows = np.zeros(n + 1, dtype=np.uintp)
-    rows[2:] = [engine_mod._addr(cum) for cum in merge_cums]
     torus = _TorusWalk(N, walk)
-    packed = torus.pack(start.astype(np.int64) + N)
-    # a merge of k slots leaves k - 1 fewer alive, so a replica logs at most
-    # n - 1 merges of at most 2 (n - 1) slots in all
-    merges = replicas * (n - 1)
-    log_ints = np.empty(4 * merges, dtype=np.int64)
-    log_time = np.empty(merges)
-    addr = engine_mod._addr
-    errors: list = []
-    seeded = np.random.PCG64(np.random.SeedSequence(seed)).state
-    sample = engine_mod._Sample(
-        rng=engine_mod._Pcg64.of(seeded), replicas=replicas, n=n,
-        start=addr(packed), lam=addr(lam), rows=addr(rows),
-        cuts=addr(torus.cuts), n_cuts=torus.cuts.size,
-        steps=addr(torus.mod_steps), d=walk.dimension, side=torus.side,
-        width=torus.width, max_steps=torus.steps,
-        call=engine_mod._callback(errors),
-        log_replica=addr(log_ints), log_k=addr(log_ints) + 8 * merges,
-        log_slots=addr(log_ints) + 16 * merges, log_time=addr(log_time))
-    status = engine_mod._loop().sc_few_block(ctypes.byref(sample))
-    engine_mod._raise_status(status, errors)
-
-    logs: list[list] = [[] for _ in range(replicas)]
-    slots = log_ints[2 * merges:2 * merges + sample.n_slots].tolist()
-    at = 0
-    for r, tm, k in zip(log_ints[:sample.n_merges].tolist(),
-                        log_time[:sample.n_merges].tolist(),
-                        log_ints[merges:merges + sample.n_merges].tolist()):
-        logs[r].append((tm, tuple(slots[at:at + k]), k))
-        at += k
-    return logs, {name: getattr(sample, name) for name in (
-        "chunk_calls", "chunk_replicas", "chunk_cells", "chunk_steps",
-        "chunk_cuts", "lockstep_events", "lockstep_skipped")}
+    return engine_mod.few_block_sample(
+        kernel, torus, torus.pack(start.astype(np.int64) + N), replicas, seed)
 
 
 def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
@@ -824,13 +789,13 @@ def block_decay_shape(kernel: RateKernel, walk: WalkSpec, N_values, t_grid,
     probes = tuple(t_grid)
     for N in N_values:
         geo = build_torus(N, walk)
-        sums = {p: 0.0 for p in probes}
+        sums = [0.0] * len(probes)
         for rec in _replica_runs(singletons_per_site(geo, 1), geo, kernel,
                                  seed, replicas, stats, horizon=max(probes),
                                  probe_times=probes):
-            for p, c in rec.probes:
-                sums[p] += c
-        for p in probes:   # one singleton per site: #blocks(0) = geo.size
-            cells[(N, p)] = sums[p] / replicas * p / geo.size
+            for j, (_p, c) in enumerate(rec.probes):  # in time order
+                sums[j] += c
+        for p, total in zip(sorted(probes), sums):  # #blocks(0) = geo.size
+            cells[(N, p)] = total / replicas * p / geo.size
     return {"per_cell": {f"N={N},t={p}": v for (N, p), v in cells.items()},
             "sup_statistic": max(cells.values()), "stats": stats}

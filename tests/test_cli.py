@@ -122,6 +122,23 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
     # Monte Carlo is a test oracle, not a route, and green reads no replicas
     ({"seed": 1, "dimension": 3, "method": "MONTE_CARLO"}, "green", "method"),
     ({"seed": 1, "dimension": 3, "replicas": 100}, "green", "replicas"),
+    # every command rejects a field it never reads, which would still
+    # change config_sha256; a geography's walk sets green's dimension
+    *[({"seed": 1, "measure": KINGMAN, "geography": {"topology": "single"},
+        "replicas": 10, "killing": True, "dimension": 3}, command,
+       "; ".join(f"{name}: {command} does not use it"
+                 for name in ("geography", "replicas", "killing",
+                              "dimension")))
+      for command in ("rates", "classify")],
+    ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "single"},
+      "replicas": 10, "b_max_table": 8, "dimension": 3, "method": "BESSEL",
+      "experiment": {"name": "kappa"}}, "simulate",
+     "; ".join(f"{name}: simulate does not use it"
+               for name in ("experiment", "replicas", "b_max_table",
+                            "dimension", "method"))),
+    ({"seed": 1, "dimension": 5,
+      "geography": {"topology": "torus", "N": 2, "walk": {"dimension": 4}}},
+     "green", "dimension: green does not use it"),
 ])
 def test_config_value_errors_exit_2(tmp_path, cfg, command, needle):
     r = run_cli(tmp_path, cfg, command)

@@ -4,6 +4,7 @@ import os
 import shutil
 import signal
 import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -606,6 +607,54 @@ def test_build_without_128_bit_integers_fails_to_build(monkeypatch,
     with pytest.raises(EngineBuildFailed, match="unsigned __int128"):
         engine._build(engine._library_name(), (tmp_path,))
     assert list(tmp_path.iterdir()) == []
+
+
+# both loops of the library, built with AddressSanitizer and UBSan: Beta(1.5)
+# runs with and without killing (migrations, merge-size rows, the event log),
+# 300 blocks at one site (Random.sample's set branch) and a 4-block sample
+_SANITIZED_RUNS = """
+from spatial_coalescent import engine
+engine._CFLAGS = (*engine._CFLAGS, "-fsanitize=address,undefined",
+                  "-fno-omit-frame-pointer", "-fno-sanitize-recover=undefined")
+from spatial_coalescent.engine import (SimulationConfig, simulate,
+                                       singletons_at, singletons_per_site)
+from spatial_coalescent.experiments import few_block_torus_sample
+from spatial_coalescent.geometry import build_torus, simple_walk, single_site
+from spatial_coalescent.measure import LambdaMeasure
+from spatial_coalescent.rates import RateKernel
+
+beta = RateKernel(LambdaMeasure.beta(1.5))
+torus = build_torus(1, simple_walk(3))
+for killing in (False, True):
+    simulate(singletons_per_site(torus, 4), SimulationConfig(
+        kernel=beta, geography=torus, killing=killing, seed=3,
+        stop_when_absorbed=True, probe_times=(0.1, 1.0)))
+simulate(singletons_at([0] * 300), SimulationConfig(
+    kernel=beta, geography=single_site(), seed=5, stop_when_absorbed=True))
+few_block_torus_sample(2, simple_walk(3), beta,
+                       [[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]], 50, 7)
+"""
+
+
+def test_both_loops_run_clean_under_sanitizers(tmp_path):
+    # a copy of the package builds its own library; HOME too is private,
+    # as a build deletes the other libraries of the directory it writes to
+    compiler = shutil.which(engine._COMPILER)
+    libasan = compiler and subprocess.run(
+        [compiler, "-print-file-name=libasan.so"], capture_output=True,
+        text=True).stdout.strip()
+    if not (libasan and os.path.isabs(libasan) and os.path.isfile(libasan)):
+        pytest.skip("the compiler has no libasan.so")
+    shutil.copytree(Path(engine.__file__).parent,
+                    tmp_path / "spatial_coalescent",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = os.pathsep.join(filter(None, (str(tmp_path),
+                                         os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "HOME": str(tmp_path),
+           "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
+    done = subprocess.run([sys.executable, "-c", _SANITIZED_RUNS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-4000:]
 
 
 def test_merge_survivor_is_least_id(beta_heavy_kernel):

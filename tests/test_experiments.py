@@ -190,6 +190,25 @@ def test_stay_infinite_trend_one_replica_has_no_std_error(kingman):
                for _mean, se in per_t.values())
 
 
+def test_repeated_probe_time_counts_once(kingman):
+    # a repeated time is one cell: every cell, mean and standard error is
+    # that of the grid without the repeat, and so are the engine counters
+    def runs(times):
+        return (block_decay_shape(kingman, simple_walk(3), [1], times,
+                                  replicas=20, seed=1),
+                stay_infinite_trend(kingman, complete_graph(3), [2, 4], times,
+                                    replicas=20, seed=1))
+
+    shape, trend = runs([0.5, 0.5])
+    shape_once, trend_once = runs([0.5])
+    assert shape["per_cell"] == shape_once["per_cell"]
+    assert shape["sup_statistic"] == shape_once["sup_statistic"]
+    assert trend["per_n"] == trend_once["per_n"]
+    assert trend["growth_exponent"] == trend_once["growth_exponent"]
+    assert (shape["stats"], trend["stats"]) == (shape_once["stats"],
+                                                 trend_once["stats"])
+
+
 # every experiment entry point and its small valid arguments besides the
 # kernel and the seed; `bad` replaces the argument under test
 _ENTRY_POINTS = {
