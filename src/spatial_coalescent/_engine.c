@@ -17,7 +17,9 @@
  * State mirrors the Python loop: block arrays indexed by block id, a roster
  * of block ids per site (append, and removal by moving the last entry into
  * the gap), the alive list, and the count classes (sites holding c >= 2
- * blocks) with one weight lambda_c |S_c| per occupied class.
+ * blocks) with one weight lambda_c |S_c| per occupied class.  A site's
+ * block count is its roster's length.  The loop builds the start rosters
+ * from the start site of each block, so each holds its ids in id order.
  *
  * Each loop takes one struct, `sc_run` or `sc_sample`, that holds its
  * inputs, its outputs and its log, and takes its fixed-size arrays from one
@@ -83,8 +85,6 @@ typedef struct {
     int64_t n_blocks, n_sites;
     const int32_t *site_of;      /* start site of each block */
     const int64_t *size_of;      /* start size of each block */
-    const int64_t *counts;       /* start block count of each site */
-    const int32_t *roster_ids;   /* block ids of each site in turn, in id order */
     const double *move_rates;    /* probability of leaving each site */
     const int64_t *move_start;   /* n_sites + 1 offsets into move_cum/dest */
     const double *move_cum;      /* cumulative move law per site, last 1.0 */
@@ -402,7 +402,6 @@ int64_t sc_simulate(sc_run *run)
     mt_state rng;
     int64_t *site_of = run->final_site;
     int64_t *size_of = run->final_size;
-    int64_t *counts = run->final_counts;
     /* the lists that grow: the rosters by site, then the count classes */
     list *rosters, alive;
     int64_t *pos_in_roster, *alive_pos, *record;
@@ -439,27 +438,24 @@ int64_t sc_simulate(sc_run *run)
 
     seed_by_array(&rng, run->key, run->key_len);
 
-    /* ---- the start state, copied from the layout ---- */
+    /* ---- the start state: each roster holds its block ids in id order ---- */
     memcpy(size_of, run->size_of, n0 * sizeof *size_of);
-    for (int64_t s = 0, lo = 0, hi; s < n_sites; s++, lo = hi) {
-        hi = lo + run->counts[s];
-        for (int64_t j = lo; j < hi; j++) {
-            pos_in_roster[run->roster_ids[j]] = j - lo;
-            if (push(&rosters[s], run->roster_ids[j]))
-                goto no_memory;
-        }
-        counts[s] = hi - lo;
-        if (counts[s] > max_seen)
-            max_seen = counts[s];
+    for (int64_t i = 0; i < n0; i++) {
+        list *roster = &rosters[run->site_of[i]];
+        site_of[i] = run->site_of[i];
+        pos_in_roster[i] = roster->n;
+        if (push(roster, (int32_t)i))
+            goto no_memory;
+        alive.v[alive.n++] = (int32_t)i;
+        alive_pos[i] = i;
+    }
+    for (int64_t s = 0; s < n_sites; s++) {
+        if (rosters[s].n > max_seen)
+            max_seen = rosters[s].n;
         if (run->move_rates[s] > max_move)
             max_move = run->move_rates[s];
         if (run->move_rates[s] < min_move)
             min_move = run->move_rates[s];
-    }
-    for (int64_t i = 0; i < n0; i++) {
-        site_of[i] = run->site_of[i];
-        alive.v[alive.n++] = (int32_t)i;
-        alive_pos[i] = i;
     }
     const int uniform_moves = min_move == max_move;
     /* alive blocks at sites they can leave: with non-uniform move rates the
@@ -471,7 +467,7 @@ int64_t sc_simulate(sc_run *run)
     if (max_seen >= run->lam_avail && ask(run, ASK_LAMBDA, max_seen))
         goto callback_failed;
     for (int64_t s = 0; s < n_sites; s++)
-        if (counts[s] >= 2 && class_join(&k, counts[s], (int32_t)s))
+        if (rosters[s].n >= 2 && class_join(&k, rosters[s].n, (int32_t)s))
             goto no_memory;
 
     double coal_tot = 0.0, total = 0.0, kill_from = INFINITY;
@@ -671,12 +667,11 @@ int64_t sc_simulate(sc_run *run)
                         goto no_memory;
                 }
             }
-            b = counts[s];
-            c = b - 1;
+            c = rosters[s].n;
+            b = c + 1;
         }
 
-        /* ---- site s went from b to c blocks; dest, if any, gains one ---- */
-        counts[s] = c;
+        /* ---- site s went from b to c blocks; dest, if any, gained one ---- */
         if (b >= 2) {
             class_leave(&k, b, s);
             if (c >= 2 && class_join(&k, c, s))
@@ -684,8 +679,7 @@ int64_t sc_simulate(sc_run *run)
             stale = 1;
         }
         if (dest >= 0) {
-            b = counts[dest];
-            counts[dest] = b + 1;
+            b = rosters[dest].n - 1;
             if (b) {
                 if (b == max_seen && ++max_seen >= run->lam_avail
                     && ask(run, ASK_LAMBDA, max_seen))
@@ -729,6 +723,8 @@ done:
     run->n_rejected = n_rejected;
     run->max_seen = max_seen;
     run->n_probed = probe_idx;
+    for (int64_t s = 0; s < n_sites; s++)
+        run->final_counts[s] = rosters[s].n;
     for (int64_t i = 0; i < n_sites + n0 + 2; i++)
         free(rosters[i].v);
     free(a.base);

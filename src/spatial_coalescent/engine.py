@@ -13,9 +13,9 @@ are left out of the move rate since they do not change state), and killing
 (a uniform block moves to the cemetery).  The coalescence rate is summed
 exactly over count classes (sites holding the same number of blocks share
 lambda_b) and recomputed only after an event that changes a class;
-migration is uniformized at the largest move rate and thinned.  The
-per-site start state of a partition is computed once and cached on it, so
-replicas from one initial partition only copy it.
+migration is uniformized at the largest move rate and thinned.  The start
+arrays of a partition, the site, least element and size of each block, are
+computed once and cached on it; the loop builds its site rosters from them.
 
 Blocks carry (min element, size) always and full element sets only when an
 experiment needs partition identity.  A start of singletons
@@ -85,14 +85,11 @@ CEMETERY = "∂"
 
 class _StartLayout(NamedTuple):
     """Start state of `simulate` for one partition and site count, as flat
-    C arrays that each replica copies.  Block ids are the indices of
-    `LabeledPartition.blocks`."""
+    arrays by block id, the index in `LabeledPartition.blocks`; the loop
+    reads the site counts and rosters off `site_of`."""
     site_of: array      # int32: site of each block
     mins: tuple         # least element of each block
     sizes: array        # int64: size of each block
-    counts: array       # int64: blocks at each site
-    roster_ids: array   # int32: the block ids at site 0, then at site 1, ...;
-    #                     each site's in id order
 
     @classmethod
     def of(cls, part: "LabeledPartition", n_sites: int) -> "_StartLayout":
@@ -105,12 +102,7 @@ class _StartLayout(NamedTuple):
             sizes = array("q", map(len, part.blocks))
         else:  # a singleton start whose blocks were never built
             mins, sizes = range(1, part.n + 1), array("q", [1]) * part.n
-        labels = np.frombuffer(site_of, dtype=np.int32)
-        counts = np.bincount(labels, minlength=n_sites).astype(np.int64)
-        roster_ids = np.argsort(labels, kind="stable").astype(np.int32)
-        return cls(site_of=site_of, mins=mins, sizes=sizes,
-                   counts=array("q", counts.tobytes()),
-                   roster_ids=array("i", roster_ids.tobytes()))
+        return cls(site_of=site_of, mins=mins, sizes=sizes)
 
 
 class LabeledPartition:
@@ -162,8 +154,8 @@ class LabeledPartition:
         return frozenset().union(*self.blocks)
 
     def start_layout(self, n_sites: int) -> "_StartLayout":
-        """The per-site state `simulate` starts from on a geography of
-        `n_sites` sites, computed once per site count and kept."""
+        """The block arrays `simulate` starts from on a geography of
+        `n_sites` sites, checked and built once per site count and kept."""
         layout = self._layouts.get(n_sites)
         if layout is None:
             layout = self._layouts[n_sites] = _StartLayout.of(self, n_sites)
@@ -269,8 +261,9 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     and a proposal from site s is kept with probability move_rates[s] /
     max_move, which is 1 when every site has the same move rate (a torus); a
     rejected proposal is a null step that changes nothing.  No running float
-    total is kept, so no rate can drift.  The per-site start state is copied
-    from the layout cached on `initial` (`LabeledPartition.start_layout`).
+    total is kept, so no rate can drift.  The loop builds the site rosters
+    from the block arrays cached on `initial`
+    (`LabeledPartition.start_layout`), each roster's ids in id order.
 
     Every draw comes from one Mersenne Twister stream, seeded as
     `random.Random` would be from four words of `config.seed`'s
@@ -325,7 +318,6 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     run = _Run(
         key=_addr(key), key_len=len(key), n_blocks=n_blocks, n_sites=n_sites,
         site_of=_addr(layout.site_of), size_of=_addr(layout.sizes),
-        counts=_addr(layout.counts), roster_ids=_addr(layout.roster_ids),
         move_rates=_addr(move_rates), move_start=_addr(move_start),
         move_cum=_addr(move_cum), move_dest=_addr(move_dest),
         lam=_addr(lam), lam_avail=len(lam),
@@ -479,10 +471,9 @@ class _Run(ctypes.Structure):
     """sc_simulate's arguments, outcome, event log and request (`sc_run`)."""
     _fields_ = [
         ("key", _p), ("key_len", _i), ("n_blocks", _i), ("n_sites", _i),
-        ("site_of", _p), ("size_of", _p), ("counts", _p), ("roster_ids", _p),
-        ("move_rates", _p), ("move_start", _p), ("move_cum", _p),
-        ("move_dest", _p), ("lam", _p), ("lam_avail", _i), ("rows", _p),
-        ("binary", _i), ("call", _Call),
+        ("site_of", _p), ("size_of", _p), ("move_rates", _p),
+        ("move_start", _p), ("move_cum", _p), ("move_dest", _p), ("lam", _p),
+        ("lam_avail", _i), ("rows", _p), ("binary", _i), ("call", _Call),
         ("killing", _i), ("log_merges", _i), ("log_moves", _i),
         ("horizon", ctypes.c_double), ("budget", _i), ("floor", _i),
         ("threshold", _i), ("probes", _p), ("n_probes", _i),
@@ -721,9 +712,10 @@ def coupled_simulate(initials, config: SimulationConfig):
 
     initials[0] is the finest configuration; every other entry must equal
     its restriction to some element subset (a prefix [m] or a class of a
-    class split).  The finest trajectory is simulated once; coarser variants
-    are read off by restriction, which guarantees pathwise restriction
-    consistency and class-split domination by construction.
+    class split).  The finest trajectory is simulated once and its event
+    log replayed once; coarser variants are read off by restriction, which
+    guarantees pathwise restriction consistency and class-split domination
+    by construction.
 
     Returns a list of (TrajectoryRecord, state_series) pairs, where
     state_series is [(time, LabeledPartition)] sampled at t=0 and at every
@@ -732,70 +724,46 @@ def coupled_simulate(initials, config: SimulationConfig):
     if not initials:
         raise IncompatibleVariants("no configurations given")
     full = initials[0]
-    subsets = [full.ground]
     for variant in initials[1:]:
-        sub = variant.ground
-        if not sub <= full.ground:
+        if not variant.ground <= full.ground:
             raise IncompatibleVariants("variant ground set is not a subset "
                                        "of the finest configuration")
-        if full.restrict_to(sub) != variant:
+        if full.restrict_to(variant.ground) != variant:
             raise IncompatibleVariants("variant is not a restriction of the "
                                        "finest configuration")
-        subsets.append(sub)
 
     rec = simulate(full, replace(config, record_events=True,
                                  track_elements=True))
 
-    # replay the full trajectory, snapshotting each variant after every event
-    site_map = {}
-    elems_map = {}
-    for bid, (b, lab) in enumerate(zip(full.blocks, full.labels)):
-        site_map[bid] = lab
-        elems_map[bid] = set(b)
-
-    def snapshot() -> LabeledPartition:
-        blocks, labels = [], []
-        for bid, s in site_map.items():
-            if s is None:
-                continue
-            blocks.append(elems_map[bid])
-            labels.append(s)
-        return LabeledPartition(blocks, labels, n=full.n)
-
-    series = [[] for _ in subsets]
-
-    def record(time: float) -> None:
-        state = snapshot()
-        for i, sub in enumerate(subsets):
-            series[i].append((time, state if i == 0 else state.restrict_to(sub)))
-
-    record(0.0)
-    for (time, tag, payload) in rec.events:
+    # replay the full trajectory once: the blocks by id (None once merged)
+    # and their labels, and the partition after every event
+    blocks, labels = list(full.blocks), list(full.labels)
+    states = [(0.0, full)]
+    for time, tag, payload in rec.events:
         if tag == "MERGE":
-            _, chosen, _k = payload
-            # ids follow least-element order, as in `simulate`
-            survivor = min(chosen)
-            for bid in chosen:
-                if bid == survivor:
-                    continue
-                elems_map[survivor] |= elems_map[bid]
-                site_map[bid] = None
+            # the ids ascend and follow least-element order, as in
+            # `simulate`: the first survives
+            _s, (survivor, *merged), _k = payload
+            blocks[survivor] = blocks[survivor].union(
+                *(blocks[bid] for bid in merged))
+            for bid in merged:
+                blocks[bid] = None
         elif tag == "MIGRATE":
             bid, _s, dest = payload
-            site_map[bid] = dest
+            labels[bid] = dest
         else:  # KILL
             (bid,) = payload
-            site_map[bid] = CEMETERY
-        record(time)
+            labels[bid] = CEMETERY
+        kept = [bid for bid, b in enumerate(blocks) if b is not None]
+        states.append((time, LabeledPartition(
+            [blocks[bid] for bid in kept], [labels[bid] for bid in kept],
+            n=full.n)))
 
-    out = []
-    for i, sub in enumerate(subsets):
-        if i == 0:
-            out.append((rec, series[0]))
-        else:
-            vrec = TrajectoryRecord(initial=initials[i], seed=config.seed)
-            vrec.final_time = rec.final_time
-            vrec.stop_reason = rec.stop_reason
-            vrec.final_partition = series[i][-1][1]
-            out.append((vrec, series[i]))
+    out = [(rec, states)]
+    for variant in initials[1:]:
+        series = [(t, s.restrict_to(variant.ground)) for t, s in states]
+        out.append((TrajectoryRecord(
+            initial=variant, seed=config.seed, final_time=rec.final_time,
+            stop_reason=rec.stop_reason, final_partition=series[-1][1]),
+            series))
     return out

@@ -252,9 +252,9 @@ def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
                  replicas: int = 400, seed: int = 0) -> dict:
     """Mean time until at most k blocks per site remain, starting from n
     singletons per site, with its standard error and normal confidence
-    interval `ci`; compared against the uniform upper bound, None where no
-    finite bound exists.  `table` holds each replica's time, `stats` the
-    engine counters of _replica_runs."""
+    interval `ci`, both None from one replica; compared against the uniform
+    upper bound, None where no finite bound exists.  `table` holds each
+    replica's time, `stats` the engine counters of _replica_runs."""
     _check_run(replicas, n=(n, 2), k=(k, 2))
     stats = {}
     times = [rec.final_time for rec in _replica_runs(
@@ -262,8 +262,11 @@ def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
         stats, stop_blocks_at_most=k * geography.size)]
     arr = np.asarray(times)
     mean = float(arr.mean())
-    se = float(arr.std(ddof=1)) / math.sqrt(replicas) if replicas > 1 else 0.0
-    z = float(special.ndtri(0.5 + _CONFIDENCE / 2.0))
+    se = ci = None  # one replica has no standard error
+    if replicas > 1:
+        se = float(arr.std(ddof=1)) / math.sqrt(replicas)
+        z = float(special.ndtri(0.5 + _CONFIDENCE / 2.0))
+        ci = [mean - z * se, mean + z * se]
     bound = tn_uniform_bound(kernel, k=k, b_max=10_000)
     verdict = cdi_classify(kernel, b_max=1000)
     extras = {"uniform_bound": None if bound == math.inf else bound,
@@ -271,7 +274,7 @@ def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
     if verdict.verdict != "COMES_DOWN":
         extras["warning"] = "STAYS_INFINITE_WARNING"
     return {"point_estimate": mean, "std_error": se, "replicas": replicas,
-            "confidence": _CONFIDENCE, "ci": [mean - z * se, mean + z * se],
+            "confidence": _CONFIDENCE, "ci": ci,
             "extras": extras, "stats": stats,
             "table": (["replica", "time"], list(enumerate(times)))}
 
@@ -307,9 +310,8 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
                           if replicas > 1 else None)
                       for p, v in zip(sorted(probes), counts)}
     # growth exponent of the mean at the largest probe time
-    p_last = probes[-1]
     ns = np.array(sorted(results))
-    means = np.array([results[n][p_last][0] for n in ns])
+    means = np.array([results[n][horizon][0] for n in ns])
     if np.all(means > 0):
         slope = np.polyfit(np.log(ns), np.log(means), 1)[0]
     else:

@@ -795,8 +795,14 @@ LEBESGUE = {"pieces": [{"interval": [0, 1], "tag": "constant",
       "geography": {"topology": "single"},
       "experiment": {"name": "hitting_time", "params": {"n": 5}}},
      ("extras", "uniform_bound")),
+    # one replica: no standard error and no confidence interval
+    ("experiment",
+     {"seed": 1, "measure": KINGMAN, "replicas": 1,
+      "geography": {"topology": "complete", "sites": 2},
+      "experiment": {"name": "hitting_time", "params": {"n": 4}}},
+     ("ci",)),
 ], ids=["structure-one-pair", "trend-one-replica", "classify-no-bound",
-        "hitting_time-no-bound"])
+        "hitting_time-no-bound", "hitting_time-one-replica"])
 def test_missing_statistic_or_bound_is_null_in_report(tmp_path, command, cfg,
                                                        path):
     out = tmp_path / "out"

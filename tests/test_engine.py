@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import math
 import os
@@ -607,6 +608,30 @@ def test_build_without_128_bit_integers_fails_to_build(monkeypatch,
     with pytest.raises(EngineBuildFailed, match="unsigned __int128"):
         engine._build(engine._library_name(), (tmp_path,))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_ctypes_structs_match_the_c_layout(tmp_path):
+    # the compiler checks every field offset and struct size that ctypes
+    # assumes against the structs of _engine.c
+    compiler = shutil.which(engine._COMPILER)
+    if compiler is None:
+        pytest.skip(f"no C compiler {engine._COMPILER!r} on PATH")
+    lines = ["#include <stddef.h>", f'#include "{engine._SOURCE}"']
+    for struct, c_name in ((engine._Run, "sc_run"),
+                           (engine._Sample, "sc_sample"),
+                           (engine._Pcg64, "pcg64")):
+        for name, *_ in struct._fields_:
+            lines.append(f"_Static_assert(offsetof({c_name}, {name}) == "
+                         f"{getattr(struct, name).offset}, "
+                         f'"{c_name}.{name}");')
+        lines.append(f"_Static_assert(sizeof({c_name}) == "
+                     f'{ctypes.sizeof(struct)}, "sizeof({c_name})");')
+    layout = tmp_path / "layout.c"
+    layout.write_text("\n".join(lines) + "\n")
+    include, _lib_dir = engine._numpy_random_dirs()
+    done = subprocess.run([compiler, "-fsyntax-only", f"-I{include}",
+                           str(layout)], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # both loops of the library, built with AddressSanitizer and UBSan: Beta(1.5)

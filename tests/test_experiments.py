@@ -190,6 +190,16 @@ def test_stay_infinite_trend_one_replica_has_no_std_error(kingman):
                for _mean, se in per_t.values())
 
 
+def test_trend_growth_exponent_ignores_probe_order():
+    # the exponent is fitted at the largest probe time, wherever it stands
+    # in t_probe
+    leb = RateKernel(LambdaMeasure.lebesgue())
+    exponents = [stay_infinite_trend(leb, complete_graph(3), [20, 80], times,
+                                     replicas=20, seed=1)["growth_exponent"]
+                 for times in ([0.1, 1.0], [1.0, 0.1])]
+    assert exponents[0] == exponents[1]
+
+
 def test_repeated_probe_time_counts_once(kingman):
     # a repeated time is one cell: every cell, mean and standard error is
     # that of the grid without the repeat, and so are the engine counters
@@ -278,6 +288,12 @@ def test_hitting_time_zero_when_already_there(kingman):
     rep = estimate_Tnk(2, 2, complete_graph(3), kingman, replicas=10, seed=1)
     assert rep["point_estimate"] == 0.0
     assert rep["std_error"] == 0.0
+
+
+def test_hitting_time_one_replica_has_no_std_error(kingman):
+    rep = estimate_Tnk(4, 2, complete_graph(2), kingman, replicas=1, seed=1)
+    assert rep["point_estimate"] == rep["table"][1][0][1]
+    assert rep["std_error"] is None and rep["ci"] is None
 
 
 def test_hitting_time_single_site_oracle(kingman):
