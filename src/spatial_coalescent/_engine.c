@@ -26,11 +26,11 @@
  * allocation (`carve`), released by one free.  The lists that grow,
  * the site rosters, the count classes and the event log, grow by `reserve`.
  *
- * The event loop asks the caller through one callback, with the request in
- * the run struct: lambda_b past its table, answered in `lam` and
- * `lam_avail`, the merge-size row of b, answered in `rows`, or, every 2^16
- * steps, nothing, so that the caller can run pending signal handlers.  A
- * nonzero answer stops the loop.
+ * The event loop takes lambda_b up front, up to its block count, which no
+ * site exceeds.  It asks the caller through one callback, with the request
+ * in the run struct: the merge-size row of b, answered in `rows`, NULL
+ * until asked, or, every 2^16 steps, nothing, so that the caller can run
+ * pending signal handlers.  A nonzero answer stops the loop.
  *
  * The few-block sampler (`sc_few_block`) is one loop on its own PCG64,
  * seeded from the public state of numpy's PCG64 (`PCG64.state`: state, inc
@@ -72,7 +72,7 @@ uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off,
 enum { STOP_NONE, STOP_HORIZON, STOP_BLOCKS_AT_MOST, STOP_ABSORBED, STOP_BUDGET };
 enum { OK, DEADLOCK, NO_MEMORY, CALLBACK_FAILED };
 enum { EV_MERGE, EV_MIGRATE, EV_KILL };
-enum { ASK_POLL, ASK_LAMBDA, ASK_ROW };
+enum { ASK_POLL, ASK_ROW };
 #define POLL_MASK 0xffff
 #define MERGED (-1)
 #define CEMETERY (-2)
@@ -80,8 +80,7 @@ enum { ASK_POLL, ASK_LAMBDA, ASK_ROW };
 typedef int (*call_fn)(void *);  /* given the loop's struct */
 
 typedef struct {
-    const uint32_t *key;         /* the seed's 32-bit words, low first */
-    int64_t key_len;
+    uint32_t key[4];             /* the seed's 32-bit words, low first */
     int64_t n_blocks, n_sites;
     const int32_t *site_of;      /* start site of each block */
     const int64_t *size_of;      /* start size of each block */
@@ -89,10 +88,8 @@ typedef struct {
     const int64_t *move_start;   /* n_sites + 1 offsets into move_cum/dest */
     const double *move_cum;      /* cumulative move law per site, last 1.0 */
     const int32_t *move_dest;
-    const double *lam;           /* lambda_b, b < lam_avail (at least 3) */
-    int64_t lam_avail;
-    const double **rows;         /* merge-size rows by b, NULL until asked */
-    int64_t binary;              /* every merge is a pair */
+    const double *lam;           /* lambda_b, b = 0..max(n_blocks, 2) */
+    const double **rows;         /* merge-size rows by b; NULL: pairs only */
     call_fn call;                /* answers the request below */
     int64_t killing, log_merges, log_moves;
     double horizon;              /* INFINITY for none */
@@ -106,7 +103,7 @@ typedef struct {
     int64_t *final_size;         /* n_blocks */
     int64_t *final_counts;       /* n_sites */
     double t;
-    int64_t stop, budget_exhausted;
+    int64_t stop;
     int64_t n_alive, n_events, n_merges, n_kills, n_rejected;
     int64_t max_seen, n_probed;
     /* the event log, owned here until sc_free: a time per event and, per
@@ -123,12 +120,12 @@ typedef struct {
 typedef struct { uint32_t mt[MT_N]; int64_t index; } mt_state;
 
 /* CPython's random.seed(n) for an int n >= 0 whose 32-bit words, low
- * first, are key[0:len]: init_by_array over the words up to the highest
+ * first, are key[0:4]: init_by_array over the words up to the highest
  * nonzero one, and at least one */
-static void seed_by_array(mt_state *r, const uint32_t *key, int64_t len)
+static void seed_by_array(mt_state *r, const uint32_t *key)
 {
     uint32_t *mt = r->mt;
-    int64_t i = 1, j = 0, k;
+    int64_t i = 1, j = 0, k, len = 4;
     while (len > 1 && key[len - 1] == 0)
         len--;
     mt[0] = 19650218U;
@@ -348,7 +345,7 @@ typedef struct {
     double *occ_weight;          /* lambda_c |S_c| per occupied class */
     int64_t *pos_in_class;       /* by site */
     int64_t n_occ;
-    const double *const *lam;    /* the run's lambda_b table */
+    const double *lam;           /* the run's lambda_b table */
 } classes;
 
 /* site s leaves class b (b >= 2) */
@@ -358,7 +355,7 @@ static void class_leave(classes *k, int64_t b, int32_t s)
     drop(members, s, k->pos_in_class);
     int64_t i = k->occ_pos[b];
     if (members->n) {
-        k->occ_weight[i] = (*k->lam)[b] * (double)members->n;
+        k->occ_weight[i] = k->lam[b] * (double)members->n;
     } else {
         int64_t last_c = k->occupied[--k->n_occ];
         double last_w = k->occ_weight[k->n_occ];
@@ -380,9 +377,9 @@ static int class_join(classes *k, int64_t c, int32_t s)
     if (members->n == 1) {
         k->occ_pos[c] = k->n_occ;
         k->occupied[k->n_occ] = c;
-        k->occ_weight[k->n_occ++] = (*k->lam)[c];
+        k->occ_weight[k->n_occ++] = k->lam[c];
     } else {
-        k->occ_weight[k->occ_pos[c]] = (*k->lam)[c] * (double)members->n;
+        k->occ_weight[k->occ_pos[c]] = k->lam[c] * (double)members->n;
     }
     return 0;
 }
@@ -407,7 +404,7 @@ int64_t sc_simulate(sc_run *run)
     int64_t *pos_in_roster, *alive_pos, *record;
     int32_t *chosen, *pool;
     char *selected;
-    classes k = {.lam = &run->lam};
+    classes k = {.lam = run->lam};
     arena a = {NULL, 0};
     do {
         rosters = carve_zeroed(&a, n_sites + n0 + 2, sizeof *rosters);
@@ -421,8 +418,8 @@ int64_t sc_simulate(sc_run *run)
         /* a merge's chosen ids, sample's pool and set (multiple mergers
          * only), and the log record of one event */
         chosen = carve(&a, n0 + 1, sizeof *chosen);
-        pool = carve(&a, run->binary ? 0 : n0 + 1, sizeof *pool);
-        selected = carve_zeroed(&a, run->binary ? 0 : n0 + 1,
+        pool = carve(&a, run->rows ? n0 + 1 : 0, sizeof *pool);
+        selected = carve_zeroed(&a, run->rows ? n0 + 1 : 0,
                                 sizeof *selected);
         record = carve(&a, n0 + 4, sizeof *record);
     } while (carve_again(&a));
@@ -436,7 +433,7 @@ int64_t sc_simulate(sc_run *run)
     int64_t probe_idx = 0, max_seen = 0, n_mobile = 0;
     double max_move = 0.0, min_move = INFINITY;
 
-    seed_by_array(&rng, run->key, run->key_len);
+    seed_by_array(&rng, run->key);
 
     /* ---- the start state: each roster holds its block ids in id order ---- */
     memcpy(size_of, run->size_of, n0 * sizeof *size_of);
@@ -463,9 +460,6 @@ int64_t sc_simulate(sc_run *run)
     if (!uniform_moves)
         for (int64_t i = 0; i < n0; i++)
             n_mobile += run->move_rates[site_of[i]] > 0.0;
-    /* lambda_b is read for b <= max_seen: the table grows with it */
-    if (max_seen >= run->lam_avail && ask(run, ASK_LAMBDA, max_seen))
-        goto callback_failed;
     for (int64_t s = 0; s < n_sites; s++)
         if (rosters[s].n >= 2 && class_join(&k, rosters[s].n, (int32_t)s))
             goto no_memory;
@@ -535,7 +529,7 @@ int64_t sc_simulate(sc_run *run)
                 /* the uniform is drawn even when the law is a point mass, so
                  * a Kingman run keeps the stream of the law-based draw */
                 double u_k = random_double(&rng);
-                if (!run->binary) {
+                if (run->rows) {
                     if (!run->rows[b] && ask(run, ASK_ROW, b))
                         goto callback_failed;
                     mk = 2 + bisect_right(run->rows[b], b - 1, u_k);
@@ -681,9 +675,8 @@ int64_t sc_simulate(sc_run *run)
         if (dest >= 0) {
             b = rosters[dest].n - 1;
             if (b) {
-                if (b == max_seen && ++max_seen >= run->lam_avail
-                    && ask(run, ASK_LAMBDA, max_seen))
-                    goto callback_failed;
+                if (b == max_seen)
+                    max_seen++;
                 if (b >= 2)
                     class_leave(&k, b, dest);
                 if (class_join(&k, b + 1, dest))
@@ -698,10 +691,8 @@ int64_t sc_simulate(sc_run *run)
         }
 
         n_events++;
-        if (n_events == run->budget && !stop) {
+        if (n_events == run->budget && !stop)
             stop = STOP_BUDGET;
-            run->budget_exhausted = 1;
-        }
     }
     if (status == OK)
         while (probe_idx < run->n_probes && run->probes[probe_idx] <= t)

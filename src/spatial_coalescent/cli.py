@@ -758,6 +758,11 @@ def _run_block_count(cfg: dict, p: dict, kernel: RateKernel):
                                     "kappa_value": _KAPPA_VALUE}))
 def _run_structure(cfg: dict, p: dict, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
+    if p["n_blocks"] > 2 * walk.dimension:
+        # the blocks start at 0 and at +-gap on each axis
+        raise _ConfigError([f"experiment.params.n_blocks: must be at most "
+                            f"{2 * walk.dimension} in {walk.dimension} "
+                            "dimensions"])
     return partition_structure_experiment(
         N, walk, kernel,
         p["n_blocks"], replicas=cfg["replicas"] or 3000, seed=cfg["seed"],
@@ -769,10 +774,16 @@ def _covers_one_to_n(p):
     return elems == list(range(1, len(elems) + 1))
 
 
-@_experiment("coupling", _where(_section({
+def _disjoint(p):
+    classes = p["class_split"]
+    return sum(len(set(c)) for c in classes) == len(set().union(*classes))
+
+
+@_experiment("coupling", _where(_where(_section({
     "class_split": (_nonempty(_list(_list(_POS_INT))), _REQUIRED),
     "t": (_POS_NUMBER, 1.0),
-}), _covers_one_to_n, "class_split must cover 1..n"))
+}), _covers_one_to_n, "class_split must cover 1..n"), _disjoint,
+    "class_split classes must not share an element"))
 def _run_coupling(cfg: dict, p: dict, kernel: RateKernel):
     return class_coupling_check(_build_geography(cfg["geography"]), kernel,
                                 p["class_split"], p["t"],

@@ -41,10 +41,10 @@ few-block sample of a process builds the library with `cc` if none exists
 for this source, into `__pycache__/` beside this file, or into
 `~/.cache/spatial_coalescent/` where the package cannot be written to;
 importing the package neither builds nor loads it.  Without a compiler
-both raise `EngineBuildFailed`.  lambda_b past the kernel's table and the
-merge-size laws come from the kernel through a callback, as the loop
-reaches them; the loop also calls it every 2^16 steps, so that a signal
-handler (Ctrl-C) runs and stops the run.
+both raise `EngineBuildFailed`.  The loop takes lambda_b up front, up to
+the start's block count; the merge-size laws come from the kernel through
+a callback, as the loop reaches them, and the loop calls it every 2^16
+steps, so that a signal handler (Ctrl-C) runs and stops the run.
 """
 
 from __future__ import annotations
@@ -283,8 +283,9 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     The loop runs in C (`_engine.c`), seeds its Mersenne Twister as
     `random.Random` does and makes the draws `random.Random` would, so its
     records are those of the Python loop in tests/engine_oracle.py; the
-    first call builds it (see `_loop`).  Merges come back as a log, which is
-    replayed here when elements are tracked.
+    first call builds it (see `_loop`) and is given lambda_b up to the
+    start's block count, which no site exceeds.  Merges come back as a log,
+    which is replayed here when elements are tracked.
     """
     loop = _loop()
     geo = config.geography
@@ -298,11 +299,12 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     layout = initial.start_layout(geo.size)
     n_blocks, n_sites = len(layout.site_of), geo.size
     move_rates, move_start, move_cum, move_dest = geo.move_table
-    lam = kernel.lambda_table(kernel.b_max)
-    # a Kingman measure merges pairs only, so it never needs a merge-size law
-    binary = kernel.binary_merges
-    # the address of each merge-size row by b, 0 until the loop fetches it
-    rows = None if binary else np.zeros(n_blocks + 1, dtype=np.uintp)
+    # no site ever holds more blocks than the run starts with
+    lam = kernel.lambda_table(max(n_blocks, 2))
+    # the address of each merge-size row by b, 0 until the loop fetches it;
+    # a Kingman measure merges pairs only, so it never needs one
+    rows = (None if kernel.binary_merges
+            else np.zeros(n_blocks + 1, dtype=np.uintp))
     track = config.track_elements
     threshold = config.stop_blocks_at_most
     # stop once at most `floor` blocks are alive (-1: never)
@@ -316,12 +318,11 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     at = _addr(final)
     errors: list = []
     run = _Run(
-        key=_addr(key), key_len=len(key), n_blocks=n_blocks, n_sites=n_sites,
+        key=(ctypes.c_uint32 * 4)(*key), n_blocks=n_blocks, n_sites=n_sites,
         site_of=_addr(layout.site_of), size_of=_addr(layout.sizes),
         move_rates=_addr(move_rates), move_start=_addr(move_start),
         move_cum=_addr(move_cum), move_dest=_addr(move_dest),
-        lam=_addr(lam), lam_avail=len(lam),
-        rows=None if rows is None else _addr(rows), binary=binary,
+        lam=_addr(lam), rows=None if rows is None else _addr(rows),
         killing=config.killing, log_merges=config.record_events or track,
         log_moves=config.record_events,
         horizon=math.inf if config.horizon is None else config.horizon,
@@ -330,7 +331,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
         probes=_addr(probe_at), n_probes=len(probes),
         probe_counts=at + 8 * (2 * n_blocks + n_sites), final_site=at,
         final_size=at + 8 * n_blocks, final_counts=at + 16 * n_blocks,
-        call=_callback(errors, functools.partial(_answer, kernel, rows, [])))
+        call=_callback(errors, functools.partial(_answer, kernel, rows)))
     try:
         status = loop.sc_simulate(ctypes.byref(run))
         log_times = run.ev_time[:run.n_ev]
@@ -350,7 +351,7 @@ def simulate(initial: LabeledPartition, config: SimulationConfig) -> TrajectoryR
     # a run stopped by the horizon ends at it, in the type it was given
     rec.final_time = (config.horizon if rec.stop_reason == "HORIZON"
                       else run.t)
-    rec.budget_exhausted = bool(run.budget_exhausted)
+    rec.budget_exhausted = rec.stop_reason == "BUDGET"
     rec.final_counts = final_counts.tolist()
     rec.stats = {
         "events": {"MERGE": run.n_merges,
@@ -455,12 +456,12 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILER = "cc"
 
 # the loops' status, sc_simulate's stop codes, site marks, event tags and
-# requests (_engine.c)
+# request (_engine.c)
 _DEADLOCK, _CALLBACK_FAILED = 1, 3
 _STOP_REASONS = ("", "HORIZON", "BLOCKS_AT_MOST", "ABSORBED", "BUDGET")
 _MERGED, _CEMETERY = -1, -2
 _EV_MERGE, _EV_MIGRATE = 0, 1
-_ASK_LAMBDA, _ASK_ROW = 1, 2
+_ASK_ROW = 1
 
 _p = ctypes.c_void_p
 _i = ctypes.c_int64
@@ -470,18 +471,17 @@ _Call = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p)
 class _Run(ctypes.Structure):
     """sc_simulate's arguments, outcome, event log and request (`sc_run`)."""
     _fields_ = [
-        ("key", _p), ("key_len", _i), ("n_blocks", _i), ("n_sites", _i),
+        ("key", ctypes.c_uint32 * 4), ("n_blocks", _i), ("n_sites", _i),
         ("site_of", _p), ("size_of", _p), ("move_rates", _p),
         ("move_start", _p), ("move_cum", _p), ("move_dest", _p), ("lam", _p),
-        ("lam_avail", _i), ("rows", _p), ("binary", _i), ("call", _Call),
+        ("rows", _p), ("call", _Call),
         ("killing", _i), ("log_merges", _i), ("log_moves", _i),
         ("horizon", ctypes.c_double), ("budget", _i), ("floor", _i),
         ("threshold", _i), ("probes", _p), ("n_probes", _i),
         ("probe_counts", _p), ("final_site", _p), ("final_size", _p),
         ("final_counts", _p), ("t", ctypes.c_double), ("stop", _i),
-        ("budget_exhausted", _i), ("n_alive", _i), ("n_events", _i),
-        ("n_merges", _i), ("n_kills", _i), ("n_rejected", _i),
-        ("max_seen", _i), ("n_probed", _i),
+        ("n_alive", _i), ("n_events", _i), ("n_merges", _i), ("n_kills", _i),
+        ("n_rejected", _i), ("max_seen", _i), ("n_probed", _i),
         ("ev_time", ctypes.POINTER(ctypes.c_double)),
         ("ev_data", ctypes.POINTER(_i)), ("n_ev", _i), ("ev_len", _i),
         ("ev_cap", _i), ("ev_data_cap", _i), ("ask", _i), ("ask_b", _i),
@@ -558,21 +558,12 @@ def _callback(errors: list, answer=None) -> _Call:
     return _Call(resume.send)
 
 
-def _answer(kernel: RateKernel, rows, kept: list, at: int) -> None:
-    """Answer the request of the run at `at`: `lam` grown to hold `ask_b`,
-    as `lambda_total(b)` grows it, or `rows[ask_b]`, the cumulative
-    merge-size law; each table is kept in `kept` until the call returns."""
+def _answer(kernel: RateKernel, rows, at: int) -> None:
+    """Answer the request of the run at `at`, if any: `rows[ask_b]`, the
+    cumulative merge-size law, which the kernel caches and so keeps alive."""
     run = _Run.from_address(at)
-    if run.ask == _ASK_LAMBDA:
-        kernel.lambda_total(run.ask_b)
-        table = kernel.lambda_table(kernel.b_max)
-        run.lam, run.lam_avail = _addr(table), len(table)
-    elif run.ask == _ASK_ROW:
-        table = kernel.merge_size_cumulative(run.ask_b)
-        rows[run.ask_b] = _addr(table)
-    else:
-        return
-    kept.append(table)
+    if run.ask == _ASK_ROW:
+        rows[run.ask_b] = _addr(kernel.merge_size_cumulative(run.ask_b))
 
 
 def _raise_status(status: int, errors: list, run) -> None:

@@ -686,9 +686,13 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                                    kappa_value: float | None = None) -> dict:
     """Three marginals of the few-block limit: inter-coalescence times,
     uniformity of the merging pair, and the binary-merge fraction.  `stats`
-    holds the counters of few_block_torus_sample."""
+    holds the counters of few_block_torus_sample.  The blocks start at 0
+    and at +-gap on each axis, so n_blocks is at most 2 d."""
     _check_run(replicas, kappa_value, N=(N, 1), n_blocks=(n_blocks, 2))
     d = walk.dimension
+    if n_blocks > 2 * d:
+        raise ValueError(f"n_blocks must be at most 2 d = {2 * d}, the "
+                         f"number of distinct starts, got {n_blocks}")
     vol = (2 * N + 1) ** d
     if kappa_value is None:
         kappa_value = torus_kappa(walk, kernel)["kappa"]
@@ -750,15 +754,18 @@ def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
 def class_coupling_check(geography, kernel: RateKernel, class_split, t: float,
                          replicas: int = 100, seed: int = 0) -> dict:
     """Pathwise domination #full(t) <= sum_j #class_j(t) at all event times,
-    via the shared-stream coupled simulation.  `stats` holds the engine
-    counters of every replica's full trajectory (see `_add_engine_stats`)."""
+    via the shared-stream coupled simulation.  The classes are disjoint and
+    cover 1..n.  `stats` holds the engine counters of every replica's full
+    trajectory (see `_add_engine_stats`)."""
     _check_run(replicas)
     upsilon = geography.size
     # the full initial state; classes are element subsets of it
     all_elems = sorted(set().union(*[set(c) for c in class_split]))
     n = len(all_elems)
     if all_elems != list(range(1, n + 1)):
-        raise ValueError("class split must cover 1..n")
+        raise ValueError("class_split must cover 1..n")
+    if sum(len(set(c)) for c in class_split) != n:
+        raise ValueError("class_split classes must not share an element")
     full = engine_mod.singletons_at([e % upsilon for e in range(n)])
     variants = [full] + [full.restrict_to(set(c)) for c in class_split]
     seeds = spawn_seeds(seed, replicas)

@@ -120,10 +120,12 @@ class CouplingParams(_Strict):
     t: PosFloat = 1.0
 
     @pydantic.model_validator(mode="after")
-    def _covers_one_to_n(self):
+    def _is_a_class_split(self):
         elems = sorted(set().union(*map(set, self.class_split)))
         if elems != list(range(1, len(elems) + 1)):
             raise ValueError("class_split must cover 1..n")
+        if sum(len(set(c)) for c in self.class_split) != len(elems):
+            raise ValueError("class_split classes must not share an element")
         return self
 
 

@@ -14,11 +14,16 @@ a breadth-first search, and `law_at` takes its row of expm(Q t)
 state is written as `LabeledPartition.as_pairs` writes it, so a record's
 `final_partition` is looked up directly.  Nothing here reads the engine's
 tables: rates come from `RateKernel.lambda_bk` and the kernel matrix K.
+
+Two blocks on the torus [-N, N]^d, as the few-block sampler runs them, are
+a smaller chain: their difference, plus one absorbing "merged" state
+(`pair_difference_generator`).  The law of the first merge time is its
+CDF, [expm(Q t)]_{start, merged} (`first_merge_cdf`).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 from scipy import linalg
@@ -94,3 +99,39 @@ def law_at(kernel, K, start_sites, t: float, killing: bool = False) -> dict:
     states, Q = generator(kernel, K, start_sites, killing)
     probs = linalg.expm(Q * t)[0]
     return dict(zip(states, probs.tolist()))
+
+
+def pair_difference_generator(N: int, walk, merge_rate: float):
+    """(Q, index): the generator of the difference X - Y of two blocks on the
+    torus [-N, N]^d, each stepping by s at rate p_s of the `WalkSpec` walk,
+    and merging at rate `merge_rate` (lambda_{2,2}) while on one site.  So
+    the difference steps by +s and by -s at rate p_s each; a step that
+    wraps onto its own site is dropped.  `index` maps a difference, its
+    coordinates mod 2N + 1, to its state; the merged state is the last."""
+    side = 2 * N + 1
+    diffs = list(product(range(side), repeat=walk.dimension))
+    index = {x: i for i, x in enumerate(diffs)}
+    merged = len(diffs)
+    Q = np.zeros((merged + 1, merged + 1))
+    for x, i in index.items():
+        for off, p in zip(walk.offsets_array.tolist(), walk.probs_array):
+            for sign in (1, -1):
+                y = tuple((a + sign * o) % side for a, o in zip(x, off))
+                if y != x:
+                    Q[i, index[y]] += p
+    Q[index[(0,) * walk.dimension], merged] += merge_rate
+    Q[np.diag_indices_from(Q)] -= Q.sum(axis=1)
+    return Q, index
+
+
+def first_merge_cdf(Q: np.ndarray, start: int):
+    """t -> [expm(Q t)]_{start, merged} for the generator Q of
+    `pair_difference_generator`, vectorized over an array t.  The transient
+    block of Q is symmetric (a step of +s and one of -s have the same rate),
+    so it is read off that block's eigendecomposition:
+    1 - sum_k V[start, k] (V^T 1)_k exp(mu_k t)."""
+    block = Q[:-1, :-1]
+    assert np.array_equal(block, block.T)
+    mu, V = np.linalg.eigh(block)
+    weight = V[start] * V.sum(axis=0)
+    return lambda t: 1.0 - np.exp(np.multiply.outer(t, mu)) @ weight

@@ -139,6 +139,17 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
     ({"seed": 1, "dimension": 5,
       "geography": {"topology": "torus", "N": 2, "walk": {"dimension": 4}}},
      "green", "dimension: green does not use it"),
+    # d = 3 has 6 distinct starts: a seventh block shared one, and the
+    # stage-1 times came out far from their law
+    ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "torus", "N": 2},
+      "experiment": {"name": "structure", "params": {"n_blocks": 7}}},
+     "experiment", "experiment.params.n_blocks: must be at most 6"),
+    # overlapping classes are no class split: the check was vacuous
+    ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "complete",
+                                                   "sites": 2},
+      "experiment": {"name": "coupling",
+                     "params": {"class_split": [[1, 2], [2, 3]]}}},
+     "experiment", "class_split classes must not share an element"),
 ])
 def test_config_value_errors_exit_2(tmp_path, cfg, command, needle):
     r = run_cli(tmp_path, cfg, command)

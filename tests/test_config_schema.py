@@ -105,6 +105,7 @@ INVALID = [
     _experiment("coupling", class_split=[[0]]),
     _experiment("coupling", class_split=[[1, 3]]),
     _experiment("coupling", class_split=[[1, 3]], t=-1),
+    _experiment("coupling", class_split=[[1, 2], [2, 3]]),
     _experiment("decay_shape", N_values=[], t_grid=[0.5, -1]),
     _experiment("decay_shape", N_values=[2]),
 ]

@@ -612,11 +612,20 @@ def test_build_without_128_bit_integers_fails_to_build(monkeypatch,
 
 def test_ctypes_structs_match_the_c_layout(tmp_path):
     # the compiler checks every field offset and struct size that ctypes
-    # assumes against the structs of _engine.c
+    # assumes against the structs of _engine.c, and every status, stop code,
+    # site mark, event tag and request that engine.py mirrors against its
+    # enum or macro
     compiler = shutil.which(engine._COMPILER)
     if compiler is None:
         pytest.skip(f"no C compiler {engine._COMPILER!r} on PATH")
     lines = ["#include <stddef.h>", f'#include "{engine._SOURCE}"']
+    mirrors = {f"STOP_{reason or 'NONE'}": i
+               for i, reason in enumerate(engine._STOP_REASONS)}
+    for name in ("_ASK_ROW", "_DEADLOCK", "_CALLBACK_FAILED", "_MERGED",
+                 "_CEMETERY", "_EV_MERGE", "_EV_MIGRATE"):
+        mirrors[name[1:]] = getattr(engine, name)
+    for c_name, value in mirrors.items():
+        lines.append(f'_Static_assert({c_name} == {value}, "{c_name}");')
     for struct, c_name in ((engine._Run, "sc_run"),
                            (engine._Sample, "sc_sample"),
                            (engine._Pcg64, "pcg64")):

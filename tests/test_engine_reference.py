@@ -128,9 +128,11 @@ def test_reference_cases_reach_every_path():
     assert all(seen.values()), seen
 
 
-def test_lambda_table_grows_as_the_reference_grows_it():
-    # b_max = 3 at the start: sites that gain a fourth block grow the
-    # kernel's table inside the run, on both sides to the same length
+def test_lambda_table_reaches_the_start_block_count():
+    # b_max = 2 at the start: sites that gain a fourth block read lambda_4,
+    # which the loop is given up front, with the table grown to the start's
+    # block count, as no site can hold more; the records are the
+    # reference's, whose table grows inside the run
     geo = build_torus(1, simple_walk(3))
     init = singletons_per_site(geo, 3)
     kernels = [RateKernel(LambdaMeasure.beta(1.5), b_max=2) for _ in range(2)]
@@ -139,7 +141,7 @@ def test_lambda_table_grows_as_the_reference_grows_it():
             for run, k in zip((simulate, engine_oracle.simulate), kernels)]
     _assert_same(*recs)
     assert recs[0].stats["max_site_blocks"] >= 4
-    assert kernels[0].b_max == kernels[1].b_max > 3
+    assert kernels[0].b_max >= init.block_count()
 
 
 @pytest.mark.parametrize("kernel_rows", [

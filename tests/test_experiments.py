@@ -255,6 +255,11 @@ _KAPPA_TAKERS = ("pairwise", "block-count", "structure")
     ("block-count", {"n_per_site": 2.5}),
     ("structure", {"n_blocks": 1}),
     ("structure", {"n_blocks": 2.5}),
+    # d = 3 has 6 distinct starts: a seventh block would share one
+    ("structure", {"n_blocks": 7}),
+    # a class split covers 1..n, and overlapping classes are none
+    ("coupling", {"class_split": [[1, 3]]}),
+    ("coupling", {"class_split": [[1, 2], [2, 3]]}),
     *((e, {"N": v}) for e in _KAPPA_TAKERS for v in (0, 2.5)),
     ("decay", {"N_values": [1, 2.5]}),
     *(("few-block", {"N": v}) for v in (0, 2.5)),

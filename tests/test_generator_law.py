@@ -1,11 +1,15 @@
-"""The law of `simulate` against the exact law from the chain's generator.
+"""The law of `simulate` and of the few-block sampler against the exact law
+from the chain's generator.
 
-Each case runs 4000 replicas to a horizon t, with seeds fixed once
-(`spawn_seeds(case, 4000)`), and compares the counts of `final_partition`
-with the law at t (`generator_oracle.law_at`) by Pearson's chi-square over
-the cells of expected count >= 5, the other cells pooled into one.  Unlike
-the pinned streams, this judges the law, so it holds for any stream that
-is exact in law.
+Each `simulate` case runs 4000 replicas to a horizon t, with seeds fixed
+once (`spawn_seeds(case, 4000)`), and compares the counts of
+`final_partition` with the law at t (`generator_oracle.law_at`) by
+Pearson's chi-square over the cells of expected count >= 5, the other cells
+pooled into one.  Each few-block case draws 20,000 first-merge times of two
+blocks on a torus, with its seed fixed once, and compares them with the CDF
+of the pair's difference chain (`generator_oracle.first_merge_cdf`) by a
+Kolmogorov-Smirnov test.  Unlike the pinned streams, these judge the law,
+so they hold for any stream that is exact in law.
 """
 
 import functools
@@ -14,12 +18,15 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
+from scipy import linalg
+
 from spatial_coalescent.engine import SimulationConfig, simulate, singletons_at
-from spatial_coalescent.experiments import spawn_seeds
-from spatial_coalescent.geometry import generic_graph, single_site
+from spatial_coalescent.experiments import few_block_torus_sample, spawn_seeds
+from spatial_coalescent.geometry import (WalkSpec, generic_graph, simple_walk,
+                                         single_site)
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
-from generator_oracle import law_at
+from generator_oracle import first_merge_cdf, law_at, pair_difference_generator
 
 REPLICAS = 4000
 # three sites with self-loops and unequal move rates (thinned migration)
@@ -80,3 +87,62 @@ def test_law_test_rejects_faster_migration():
     measure, sites, K, t, killing = CASES[1]
     law = law_at(RateKernel(measure), 1.2 * np.array(K), sites, t, killing)
     assert _chisquare_p(_final_states(1), law) < 0.001
+
+
+# ---- the few-block sampler: the first merge of two blocks on a torus
+
+PAIR_REPLICAS = 20_000
+# 0.4 on step 0, a self-jump, and 0.1 on each +-e_i
+LAZY = WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                    (0, 0, 1), (0, 0, -1)), (0.4,) + (0.1,) * 6)
+# case: (N, walk, second start, the first being 0, seed)
+PAIR_CASES = {
+    "N1-simple": (1, simple_walk(3), (1, 0, 0), 3),
+    "N1-lazy": (1, LAZY, (1, 0, 0), 3),
+    "N2-simple": (2, simple_walk(3), (2, 0, 0), 1),
+}
+PAIR_KERNEL = RateKernel(LambdaMeasure.unit_atom(0.0))
+
+
+@functools.cache
+def _first_merge_times(case: str) -> np.ndarray:
+    N, walk, start, seed = PAIR_CASES[case]
+    logs, _stats = few_block_torus_sample(N, walk, PAIR_KERNEL,
+                                          [(0, 0, 0), start], PAIR_REPLICAS,
+                                          seed)
+    assert all(len(log) == 1 and log[0][1:] == ((0, 1), 2) for log in logs)
+    return np.array([log[0][0] for log in logs])
+
+
+def _pair_chain(case: str, merge_rate: float):
+    """(Q, start state) of the case's difference chain, merging at
+    `merge_rate`: the difference of the block at 0 and the other."""
+    N, walk, start, _seed = PAIR_CASES[case]
+    Q, index = pair_difference_generator(N, walk, merge_rate)
+    return Q, index[tuple(-x % (2 * N + 1) for x in start)]
+
+
+def _first_merge_p(case: str, merge_rate: float) -> float:
+    """The KS p-value of the case's first-merge times against the difference
+    chain merging at `merge_rate`."""
+    cdf = first_merge_cdf(*_pair_chain(case, merge_rate))
+    return float(sp_stats.kstest(_first_merge_times(case), cdf).pvalue)
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_few_block_first_merge_follows_the_generator(case):
+    rate = PAIR_KERNEL.lambda_bk(2, 2)
+    # the CDF is the start's row of expm(Q t), at the merged state
+    Q, first = _pair_chain(case, rate)
+    times = np.quantile(_first_merge_times(case), [0.01, 0.5, 0.99])
+    assert np.allclose(first_merge_cdf(Q, first)(times),
+                       [linalg.expm(Q * t)[first, -1] for t in times],
+                       rtol=0.0, atol=1e-12)
+    p = _first_merge_p(case, rate)
+    assert p > 0.001, p
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_few_block_law_test_rejects_faster_merging(case):
+    # power: the samples against the chain whose merge rate is 20 % fast
+    assert _first_merge_p(case, 1.2 * PAIR_KERNEL.lambda_bk(2, 2)) < 1e-6
