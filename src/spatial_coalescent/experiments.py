@@ -331,6 +331,12 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
 _GUARD_DIGITS = 40
 _NEGLIGIBLE = 1e-25
 _MASS_TOL = 1e-12
+# A series of `top` terms sums about top^2 / 2 decimal terms of a precision
+# that grows with top, so its cost grows faster than top^2: 729 terms
+# (t = 0.01) take 0.4 s, 2,084 (t = 0.004) take 5 s, and t = 0.001 needs
+# about 9,900.  Past _MAX_TERMS, which keeps a law to about a second (t down
+# to about 0.008), the series raises instead of running for minutes.
+_MAX_TERMS = 1000
 
 
 class _DecimalSeries:
@@ -357,6 +363,10 @@ class _DecimalSeries:
             if largest < math.log(_NEGLIGIBLE) and math.exp(-top * t) * (2 * top + 1) < 1:
                 break
             top += 1
+            if top > _MAX_TERMS:
+                raise TruncationUnstable(
+                    f"the series at t={t} needs more than {_MAX_TERMS} terms",
+                    t=t)
         self.top = top
         self.ctx = Context(prec=max(0, math.ceil(peak / math.log(10)))
                            + _GUARD_DIGITS, Emin=MIN_EMIN, Emax=MAX_EMAX)
@@ -391,7 +401,9 @@ def kingman_entrance_reference(t: float) -> dict:
                      C(i+k-2, k-1) C(i-1, k-1) / k
 
     summed exactly in decimal.  Terms and digits both grow as t falls: on
-    one core, about 2 ms at t = 0.3, 0.7 s at t = 0.01, 7 s at t = 0.004."""
+    one core, about 2 ms at t = 0.3 and 0.4 s at t = 0.01.  Below t of about
+    0.008 the series needs more than _MAX_TERMS terms and raises
+    TruncationUnstable."""
     series = _DecimalSeries(t)
     return _exact_law({k: series.alternating(k, series.top)
                        for k in range(1, series.top)}, "entrance law", t)

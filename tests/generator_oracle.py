@@ -15,10 +15,16 @@ state is written as `LabeledPartition.as_pairs` writes it, so a record's
 `final_partition` is looked up directly.  Nothing here reads the engine's
 tables: rates come from `RateKernel.lambda_bk` and the kernel matrix K.
 
-Two blocks on the torus [-N, N]^d, as the few-block sampler runs them, are
-a smaller chain: their difference, plus one absorbing "merged" state
+Two blocks on the torus [-N, N]^d, as the few-block sampler or `simulate`
+runs them, are a smaller chain: their difference, a walk with the
+symmetrized step law at twice the rate, plus one absorbing "merged" state
 (`pair_difference_generator`).  The law of the first merge time is its
 CDF, [expm(Q t)]_{start, merged} (`first_merge_cdf`).
+
+The Kingman block count, from dust or from i blocks, is a pure-death chain;
+`kingman_count_law` inverts the closed-form Laplace transform of its CDF
+on a fixed Talbot contour (Abate & Whitt 2006), sharing nothing with the
+decimal series of `experiments.kingman_entrance_reference`.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, special
 
 from spatial_coalescent.engine import CEMETERY
 
@@ -135,3 +141,55 @@ def first_merge_cdf(Q: np.ndarray, start: int):
     mu, V = np.linalg.eigh(block)
     weight = V[start] * V.sum(axis=0)
     return lambda t: 1.0 - np.exp(np.multiply.outer(t, mu)) @ weight
+
+
+def torus_pair_cdf(N: int, walk, merge_rate: float, start):
+    """`first_merge_cdf` of two blocks on the torus, one at 0 and one at the
+    coordinates `start`, stepping by `walk` and merging at `merge_rate`."""
+    Q, index = pair_difference_generator(N, walk, merge_rate)
+    return first_merge_cdf(Q, index[tuple(-x % (2 * N + 1) for x in start)])
+
+
+# Nodes of the fixed Talbot contour.  In double precision its terms reach
+# e^(2M/5) / M: at M = 48 rounding puts the laws below off by up to 1e-7
+# per cell, at M = 32 by at most 1e-9 where they hold.
+TALBOT_NODES = 32
+
+
+def _talbot(log_transform, t: float) -> np.ndarray:
+    """f(t) from the log of its Laplace transform on the contour nodes s,
+    one column per function, by the fixed Talbot rule with r = 2M / (5t)."""
+    M = TALBOT_NODES
+    theta = np.pi * np.arange(1, M) / M
+    cot = 1.0 / np.tan(theta)
+    r = 2 * M / (5 * t)
+    s = np.concatenate([[r + 0j], r * theta * (cot + 1j)])
+    ds = np.concatenate([[0.5 + 0j], 1 + 1j * (theta + (theta * cot - 1) * cot)])
+    terms = np.exp(t * s[:, None] + log_transform(s)) * ds[:, None]
+    return r / M * terms.real.sum(axis=0)
+
+
+def kingman_count_law(t: float, top: int, start: int | None = None) -> dict:
+    """{k: P(A_t = k)}, k = 1..top, for the Kingman block count from dust
+    (`start` None) or from `start` >= top blocks.
+
+    A_t <= j when T_j, the sum of independent Exp(C(b, 2)) over b > j, is at
+    most t.  From dust, log E e^(-s T_j) is
+        g(j) = log Gamma(j + 1 - a) Gamma(j + 1 - c) / (Gamma(j + 1) Gamma(j))
+    with a, c = (1 +- sqrt(1 - 8s)) / 2, and from i blocks it is g(j) - g(i).
+    Inverted (`_talbot`), the law holds to 1e-9 per cell from i <= 12
+    blocks at t in [0.01, 2] (against expm) and from dust at t >= 0.15 (up
+    to t = 40 and top = 64, against the decimal series).  From dust it fails
+    below t of about 0.1, where some hundred counts carry mass: at t = 0.05
+    it is off by 3e-3."""
+    def log_transform(s):
+        root = np.sqrt(1 - 8 * s)[:, None]
+        a, c = (1 + root) / 2, (1 - root) / 2
+
+        def g(j):
+            return (special.loggamma(j + 1 - a) + special.loggamma(j + 1 - c)
+                    - special.gammaln(j + 1) - special.gammaln(j))
+        out = g(np.arange(1, top + 1)) - np.log(s)[:, None]
+        return out if start is None else out - g(start)
+    cdf = _talbot(log_transform, t)
+    return dict(enumerate(np.diff(cdf, prepend=0.0).tolist(), start=1))

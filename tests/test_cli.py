@@ -179,6 +179,20 @@ def test_internal_value_error_exits_4(tmp_path, monkeypatch):
     assert "not a config problem" in payload["message"]
 
 
+def test_block_count_reference_too_early_exits_4(tmp_path):
+    # the entrance law's series at kappa t, about 6e-4, needs more terms
+    # than it may take: TRUNCATION_UNSTABLE, exit 4, not minutes of summing
+    cfg = {**BLOCK_COUNT_CFG,
+           "experiment": {"name": "block_count",
+                          "params": {"times": [0.001]}}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    r = CliRunner().invoke(cli.main, ["experiment", "--config", str(path),
+                                      "--out", str(tmp_path / "out")])
+    assert r.exit_code == 4, r.output
+    assert json.loads(r.output)["error"] == "TRUNCATION_UNSTABLE"
+
+
 def test_bad_kernel_row_named(tmp_path):
     cfg = {"seed": 1, "measure": KINGMAN,
            "geography": {"topology": "graph",

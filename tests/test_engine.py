@@ -39,7 +39,7 @@ from spatial_coalescent.geometry import (
 )
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
-from torus_oracle import pairwise_first_coalescence_times
+from generator_oracle import torus_pair_cdf
 
 import numpy as _np
 
@@ -270,7 +270,9 @@ def test_holding_time_exponential(kingman):
 
 def test_engine_pair_on_torus_matches_relative_walk_sampler(kingman):
     # first coalescence of two blocks N apart on the N = 4 torus: the count-
-    # class engine against the independent relative-walk sampler
+    # class engine against the exact law of the pair's relative walk, killed
+    # at the origin.  300 runs do not tell that law from one 20 % fast, but
+    # do reject it 50 % fast
     N = 4
     walk = simple_walk(3)
     geo = build_torus(N, walk)
@@ -282,10 +284,9 @@ def test_engine_pair_on_torus_matches_relative_walk_sampler(kingman):
         kernel=kingman, geography=geo, seed=s, stop_blocks_at_most=1,
         record_events=False, track_elements=False)).final_time
         for s in spawn_seeds(2024, 300)]
-    ref = pairwise_first_coalescence_times(
-        N, walk, kingman.lambda_bk(2, 2), 3000, seed=2025,
-        separation=[N, 0, 0])
-    assert sp_stats.ks_2samp(times, ref).pvalue > 1e-3
+    cdf = torus_pair_cdf(N, walk, kingman.lambda_bk(2, 2), (N, 0, 0))
+    assert sp_stats.kstest(times, cdf).pvalue > 1e-3
+    assert sp_stats.kstest(times, lambda t: cdf(1.5 * t)).pvalue < 1e-3
 
 
 def test_thinned_migration_holding_time(kingman):

@@ -1,4 +1,5 @@
 import ctypes
+import functools
 import math
 import os
 import signal
@@ -39,8 +40,8 @@ from spatial_coalescent.rates import RateKernel
 import green_oracle
 import torus_oracle
 from conftest import run_python
-from torus_oracle import (BiasedPaths, ReferenceWalk,
-                          pairwise_first_coalescence_times)
+from generator_oracle import kingman_count_law, torus_pair_cdf
+from torus_oracle import BiasedPaths, ReferenceWalk
 
 KAPPA_D3_UNIT = 0.5687658867  # 2 / (G + 2) for the nearest-neighbor walk
 
@@ -338,37 +339,23 @@ def test_stay_infinite_trend_kingman_saturates(kingman):
 
 # ---------------------------------------------------------------- entrance law
 
-def _death_chain_counts(taus, n0: int, replicas: int, seed: int) -> np.ndarray:
-    """Monte Carlo oracle: block counts of the unit-rate pairwise coalescent
-    started from n0 singletons, sampled at each time in taus.  Returns
-    (replicas, len(taus))."""
-    rng = np.random.default_rng(seed)
-    taus = np.asarray(taus, dtype=float)
-    out = np.empty((replicas, len(taus)), dtype=np.int64)
-    bs = np.arange(n0, 1, -1)
-    rates = bs * (bs - 1) / 2.0
-    chunk = max(1, int(4e6 // max(n0, 1)))
-    row = 0
-    while row < replicas:
-        m = min(chunk, replicas - row)
-        waits = rng.exponential(1.0, size=(m, n0 - 1)) / rates
-        cum = np.cumsum(waits, axis=1)
-        for j, tau in enumerate(taus):
-            drops = (cum <= tau).sum(axis=1)
-            out[row:row + m, j] = n0 - drops
-        row += m
-    return out
-
-
 # criterion 8's reference times kappa/2 and kappa for the unit simple walk
 ORACLE_TIMES = (0.284, 0.569)
+# counts above 64 carry mass below 1e-25 at these times; the Talbot law is
+# off by about 4e-9 in total variation, and a time 1 % late moves it by 0.012
+ORACLE_TOP, ORACLE_TV = 64, 1e-8
 
 
-@pytest.fixture(scope="module")
-def death_chain_sample():
-    # a start of 10,000 lags dust by about 1e-3 in total variation at these
-    # times, well under the sampling noise of 60,000 replicas
-    return _death_chain_counts(ORACLE_TIMES, 10_000, 60_000, seed=3)
+def _tv(law: dict, exact: dict) -> float:
+    return 0.5 * sum(abs(law.get(k, 0.0) - exact.get(k, 0.0))
+                     for k in set(law) | set(exact))
+
+
+def _joint_count_law(t1: float, t2: float) -> dict:
+    """P(A_t1 = i) P_i(A_(t2 - t1) = j), both by Laplace inversion."""
+    return {(i, j): p * q
+            for i, p in kingman_count_law(t1, ORACLE_TOP).items()
+            for j, q in kingman_count_law(t2 - t1, i, start=i).items()}
 
 
 def test_entrance_law_collapses_for_large_t():
@@ -392,24 +379,30 @@ def test_entrance_law_tail_monotone_in_t():
         assert tail2 <= tail1 + 0.01
 
 
-def test_entrance_series_matches_simulation(death_chain_sample):
-    # the exact law against the death-chain oracle: the total variation of
-    # an empirical law from its own law has mean about 0.4 of the summed
-    # per-cell standard deviations, which is the bound
-    replicas = len(death_chain_sample)
-    for j, t in enumerate(ORACLE_TIMES):
-        exact = kingman_entrance_reference(t)
-        sim = experiments._counts_to_dist(death_chain_sample[:, j])
-        tv = 0.5 * sum(abs(exact.get(k, 0.0) - sim.get(k, 0.0))
-                       for k in set(exact) | set(sim))
-        noise = sum(math.sqrt(p * (1.0 - p) / replicas) for p in exact.values())
-        assert tv <= noise, (t, tv, noise)
+def test_entrance_series_matches_simulation():
+    # the decimal series against the death chain's law by Laplace inversion,
+    # which shares no step with it
+    for t in ORACLE_TIMES:
+        tv = _tv(kingman_entrance_reference(t),
+                 kingman_count_law(t, ORACLE_TOP))
+        assert tv <= ORACLE_TV, (t, tv)
 
 
-def test_entrance_joint_law_matches_death_chain_oracle(death_chain_sample):
+def test_entrance_joint_law_matches_death_chain_oracle():
     t1, t2 = ORACLE_TIMES
     joint = kingman_entrance_joint_law(kingman_entrance_reference(t1), t2 - t1)
-    assert experiments._joint_chi2(death_chain_sample, joint) > 1e-3
+    tv = _tv(joint, _joint_count_law(t1, t2))
+    assert tv <= ORACLE_TV, tv
+
+
+def test_entrance_oracle_rejects_a_time_one_percent_late():
+    # power: each law against the death chain's at times 1 % late
+    t1, t2 = ORACLE_TIMES
+    for t in ORACLE_TIMES:
+        assert _tv(kingman_entrance_reference(t),
+                   kingman_count_law(1.01 * t, ORACLE_TOP)) > ORACLE_TV
+    joint = kingman_entrance_joint_law(kingman_entrance_reference(t1), t2 - t1)
+    assert _tv(joint, _joint_count_law(1.01 * t1, 1.01 * t2)) > ORACLE_TV
 
 
 @pytest.mark.parametrize("t", [0.01, 0.05, 0.284, 0.569, 20.0])
@@ -429,6 +422,16 @@ def test_entrance_joint_law_marginals_are_entrance_laws():
             assert marginal.get(k, 0.0) == pytest.approx(exact.get(k, 0.0),
                                                          rel=0.0, abs=1e-12)
     assert all(j <= i for i, j in joint)
+
+
+def test_entrance_law_raises_when_terms_run_out():
+    # t = 0.001 needs about 9,900 terms, which would take minutes to sum;
+    # the series raises once it needs more than _MAX_TERMS, in well under
+    # a second
+    started = time.perf_counter()
+    with pytest.raises(TruncationUnstable, match="terms"):
+        kingman_entrance_reference(1e-3)
+    assert time.perf_counter() - started < 5.0
 
 
 def test_entrance_law_raises_when_digits_run_out(monkeypatch):
@@ -622,48 +625,41 @@ def test_structure_small_case(kingman):
 
 
 @pytest.fixture(scope="module")
-def relative_times():
-    # the relative-walk sampler's first-coalescence times of two blocks 4
-    # sites apart on the N = 4 torus, computed once per walk for the tests
-    # that compare the few-block sampler with them
-    cache = {}
-
-    def times(w):
-        if w not in cache:
-            cache[w] = pairwise_first_coalescence_times(
-                4, w, 1.0, 4000, seed=32, separation=[4, 0, 0])
-        return cache[w]
-    return times
+def pair_cdf():
+    # the exact first-merge CDF of two blocks 4 sites apart on the N = 4
+    # torus, from their difference chain, built once per walk
+    return functools.cache(lambda w: torus_pair_cdf(4, w, 1.0, (4, 0, 0)))
 
 
 @pytest.mark.parametrize("w", [simple_walk(3), DRIFTED, LAZY],
                          ids=["simple", "drifted", "lazy"])
 def test_few_block_first_coalescence_matches_pairwise_sampler(
-        kingman, relative_times, w):
+        kingman, pair_cdf, w):
     # distributional check of the chunked few-block sampler, the path of
     # pairwise_torus_experiment: with two blocks its first merge time has
-    # the law of the independent relative-walk sampler's first-coalescence
-    # time
+    # the law of the pair's relative walk, killed at the origin; the test
+    # rejects that law with merging and migration 20 % fast
     logs, _ = few_block_torus_sample(4, w, kingman, [[0, 0, 0], [4, 0, 0]],
                                      replicas=4000, seed=31)
     chunked = np.array([log[0][0] for log in logs])
     assert all(len(log) == 1 and log[0][2] == 2 for log in logs)
-    relative = relative_times(w)
-    assert sp_stats.ks_2samp(chunked, relative).pvalue > 1e-3
+    cdf = pair_cdf(w)
+    assert sp_stats.kstest(chunked, cdf).pvalue > 1e-3
+    assert sp_stats.kstest(chunked, lambda t: cdf(1.2 * t)).pvalue < 1e-3
 
 
 @pytest.mark.parametrize("w", [simple_walk(3), LAZY], ids=["simple", "lazy"])
-def test_few_block_long_chunks_match_pairwise_sampler(kingman, relative_times,
-                                                      w):
+def test_few_block_long_chunks_match_pairwise_sampler(kingman, pair_cdf, w):
     # calls of fewer than 128 replicas, whose every pass takes chunks of
     # more than 256 steps: pooled, their first merge times have the law of
-    # the relative-walk sampler's first-coalescence time
+    # the pair's relative walk, and not that law 20 % fast
     chunked = [log[0][0] for seed in range(100, 140)
                for log in few_block_torus_sample(
                    4, w, kingman, [[0, 0, 0], [4, 0, 0]], replicas=100,
                    seed=seed)[0]]
-    relative = relative_times(w)
-    assert sp_stats.ks_2samp(chunked, relative).pvalue > 1e-3
+    cdf = pair_cdf(w)
+    assert sp_stats.kstest(chunked, cdf).pvalue > 1e-3
+    assert sp_stats.kstest(chunked, lambda t: cdf(1.2 * t)).pvalue < 1e-3
 
 
 @pytest.mark.parametrize("N, d, apart, calls", [

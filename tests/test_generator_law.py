@@ -10,6 +10,11 @@ blocks on a torus, with its seed fixed once, and compares them with the CDF
 of the pair's difference chain (`generator_oracle.first_merge_cdf`) by a
 Kolmogorov-Smirnov test.  Unlike the pinned streams, these judge the law,
 so they hold for any stream that is exact in law.
+
+Two oracles that other tests judge by are pinned here against `expm`:
+the first-merge CDF at N = 4, for the walks of the few-block and engine
+pair tests, and the Laplace-inverted Kingman count law
+(`generator_oracle.kingman_count_law`) from 2..12 blocks.
 """
 
 import functools
@@ -26,7 +31,9 @@ from spatial_coalescent.geometry import (WalkSpec, generic_graph, simple_walk,
                                          single_site)
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
-from generator_oracle import first_merge_cdf, law_at, pair_difference_generator
+from generator_oracle import (first_merge_cdf, kingman_count_law, law_at,
+                              pair_difference_generator, torus_pair_cdf)
+from test_experiments import DRIFTED, LAZY as HALF_LAZY
 
 REPLICAS = 4000
 # three sites with self-loops and unequal move rates (thinned migration)
@@ -146,3 +153,31 @@ def test_few_block_first_merge_follows_the_generator(case):
 def test_few_block_law_test_rejects_faster_merging(case):
     # power: the samples against the chain whose merge rate is 20 % fast
     assert _first_merge_p(case, 1.2 * PAIR_KERNEL.lambda_bk(2, 2)) < 1e-6
+
+
+@pytest.mark.parametrize("walk", [simple_walk(3), DRIFTED, HALF_LAZY],
+                         ids=["simple", "drifted", "lazy"])
+def test_first_merge_cdf_at_n4_follows_expm(walk):
+    # from the difference -(4, 0, 0): the start's row of expm(100 Q) to the
+    # power k is that of expm(100 k Q)
+    Q, index = pair_difference_generator(4, walk, 1.0)
+    step, row = linalg.expm(100.0 * Q), np.zeros(len(Q))
+    row[index[(5, 0, 0)]] = 1.0
+    cdf = torus_pair_cdf(4, walk, 1.0, (4, 0, 0))
+    for k in range(1, 31):
+        row = row @ step
+        if k in (1, 3, 10, 30):
+            assert abs(cdf(100.0 * k) - row[-1]) <= 1e-12, k
+
+
+# criterion 8's times, which the entrance tests use, and two beyond them
+@pytest.mark.parametrize("t", [0.05, 0.284, 0.569, 2.0])
+def test_kingman_count_law_follows_the_death_chain(t):
+    # from i blocks, the count law by Laplace inversion against expm of the
+    # pure-death generator with rates C(b, 2) on counts 0..i
+    for i in range(2, 13):
+        b = np.arange(i + 1)
+        Q = np.diag(b[1:] * (b[1:] - 1) / 2.0, k=-1)
+        Q -= np.diag(Q.sum(axis=1))
+        assert np.allclose(list(kingman_count_law(t, i, start=i).values()),
+                           linalg.expm(Q * t)[i, 1:], rtol=0.0, atol=1e-8), i

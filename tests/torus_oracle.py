@@ -1,12 +1,4 @@
-"""Oracles for the few-block torus sampler.
-
-Two blocks on the torus [-N, N]^d coalesce first when their relative
-displacement, a rate-2 walk with the symmetrized step law, has sat at the
-origin long enough for a rate-lambda_{2,2} clock to ring (Cox 1989).
-`pairwise_first_coalescence_times` follows that displacement one event per
-numpy pass, independently of `experiments.few_block_torus_sample`, which
-moves both blocks and serves the production experiments; the tests compare
-the two in law.
+"""The numpy reference of the few-block torus sampler.
 
 `few_block_torus_sample` here is the reference of the production sampler,
 which runs it as one C loop (`sc_few_block`): the same algorithm in numpy,
@@ -21,6 +13,10 @@ and compares each with the mover's site, where the C loop scans the steps
 one at a time.  It takes the chunk length K from its caller.  It wraps by
 its own `BiasedPaths` tables, not by the add and mask of the C loop and of
 `ReferenceWalk.move`, so that each is checked against an independent wrap.
+
+The sampler's law is judged apart from its stream: the first merge of two
+blocks against the exact CDF of their difference chain
+(`generator_oracle.torus_pair_cdf`).
 """
 
 from __future__ import annotations
@@ -30,50 +26,6 @@ import numpy as np
 from spatial_coalescent.experiments import _TorusWalk, _check_run
 from spatial_coalescent.geometry import WalkSpec, check_torus_walk
 from spatial_coalescent.rates import RateKernel
-
-
-def _relative_step_table(walk: WalkSpec):
-    offs = walk.offsets_array
-    probs = walk.probs_array
-    rel_offs = np.concatenate([offs, -offs])
-    rel_probs = np.concatenate([probs, probs]) / 2.0
-    return rel_offs, np.cumsum(rel_probs)
-
-
-def pairwise_first_coalescence_times(N: int, walk: WalkSpec, lambda22: float,
-                                     replicas: int, seed: int,
-                                     separation=None) -> np.ndarray:
-    """First-coalescence times of two blocks on the torus, exact in law.
-
-    Simulates the relative displacement (a rate-2 walk with the symmetrized
-    step law) plus a rate-lambda22 coalescence clock active at the origin.
-    """
-    d = walk.dimension
-    side = 2 * N + 1
-    if separation is None:
-        separation = [N] + [0] * (d - 1)
-    rel_offs, rel_cum = _relative_step_table(walk)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    y = np.tile(np.asarray(separation, dtype=np.int64), (replicas, 1))
-    t = np.zeros(replicas)
-    out = np.empty(replicas)
-    idx = np.arange(replicas)
-    while idx.size:
-        at0 = ~np.any(y, axis=1)
-        rate = 2.0 + lambda22 * at0
-        t += rng.exponential(1.0, size=idx.size) / rate
-        u = rng.random(idx.size) * rate
-        coal = at0 & (u < lambda22)
-        if np.any(coal):
-            out[idx[coal]] = t[coal]
-            keep = ~coal
-            idx, y, t = idx[keep], y[keep], t[keep]
-            if not idx.size:
-                break
-        step = np.searchsorted(rel_cum, rng.random(idx.size), side="right")
-        step = np.minimum(step, len(rel_offs) - 1)
-        y = (y + rel_offs[step] + N) % side - N
-    return out
 
 
 class BiasedPaths:
