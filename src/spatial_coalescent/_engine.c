@@ -21,6 +21,15 @@
  * block count is its roster's length.  The loop builds the start rosters
  * from the start site of each block, so each holds its ids in id order.
  *
+ * The hot path keeps its branches off the random data where it can without
+ * changing a draw, a sum's order or a record: the Twister tempers its words
+ * a refill at a time, out of line; `bisect_right` halves by selects; the
+ * class search counts the partial sums of the class weights, which the
+ * recompute of the total keeps, that u is not below; and `drop` writes
+ * unconditionally.  The branches left choose the event, reject a draw or
+ * follow a site's count; the class updates keep theirs, as selects there
+ * made the loop slower on the N = 4 torus.
+ *
  * Each loop takes one struct, `sc_run` or `sc_sample`, that holds its
  * inputs, its outputs and its log, and takes its fixed-size arrays from one
  * allocation (`carve`), released by one free.  The lists that grow,
@@ -117,7 +126,8 @@ typedef struct {
 
 /* ---- CPython's Mersenne Twister --------------------------------------- */
 
-typedef struct { uint32_t mt[MT_N]; int64_t index; } mt_state;
+/* the twisted state, and its words tempered, drawn from out[index] on */
+typedef struct { uint32_t mt[MT_N], out[MT_N]; int64_t index; } mt_state;
 
 /* CPython's random.seed(n) for an int n >= 0 whose 32-bit words, low
  * first, are key[0:4]: init_by_array over the words up to the highest
@@ -156,33 +166,48 @@ static void seed_by_array(mt_state *r, const uint32_t *key)
     r->index = MT_N;
 }
 
-static uint32_t genrand(mt_state *r)
+/* the twist's term for y, the top bit of hi over the low 31 of lo: y >> 1,
+ * xor the matrix's row where y is odd */
+static inline uint32_t twist(uint32_t hi, uint32_t lo)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
-    uint32_t *mt = r->mt, y;
-    if (r->index >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        r->index = 0;
-    }
-    y = mt[r->index++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
+    uint32_t y = (hi & 0x80000000U) | (lo & 0x7fffffffU);
+    return (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
 }
 
-static double random_double(mt_state *r)
+/* the next MT_N words: the state twisted, then every word tempered in one
+ * pass, out of the draw's line, which is left a load and an increment.
+ * The odd-word mask in place of a table lookup, and the first loop's count
+ * cut to a multiple of 4, let the compiler vectorize the loops at -O2. */
+static __attribute__((noinline)) void refill(mt_state *r)
+{
+    uint32_t *mt = r->mt;
+    int kk;
+    for (kk = 0; kk < (MT_N - MT_M) / 4 * 4; kk++)
+        mt[kk] = mt[kk + MT_M] ^ twist(mt[kk], mt[kk + 1]);
+    for (; kk < MT_N - MT_M; kk++)
+        mt[kk] = mt[kk + MT_M] ^ twist(mt[kk], mt[kk + 1]);
+    for (; kk < MT_N - 1; kk++)
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ twist(mt[kk], mt[kk + 1]);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ twist(mt[MT_N - 1], mt[0]);
+    for (kk = 0; kk < MT_N; kk++) {
+        uint32_t y = mt[kk];
+        y ^= (y >> 11);
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        y ^= (y >> 18);
+        r->out[kk] = y;
+    }
+    r->index = 0;
+}
+
+static inline uint32_t genrand(mt_state *r)
+{
+    if (__builtin_expect(r->index >= MT_N, 0))
+        refill(r);
+    return r->out[r->index++];
+}
+
+static inline double random_double(mt_state *r)
 {
     uint32_t a = genrand(r) >> 5, b = genrand(r) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
@@ -194,7 +219,7 @@ static int bit_length(int64_t n)
 }
 
 /* a uniform index below n, 1 <= n < 2^31 */
-static int64_t randbelow(mt_state *r, int64_t n)
+static inline int64_t randbelow(mt_state *r, int64_t n)
 {
     int shift = 32 - bit_length(n);
     int64_t x = genrand(r) >> shift;
@@ -203,18 +228,25 @@ static int64_t randbelow(mt_state *r, int64_t n)
     return x;
 }
 
-/* Python's bisect_right over a[0:n] */
-static int64_t bisect_right(const double *a, int64_t n, double x)
+/* Python's bisect_right over a[0:n], a row that does not decrease, as
+ * every row here is a running sum of nonnegative terms divided by its last
+ * (a site's move law, a merge-size law).  On such a row Python's test
+ * !(x < a[i]) holds on a prefix, ties included, so the answer is that
+ * prefix's length, which halving finds with a select, not a branch, at
+ * each step: the steps depend on n alone, not on x, whose branches would
+ * be mispredicted. */
+static inline int64_t bisect_right(const double *a, int64_t n, double x)
 {
-    int64_t lo = 0, hi = n;
-    while (lo < hi) {
-        int64_t mid = (lo + hi) / 2;
-        if (x < a[mid])
-            hi = mid;
-        else
-            lo = mid + 1;
+    const double *base = a;
+    if (n <= 0)
+        return 0;
+    /* the count lies in [base - a, base - a + n] */
+    while (n > 1) {
+        int64_t half = n / 2;
+        base += x < base[half] ? 0 : half;
+        n -= half;
     }
-    return lo;
+    return base - a + !(x < base[0]);
 }
 
 /* ---- memory ------------------------------------------------------------ */
@@ -290,7 +322,7 @@ static int reserve(void *at, int64_t *cap, int64_t need, size_t size)
 
 typedef struct { int32_t *v; int64_t n, cap; } list;
 
-static int push(list *a, int32_t x)
+static inline int push(list *a, int32_t x)
 {
     if (reserve(&a->v, &a->cap, a->n + 1, sizeof *a->v))
         return -1;
@@ -298,15 +330,15 @@ static int push(list *a, int32_t x)
     return 0;
 }
 
-/* remove x, at index pos[x] of a, by moving the last entry into its place */
-static void drop(list *a, int32_t x, int64_t *pos)
+/* remove x, at index pos[x] of a, by moving the last entry into its place;
+ * where x is the last, that writes it into the slot it leaves, past the
+ * list's end, which costs less than the branch it saves */
+static inline void drop(list *a, int32_t x, int64_t *pos)
 {
     int32_t last = a->v[--a->n];
-    if (last != x) {
-        int64_t p = pos[x];
-        a->v[p] = last;
-        pos[last] = p;
-    }
+    int64_t p = pos[x];
+    a->v[p] = last;
+    pos[last] = p;
 }
 
 static int log_event(sc_run *run, double t, const int64_t *data, int64_t n)
@@ -343,13 +375,14 @@ typedef struct {
     list *sites_with;            /* by count c: the sites holding c blocks */
     int64_t *occupied, *occ_pos; /* occupied classes; index of each in it */
     double *occ_weight;          /* lambda_c |S_c| per occupied class */
+    double *occ_sum;             /* their running sums, left to right */
     int64_t *pos_in_class;       /* by site */
     int64_t n_occ;
     const double *lam;           /* the run's lambda_b table */
 } classes;
 
 /* site s leaves class b (b >= 2) */
-static void class_leave(classes *k, int64_t b, int32_t s)
+static inline void class_leave(classes *k, int64_t b, int32_t s)
 {
     list *members = &k->sites_with[b];
     drop(members, s, k->pos_in_class);
@@ -368,7 +401,7 @@ static void class_leave(classes *k, int64_t b, int32_t s)
 }
 
 /* site s joins class c (c >= 2) */
-static int class_join(classes *k, int64_t c, int32_t s)
+static inline int class_join(classes *k, int64_t c, int32_t s)
 {
     list *members = &k->sites_with[c];
     k->pos_in_class[s] = members->n;
@@ -414,6 +447,7 @@ int64_t sc_simulate(sc_run *run)
         k.occupied = carve(&a, n0 + 2, sizeof *k.occupied);
         k.occ_pos = carve(&a, n0 + 2, sizeof *k.occ_pos);
         k.occ_weight = carve(&a, n0 + 2, sizeof *k.occ_weight);
+        k.occ_sum = carve(&a, n0 + 2, sizeof *k.occ_sum);
         k.pos_in_class = carve(&a, n_sites, sizeof *k.pos_in_class);
         /* a merge's chosen ids, sample's pool and set (multiple mergers
          * only), and the log record of one event */
@@ -476,9 +510,11 @@ int64_t sc_simulate(sc_run *run)
             goto callback_failed;
         if (stale) {
             stale = 0;
-            coal_tot = 0.0;  /* summed left to right, as the reference loop adds */
+            /* summed left to right, as the reference loop adds, keeping
+             * each partial sum for the class search */
+            coal_tot = 0.0;
             for (int64_t i = 0; i < k.n_occ; i++)
-                coal_tot += k.occ_weight[i];
+                k.occ_sum[i] = coal_tot += k.occ_weight[i];
             double mig_tot = uniform_moves || n_mobile
                              ? max_move * (double)alive.n : 0.0;
             total = coal_tot + mig_tot;
@@ -512,14 +548,14 @@ int64_t sc_simulate(sc_run *run)
         int32_t s, dest = -1;
         if (u < coal_tot || only_coal) {
             /* ---- coalescence: class b with weight lambda_b |S_b| ---- */
-            double acc = 0.0;
-            int64_t i;
-            for (i = 0; i < k.n_occ - 1; i++) {
-                acc += k.occ_weight[i];
-                if (u < acc)
-                    break;
-            }
-            /* (a u rounded onto the total falls through to the last class) */
+            /* the first class whose partial sum passes u, the reference
+             * loop's running sum: as the weights are nonnegative, the
+             * number of partial sums that u is not below, counted without
+             * an early exit, whose branch would follow u.  A u rounded onto
+             * the total falls through to the last class. */
+            int64_t i = 0;
+            for (int64_t j = 0; j < k.n_occ - 1; j++)
+                i += !(u < k.occ_sum[j]);
             b = k.occupied[i];
             list *members = &k.sites_with[b];
             s = members->v[randbelow(&rng, members->n)];
@@ -716,7 +752,8 @@ done:
     run->n_probed = probe_idx;
     for (int64_t s = 0; s < n_sites; s++)
         run->final_counts[s] = rosters[s].n;
-    for (int64_t i = 0; i < n_sites + n0 + 2; i++)
+    /* no site held more than max_seen blocks, so no class above it grew */
+    for (int64_t i = 0; i < n_sites + max_seen + 2; i++)
         free(rosters[i].v);
     free(a.base);
     return status;

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # numpy's BLAS on one thread unless the caller chose a count, as in
@@ -35,6 +36,21 @@ def run_python(*args, timeout=None):
     return subprocess.run([sys.executable, *map(str, args)],
                           capture_output=True, text=True, env=env,
                           timeout=timeout)
+
+
+def wide_kernel():
+    """An 11-site move kernel for the compiled loop's draw paths: site 0
+    moves to the ten others, with weights 1..10; site 1 never moves; site 2
+    moves to sites 3, 4 and 5 with weights 0.5, 1e-20 and 0.5, so its
+    normalised cumulative law repeats a value, [0.5, 0.5, 1.0]; and sites
+    3..10 leave at rate 0.6, to site 0 or 2, so the move rates differ."""
+    kernel = np.zeros((11, 11))
+    kernel[0, 1:] = np.arange(1, 11) / 55.0
+    kernel[1, 1] = 1.0
+    kernel[2, 3:6] = 0.5, 1e-20, 0.5
+    kernel[3:, 0], kernel[3:, 2] = 0.4, 0.2
+    kernel[range(3, 11), range(3, 11)] = 0.4
+    return kernel
 
 
 def coalsim(*args, timeout=None):

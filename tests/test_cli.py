@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import coalsim, run_python
-from spatial_coalescent import cli
+from spatial_coalescent import cli, experiments
 from spatial_coalescent.geometry import green_function, simple_walk
 
 
@@ -179,9 +179,13 @@ def test_internal_value_error_exits_4(tmp_path, monkeypatch):
     assert "not a config problem" in payload["message"]
 
 
-def test_block_count_reference_too_early_exits_4(tmp_path):
+def test_block_count_reference_too_early_exits_4(tmp_path, monkeypatch):
     # the entrance law's series at kappa t, about 6e-4, needs more terms
-    # than it may take: TRUNCATION_UNSTABLE, exit 4, not minutes of summing
+    # than it may take: TRUNCATION_UNSTABLE, exit 4, not minutes of summing,
+    # and before any replica is simulated
+    runs = []
+    monkeypatch.setattr(experiments, "simulate",
+                        lambda *a, **kw: runs.append(1))
     cfg = {**BLOCK_COUNT_CFG,
            "experiment": {"name": "block_count",
                           "params": {"times": [0.001]}}}
@@ -191,6 +195,7 @@ def test_block_count_reference_too_early_exits_4(tmp_path):
                                       "--out", str(tmp_path / "out")])
     assert r.exit_code == 4, r.output
     assert json.loads(r.output)["error"] == "TRUNCATION_UNSTABLE"
+    assert runs == []
 
 
 def test_bad_kernel_row_named(tmp_path):

@@ -39,6 +39,7 @@ from spatial_coalescent.geometry import (
 )
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
+from conftest import wide_kernel
 from generator_oracle import torus_pair_cdf
 
 import numpy as _np
@@ -611,6 +612,16 @@ def test_build_without_128_bit_integers_fails_to_build(monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_build_flags_keep_the_floating_point_exact():
+    # the loops' sums, products and log() round as Python's and numpy's do
+    # only without contraction into fused multiply-adds, without fast-math
+    # reassociation and on no host-specific instruction set: the records of
+    # tests/engine_oracle.py and the pinned streams rest on these flags
+    assert "-ffp-contract=off" in engine._CFLAGS
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                "-march=native"} & set(engine._CFLAGS)
+
+
 def test_ctypes_structs_match_the_c_layout(tmp_path):
     # the compiler checks every field offset and struct size that ctypes
     # assumes against the structs of _engine.c, and every status, stop code,
@@ -646,7 +657,10 @@ def test_ctypes_structs_match_the_c_layout(tmp_path):
 
 # both loops of the library, built with AddressSanitizer and UBSan: Beta(1.5)
 # runs with and without killing (migrations, merge-size rows, the event log),
-# 300 blocks at one site (Random.sample's set branch) and a 4-block sample
+# on the torus and on `wide_kernel`'s graph (unequal move rates, so thinning,
+# a site that never moves and the bisected rows of ten destinations and of
+# a repeated value), 300 blocks at one site (Random.sample's set branch) and
+# a 4-block sample
 _SANITIZED_RUNS = """
 from spatial_coalescent import engine
 engine._CFLAGS = (*engine._CFLAGS, "-fsanitize=address,undefined",
@@ -654,16 +668,17 @@ engine._CFLAGS = (*engine._CFLAGS, "-fsanitize=address,undefined",
 from spatial_coalescent.engine import (SimulationConfig, simulate,
                                        singletons_at, singletons_per_site)
 from spatial_coalescent.experiments import few_block_torus_sample
-from spatial_coalescent.geometry import build_torus, simple_walk, single_site
+from spatial_coalescent.geometry import (build_torus, generic_graph,
+                                         simple_walk, single_site)
 from spatial_coalescent.measure import LambdaMeasure
 from spatial_coalescent.rates import RateKernel
 
 beta = RateKernel(LambdaMeasure.beta(1.5))
-torus = build_torus(1, simple_walk(3))
-for killing in (False, True):
-    simulate(singletons_per_site(torus, 4), SimulationConfig(
-        kernel=beta, geography=torus, killing=killing, seed=3,
-        stop_when_absorbed=True, probe_times=(0.1, 1.0)))
+for geo in (build_torus(1, simple_walk(3)), generic_graph({wide})):
+    for killing in (False, True):
+        simulate(singletons_per_site(geo, 4), SimulationConfig(
+            kernel=beta, geography=geo, killing=killing, seed=3,
+            stop_when_absorbed=True, probe_times=(0.1, 1.0)))
 simulate(singletons_at([0] * 300), SimulationConfig(
     kernel=beta, geography=single_site(), seed=5, stop_when_absorbed=True))
 few_block_torus_sample(2, simple_walk(3), beta,
@@ -687,7 +702,8 @@ def test_both_loops_run_clean_under_sanitizers(tmp_path):
                                          os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path, "HOME": str(tmp_path),
            "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"}
-    done = subprocess.run([sys.executable, "-c", _SANITIZED_RUNS], env=env,
+    script = _SANITIZED_RUNS.format(wide=wide_kernel().tolist())
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-4000:]
 

@@ -2,13 +2,19 @@
 (tests/engine_oracle.py): every field of every record must be equal, for
 each kernel, geography and stop rule, with recording on and off."""
 
+import bisect
+import ctypes
 import itertools
 import math
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
 import engine_oracle
+from conftest import wide_kernel
+from spatial_coalescent import engine
 from spatial_coalescent.engine import (
     SimulationConfig,
     simulate,
@@ -46,7 +52,8 @@ def _start(geography):
     """(geography, start): sizes that reach multiple mergers at one site,
     sample's pool and set branches (b above 21 and above 85), set-branch
     samples at two sites in turn, and, on the torus, sites that gain
-    blocks."""
+    blocks; "wide" bisects a row of ten destinations and a row with a
+    repeated value (`wide_kernel`)."""
     if geography == "one-site":
         return single_site(), singletons_at([0] * 100)
     if geography == "complete":
@@ -55,6 +62,9 @@ def _start(geography):
     if geography == "torus":
         geo = build_torus(2, simple_walk(3))
         return geo, singletons_per_site(geo, 2)
+    if geography == "wide":
+        geo = generic_graph(wide_kernel())
+        return geo, singletons_per_site(geo, 8)
     geo = generic_graph(_UNEQUAL)
     return geo, singletons_per_site(geo, 8)
 
@@ -88,7 +98,7 @@ def _assert_same(got, want):
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 @pytest.mark.parametrize("geography", ["one-site", "complete", "torus",
-                                       "unequal"])
+                                       "unequal", "wide"])
 @pytest.mark.parametrize("measure", sorted(MEASURES))
 def test_compiled_loop_equals_reference(measure, geography, setting):
     kernel = RateKernel(MEASURES[measure]())
@@ -126,6 +136,58 @@ def test_reference_cases_reach_every_path():
                     alive -= k - 1
     assert reasons == {"ABSORBED", "HORIZON", "BUDGET", "BLOCKS_AT_MOST"}
     assert all(seen.values()), seen
+
+
+def test_wide_graph_draws_every_row(kingman_kernel):
+    # the "wide" geography's moves bisect site 0's row of ten destinations
+    # and site 2's row [0.5, 0.5, 1.0], whose second destination, of weight
+    # 1e-20, no uniform reaches; site 1 keeps what comes to it
+    geo, init = _start("wide")
+    moves = set()
+    for seed in (0, 1):
+        rec = simulate(init, SimulationConfig(
+            kernel=kingman_kernel, geography=geo, seed=seed, horizon=10.0))
+        moves |= {(s, dest) for _t, tag, (_bid, s, dest) in rec.events
+                  if tag == "MIGRATE"}
+    assert {dest for s, dest in moves if s == 0} == set(range(1, 11))
+    assert {dest for s, dest in moves if s == 2} == {3, 5}
+    assert not any(s == 1 for s, _dest in moves)
+
+
+def test_bisect_is_pythons_bisect_right(tmp_path):
+    # the loop's bisect_right, built from its source with the library's
+    # flags, against bisect.bisect_right on non-decreasing rows with runs of
+    # equal values, at each value (where the tie rule decides), either side
+    # of it, and outside the row
+    compiler = shutil.which(engine._COMPILER)
+    if compiler is None:
+        pytest.skip(f"no C compiler {engine._COMPILER!r} on PATH")
+    source = tmp_path / "bisect.c"
+    source.write_text(
+        f'#include "{engine._SOURCE}"\n'
+        "int64_t bisect_for_test(const double *a, int64_t n, double x)\n"
+        "{ return bisect_right(a, n, x); }\n")
+    include, lib_dir = engine._numpy_random_dirs()
+    built = subprocess.run(
+        [compiler, *engine._CFLAGS, f"-I{include}", "-o",
+         str(tmp_path / "bisect.so"), str(source), f"-L{lib_dir}",
+         "-lnpyrandom", "-lm"], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    c_bisect = ctypes.CDLL(str(tmp_path / "bisect.so")).bisect_for_test
+    c_bisect.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_double]
+    c_bisect.restype = ctypes.c_int64
+    rng = np.random.default_rng(5)
+    rows = [[], [0.5], [0.5, 0.5, 1.0], [1.0] * 9, [0.0] * 4 + [1.0]]
+    for n in range(1, 40):
+        rows.append(np.sort(rng.integers(0, 6, n) / 4.0).tolist())
+    for row in rows:
+        a = np.array(row, dtype=float)
+        xs = {-1.0, 0.0, 2.0, math.inf, -math.inf}
+        for v in row:
+            xs |= {v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)}
+        for x in sorted(xs):
+            assert c_bisect(a.ctypes.data, len(a), x) == \
+                bisect.bisect_right(row, x), (row, x)
 
 
 def test_lambda_table_reaches_the_start_block_count():
