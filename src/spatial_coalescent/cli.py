@@ -167,9 +167,6 @@ _NUMBER = _is({int, float}, "a number", float)
 _POS_INT = _int_from(1)
 _POS_NUMBER = _where(_NUMBER, lambda v: v > 0.0, "must be greater than 0")
 
-# the routes of green_function a config may name
-_GREEN_METHODS = ("BESSEL", "CUBATURE")
-
 _RUN_FIELDS = {
     "seed": (_INT, _REQUIRED),
     "measure": (_or_none(_section({
@@ -210,9 +207,6 @@ _RUN_FIELDS = {
     "b_max_table": (_or_none(_int_from(2)), None),
     # green-specific
     "dimension": (_or_none(_POS_INT), None),
-    "method": (_or_none(_where(_STR, _GREEN_METHODS.__contains__,
-                                "must be " + " or ".join(_GREEN_METHODS))),
-               None),
 }
 _RUN = _section(_RUN_FIELDS)
 
@@ -364,6 +358,12 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# fields a config can no longer set, at the default they had: config_sha256
+# hashes them, so that the hash of a config that never set one, and so its
+# report, stays what it was
+_RETIRED_FIELDS = {"method": None}
+
+
 class ArtifactWriter:
     """Writes report/raw/manifest into the config's out_dir; every file is
     listed in the manifest.  Reports carry no timestamps so reruns are byte
@@ -382,7 +382,7 @@ class ArtifactWriter:
     def config_hash(self) -> str:
         # where the artifacts land is not part of the run identity
         semantic = {k: v for k, v in self.config.items() if k != "out_dir"}
-        return _sha256(_canonical_json(semantic))
+        return _sha256(_canonical_json({**_RETIRED_FIELDS, **semantic}))
 
     def write_text(self, name: str, text: str) -> None:
         if not self.out_dir:
@@ -553,18 +553,18 @@ def classify(config, **overrides):
 
 
 # the fields `green` reads
-_GREEN_READS = frozenset({"seed", "geography", "dimension", "method", "out_dir"})
+_GREEN_READS = frozenset({"seed", "geography", "dimension", "out_dir"})
 
 
 @main.command()
 @_with_options("config", "seed", "out")
 @_guarded
 def green(config, **overrides):
-    """Random-walk Green function at the origin.  Without a `method`, the
-    walk's exact route (geometry.green_method): BESSEL for an axis walk,
-    CUBATURE, a cubature of G's Fourier integral, for any other symmetric
-    walk.  A walk the route cannot take is a config error; a bound above
-    the route's limit is TRUNCATION_UNSTABLE, exit 4."""
+    """Random-walk Green function at the origin, by the walk's exact route
+    (geometry.green_method): BESSEL for an axis walk, CUBATURE, a cubature
+    of G's Fourier integral, for any other symmetric walk.  A walk the
+    route cannot take is a config error; a bound above the route's limit
+    is TRUNCATION_UNSTABLE, exit 4."""
     cfg, writer = _load(config, **overrides)
     # a geography's walk has its own dimension
     _reject_unread(cfg, _GREEN_READS - ({"dimension"} if cfg["geography"]
@@ -574,10 +574,10 @@ def green(config, **overrides):
     else:
         walk = _build_walk({"dimension": cfg["dimension"] or 3,
                             "offsets": None, "probabilities": None})
-    method = cfg["method"] or green_method(walk)
+    method = green_method(walk)
     t0 = time.perf_counter()
-    with _invalid_as("method"):
-        est, err = green_function(walk, method)
+    with _invalid_as("geography.walk"):
+        est, err = green_function(walk)
     t1 = time.perf_counter()
     report = {"estimate": est, "error": err, "method": method,
               "dimension": walk.dimension}

@@ -34,8 +34,8 @@ make, uniform indices by rejection from its raw bits as in `choice` and
 as the reference in tests/engine_oracle.py.  The loop reads the geography's
 kernel as its flat move table (`GeographySpec.move_table`).  The same
 library, built against numpy's random headers and `libnpyrandom.a`, holds
-the few-block sampler (`sc_few_block`, run by `few_block_sample`), and
-this module its whole interface: each loop takes one struct (`_Run`,
+the few-block sampler (`sc_few_block`, run by `few_block_torus_sample`),
+and this module its whole interface: each loop takes one struct (`_Run`,
 `_Sample`) of its arguments, outcome and log.  The first `simulate` or
 few-block sample of a process builds the library with `cc` if none exists
 for this source, into `__pycache__/` beside this file, or into
@@ -65,9 +65,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (EngineBuildFailed, IncompatibleVariants, ZeroRateDeadlock,
-                     check_count)
-from .geometry import GeographySpec
+from .errors import (EngineBuildFailed, IncompatibleVariants, SizeOverflow,
+                     ZeroRateDeadlock, check_count)
+from .geometry import GeographySpec, WalkSpec, check_torus_walk
 from .rates import RateKernel
 
 __all__ = [
@@ -78,6 +78,7 @@ __all__ = [
     "coupled_simulate",
     "singletons_per_site",
     "singletons_at",
+    "few_block_torus_sample",
 ]
 
 CEMETERY = "∂"
@@ -403,11 +404,109 @@ def _read_log(times: list, log: list, events: list | None) -> list:
     return merges
 
 
-def few_block_sample(kernel: RateKernel, torus, start: np.ndarray,
-                     replicas: int, seed: int) -> tuple[list, dict]:
-    """`experiments.few_block_torus_sample` run by `sc_few_block` from the
-    packed sites `start` on `torus` (`experiments._TorusWalk`), seeded from
-    PCG64(SeedSequence(seed)).state: the merge logs and the counters."""
+# ----------------------------------------------------------------------
+# the few-block torus sampler
+# ----------------------------------------------------------------------
+
+# A chunk of free migration takes at most _MAX_CHUNK_STEPS steps, fewer where
+# a packed field could not hold them (_TorusWalk).
+_MAX_CHUNK_STEPS = 4096
+
+
+class _TorusWalk:
+    """The walk on the torus [-N, N]^d, whose sites are packed int64s that
+    hold each coordinate, (x_i + N) mod side, in its own bit field, in the
+    form that `sc_few_block` reads: the step law's cumulative sums `cuts`
+    without the last one, and each step packed with its coordinates taken
+    mod side (`mod_steps`).
+
+    A step adds its packed residues, which leaves each field in
+    [0, 2 side - 1), and wraps the fields that reached side with one add
+    and mask.  `steps`, the longest chunk of free migration, is
+    _MAX_CHUNK_STEPS unless a field of 62 // d bits cannot hold
+    2 (side - 1 + steps * reach), and the fields are that wide, wider than
+    2 side as the wrap needs.  The chunk lengths, and so the draws, follow
+    from this rule.
+    """
+
+    def __init__(self, N: int, walk: WalkSpec):
+        d = walk.dimension
+        self.side = 2 * N + 1
+        offsets = walk.offsets_array
+        # a uniform u selects step #{cuts <= u}; the last cumulative
+        # probability (1 up to rounding) is left out so u cannot overrun
+        self.cuts = np.cumsum(walk.probs_array)[:-1]
+        reach = int(np.max(np.abs(offsets)))
+        field_max = (1 << (62 // d)) - 1
+        self.steps = min(_MAX_CHUNK_STEPS,
+                         (field_max - 2 * (self.side - 1)) // (2 * reach))
+        if self.steps < 1:
+            raise SizeOverflow(f"a {d}-dimensional torus of side {self.side} "
+                               "does not fit the packed chunk coordinates")
+        self.width = (2 * (self.side - 1 + self.steps * reach)).bit_length()
+        self.shifts = self.width * np.arange(d, dtype=np.int64)
+        self.mod_steps = ((offsets % self.side) << self.shifts).sum(axis=1)
+
+    def pack(self, coords) -> np.ndarray:
+        return ((np.asarray(coords) % self.side) << self.shifts).sum(axis=-1)
+
+
+def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
+                           start_positions, replicas: int, seed: int):
+    """Jump-chain simulation of n blocks on the torus [-N, N]^d from
+    `start_positions` (n rows of d integer coordinates), exact in law and
+    orders of magnitude faster than `simulate` for a few blocks.  Returns
+    per-replica merge logs [(time, participants, merge_size), ...] and the
+    sampler's counters.  A block keeps its slot, the index of its start
+    position, and a merge keeps its smallest slot, so the participants, a
+    sorted tuple of slots, are each the least start index of their group.
+
+    The sampler is one C loop (`sc_few_block`) on a PCG64 of its own,
+    seeded from the public state of numpy's PCG64(SeedSequence(seed)), the
+    bit generator of default_rng(seed), whose draws it makes to the bit.
+    It holds a site as one packed int64, a bit field per coordinate
+    (_TorusWalk), and runs all replicas pass by pass.  While no two alive
+    blocks of a replica share a site, its chain is pure migration
+    (Exp(m_alive) holding times, a uniform alive block, a step from the
+    walk), and a pass advances it by a chunk of steps up to its first
+    co-location, with one Gamma time for the steps taken.  A chunk's
+    uniforms, the movers' of all its cells and then the steps', are the
+    generator's next words; the loop computes them inline on two chains
+    that jump ahead in the generator's LCG, one per replica and kind, so
+    the cells past a replica's co-location are skipped, not drawn, and the
+    generator ends where drawing them all would leave it: a replica pays
+    only for the steps it takes and for its alive blocks.  Replicas with
+    co-located blocks advance one event at a time, all in lockstep:
+    coalescence at rate sum_sites lambda_b against migration at rate
+    m_alive, the site by lambda_b, the merge size from the kernel's law and
+    a uniform k-subset (Generator.choice).  Each draw is the one the numpy
+    sampler kept as the reference in tests/torus_oracle.py makes, in its
+    order, so the logs and counters are that sampler's to the bit.  Ctrl-C
+    stops a sample: the loop hands control back once per pass and every
+    2^16 chunk steps.  Raises ValueError if the walk does not connect the
+    torus (geometry.check_torus_walk), and EngineBuildFailed if the library
+    cannot be built.
+
+    The counters: chunk_calls (chunks run, each over a slice of replicas),
+    chunk_replicas (replica chunks), chunk_cells (the cells of the chunks,
+    the sum of replicas x chunk length, whose words the generator passes),
+    chunk_steps (jump-chain steps taken in them, the cells computed; the
+    cells past a co-location are skipped), chunk_cuts (replica chunks ended
+    by a co-location, on their last step too), lockstep_events (events
+    taken one at a time) and lockstep_skipped (passes with no co-located
+    replica).
+    """
+    check_count("replicas", replicas, 1)
+    check_count("N", N, 1)
+    check_torus_walk(N, walk)
+    coords = np.asarray(start_positions)
+    if not (coords.ndim == 2 and coords.shape[0] >= 1
+            and coords.shape[1] == walk.dimension and coords.dtype.kind in "iu"):
+        raise ValueError(f"start_positions must be n >= 1 rows of "
+                         f"{walk.dimension} integer coordinates, got "
+                         f"{start_positions!r}")
+    torus = _TorusWalk(N, walk)
+    start = torus.pack(coords.astype(np.int64) + N)
     n = len(start)
     lam = kernel.lambda_table(n)
     merge_cums = [kernel.merge_size_cumulative(b) for b in range(2, n + 1)]
@@ -590,7 +689,7 @@ def _numpy_random_dirs() -> tuple[Path, Path]:
 def _loop() -> ctypes.CDLL:
     """The compiled library of `_engine.c`, built on first use.  Its entry
     points: `sc_simulate`, the event loop of `simulate`, and `sc_few_block`,
-    the few-block sampler of `few_block_sample`, each on its one struct
+    the few-block sampler of `few_block_torus_sample`, each on its one struct
     (`_Run`, `_Sample`); `sc_free`, which releases a `_Run`'s event log;
     `sc_choice`, the sampler's `Generator.choice`; and `sc_pcg64`, which
     jumps the sampler's generator ahead and wraps it as a numpy

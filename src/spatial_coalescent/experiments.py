@@ -19,19 +19,8 @@ entry point first checks its replica count, its other counts and its kappa
 ValueError here too, not a TypeError or a silent result.
 
 Both few-block torus studies, the first coalescence of two blocks and the
-partition structure of n blocks, run on one sampler that is exact in law
-but orders of magnitude faster than the general engine:
-few_block_torus_sample advances replicas whose blocks are apart by chunks
-of pure migration cut at the first co-location, and the others one
-jump-chain event at a time.  It holds a site as one packed int64, a bit
-field per coordinate, and runs as one C loop in the engine's compiled
-library (engine.few_block_sample) on its own PCG64, seeded from numpy's public
-PCG64 state, making the draws of the numpy sampler kept as its reference
-in tests/torus_oracle.py.  A chunk jumps past the words of the cells after
-a replica's first co-location instead of drawing them, so that a replica
-pays only for the steps it takes and for its alive blocks.  It logs a merge's
-participants as slot indices, each the least start index of its group, and
-returns counters of its chunks and lockstep events.  It and the
+partition structure of n blocks, run on engine.few_block_torus_sample,
+which is exact in law and described there.  The sampler and the
 block-count study first check that the walk connects the torus
 (geometry.check_torus_walk).
 
@@ -50,7 +39,9 @@ The goodness-of-fit p-values are computed here on scipy.special, so that
 no run imports scipy.stats (about half a second of start-up): Pearson's
 chi-square and the KS statistic take scipy.stats' arithmetic to the bit,
 and the two-sided KS p-value is exact (_kolmogorov_sf).  A statistic that
-cannot be tested (one pair of blocks, one replica) is None.
+cannot be tested (one pair of blocks, one replica) is None.  Each function
+that needs scipy.special imports it as it runs, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -61,12 +52,11 @@ from collections import Counter
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import numpy as np
-from scipy import special
 
 from . import engine as engine_mod
-from .engine import SimulationConfig, simulate, singletons_per_site
-from .errors import (BudgetExceeded, SizeOverflow, TruncationUnstable,
-                     check_count)
+from .engine import (SimulationConfig, few_block_torus_sample, simulate,
+                     singletons_per_site)
+from .errors import BudgetExceeded, TruncationUnstable, check_count
 from .geometry import (WalkSpec, build_torus, check_torus_walk, green_function,
                        green_method, kappa)
 from .rates import RateKernel, cdi_classify, tn_uniform_bound
@@ -82,7 +72,6 @@ __all__ = [
     "partition_structure_experiment",
     "class_coupling_check",
     "block_decay_shape",
-    "few_block_torus_sample",
     "torus_kappa",
 ]
 
@@ -151,6 +140,7 @@ def _chisquare_p(obs, exp=None) -> float:
     """p-value of Pearson's chi-square test of the counts `obs` against the
     expected counts `exp` (equal cells if None), on len(obs) - 1 degrees of
     freedom: the arithmetic of scipy.stats.chisquare, term for term."""
+    from scipy import special
     obs = np.asarray(obs, dtype=np.float64)
     if exp is None:
         exp = obs.mean()
@@ -169,6 +159,7 @@ def _ks_expon(vals, scale: float) -> tuple[float, float]:
     """Two-sided one-sample KS statistic of `vals` against the exponential
     law of mean `scale`, and its exact p-value (_kolmogorov_sf).  The
     statistic is scipy.stats.kstest's, bit for bit."""
+    from scipy import special
     x = np.sort(np.asarray(vals, dtype=np.float64))
     n = x.size
     cdf = -special.expm1(-(x / scale))
@@ -194,6 +185,7 @@ def _kolmogorov_sf(n: int, x: float) -> float:
     H^n by repeated squaring, with power-of-two rescaling, and n!/n^n from
     exact integers.  Taking 1 - cdf in floats, its relative error grows like
     n eps / P(D_n >= x): about 1e-12 at n = 20, x = 2/sqrt(n)."""
+    from scipy import special
     t = n * x
     if t <= 0.5:
         return 1.0
@@ -255,6 +247,7 @@ def estimate_Tnk(n: int, k: int, geography, kernel: RateKernel,
     interval `ci`, both None from one replica; compared against the uniform
     upper bound, None where no finite bound exists.  `table` holds each
     replica's time, `stats` the engine counters of _replica_runs."""
+    from scipy import special
     _check_run(replicas, n=(n, 2), k=(k, 2))
     stats = {}
     times = [rec.final_time for rec in _replica_runs(
@@ -350,6 +343,7 @@ class _DecimalSeries:
     largest term, sized from gammaln."""
 
     def __init__(self, t: float):
+        from scipy import special
         if not t > 0:
             raise ValueError("need t > 0")
         top, peak = 1, -math.inf
@@ -447,11 +441,10 @@ def torus_kappa(walk: WalkSpec, kernel: RateKernel) -> dict:
     CUBATURE for any other.  Returns G, its bound G_err, the route
     G_method, lambda22 and kappa; `pairwise` reports the record whole."""
     sym = walk.symmetrized()
-    method = green_method(sym)
-    g, err = green_function(sym, method)
+    g, err = green_function(sym)
     lam22 = kernel.lambda_bk(2, 2)
-    return {"G": g, "G_err": err, "G_method": method, "lambda22": lam22,
-            "kappa": kappa(g, lam22)}
+    return {"G": g, "G_err": err, "G_method": green_method(sym),
+            "lambda22": lam22, "kappa": kappa(g, lam22)}
 
 
 # ----------------------------------------------------------------------
@@ -589,109 +582,8 @@ def _joint_chi2(pairs: np.ndarray, law: dict, min_expected: float = 5.0) -> floa
 
 
 # ----------------------------------------------------------------------
-# few-block partition structure on the torus (the compiled sampler)
+# few-block partition structure on the torus
 # ----------------------------------------------------------------------
-
-# A chunk of free migration in few_block_torus_sample takes at most
-# _MAX_CHUNK_STEPS steps, fewer where a packed field could not hold them.
-_MAX_CHUNK_STEPS = 4096
-
-
-class _TorusWalk:
-    """The walk on the torus [-N, N]^d, whose sites are packed int64s that
-    hold each coordinate, (x_i + N) mod side, in its own bit field, in the
-    form that the compiled few-block sampler (`sc_few_block` in _engine.c)
-    reads: the step law's cumulative sums `cuts` without the last one, and
-    each step packed with its coordinates taken mod side (`mod_steps`).
-
-    A step adds its packed residues, which leaves each field in
-    [0, 2 side - 1), and wraps the fields that reached side with one add
-    and mask.  `steps`, the longest chunk of free migration, is
-    _MAX_CHUNK_STEPS unless a field of 62 // d bits cannot hold
-    2 (side - 1 + steps * reach), and the fields are that wide, wider than
-    2 side as the wrap needs.  The chunk lengths, and so the draws, follow
-    from this rule.
-    """
-
-    def __init__(self, N: int, walk: WalkSpec):
-        d = walk.dimension
-        self.side = 2 * N + 1
-        offsets = walk.offsets_array
-        # a uniform u selects step #{cuts <= u}; the last cumulative
-        # probability (1 up to rounding) is left out so u cannot overrun
-        self.cuts = np.cumsum(walk.probs_array)[:-1]
-        reach = int(np.max(np.abs(offsets)))
-        field_max = (1 << (62 // d)) - 1
-        self.steps = min(_MAX_CHUNK_STEPS,
-                         (field_max - 2 * (self.side - 1)) // (2 * reach))
-        if self.steps < 1:
-            raise SizeOverflow(f"a {d}-dimensional torus of side {self.side} "
-                               "does not fit the packed chunk coordinates")
-        self.width = (2 * (self.side - 1 + self.steps * reach)).bit_length()
-        self.shifts = self.width * np.arange(d, dtype=np.int64)
-        self.mod_steps = ((offsets % self.side) << self.shifts).sum(axis=1)
-
-    def pack(self, coords) -> np.ndarray:
-        return ((np.asarray(coords) % self.side) << self.shifts).sum(axis=-1)
-
-
-def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
-                           start_positions, replicas: int, seed: int):
-    """Jump-chain simulation of n separated blocks on the torus, exact in
-    law.  Returns per-replica merge logs [(time, participants, merge_size),
-    ...] and the sampler's counters.  A block keeps its slot, the index of
-    its start position, and a merge keeps its smallest slot, so the
-    participants, a sorted tuple of slots, are each the least start index
-    of their group.
-
-    The sampler is one C loop (engine.few_block_sample runs `sc_few_block`)
-    on a PCG64 of its own, seeded from the public state of
-    numpy's PCG64(SeedSequence(seed)), the bit generator of
-    default_rng(seed), whose draws it makes to the bit.  The first call of
-    a process loads the library and builds it if it is missing.  It runs
-    all replicas pass by pass.  While no two alive blocks of a replica
-    share a site, its chain is pure migration (Exp(m_alive) holding times,
-    a uniform alive block, a step from the walk), and a pass advances it by
-    a chunk of steps up to its first co-location, with one Gamma time for
-    the steps taken.  A chunk's
-    uniforms, the movers' of all its cells and then the steps', are the
-    generator's next words; the loop computes them inline on two chains
-    that jump ahead in the generator's LCG, one per replica and kind, so
-    the cells past a replica's co-location are skipped, not drawn, and the
-    generator ends where drawing them all would leave it.  Replicas
-    with co-located blocks advance one event at a time, all in lockstep:
-    coalescence at rate sum_sites lambda_b against migration at rate
-    m_alive, the site by lambda_b, the merge size from the kernel's law and
-    a uniform k-subset (Generator.choice).  Each draw is the one the numpy
-    sampler kept as the reference in tests/torus_oracle.py makes, in its
-    order, so the logs and counters are that sampler's to the bit.  Sites
-    are the packed sites of _TorusWalk.  Ctrl-C stops a sample: the loop
-    hands control back once per pass and every 2^16 chunk steps.  Raises
-    ValueError if the walk does not connect the torus, and
-    EngineBuildFailed if the library cannot be built.
-
-    The counters: chunk_calls (chunks run, each over a slice of replicas),
-    chunk_replicas (replica chunks), chunk_cells (the cells of the chunks,
-    the sum of replicas x chunk length, whose words the generator passes),
-    chunk_steps (jump-chain steps taken in them, the cells computed; the
-    cells past a co-location are skipped),
-    chunk_cuts (replica chunks ended by a co-location, on their last
-    step too),
-    lockstep_events (events taken one at a time) and lockstep_skipped
-    (passes with no co-located replica).
-    """
-    _check_run(replicas, N=(N, 1))
-    check_torus_walk(N, walk)
-    start = np.asarray(start_positions)
-    if not (start.ndim == 2 and start.shape[0] >= 1
-            and start.shape[1] == walk.dimension and start.dtype.kind in "iu"):
-        raise ValueError(f"start_positions must be n >= 1 rows of "
-                         f"{walk.dimension} integer coordinates, got "
-                         f"{start_positions!r}")
-    torus = _TorusWalk(N, walk)
-    return engine_mod.few_block_sample(
-        kernel, torus, torus.pack(start.astype(np.int64) + N), replicas, seed)
-
 
 def partition_structure_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
                                    n_blocks: int, replicas: int = 3000,

@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .errors import (DimensionTooLow, SizeOverflow, TruncationUnstable,
                      check_count)
@@ -276,30 +275,25 @@ def generic_graph(kernel: np.ndarray) -> GeographySpec:
 # Green function of the base walk on Z^d
 # ----------------------------------------------------------------------
 
-def green_function(walk: WalkSpec, method: str | None = None):
-    """Expected visits to 0 of the discrete-time walk started at 0.
-
-    Without a `method`, the exact route that green_method(walk) names:
-    BESSEL for axis walks, CUBATURE for every other symmetric walk.
-    BESSEL, for axis walks only (see WalkSpec.axis_rates), integrates the
+def green_function(walk: WalkSpec):
+    """Expected visits to 0 of the discrete-time walk started at 0, by the
+    walk's one exact route (green_method): BESSEL for an axis walk (see
+    WalkSpec.axis_rates), CUBATURE for any other.  BESSEL integrates the
     continuous-time return probability prod_i e^(-p_i t) I_0(p_i t) over
     t >= 0 (Watson's integral; Montroll 1956) by a fixed exp-sinh rule;
     its bound is the distance of the rule at twice the step.  CUBATURE, for
     symmetric walks only, integrates 1 / (1 - phi) over the Fourier cube,
     phi the characteristic function of the step, by a Gauss-Legendre rule
-    on Duffy pyramids; its bound is the distance of a coarser rule.  Both raise
-    TruncationUnstable when their bound is above a fixed limit.  Returns
-    (estimate, error_bound).
+    on Duffy pyramids; its bound is the distance of a coarser rule.  Both
+    raise TruncationUnstable when their bound is above a fixed limit.
+    Returns (estimate, error_bound).
     """
     d = walk.dimension
     if d < 3:
         raise DimensionTooLow(f"walk is recurrent for d={d} < 3", d=d)
-    method = method or green_method(walk)
-    if method == "BESSEL":
+    if green_method(walk) == "BESSEL":
         return _green_bessel(walk)
-    if method == "CUBATURE":
-        return _green_cubature(walk)
-    raise ValueError(f"unknown method {method!r}")
+    return _green_cubature(walk)
 
 
 def green_method(walk: WalkSpec) -> str:
@@ -327,6 +321,7 @@ def _green_bessel(walk: WalkSpec):
     the cut ends: below t_lo at most t_lo, since the integrand is at most 1,
     and above t_hi at most that of prod_i (2 pi p_i t)^(-1/2), since
     sqrt(x) i0e(x) increases to (2 pi)^(-1/2)."""
+    from scipy.special import i0e  # loaded by the first call, not at import
     rates = walk.axis_rates
     if rates is None:
         raise ValueError("the BESSEL Green route needs an axis walk: every "

@@ -19,9 +19,11 @@ total mass use the same closed form.
 
 Adaptive quadrature (`integrate_vector`) is the independent oracle route
 for arbitrary integrands; no production path calls it, and it imports
-scipy.integrate only when it runs.  Densities with an integrable endpoint
-singularity x^e, e in (-1,0), are tamed by the substitution u = x^(1+e)
-so the quadrature only ever sees a bounded integrand.
+scipy.integrate only when it runs.  The closed forms import scipy.special
+on their first call too, so that importing the package loads neither.
+Densities with an integrable endpoint singularity x^e, e in (-1,0), are
+tamed by the substitution u = x^(1+e) so the quadrature only ever sees a
+bounded integrand.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaln, xlog1py, xlogy
-from scipy.special import gamma as _gamma_fn
 
-from .errors import ToleranceNotMet
+from .errors import ToleranceNotMet, check_count
 
 __all__ = [
     "QuadratureConfig",
@@ -53,10 +53,11 @@ class QuadratureConfig:
     max_subdivisions: int = 100_000
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        # comparisons that NaN fails
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive, got "
+                             f"{self.abs_tol!r} and {self.rel_tol!r}")
+        check_count("max_subdivisions", self.max_subdivisions, 1)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -115,6 +116,7 @@ class DensityPiece:
 
     def terms(self) -> list[tuple[float, float, float]]:
         """The density as a sum of terms c x^p (1-x)^q, as (c, p, q)."""
+        from scipy.special import betaln
         if self.tag == "constant":
             return [(float(self.params.get("level", 1.0)), 0.0, 0.0)]
         if self.tag == "beta":
@@ -130,6 +132,7 @@ class DensityPiece:
     def density(self, x):
         # evaluated tag by tag, independently of terms(), so that quadrature
         # of the density stays an independent check of the closed forms
+        from scipy.special import gamma as _gamma_fn
         x = np.asarray(x, dtype=float)
         if self.tag == "constant":
             return np.full_like(x, float(self.params.get("level", 1.0)))
@@ -355,6 +358,7 @@ def _beta_share(a, b, lo: float, hi: float):
     from the upper tail (I_{1-x}(b, a)) when both ends lie above the median
     and the lower-tail difference would cancel.  Tails known to be 0 or 1
     (at lo = 0 or hi = 1) are not evaluated."""
+    from scipy.special import betainc
     if lo == 0.0:
         return 1.0 if hi == 1.0 else betainc(a, b, hi)
     below_lo, above_lo = betainc(a, b, lo), betainc(b, a, 1.0 - lo)
@@ -367,6 +371,7 @@ def _beta_share(a, b, lo: float, hi: float):
 def _piece_log_terms(piece: DensityPiece, m, n):
     """(log |value|, sign) of each term's integral of x^m (1-x)^n c x^p (1-x)^q
     over the piece: log |c| + log B(a, b) + log of the Beta(a, b) share."""
+    from scipy.special import betaln
     lo, hi = piece.interval
     out = []
     for c, p, q in piece.terms():
@@ -399,6 +404,7 @@ def _piece_mass(piece: DensityPiece) -> float:
 
 
 def _signed_log_moments(measure_: LambdaMeasure, m, n):
+    from scipy.special import xlog1py, xlogy
     m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
     # atoms: log w + m log(loc) + n log(1 - loc), with 0 log 0 = 0
     terms = [(math.log(w) + xlogy(m, loc) + xlog1py(n, -loc), 1.0)

@@ -46,7 +46,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import measure as measure_mod
 from .errors import ZeroRate, ZeroTotalRate, check_count
@@ -216,6 +215,7 @@ def _merge_weights(meas: LambdaMeasure, lo: int,
     and a weight of law above 1e-250 stays far above the top-row weights
     lost to underflow.
     """
+    from scipy.special import gammaln  # loaded by the first call, not at import
     top = lo + rows - 1
     m = np.arange(top - 1.0)                        # k - 2 for k = 2..t
     log_fact = gammaln(np.arange(1.0, top + 2))     # log n!, n = 0..t

@@ -8,7 +8,7 @@ as `coalsim experiment` ran them: the run config, and then, for a known
 experiment, its params.
 """
 
-from typing import Annotated, Any, Literal, Optional
+from typing import Annotated, Any, Optional
 
 import pydantic
 from pydantic import BaseModel, ConfigDict, Field
@@ -71,7 +71,6 @@ class RunConfig(_Strict):
     b_max_table: Optional[Annotated[int, Field(ge=2)]] = None
     # green-specific
     dimension: Optional[PosInt] = None
-    method: Optional[Literal["BESSEL", "CUBATURE"]] = None
 
 
 class HittingTimeParams(_Strict):

@@ -1,10 +1,11 @@
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
-import numpy as np
 import pytest
+from click.testing import CliRunner
 
 # numpy's BLAS on one thread unless the caller chose a count, as in
 # `python -m spatial_coalescent`: the variables are read when numpy loads,
@@ -12,7 +13,9 @@ import pytest
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np  # noqa: E402
 import spatial_coalescent  # noqa: E402
+from spatial_coalescent import cli  # noqa: E402
 from spatial_coalescent.measure import LambdaMeasure  # noqa: E402
 from spatial_coalescent.rates import RateKernel  # noqa: E402
 
@@ -57,6 +60,22 @@ def coalsim(*args, timeout=None):
     """Run the ``coalsim`` CLI as ``python -m spatial_coalescent`` in a child
     interpreter (see run_python)."""
     return run_python("-m", "spatial_coalescent", *args, timeout=timeout)
+
+
+def cli_run(*args):
+    """Run the ``coalsim`` CLI in this process, through click's CliRunner,
+    and return what `coalsim` returns from a child interpreter: a
+    CompletedProcess with its exit code, stdout and stderr, an uncaught
+    exception's traceback in stderr.  A test whose subject is the process
+    (its imports, its environment, a signal, a hang guard, a digest
+    compared across interpreters) runs `coalsim` instead."""
+    args = [str(a) for a in args]
+    result = CliRunner().invoke(cli.main, args, prog_name="coalsim")
+    stderr = result.stderr
+    if not isinstance(result.exception, (SystemExit, type(None))):
+        stderr += "".join(traceback.format_exception(*result.exc_info))
+    return subprocess.CompletedProcess(["coalsim", *args], result.exit_code,
+                                       result.stdout, stderr)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -11,7 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from conftest import coalsim
+from conftest import cli_run
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,7 +40,7 @@ def test_structure_cli_config_runs(tmp_path):
     workload = _load_workloads().TorusStructureCli(
         pkg=None, seed=0, seconds=1.0, workdir=str(tmp_path))
     _tmp, path = workload.setup(0)
-    r = coalsim("experiment", "--config", path, "--replicas", "5",
+    r = cli_run("experiment", "--config", path, "--replicas", "5",
                 "--out", tmp_path / "out")
     assert r.returncode == 0, r.stdout + r.stderr
     assert (tmp_path / "out" / "report.json").is_file()

@@ -9,17 +9,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
-
-from conftest import coalsim, run_python
+from conftest import cli_run, coalsim, run_python
 from spatial_coalescent import cli, experiments
 from spatial_coalescent.geometry import green_function, simple_walk
 
 
-def run_cli(tmp_path, cfg, *args, timeout=None):
+def run_cli(tmp_path, cfg, *args, timeout=None, child=False):
+    """`coalsim` on `cfg`, written to tmp_path/config.json: in this process
+    (cli_run), or in a child interpreter with a `timeout` hang guard, which
+    only a process can have, or with `child` set, for a report digest
+    compared across interpreters (each hashes strings with its own seed)."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    return coalsim(*args, "--config", path, timeout=timeout)
+    if child or timeout is not None:
+        return coalsim(*args, "--config", path, timeout=timeout)
+    return cli_run(*args, "--config", path)
 
 
 KINGMAN = {"atoms": [[0.0, 1.0]]}
@@ -82,6 +86,7 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
 
 
 @pytest.mark.parametrize("cfg, command, needle", [
+    # green takes the walk's own route: a config names none
     ({"seed": 1, "dimension": 3, "method": "NOPE"}, "green", "method"),
     ({"seed": 1, "method": "BESSEL",
       "geography": {"topology": "torus", "N": 2,
@@ -89,7 +94,7 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
                              "offsets": [[1, 1, 0], [-1, -1, 0], [0, 1, 1],
                                          [0, -1, -1], [1, 0, 1], [-1, 0, -1]],
                              "probabilities": [1 / 6] * 6}}},
-     "green", "axis walk"),
+     "green", "method"),
     ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "single"},
       "horizon": -1.0}, "simulate", "horizon"),
     ({"seed": 1, "measure": KINGMAN,
@@ -131,11 +136,11 @@ def test_polynomial_piece_in_config(tmp_path, coefficients, code):
                               "dimension")))
       for command in ("rates", "classify")],
     ({"seed": 1, "measure": KINGMAN, "geography": {"topology": "single"},
-      "replicas": 10, "b_max_table": 8, "dimension": 3, "method": "BESSEL",
+      "replicas": 10, "b_max_table": 8, "dimension": 3,
       "experiment": {"name": "kappa"}}, "simulate",
      "; ".join(f"{name}: simulate does not use it"
                for name in ("experiment", "replicas", "b_max_table",
-                            "dimension", "method"))),
+                            "dimension"))),
     ({"seed": 1, "dimension": 5,
       "geography": {"topology": "torus", "N": 2, "walk": {"dimension": 4}}},
      "green", "dimension: green does not use it"),
@@ -172,9 +177,9 @@ def test_internal_value_error_exits_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cdi_classify", broken)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"seed": 1, "measure": KINGMAN}))
-    r = CliRunner().invoke(cli.main, ["classify", "--config", str(path)])
-    assert r.exit_code == 4, r.output
-    payload = json.loads(r.output)
+    r = cli_run("classify", "--config", path)
+    assert r.returncode == 4, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
     assert payload["error"] == "INTERNAL_ERROR"
     assert "not a config problem" in payload["message"]
 
@@ -191,10 +196,9 @@ def test_block_count_reference_too_early_exits_4(tmp_path, monkeypatch):
                           "params": {"times": [0.001]}}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    r = CliRunner().invoke(cli.main, ["experiment", "--config", str(path),
-                                      "--out", str(tmp_path / "out")])
-    assert r.exit_code == 4, r.output
-    assert json.loads(r.output)["error"] == "TRUNCATION_UNSTABLE"
+    r = cli_run("experiment", "--config", path, "--out", tmp_path / "out")
+    assert r.returncode == 4, r.stdout + r.stderr
+    assert json.loads(r.stdout)["error"] == "TRUNCATION_UNSTABLE"
     assert runs == []
 
 
@@ -211,7 +215,7 @@ def test_bad_kernel_row_named(tmp_path):
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
-    r = coalsim("classify", "--config", path)
+    r = cli_run("classify", "--config", path)
     assert r.returncode == 2, r.stdout + r.stderr
     payload = json.loads(r.stdout)
     assert payload["error"] == "PARSE_ERROR"
@@ -219,7 +223,7 @@ def test_malformed_json_reports_position(tmp_path):
 
 
 def test_missing_file_is_parse_error(tmp_path):
-    r = coalsim("classify", "--config", tmp_path / "nope.json")
+    r = cli_run("classify", "--config", tmp_path / "nope.json")
     assert r.returncode == 2, r.stdout + r.stderr
     assert json.loads(r.stdout)["error"] == "PARSE_ERROR"
 
@@ -261,10 +265,9 @@ NON_FINITE = [
 def test_non_finite_config_values_are_parse_errors(tmp_path, command, text):
     path = tmp_path / "config.json"
     path.write_text(text)
-    r = CliRunner().invoke(cli.main, [command, "--config", str(path),
-                                      "--out", str(tmp_path / "out")])
-    assert r.exit_code == 2, r.output
-    payload = json.loads(r.output)
+    r = cli_run(command, "--config", path, "--out", tmp_path / "out")
+    assert r.returncode == 2, r.stdout + r.stderr
+    payload = json.loads(r.stdout)
     assert payload["error"] == "PARSE_ERROR"
     assert ("is not a JSON number" in payload["message"]
             or "overflows a float" in payload["message"])
@@ -356,7 +359,7 @@ def test_classify_report_deterministic_stats_in_manifest(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         r = run_cli(tmp_path, {"seed": 1, "measure": BETA_HEAVY}, "classify",
-                    "--out", str(out))
+                    "--out", str(out), child=True)
         assert r.returncode == 0, r.stdout + r.stderr
         reports.append((out / "report.json").read_bytes())
         manifests.append(json.loads((out / "manifest.json").read_text()))
@@ -386,7 +389,8 @@ def test_rates_report_deterministic_stats_in_manifest(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         r = run_cli(tmp_path, {"seed": 1, "measure": BETA_HEAVY,
-                               "b_max_table": 12}, "rates", "--out", str(out))
+                               "b_max_table": 12}, "rates", "--out", str(out),
+                    child=True)
         assert r.returncode == 0, r.stdout + r.stderr
         reports.append((out / "report.json").read_bytes())
         tables.append((out / "rates.csv").read_bytes())
@@ -407,8 +411,8 @@ def test_green_report_deterministic_stats_in_manifest(tmp_path):
     reports, manifests = [], []
     for name in ("a", "b"):
         out = tmp_path / name
-        r = run_cli(tmp_path, {"seed": 1, "dimension": 3, "method": "BESSEL"},
-                    "green", "--out", str(out))
+        r = run_cli(tmp_path, {"seed": 1, "dimension": 3}, "green", "--out",
+                    str(out), child=True)
         assert r.returncode == 0, r.stdout + r.stderr
         reports.append((out / "report.json").read_bytes())
         manifests.append(json.loads((out / "manifest.json").read_text()))
@@ -485,7 +489,8 @@ def test_experiment_report_deterministic(tmp_path):
     hashes = []
     for name in ("a", "b"):
         out = tmp_path / name
-        r = run_cli(tmp_path, EXP_CFG, "experiment", "--out", str(out))
+        r = run_cli(tmp_path, EXP_CFG, "experiment", "--out", str(out),
+                    child=True)
         assert r.returncode == 0, r.stdout + r.stderr
         hashes.append(_report_hash(out))
     assert hashes[0] == hashes[1]
@@ -500,7 +505,7 @@ def test_simulate_report_deterministic_stats_in_manifest(tmp_path):
     reports, manifests = [], []
     for name in ("a", "b"):
         out = tmp_path / name
-        r = run_cli(tmp_path, cfg, "simulate", "--out", str(out))
+        r = run_cli(tmp_path, cfg, "simulate", "--out", str(out), child=True)
         assert r.returncode == 0, r.stdout + r.stderr
         reports.append((out / "report.json").read_bytes())
         manifests.append(json.loads((out / "manifest.json").read_text()))
@@ -633,9 +638,8 @@ def test_experiment_tables_hold_plain_numbers(tmp_path, cfg, name):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    r = CliRunner().invoke(cli.main, ["experiment", "--config", str(path),
-                                      "--out", str(out)])
-    assert r.exit_code == 0, r.output
+    r = cli_run("experiment", "--config", path, "--out", out)
+    assert r.returncode == 0, r.stdout + r.stderr
     assert name in json.loads((out / "manifest.json").read_text())["files"]
     header, *rows = (out / name).read_text().splitlines()
     assert header.startswith("replica,")
@@ -647,14 +651,26 @@ def test_experiment_tables_hold_plain_numbers(tmp_path, cfg, name):
             float(cell)
 
 
-def test_green_routes_every_method_the_config_accepts():
-    # each value the config's method accepts names a route of green_function
-    accepted = cli._GREEN_METHODS
-    assert set(accepted) == {"BESSEL", "CUBATURE"}
-    for method in accepted:
-        cli._validate(cli._RUN, {"seed": 1, "method": method})
-        est, err = green_function(simple_walk(3), method)
-        assert abs(est - 1.5163860591519809) <= err + 1e-12
+def test_green_config_takes_no_method():
+    # each walk has one exact route, so a config that names one, even a
+    # route that walk would take, is refused as it is read
+    for method in ("BESSEL", "CUBATURE", None):
+        with pytest.raises(cli._ConfigError) as info:
+            cli._validate(cli._RUN, {"seed": 1, "method": method})
+        assert info.value.violations == ["method: unknown field"]
+    est, err = green_function(simple_walk(3))
+    assert abs(est - 1.5163860591519809) <= err + 1e-12
+
+
+def test_green_walk_with_no_route_is_a_walk_error(tmp_path):
+    # a walk with drift has no exact route: the walk is at fault, and the
+    # error names it
+    cfg = {"seed": 1, "geography": {"topology": "torus", "N": 2,
+                                    "walk": DRIFTED_WALK}}
+    r = run_cli(tmp_path, cfg, "green")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert json.loads(r.stdout)["message"].startswith(
+        "geography.walk: the CUBATURE Green route needs a symmetric walk")
 
 
 DRIFTED_WALK = {"dimension": 3,
@@ -672,10 +688,9 @@ def test_kappa_experiment_reports_the_exact_record_at_every_seed(tmp_path):
     path.write_text(json.dumps(cfg))
     reports = set()
     for seed in range(20):
-        r = CliRunner().invoke(cli.main, ["experiment", "--config", str(path),
-                                          "--seed", str(seed)])
-        assert r.exit_code == 0, r.output
-        report = json.loads(r.output)
+        r = cli_run("experiment", "--config", path, "--seed", seed)
+        assert r.returncode == 0, r.stdout + r.stderr
+        report = json.loads(r.stdout)
         assert report.pop("seed") == seed
         del report["config_sha256"]
         reports.add(json.dumps(report, sort_keys=True))
@@ -852,10 +867,12 @@ def test_canonical_json_rejects_non_finite():
 
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate",
-                                    "pydantic"])
+                                    "scipy.special", "pydantic"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
     # cli imports every module of the package, geometry too, whose BESSEL
-    # rule is numpy alone: scipy.integrate costs about 26 MB
+    # rule is numpy alone: scipy.integrate costs about 26 MB, and
+    # scipy.special, which the closed forms import as they run, about
+    # 0.2 s of cold start
     r = run_python("-c", "import sys, spatial_coalescent.cli; "
                    f"print({module!r} in sys.modules)")
     assert r.returncode == 0, r.stderr

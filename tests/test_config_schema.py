@@ -62,8 +62,9 @@ INVALID = [
     {"seed": 1, "horizon": 10 ** 400}, {"seed": 1, "killing": None},
     {"seed": 1, "probe_times": None}, {"seed": 1, "probe_times": [1, "x"]},
     {"seed": 1, "stop_blocks_at_most": 1.5}, {"seed": 1, "b_max_table": 1},
+    # green has one route per walk, so it takes no method, not even null
     {"seed": 1, "dimension": 0}, {"seed": 1, "method": "NOPE"},
-    {"seed": 1, "method": 3},
+    {"seed": 1, "method": 3}, {"seed": 1, "method": None},
     {"seed": 1, "measure": []}, {"seed": 1, "measure": {"bogus": []}},
     {"seed": 1, "measure": {"atoms": [0]}},
     {"seed": 1, "measure": {"atoms": [[0, 1, 2]]}},
@@ -119,7 +120,7 @@ VALID = [
     _experiment("coupling", class_split=[[]]),
     _experiment("decay_shape", N_values=[1, 2], t_grid=[1]),
     {"seed": 10 ** 30, "horizon": math.nan, "probe_times": [1, math.inf],
-     "stop_blocks_at_most": -3, "out_dir": "out", "method": None},
+     "stop_blocks_at_most": -3, "out_dir": "out", "dimension": None},
     {"seed": 1, "measure": {"atoms": [[0, 1]], "pieces": [
         {"interval": [0, 1], "tag": "polynomial",
          "params": {"coefficients": [1, 1], "level": 2}}]},

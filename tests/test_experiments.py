@@ -29,8 +29,11 @@ from spatial_coalescent.experiments import (
 )
 from spatial_coalescent.geometry import (
     WalkSpec,
+    _green_bessel,
+    _green_cubature,
     complete_graph,
     green_function,
+    green_method,
     kappa,
     simple_walk,
     single_site,
@@ -478,9 +481,9 @@ def green_routes(monkeypatch):
     """The Green routes the experiments take, in call order."""
     routes = []
 
-    def recording(walk, method=None):
-        routes.append(method)
-        return green_function(walk, method)
+    def recording(walk):
+        routes.append(green_method(walk))
+        return green_function(walk)
     monkeypatch.setattr(experiments, "green_function", recording)
     return routes
 
@@ -502,7 +505,7 @@ def test_torus_experiments_take_kappa_from_bessel_for_axis_walks(kingman,
 
 def test_torus_experiments_take_kappa_from_lattice_sum_for_other_walks(
         kingman, green_routes):
-    g, _err = green_function(DIAGONAL, "CUBATURE")
+    g, _err = _green_cubature(DIAGONAL)
     exact = kappa(g, kingman.lambda_bk(2, 2))
     comp = pairwise_torus_experiment(2, DIAGONAL, kingman, replicas=20, seed=1)
     assert comp["extras"]["kappa_info"]["G_method"] == "CUBATURE"
@@ -522,7 +525,7 @@ def test_drifted_walk_takes_kappa_from_its_symmetrization(kingman,
     # the symmetrized law: an axis walk here, so BESSEL decides it
     comp = pairwise_torus_experiment(2, DRIFTED, kingman, replicas=20, seed=1)
     assert green_routes == ["BESSEL"]
-    g, _err = green_function(DRIFTED.symmetrized(), "BESSEL")
+    g, _err = _green_bessel(DRIFTED.symmetrized())
     assert comp["extras"]["kappa"] == kappa(g, kingman.lambda_bk(2, 2))
     assert comp["extras"]["kappa"] == pytest.approx(0.5672, abs=1e-4)
 
@@ -530,7 +533,7 @@ def test_drifted_walk_takes_kappa_from_its_symmetrization(kingman,
 def test_torus_kappa_takes_green_of_symmetrized_walk(kingman, monkeypatch):
     walks = []
 
-    def fake_green(walk, method):
+    def fake_green(walk):
         walks.append(walk)
         return 1.5, 0.01
     monkeypatch.setattr(experiments, "green_function", fake_green)
@@ -686,6 +689,17 @@ def test_walk_apart_chunk_length_rule(monkeypatch, N, d, apart, calls):
     assert seen == calls
 
 
+def test_few_block_sampler_has_one_home():
+    # the sampler, its packed-site walk and its chunk rule live in engine;
+    # experiments runs the engine's function, under the name the benchmark's
+    # tracer wraps
+    assert experiments.few_block_torus_sample is engine.few_block_torus_sample
+    for name in ("_TorusWalk", "_MAX_CHUNK_STEPS"):
+        assert not hasattr(experiments, name)
+    assert not hasattr(engine, "few_block_sample")
+    assert issubclass(ReferenceWalk, engine._TorusWalk)
+
+
 def test_few_block_sample_merges_co_located_starts(kingman):
     # blocks that start on one site take the event-by-event path first
     logs, stats = few_block_torus_sample(3, simple_walk(3), kingman,
@@ -704,7 +718,7 @@ def test_few_block_sample_merges_co_located_starts(kingman):
     assert stats["lockstep_events"] >= 200
     assert 0 < stats["chunk_cuts"] <= stats["chunk_replicas"]
     assert stats["chunk_steps"] <= (stats["chunk_replicas"]
-                                    * experiments._MAX_CHUNK_STEPS)
+                                    * engine._MAX_CHUNK_STEPS)
 
 
 # a non-axis walk of reach 2 in d = 3 and d = 4

@@ -10,6 +10,8 @@ from scipy.special import i0e
 from spatial_coalescent.errors import DimensionTooLow, SizeOverflow, TruncationUnstable
 from spatial_coalescent.geometry import (
     WalkSpec,
+    _green_bessel,
+    _green_cubature,
     _lattice_basis,
     build_torus,
     check_torus_walk,
@@ -322,7 +324,7 @@ def test_green_lattice_d3_matches_reference(lattice_d3):
 
 
 def test_green_bessel_d3_is_watson_value(lattice_d3):
-    est, err = green_function(simple_walk(3), "BESSEL")
+    est, err = _green_bessel(simple_walk(3))
     assert est == pytest.approx(WATSON_D3, rel=0.0, abs=1e-12)
     assert err <= 1e-10
     g_lat, e_lat = lattice_d3
@@ -341,8 +343,8 @@ SELF_LOOP = WalkSpec(3, ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
 ], ids=["4", "5", "3", "self-loop", "anisotropic"])
 def test_green_bessel_agrees_with_lattice(walk, tol):
     # the cubature's bound covers BESSEL, and it is within tol of it
-    g_bes, _ = green_function(walk, "BESSEL")
-    g_cub, e_cub = green_function(walk, "CUBATURE")
+    g_bes, _ = _green_bessel(walk)
+    g_cub, e_cub = _green_cubature(walk)
     assert 0.0 < e_cub <= 1e-6
     assert abs(g_bes - g_cub) <= min(e_cub, tol)
 
@@ -351,9 +353,9 @@ def test_green_lazy_walk_takes_bessel_at_twice_the_simple_value():
     # a self-loop of 1/2 doubles the time spent at each visited site
     assert LAZY.axis_rates == pytest.approx([1 / 6] * 3)
     assert green_method(LAZY) == "BESSEL"
-    g_bes, _ = green_function(LAZY, "BESSEL")
+    g_bes, _ = _green_bessel(LAZY)
     assert g_bes == pytest.approx(2 * WATSON_D3, rel=0.0, abs=1e-12)
-    g_cub, e_cub = green_function(LAZY, "CUBATURE")
+    g_cub, e_cub = _green_cubature(LAZY)
     assert 0.0 < e_cub <= 1e-10
     assert abs(g_cub - g_bes) <= e_cub
 
@@ -368,10 +370,10 @@ def test_green_lattice_bound_positive_and_covers_exact_value(walk, axis_twin):
     # a walk whose steps span a lattice of index > 1 is rewritten in a basis
     # of that lattice, where it is its axis twin; without that the cubature
     # misses by about 1e-2
-    g, err = green_function(walk, "CUBATURE")
+    g, err = _green_cubature(walk)
     assert 0.0 < err <= 1e-10
     if axis_twin is not None:
-        exact, _ = green_function(axis_twin, "BESSEL")
+        exact, _ = _green_bessel(axis_twin)
         assert abs(g - exact) <= err
 
 
@@ -380,13 +382,12 @@ def test_green_method_is_exact_route_of_the_walk():
     assert green_method(DRIFT.symmetrized()) == "BESSEL"
     for walk in (SKEW, DIAGONAL, LONG_STEPS, DRIFT):
         assert green_method(walk) == "CUBATURE"
-    assert green_function(simple_walk(3)) == green_function(simple_walk(3),
-                                                            "BESSEL")
+    assert green_function(simple_walk(3)) == _green_bessel(simple_walk(3))
 
 
 def test_green_bessel_anisotropic_agrees_with_monte_carlo():
     walk = _axis_walk((0.2, 0.3, 0.5))
-    g_bes, _ = green_function(walk, "BESSEL")
+    g_bes, _ = _green_bessel(walk)
     g_mc, e_mc = green_monte_carlo(walk, seed=5)
     assert (g_mc, e_mc) == (1.5866284887941735, 0.01749222280073514)
     assert abs(g_bes - g_mc) <= e_mc
@@ -405,7 +406,7 @@ def test_green_bessel_anisotropic_agrees_with_monte_carlo():
 def test_green_bessel_rejects_non_axis_walk(walk):
     assert walk.axis_rates is None
     with pytest.raises(ValueError, match="axis walk"):
-        green_function(walk, "BESSEL")
+        _green_bessel(walk)
 
 
 def test_green_bessel_raises_when_quadrature_cannot_bound_error():
@@ -413,7 +414,7 @@ def test_green_bessel_raises_when_quadrature_cannot_bound_error():
     # t of about 1e7, and the exp-sinh rules at steps 1/32 and 1/64 differ
     # by 4.2e-6, far above the route's 1e-10 limit
     with pytest.raises(TruncationUnstable, match="4.2"):
-        green_function(_axis_walk((1e-7, 1e-7, 1 - 2e-7)), "BESSEL")
+        _green_bessel(_axis_walk((1e-7, 1e-7, 1 - 2e-7)))
 
 
 def _watson_quad(walk) -> float:
@@ -432,7 +433,7 @@ def _watson_quad(walk) -> float:
     _axis_walk((1e-4, 1e-4, 1 - 2e-4)),
 ], ids=["3", "4", "6", "8", "lazy", "anisotropic", "flat", "nearly-1d"])
 def test_green_bessel_exp_sinh_rule_matches_quad(walk):
-    g, err = green_function(walk, "BESSEL")
+    g, err = _green_bessel(walk)
     assert abs(g - _watson_quad(walk)) <= 1e-12
     assert 0.0 < err <= 1e-10
 
@@ -441,7 +442,7 @@ def test_green_cubature_raises_when_its_rules_disagree():
     # nearly one-dimensional: 1 - phi is small near two planes, and the
     # coarse and fine rules differ by about 5
     with pytest.raises(TruncationUnstable, match="cubature"):
-        green_function(_axis_walk((1e-4, 1e-4, 1 - 2e-4)), "CUBATURE")
+        _green_cubature(_axis_walk((1e-4, 1e-4, 1 - 2e-4)))
 
 
 def test_green_decreases_with_dimension(lattice_d3):
@@ -452,7 +453,7 @@ def test_green_decreases_with_dimension(lattice_d3):
 
 def test_green_monte_carlo_agrees_with_lattice():
     # the oracle of the cubature on a walk that BESSEL cannot take
-    g_cub, e_cub = green_function(DIAGONAL, "CUBATURE")
+    g_cub, e_cub = _green_cubature(DIAGONAL)
     g_mc, e_mc = green_monte_carlo(DIAGONAL, seed=3)
     assert (g_mc, e_mc) == (1.4510381786531152, 0.014757501892758753)
     assert abs(g_cub - g_mc) <= e_cub + e_mc
@@ -509,6 +510,18 @@ def test_monte_carlo_oracle_keeps_its_stream(name):
     assert got == MONTE_CARLO_PINS[name]
 
 
+@pytest.mark.parametrize("walk", [
+    *ORACLE_WALKS.values(), _axis_walk((0.2, 0.3, 0.5)),
+    _axis_walk((0.05, 0.05, 0.9)),
+], ids=[*ORACLE_WALKS, "anisotropic", "flat"])
+def test_green_function_takes_the_walks_own_route(walk):
+    # BESSEL exactly when the walk is an axis walk, bit for bit
+    route = _green_bessel if walk.axis_rates is not None else _green_cubature
+    assert green_function(walk) == route(walk)
+    assert green_method(walk) == ("BESSEL" if route is _green_bessel
+                                  else "CUBATURE")
+
+
 def test_monte_carlo_oracle_raises_where_packed_fields_overflow():
     # d = 5 packs 12-bit fields: a coordinate reaches at most 2047
     green_monte_carlo(simple_walk(5), replicas=2, horizon=2047)
@@ -522,17 +535,17 @@ def test_monte_carlo_oracle_raises_where_packed_fields_overflow():
 def test_green_lattice_error_bound_positive_with_drift():
     # a walk with drift has no cubature; kappa passes its symmetrization
     with pytest.raises(ValueError, match="symmetric"):
-        green_function(DRIFT, "CUBATURE")
+        _green_cubature(DRIFT)
     with pytest.raises(ValueError, match="symmetric"):
         green_function(DRIFT)
-    g, err = green_function(DRIFT.symmetrized(), "CUBATURE")
-    g_bes, _ = green_function(DRIFT.symmetrized(), "BESSEL")
+    g, err = _green_cubature(DRIFT.symmetrized())
+    g_bes, _ = _green_bessel(DRIFT.symmetrized())
     assert 0.0 < err and abs(g - g_bes) <= min(err, 1e-10)
 
 
 def test_green_rejects_low_dimension():
     with pytest.raises(DimensionTooLow):
-        green_function(simple_walk(2), "CUBATURE")
+        green_function(simple_walk(2))
 
 
 # ---------------------------------------------------------------- kappa

@@ -81,6 +81,22 @@ def test_tolerance_not_met_raises():
                   LambdaMeasure.beta(1.5), tight)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("abs_tol", math.nan, "tolerances"), ("rel_tol", math.nan, "tolerances"),
+    ("abs_tol", 0.0, "tolerances"), ("rel_tol", -1e-10, "tolerances"),
+    ("abs_tol", math.inf, "tolerances"),
+    ("max_subdivisions", math.nan, "integer max_subdivisions"),
+    ("max_subdivisions", 0, "integer max_subdivisions"),
+    ("max_subdivisions", 2.5, "integer max_subdivisions"),
+    ("max_subdivisions", math.inf, "integer max_subdivisions"),
+])
+def test_quadrature_config_rejects_bad_values(field, value, match):
+    # `abs_tol <= 0` is false for NaN, and so was `max_subdivisions < 1`:
+    # both were accepted
+    with pytest.raises(ValueError, match=match):
+        QuadratureConfig(**{field: value})
+
+
 # ---------------------------------------------------------------- moments
 
 @pytest.mark.parametrize("piece", [

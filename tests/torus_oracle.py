@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from spatial_coalescent.experiments import _TorusWalk, _check_run
+from spatial_coalescent.engine import _TorusWalk
+from spatial_coalescent.experiments import _check_run
 from spatial_coalescent.geometry import WalkSpec, check_torus_walk
 from spatial_coalescent.rates import RateKernel
 
@@ -118,7 +119,7 @@ class _GammaCounts:
 
 
 class ReferenceWalk(_TorusWalk):
-    """`experiments._TorusWalk` with the reference sampler's pieces: a
+    """`engine._TorusWalk` with the reference sampler's pieces: a
     lockstep step (`draw_steps`, `move`) that wraps by the add and mask of
     the C loop, and the passes of free migration (`walk_apart`), whose
     chunks are `per_block_wrap_chunk` and whose counters are those of the
@@ -185,7 +186,7 @@ class ReferenceWalk(_TorusWalk):
 
 def few_block_torus_sample(N: int, walk: WalkSpec, kernel: RateKernel,
                            start_positions, replicas: int, seed: int):
-    """`experiments.few_block_torus_sample` in numpy: the same logs and
+    """`engine.few_block_torus_sample` in numpy: the same logs and
     counters from the same draws.
 
     While no two alive blocks of a replica share a site, it advances by
