@@ -10,4 +10,4 @@ Modules:
     cli         -- config ingestion, dispatch, manifests
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -242,6 +242,14 @@ def _validate(check, raw, *prefix):
     return value
 
 
+def _set_fields(cfg: dict) -> dict:
+    """The top-level fields of the run config `cfg` that it sets away from
+    their defaults, with their values.  Compared with the default, not None:
+    killing defaults to False and probe_times to []."""
+    return {name: cfg[name] for name, (_check, default) in _RUN_FIELDS.items()
+            if cfg[name] != default}
+
+
 def _require(cfg: dict, command: str, *sections: str) -> None:
     if any(cfg[name] is None for name in sections):
         raise _ConfigError([f"{command}: config requires "
@@ -358,12 +366,6 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# fields a config can no longer set, at the default they had: config_sha256
-# hashes them, so that the hash of a config that never set one, and so its
-# report, stays what it was
-_RETIRED_FIELDS = {"method": None}
-
-
 class ArtifactWriter:
     """Writes report/raw/manifest into the config's out_dir; every file is
     listed in the manifest.  Reports carry no timestamps so reruns are byte
@@ -381,8 +383,9 @@ class ArtifactWriter:
     @property
     def config_hash(self) -> str:
         # where the artifacts land is not part of the run identity
-        semantic = {k: v for k, v in self.config.items() if k != "out_dir"}
-        return _sha256(_canonical_json({**_RETIRED_FIELDS, **semantic}))
+        fields = _set_fields(self.config)
+        fields.pop("out_dir", None)
+        return _sha256(_canonical_json(fields))
 
     def write_text(self, name: str, text: str) -> None:
         if not self.out_dir:
@@ -455,10 +458,7 @@ def _load(config, **overrides):
 def _reject_unread(cfg: dict, reads, what: str) -> None:
     """A config error naming each field outside `reads` that the config sets
     away from its default: `what` would ignore it."""
-    # compared with the default, not None: killing defaults to False and
-    # probe_times to []
-    ignored = [name for name, (_check, default) in _RUN_FIELDS.items()
-               if name not in reads and cfg[name] != default]
+    ignored = [name for name in _set_fields(cfg) if name not in reads]
     if ignored:
         raise _ConfigError([f"{name}: {what} does not use it"
                             for name in ignored])
@@ -696,30 +696,33 @@ def _torus_walk(cfg: dict) -> tuple[int, WalkSpec]:
     return geo["N"], walk
 
 
-# Each run maps the config to the experiment's arguments and sets its
-# replica default.  It calls the experiment by its module-level name, which
-# a tracer may wrap.
+def _replicas(cfg: dict) -> dict:
+    # a count the config sets; else the default in the experiment's signature
+    return {} if cfg["replicas"] is None else {"replicas": cfg["replicas"]}
+
+
+# Each run maps the config to the experiment's arguments.  It calls the
+# experiment by its module-level name, which a tracer may wrap.
 
 @_experiment("hitting_time", _section({"n": (_int_from(2), _REQUIRED),
                                         "k": (_int_from(2), 2)}),
              table="hitting_times.csv")
 def _run_hitting_time(cfg: dict, p: dict, kernel: RateKernel):
     return estimate_Tnk(p["n"], p["k"], _build_geography(cfg["geography"]),
-                        kernel, replicas=cfg["replicas"] or 400,
-                        seed=cfg["seed"])
+                        kernel, seed=cfg["seed"], **_replicas(cfg))
 
 
 @_experiment("trend", _section({
     # the growth exponent is a fit over the distinct sizes
     "n_grid": (_where(_list(_POS_INT), lambda g: len(set(g)) == len(g) > 1,
-                      "must hold 2 or more distinct sizes"), _REQUIRED),
+                      "must hold 2 or more sizes, none repeated"), _REQUIRED),
     "t_probe": (_number_or_list(_POS_NUMBER), 0.5),
 }), reads=("replicas", "killing"))
 def _run_trend(cfg: dict, p: dict, kernel: RateKernel):
     return stay_infinite_trend(kernel, _build_geography(cfg["geography"]),
                                p["n_grid"], p["t_probe"],
-                               replicas=cfg["replicas"] or 200,
-                               seed=cfg["seed"], killing=cfg["killing"])
+                               seed=cfg["seed"], killing=cfg["killing"],
+                               **_replicas(cfg))
 
 
 _KAPPA_VALUE = (_or_none(_POS_NUMBER), None)
@@ -734,9 +737,8 @@ def _run_pairwise(cfg: dict, p: dict, kernel: RateKernel):
         raise _ConfigError(
             [f"experiment.params.separation: needs {walk.dimension} entries"])
     return pairwise_torus_experiment(
-        N, walk, kernel,
-        replicas=cfg["replicas"] or 2000, seed=cfg["seed"],
-        separation=p["separation"], kappa_value=p["kappa_value"])
+        N, walk, kernel, seed=cfg["seed"], separation=p["separation"],
+        kappa_value=p["kappa_value"], **_replicas(cfg))
 
 
 @_experiment("block_count", _section({
@@ -750,8 +752,8 @@ def _run_block_count(cfg: dict, p: dict, kernel: RateKernel):
     N, walk = _torus_walk(cfg)
     return block_count_limit_experiment(
         N, walk, kernel, cfg["n_per_site"] or 10, p["times"],
-        replicas=cfg["replicas"] or 500, seed=cfg["seed"],
-        kappa_value=p["kappa_value"], event_budget=cfg["event_budget"])
+        seed=cfg["seed"], kappa_value=p["kappa_value"],
+        event_budget=cfg["event_budget"], **_replicas(cfg))
 
 
 @_experiment("structure", _section({"n_blocks": (_int_from(2), _REQUIRED),
@@ -764,9 +766,8 @@ def _run_structure(cfg: dict, p: dict, kernel: RateKernel):
                             f"{2 * walk.dimension} in {walk.dimension} "
                             "dimensions"])
     return partition_structure_experiment(
-        N, walk, kernel,
-        p["n_blocks"], replicas=cfg["replicas"] or 3000, seed=cfg["seed"],
-        kappa_value=p["kappa_value"])
+        N, walk, kernel, p["n_blocks"], seed=cfg["seed"],
+        kappa_value=p["kappa_value"], **_replicas(cfg))
 
 
 def _covers_one_to_n(p):
@@ -786,9 +787,8 @@ def _disjoint(p):
     "class_split classes must not share an element"))
 def _run_coupling(cfg: dict, p: dict, kernel: RateKernel):
     return class_coupling_check(_build_geography(cfg["geography"]), kernel,
-                                p["class_split"], p["t"],
-                                replicas=cfg["replicas"] or 100,
-                                seed=cfg["seed"])
+                                p["class_split"], p["t"], seed=cfg["seed"],
+                                **_replicas(cfg))
 
 
 @_experiment("decay_shape", _section({
@@ -796,8 +796,8 @@ def _run_coupling(cfg: dict, p: dict, kernel: RateKernel):
     "t_grid": (_nonempty(_list(_POS_NUMBER)), _REQUIRED)}))
 def _run_decay_shape(cfg: dict, p: dict, kernel: RateKernel):
     return block_decay_shape(kernel, _build_walk(cfg["geography"]["walk"]),
-                             p["N_values"], p["t_grid"],
-                             replicas=cfg["replicas"] or 50, seed=cfg["seed"])
+                             p["N_values"], p["t_grid"], seed=cfg["seed"],
+                             **_replicas(cfg))
 
 
 @_experiment("kappa", reads=())

@@ -98,14 +98,14 @@ def spawn_seeds(master_seed: int, count: int) -> list[int]:
 def _add_engine_stats(stats: dict, rec) -> None:
     """Add one simulate record's engine counters to `stats`: the events by
     tag and the thinning rejections summed, and the largest
-    `max_site_blocks` and `lambda_table_size`."""
+    `max_site_blocks`."""
     events = stats.setdefault("events", {})
     for tag, n in rec.stats["events"].items():
         events[tag] = events.get(tag, 0) + n
     stats["thinning_rejections"] = (stats.get("thinning_rejections", 0)
                                     + rec.stats["thinning_rejections"])
-    for key in ("max_site_blocks", "lambda_table_size"):
-        stats[key] = max(stats.get(key, 0), rec.stats[key])
+    stats["max_site_blocks"] = max(stats.get("max_site_blocks", 0),
+                                   rec.stats["max_site_blocks"])
 
 
 def _replica_runs(init, geography, kernel: RateKernel, seed: int,
@@ -276,13 +276,13 @@ def stay_infinite_trend(kernel: RateKernel, geography, n_grid, t_probe,
                         replicas: int = 200, seed: int = 0,
                         killing: bool = False) -> dict:
     """E[#blocks(t_probe)] against n for diverging-count diagnosis: `per_n`
-    maps each n of n_grid (2 or more distinct sizes) to {probe time:
+    maps each n of n_grid (2 or more sizes, none repeated) to {probe time:
     (mean, standard error)}, the error None from one replica.  `stats`
     holds the engine counters of _replica_runs over every n."""
     _check_run(replicas, **{f"n_grid[{i}]": (n, 1)
                             for i, n in enumerate(n_grid)})
-    if len(set(n_grid)) < 2:
-        raise ValueError(f"n_grid must hold 2 or more distinct sizes, "
+    if not len(set(n_grid)) == len(n_grid) > 1:
+        raise ValueError(f"n_grid must hold 2 or more sizes, none repeated, "
                          f"got {n_grid!r}")
     probes = tuple(t_probe) if hasattr(t_probe, "__iter__") else (t_probe,)
     horizon = max(probes)
@@ -474,10 +474,7 @@ def pairwise_torus_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     rescaled = times / (2 * N + 1) ** d
     ks_stat, ks_p = _ks_expon(rescaled, 1.0 / kappa_value)
     mean = float(np.mean(rescaled))
-    # the pairwise report and each block-count comparison share one layout,
-    # so empirical, reference and tv_distance are empty here
-    return {"empirical": {}, "reference": {}, "ks_stat": ks_stat,
-            "tv_distance": None, "ks_pvalue": ks_p, "sample_size": replicas,
+    return {"ks_stat": ks_stat, "ks_pvalue": ks_p, "sample_size": replicas,
             "extras": {"kappa": kappa_value, "fitted_rate": 1.0 / mean,
                        "mean_rescaled_time": mean,
                        "kappa_info": kappa_info or {}},
@@ -502,6 +499,8 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
     the engine counters of _replica_runs."""
     _check_run(replicas, kappa_value, N=(N, 1), n_per_site=(n_per_site, 1))
     check_torus_walk(N, walk)
+    if len(times) == 0:
+        raise ValueError("times must not be empty")
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("times must increase")
     d = walk.dimension
@@ -537,14 +536,12 @@ def block_count_limit_experiment(N: int, walk: WalkSpec, kernel: RateKernel,
             samples[i, j] = c
     t3 = time.perf_counter()
 
-    # in the layout of the pairwise report, with no KS test
     comparisons = []
     for j, (t, ref) in enumerate(zip(times, refs)):
         emp = _counts_to_dist(samples[:, j])
         comparisons.append({"empirical": emp, "reference": ref,
-                            "ks_stat": None, "tv_distance": _tv(emp, ref),
-                            "ks_pvalue": None, "sample_size": replicas,
-                            "extras": {"t": float(t)}})
+                            "tv_distance": _tv(emp, ref),
+                            "sample_size": replicas, "extras": {"t": float(t)}})
     joint_p = None if joint is None else _joint_chi2(samples[:, :2], joint)
 
     return {

@@ -539,8 +539,7 @@ SAMPLER_STATS = {"chunk_calls", "chunk_replicas", "chunk_cells",
                  "lockstep_skipped"}
 # the engine counters summed over the replicas of hitting_time, trend,
 # block_count, coupling and decay_shape
-ENGINE_STATS = {"events", "thinning_rejections", "max_site_blocks",
-                "lambda_table_size"}
+ENGINE_STATS = {"events", "thinning_rejections", "max_site_blocks"}
 STRUCTURE_CFG = {"seed": 5, "measure": KINGMAN,
                  "geography": {"topology": "torus", "N": 3},
                  "experiment": {"name": "structure",
@@ -572,17 +571,17 @@ DECAY_SHAPE_CFG = {"seed": 9, "measure": KINGMAN,
                    "replicas": 5}
 
 
-# sha256 of each config's report.json, pinned when the experiments moved to
-# one result shape: a refactor must leave every report byte-identical
+# sha256 of each config's report.json at version 0.2.0: a refactor must
+# leave every report byte-identical
 REPORT_SHA256 = {
-    "hitting_time": "8287277056ec77600c7677c076b027d87251d3885c50ac32ea81b720d3de157f",
-    "block_count": "ace70f4cafeb48ff841e2a6755af68c17b43e8e9c4f147c929e99d197912287d",
-    "structure": "ba4e56764c2e1a8e64c80472ac3ee0d316b34357dfa355c9d28a6db30cc541e0",
-    "pairwise": "3c4870365376d27e5ebf705a7d55fa3d1004bee2e947b15746ea354d5692660a",
-    "kappa": "672779e708f985999f1ed14afbaf8810a3deb7930ee68b802d4b46252636c235",
-    "trend": "ddbaa0a2e19c784d3e36308b847e02d3956feebb20ec4bc5f3a3bbdb3ab2fee4",
-    "coupling": "58a3fa728feffe6fcc48d6e3c140f38ffbade1060401b8029c90cb34fbe4da62",
-    "decay_shape": "bc4a2fbbe04685c7469bcbb1f7161f8fdd8ae4e3dbbeb1b3e867f027210435ce",
+    "hitting_time": "84d235340b58371c4901a814b50df8cf9c50d912469b6fa4258004f594923887",
+    "block_count": "e868382074498432dcdb02b9ce37fcc11382a88d168fbc6dbfd040f597f9617c",
+    "structure": "05f57cc2c99f9708d3df7f7ecb224db5d60617ecca053abdf9e247b048777970",
+    "pairwise": "fbcc013301267950fa16b9a5bbe0c359df5eb482749e5cc8a7767d0ffd90ddea",
+    "kappa": "1e509711891083cc2239ab7747f086262926fc70dda962b6e9e966e31458c140",
+    "trend": "33539fc60bb541d4dde8b8d1a2ccd8476acb6584dc1cee2f687a75a7526542f4",
+    "coupling": "a198a0bddbebfda9a1b067dea4a099ef4f3975d161f909350c696e5bc8356793",
+    "decay_shape": "ab7a98d43140cc5d252d9f425ded7e210d967d2bed2e336ef14134027f1f9414",
 }
 
 
@@ -608,7 +607,7 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
         manifests.append(json.loads((out / "manifest.json").read_text()))
     assert reports[0] == reports[1]
     assert (hashlib.sha256(reports[0]).hexdigest()
-            == REPORT_SHA256[cfg["experiment"]["name"]])
+            == REPORT_SHA256[cfg["experiment"]["name"]]), reports[0].decode()
     assert not {"stats", "table"} & set(json.loads(reports[0]))
     stats = manifests[0]["stats"]
     assert set(stats) == {"kernel_build_s", "run_s"} | phases
@@ -620,7 +619,7 @@ def test_experiment_report_deterministic_stats_in_manifest(tmp_path, cfg,
         assert set(stats["events"]) == {"MERGE", "MIGRATE", "KILL"}
         assert stats["events"]["MERGE"] > 0
         assert all(n >= 0 for n in stats["events"].values())
-        assert stats["lambda_table_size"] > stats["max_site_blocks"] > 0
+        assert stats["max_site_blocks"] > 0
     if phases == SAMPLER_STATS:
         assert stats["chunk_steps"] > 0 and stats["lockstep_events"] > 0
         assert stats["chunk_cuts"] <= stats["chunk_replicas"]
@@ -739,6 +738,39 @@ def test_manifest_round_trip(tmp_path, command, cfg):
     r2 = run_cli(tmp_path, embedded, command, "--out", str(out2))
     assert r2.returncode == 0, r2.stdout + r2.stderr
     assert _report_hash(out1) == _report_hash(out2)
+
+
+def _config_hash(raw):
+    return cli.ArtifactWriter(cli._validate(cli._RUN, raw)).config_hash
+
+
+def test_config_hash_is_the_hash_of_the_set_fields():
+    # the fields away from their defaults, in canonical JSON: killing is
+    # false by default
+    text = '{\n  "dimension": 3,\n  "seed": 1\n}\n'
+    assert _config_hash({"seed": 1, "dimension": 3, "killing": False}) \
+        == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("change, same", [
+    ("new-field", True),
+    ({"killing": False}, True),
+    ({"probe_times": []}, True),
+    ({"killing": True}, False),
+], ids=["new-field", "killing-false", "probe_times-empty", "killing-true"])
+def test_config_hash_covers_only_the_fields_a_config_sets(monkeypatch, change,
+                                                          same):
+    # a field at its default, omitted, spelled out or new to the schema,
+    # leaves the hash, and so every report, as it was
+    before = _config_hash(EXP_CFG)
+    raw = dict(EXP_CFG)
+    if change == "new-field":
+        monkeypatch.setitem(cli._RUN_FIELDS, "extra",
+                            (cli._or_none(cli._INT), None))
+        assert cli._validate(cli._RUN, raw)["extra"] is None
+    else:
+        raw.update(change)
+    assert (_config_hash(raw) == before) is same
 
 
 def test_unknown_experiment_name(tmp_path):

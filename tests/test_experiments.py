@@ -255,8 +255,12 @@ _KAPPA_TAKERS = ("pairwise", "block-count", "structure")
     ("trend", {"n_grid": [0, 4]}),
     ("trend", {"n_grid": [2, 2.5]}),
     ("trend", {"n_grid": [4, 4]}),
+    # a repeated size ran twice, and its second run replaced the first
+    ("trend", {"n_grid": [3, 3, 5]}),
     ("block-count", {"n_per_site": 0}),
     ("block-count", {"n_per_site": 2.5}),
+    # no time failed at max() once kappa and the torus were built
+    ("block-count", {"times": []}),
     ("structure", {"n_blocks": 1}),
     ("structure", {"n_blocks": 2.5}),
     # d = 3 has 6 distinct starts: a seventh block would share one
